@@ -5,10 +5,9 @@
 //! allocator, not a profiler over it.  [`CountingAlloc`] wraps the
 //! system allocator and bumps one process-global counter on every
 //! `alloc`/`alloc_zeroed`/`realloc`; [`total`] reads it.  The type is
-//! always compiled so the `micro_alloc` binary and the `zero_alloc`
-//! gate test can name it, but the `#[global_allocator]` attribute
-//! itself lives in those roots behind the `alloc-count` feature — the
-//! regular benches keep the stock allocator.
+//! always compiled so the `zero_alloc` gate test can name it, but the
+//! `#[global_allocator]` attribute itself lives in that root behind the
+//! `alloc-count` feature — the regular benches keep the stock allocator.
 //!
 //! [`register`] hands [`total`] to `xmt_trace::set_alloc_counter` so
 //! the BSP runtime reports allocs-per-superstep in its trace records.

@@ -53,9 +53,16 @@ fn measure(
     scratch: &mut TcScratch,
     want: u64,
 ) -> (Recorder, f64) {
-    let run = |rec: Option<&mut Recorder>, scratch: &mut TcScratch| match dag {
-        Some(dag) => graphct::count_triangles_dag(dag, strategy, rec, exec, scratch),
-        None => graphct::count_triangles_idorder(g, strategy, rec, exec),
+    let run = |rec: Option<&mut Recorder>, scratch: &mut TcScratch| {
+        let mut ctx = graphct::Ctx {
+            exec: exec.clone(),
+            rec,
+            ..Default::default()
+        };
+        match dag {
+            Some(dag) => graphct::count_triangles_dag(dag, strategy, &mut ctx, scratch),
+            None => graphct::count_triangles_idorder(g, strategy, &mut ctx),
+        }
     };
     let mut rec = Recorder::new();
     let count = run(Some(&mut rec), scratch);
@@ -79,8 +86,11 @@ fn main() {
     let g = build_paper_graph(&cfg);
 
     eprintln!("reference count (merge walk) ...");
-    let want =
-        graphct::count_triangles_idorder(&g, IntersectStrategy::Merge, None, &Executor::fixed());
+    let want = graphct::count_triangles_idorder(
+        &g,
+        IntersectStrategy::Merge,
+        &mut graphct::Ctx::default(),
+    );
 
     let t = Instant::now();
     let dag = dag_view(&g);

@@ -41,7 +41,7 @@ fn main() {
 
     eprintln!("running the three variants ...");
     let mut gs_rec = Recorder::new();
-    let gs = graphct::connected_components_instrumented(&g, &mut gs_rec);
+    let gs = graphct::connected_components_with(&g, &mut graphct::Ctx::recording(&mut gs_rec));
 
     let mut j_rec = Recorder::new();
     let jacobi = graphct::connected_components_jacobi(&g, Some(&mut j_rec));

@@ -66,7 +66,7 @@ fn main() {
     for (i, &s) in sources.iter().enumerate() {
         let mut ct_rec = Recorder::new();
         let t = Instant::now();
-        let ct = graphct::bfs_instrumented(&g, s, &mut ct_rec);
+        let ct = graphct::bfs_with(&g, s, &mut graphct::Ctx::recording(&mut ct_rec));
         let ct_host = t.elapsed().as_secs_f64();
         xmt_graph::validate::validate_bfs(&g, s, &ct.dist, &ct.parent)
             .unwrap_or_else(|e| panic!("source {s}: invalid shared-memory tree: {e}"));

@@ -31,7 +31,7 @@ pub fn run_cc(g: &Csr, config: BspConfig) -> CcRun {
 
     let mut ct_rec = Recorder::new();
     let t = Instant::now();
-    let labels = graphct::connected_components_instrumented(g, &mut ct_rec);
+    let labels = graphct::connected_components_with(g, &mut graphct::Ctx::recording(&mut ct_rec));
     let ct_host = t.elapsed().as_secs_f64();
 
     assert_eq!(bsp.states, labels, "BSP and GraphCT labels disagree");
@@ -67,7 +67,7 @@ pub fn run_bfs(g: &Csr, source: VertexId, config: BspConfig) -> BfsRun {
 
     let mut ct_rec = Recorder::new();
     let t = Instant::now();
-    let ct = graphct::bfs_instrumented(g, source, &mut ct_rec);
+    let ct = graphct::bfs_with(g, source, &mut graphct::Ctx::recording(&mut ct_rec));
     let ct_host = t.elapsed().as_secs_f64();
 
     let bsp_dist: Vec<u64> = out.result.states.iter().map(|s| s.dist).collect();
@@ -115,14 +115,17 @@ pub fn run_tc(g: &Csr, config: BspConfig) -> TcRun {
     let ct_count = graphct::count_triangles_idorder(
         g,
         graphct::IntersectStrategy::Merge,
-        Some(&mut ct_rec),
-        &xmt_par::Executor::fixed(),
+        &mut graphct::Ctx::recording(&mut ct_rec),
     );
     let ct_host = t.elapsed().as_secs_f64();
 
     let mut fast_rec = Recorder::new();
     let t = Instant::now();
-    let fast_count = graphct::count_triangles_instrumented(g, &mut fast_rec);
+    let fast_count = graphct::count_triangles_with(
+        g,
+        graphct::IntersectStrategy::Auto,
+        &mut graphct::Ctx::recording(&mut fast_rec),
+    );
     let fast_host = t.elapsed().as_secs_f64();
 
     assert_eq!(

@@ -32,7 +32,7 @@ use xmt_bench::{build_paper_graph, pick_bfs_source, HarnessConfig};
 use xmt_bsp::algorithms::bfs::BfsProgram;
 use xmt_bsp::algorithms::components::CcProgram;
 use xmt_bsp::program::VertexProgram;
-use xmt_bsp::{run_bsp_slice_exec, BspConfig, Delivery, SuperstepFrame, Transport};
+use xmt_bsp::{run, BspConfig, Delivery, RunOptions, SuperstepFrame, Transport};
 use xmt_par::Executor;
 
 #[cfg(feature = "alloc-count")]
@@ -162,12 +162,20 @@ fn gate_tc(g: &xmt_graph::Csr, exec: &Executor, label: &str) {
 
     let dag = xmt_graph::ops::dag::dag_view(g);
     let mut scratch = TcScratch::new();
-    let warm =
-        graphct::count_triangles_dag(&dag, IntersectStrategy::Hash, None, exec, &mut scratch);
+    let warm = graphct::count_triangles_dag(
+        &dag,
+        IntersectStrategy::Hash,
+        &mut graphct::Ctx::on(exec.clone()),
+        &mut scratch,
+    );
 
     let before = alloc_count::total();
-    let count =
-        graphct::count_triangles_dag(&dag, IntersectStrategy::Hash, None, exec, &mut scratch);
+    let count = graphct::count_triangles_dag(
+        &dag,
+        IntersectStrategy::Hash,
+        &mut graphct::Ctx::on(exec.clone()),
+        &mut scratch,
+    );
     let allocs = alloc_count::total() - before;
     assert_eq!(count, warm, "{label}: warmed sweep changed the count");
     assert!(
@@ -188,8 +196,17 @@ fn gate<P: VertexProgram>(
     exec: &Executor,
 ) {
     let mut frame = SuperstepFrame::new();
-    run_bsp_slice_exec(g, program, config, None, None, None, None, &mut frame, exec)
-        .unwrap_or_else(|e| panic!("{label}: warm-up run failed: {e:?}"));
+    run(
+        g,
+        program,
+        RunOptions {
+            config,
+            frame: Some(&mut frame),
+            exec: exec.clone(),
+            ..Default::default()
+        },
+    )
+    .unwrap_or_else(|e| panic!("{label}: warm-up run failed: {e:?}"));
 
     // Pre-sized so recording a snapshot never allocates (a growing
     // vector inside the hook would count itself).
@@ -201,16 +218,16 @@ fn gate<P: VertexProgram>(
             .push(alloc_count::total());
         false
     };
-    let run = run_bsp_slice_exec(
+    let run = run(
         g,
         program,
-        config,
-        None,
-        None,
-        Some(&hook),
-        None,
-        &mut frame,
-        exec,
+        RunOptions {
+            config,
+            stop: Some(&hook),
+            frame: Some(&mut frame),
+            exec: exec.clone(),
+            ..Default::default()
+        },
     )
     .unwrap_or_else(|e| panic!("{label}: measured run failed: {e:?}"));
     assert!(

@@ -107,7 +107,8 @@ mod tests {
         let mut bsp_rec = Recorder::new();
         let r = bsp_connected_components(&g, Some(&mut bsp_rec));
         let mut ct_rec = Recorder::new();
-        let labels = graphct::connected_components_instrumented(&g, &mut ct_rec);
+        let labels =
+            graphct::connected_components_with(&g, &mut graphct::Ctx::recording(&mut ct_rec));
         assert_eq!(r.states, labels);
         assert!(
             r.supersteps >= 2 * ct_rec.steps("iteration"),

@@ -10,10 +10,17 @@
 //!   aggregators (Pregel §3 semantics: a computation is a sequence of
 //!   supersteps; messages sent in superstep *s* are received in *s + 1*;
 //!   a vertex halts until a message reactivates it);
-//! * a superstep [`runtime`] with two message [`transport`] strategies —
-//!   per-worker outboxes merged at the superstep boundary, and the naive
-//!   single shared queue whose fetch-and-add cursor is the hotspot the
-//!   paper warns about in §VII;
+//! * a superstep [`runtime`] with two ways in: [`run_bsp`] runs a program
+//!   to quiescence, and [`run`] is the one full-control form — its
+//!   [`RunOptions`] carry the config, an optional model recorder, a
+//!   checkpoint to resume from, a stop hook, a trace sink, a reusable
+//!   [`SuperstepFrame`] and the [`xmt_par::Executor`] the loops run on
+//!   (all optional; the default is `run_bsp`'s behaviour), and an
+//!   interrupted run returns the [`ResumePoint`] that continues it;
+//! * message [`transport`] strategies — per-worker outboxes merged at
+//!   the superstep boundary, destination-bucketed outboxes with
+//!   sender-side combining, and the naive single shared queue whose
+//!   fetch-and-add cursor is the hotspot the paper warns about in §VII;
 //! * the paper's three algorithms ([`algorithms::components`] = Alg. 1,
 //!   [`algorithms::bfs`] = Alg. 2, [`algorithms::triangles`] = Alg. 3)
 //!   plus PageRank and SSSP extension programs;
@@ -53,6 +60,17 @@
 //! let r = run_bsp(&g, &MinFlood, BspConfig::default(), None);
 //! assert!(r.states.iter().all(|&l| l == 0));     // one component
 //! assert!(r.supersteps >= 6);                    // min-label floods hop by hop
+//!
+//! // The full-control form: cut the same run after 3 supersteps, then
+//! // continue it from the checkpoint to the same answer.
+//! use xmt_bsp::{run, RunOptions};
+//! let config = BspConfig { max_supersteps: 3, ..BspConfig::default() };
+//! let cut = run(&g, &MinFlood, RunOptions { config, ..Default::default() }).unwrap();
+//! let checkpoint = cut.resume.expect("interrupted by the limit");
+//! let from = Some((cut.result.states, checkpoint));
+//! let rest = run(&g, &MinFlood, RunOptions { from, ..Default::default() }).unwrap();
+//! assert_eq!(rest.result.states, r.states);
+//! assert_eq!(rest.result.supersteps, r.supersteps);
 //! ```
 
 pub mod algorithms;
@@ -64,9 +82,8 @@ pub mod transport;
 pub use inbox::Inbox;
 pub use program::{Combiner, Context, VertexProgram};
 pub use runtime::{
-    resume_bsp, run_bsp, run_bsp_slice, run_bsp_slice_exec, run_bsp_slice_framed,
-    run_bsp_slice_traced, run_bsp_slice_with_stop, ActiveSetStrategy, BspConfig, BspResult,
-    Delivery, ResumeError, ResumePoint, SlicedRun, StopHook, SuperstepFrame,
+    run, run_bsp, ActiveSetStrategy, BspConfig, BspResult, Delivery, ResumeError, ResumePoint,
+    RunOptions, SlicedRun, StopHook, SuperstepFrame,
 };
 pub use transport::Transport;
 pub use xmt_graph::IntersectStrategy;

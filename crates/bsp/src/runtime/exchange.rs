@@ -1,0 +1,165 @@
+//! Phase C: decide the next superstep's delivery, claim its active set,
+//! and group the collected messages into the spare inbox.
+
+use std::sync::atomic::Ordering;
+
+use parking_lot::Mutex;
+
+use xmt_model::PhaseCounts;
+
+use super::compute::msg_words;
+use super::direction::Frontier;
+use super::frame::SuperstepFrame;
+use super::{chunk_for, Delivery, Run};
+use crate::program::VertexProgram;
+use crate::transport::{charge_exchange, Collected};
+
+/// What one exchange phase decided.
+#[derive(Clone, Copy, Debug)]
+pub(super) struct Exchanged {
+    /// The next superstep gathers instead of receiving.
+    pub pull_next: bool,
+    /// Messages that actually cross the boundary: none when the next
+    /// superstep gathers instead.
+    pub messages_sent: u64,
+    /// The destination claim pass ran (charged as atomics).
+    pub claims_ran: bool,
+}
+
+impl<P: VertexProgram> Run<'_, P> {
+    /// Rebuild the frame's spare inbox from the collector (or empty it,
+    /// when the next superstep pulls); the live/spare swap is the
+    /// caller's.
+    pub(super) fn exchange(&mut self, shipped: u64) -> Exchanged {
+        let (graph, n, s) = (self.graph, self.n, self.s);
+        let stop = self.stop;
+        let pull_candidate = self
+            .policy
+            .pull_candidate(s, shipped, || stop.is_some_and(|f| f()));
+        // The destination claim pass: one generation-tagged claim per
+        // distinct message destination, merged with the stayed-awake
+        // claims from compute.  O(messages), never O(V).  It runs when
+        // the worklist needs the next active list (skipped when a
+        // static-pull superstep will ignore it anyway) or when Auto
+        // needs the density estimate — which must count *distinct*
+        // destinations, not shipped messages: a hub receiving thousands
+        // of combined messages is still one awake vertex.
+        let need_estimate = self.policy.estimates() && pull_candidate;
+        let claims_ran = need_estimate
+            || (self.worklist && !(pull_candidate && self.config.delivery == Delivery::Pull));
+        let SuperstepFrame {
+            collector,
+            spare,
+            next_active,
+            awake: awake_scratch,
+            bucket_cursors,
+            ..
+        } = &mut *self.frame;
+        // Borrow the collected messages in place (the storage stays with
+        // the collector for next superstep's reuse).
+        let collected = collector.collected();
+        if claims_ran {
+            let next_active_parts = Mutex::new(std::mem::take(next_active));
+            let collected_ref = &collected;
+            let awake_ref = &*awake_scratch;
+            let gen = &self.gen;
+            self.exec
+                .pfor_chunked(0, collected_ref.num_batches(), 1, |worker, range| {
+                    // SAFETY: at most one live thread per worker id, so
+                    // the awake slot is private to this invocation.
+                    let local = unsafe { awake_ref.get(worker) };
+                    for b in range {
+                        for &(dst, _) in collected_ref.batch(b) {
+                            // Relaxed: generation tag elects one claimer;
+                            // the list itself is read only after the join.
+                            if gen[dst as usize].swap(s + 1, Ordering::Relaxed) != s + 1 {
+                                local.push(dst);
+                            }
+                        }
+                    }
+                    if !local.is_empty() {
+                        next_active_parts.lock().extend(local.drain(..));
+                    }
+                });
+            *next_active = next_active_parts.into_inner();
+        }
+        let next = Frontier {
+            // Exactly the vertices that will run compute next superstep:
+            // distinct message destinations ∪ stayed-awake claimers.
+            est_active: next_active.len() as u64,
+            frontier_edges: if need_estimate && self.policy.beamer && !self.pulling {
+                next_active.iter().map(|&v| graph.degree(v)).sum()
+            } else {
+                0
+            },
+            unexplored_edges: graph.degree_sum().saturating_sub(self.explored_edges),
+            num_vertices: n as u64,
+        };
+        let pull_next = self.policy.pull_next(pull_candidate, self.pulling, &next);
+
+        if pull_next {
+            // The pushed messages are discarded: the next superstep
+            // re-derives them (and possibly more, harmlessly) from
+            // neighbor state.  The worklist is likewise bypassed — the
+            // pull superstep re-derives its own active set.
+            next_active.clear();
+            spare.reset_empty(n);
+        } else {
+            if !self.worklist {
+                // The claims fed the density estimate only; the next
+                // active set is rebuilt densely.
+                next_active.clear();
+            }
+            let combiner = self.program.combiner();
+            match &collected {
+                Collected::Flat(batches) => spare.rebuild_exec(self.exec, n, batches, combiner),
+                Collected::Bucketed { stride, per_worker } => spare.rebuild_bucketed_exec(
+                    self.exec,
+                    n,
+                    *stride,
+                    per_worker,
+                    combiner,
+                    bucket_cursors,
+                ),
+            }
+        }
+        Exchanged {
+            pull_next,
+            messages_sent: if pull_next { 0 } else { shipped },
+            claims_ran,
+        }
+    }
+
+    /// Charge the exchange phase to the model recorder.
+    pub(super) fn charge_exchange(&mut self, shipped: u64, done: &Exchanged) {
+        let Some(r) = self.rec.as_deref_mut() else {
+            return;
+        };
+        let n = self.n as u64;
+        let a = self.frame.active.len() as u64;
+        let sent = done.messages_sent;
+        // Grouping messages into the next inbox is a vertex-wide
+        // operation (counts, prefix sum, scatter) whose parallelism is
+        // V / messages, NOT the active set.  When the next superstep
+        // pulls, the boundary only pays the state snapshot.
+        let mut e = PhaseCounts::with_items(n.max(sent).max(1));
+        if done.pull_next {
+            let state_words = (std::mem::size_of::<P::State>() as u64).div_ceil(8).max(1);
+            xmt_model::charge_pull_exchange(&mut e, n, state_words);
+            if done.claims_ran {
+                // Generation-tag claims feeding the estimator (the
+                // shipped messages were claimed before discarding).
+                e.atomics += shipped + a;
+            }
+        } else {
+            charge_exchange(&mut e, self.config.transport, sent, msg_words::<P>(), n);
+            if done.claims_ran {
+                // Generation-tag claims for the next active list
+                // and/or the density estimate.
+                e.atomics += sent + a;
+            }
+        }
+        e.charge_loop_overhead(chunk_for(self.n, self.exec.workers()));
+        r.push("exchange", self.s, e, sent);
+    }
+}

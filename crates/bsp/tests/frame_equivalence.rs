@@ -15,10 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use xmt_bsp::algorithms::bfs::BfsProgram;
 use xmt_bsp::algorithms::components::CcProgram;
 use xmt_bsp::program::VertexProgram;
-use xmt_bsp::{
-    run_bsp_slice_exec, run_bsp_slice_framed, run_bsp_slice_traced, ActiveSetStrategy, BspConfig,
-    Delivery, SuperstepFrame, Transport,
-};
+use xmt_bsp::{run, ActiveSetStrategy, BspConfig, Delivery, RunOptions, SuperstepFrame, Transport};
 use xmt_graph::builder::build_undirected;
 use xmt_graph::gen::rmat::{rmat_edges, RmatParams};
 use xmt_graph::Csr;
@@ -54,18 +51,26 @@ fn assert_equivalent<P>(
     P::State: PartialEq + std::fmt::Debug,
 {
     let mut fresh_rec = Recorder::new();
-    let fresh = run_bsp_slice_traced(g, program, config, Some(&mut fresh_rec), None, None, None)
-        .expect("fresh run");
-    let mut framed_rec = Recorder::new();
-    let framed = run_bsp_slice_framed(
+    let fresh = run(
         g,
         program,
-        config,
-        Some(&mut framed_rec),
-        None,
-        None,
-        None,
-        frame,
+        RunOptions {
+            config,
+            rec: Some(&mut fresh_rec),
+            ..Default::default()
+        },
+    )
+    .expect("fresh run");
+    let mut framed_rec = Recorder::new();
+    let framed = run(
+        g,
+        program,
+        RunOptions {
+            config,
+            rec: Some(&mut framed_rec),
+            frame: Some(frame),
+            ..Default::default()
+        },
     )
     .expect("framed run");
 
@@ -142,19 +147,26 @@ where
     P::State: PartialEq + std::fmt::Debug,
 {
     let mut sim_frame = SuperstepFrame::new();
-    let sim = run_bsp_slice_framed(g, program, config, None, None, None, None, &mut sim_frame)
-        .expect("sim run");
-    let mut native_frame = SuperstepFrame::new();
-    let native = run_bsp_slice_exec(
+    let sim = run(
         g,
         program,
-        config,
-        None,
-        None,
-        None,
-        None,
-        &mut native_frame,
-        &Executor::guided(),
+        RunOptions {
+            config,
+            frame: Some(&mut sim_frame),
+            ..Default::default()
+        },
+    )
+    .expect("sim run");
+    let mut native_frame = SuperstepFrame::new();
+    let native = run(
+        g,
+        program,
+        RunOptions {
+            config,
+            frame: Some(&mut native_frame),
+            exec: Executor::guided(),
+            ..Default::default()
+        },
     )
     .expect("native run");
 
@@ -212,44 +224,6 @@ fn bfs_native_matches_sim_across_transports_and_deliveries() {
 }
 
 #[test]
-fn ablation_frame_matches_recycled_frame() {
-    // `with_recycle(false)` (the micro_alloc baseline) must change only
-    // allocation behavior, never results.
-    let g = test_graph();
-    let config = BspConfig {
-        transport: Transport::Bucketed,
-        ..BspConfig::default()
-    };
-    let mut recycled = SuperstepFrame::new();
-    let mut fresh_each = SuperstepFrame::with_recycle(false);
-    let a = run_bsp_slice_framed(
-        &g,
-        &CcProgram,
-        config,
-        None,
-        None,
-        None,
-        None,
-        &mut recycled,
-    )
-    .expect("recycled run");
-    let b = run_bsp_slice_framed(
-        &g,
-        &CcProgram,
-        config,
-        None,
-        None,
-        None,
-        None,
-        &mut fresh_each,
-    )
-    .expect("ablation run");
-    assert_eq!(a.result.states, b.result.states);
-    assert_eq!(a.result.superstep_stats, b.result.superstep_stats);
-    assert_eq!(a.result.aggregates, b.result.aggregates);
-}
-
-#[test]
 fn interrupted_resume_with_the_same_frame_matches_uninterrupted() {
     let g = test_graph();
     for transport in TRANSPORTS {
@@ -259,8 +233,15 @@ fn interrupted_resume_with_the_same_frame_matches_uninterrupted() {
                 delivery,
                 ..BspConfig::default()
             };
-            let full = run_bsp_slice_traced(&g, &CcProgram, config, None, None, None, None)
-                .expect("uninterrupted run");
+            let full = run(
+                &g,
+                &CcProgram,
+                RunOptions {
+                    config,
+                    ..Default::default()
+                },
+            )
+            .expect("uninterrupted run");
 
             // Cut after a few boundary polls (the scheduler's deadline
             // path), then resume from the checkpoint with the SAME
@@ -268,15 +249,15 @@ fn interrupted_resume_with_the_same_frame_matches_uninterrupted() {
             let mut frame = SuperstepFrame::new();
             let polls = AtomicU64::new(0);
             let hook = || polls.fetch_add(1, Ordering::Relaxed) >= 2;
-            let part1 = run_bsp_slice_framed(
+            let part1 = run(
                 &g,
                 &CcProgram,
-                config,
-                None,
-                None,
-                Some(&hook),
-                None,
-                &mut frame,
+                RunOptions {
+                    config,
+                    stop: Some(&hook),
+                    frame: Some(&mut frame),
+                    ..Default::default()
+                },
             )
             .expect("interrupted slice");
             assert!(
@@ -284,15 +265,15 @@ fn interrupted_resume_with_the_same_frame_matches_uninterrupted() {
                 "hook did not cut the run ({transport:?}/{delivery:?})"
             );
             let resume = part1.resume.expect("stopped run must yield a checkpoint");
-            let part2 = run_bsp_slice_framed(
+            let part2 = run(
                 &g,
                 &CcProgram,
-                config,
-                None,
-                Some((part1.result.states, resume)),
-                None,
-                None,
-                &mut frame,
+                RunOptions {
+                    config,
+                    from: Some((part1.result.states, resume)),
+                    frame: Some(&mut frame),
+                    ..Default::default()
+                },
             )
             .expect("resumed slice");
 

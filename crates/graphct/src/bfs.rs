@@ -21,9 +21,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use xmt_graph::{Csr, VertexId, NO_VERTEX};
-use xmt_model::{PhaseCounts, Recorder};
+use xmt_model::PhaseCounts;
 use xmt_par::atomic::claim;
-use xmt_par::Executor;
+
+use crate::Ctx;
 
 /// Distances and BFS-tree parents from a source.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,31 +39,10 @@ pub struct BfsResult {
     pub frontier_sizes: Vec<u64>,
 }
 
-/// Level-synchronous BFS from `source`.
+/// Level-synchronous BFS from `source` on the fixed executor, untraced
+/// and uninstrumented.
 pub fn bfs(g: &Csr, source: VertexId) -> BfsResult {
-    run(g, source, &mut None, None, &Executor::fixed())
-}
-
-/// As [`bfs`] on an explicit [`Executor`] — the native engine's entry
-/// point (guided chunking, optionally a pinned pool).  Distances are
-/// identical across executors; parents and frontier order may differ
-/// where several discoverers race (any valid BFS tree).
-pub fn bfs_exec(g: &Csr, source: VertexId, exec: &Executor) -> BfsResult {
-    run(g, source, &mut None, None, exec)
-}
-
-/// As [`bfs`], recording one `"level"` phase per frontier expansion
-/// (observed = frontier size entering the level).
-pub fn bfs_instrumented(g: &Csr, source: VertexId, rec: &mut Recorder) -> BfsResult {
-    run(g, source, &mut Some(rec), None, &Executor::fixed())
-}
-
-/// As [`bfs`], appending one wall-clock trace record per level to
-/// `sink` (active = frontier size, messages = discoveries) so the
-/// GraphCT side yields the same Fig. 2-shaped series as a BSP run.
-/// No-op when the `trace` feature is off.
-pub fn bfs_traced(g: &Csr, source: VertexId, sink: &mut xmt_trace::TraceSink) -> BfsResult {
-    run(g, source, &mut None, Some(sink), &Executor::fixed())
+    bfs_with(g, source, &mut Ctx::default())
 }
 
 /// Beamer top-down→bottom-up switch ratio (GAP default), mirroring
@@ -72,13 +52,19 @@ const BEAMER_ALPHA: f64 = 15.0;
 /// `BspConfig::beamer_beta`.
 const BEAMER_BETA: f64 = 18.0;
 
-fn run(
-    g: &Csr,
-    source: VertexId,
-    rec: &mut Option<&mut Recorder>,
-    mut sink: Option<&mut xmt_trace::TraceSink>,
-    exec: &Executor,
-) -> BfsResult {
+/// [`bfs`] under an explicit [`Ctx`].
+///
+/// * `ctx.exec` — distances are identical across executors; parents and
+///   frontier order may differ where several discoverers race (any valid
+///   BFS tree).
+/// * `ctx.rec` — one `"level"` phase per frontier expansion (observed =
+///   frontier size entering the level).
+/// * `ctx.sink` — one wall-clock trace record per level (active =
+///   frontier size, messages = discoveries), the same Fig. 2-shaped
+///   series a BSP run yields.
+pub fn bfs_with(g: &Csr, source: VertexId, ctx: &mut Ctx<'_>) -> BfsResult {
+    let Ctx { exec, rec, sink } = ctx;
+    let exec = &*exec;
     let workers = exec.workers();
     // Const-folds to `false` in feature-off builds: no clocks, no
     // records, hot loop unchanged.
@@ -307,6 +293,7 @@ mod tests {
     use xmt_graph::builder::build_undirected;
     use xmt_graph::gen::structured::{binary_tree, disjoint_cliques, grid, path, ring, star};
     use xmt_graph::validate::{reference_bfs, validate_bfs};
+    use xmt_model::Recorder;
 
     #[test]
     fn path_distances_are_indices() {
@@ -374,7 +361,7 @@ mod tests {
     fn instrumented_levels_track_frontier() {
         let g = build_undirected(&binary_tree(255));
         let mut rec = Recorder::new();
-        let r = bfs_instrumented(&g, 0, &mut rec);
+        let r = bfs_with(&g, 0, &mut Ctx::recording(&mut rec));
         // Tree of depth 7: levels 0..7.
         assert_eq!(rec.steps("level"), 8);
         let observed: Vec<u64> = rec.with_label("level").map(|x| x.observed).collect();
@@ -388,7 +375,7 @@ mod tests {
         let g = build_undirected(&binary_tree(255));
         let reference = bfs(&g, 0);
         let mut sink = xmt_trace::TraceSink::new();
-        let r = bfs_traced(&g, 0, &mut sink);
+        let r = bfs_with(&g, 0, &mut Ctx::tracing(&mut sink));
         assert_eq!(r, reference);
         let trace = sink.finish();
         // One record per expanded level (the last level discovers

@@ -17,42 +17,29 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use xmt_graph::{Csr, VertexId};
 use xmt_model::{PhaseCounts, Recorder};
 use xmt_par::atomic::fetch_min;
-use xmt_par::{parallel_for, Executor};
+use xmt_par::parallel_for;
+
+use crate::Ctx;
 
 /// Compute component labels (each vertex gets the minimum vertex id of
-/// its component).
+/// its component) on the fixed executor, untraced and uninstrumented.
 pub fn connected_components(g: &Csr) -> Vec<VertexId> {
-    run(g, &mut None, None, &Executor::fixed())
+    connected_components_with(g, &mut Ctx::default())
 }
 
-/// As [`connected_components`] on an explicit [`Executor`] — the native
-/// engine's entry point.  Labels are identical across executors (the
-/// atomic-min hook is order-independent); only the sweep count until
-/// fixpoint may differ by a race.
-pub fn connected_components_exec(g: &Csr, exec: &Executor) -> Vec<VertexId> {
-    run(g, &mut None, None, exec)
-}
-
-/// As [`connected_components`], recording one `"iteration"` phase per
-/// sweep (observed = number of label updates in the sweep).
-pub fn connected_components_instrumented(g: &Csr, rec: &mut Recorder) -> Vec<VertexId> {
-    run(g, &mut Some(rec), None, &Executor::fixed())
-}
-
-/// As [`connected_components`], appending one wall-clock trace record
-/// per sweep to `sink` (active = vertices swept, messages = label
-/// updates) so the GraphCT side yields the same Fig. 1-shaped series as
-/// a BSP run.  No-op when the `trace` feature is off.
-pub fn connected_components_traced(g: &Csr, sink: &mut xmt_trace::TraceSink) -> Vec<VertexId> {
-    run(g, &mut None, Some(sink), &Executor::fixed())
-}
-
-fn run(
-    g: &Csr,
-    rec: &mut Option<&mut Recorder>,
-    mut sink: Option<&mut xmt_trace::TraceSink>,
-    exec: &Executor,
-) -> Vec<VertexId> {
+/// [`connected_components`] under an explicit [`Ctx`].
+///
+/// * `ctx.exec` — labels are identical across executors (the atomic-min
+///   hook is order-independent); only the sweep count until fixpoint may
+///   differ by a race.
+/// * `ctx.rec` — one `"iteration"` phase per sweep (observed = number of
+///   label updates in the sweep).
+/// * `ctx.sink` — one wall-clock trace record per sweep (active =
+///   vertices swept, messages = label updates), the same Fig. 1-shaped
+///   series a BSP run yields.
+pub fn connected_components_with(g: &Csr, ctx: &mut Ctx<'_>) -> Vec<VertexId> {
+    let Ctx { exec, rec, sink } = ctx;
+    let exec = &*exec;
     assert!(!g.is_directed(), "components require an undirected graph");
     let workers = exec.workers();
     // Const-folds to `false` in feature-off builds: no clocks, no
@@ -309,7 +296,7 @@ mod tests {
     fn instrumented_run_records_iterations() {
         let g = build_undirected(&path(1000));
         let mut rec = Recorder::new();
-        let labels = connected_components_instrumented(&g, &mut rec);
+        let labels = connected_components_with(&g, &mut Ctx::recording(&mut rec));
         validate_components(&g, &labels).unwrap();
         let iters = rec.steps("iteration");
         assert!(iters >= 2, "a path needs multiple sweeps");
@@ -331,7 +318,7 @@ mod tests {
     fn jacobi_variant_matches_but_needs_more_iterations() {
         let g = build_undirected(&path(128));
         let mut gs_rec = Recorder::new();
-        let gauss_seidel = connected_components_instrumented(&g, &mut gs_rec);
+        let gauss_seidel = connected_components_with(&g, &mut Ctx::recording(&mut gs_rec));
         let mut j_rec = Recorder::new();
         let jacobi = connected_components_jacobi(&g, Some(&mut j_rec));
         assert_eq!(gauss_seidel, jacobi);
@@ -360,9 +347,9 @@ mod tests {
     fn traced_run_yields_one_record_per_iteration() {
         let g = build_undirected(&path(1000));
         let mut rec = Recorder::new();
-        let reference = connected_components_instrumented(&g, &mut rec);
+        let reference = connected_components_with(&g, &mut Ctx::recording(&mut rec));
         let mut sink = xmt_trace::TraceSink::new();
-        let labels = connected_components_traced(&g, &mut sink);
+        let labels = connected_components_with(&g, &mut Ctx::tracing(&mut sink));
         assert_eq!(labels, reference);
         let trace = sink.finish();
         assert_eq!(trace.len() as u64, rec.steps("iteration"));
@@ -382,7 +369,7 @@ mod tests {
         let el = xmt_graph::gen::rmat::rmat_edges(&p, 3);
         let g = build_undirected(&el);
         let mut rec = Recorder::new();
-        let labels = connected_components_instrumented(&g, &mut rec);
+        let labels = connected_components_with(&g, &mut Ctx::recording(&mut rec));
         validate_components(&g, &labels).unwrap();
         assert!(
             rec.steps("iteration") <= 8,

@@ -18,9 +18,13 @@
 //! * [`workflow`] — the chained-analysis driver (one read-only graph,
 //!   a series of kernel calls, an accumulated report).
 //!
-//! Every kernel has an `*_instrumented` variant that records exact
-//! per-iteration operation counts into an [`xmt_model::Recorder`]; the
-//! analytic machine model turns those into Cray XMT time predictions.
+//! The three measured kernels each have two entry points: the plain
+//! zero-option form ([`connected_components`], [`bfs()`],
+//! [`count_triangles`]) and a `*_with` form taking a [`Ctx`] — which
+//! executor the loops run on, an optional [`xmt_model::Recorder`] for
+//! exact per-iteration operation counts (the analytic machine model
+//! turns those into Cray XMT time predictions), and an optional
+//! wall-clock [`xmt_trace::TraceSink`].
 //!
 //! # Example: a GraphCT workflow
 //!
@@ -55,18 +59,62 @@ pub mod triangles;
 pub mod workflow;
 
 pub use betweenness::betweenness_centrality;
-pub use bfs::{bfs, bfs_exec, bfs_instrumented, bfs_traced, BfsResult};
+pub use bfs::{bfs, bfs_with, BfsResult};
 pub use components::{
-    connected_components, connected_components_exec, connected_components_instrumented,
-    connected_components_jacobi, connected_components_traced,
+    connected_components, connected_components_jacobi, connected_components_with,
 };
 pub use kcore::kcore_decomposition;
 pub use pagerank::pagerank;
 pub use sssp::sssp;
 pub use triangles::{
-    clustering_coefficients, clustering_coefficients_with, count_triangles,
-    count_triangles_binsearch, count_triangles_dag, count_triangles_exec, count_triangles_idorder,
-    count_triangles_instrumented, count_triangles_with, TcScratch,
+    clustering_coefficients, clustering_coefficients_with, count_triangles, count_triangles_dag,
+    count_triangles_idorder, count_triangles_with, TcScratch,
 };
 pub use workflow::Workflow;
 pub use xmt_graph::IntersectStrategy;
+
+use xmt_model::Recorder;
+use xmt_par::Executor;
+use xmt_trace::TraceSink;
+
+/// How a `*_with` kernel call runs: where its parallel loops execute and
+/// what it reports on the side.  `Ctx::default()` is the plain form's
+/// behaviour — fixed executor, nothing recorded, nothing traced.
+#[derive(Default)]
+pub struct Ctx<'a> {
+    /// Where and how the parallel loops run.  `Executor::fixed()` (the
+    /// default) is the loop shape the cost model charges for; the native
+    /// engine passes a guided executor, optionally on a pinned pool.
+    pub exec: Executor,
+    /// Model recorder charged with exact per-phase operation counts.
+    pub rec: Option<&'a mut Recorder>,
+    /// Wall-clock trace sink, one record per level / sweep.  A no-op
+    /// when the `trace` feature is off.
+    pub sink: Option<&'a mut TraceSink>,
+}
+
+impl<'a> Ctx<'a> {
+    /// Default context on `exec`.
+    pub fn on(exec: Executor) -> Self {
+        Ctx {
+            exec,
+            ..Ctx::default()
+        }
+    }
+
+    /// Default context charging operation counts to `rec`.
+    pub fn recording(rec: &'a mut Recorder) -> Self {
+        Ctx {
+            rec: Some(rec),
+            ..Ctx::default()
+        }
+    }
+
+    /// Default context appending trace records to `sink`.
+    pub fn tracing(sink: &'a mut TraceSink) -> Self {
+        Ctx {
+            sink: Some(sink),
+            ..Ctx::default()
+        }
+    }
+}

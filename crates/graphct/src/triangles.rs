@@ -34,6 +34,8 @@ use xmt_model::{PhaseCounts, Recorder};
 use xmt_par::atomic::as_atomic_u64;
 use xmt_par::{Executor, WorkerScratch};
 
+use crate::Ctx;
+
 /// One worker's epoch-stamped mark array.
 ///
 /// `stamps[w] == epoch` means `w` is marked in the current intersection
@@ -107,37 +109,28 @@ impl TcScratch {
 /// Count each triangle of the undirected graph exactly once.
 ///
 /// Default fast path: degree-ordered DAG sweep with the
-/// [`IntersectStrategy::Auto`] per-pair intersection choice.
+/// [`IntersectStrategy::Auto`] per-pair intersection choice, on the
+/// fixed executor, uninstrumented.
 pub fn count_triangles(g: &Csr) -> u64 {
-    count_triangles_with(g, IntersectStrategy::Auto, None, &Executor::fixed())
+    count_triangles_with(g, IntersectStrategy::Auto, &mut Ctx::default())
 }
 
-/// As [`count_triangles`] on an explicit [`Executor`] — the native
-/// engine's entry point.  Guided chunking matters most here: per-vertex
-/// intersection work is degree-skewed even after DAG orientation, so
-/// RMAT hubs make static chunks unbalanced.  The count is identical
-/// across executors.
-pub fn count_triangles_exec(g: &Csr, exec: &Executor) -> u64 {
-    count_triangles_with(g, IntersectStrategy::Auto, None, exec)
-}
-
-/// As [`count_triangles`], recording a single `"count"` phase (observed =
-/// triangles found) with strategy-aware operation charging.
-pub fn count_triangles_instrumented(g: &Csr, rec: &mut Recorder) -> u64 {
-    count_triangles_with(g, IntersectStrategy::Auto, Some(rec), &Executor::fixed())
-}
-
-/// Degree-ordered DAG triangle count with an explicit strategy.
+/// Degree-ordered DAG triangle count with an explicit strategy, under
+/// an explicit [`Ctx`].
+///
+/// * `ctx.exec` — guided chunking matters most here: per-vertex
+///   intersection work is degree-skewed even after DAG orientation, so
+///   RMAT hubs make static chunks unbalanced.  The count is identical
+///   across executors.
+/// * `ctx.rec` — a single `"count"` phase (observed = triangles found)
+///   with strategy-aware operation charging.
+/// * `ctx.sink` — unused: a one-shot kernel has no per-level structure
+///   to trace.
 ///
 /// Builds the DAG view and a fresh scratch pool internally; for an
 /// allocation-free steady state build them once and call
 /// [`count_triangles_dag`] directly.
-pub fn count_triangles_with(
-    g: &Csr,
-    strategy: IntersectStrategy,
-    rec: Option<&mut Recorder>,
-    exec: &Executor,
-) -> u64 {
+pub fn count_triangles_with(g: &Csr, strategy: IntersectStrategy, ctx: &mut Ctx<'_>) -> u64 {
     assert!(
         !g.is_directed(),
         "triangle counting needs an undirected graph"
@@ -145,7 +138,7 @@ pub fn count_triangles_with(
     assert!(g.is_sorted(), "triangle counting needs sorted adjacency");
     let dag = dag_view(g);
     let mut scratch = TcScratch::new();
-    count_triangles_dag(&dag, strategy, rec, exec, &mut scratch)
+    count_triangles_dag(&dag, strategy, ctx, &mut scratch)
 }
 
 /// Sweep a prebuilt degree-ordered DAG view (see
@@ -156,13 +149,19 @@ pub fn count_triangles_with(
 pub fn count_triangles_dag(
     dag: &Csr,
     strategy: IntersectStrategy,
-    rec: Option<&mut Recorder>,
-    exec: &Executor,
+    ctx: &mut Ctx<'_>,
     scratch: &mut TcScratch,
 ) -> u64 {
     assert!(dag.is_directed(), "count_triangles_dag takes the DAG view");
     assert!(dag.is_sorted(), "triangle counting needs sorted adjacency");
-    let (count, _) = dag_sweep(dag, strategy, rec, false, exec, scratch);
+    let (count, _) = dag_sweep(
+        dag,
+        strategy,
+        ctx.rec.as_deref_mut(),
+        false,
+        &ctx.exec,
+        scratch,
+    );
     count
 }
 
@@ -170,18 +169,18 @@ pub fn count_triangles_dag(
 ///
 /// `cc[v] = 2·tri(v) / (d(v)·(d(v)−1))`, 0 for degree < 2.
 pub fn clustering_coefficients(g: &Csr) -> (Vec<f64>, u64) {
-    clustering_coefficients_with(g, IntersectStrategy::Auto, &Executor::fixed())
+    clustering_coefficients_with(g, IntersectStrategy::Auto, &mut Ctx::default())
 }
 
 /// As [`clustering_coefficients`] with an explicit intersection strategy
-/// and executor.  Degrees in the coefficient come from the undirected
-/// graph; triangle credit comes from the DAG sweep (each triangle
-/// credits all three corners exactly once, so per-vertex tallies are
-/// orientation-invariant).
+/// and [`Ctx`] (used as in [`count_triangles_with`]).  Degrees in the
+/// coefficient come from the undirected graph; triangle credit comes
+/// from the DAG sweep (each triangle credits all three corners exactly
+/// once, so per-vertex tallies are orientation-invariant).
 pub fn clustering_coefficients_with(
     g: &Csr,
     strategy: IntersectStrategy,
-    exec: &Executor,
+    ctx: &mut Ctx<'_>,
 ) -> (Vec<f64>, u64) {
     assert!(
         !g.is_directed(),
@@ -190,7 +189,8 @@ pub fn clustering_coefficients_with(
     assert!(g.is_sorted(), "triangle counting needs sorted adjacency");
     let dag = dag_view(g);
     let mut scratch = TcScratch::new();
-    let (count, per_vertex) = dag_sweep(&dag, strategy, None, true, exec, &mut scratch);
+    let rec = ctx.rec.as_deref_mut();
+    let (count, per_vertex) = dag_sweep(&dag, strategy, rec, true, &ctx.exec, &mut scratch);
     // lint:allow(no-panic-in-lib): unreachable — dag_sweep returns
     // per-vertex tallies whenever per_vertex is true.
     let tri = per_vertex.expect("per-vertex counts requested");
@@ -419,34 +419,23 @@ fn intersect_hash(
 /// The [`IntersectStrategy::Merge`] variant reproduces the original §V
 /// kernel *exactly* — same walk, same operation charging — and anchors
 /// the model-prediction figures; the other strategies measure what the
-/// intersection mechanism alone buys without the DAG reordering.
-pub fn count_triangles_idorder(
-    g: &Csr,
-    strategy: IntersectStrategy,
-    rec: Option<&mut Recorder>,
-    exec: &Executor,
-) -> u64 {
+/// intersection mechanism alone buys without the DAG reordering
+/// ([`IntersectStrategy::BinSearch`] walks the shorter candidate range
+/// and probes the longer list: `d_min · log d_max` work instead of the
+/// merge walk's `d_min + d_max`, the trade-off the paper's §VI points
+/// to).  `ctx.exec` and `ctx.rec` as in [`count_triangles_with`].
+pub fn count_triangles_idorder(g: &Csr, strategy: IntersectStrategy, ctx: &mut Ctx<'_>) -> u64 {
     assert!(
         !g.is_directed(),
         "triangle counting needs an undirected graph"
     );
     assert!(g.is_sorted(), "triangle counting needs sorted adjacency");
+    let (rec, exec) = (ctx.rec.as_deref_mut(), &ctx.exec);
     match strategy {
         IntersectStrategy::Merge => idorder_merge(g, rec, exec),
         IntersectStrategy::BinSearch => idorder_binsearch(g, rec, exec),
         IntersectStrategy::Hash | IntersectStrategy::Auto => idorder_hash(g, rec, exec),
     }
-}
-
-/// Triangle counting with the *binary-search* intersection strategy in
-/// the id-order enumeration: walk the shorter candidate range and probe
-/// the longer list.  On skewed degree distributions this does
-/// `d_min · log d_max` work instead of the merge walk's `d_min + d_max`
-/// — the strategy trade-off the paper's §VI points to.  Compare with
-/// [`count_triangles`] via the `intersection` Criterion bench and the
-/// `ablation_intersect` binary.
-pub fn count_triangles_binsearch(g: &Csr, rec: Option<&mut Recorder>, exec: &Executor) -> u64 {
-    count_triangles_idorder(g, IntersectStrategy::BinSearch, rec, exec)
 }
 
 /// The original §V merge kernel (id order, merge intersection).  Kept
@@ -690,12 +679,12 @@ mod tests {
             for exec in [Executor::fixed(), Executor::guided()] {
                 for s in IntersectStrategy::ALL {
                     assert_eq!(
-                        count_triangles_with(&g, s, None, &exec),
+                        count_triangles_with(&g, s, &mut Ctx::on(exec.clone())),
                         want,
                         "dag/{s:?} seed {seed}"
                     );
                     assert_eq!(
-                        count_triangles_idorder(&g, s, None, &exec),
+                        count_triangles_idorder(&g, s, &mut Ctx::on(exec.clone())),
                         want,
                         "idorder/{s:?} seed {seed}"
                     );
@@ -715,7 +704,7 @@ mod tests {
         for _ in 0..3 {
             for s in IntersectStrategy::ALL {
                 assert_eq!(
-                    count_triangles_dag(&dag, s, None, &exec, &mut scratch),
+                    count_triangles_dag(&dag, s, &mut Ctx::on(exec.clone()), &mut scratch),
                     want
                 );
             }
@@ -775,13 +764,13 @@ mod tests {
         let el = xmt_graph::gen::er::gnm(120, 1000, 5);
         let g = build_undirected(&el);
         let (want_cc, want_n) =
-            clustering_coefficients_with(&g, IntersectStrategy::Merge, &Executor::fixed());
+            clustering_coefficients_with(&g, IntersectStrategy::Merge, &mut Ctx::default());
         for s in [
             IntersectStrategy::BinSearch,
             IntersectStrategy::Hash,
             IntersectStrategy::Auto,
         ] {
-            let (cc, n) = clustering_coefficients_with(&g, s, &Executor::guided());
+            let (cc, n) = clustering_coefficients_with(&g, s, &mut Ctx::on(Executor::guided()));
             assert_eq!(n, want_n, "{s:?}");
             assert_eq!(cc, want_cc, "{s:?}");
         }
@@ -793,14 +782,18 @@ mod tests {
             let el = xmt_graph::gen::er::gnm(150, 1200, seed);
             let g = build_undirected(&el);
             assert_eq!(
-                count_triangles_binsearch(&g, None, &Executor::fixed()),
+                count_triangles_idorder(&g, IntersectStrategy::BinSearch, &mut Ctx::default()),
                 count_triangles(&g),
                 "seed {seed}"
             );
         }
         let g = build_undirected(&clique(9));
         assert_eq!(
-            count_triangles_binsearch(&g, None, &Executor::guided()),
+            count_triangles_idorder(
+                &g,
+                IntersectStrategy::BinSearch,
+                &mut Ctx::on(Executor::guided())
+            ),
             clique_triangles(9)
         );
     }
@@ -817,11 +810,14 @@ mod tests {
         let raw = count_triangles_idorder(
             &g,
             IntersectStrategy::Merge,
-            Some(&mut raw_rec),
-            &Executor::fixed(),
+            &mut Ctx::recording(&mut raw_rec),
         );
         let mut dag_rec = Recorder::new();
-        let dag = count_triangles_instrumented(&g, &mut dag_rec);
+        let dag = count_triangles_with(
+            &g,
+            IntersectStrategy::Auto,
+            &mut Ctx::recording(&mut dag_rec),
+        );
         assert_eq!(raw, dag, "count is order-invariant");
 
         let raw_reads = raw_rec.with_label("count").next().unwrap().counts.reads;
@@ -842,12 +838,15 @@ mod tests {
         count_triangles_idorder(
             &g,
             IntersectStrategy::Merge,
-            Some(&mut merge_rec),
-            &Executor::fixed(),
+            &mut Ctx::recording(&mut merge_rec),
         );
         let mut bin_rec = Recorder::new();
         assert_eq!(
-            count_triangles_binsearch(&g, Some(&mut bin_rec), &Executor::fixed()),
+            count_triangles_idorder(
+                &g,
+                IntersectStrategy::BinSearch,
+                &mut Ctx::recording(&mut bin_rec)
+            ),
             1
         );
         let merge_reads = merge_rec.with_label("count").next().unwrap().counts.reads;
@@ -865,15 +864,13 @@ mod tests {
         count_triangles_with(
             &g,
             IntersectStrategy::Merge,
-            Some(&mut merge_rec),
-            &Executor::fixed(),
+            &mut Ctx::recording(&mut merge_rec),
         );
         let mut hash_rec = Recorder::new();
         count_triangles_with(
             &g,
             IntersectStrategy::Hash,
-            Some(&mut hash_rec),
-            &Executor::fixed(),
+            &mut Ctx::recording(&mut hash_rec),
         );
         let merge_writes = merge_rec.with_label("count").next().unwrap().counts.writes;
         let hash_writes = hash_rec.with_label("count").next().unwrap().counts.writes;
@@ -887,7 +884,8 @@ mod tests {
     fn instrumented_records_single_phase_with_count() {
         let g = build_undirected(&clique(10));
         let mut rec = Recorder::new();
-        let count = count_triangles_instrumented(&g, &mut rec);
+        let count =
+            count_triangles_with(&g, IntersectStrategy::Auto, &mut Ctx::recording(&mut rec));
         assert_eq!(count, clique_triangles(10));
         let r = rec.with_label("count").next().unwrap();
         assert_eq!(r.observed, count);
@@ -903,12 +901,8 @@ mod tests {
         // exactly — the instrumentation contract the figures pin.
         let g = build_undirected(&clique(10));
         let mut rec = Recorder::new();
-        let count = count_triangles_idorder(
-            &g,
-            IntersectStrategy::Merge,
-            Some(&mut rec),
-            &Executor::fixed(),
-        );
+        let count =
+            count_triangles_idorder(&g, IntersectStrategy::Merge, &mut Ctx::recording(&mut rec));
         let r = rec.with_label("count").next().unwrap();
         assert_eq!(count, clique_triangles(10));
         assert_eq!(r.counts.writes, count);

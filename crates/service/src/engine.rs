@@ -18,7 +18,7 @@ use xmt_bsp::algorithms::pagerank::PagerankProgram;
 use xmt_bsp::algorithms::triangles::TcProgram;
 use xmt_bsp::program::VertexProgram;
 use xmt_bsp::runtime::Snapshot;
-use xmt_bsp::{run_bsp_slice_exec, SlicedRun, StopHook, SuperstepFrame};
+use xmt_bsp::{run, RunOptions, SlicedRun, StopHook, SuperstepFrame};
 use xmt_graph::Csr;
 use xmt_par::Executor;
 use xmt_trace::TraceSink;
@@ -70,10 +70,10 @@ pub fn execute(
     match spec.engine {
         // Fixed scheduling on the global pool: the loop shapes the XMT
         // cost model is calibrated against.
-        Engine::Bsp => execute_bsp(spec, graph, from, frame, stop, sink, &Executor::fixed()),
+        Engine::Bsp => execute_bsp(spec, graph, from, frame, stop, sink, Executor::fixed()),
         // Guided scheduling: decaying chunks back-fill RMAT hub skew.
         // Same programs, transports, frames and checkpoints as `bsp`.
-        Engine::Native => execute_bsp(spec, graph, from, frame, stop, sink, &Executor::guided()),
+        Engine::Native => execute_bsp(spec, graph, from, frame, stop, sink, Executor::guided()),
         Engine::GraphCt => execute_graphct(spec, graph, from, sink),
         // Incremental jobs are answered at admission (the registry
         // captures the stinger-maintained state under the graph lock)
@@ -92,7 +92,7 @@ fn execute_bsp(
     frame: Option<StoredFrame>,
     stop: StopHook<'_>,
     sink: &mut TraceSink,
-    exec: &Executor,
+    exec: Executor,
 ) -> Result<ExecVerdict, ServiceError> {
     match spec.algorithm {
         Algorithm::Cc => {
@@ -192,20 +192,18 @@ fn run_sliced<P: VertexProgram>(
     stop: StopHook<'_>,
     sink: &mut TraceSink,
     frame: &mut SuperstepFrame<P::State, P::Message>,
-    exec: &Executor,
+    exec: Executor,
 ) -> Result<SlicedRun<P::State, P::Message>, ServiceError> {
-    run_bsp_slice_exec(
-        graph,
-        program,
-        spec.config,
-        None,
+    let opts = RunOptions {
+        config: spec.config,
+        rec: None,
         from,
-        Some(stop),
-        Some(sink),
-        frame,
+        stop: Some(stop),
+        sink: Some(sink),
+        frame: Some(frame),
         exec,
-    )
-    .map_err(|e| ServiceError::Internal {
+    };
+    run(graph, program, opts).map_err(|e| ServiceError::Internal {
         message: e.to_string(),
     })
 }
@@ -254,9 +252,12 @@ fn execute_graphct(
         });
     }
     let output = match spec.algorithm {
-        Algorithm::Cc => JobOutput::Labels(graphct::connected_components_traced(graph, sink)),
+        Algorithm::Cc => JobOutput::Labels(graphct::connected_components_with(
+            graph,
+            &mut graphct::Ctx::tracing(sink),
+        )),
         Algorithm::Bfs => {
-            let r = graphct::bfs_traced(graph, spec.source, sink);
+            let r = graphct::bfs_with(graph, spec.source, &mut graphct::Ctx::tracing(sink));
             JobOutput::Bfs {
                 dist: r.dist,
                 parent: r.parent,
@@ -277,8 +278,7 @@ fn execute_graphct(
         Algorithm::Triangles => JobOutput::Triangles(graphct::count_triangles_with(
             graph,
             spec.config.intersect,
-            None,
-            &Executor::fixed(),
+            &mut graphct::Ctx::default(),
         )),
     };
     Ok(ExecVerdict::Completed {

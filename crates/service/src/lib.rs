@@ -30,7 +30,7 @@
 //!        │
 //!    Service  =  GraphRegistry + Scheduler
 //!                                  │
-//!                               engine  →  run_bsp_slice_traced / graphct
+//!                               engine  →  xmt_bsp::run / graphct::*_with
 //! ```
 
 pub mod client;

@@ -27,7 +27,9 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::engine::{execute, ExecVerdict};
 use crate::error::ServiceError;
-use crate::job::{JobGraph, JobId, JobOutput, JobSpec, JobState, StoredCheckpoint, StoredFrame};
+use crate::job::{
+    Algorithm, JobGraph, JobId, JobOutput, JobSpec, JobState, StoredCheckpoint, StoredFrame,
+};
 use crate::stats::{LatencyBook, LatencySummary};
 
 /// Scheduler sizing.
@@ -276,6 +278,19 @@ impl Scheduler {
         resume_frame: Option<StoredFrame>,
     ) -> Result<JobId, ServiceError> {
         let graph = graph.into();
+        // The one spec field whose valid range depends on the admitted
+        // graph.  Unchecked, an out-of-range source answers
+        // all-unreachable on bsp/native and trips an assert on graphct.
+        let n = graph.csr.num_vertices();
+        if spec.algorithm == Algorithm::Bfs && spec.source >= n {
+            return Err(ServiceError::InvalidConfig {
+                field: "source",
+                reason: format!(
+                    "vertex {} is outside graph `{}` of {n} vertices",
+                    spec.source, spec.graph
+                ),
+            });
+        }
         let id = {
             let mut queue = self.shared.queue.lock();
             if queue.shutdown {
@@ -717,7 +732,7 @@ fn run_one(shared: &Shared, id: JobId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{Algorithm, Engine};
+    use crate::job::Engine;
     use xmt_bsp::{ActiveSetStrategy, BspConfig};
     use xmt_graph::builder::build_undirected;
     use xmt_graph::gen::structured::path;
@@ -778,6 +793,46 @@ mod tests {
         for id in &admitted {
             let _ = sched.cancel(*id);
         }
+        sched.shutdown();
+    }
+
+    #[test]
+    fn bfs_source_outside_the_graph_is_rejected_on_every_engine() {
+        let sched = Scheduler::new(SchedulerConfig {
+            workers: 1,
+            queue_capacity: 8,
+        });
+        let g = Arc::new(build_undirected(&path(10)));
+        for engine in [Engine::Bsp, Engine::Native, Engine::GraphCt] {
+            let bfs_from = |source| JobSpec {
+                algorithm: Algorithm::Bfs,
+                engine,
+                source,
+                ..spec("p")
+            };
+            for source in [10, u64::MAX] {
+                match sched.submit(bfs_from(source), Arc::clone(&g), None, None) {
+                    Err(ServiceError::InvalidConfig { field, reason }) => {
+                        assert_eq!(field, "source", "{engine:?}");
+                        assert!(reason.contains("10 vertices"), "{engine:?}: {reason}");
+                    }
+                    other => panic!("{engine:?}/{source}: expected invalid_config, got {other:?}"),
+                }
+            }
+            // The last vertex is a valid source.
+            let id = sched
+                .submit(bfs_from(9), Arc::clone(&g), None, None)
+                .unwrap_or_else(|e| panic!("{engine:?}: {e}"));
+            assert_eq!(wait_terminal(&sched, id).state, JobState::Completed);
+        }
+        // Rejected before queueing: not a queue-capacity rejection, and
+        // the field only constrains BFS.
+        assert_eq!(sched.stats().rejected, 0);
+        let cc = JobSpec {
+            source: 99,
+            ..spec("p")
+        };
+        assert!(sched.submit(cc, Arc::clone(&g), None, None).is_ok());
         sched.shutdown();
     }
 

@@ -9,7 +9,7 @@
 //! ```
 
 use xmt_bsp_repro::bsp::algorithms::components::CcProgram;
-use xmt_bsp_repro::bsp::runtime::{resume_bsp, run_bsp, run_bsp_slice, BspConfig};
+use xmt_bsp_repro::bsp::runtime::{run, run_bsp, BspConfig, RunOptions};
 use xmt_bsp_repro::graph::builder::build_undirected;
 use xmt_bsp_repro::graph::gen::rmat::{rmat_edges, RmatParams};
 
@@ -37,19 +37,26 @@ fn main() {
     // The same computation, 2 supersteps at a time, checkpointing at
     // every boundary (a real deployment would serialize the ResumePoint
     // to stable storage here).
-    let mut limit = 2u64;
-    let mut slice = run_bsp_slice(
-        &g,
-        &CcProgram,
-        BspConfig {
+    // One entry point serves both the first slice (`from: None`) and
+    // every resumed one.
+    let mut limit = 0u64;
+    let mut crashes = 0;
+    let mut from = None;
+    let done = loop {
+        limit += 2;
+        let config = BspConfig {
             max_supersteps: limit,
             ..Default::default()
-        },
-        None,
-        None,
-    );
-    let mut crashes = 0;
-    while let Some(ckpt) = slice.resume.take() {
+        };
+        let opts = RunOptions {
+            config,
+            from,
+            ..Default::default()
+        };
+        let slice = run(&g, &CcProgram, opts).expect("valid checkpoint");
+        let Some(ckpt) = slice.resume else {
+            break slice.result;
+        };
         crashes += 1;
         println!(
             "  crash #{crashes} after superstep {}: checkpoint holds {} pending messages, {} halted vertices",
@@ -57,23 +64,11 @@ fn main() {
             ckpt.pending.len(),
             ckpt.halted.iter().filter(|&&h| h).count()
         );
-        limit += 2;
-        slice = resume_bsp(
-            &g,
-            &CcProgram,
-            BspConfig {
-                max_supersteps: limit,
-                ..Default::default()
-            },
-            None,
-            slice.result.states,
-            ckpt,
-        )
-        .expect("valid checkpoint");
-    }
+        from = Some((slice.result.states, ckpt));
+    };
 
-    assert_eq!(slice.result.states, whole.states, "recovery must be exact");
-    assert_eq!(slice.result.supersteps, whole.supersteps);
+    assert_eq!(done.states, whole.states, "recovery must be exact");
+    assert_eq!(done.supersteps, whole.supersteps);
     println!(
         "recovered through {crashes} crashes; final labeling identical to the uninterrupted run ✓"
     );

@@ -49,7 +49,7 @@ fn main() {
         // Shared-memory BFS.
         let mut ct_rec = Recorder::new();
         let t0 = Instant::now();
-        let ct = graphct::bfs_instrumented(&g, s, &mut ct_rec);
+        let ct = graphct::bfs_with(&g, s, &mut graphct::Ctx::recording(&mut ct_rec));
         let ct_host = t0.elapsed().as_secs_f64();
         validate_bfs(&g, s, &ct.dist, &ct.parent).expect("invalid shared-memory BFS tree");
 

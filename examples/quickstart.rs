@@ -25,7 +25,7 @@ fn main() {
 
     // 2. Shared-memory connected components (the GraphCT baseline).
     let mut ct_rec = Recorder::new();
-    let labels = graphct::connected_components_instrumented(&g, &mut ct_rec);
+    let labels = graphct::connected_components_with(&g, &mut graphct::Ctx::recording(&mut ct_rec));
     let components = labels
         .iter()
         .enumerate()

@@ -7,10 +7,10 @@ OUT=${OUT:-results}
 
 cargo build --workspace --release
 
-for bin in table1 fig1 fig2 fig3 fig4 fig_service service_stream \
+for bin in table1 fig1 fig2 fig3 fig4 fig_service \
            ablation_queue ablation_labelprop ablation_combiner \
            ablation_activeset ablation_intersect ablation_direction \
-           micro_native graph500 related_work calibrate; do
+           graph500 related_work calibrate; do
   echo "== $bin =="
   cargo run --release -p xmt-bench --bin "$bin" -- --out "$OUT" $FLAGS \
     > "$OUT/$bin.txt" 2>&1

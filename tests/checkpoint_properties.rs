@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use xmt_bsp_repro::bsp::algorithms::components::CcProgram;
 use xmt_bsp_repro::bsp::algorithms::sssp::SsspProgram;
-use xmt_bsp_repro::bsp::runtime::{resume_bsp, run_bsp, run_bsp_slice, BspConfig};
+use xmt_bsp_repro::bsp::runtime::{run, run_bsp, BspConfig, RunOptions};
 use xmt_bsp_repro::bsp::{Context, VertexProgram};
 use xmt_bsp_repro::graph::builder::build_undirected;
 use xmt_bsp_repro::graph::{BuildOptions, CsrBuilder, EdgeList};
@@ -29,24 +29,11 @@ proptest! {
         let g = build_undirected(&el);
         let whole = run_bsp(&g, &CcProgram, BspConfig::default(), None);
 
-        let first = run_bsp_slice(
-            &g,
-            &CcProgram,
-            BspConfig { max_supersteps: cut, ..Default::default() },
-            None,
-            None,
-        );
+        let first = run(&g, &CcProgram, RunOptions { config: BspConfig { max_supersteps: cut, ..Default::default() }, ..Default::default() }).unwrap();
         let final_states = match first.resume {
             None => first.result.states, // finished before the cut
             Some(ckpt) => {
-                let second = resume_bsp(
-                    &g,
-                    &CcProgram,
-                    BspConfig::default(),
-                    None,
-                    first.result.states,
-                    ckpt,
-                )
+                let second = run(&g, &CcProgram, RunOptions { from: Some((first.result.states, ckpt)), ..Default::default() })
                 .expect("valid checkpoint");
                 prop_assert!(second.resume.is_none());
                 prop_assert_eq!(second.result.supersteps, whole.supersteps);
@@ -73,17 +60,11 @@ proptest! {
         let prog = SsspProgram { source: 0 };
         let whole = run_bsp(&g, &prog, BspConfig::default(), None);
 
-        let first = run_bsp_slice(
-            &g,
-            &prog,
-            BspConfig { max_supersteps: cut, ..Default::default() },
-            None,
-            None,
-        );
+        let first = run(&g, &prog, RunOptions { config: BspConfig { max_supersteps: cut, ..Default::default() }, ..Default::default() }).unwrap();
         let final_states = match first.resume {
             None => first.result.states,
             Some(ckpt) => {
-                resume_bsp(&g, &prog, BspConfig::default(), None, first.result.states, ckpt)
+                run(&g, &prog, RunOptions { from: Some((first.result.states, ckpt)), ..Default::default() })
                     .expect("valid checkpoint")
                     .result
                     .states

@@ -110,7 +110,7 @@ fn single_queue_charges_one_hotspot_op_per_message() {
 fn graphct_cc_iteration_counts_are_edge_proportional() {
     let g = build_undirected(&path(50)); // 98 arcs
     let mut rec = Recorder::new();
-    graphct::connected_components_instrumented(&g, &mut rec);
+    graphct::connected_components_with(&g, &mut graphct::Ctx::recording(&mut rec));
     let first = rec.with_label("iteration").next().unwrap();
     // Hook sweep reads: n (own labels) + arcs (neighbor labels) + the
     // compress pass (>= 2n).
@@ -123,7 +123,7 @@ fn graphct_cc_iteration_counts_are_edge_proportional() {
 fn graphct_bfs_level_counts_match_the_frontier() {
     let g = build_undirected(&star(50));
     let mut rec = Recorder::new();
-    let r = graphct::bfs_instrumented(&g, 0, &mut rec);
+    let r = graphct::bfs_with(&g, 0, &mut graphct::Ctx::recording(&mut rec));
     assert_eq!(r.frontier_sizes, vec![1, 49]);
     let levels: Vec<_> = rec.with_label("level").collect();
     // The hub frontier carries half the arcs, so the Beamer alpha rule
@@ -155,8 +155,7 @@ fn tc_write_counts_separate_the_two_models() {
     let tri = graphct::count_triangles_idorder(
         &g,
         graphct::IntersectStrategy::Merge,
-        Some(&mut ct_rec),
-        &xmt_bsp_repro::par::Executor::fixed(),
+        &mut graphct::Ctx::recording(&mut ct_rec),
     );
     assert_eq!(tri, 20);
     let ct_writes: u64 = ct_rec.records.iter().map(|r| r.counts.writes).sum();

@@ -36,7 +36,7 @@ fn cc_claims_hold() {
     let mut bsp_rec = Recorder::new();
     let bsp = bsp_alg::components::bsp_connected_components(&g, Some(&mut bsp_rec));
     let mut ct_rec = Recorder::new();
-    let labels = graphct::connected_components_instrumented(&g, &mut ct_rec);
+    let labels = graphct::connected_components_with(&g, &mut graphct::Ctx::recording(&mut ct_rec));
     assert_eq!(bsp.states, labels);
 
     let bsp_steps = bsp.supersteps;
@@ -67,7 +67,7 @@ fn bfs_claims_hold() {
     let mut bsp_rec = Recorder::new();
     let out = bsp_alg::bfs::bsp_bfs(&g, source, Some(&mut bsp_rec));
     let mut ct_rec = Recorder::new();
-    let ct = graphct::bfs_instrumented(&g, source, &mut ct_rec);
+    let ct = graphct::bfs_with(&g, source, &mut graphct::Ctx::recording(&mut ct_rec));
     assert_eq!(out.dist(), ct.dist);
 
     // Messages at superstep s == degree sum of level-s frontier.
@@ -123,8 +123,7 @@ fn tc_claims_hold() {
     let ct_count = graphct::count_triangles_idorder(
         &g,
         graphct::IntersectStrategy::Merge,
-        Some(&mut ct_rec),
-        &xmt_bsp_repro::par::Executor::fixed(),
+        &mut graphct::Ctx::recording(&mut ct_rec),
     );
     assert_eq!(bsp_count, ct_count);
 
@@ -207,7 +206,7 @@ fn fig1_profiles_hold() {
     let mut bsp_rec = Recorder::new();
     let bsp = bsp_alg::components::bsp_connected_components(&g, Some(&mut bsp_rec));
     let mut ct_rec = Recorder::new();
-    graphct::connected_components_instrumented(&g, &mut ct_rec);
+    graphct::connected_components_with(&g, &mut graphct::Ctx::recording(&mut ct_rec));
 
     // GraphCT: every iteration reads all edges — flat profile.
     let ct_reads: Vec<u64> = ct_rec

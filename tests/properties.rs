@@ -26,6 +26,18 @@ fn arb_edge_list(max_n: u64, max_m: usize) -> impl Strategy<Value = EdgeList> {
     })
 }
 
+/// Strategy: the sim engine's fixed executor or the native engine's
+/// guided one, both on the global pool.
+fn arb_executor() -> impl Strategy<Value = par::Executor> {
+    (0u8..2).prop_map(|guided| {
+        if guided == 1 {
+            par::Executor::guided()
+        } else {
+            par::Executor::fixed()
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -70,9 +82,9 @@ proptest! {
     }
 
     #[test]
-    fn components_are_a_minimal_fixed_point(el in arb_edge_list(48, 200)) {
+    fn components_are_a_minimal_fixed_point(el in arb_edge_list(48, 200), exec in arb_executor()) {
         let g = build_undirected(&el);
-        let labels = graphct::connected_components(&g);
+        let labels = graphct::connected_components_with(&g, &mut graphct::Ctx::on(exec));
         prop_assert!(validate_components(&g, &labels).is_ok());
         prop_assert_eq!(&labels, &reference_components(&g));
         let bsp = bsp_alg::components::bsp_connected_components(&g, None);
@@ -80,10 +92,14 @@ proptest! {
     }
 
     #[test]
-    fn bfs_distance_recurrence_holds(el in arb_edge_list(48, 200), src_sel in 0u64..48) {
+    fn bfs_distance_recurrence_holds(
+        el in arb_edge_list(48, 200),
+        src_sel in 0u64..48,
+        exec in arb_executor(),
+    ) {
         let g = build_undirected(&el);
         let source = src_sel % g.num_vertices();
-        let r = graphct::bfs(&g, source);
+        let r = graphct::bfs_with(&g, source, &mut graphct::Ctx::on(exec));
         prop_assert!(validate_bfs(&g, source, &r.dist, &r.parent).is_ok());
         let (ref_dist, _) = reference_bfs(&g, source);
         prop_assert_eq!(&r.dist, &ref_dist);
@@ -129,13 +145,13 @@ proptest! {
             for strategy in graphct::IntersectStrategy::ALL {
                 // Degree-ordered DAG sweep (the optimized path) ...
                 prop_assert_eq!(
-                    graphct::count_triangles_with(&g, strategy, None, &exec),
+                    graphct::count_triangles_with(&g, strategy, &mut graphct::Ctx::on(exec.clone())),
                     want,
                     "dag strategy {} on {:?}", strategy.name(), exec
                 );
                 // ... and the id-order sweep it replaced.
                 prop_assert_eq!(
-                    graphct::count_triangles_idorder(&g, strategy, None, &exec),
+                    graphct::count_triangles_idorder(&g, strategy, &mut graphct::Ctx::on(exec.clone())),
                     want,
                     "idorder strategy {} on {:?}", strategy.name(), exec
                 );
@@ -151,7 +167,7 @@ proptest! {
         for exec in [par::Executor::fixed(), par::Executor::guided()] {
             for strategy in graphct::IntersectStrategy::ALL {
                 prop_assert_eq!(
-                    graphct::count_triangles_with(&g, strategy, None, &exec),
+                    graphct::count_triangles_with(&g, strategy, &mut graphct::Ctx::on(exec.clone())),
                     want,
                     "dag strategy {} on {:?}", strategy.name(), exec
                 );

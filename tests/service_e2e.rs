@@ -212,6 +212,20 @@ fn serves_concurrent_jobs_on_two_graphs() {
         h.join().expect("client thread");
     }
 
+    // A BFS source outside the graph is refused at submit, typed, on
+    // every engine — not run to an all-unreachable answer or a panic.
+    for engine in ["bsp", "native", "graphct"] {
+        let r = client
+            .request_line(&format!(
+                r#"{{"op":"submit","algorithm":"bfs","engine":"{engine}","graph":"gnm","source":{GNM_N}}}"#
+            ))
+            .expect("submit");
+        assert_eq!(field_str(&r, "status"), Some("error"), "{engine}: {r:?}");
+        assert_eq!(field_str(&r, "code"), Some("invalid_config"), "{engine}");
+        let message = field_str(&r, "message").expect("message");
+        assert!(message.contains("`source`"), "{engine}: {message}");
+    }
+
     // The stats endpoint saw all of it.
     let r = client.request_line(r#"{"op":"stats"}"#).expect("stats");
     let stats = field(&r, "stats").expect("stats tree");
