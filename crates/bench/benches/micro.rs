@@ -51,40 +51,48 @@ fn bench_csr_build(c: &mut Criterion) {
 }
 
 fn bench_exchange(c: &mut Criterion) {
+    use xmt_bsp::transport::{MessageCollector, Transport};
+
     let mut group = c.benchmark_group("exchange");
     group.sample_size(20);
     let n = 100_000usize;
     let workers = 8usize;
     let per = 200_000usize;
-    let batches: Vec<Vec<(u64, u64)>> = (0..workers)
-        .map(|w| {
-            (0..per)
-                .map(|i| ((i * 7 + w) as u64 % n as u64, i as u64))
-                .collect()
-        })
-        .collect();
+    let exec = xmt_par::Executor::fixed();
+    let scratch = xmt_par::WorkerScratch::new(exec.workers());
+    let mut collector = MessageCollector::new(Transport::PerThreadOutbox, workers, n, false);
+    for w in 0..workers {
+        let mut batch: Vec<(u64, u64)> = (0..per)
+            .map(|i| ((i * 7 + w) as u64 % n as u64, i as u64))
+            .collect();
+        collector.deposit_from(w, &mut batch, None);
+    }
+    let collected = collector.collected();
+    let mut inbox = Inbox::new();
     group.throughput(Throughput::Elements((workers * per) as u64));
-    group.bench_function("inbox_build_1.6M_msgs", |b| {
-        b.iter(|| Inbox::build(n, &batches, None))
+    group.bench_function("inbox_rebuild_1.6M_msgs", |b| {
+        b.iter(|| inbox.rebuild(&exec, n, &collected, None, &scratch))
     });
-    group.bench_function("inbox_build_combined", |b| {
-        b.iter(|| Inbox::build(n, &batches, Some(&MinCombiner)))
+    group.bench_function("inbox_rebuild_combined", |b| {
+        b.iter(|| inbox.rebuild(&exec, n, &collected, Some(&MinCombiner), &scratch))
     });
     group.finish();
 }
 
 fn bench_exchange_transports(c: &mut Criterion) {
     // The full superstep-boundary path — concurrent deposits through the
-    // collector, then inbox construction — for each transport, at 1, 4
+    // collector, then the inbox rebuild — for each transport, at 1, 4
     // and 8 depositing workers.  The mutex outbox pays one lock per
     // deposit, the single queue pays a fetch-and-add per message (the
     // paper's §VII hotspot), and the bucketed transport pays neither.
-    use xmt_bsp::transport::{CollectedBatches, MessageCollector, Transport};
+    use xmt_bsp::transport::{MessageCollector, Transport};
 
     let mut group = c.benchmark_group("exchange_transport");
     group.sample_size(20);
     let n = 100_000usize;
     let total = 800_000usize;
+    let exec = xmt_par::Executor::fixed();
+    let scratch = xmt_par::WorkerScratch::new(exec.workers());
     for workers in [1usize, 4, 8] {
         let per = total / workers;
         let batches: Vec<Vec<(u64, u64)>> = (0..workers)
@@ -102,20 +110,17 @@ fn bench_exchange_transports(c: &mut Criterion) {
         ] {
             group.bench_function(format!("{name}/w{workers}"), |b| {
                 b.iter(|| {
-                    let collector = MessageCollector::new(transport, workers, n, false);
+                    let mut collector = MessageCollector::new(transport, workers, n, false);
                     std::thread::scope(|scope| {
                         for (w, batch) in batches.iter().enumerate() {
                             let collector = &collector;
-                            let batch = batch.clone();
-                            scope.spawn(move || collector.deposit(w, batch, None));
+                            let mut batch = batch.clone();
+                            scope.spawn(move || collector.deposit_from(w, &mut batch, None));
                         }
                     });
-                    match collector.collect() {
-                        CollectedBatches::Flat(flat) => Inbox::build(n, &flat, None),
-                        CollectedBatches::Bucketed { stride, per_worker } => {
-                            Inbox::build_bucketed(n, stride, &per_worker, None)
-                        }
-                    }
+                    let mut inbox = Inbox::new();
+                    inbox.rebuild(&exec, n, &collector.collected(), None, &scratch);
+                    inbox
                 })
             });
         }
@@ -139,20 +144,19 @@ fn bench_intersection(c: &mut Criterion) {
 }
 
 fn bench_streaming(c: &mut Criterion) {
-    use stinger_lite::{DynGraph, StreamingClustering};
+    use stinger_lite::{DynGraph, EdgeOp, StreamingAnalytics};
     let mut group = c.benchmark_group("streaming");
     group.sample_size(20);
     let updates: Vec<(u64, u64)> = {
         let el = xmt_graph::gen::er::gnm(10_000, 50_000, 8);
         el.edges
     };
+    let inserts: Vec<EdgeOp> = updates.iter().map(|&(u, v)| EdgeOp::Insert(u, v)).collect();
     group.throughput(Throughput::Elements(updates.len() as u64));
-    group.bench_function("incremental_triangles_50k_updates", |b| {
+    group.bench_function("incremental_analytics_50k_updates", |b| {
         b.iter(|| {
-            let mut s = StreamingClustering::new(10_000);
-            for &(u, v) in &updates {
-                s.insert_edge(u, v);
-            }
+            let mut s = StreamingAnalytics::new(10_000);
+            s.apply_batch(&inserts).expect("in range");
             s.triangles()
         })
     });

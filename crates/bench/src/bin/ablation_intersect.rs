@@ -3,12 +3,14 @@
 //! varied — see ref 12"), on both execution engines:
 //!
 //! * `merge` — the paper-faithful id-order merge walk (baseline);
-//! * `binsearch` — id order, short-list-into-long-list binary search;
-//! * `hash` — id order, epoch-stamped mark-array probing (`tc.c`);
-//! * `dag+hash` — degree-ordered DAG sweep with hash marking;
+//! * `dag+hash` — degree-ordered DAG sweep with epoch-stamped
+//!   mark-array probing (`tc.c`);
 //! * `dag+auto` — DAG sweep with the per-pair adaptive strategy.
 //!
-//! Every strategy is agreement-asserted against the merge baseline
+//! (The id-order `binsearch` and `hash` cells were measured in PR 10 —
+//! 0.99× and 3.05× — and retired; EXPERIMENTS.md keeps the rows.)
+//!
+//! Every row is agreement-asserted against the merge baseline
 //! before timing, on the simulator-faithful (`fixed`) and native
 //! (`guided`) executors both.
 //!
@@ -42,13 +44,13 @@ struct IntersectRow {
     speedup_vs_merge: f64,
 }
 
-/// One strategy under one executor: an instrumented pass (model counts +
-/// agreement check) and `REPS` timed passes.
+/// One row under one executor: an instrumented pass (model counts +
+/// agreement check) and `REPS` timed passes.  `dag` carries the DAG view
+/// and the strategy sweeping it; `None` is the id-order merge baseline.
 fn measure(
     label: &str,
     g: &Csr,
-    dag: Option<&Csr>,
-    strategy: IntersectStrategy,
+    dag: Option<(&Csr, IntersectStrategy)>,
     exec: &Executor,
     scratch: &mut TcScratch,
     want: u64,
@@ -60,8 +62,8 @@ fn measure(
             ..Default::default()
         };
         match dag {
-            Some(dag) => graphct::count_triangles_dag(dag, strategy, &mut ctx, scratch),
-            None => graphct::count_triangles_idorder(g, strategy, &mut ctx),
+            Some((dag, strategy)) => graphct::count_triangles_dag(dag, strategy, &mut ctx, scratch),
+            None => graphct::count_triangles_idorder(g, &mut ctx),
         }
     };
     let mut rec = Recorder::new();
@@ -86,23 +88,17 @@ fn main() {
     let g = build_paper_graph(&cfg);
 
     eprintln!("reference count (merge walk) ...");
-    let want = graphct::count_triangles_idorder(
-        &g,
-        IntersectStrategy::Merge,
-        &mut graphct::Ctx::default(),
-    );
+    let want = graphct::count_triangles_idorder(&g, &mut graphct::Ctx::default());
 
     let t = Instant::now();
     let dag = dag_view(&g);
     let dag_build = t.elapsed().as_secs_f64();
 
-    // (row label, DAG view?, strategy)
-    let strategies: [(&str, bool, IntersectStrategy); 5] = [
-        ("merge", false, IntersectStrategy::Merge),
-        ("binsearch", false, IntersectStrategy::BinSearch),
-        ("hash", false, IntersectStrategy::Hash),
-        ("dag+hash", true, IntersectStrategy::Hash),
-        ("dag+auto", true, IntersectStrategy::Auto),
+    // (row label, DAG strategy — `None` is the id-order merge baseline)
+    let strategies: [(&str, Option<IntersectStrategy>); 3] = [
+        ("merge", None),
+        ("dag+hash", Some(IntersectStrategy::Hash)),
+        ("dag+auto", Some(IntersectStrategy::Auto)),
     ];
 
     let mut rows = Vec::new();
@@ -112,13 +108,12 @@ fn main() {
     ] {
         let mut scratch = TcScratch::new();
         let mut merge_host = f64::INFINITY;
-        for (name, use_dag, strategy) in strategies {
+        for (name, strategy) in strategies {
             eprintln!("{engine}: {name} ...");
             let (rec, host) = measure(
                 name,
                 &g,
-                use_dag.then_some(&dag),
-                strategy,
+                strategy.map(|s| (&dag, s)),
                 &exec,
                 &mut scratch,
                 want,

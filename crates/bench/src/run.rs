@@ -112,11 +112,7 @@ pub fn run_tc(g: &Csr, config: BspConfig) -> TcRun {
 
     let mut ct_rec = Recorder::new();
     let t = Instant::now();
-    let ct_count = graphct::count_triangles_idorder(
-        g,
-        graphct::IntersectStrategy::Merge,
-        &mut graphct::Ctx::recording(&mut ct_rec),
-    );
+    let ct_count = graphct::count_triangles_idorder(g, &mut graphct::Ctx::recording(&mut ct_rec));
     let ct_host = t.elapsed().as_secs_f64();
 
     let mut fast_rec = Recorder::new();

@@ -7,10 +7,12 @@
 //! one message per vertex.
 //!
 //! Inboxes are double-buffer friendly: [`Inbox::rebuild`] /
-//! [`Inbox::rebuild_bucketed`] / [`Inbox::reset_empty`] reshape an
-//! existing inbox in place, reusing its `offsets`/`data`/scratch
-//! capacity, so the superstep loop can keep two inboxes (live + spare)
-//! and swap them instead of allocating a fresh one per superstep.
+//! [`Inbox::reset_empty`] reshape an existing inbox in place, reusing
+//! its `offsets`/`data`/scratch capacity, so the superstep loop can keep
+//! two inboxes (live + spare) and swap them instead of allocating a
+//! fresh one per superstep.  `rebuild` takes the collector's borrowed
+//! [`Collected`] view and picks the grouping pass from its shape, so the
+//! flat-vs-bucketed distinction stops here.
 
 use std::sync::atomic::Ordering;
 
@@ -19,23 +21,25 @@ use xmt_par::atomic::as_atomic_u64;
 use xmt_par::{exclusive_prefix_sum, Executor, WorkerScratch};
 
 use crate::program::Combiner;
+use crate::transport::Collected;
 
 /// Messages grouped by destination vertex.
 pub struct Inbox<M> {
     offsets: Vec<u64>,
     data: Vec<M>,
-    /// Scatter cursors for [`rebuild`](Self::rebuild), retained so the
+    /// Scatter cursors for the flat rebuild, retained so the
     /// per-superstep copy of `offsets` reuses capacity.
     cursors: Vec<u64>,
-    /// Per-bucket base offsets for [`rebuild_bucketed`](Self::rebuild_bucketed),
-    /// retained across rebuilds.
+    /// Per-bucket base offsets for the bucketed rebuild, retained across
+    /// rebuilds.
     bucket_base: Vec<u64>,
     combined: bool,
 }
 
 impl<M: Copy + Send + Sync> Inbox<M> {
     /// An inbox shell with no storage at all (zero vertices, zero
-    /// capacity); reshape it with the `rebuild` family.
+    /// capacity); reshape it with [`rebuild`](Self::rebuild) or
+    /// [`reset_empty`](Self::reset_empty).
     pub fn new() -> Self {
         Inbox {
             offsets: Vec::new(),
@@ -53,35 +57,6 @@ impl<M: Copy + Send + Sync> Inbox<M> {
         inbox
     }
 
-    /// Group `batches` of `(dst, msg)` pairs by destination.
-    ///
-    /// `batches` are the per-worker outboxes; the pairs within and across
-    /// batches may target any vertex.  If `combiner` is given, each
-    /// vertex's group is folded to one message.
-    pub fn build(
-        n: usize,
-        batches: &[Vec<(VertexId, M)>],
-        combiner: Option<&dyn Combiner<M>>,
-    ) -> Self {
-        let mut inbox = Self::new();
-        inbox.rebuild(n, batches, combiner);
-        inbox
-    }
-
-    /// Group radix-partitioned batches by destination *without atomics*.
-    /// See [`rebuild_bucketed`](Self::rebuild_bucketed).
-    pub fn build_bucketed(
-        n: usize,
-        stride: u64,
-        per_worker: &[Vec<Vec<(VertexId, M)>>],
-        combiner: Option<&dyn Combiner<M>>,
-    ) -> Self {
-        let mut inbox = Self::new();
-        let scratch: WorkerScratch<Vec<u64>> = WorkerScratch::new(xmt_par::num_threads());
-        inbox.rebuild_bucketed(n, stride, per_worker, combiner, &scratch);
-        inbox
-    }
-
     /// Reshape in place to an empty inbox over `n` vertices, retaining
     /// all capacity.
     pub fn reset_empty(&mut self, n: usize) {
@@ -91,7 +66,7 @@ impl<M: Copy + Send + Sync> Inbox<M> {
         self.combined = false;
     }
 
-    /// Message-storage slots currently allocated (the rebuild family
+    /// Message-storage slots currently allocated (a rebuild
     /// reallocates only when a superstep's traffic exceeds this).
     pub fn message_capacity(&self) -> usize {
         self.data.capacity()
@@ -106,30 +81,38 @@ impl<M: Copy + Send + Sync> Inbox<M> {
         self.data.reserve(cap.saturating_sub(self.data.len()));
     }
 
-    /// Rebuild in place from flat batches (the reusable form of
-    /// [`build`](Self::build)): counts, offsets, scatter cursors and data
-    /// all reuse this inbox's retained buffers, so a steady-state rebuild
-    /// allocates nothing once the buffers have grown to their high-water
-    /// mark.
+    /// Regroup `collected` by destination in place over `n` vertices.
+    ///
+    /// Counts, offsets, scatter cursors and data all reuse this inbox's
+    /// retained buffers, so a steady-state rebuild allocates nothing
+    /// once the buffers have grown to their high-water mark.  If
+    /// `combiner` is given, each vertex's group is folded to one
+    /// message.  `cursor_scratch` (one slot per `exec` worker) is the
+    /// bucketed pass's per-worker cursor buffer; the flat pass ignores
+    /// it.
     pub fn rebuild(
-        &mut self,
-        n: usize,
-        batches: &[Vec<(VertexId, M)>],
-        combiner: Option<&dyn Combiner<M>>,
-    ) {
-        self.rebuild_exec(&Executor::fixed(), n, batches, combiner);
-    }
-
-    /// [`rebuild`](Self::rebuild) on an explicit executor — the native
-    /// engine routes its inbox reshaping through its own pool/schedule.
-    pub fn rebuild_exec(
         &mut self,
         exec: &Executor,
         n: usize,
-        batches: &[Vec<(VertexId, M)>],
+        collected: &Collected<'_, M>,
         combiner: Option<&dyn Combiner<M>>,
+        cursor_scratch: &WorkerScratch<Vec<u64>>,
     ) {
         self.combined = false;
+        match *collected {
+            Collected::Flat(batches) => self.rebuild_flat(exec, n, batches),
+            Collected::Bucketed { stride, per_worker } => {
+                self.rebuild_bucketed(exec, n, stride, per_worker, cursor_scratch)
+            }
+        }
+        if let Some(c) = combiner {
+            self.combine_in_place(exec, c);
+        }
+    }
+
+    /// Group per-slot batches whose pairs may target any vertex: one
+    /// uncontended atomic per message to count, one to claim a slot.
+    fn rebuild_flat(&mut self, exec: &Executor, n: usize, batches: &[Vec<(VertexId, M)>]) {
         // Count messages per destination (counts become the offsets
         // after the prefix sum).
         self.offsets.clear();
@@ -166,14 +149,9 @@ impl<M: Copy + Send + Sync> Inbox<M> {
             // SAFETY: all `total` slots were written exactly once.
             unsafe { self.data.set_len(total) };
         }
-
-        if let Some(c) = combiner {
-            self.combine_in_place(exec, c);
-        }
     }
 
-    /// Rebuild in place from radix-partitioned batches *without atomics*
-    /// (the reusable form of [`build_bucketed`](Self::build_bucketed)).
+    /// Group radix-partitioned batches *without atomics*.
     ///
     /// `per_worker[w][b]` holds worker `w`'s sends whose destinations lie
     /// in bucket `b`'s vertex range `[b·stride, (b+1)·stride)` (the shape
@@ -181,42 +159,20 @@ impl<M: Copy + Send + Sync> Inbox<M> {
     /// bucket `b` is owned by exactly one parallel task, that task can
     /// count, prefix-sum, and scatter its contiguous `offsets`/`data`
     /// regions with plain reads and writes — no `fetch_add` per message,
-    /// unlike [`rebuild`](Self::rebuild).
+    /// unlike the flat pass.
     ///
-    /// `cursor_scratch` provides each worker's per-bucket cursor buffer;
-    /// passing a retained scratch (the `SuperstepFrame` does) makes the
-    /// steady-state rebuild allocation-free.
-    pub fn rebuild_bucketed(
-        &mut self,
-        n: usize,
-        stride: u64,
-        per_worker: &[Vec<Vec<(VertexId, M)>>],
-        combiner: Option<&dyn Combiner<M>>,
-        cursor_scratch: &WorkerScratch<Vec<u64>>,
-    ) {
-        self.rebuild_bucketed_exec(
-            &Executor::fixed(),
-            n,
-            stride,
-            per_worker,
-            combiner,
-            cursor_scratch,
-        );
-    }
-
-    /// [`rebuild_bucketed`](Self::rebuild_bucketed) on an explicit
-    /// executor.  `cursor_scratch` must be sized for that executor's
-    /// worker count.
-    pub fn rebuild_bucketed_exec(
+    /// `cursor_scratch` provides each worker's per-bucket cursor buffer
+    /// and must be sized for `exec`'s worker count; a retained scratch
+    /// (the `SuperstepFrame` holds one) makes the steady-state rebuild
+    /// allocation-free.
+    fn rebuild_bucketed(
         &mut self,
         exec: &Executor,
         n: usize,
         stride: u64,
         per_worker: &[Vec<Vec<(VertexId, M)>>],
-        combiner: Option<&dyn Combiner<M>>,
         cursor_scratch: &WorkerScratch<Vec<u64>>,
     ) {
-        self.combined = false;
         let num_buckets = per_worker.first().map_or(0, |w| w.len());
         debug_assert!(per_worker.iter().all(|w| w.len() == num_buckets));
         debug_assert!(stride.max(1) * num_buckets.max(1) as u64 >= n as u64);
@@ -299,10 +255,6 @@ impl<M: Copy + Send + Sync> Inbox<M> {
         // visited; their offsets must close the CSR (empty groups).
         let covered = ((num_buckets as u64) * stride).min(n as u64) as usize;
         self.offsets[covered..n].fill(total as u64);
-
-        if let Some(c) = combiner {
-            self.combine_in_place(exec, c);
-        }
     }
 
     /// Fold each vertex's group to one message (kept at the group head).
@@ -365,10 +317,8 @@ impl<M: Copy + Send + Sync> Inbox<M> {
     /// Messages awaiting delivery in each destination bucket of width
     /// `stride` (bucket `b` covers vertices `[b·stride, (b+1)·stride)`),
     /// read off the CSR offsets in O(buckets).  The post-combining
-    /// counterpart of [`CollectedBatches::bucket_counts`]: together they
-    /// give sent/combined/delivered per bucket for trace reporting.
-    ///
-    /// [`CollectedBatches::bucket_counts`]: crate::transport::CollectedBatches::bucket_counts
+    /// counterpart of [`Collected::bucket_counts`]: together they give
+    /// sent/combined/delivered per bucket for trace reporting.
     pub fn bucket_counts(&self, stride: u64) -> Vec<u64> {
         let n = self.num_vertices() as u64;
         if stride == 0 || n == 0 {
@@ -425,6 +375,33 @@ impl<M> Inbox<M> {
 mod tests {
     use super::*;
     use crate::program::MinCombiner;
+    use crate::transport::{MessageCollector, Transport};
+
+    /// The production path in miniature: deposit `batches[w]` as worker
+    /// `w`, then regroup the collector's view into `inbox` (pass
+    /// `Inbox::new()` for a fresh one).
+    fn deliver(
+        mut inbox: Inbox<u64>,
+        transport: Transport,
+        n: usize,
+        batches: &[Vec<(u64, u64)>],
+        combiner: Option<&dyn Combiner<u64>>,
+    ) -> Inbox<u64> {
+        let mut mc = MessageCollector::new(transport, batches.len(), n, combiner.is_some());
+        for (w, batch) in batches.iter().enumerate() {
+            mc.deposit_from(w, &mut batch.clone(), combiner);
+        }
+        let exec = Executor::fixed();
+        let scratch = WorkerScratch::new(exec.workers());
+        inbox.rebuild(&exec, n, &mc.collected(), combiner, &scratch);
+        inbox
+    }
+
+    fn sorted(ib: &Inbox<u64>, v: u64) -> Vec<u64> {
+        let mut m = ib.messages(v).to_vec();
+        m.sort_unstable();
+        m
+    }
 
     #[test]
     fn empty_inbox_has_no_messages() {
@@ -439,12 +416,10 @@ mod tests {
     #[test]
     fn build_groups_by_destination() {
         let batches = vec![vec![(1u64, 10u64), (3, 30)], vec![(1, 11), (0, 1)], vec![]];
-        let ib = Inbox::build(4, &batches, None);
+        let ib = deliver(Inbox::new(), Transport::PerThreadOutbox, 4, &batches, None);
         assert_eq!(ib.total_messages(), 4);
         assert_eq!(ib.messages(0), &[1]);
-        let mut v1: Vec<u64> = ib.messages(1).to_vec();
-        v1.sort_unstable();
-        assert_eq!(v1, vec![10, 11]);
+        assert_eq!(sorted(&ib, 1), vec![10, 11]);
         assert!(ib.messages(2).is_empty());
         assert_eq!(ib.messages(3), &[30]);
     }
@@ -452,7 +427,13 @@ mod tests {
     #[test]
     fn combiner_folds_groups_to_one() {
         let batches = vec![vec![(0u64, 9u64), (0, 3), (0, 7), (1, 5)]];
-        let ib = Inbox::build(2, &batches, Some(&MinCombiner));
+        let ib = deliver(
+            Inbox::new(),
+            Transport::PerThreadOutbox,
+            2,
+            &batches,
+            Some(&MinCombiner),
+        );
         assert!(ib.is_combined());
         assert_eq!(ib.messages(0), &[3]);
         assert_eq!(ib.messages(1), &[5]);
@@ -463,33 +444,20 @@ mod tests {
 
     #[test]
     fn bucketed_build_matches_flat_build() {
-        // 10 vertices, 2 workers -> stride 5. Shape the same messages
-        // both ways and compare the resulting inboxes.
+        // 10 vertices, 2 workers -> stride 5.  The same sends through
+        // every transport must group identically.
         let n = 10usize;
-        let stride = 5u64;
-        let flat = vec![
+        let sends = vec![
             vec![(1u64, 10u64), (7, 70), (1, 11), (4, 40)],
             vec![(5, 50), (9, 90), (1, 12)],
         ];
-        let per_worker: Vec<Vec<Vec<(u64, u64)>>> = flat
-            .iter()
-            .map(|batch| {
-                let mut buckets = vec![Vec::new(), Vec::new()];
-                for &(dst, m) in batch {
-                    buckets[(dst / stride) as usize].push((dst, m));
-                }
-                buckets
-            })
-            .collect();
-        let a = Inbox::build(n, &flat, None);
-        let b = Inbox::build_bucketed(n, stride, &per_worker, None);
-        assert_eq!(a.total_messages(), b.total_messages());
-        for v in 0..n as u64 {
-            let mut ma: Vec<u64> = a.messages(v).to_vec();
-            let mut mb: Vec<u64> = b.messages(v).to_vec();
-            ma.sort_unstable();
-            mb.sort_unstable();
-            assert_eq!(ma, mb, "vertex {v}");
+        let a = deliver(Inbox::new(), Transport::PerThreadOutbox, n, &sends, None);
+        for transport in [Transport::Bucketed, Transport::SingleQueue] {
+            let b = deliver(Inbox::new(), transport, n, &sends, None);
+            assert_eq!(a.total_messages(), b.total_messages());
+            for v in 0..n as u64 {
+                assert_eq!(sorted(&a, v), sorted(&b, v), "{transport:?} vertex {v}");
+            }
         }
     }
 
@@ -497,11 +465,14 @@ mod tests {
     fn bucketed_build_combines_at_the_receiver() {
         // Two workers both target vertex 2 — sender-side combining keeps
         // one copy per worker; the receiver fold collapses them.
-        let per_worker = vec![
-            vec![vec![(2u64, 9u64)], vec![(5, 55)]],
-            vec![vec![(2, 3)], vec![]],
-        ];
-        let ib = Inbox::build_bucketed(6, 3, &per_worker, Some(&MinCombiner));
+        let sends = vec![vec![(2u64, 9u64), (5, 55)], vec![(2, 3)]];
+        let ib = deliver(
+            Inbox::new(),
+            Transport::Bucketed,
+            6,
+            &sends,
+            Some(&MinCombiner),
+        );
         assert!(ib.is_combined());
         assert_eq!(ib.messages(2), &[3]);
         assert_eq!(ib.messages(5), &[55]);
@@ -510,10 +481,10 @@ mod tests {
 
     #[test]
     fn bucketed_build_handles_partial_final_bucket() {
-        // n = 7 with stride 3 -> buckets [0,3) [3,6) [6,7): the last
-        // bucket is a stub and vertex 6 still resolves correctly.
-        let per_worker = vec![vec![vec![(0u64, 1u64)], vec![(3, 2)], vec![(6, 3)]]];
-        let ib = Inbox::build_bucketed(7, 3, &per_worker, None);
+        // n = 7 over 3 workers -> stride 3, buckets [0,3) [3,6) [6,7):
+        // the last bucket is a stub and vertex 6 still resolves correctly.
+        let sends = vec![vec![(0u64, 1u64), (3, 2), (6, 3)], vec![], vec![]];
+        let ib = deliver(Inbox::new(), Transport::Bucketed, 7, &sends, None);
         assert_eq!(ib.total_messages(), 3);
         assert_eq!(ib.messages(0), &[1]);
         assert_eq!(ib.messages(3), &[2]);
@@ -532,7 +503,7 @@ mod tests {
             }
             batches.push(v);
         }
-        let ib = Inbox::build(n, &batches, None);
+        let ib = deliver(Inbox::new(), Transport::PerThreadOutbox, n, &batches, None);
         assert_eq!(ib.total_messages(), 8 * 5000);
         let sum: u64 = (0..n as u64).map(|v| ib.raw_count(v)).sum();
         assert_eq!(sum, 8 * 5000);
@@ -542,7 +513,7 @@ mod tests {
     fn bucket_counts_tile_the_inbox() {
         // n = 7, stride 3: buckets [0,3) [3,6) [6,7).
         let batches = vec![vec![(0u64, 1u64), (1, 2), (4, 3), (6, 4), (6, 5)]];
-        let ib = Inbox::build(7, &batches, None);
+        let ib = deliver(Inbox::new(), Transport::PerThreadOutbox, 7, &batches, None);
         assert_eq!(ib.bucket_counts(3), vec![2, 1, 2]);
         assert_eq!(ib.bucket_counts(3).iter().sum::<u64>(), ib.total_messages());
         // Stride covering everything is one bucket; stride 0 is empty.
@@ -554,60 +525,47 @@ mod tests {
     #[test]
     fn rebuild_reuses_and_matches_fresh_build() {
         // One inbox rebuilt through a sequence of shapes must agree with
-        // a fresh build at every step (combined, uncombined, empty).
-        let mut reused: Inbox<u64> = Inbox::new();
+        // a fresh build at every step (combined, uncombined, empty), on
+        // the flat and the bucketed pass alike.
         let rounds: Vec<Vec<Vec<(u64, u64)>>> = vec![
             vec![vec![(0, 5), (3, 1), (0, 2)], vec![(2, 7)]],
             vec![vec![]],
             vec![vec![(3, 3), (3, 4), (1, 9), (2, 2), (0, 1)]],
         ];
-        for batches in &rounds {
-            for combiner in [None, Some(&MinCombiner as &dyn Combiner<u64>)] {
-                reused.rebuild(4, batches, combiner);
-                let fresh = Inbox::build(4, batches, combiner);
-                assert_eq!(reused.is_combined(), fresh.is_combined());
-                assert_eq!(reused.total_messages(), fresh.total_messages());
-                for v in 0..4u64 {
-                    let mut a: Vec<u64> = reused.messages(v).to_vec();
-                    let mut b: Vec<u64> = fresh.messages(v).to_vec();
-                    a.sort_unstable();
-                    b.sort_unstable();
-                    assert_eq!(a, b, "vertex {v}");
+        for transport in [Transport::PerThreadOutbox, Transport::Bucketed] {
+            let mut reused: Inbox<u64> = Inbox::new();
+            for batches in &rounds {
+                for combiner in [None, Some(&MinCombiner as &dyn Combiner<u64>)] {
+                    reused = deliver(reused, transport, 4, batches, combiner);
+                    let fresh = deliver(Inbox::new(), transport, 4, batches, combiner);
+                    assert_eq!(reused.is_combined(), fresh.is_combined());
+                    assert_eq!(reused.total_messages(), fresh.total_messages());
+                    for v in 0..4u64 {
+                        assert_eq!(sorted(&reused, v), sorted(&fresh, v), "vertex {v}");
+                    }
                 }
             }
-        }
-        // Shrinking to empty and regrowing works too.
-        reused.reset_empty(4);
-        assert_eq!(reused.total_messages(), 0);
-        assert!(!reused.is_combined());
-    }
-
-    #[test]
-    fn rebuild_bucketed_reuses_and_matches_fresh_build() {
-        let scratch: WorkerScratch<Vec<u64>> = WorkerScratch::new(xmt_par::num_threads());
-        let mut reused: Inbox<u64> = Inbox::new();
-        let per_worker = vec![
-            vec![vec![(2u64, 9u64), (0, 1)], vec![(5, 55), (4, 2)]],
-            vec![vec![(2, 3)], vec![(3, 8)]],
-        ];
-        for _ in 0..3 {
-            reused.rebuild_bucketed(6, 3, &per_worker, Some(&MinCombiner), &scratch);
-            let fresh = Inbox::build_bucketed(6, 3, &per_worker, Some(&MinCombiner));
-            assert_eq!(reused.total_messages(), fresh.total_messages());
-            for v in 0..6u64 {
-                assert_eq!(reused.messages(v), fresh.messages(v), "vertex {v}");
-            }
+            // Shrinking to empty and regrowing works too.
+            reused.reset_empty(4);
+            assert_eq!(reused.total_messages(), 0);
+            assert!(!reused.is_combined());
         }
     }
 
     #[test]
     fn snapshot_capacity_is_exact() {
         let batches = vec![vec![(0u64, 9u64), (0, 3), (2, 7)]];
-        let plain = Inbox::build(3, &batches, None);
+        let plain = deliver(Inbox::new(), Transport::PerThreadOutbox, 3, &batches, None);
         let snap = plain.snapshot();
         assert_eq!(snap.len(), 3);
         assert_eq!(snap.capacity(), 3);
-        let combined = Inbox::build(3, &batches, Some(&MinCombiner));
+        let combined = deliver(
+            Inbox::new(),
+            Transport::PerThreadOutbox,
+            3,
+            &batches,
+            Some(&MinCombiner),
+        );
         let snap = combined.snapshot();
         assert_eq!(snap.len(), 2); // two non-empty groups
         assert_eq!(snap.capacity(), 2);

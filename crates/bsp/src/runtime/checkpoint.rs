@@ -7,9 +7,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use xmt_graph::VertexId;
 use xmt_par::Executor;
 
+use super::frame::SuperstepFrame;
 use super::BspResult;
 use crate::inbox::Inbox;
 use crate::program::VertexProgram;
+use crate::transport::Collected;
 
 /// A superstep-boundary checkpoint (Pregel §3.3: "fault tolerance is
 /// achieved through checkpointing ... at the beginning of a superstep").
@@ -155,20 +157,21 @@ pub(super) fn validate<S, M>(
 }
 
 /// Turn a [`validate`]d checkpoint back into the loop's live state: the
-/// in-flight messages regrouped into `inbox`, and `(states, halt flags,
-/// previous aggregates)` returned.
+/// in-flight messages regrouped into the frame's live inbox, and
+/// `(states, halt flags, previous aggregates)` returned.
 pub(super) fn restore<P: VertexProgram>(
     n: usize,
     program: &P,
     exec: &Executor,
-    inbox: &mut Inbox<P::Message>,
+    frame: &mut SuperstepFrame<P::State, P::Message>,
     (states, resume): Snapshot<P>,
 ) -> (Vec<P::State>, Vec<AtomicU64>, (u64, f64)) {
-    inbox.rebuild_exec(
+    frame.inbox.rebuild(
         exec,
         n,
-        std::slice::from_ref(&resume.pending),
+        &Collected::one_batch(&resume.pending),
         program.combiner(),
+        &frame.bucket_cursors,
     );
     let halted = resume
         .halted

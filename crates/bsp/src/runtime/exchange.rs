@@ -12,7 +12,7 @@ use super::direction::Frontier;
 use super::frame::SuperstepFrame;
 use super::{chunk_for, Delivery, Run};
 use crate::program::VertexProgram;
-use crate::transport::{charge_exchange, Collected};
+use crate::transport::charge_exchange;
 
 /// What one exchange phase decided.
 #[derive(Clone, Copy, Debug)]
@@ -110,18 +110,13 @@ impl<P: VertexProgram> Run<'_, P> {
                 // active set is rebuilt densely.
                 next_active.clear();
             }
-            let combiner = self.program.combiner();
-            match &collected {
-                Collected::Flat(batches) => spare.rebuild_exec(self.exec, n, batches, combiner),
-                Collected::Bucketed { stride, per_worker } => spare.rebuild_bucketed_exec(
-                    self.exec,
-                    n,
-                    *stride,
-                    per_worker,
-                    combiner,
-                    bucket_cursors,
-                ),
-            }
+            spare.rebuild(
+                self.exec,
+                n,
+                &collected,
+                self.program.combiner(),
+                bucket_cursors,
+            );
         }
         Exchanged {
             pull_next,

@@ -252,7 +252,7 @@ fn run_validated<P: VertexProgram>(
             frame.inbox.reset_empty(n);
             (states, halted, (0u64, 0.0f64))
         }
-        Some(from) => checkpoint::restore(n, program, &exec, &mut frame.inbox, from),
+        Some(from) => checkpoint::restore(n, program, &exec, frame, from),
     };
 
     let policy = Policy::new(

@@ -68,57 +68,6 @@ pub fn bucket_stride(n: usize, buckets: usize) -> u64 {
     (n as u64).div_ceil(buckets.max(1) as u64).max(1)
 }
 
-/// Messages drained from a [`MessageCollector`], shaped by transport.
-///
-/// The owning counterpart of [`Collected`], kept for callers that want
-/// to keep the batches around (tests, benches); the runtime reads the
-/// borrowed view instead so the collector's storage survives.
-pub enum CollectedBatches<M> {
-    /// Per-slot batches (outbox or queue transport).
-    Flat(Vec<Vec<(VertexId, M)>>),
-    /// `per_worker[w][b]` = worker `w`'s sends into destination bucket
-    /// `b`, where bucket `b` covers vertices `[b·stride, (b+1)·stride)`.
-    Bucketed {
-        /// Vertex-range width of each bucket.
-        stride: u64,
-        /// Outer index worker, inner index bucket.
-        per_worker: Vec<Vec<Vec<(VertexId, M)>>>,
-    },
-}
-
-impl<M> CollectedBatches<M> {
-    /// Iterate every `(dst, msg)` slice regardless of shape (used by the
-    /// worklist builder, which only needs destinations).
-    pub fn slices(&self) -> Vec<&[(VertexId, M)]> {
-        match self {
-            CollectedBatches::Flat(batches) => batches.iter().map(|b| b.as_slice()).collect(),
-            CollectedBatches::Bucketed { per_worker, .. } => per_worker
-                .iter()
-                .flat_map(|w| w.iter().map(|b| b.as_slice()))
-                .collect(),
-        }
-    }
-
-    /// Messages bound for each destination bucket, summed across
-    /// workers (post sender-side combining).  Empty for the flat
-    /// transports, which have no destination partitioning to report.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        match self {
-            CollectedBatches::Flat(_) => Vec::new(),
-            CollectedBatches::Bucketed { per_worker, .. } => {
-                let buckets = per_worker.first().map_or(0, Vec::len);
-                let mut counts = vec![0u64; buckets];
-                for worker in per_worker {
-                    for (b, batch) in worker.iter().enumerate() {
-                        counts[b] += batch.len() as u64;
-                    }
-                }
-                counts
-            }
-        }
-    }
-}
-
 /// A borrowed, allocation-free view of a collector's deposited messages,
 /// shaped by transport.  Obtained via [`MessageCollector::collected`];
 /// the storage stays with the collector for the next superstep's reuse.
@@ -135,6 +84,12 @@ pub enum Collected<'a, M> {
 }
 
 impl<'a, M> Collected<'a, M> {
+    /// One flat batch (the single queue; a checkpoint's pending
+    /// messages).
+    pub fn one_batch(batch: &'a Vec<(VertexId, M)>) -> Self {
+        Collected::Flat(std::slice::from_ref(batch))
+    }
+
     /// Number of addressable batches (flat slots, or worker × bucket).
     pub fn num_batches(&self) -> usize {
         match self {
@@ -377,17 +332,6 @@ impl<M: Copy + Send> MessageCollector<M> {
         self.shipped.fetch_add(shipped, Ordering::Relaxed); // Relaxed: see above
     }
 
-    /// Deposit a worker's chunk-local sends, consuming the batch.
-    /// Convenience wrapper over [`deposit_from`](Self::deposit_from).
-    pub fn deposit(
-        &self,
-        worker: usize,
-        mut batch: Vec<(VertexId, M)>,
-        combiner: Option<&dyn Combiner<M>>,
-    ) {
-        self.deposit_from(worker, &mut batch, combiner);
-    }
-
     /// Messages that will cross the superstep boundary so far (post
     /// sender-side combining).  Lock-free: reads one relaxed counter.
     pub fn total(&self) -> u64 {
@@ -412,49 +356,11 @@ impl<M: Copy + Send> MessageCollector<M> {
     pub fn collected(&mut self) -> Collected<'_, M> {
         match self.transport {
             Transport::PerThreadOutbox => Collected::Flat(self.slots.as_slice()),
-            Transport::SingleQueue => Collected::Flat(std::slice::from_ref(self.queue.get_mut())),
+            Transport::SingleQueue => Collected::one_batch(self.queue.get_mut()),
             Transport::Bucketed => Collected::Bucketed {
                 stride: self.stride,
                 per_worker: self.buckets.as_slice(),
             },
-        }
-    }
-
-    /// Drain into transport-shaped batches for inbox construction,
-    /// giving up the collector's storage.  Kept for tests and benches;
-    /// the runtime uses [`collected`](Self::collected) instead.
-    pub fn collect(mut self) -> CollectedBatches<M> {
-        match self.transport {
-            Transport::PerThreadOutbox => {
-                CollectedBatches::Flat(self.slots.iter_mut().map(std::mem::take).collect())
-            }
-            Transport::SingleQueue => {
-                CollectedBatches::Flat(vec![std::mem::take(self.queue.get_mut())])
-            }
-            Transport::Bucketed => CollectedBatches::Bucketed {
-                stride: self.stride,
-                per_worker: self.buckets.iter_mut().map(std::mem::take).collect(),
-            },
-        }
-    }
-
-    /// Drain into flat per-slot batches (bucketed slots are flattened
-    /// per worker).  Kept for tests and callers that do not care about
-    /// the bucket structure.
-    pub fn into_batches(self) -> Vec<Vec<(VertexId, M)>> {
-        match self.collect() {
-            CollectedBatches::Flat(batches) => batches,
-            CollectedBatches::Bucketed { per_worker, .. } => per_worker
-                .into_iter()
-                .map(|w| {
-                    // Exact-capacity flatten: the bucket lengths are known.
-                    let mut flat = Vec::with_capacity(w.iter().map(Vec::len).sum());
-                    for bucket in w {
-                        flat.extend(bucket);
-                    }
-                    flat
-                })
-                .collect(),
         }
     }
 }
@@ -484,14 +390,22 @@ mod tests {
     use super::*;
     use crate::program::MinCombiner;
 
+    /// The collected view, batch by batch.
+    fn batches(mc: &mut MessageCollector<u64>) -> Vec<Vec<(VertexId, u64)>> {
+        let view = mc.collected();
+        (0..view.num_batches())
+            .map(|i| view.batch(i).to_vec())
+            .collect()
+    }
+
     #[test]
     fn outbox_mode_keeps_slots_separate() {
-        let mc: MessageCollector<u64> =
+        let mut mc: MessageCollector<u64> =
             MessageCollector::new(Transport::PerThreadOutbox, 3, 10, false);
-        mc.deposit(0, vec![(1, 10)], None);
-        mc.deposit(2, vec![(2, 20), (3, 30)], None);
+        mc.deposit_from(0, &mut vec![(1, 10)], None);
+        mc.deposit_from(2, &mut vec![(2, 20), (3, 30)], None);
         assert_eq!(mc.total(), 3);
-        let batches = mc.into_batches();
+        let batches = batches(&mut mc);
         assert_eq!(batches.len(), 3);
         assert_eq!(batches[0].len(), 1);
         assert_eq!(batches[1].len(), 0);
@@ -500,10 +414,11 @@ mod tests {
 
     #[test]
     fn queue_mode_funnels_everything() {
-        let mc: MessageCollector<u64> = MessageCollector::new(Transport::SingleQueue, 8, 10, false);
-        mc.deposit(0, vec![(1, 10)], None);
-        mc.deposit(5, vec![(2, 20)], None);
-        let batches = mc.into_batches();
+        let mut mc: MessageCollector<u64> =
+            MessageCollector::new(Transport::SingleQueue, 8, 10, false);
+        mc.deposit_from(0, &mut vec![(1, 10)], None);
+        mc.deposit_from(5, &mut vec![(2, 20)], None);
+        let batches = batches(&mut mc);
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].len(), 2);
     }
@@ -512,7 +427,7 @@ mod tests {
     fn empty_deposits_are_free() {
         let mc: MessageCollector<u64> =
             MessageCollector::new(Transport::PerThreadOutbox, 2, 10, false);
-        mc.deposit(1, vec![], None);
+        mc.deposit_from(1, &mut vec![], None);
         assert_eq!(mc.total(), 0);
         assert_eq!(mc.total_generated(), 0);
     }
@@ -520,12 +435,13 @@ mod tests {
     #[test]
     fn bucketed_mode_partitions_by_destination_range() {
         // 10 vertices over 2 workers: stride 5, bucket 0 = [0,5), 1 = [5,10).
-        let mc: MessageCollector<u64> = MessageCollector::new(Transport::Bucketed, 2, 10, false);
-        mc.deposit(0, vec![(1, 10), (7, 70), (4, 40)], None);
-        mc.deposit(1, vec![(5, 50)], None);
+        let mut mc: MessageCollector<u64> =
+            MessageCollector::new(Transport::Bucketed, 2, 10, false);
+        mc.deposit_from(0, &mut vec![(1, 10), (7, 70), (4, 40)], None);
+        mc.deposit_from(1, &mut vec![(5, 50)], None);
         assert_eq!(mc.total(), 4);
-        match mc.collect() {
-            CollectedBatches::Bucketed { stride, per_worker } => {
+        match mc.collected() {
+            Collected::Bucketed { stride, per_worker } => {
                 assert_eq!(stride, 5);
                 assert_eq!(per_worker.len(), 2);
                 assert_eq!(per_worker[0][0], vec![(1, 10), (4, 40)]);
@@ -533,29 +449,29 @@ mod tests {
                 assert!(per_worker[1][0].is_empty());
                 assert_eq!(per_worker[1][1], vec![(5, 50)]);
             }
-            CollectedBatches::Flat(_) => panic!("bucketed collector must stay bucketed"),
+            Collected::Flat(_) => panic!("bucketed collector must stay bucketed"),
         }
     }
 
     #[test]
     fn sender_side_combining_folds_within_worker() {
-        let mc: MessageCollector<u64> = MessageCollector::new(Transport::Bucketed, 2, 10, true);
+        let mut mc: MessageCollector<u64> = MessageCollector::new(Transport::Bucketed, 2, 10, true);
         // Worker 0 sends three messages to vertex 3 (across two chunks)
         // and one to vertex 8; worker 1 also targets vertex 3 — that
         // duplicate survives (combining is per sender) for the receiver
         // to fold.
-        mc.deposit(0, vec![(3, 9), (3, 4), (8, 1)], Some(&MinCombiner));
-        mc.deposit(0, vec![(3, 6)], Some(&MinCombiner));
-        mc.deposit(1, vec![(3, 2)], Some(&MinCombiner));
+        mc.deposit_from(0, &mut vec![(3, 9), (3, 4), (8, 1)], Some(&MinCombiner));
+        mc.deposit_from(0, &mut vec![(3, 6)], Some(&MinCombiner));
+        mc.deposit_from(1, &mut vec![(3, 2)], Some(&MinCombiner));
         assert_eq!(mc.total_generated(), 5);
         assert_eq!(mc.total(), 3); // (w0,3)=min(9,4,6)=4, (w0,8)=1, (w1,3)=2
-        match mc.collect() {
-            CollectedBatches::Bucketed { per_worker, .. } => {
+        match mc.collected() {
+            Collected::Bucketed { per_worker, .. } => {
                 assert_eq!(per_worker[0][0], vec![(3, 4)]);
                 assert_eq!(per_worker[0][1], vec![(8, 1)]);
                 assert_eq!(per_worker[1][0], vec![(3, 2)]);
             }
-            CollectedBatches::Flat(_) => panic!("bucketed collector must stay bucketed"),
+            Collected::Flat(_) => panic!("bucketed collector must stay bucketed"),
         }
     }
 
@@ -568,16 +484,13 @@ mod tests {
             Transport::SingleQueue,
             Transport::Bucketed,
         ] {
-            let mc: MessageCollector<u64> = MessageCollector::new(transport, 4, 100, false);
+            let mut mc: MessageCollector<u64> = MessageCollector::new(transport, 4, 100, false);
             for w in 0..4 {
-                mc.deposit(
-                    w,
-                    (0..25).map(|i| ((i * 4 + w as u64) % 100, i)).collect(),
-                    None,
-                );
+                let mut batch = (0..25).map(|i| ((i * 4 + w as u64) % 100, i)).collect();
+                mc.deposit_from(w, &mut batch, None);
             }
             let claimed = mc.total();
-            let stored: usize = mc.into_batches().iter().map(|b| b.len()).sum();
+            let stored: usize = batches(&mut mc).iter().map(|b| b.len()).sum();
             assert_eq!(claimed, stored as u64, "{transport:?}");
         }
     }
@@ -603,46 +516,22 @@ mod tests {
             Transport::Bucketed,
         ] {
             let mut mc: MessageCollector<u64> = MessageCollector::new(transport, 2, 10, true);
-            mc.deposit(0, vec![(1, 10), (7, 70)], Some(&MinCombiner));
-            mc.deposit(1, vec![(3, 30)], Some(&MinCombiner));
+            mc.deposit_from(0, &mut vec![(1, 10), (7, 70)], Some(&MinCombiner));
+            mc.deposit_from(1, &mut vec![(3, 30)], Some(&MinCombiner));
             assert_eq!(mc.total(), 3, "{transport:?}");
             mc.reset();
             assert_eq!(mc.total(), 0, "{transport:?}");
             assert_eq!(mc.total_generated(), 0, "{transport:?}");
             // A fresh deposit after reset behaves like the first one —
             // including re-engaging the (cleared) combining index.
-            mc.deposit(0, vec![(1, 4), (1, 2)], Some(&MinCombiner));
+            mc.deposit_from(0, &mut vec![(1, 4), (1, 2)], Some(&MinCombiner));
             let shipped = mc.total();
             match transport {
                 Transport::Bucketed => assert_eq!(shipped, 1, "combined after reset"),
                 _ => assert_eq!(shipped, 2),
             }
-            let stored: usize = mc.into_batches().iter().map(|b| b.len()).sum();
+            let stored: usize = batches(&mut mc).iter().map(|b| b.len()).sum();
             assert_eq!(shipped, stored as u64, "{transport:?}");
-        }
-    }
-
-    #[test]
-    fn collected_view_matches_collect() {
-        let mut mc: MessageCollector<u64> =
-            MessageCollector::new(Transport::Bucketed, 2, 10, false);
-        mc.deposit(0, vec![(1, 10), (7, 70), (4, 40)], None);
-        mc.deposit(1, vec![(5, 50)], None);
-        let (batches, counts) = {
-            let view = mc.collected();
-            let mut flat: Vec<Vec<(VertexId, u64)>> = Vec::new();
-            for i in 0..view.num_batches() {
-                flat.push(view.batch(i).to_vec());
-            }
-            (flat, view.bucket_counts())
-        };
-        assert_eq!(counts, vec![2, 2]);
-        match mc.collect() {
-            CollectedBatches::Bucketed { per_worker, .. } => {
-                let owned: Vec<Vec<(VertexId, u64)>> = per_worker.into_iter().flatten().collect();
-                assert_eq!(batches, owned);
-            }
-            CollectedBatches::Flat(_) => panic!("bucketed collector must stay bucketed"),
         }
     }
 
@@ -672,15 +561,15 @@ mod tests {
 
     #[test]
     fn bucket_counts_sum_across_workers() {
-        let collected: CollectedBatches<u64> = CollectedBatches::Bucketed {
+        let collected: Collected<u64> = Collected::Bucketed {
             stride: 3,
-            per_worker: vec![
+            per_worker: &[
                 vec![vec![(0, 1), (2, 2)], vec![(3, 3)]],
                 vec![vec![], vec![(4, 4), (5, 5)]],
             ],
         };
         assert_eq!(collected.bucket_counts(), vec![2, 3]);
-        let flat: CollectedBatches<u64> = CollectedBatches::Flat(vec![vec![(0, 1)]]);
+        let flat: Collected<u64> = Collected::Flat(&[vec![(0, 1)]]);
         assert!(flat.bucket_counts().is_empty());
     }
 

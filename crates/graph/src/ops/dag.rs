@@ -68,23 +68,21 @@ pub fn dag_view(g: &Csr) -> Csr {
 pub enum IntersectStrategy {
     /// Sorted merge walk — the paper's shape: `O(d(v) + d(u))` per pair.
     Merge,
-    /// Walk the shorter list, binary-search the longer:
-    /// `O(d_min · log d_max)` — wins on skewed pairs.
-    BinSearch,
     /// Epoch-stamped mark array (the `tc.c` exemplar): mark one list
     /// once per vertex, probe the other in `O(1)` per element.
     Hash,
-    /// Pick per vertex pair between [`Self::BinSearch`]-style probing
-    /// and [`Self::Hash`] marking by comparing their cost models.
+    /// Pick per vertex pair between binary-search probing (walk the
+    /// shorter list, search the longer: `O(d_min · log d_max)`, wins on
+    /// skewed pairs) and [`Self::Hash`] marking by comparing their cost
+    /// models.
     #[default]
     Auto,
 }
 
 impl IntersectStrategy {
     /// Every strategy, in ablation order.
-    pub const ALL: [IntersectStrategy; 4] = [
+    pub const ALL: [IntersectStrategy; 3] = [
         IntersectStrategy::Merge,
-        IntersectStrategy::BinSearch,
         IntersectStrategy::Hash,
         IntersectStrategy::Auto,
     ];
@@ -93,7 +91,6 @@ impl IntersectStrategy {
     pub fn name(self) -> &'static str {
         match self {
             IntersectStrategy::Merge => "merge",
-            IntersectStrategy::BinSearch => "binsearch",
             IntersectStrategy::Hash => "hash",
             IntersectStrategy::Auto => "auto",
         }
@@ -104,7 +101,6 @@ impl IntersectStrategy {
     pub fn parse(s: &str) -> Option<IntersectStrategy> {
         match s {
             "merge" | "Merge" => Some(IntersectStrategy::Merge),
-            "binsearch" | "BinSearch" => Some(IntersectStrategy::BinSearch),
             "hash" | "Hash" => Some(IntersectStrategy::Hash),
             "auto" | "Auto" => Some(IntersectStrategy::Auto),
             _ => None,

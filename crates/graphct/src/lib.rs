@@ -10,11 +10,11 @@
 //!
 //! * [`components`] — Shiloach-Vishkin-style connected components with
 //!   in-iteration label propagation (§III);
-//! * [`bfs`] — level-synchronous breadth-first search with a shared
+//! * [`mod@bfs`] — level-synchronous breadth-first search with a shared
 //!   frontier queue (§IV);
 //! * [`triangles`] — triangle counting and clustering coefficients by
 //!   sorted-adjacency intersection (§V);
-//! * [`kcore`], [`betweenness`], [`pagerank`], [`sssp`] — toolkit extras;
+//! * [`kcore`], [`betweenness`], [`mod@pagerank`], [`mod@sssp`] — toolkit extras;
 //! * [`workflow`] — the chained-analysis driver (one read-only graph,
 //!   a series of kernel calls, an accumulated report).
 //!

@@ -15,16 +15,17 @@
 //!   is rooted at its lowest-`(degree, id)` corner and hub adjacency
 //!   lists are never walked from the hub side.
 //! * **Intersection strategies** ([`IntersectStrategy`]): merge walk
-//!   (the paper's shape), binary-search probing, epoch-stamped hash
-//!   marking (the `tc.c` exemplar's mark array, with a stamp check
-//!   replacing the O(d) unmark pass), or a per-pair `Auto` choice.
+//!   (the paper's shape), epoch-stamped hash marking (the `tc.c`
+//!   exemplar's mark array, with a stamp check replacing the O(d)
+//!   unmark pass), or a per-pair `Auto` choice between hash marking and
+//!   binary-search probing.
 //!   Mark arrays live in a per-worker [`TcScratch`] pool, so the sweep
 //!   itself performs **zero heap allocations** (the `zero_alloc` gate
 //!   pins this for the hash strategy).
 //!
-//! The paper-faithful `v < u < w` id-order enumeration survives as
-//! [`count_triangles_idorder`]; the model-prediction figures keep using
-//! its merge variant so the reproduced numbers stay byte-identical.
+//! The paper-faithful `v < u < w` id-order merge enumeration survives
+//! as [`count_triangles_idorder`]; the model-prediction figures keep
+//! using it so the reproduced numbers stay byte-identical.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -261,7 +262,6 @@ fn dag_sweep(
                 }
                 let found = match strategy {
                     IntersectStrategy::Merge => intersect_merge(nv, nu, tri, &mut probes),
-                    IntersectStrategy::BinSearch => intersect_binsearch(nv, nu, tri, &mut probes),
                     IntersectStrategy::Hash => intersect_hash(ms, epoch, nu, tri, &mut probes),
                     IntersectStrategy::Auto => {
                         // Cost models: walk-short + binary-probe-long vs
@@ -413,35 +413,19 @@ fn intersect_hash(
     count
 }
 
-/// Paper-faithful `v < u < w` id-order enumeration over the undirected
-/// graph, with a pluggable intersection strategy.
-///
-/// The [`IntersectStrategy::Merge`] variant reproduces the original §V
-/// kernel *exactly* — same walk, same operation charging — and anchors
-/// the model-prediction figures; the other strategies measure what the
-/// intersection mechanism alone buys without the DAG reordering
-/// ([`IntersectStrategy::BinSearch`] walks the shorter candidate range
-/// and probes the longer list: `d_min · log d_max` work instead of the
-/// merge walk's `d_min + d_max`, the trade-off the paper's §VI points
-/// to).  `ctx.exec` and `ctx.rec` as in [`count_triangles_with`].
-pub fn count_triangles_idorder(g: &Csr, strategy: IntersectStrategy, ctx: &mut Ctx<'_>) -> u64 {
+/// The original §V kernel: `v < u < w` id-order enumeration over the
+/// undirected graph with a merge intersection.  Kept byte-identical in
+/// both walk and charging — the reproduced figures and the
+/// instrumentation tests pin its exact operation counts — and used as
+/// the reference the DAG strategies are agreement-tested against.
+/// `ctx.exec` and `ctx.rec` as in [`count_triangles_with`].
+pub fn count_triangles_idorder(g: &Csr, ctx: &mut Ctx<'_>) -> u64 {
     assert!(
         !g.is_directed(),
         "triangle counting needs an undirected graph"
     );
     assert!(g.is_sorted(), "triangle counting needs sorted adjacency");
     let (rec, exec) = (ctx.rec.as_deref_mut(), &ctx.exec);
-    match strategy {
-        IntersectStrategy::Merge => idorder_merge(g, rec, exec),
-        IntersectStrategy::BinSearch => idorder_binsearch(g, rec, exec),
-        IntersectStrategy::Hash | IntersectStrategy::Auto => idorder_hash(g, rec, exec),
-    }
-}
-
-/// The original §V merge kernel (id order, merge intersection).  Kept
-/// byte-identical in both walk and charging: the reproduced figures and
-/// the instrumentation tests pin its exact operation counts.
-fn idorder_merge(g: &Csr, rec: Option<&mut Recorder>, exec: &Executor) -> u64 {
     let n = g.num_vertices() as usize;
     let total = AtomicU64::new(0);
     let compares = AtomicU64::new(0);
@@ -481,123 +465,6 @@ fn idorder_merge(g: &Csr, rec: Option<&mut Recorder>, exec: &Executor) -> u64 {
         c.writes = count;
         c.atomics = count;
         c.charge_loop_overhead(chunk(n, exec.workers()));
-        c.barriers = 1;
-        r.push("count", 0, c, count);
-    }
-    count
-}
-
-fn idorder_binsearch(g: &Csr, rec: Option<&mut Recorder>, exec: &Executor) -> u64 {
-    let n = g.num_vertices() as usize;
-    let total = AtomicU64::new(0);
-    let probes = AtomicU64::new(0);
-
-    exec.pfor(0, n, |v| {
-        let v = v as u64;
-        let nv = g.neighbors(v);
-        let mut local = 0u64;
-        let mut local_probes = 0u64;
-        for &u in nv {
-            if u <= v {
-                continue;
-            }
-            let nu = g.neighbors(u);
-            // Probe with the shorter candidate range into the longer list.
-            let vi = nv.partition_point(|&x| x <= u);
-            let ui = nu.partition_point(|&x| x <= u);
-            let swap = nv.len() - vi > nu.len() - ui;
-            let short = if swap { &nu[ui..] } else { &nv[vi..] };
-            let long = if swap { nv } else { nu };
-            let logl = (long.len().max(2)).ilog2() as u64;
-            for &w in short {
-                local_probes += logl;
-                if long.binary_search(&w).is_ok() {
-                    local += 1;
-                }
-            }
-        }
-        if local > 0 {
-            // Relaxed: tally accumulator, read only after the join.
-            total.fetch_add(local, Ordering::Relaxed);
-        }
-        probes.fetch_add(local_probes, Ordering::Relaxed); // Relaxed: stats, post-join
-    });
-
-    // Relaxed: the parallel loop joined; adds happen-before this read.
-    let count = total.load(Ordering::Relaxed);
-    if let Some(r) = rec {
-        let p = probes.load(Ordering::Relaxed); // Relaxed: post-join read
-        let mut c = PhaseCounts::with_items(g.num_arcs());
-        c.reads = p + g.num_arcs();
-        c.alu_ops = p;
-        c.writes = count;
-        c.atomics = count;
-        c.charge_loop_overhead(chunk(n, exec.workers()));
-        c.barriers = 1;
-        r.push("count", 0, c, count);
-    }
-    count
-}
-
-/// Id-order enumeration with hash marking: stamp N(v) once per vertex,
-/// then probe each higher neighbor's list above the `w > u` floor.
-fn idorder_hash(g: &Csr, rec: Option<&mut Recorder>, exec: &Executor) -> u64 {
-    let n = g.num_vertices() as usize;
-    let total = AtomicU64::new(0);
-    let probes_total = AtomicU64::new(0);
-    let marks_total = AtomicU64::new(0);
-    let mut scratch = TcScratch::new();
-    scratch.prepare(exec.workers(), n);
-    let marks = &scratch.marks;
-
-    let chunk_size = chunk(n, exec.workers());
-    exec.pfor_chunked(0, n, chunk_size as usize, |worker, range| {
-        // SAFETY: one thread per worker id within this parallel region.
-        let ms = unsafe { marks.get(worker) };
-        let mut local = 0u64;
-        let mut probes = 0u64;
-        let mut markw = 0u64;
-        for v in range {
-            let v = v as u64;
-            let nv = g.neighbors(v);
-            if nv.len() < 2 || *nv.last().unwrap_or(&0) <= v {
-                continue; // no u > v ⇒ no wedge rooted here
-            }
-            let epoch = mark(ms, nv);
-            markw += nv.len() as u64;
-            for &u in nv {
-                if u <= v {
-                    continue;
-                }
-                let nu = g.neighbors(u);
-                let ui = nu.partition_point(|&x| x <= u);
-                probes += (nu.len() - ui) as u64 + 2;
-                for &w in &nu[ui..] {
-                    if ms.stamps[w as usize] == epoch {
-                        local += 1;
-                    }
-                }
-            }
-        }
-        if local > 0 {
-            // Relaxed: tally accumulator, read only after the join.
-            total.fetch_add(local, Ordering::Relaxed);
-        }
-        probes_total.fetch_add(probes, Ordering::Relaxed); // Relaxed: stats, post-join
-        marks_total.fetch_add(markw, Ordering::Relaxed); // Relaxed: stats, post-join
-    });
-
-    // Relaxed: the parallel loop joined; adds happen-before these reads.
-    let count = total.load(Ordering::Relaxed);
-    if let Some(r) = rec {
-        let probes = probes_total.load(Ordering::Relaxed); // Relaxed: stats, post-join
-        let markw = marks_total.load(Ordering::Relaxed); // Relaxed: stats, post-join
-        let mut c = PhaseCounts::with_items(g.num_arcs());
-        c.reads = probes + g.num_arcs();
-        c.alu_ops = probes;
-        c.writes = count + markw;
-        c.atomics = count;
-        c.charge_loop_overhead(chunk_size);
         c.barriers = 1;
         r.push("count", 0, c, count);
     }
@@ -677,16 +544,16 @@ mod tests {
             let g = build_undirected(&el);
             let want = reference_triangles(&g);
             for exec in [Executor::fixed(), Executor::guided()] {
+                assert_eq!(
+                    count_triangles_idorder(&g, &mut Ctx::on(exec.clone())),
+                    want,
+                    "idorder seed {seed}"
+                );
                 for s in IntersectStrategy::ALL {
                     assert_eq!(
                         count_triangles_with(&g, s, &mut Ctx::on(exec.clone())),
                         want,
                         "dag/{s:?} seed {seed}"
-                    );
-                    assert_eq!(
-                        count_triangles_idorder(&g, s, &mut Ctx::on(exec.clone())),
-                        want,
-                        "idorder/{s:?} seed {seed}"
                     );
                 }
             }
@@ -765,37 +632,11 @@ mod tests {
         let g = build_undirected(&el);
         let (want_cc, want_n) =
             clustering_coefficients_with(&g, IntersectStrategy::Merge, &mut Ctx::default());
-        for s in [
-            IntersectStrategy::BinSearch,
-            IntersectStrategy::Hash,
-            IntersectStrategy::Auto,
-        ] {
+        for s in [IntersectStrategy::Hash, IntersectStrategy::Auto] {
             let (cc, n) = clustering_coefficients_with(&g, s, &mut Ctx::on(Executor::guided()));
             assert_eq!(n, want_n, "{s:?}");
             assert_eq!(cc, want_cc, "{s:?}");
         }
-    }
-
-    #[test]
-    fn binsearch_variant_counts_identically() {
-        for seed in 0..3u64 {
-            let el = xmt_graph::gen::er::gnm(150, 1200, seed);
-            let g = build_undirected(&el);
-            assert_eq!(
-                count_triangles_idorder(&g, IntersectStrategy::BinSearch, &mut Ctx::default()),
-                count_triangles(&g),
-                "seed {seed}"
-            );
-        }
-        let g = build_undirected(&clique(9));
-        assert_eq!(
-            count_triangles_idorder(
-                &g,
-                IntersectStrategy::BinSearch,
-                &mut Ctx::on(Executor::guided())
-            ),
-            clique_triangles(9)
-        );
     }
 
     #[test]
@@ -807,11 +648,7 @@ mod tests {
         let g = build_undirected(&xmt_graph::gen::rmat::rmat_edges(&p, 4));
 
         let mut raw_rec = Recorder::new();
-        let raw = count_triangles_idorder(
-            &g,
-            IntersectStrategy::Merge,
-            &mut Ctx::recording(&mut raw_rec),
-        );
+        let raw = count_triangles_idorder(&g, &mut Ctx::recording(&mut raw_rec));
         let mut dag_rec = Recorder::new();
         let dag = count_triangles_with(
             &g,
@@ -825,35 +662,6 @@ mod tests {
         assert!(
             dag_reads < raw_reads,
             "DAG ordering should cut reads: {dag_reads} vs {raw_reads}"
-        );
-    }
-
-    #[test]
-    fn binsearch_probes_fewer_on_skewed_pairs() {
-        // star-plus-one-edge: leaf lists are length <=2, hub list is huge.
-        let mut el = star(4000);
-        el.push(1, 2); // triangle (0,1,2)
-        let g = build_undirected(&el);
-        let mut merge_rec = Recorder::new();
-        count_triangles_idorder(
-            &g,
-            IntersectStrategy::Merge,
-            &mut Ctx::recording(&mut merge_rec),
-        );
-        let mut bin_rec = Recorder::new();
-        assert_eq!(
-            count_triangles_idorder(
-                &g,
-                IntersectStrategy::BinSearch,
-                &mut Ctx::recording(&mut bin_rec)
-            ),
-            1
-        );
-        let merge_reads = merge_rec.with_label("count").next().unwrap().counts.reads;
-        let bin_reads = bin_rec.with_label("count").next().unwrap().counts.reads;
-        assert!(
-            bin_reads < merge_reads,
-            "binary search should win on skew: {bin_reads} vs {merge_reads}"
         );
     }
 
@@ -901,8 +709,7 @@ mod tests {
         // exactly — the instrumentation contract the figures pin.
         let g = build_undirected(&clique(10));
         let mut rec = Recorder::new();
-        let count =
-            count_triangles_idorder(&g, IntersectStrategy::Merge, &mut Ctx::recording(&mut rec));
+        let count = count_triangles_idorder(&g, &mut Ctx::recording(&mut rec));
         let r = rec.with_label("count").next().unwrap();
         assert_eq!(count, clique_triangles(10));
         assert_eq!(r.counts.writes, count);

@@ -19,11 +19,10 @@
 //! * [`Executor`] — a pool + schedule handle ([`Schedule::Fixed`] static
 //!   chunks, or [`Schedule::Guided`] decaying chunks for skewed work)
 //!   that the BSP runtime and GraphCT kernels are parameterized over.
-//! * [`reduce`] and [`scan`] — parallel reductions and prefix sums.
+//! * [`mod@reduce`] and [`scan`] — parallel reductions and prefix sums.
 //! * [`atomic`] — `int_fetch_add`-style helpers plus atomic-min/max CAS
 //!   loops used by label-update kernels.
 //! * [`FullEmptyCell`] — a full/empty-bit word (`readfe`/`writeef`).
-//! * [`SenseBarrier`] — a sense-reversing barrier.
 //!
 //! # Example
 //!
@@ -50,7 +49,6 @@
 //! ```
 
 pub mod atomic;
-pub mod barrier;
 pub mod exec;
 pub mod full_empty;
 pub mod pfor;
@@ -59,7 +57,6 @@ pub mod reduce;
 pub mod scan;
 pub mod scratch;
 
-pub use barrier::SenseBarrier;
 pub use exec::{Executor, Schedule};
 pub use full_empty::FullEmptyCell;
 pub use pfor::{parallel_for, parallel_for_chunked};

@@ -49,8 +49,8 @@ pub use engine::{execute, ExecVerdict};
 pub use error::ServiceError;
 pub use job::{Algorithm, Engine, JobGraph, JobId, JobOutput, JobSpec, JobState, StoredCheckpoint};
 pub use protocol::{parse_request, GraphSpec, Request};
-pub use registry::{edge_ops, GraphEntryInfo, GraphRegistry, RegistryStats};
+pub use registry::{GraphEntryInfo, GraphRegistry, RegistryStats};
 pub use scheduler::{JobSnapshot, Scheduler, SchedulerConfig, SchedulerStats};
 pub use server::{Server, Service, ServiceConfig};
 pub use stats::{LatencyBook, LatencyHistogram, LatencySummary};
-pub use streaming::{batch_ops, UpdateOutcome};
+pub use streaming::{edge_ops, UpdateOutcome};

@@ -263,8 +263,7 @@ fn parse_job_spec(c: &Content) -> Result<JobSpec, ServiceError> {
             IntersectStrategy::parse(&name).ok_or_else(|| ServiceError::InvalidConfig {
                 field: "intersect",
                 reason: format!(
-                    "unknown intersect strategy `{name}` (expected `merge`, `binsearch`, \
-                     `hash`, or `auto`)"
+                    "unknown intersect strategy `{name}` (expected `merge`, `hash`, or `auto`)"
                 ),
             })?;
     }
@@ -727,28 +726,33 @@ mod tests {
         assert_eq!(spec.config.intersect, IntersectStrategy::Auto);
         // A full config also carries the strategy (wire variant name).
         let json = serde_json::to_string(&BspConfig {
-            intersect: IntersectStrategy::BinSearch,
+            intersect: IntersectStrategy::Hash,
             ..BspConfig::default()
         })
         .unwrap();
-        assert!(json.contains("\"BinSearch\""));
+        assert!(json.contains("\"Hash\""));
         let line = format!(r#"{{"op":"submit","algorithm":"tc","graph":"g","config":{json}}}"#);
         let Request::Submit { spec } = parse(&line).unwrap() else {
             panic!("wrong op");
         };
-        assert_eq!(spec.config.intersect, IntersectStrategy::BinSearch);
+        assert_eq!(spec.config.intersect, IntersectStrategy::Hash);
     }
 
     #[test]
     fn unknown_intersect_strategy_is_invalid_config() {
-        let err = parse(r#"{"op":"submit","algorithm":"tc","graph":"g","intersect":"quadratic"}"#)
-            .unwrap_err();
-        assert_eq!(err.code(), "invalid_config");
-        let ServiceError::InvalidConfig { field, reason } = &err else {
-            panic!("wrong variant");
-        };
-        assert_eq!(*field, "intersect");
-        assert!(reason.contains("quadratic"), "{reason}");
+        // `binsearch` was a strategy until it was retired; it is now as
+        // unknown as any other name.
+        for name in ["quadratic", "binsearch", "BinSearch"] {
+            let line =
+                format!(r#"{{"op":"submit","algorithm":"tc","graph":"g","intersect":"{name}"}}"#);
+            let err = parse(&line).unwrap_err();
+            assert_eq!(err.code(), "invalid_config");
+            let ServiceError::InvalidConfig { field, reason } = &err else {
+                panic!("wrong variant");
+            };
+            assert_eq!(*field, "intersect");
+            assert!(reason.contains(name), "{reason}");
+        }
     }
 
     #[test]

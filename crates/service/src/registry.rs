@@ -7,7 +7,7 @@
 //! in two kinds under one byte budget with LRU eviction:
 //!
 //! * **static** — a frozen [`Arc<Csr>`], the original shape;
-//! * **dynamic** — a [`DynamicGraph`]: stinger-backed adjacency with
+//! * **dynamic** — a `DynamicGraph`: stinger-backed adjacency with
 //!   incrementally maintained CC labels and triangle counts, mutated by
 //!   `update` batches and served to jobs as immutable epoch snapshots.
 //!
@@ -31,12 +31,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use stinger_lite::{EdgeOp, StreamingAnalytics};
+use stinger_lite::StreamingAnalytics;
 use xmt_graph::Csr;
 
 use crate::error::ServiceError;
 use crate::job::{Algorithm, Engine, JobGraph};
-use crate::streaming::{batch_ops, dynamic_cost_bytes, DynamicGraph, UpdateOutcome};
+use crate::streaming::{dynamic_cost_bytes, edge_ops, DynamicGraph, UpdateOutcome};
 
 /// A registry snapshot row (what `list_graphs` reports).
 #[derive(Clone, Debug)]
@@ -348,7 +348,7 @@ impl GraphRegistry {
                 })
             }
         };
-        let ops = batch_ops(insert, delete);
+        let ops = edge_ops(insert, delete);
         // Per-graph lock held across plan → re-cost → apply, so the
         // accepted counts the re-cost was based on are exactly the
         // counts applied, and concurrent batches serialize per graph.
@@ -523,12 +523,6 @@ impl GraphRegistry {
             snapshot_epochs_live,
         }
     }
-}
-
-/// Convenience for composing update batches in code (tests, benches):
-/// the wire shape is two pair lists, this is the typed equivalent.
-pub fn edge_ops(insert: &[(u64, u64)], delete: &[(u64, u64)]) -> Vec<EdgeOp> {
-    batch_ops(insert, delete)
 }
 
 #[cfg(test)]

@@ -15,7 +15,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use serde::Content;
 
 use crate::error::ServiceError;
@@ -258,7 +257,7 @@ impl Server {
     /// Serve until a `shutdown` request arrives.  Blocks; see
     /// [`Server::spawn`] for a background thread.
     pub fn run(self) {
-        let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let mut connections: Vec<JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             if self.stop.load(Ordering::SeqCst) {
                 break;
@@ -277,10 +276,12 @@ impl Server {
                 // OS resource exhaustion; there is no useful way to keep
                 // serving once threads cannot be created.
                 .expect("spawn connection thread");
-            connections.lock().push(handle);
+            // Reap finished connections first, so the list is bounded by
+            // live connections rather than by connections ever accepted.
+            connections.retain(|h| !h.is_finished());
+            connections.push(handle);
         }
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *connections.lock());
-        for handle in handles {
+        for handle in connections {
             let _ = handle.join();
         }
         self.service.shutdown();
@@ -320,23 +321,28 @@ fn serve_connection(
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        line.clear();
         match reader.read_line(&mut line) {
             Ok(0) => return, // client closed
             Ok(_) => {}
+            // A timed-out read_line leaves the bytes it already consumed
+            // in `line`; the next pass appends the rest of the request,
+            // so `line` is cleared only once a complete line was taken.
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 continue;
             }
             Err(_) => return,
         }
-        if line.trim().is_empty() {
+        let parsed = (!line.trim().is_empty()).then(|| {
+            serde_json::from_str::<Content>(&line)
+                .map_err(|e| ServiceError::BadRequest {
+                    message: format!("invalid json: {e}"),
+                })
+                .and_then(|tree| parse_request(&tree))
+        });
+        line.clear();
+        let Some(parsed) = parsed else {
             continue;
-        }
-        let parsed = serde_json::from_str::<Content>(&line)
-            .map_err(|e| ServiceError::BadRequest {
-                message: format!("invalid json: {e}"),
-            })
-            .and_then(|tree| parse_request(&tree));
+        };
         let is_shutdown = matches!(parsed, Ok(Request::Shutdown));
         let response = match parsed.and_then(|req| service.handle(&req)) {
             Ok(content) => content,
@@ -354,5 +360,33 @@ fn serve_connection(
             let _ = TcpStream::connect(server_addr);
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn request_split_across_the_read_timeout_is_reassembled() {
+        let server = Server::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let serving = server.spawn();
+
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream.write_all(br#"{"op":"pi"#).unwrap();
+        // Longer than the connection thread's 100 ms read timeout.
+        std::thread::sleep(Duration::from_millis(250));
+        stream.write_all(b"ng\"}\n").unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        assert!(response.contains(r#""status":"ok""#), "{response}");
+
+        stream.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+        response.clear();
+        reader.read_line(&mut response).unwrap();
+        serving.join().unwrap();
     }
 }

@@ -242,8 +242,9 @@ pub(crate) fn dynamic_cost_bytes(n: u64, m: u64) -> usize {
 
 /// Translate wire-level insert/delete pair lists into one ordered batch
 /// (inserts first, then deletes; within the batch the first op naming an
-/// unordered pair wins).
-pub fn batch_ops(insert: &[(u64, u64)], delete: &[(u64, u64)]) -> Vec<EdgeOp> {
+/// unordered pair wins).  Also the typed way to compose an update batch
+/// in code.
+pub fn edge_ops(insert: &[(u64, u64)], delete: &[(u64, u64)]) -> Vec<EdgeOp> {
     insert
         .iter()
         .map(|&(u, v)| EdgeOp::Insert(u, v))
@@ -263,7 +264,7 @@ mod tests {
         assert_eq!(e0, 0);
         assert!(Arc::ptr_eq(&a, &b), "same epoch shares one CSR");
 
-        let ops = batch_ops(&[(0, 1)], &[]);
+        let ops = edge_ops(&[(0, 1)], &[]);
         let (applied, bytes) = {
             let mut st = d.lock();
             let applied = st.analytics.apply_batch(&ops).unwrap();

@@ -1,32 +1,30 @@
-//! Combined incremental analytics over one dynamic graph.
+//! Incremental analytics over one dynamic graph.
 //!
-//! [`StreamingComponents`](crate::StreamingComponents) and
-//! [`StreamingClustering`](crate::StreamingClustering) each own their own
-//! [`DynGraph`], which is the right shape for studying one algorithm in
-//! isolation but wrong for a *service*: a registered streaming graph has
-//! one topology and every maintained quantity must move in lockstep with
-//! it.  [`StreamingAnalytics`] owns a single graph and maintains both
-//! connected-component labels (union-find, recompute fallback for
-//! splitting deletions — \[13\]) and per-vertex triangle counts (the
-//! \[12\] delta rule: ±|N(u) ∩ N(v)| per edge flip) under the same
-//! update stream.
+//! A registered streaming graph has one topology and every maintained
+//! quantity must move in lockstep with it, so [`StreamingAnalytics`]
+//! owns the single [`DynGraph`] and feeds each accepted edge flip to
+//! two graph-less trackers: connected-component labels
+//! ([`ComponentTracker`]: union-find, recompute fallback for splitting
+//! deletions — \[13\]) and per-vertex triangle counts
+//! ([`TriangleTracker`]: the \[12\] delta rule, ±|N(u) ∩ N(v)| per edge
+//! flip).
 //!
 //! Updates arrive as **batches** of [`EdgeOp`]s.  A batch is first
 //! [planned](StreamingAnalytics::plan_batch) — endpoints validated,
 //! duplicates resolved, exact accepted insert/delete counts computed
 //! without mutating anything — and then
-//! [applied](StreamingAnalytics::apply_batch).  The two traversals share
-//! one rule (the first op naming an unordered pair wins; later ops on
-//! the same pair in the batch are ignored), so a caller that plans,
-//! makes an admission decision (e.g. a memory-budget check), and then
-//! applies under one lock sees exactly the planned counts.
+//! [applied](StreamingAnalytics::apply_batch).  Both run the same walk
+//! (the first op naming an unordered pair wins; later ops on the same
+//! pair in the batch are ignored), so a caller that plans, makes an
+//! admission decision (e.g. a memory-budget check), and then applies
+//! under one lock sees exactly the planned counts.
 
 use std::collections::HashSet;
 use std::fmt;
 
 use xmt_graph::{Csr, VertexId};
 
-use crate::DynGraph;
+use crate::{ComponentTracker, DynGraph, TriangleTracker};
 
 /// One edge mutation in an update batch (unordered endpoints).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,14 +33,6 @@ pub enum EdgeOp {
     Insert(VertexId, VertexId),
     /// Delete the undirected edge `{u, v}`.
     Delete(VertexId, VertexId),
-}
-
-impl EdgeOp {
-    fn endpoints(&self) -> (VertexId, VertexId) {
-        match *self {
-            EdgeOp::Insert(u, v) | EdgeOp::Delete(u, v) => (u, v),
-        }
-    }
 }
 
 /// What a batch will do (from [`StreamingAnalytics::plan_batch`]) or did
@@ -82,17 +72,8 @@ impl std::error::Error for OutOfRange {}
 /// maintained incrementally under one update stream.
 pub struct StreamingAnalytics {
     graph: DynGraph,
-    /// Union-find parent array (path halving, union by smaller root id,
-    /// so every root is the minimum vertex id of its component — the
-    /// same label convention as the static algorithms).
-    parent: Vec<VertexId>,
-    /// Deletions since the last recompute whose endpoints shared a
-    /// component (the only ones that can split it).
-    pending_deletions: u64,
-    /// Per-vertex triangle counts.
-    tri: Vec<u64>,
-    /// Global triangle count.
-    total_triangles: u64,
+    components: ComponentTracker,
+    triangles: TriangleTracker,
 }
 
 impl StreamingAnalytics {
@@ -100,30 +81,21 @@ impl StreamingAnalytics {
     pub fn new(n: u64) -> Self {
         StreamingAnalytics {
             graph: DynGraph::new(n),
-            parent: (0..n).collect(),
-            pending_deletions: 0,
-            tri: vec![0; n as usize],
-            total_triangles: 0,
+            components: ComponentTracker::new(n),
+            triangles: TriangleTracker::new(n),
         }
     }
 
     /// Import a static CSR (must be undirected); labels and triangle
     /// counts are computed once, then maintained incrementally.
     pub fn from_csr(csr: &Csr) -> Self {
-        let graph = DynGraph::from_csr(csr);
-        let n = graph.num_vertices();
-        let mut this = StreamingAnalytics {
-            graph,
-            parent: (0..n).collect(),
-            pending_deletions: 0,
-            tri: vec![0; n as usize],
-            total_triangles: 0,
-        };
-        // reference_components yields min-id labels: a valid depth-1
-        // union-find forest under the min-root convention.
-        this.parent = xmt_graph::validate::reference_components(csr);
-        this.total_triangles = recount_triangles(csr, &mut this.tri);
-        this
+        StreamingAnalytics {
+            graph: DynGraph::from_csr(csr),
+            components: ComponentTracker::from_labels(xmt_graph::validate::reference_components(
+                csr,
+            )),
+            triangles: TriangleTracker::from_csr(csr),
+        }
     }
 
     /// The underlying graph (read-only).
@@ -134,24 +106,38 @@ impl StreamingAnalytics {
     /// Global triangle count (always exact — deletions maintain it
     /// incrementally too).
     pub fn triangles(&self) -> u64 {
-        self.total_triangles
+        self.triangles.total()
     }
 
     /// Triangles through vertex `v`.
     pub fn triangles_of(&self, v: VertexId) -> u64 {
-        self.tri[v as usize]
+        self.triangles.of(v)
+    }
+
+    /// Local clustering coefficient of `v`.
+    pub fn coefficient(&self, v: VertexId) -> f64 {
+        self.triangles.coefficient(v, self.graph.degree(v))
+    }
+
+    /// Global (mean) clustering coefficient.
+    pub fn mean_coefficient(&self) -> f64 {
+        let n = self.graph.num_vertices();
+        if n == 0 {
+            return 0.0;
+        }
+        (0..n).map(|v| self.coefficient(v)).sum::<f64>() / n as f64
     }
 
     /// Deletions awaiting a component recompute to be reflected exactly.
     pub fn pending_deletions(&self) -> u64 {
-        self.pending_deletions
+        self.components.pending_deletions()
     }
 
     /// Approximate resident bytes of the maintained state: the dynamic
     /// adjacency plus the two per-vertex arrays.  Length-based (not
     /// capacity-based), so re-costing after a batch is deterministic.
     pub fn memory_bytes(&self) -> usize {
-        self.graph.memory_bytes() + self.parent.len() * 8 + self.tri.len() * 8
+        self.graph.memory_bytes() + self.components.memory_bytes() + self.triangles.memory_bytes()
     }
 
     /// Dry-run a batch: validate endpoints and compute the exact
@@ -163,69 +149,21 @@ impl StreamingAnalytics {
     /// (the service's `state < inner` ordering), so this method must
     /// stay bounded CPU work and must never block or take locks.
     pub fn plan_batch(&self, ops: &[EdgeOp]) -> Result<BatchOutcome, OutOfRange> {
-        let n = self.graph.num_vertices();
-        let mut seen: HashSet<(VertexId, VertexId)> = HashSet::new();
-        let mut outcome = BatchOutcome::default();
-        for op in ops {
-            let (u, v) = op.endpoints();
-            if u >= n || v >= n {
-                return Err(OutOfRange {
-                    vertex: u.max(v),
-                    vertices: n,
-                });
-            }
-            if u == v {
-                continue;
-            }
-            let key = (u.min(v), u.max(v));
-            if !seen.insert(key) {
-                continue; // an earlier op in this batch owns the pair
-            }
-            match op {
-                EdgeOp::Insert(..) if !self.graph.has_edge(u, v) => outcome.inserted += 1,
-                EdgeOp::Delete(..) if self.graph.has_edge(u, v) => outcome.deleted += 1,
-                _ => {}
-            }
-        }
-        Ok(outcome)
+        walk_batch(self.graph.num_vertices(), ops, |op| match op {
+            EdgeOp::Insert(u, v) => !self.graph.has_edge(u, v),
+            EdgeOp::Delete(u, v) => self.graph.has_edge(u, v),
+        })
     }
 
     /// Apply a batch, maintaining labels and triangle counts per
-    /// accepted edge.  Same acceptance rule as
-    /// [`plan_batch`](Self::plan_batch); returns what actually happened.
+    /// accepted edge; returns what actually happened.  Ops before an
+    /// out-of-range endpoint stay applied — callers gate on
+    /// [`plan_batch`](Self::plan_batch).
     pub fn apply_batch(&mut self, ops: &[EdgeOp]) -> Result<BatchOutcome, OutOfRange> {
-        let n = self.graph.num_vertices();
-        let mut seen: HashSet<(VertexId, VertexId)> = HashSet::new();
-        let mut outcome = BatchOutcome::default();
-        for op in ops {
-            let (u, v) = op.endpoints();
-            if u >= n || v >= n {
-                return Err(OutOfRange {
-                    vertex: u.max(v),
-                    vertices: n,
-                });
-            }
-            if u == v {
-                continue;
-            }
-            let key = (u.min(v), u.max(v));
-            if !seen.insert(key) {
-                continue;
-            }
-            match op {
-                EdgeOp::Insert(..) => {
-                    if self.insert_edge(u, v) {
-                        outcome.inserted += 1;
-                    }
-                }
-                EdgeOp::Delete(..) => {
-                    if self.delete_edge(u, v) {
-                        outcome.deleted += 1;
-                    }
-                }
-            }
-        }
-        Ok(outcome)
+        walk_batch(self.graph.num_vertices(), ops, |op| match op {
+            EdgeOp::Insert(u, v) => self.insert_edge(u, v),
+            EdgeOp::Delete(u, v) => self.delete_edge(u, v),
+        })
     }
 
     /// Insert `{u, v}` with incremental maintenance; `true` if the edge
@@ -234,23 +172,9 @@ impl StreamingAnalytics {
         if !self.graph.insert_edge(u, v) {
             return false;
         }
-        // Triangle delta: one new triangle per common neighbor (the
-        // post-insert intersection equals the pre-insert one, since
-        // u ∉ N(u) and v ∉ N(v)).
         let common = self.graph.common_neighbors(u, v);
-        let delta = common.len() as u64;
-        self.tri[u as usize] += delta;
-        self.tri[v as usize] += delta;
-        for w in common {
-            self.tri[w as usize] += 1;
-        }
-        self.total_triangles += delta;
-        // Component merge: union by smaller root keeps min-id labels.
-        let (ru, rv) = (self.find(u), self.find(v));
-        if ru != rv {
-            let (lo, hi) = (ru.min(rv), ru.max(rv));
-            self.parent[hi as usize] = lo;
-        }
+        self.triangles.edge_inserted(u, v, &common);
+        self.components.edge_inserted(u, v);
         true
     }
 
@@ -262,27 +186,9 @@ impl StreamingAnalytics {
             return false;
         }
         let common = self.graph.common_neighbors(u, v);
-        let delta = common.len() as u64;
-        self.tri[u as usize] -= delta;
-        self.tri[v as usize] -= delta;
-        for w in common {
-            self.tri[w as usize] -= 1;
-        }
-        self.total_triangles -= delta;
-        // Union-find cannot un-merge; defer the (rare) split question.
-        if self.find(u) == self.find(v) {
-            self.pending_deletions += 1;
-        }
+        self.triangles.edge_removed(u, v, &common);
+        self.components.edge_removed(u, v);
         true
-    }
-
-    fn find(&mut self, mut v: VertexId) -> VertexId {
-        while self.parent[v as usize] != v {
-            let grand = self.parent[self.parent[v as usize] as usize];
-            self.parent[v as usize] = grand; // path halving
-            v = grand;
-        }
-        v
     }
 
     /// Component label of every vertex (minimum vertex id per
@@ -290,12 +196,10 @@ impl StreamingAnalytics {
     /// potentially-splitting deletions are pending — the incremental
     /// fast path covers insert-only windows and deletions inside cycles.
     pub fn labels(&mut self) -> Vec<VertexId> {
-        if self.pending_deletions > 0 {
+        if self.components.pending_deletions() > 0 {
             self.recompute_components();
         }
-        (0..self.graph.num_vertices())
-            .map(|v| self.find(v))
-            .collect()
+        self.components.labels()
     }
 
     /// Number of connected components (exact; recomputes if needed).
@@ -311,46 +215,41 @@ impl StreamingAnalytics {
     /// fallback, O(V + E).
     pub fn recompute_components(&mut self) {
         let csr = self.graph.to_csr();
-        self.parent = xmt_graph::validate::reference_components(&csr);
-        self.pending_deletions = 0;
+        self.components
+            .reset(xmt_graph::validate::reference_components(&csr));
     }
 }
 
-/// Static per-vertex triangle recount over a CSR; fills `tri` (each
-/// triangle credited at all three corners) and returns the total.
-fn recount_triangles(g: &Csr, tri: &mut [u64]) -> u64 {
-    tri.iter_mut().for_each(|t| *t = 0);
-    let mut total = 0u64;
-    for v in 0..g.num_vertices() {
-        let nv = g.neighbors(v);
-        for &u in nv {
-            if u <= v {
-                continue;
-            }
-            let nu = g.neighbors(u);
-            let (mut i, mut j) = (0, 0);
-            while i < nv.len() && j < nu.len() {
-                match nv[i].cmp(&nu[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        // Count each triangle once (v < u < w), credit
-                        // all three corners.
-                        let w = nv[i];
-                        if w > u {
-                            total += 1;
-                            tri[v as usize] += 1;
-                            tri[u as usize] += 1;
-                            tri[w as usize] += 1;
-                        }
-                        i += 1;
-                        j += 1;
-                    }
-                }
+/// The one batch-acceptance walk, shared by planning and applying:
+/// range-check both endpoints against `n`, skip self loops, let the
+/// first op naming an unordered pair own it, and ask `flip` whether
+/// that op changes (plan) or changed (apply) the graph.
+fn walk_batch(
+    n: u64,
+    ops: &[EdgeOp],
+    mut flip: impl FnMut(EdgeOp) -> bool,
+) -> Result<BatchOutcome, OutOfRange> {
+    let mut seen: HashSet<(VertexId, VertexId)> = HashSet::new();
+    let mut outcome = BatchOutcome::default();
+    for &op in ops {
+        let (EdgeOp::Insert(u, v) | EdgeOp::Delete(u, v)) = op;
+        if u >= n || v >= n {
+            return Err(OutOfRange {
+                vertex: u.max(v),
+                vertices: n,
+            });
+        }
+        if u == v || !seen.insert((u.min(v), u.max(v))) {
+            continue;
+        }
+        if flip(op) {
+            match op {
+                EdgeOp::Insert(..) => outcome.inserted += 1,
+                EdgeOp::Delete(..) => outcome.deleted += 1,
             }
         }
     }
-    total
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -427,6 +326,35 @@ mod tests {
         assert_eq!(s.triangles_of(3), 0);
         s.apply_batch(&[EdgeOp::Delete(0, 2)]).unwrap();
         assert_eq!(s.triangles(), 0);
+    }
+
+    #[test]
+    fn harmless_deletion_keeps_labels_exact() {
+        let mut s = StreamingAnalytics::new(4);
+        // A cycle: deleting one edge cannot split it.
+        s.apply_batch(&[
+            EdgeOp::Insert(0, 1),
+            EdgeOp::Insert(1, 2),
+            EdgeOp::Insert(0, 2),
+        ])
+        .unwrap();
+        s.apply_batch(&[EdgeOp::Delete(0, 1), EdgeOp::Delete(2, 3)])
+            .unwrap();
+        assert_eq!(s.pending_deletions(), 1, "the absent edge defers nothing");
+        // labels() recomputes and confirms no split.
+        assert_eq!(s.labels(), vec![0, 0, 0, 3]);
+        assert_eq!(s.pending_deletions(), 0);
+    }
+
+    #[test]
+    fn splitting_deletion_is_caught_by_recompute() {
+        let mut s = StreamingAnalytics::new(4);
+        s.apply_batch(&[EdgeOp::Insert(0, 1), EdgeOp::Insert(1, 2)])
+            .unwrap();
+        s.apply_batch(&[EdgeOp::Delete(1, 2)]).unwrap();
+        assert_eq!(s.pending_deletions(), 1);
+        assert_eq!(s.labels(), vec![0, 0, 2, 3]);
+        assert_eq!(s.components(), 3);
     }
 
     #[test]

@@ -3,42 +3,45 @@
 //! cheap to absorb; deletions may split components and are handled by a
 //! fallback recomputation, since most deletions in social streams do
 //! not actually disconnect anything).
+//!
+//! [`ComponentTracker`] holds no graph: its owner
+//! ([`StreamingAnalytics`](crate::StreamingAnalytics)) tells it which
+//! edges were accepted and hands it exact labels when the deletion
+//! fallback runs.
 
-use xmt_graph::{Csr, VertexId};
+use xmt_graph::VertexId;
 
-use crate::DynGraph;
-
-/// Connected-component labels maintained under streaming updates.
-pub struct StreamingComponents {
-    graph: DynGraph,
-    /// Union-find parent array (path-halving).
+/// Min-id union-find over a fixed vertex set, plus the count of
+/// deletions it could not reflect.
+pub struct ComponentTracker {
+    /// Union-find parent array (path halving, union by smaller root id,
+    /// so every root is the minimum vertex id of its component — the
+    /// same label convention as the static algorithms).
     parent: Vec<VertexId>,
-    /// Deletions since the last recompute that *might* have split a
-    /// component (both endpoints in the same one).
+    /// Deletions since the last [`reset`](Self::reset) whose endpoints
+    /// shared a component (the only ones that can split it).
     pending_deletions: u64,
 }
 
-impl StreamingComponents {
-    /// Start from an edgeless graph on `n` vertices.
+impl ComponentTracker {
+    /// Every vertex its own component.
     pub fn new(n: u64) -> Self {
-        StreamingComponents {
-            graph: DynGraph::new(n),
-            parent: (0..n).collect(),
+        ComponentTracker::from_labels((0..n).collect())
+    }
+
+    /// Start from exact min-id labels (a valid depth-1 forest under the
+    /// min-root convention).
+    pub fn from_labels(labels: Vec<VertexId>) -> Self {
+        ComponentTracker {
+            parent: labels,
             pending_deletions: 0,
         }
     }
 
-    /// The underlying graph (read-only).
-    pub fn graph(&self) -> &DynGraph {
-        &self.graph
-    }
-
-    /// Number of deletions awaiting a recompute to be reflected exactly.
-    pub fn pending_deletions(&self) -> u64 {
-        self.pending_deletions
-    }
-
-    fn find(&mut self, mut v: VertexId) -> VertexId {
+    /// Component label of `v` (minimum vertex id in its component,
+    /// exact only while no deletions are pending).
+    #[inline]
+    pub fn find(&mut self, mut v: VertexId) -> VertexId {
         while self.parent[v as usize] != v {
             let grand = self.parent[self.parent[v as usize] as usize];
             self.parent[v as usize] = grand; // path halving
@@ -47,69 +50,48 @@ impl StreamingComponents {
         v
     }
 
-    /// Insert `{u, v}`: O(α) union-find update. Returns `true` when the
-    /// edge was new.
-    pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        if !self.graph.insert_edge(u, v) {
-            return false;
-        }
+    /// The new edge `{u, v}` entered the graph: O(α) union.
+    #[inline]
+    pub fn edge_inserted(&mut self, u: VertexId, v: VertexId) {
         let (ru, rv) = (self.find(u), self.find(v));
         if ru != rv {
-            // Union by smaller root id — keeps the minimum-label
-            // convention of the static algorithms.
-            let (lo, hi) = (ru.min(rv), ru.max(rv));
-            self.parent[hi as usize] = lo;
+            self.parent[ru.max(rv) as usize] = ru.min(rv);
         }
-        true
     }
 
-    /// Remove `{u, v}`. Insert-only structures cannot un-merge; if the
-    /// endpoints share a component the split question is deferred (check
-    /// [`Self::pending_deletions`], call [`Self::recompute`]).  Returns
-    /// `true` when the edge existed.
-    pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        if !self.graph.remove_edge(u, v) {
-            return false;
-        }
+    /// The existing edge `{u, v}` left the graph.  Union-find cannot
+    /// un-merge; if the endpoints share a component the (rare) split
+    /// question is deferred to the owner's recompute.
+    #[inline]
+    pub fn edge_removed(&mut self, u: VertexId, v: VertexId) {
         if self.find(u) == self.find(v) {
             self.pending_deletions += 1;
         }
-        true
     }
 
-    /// Component label of `v` (minimum vertex id in its component, exact
-    /// only when no deletions are pending).
-    pub fn label(&mut self, v: VertexId) -> VertexId {
-        self.find(v)
+    /// Deletions awaiting a [`reset`](Self::reset) to be reflected
+    /// exactly.
+    pub fn pending_deletions(&self) -> u64 {
+        self.pending_deletions
     }
 
-    /// All labels (runs a recompute first if deletions are pending).
+    /// Replace the forest with exact labels recomputed from the graph
+    /// (the deletion fallback); clears the pending counter.
+    pub fn reset(&mut self, labels: Vec<VertexId>) {
+        *self = ComponentTracker::from_labels(labels);
+    }
+
+    /// Label of every vertex (exact only while no deletions are
+    /// pending).
     pub fn labels(&mut self) -> Vec<VertexId> {
-        if self.pending_deletions > 0 {
-            self.recompute();
-        }
-        (0..self.graph.num_vertices())
+        (0..self.parent.len() as u64)
             .map(|v| self.find(v))
             .collect()
     }
 
-    /// Recompute labels exactly from the current graph (the deletion
-    /// fallback). O(V + E).
-    pub fn recompute(&mut self) {
-        let csr: Csr = self.graph.to_csr();
-        let labels = xmt_graph::validate::reference_components(&csr);
-        self.parent = labels;
-        self.pending_deletions = 0;
-    }
-
-    /// Number of components (exact; recomputes if needed).
-    pub fn count(&mut self) -> u64 {
-        let labels = self.labels();
-        labels
-            .iter()
-            .enumerate()
-            .filter(|&(v, &l)| v as u64 == l)
-            .count() as u64
+    /// Resident bytes of the parent array (length-based).
+    pub fn memory_bytes(&self) -> usize {
+        self.parent.len() * 8
     }
 }
 
@@ -119,81 +101,34 @@ mod tests {
 
     #[test]
     fn insertions_merge_components() {
-        let mut s = StreamingComponents::new(5);
-        assert_eq!(s.count(), 5);
-        s.insert_edge(0, 1);
-        s.insert_edge(2, 3);
-        assert_eq!(s.count(), 3);
-        s.insert_edge(1, 2);
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.label(3), 0);
-        assert_eq!(s.label(4), 4);
-    }
-
-    #[test]
-    fn harmless_deletion_keeps_labels_exact() {
-        let mut s = StreamingComponents::new(4);
-        s.insert_edge(0, 1);
-        s.insert_edge(1, 2);
-        s.insert_edge(0, 2); // cycle: deleting one edge cannot split
-        s.remove_edge(0, 1);
-        assert_eq!(s.pending_deletions(), 1);
-        // labels() recomputes and confirms no split.
-        assert_eq!(s.labels(), vec![0, 0, 0, 3]);
-        assert_eq!(s.pending_deletions(), 0);
-    }
-
-    #[test]
-    fn splitting_deletion_is_caught_by_recompute() {
-        let mut s = StreamingComponents::new(4);
-        s.insert_edge(0, 1);
-        s.insert_edge(1, 2);
-        s.remove_edge(1, 2);
-        assert_eq!(s.pending_deletions(), 1);
-        assert_eq!(s.labels(), vec![0, 0, 2, 3]);
-        assert_eq!(s.count(), 3);
-    }
-
-    #[test]
-    fn deleting_a_cross_component_edge_is_impossible() {
-        let mut s = StreamingComponents::new(4);
-        s.insert_edge(0, 1);
-        assert!(!s.remove_edge(2, 3), "edge never existed");
-        assert_eq!(s.pending_deletions(), 0);
-    }
-
-    #[test]
-    fn matches_static_components_under_churn() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
-        let n = 40u64;
-        let mut s = StreamingComponents::new(n);
-        let mut present: Vec<(u64, u64)> = Vec::new();
-        for _ in 0..1500 {
-            if present.is_empty() || rng.gen_bool(0.65) {
-                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                if u != v && s.insert_edge(u, v) {
-                    present.push((u.min(v), u.max(v)));
-                }
-            } else {
-                let idx = rng.gen_range(0..present.len());
-                let (u, v) = present.swap_remove(idx);
-                assert!(s.remove_edge(u, v));
-            }
-        }
-        let streaming = s.labels();
-        let csr = s.graph().to_csr();
-        let expected = xmt_graph::validate::reference_components(&csr);
-        assert_eq!(streaming, expected);
-        xmt_graph::validate::validate_components(&csr, &streaming).unwrap();
+        let mut s = ComponentTracker::new(5);
+        s.edge_inserted(0, 1);
+        s.edge_inserted(2, 3);
+        assert_eq!(s.labels(), vec![0, 0, 2, 2, 4]);
+        s.edge_inserted(1, 2);
+        assert_eq!(s.find(3), 0);
+        assert_eq!(s.find(4), 4);
     }
 
     #[test]
     fn labels_keep_minimum_convention_on_insert_only_streams() {
-        let mut s = StreamingComponents::new(6);
-        s.insert_edge(4, 5);
-        s.insert_edge(3, 4);
-        s.insert_edge(0, 5);
+        let mut s = ComponentTracker::new(6);
+        s.edge_inserted(4, 5);
+        s.edge_inserted(3, 4);
+        s.edge_inserted(0, 5);
         assert_eq!(s.labels(), vec![0, 1, 2, 0, 0, 0]);
+    }
+
+    #[test]
+    fn only_same_component_deletions_are_pending_until_reset() {
+        let mut s = ComponentTracker::new(4);
+        s.edge_inserted(0, 1);
+        s.edge_inserted(1, 2);
+        s.edge_removed(1, 2);
+        assert_eq!(s.pending_deletions(), 1);
+        assert_eq!(s.find(2), 0, "stale until the owner recomputes");
+        s.reset(vec![0, 0, 2, 3]);
+        assert_eq!(s.pending_deletions(), 0);
+        assert_eq!(s.labels(), vec![0, 0, 2, 3]);
     }
 }

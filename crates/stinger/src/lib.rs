@@ -9,15 +9,15 @@
 //! * [`DynGraph`] — an undirected dynamic graph with per-vertex sorted
 //!   adjacency, edge insertion/deletion, parallel batch updates, and
 //!   CSR import/export;
-//! * [`StreamingClustering`] — per-vertex triangle counts maintained
-//!   incrementally under edge insertions and deletions (the \[12\]
-//!   algorithm: the delta for edge `{u,v}` is `|N(u) ∩ N(v)|`);
-//! * [`StreamingComponents`] — connected-component labels maintained
-//!   under insertions by union-find, with a recompute fallback for
-//!   deletions (as in \[13\], deletions are the hard case);
-//! * [`StreamingAnalytics`] — one graph, both quantities: the service
-//!   layer's view, where a registered streaming graph carries its CC
-//!   labels and triangle counts in lockstep under batched updates.
+//! * [`StreamingAnalytics`] — the one maintainer: owns the graph and
+//!   keeps its CC labels and triangle counts in lockstep under batched
+//!   updates (what the service layer registers as a streaming graph);
+//! * [`TriangleTracker`] — the per-vertex triangle tallies it feeds
+//!   (the \[12\] algorithm: the delta for edge `{u,v}` is
+//!   `|N(u) ∩ N(v)|`);
+//! * [`ComponentTracker`] — the min-id union-find it feeds, with a
+//!   pending counter for deletions that need the recompute fallback (as
+//!   in \[13\], deletions are the hard case).
 
 pub mod analytics;
 pub mod components;
@@ -25,6 +25,6 @@ pub mod dyngraph;
 pub mod triangles;
 
 pub use analytics::{BatchOutcome, EdgeOp, OutOfRange, StreamingAnalytics};
-pub use components::StreamingComponents;
+pub use components::ComponentTracker;
 pub use dyngraph::DynGraph;
-pub use triangles::StreamingClustering;
+pub use triangles::TriangleTracker;

@@ -7,209 +7,160 @@
 //! per-vertex triangle counts can be maintained in O(d_u + d_v) per
 //! update instead of recounting.  Deletion is symmetric (intersect
 //! *after* removal).
+//!
+//! [`TriangleTracker`] holds no graph: its owner
+//! ([`StreamingAnalytics`](crate::StreamingAnalytics)) flips the edge
+//! and passes the endpoints' common neighbors.
 
-use xmt_graph::VertexId;
+use xmt_graph::{Csr, VertexId};
 
-use crate::DynGraph;
-
-/// A dynamic graph plus incrementally maintained triangle counts.
-pub struct StreamingClustering {
-    graph: DynGraph,
+/// Per-vertex and global triangle tallies.
+#[derive(Debug, PartialEq, Eq)]
+pub struct TriangleTracker {
     tri: Vec<u64>,
     total: u64,
 }
 
-impl StreamingClustering {
-    /// Start from an edgeless graph on `n` vertices.
+impl TriangleTracker {
+    /// No triangles on `n` vertices.
     pub fn new(n: u64) -> Self {
-        StreamingClustering {
-            graph: DynGraph::new(n),
+        TriangleTracker {
             tri: vec![0; n as usize],
             total: 0,
         }
     }
 
-    /// Start from an existing dynamic graph (counts computed once).
-    pub fn from_graph(graph: DynGraph) -> Self {
-        let mut this = StreamingClustering {
-            tri: vec![0; graph.num_vertices() as usize],
-            total: 0,
-            graph,
-        };
-        this.recount();
-        this
-    }
-
-    /// The underlying graph (read-only).
-    pub fn graph(&self) -> &DynGraph {
-        &self.graph
-    }
-
-    /// Global triangle count.
-    pub fn triangles(&self) -> u64 {
-        self.total
-    }
-
-    /// Triangles through vertex `v`.
-    pub fn triangles_of(&self, v: VertexId) -> u64 {
-        self.tri[v as usize]
-    }
-
-    /// Local clustering coefficient of `v`.
-    pub fn coefficient(&self, v: VertexId) -> f64 {
-        let d = self.graph.degree(v);
-        if d < 2 {
-            0.0
-        } else {
-            2.0 * self.tri[v as usize] as f64 / (d * (d - 1)) as f64
-        }
-    }
-
-    /// Global (mean) clustering coefficient.
-    pub fn mean_coefficient(&self) -> f64 {
-        let n = self.graph.num_vertices();
-        if n == 0 {
-            return 0.0;
-        }
-        (0..n).map(|v| self.coefficient(v)).sum::<f64>() / n as f64
-    }
-
-    /// Insert `{u, v}`; returns the number of triangles created
-    /// (`None` if the edge already existed or was a self loop).
-    pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> Option<u64> {
-        if !self.graph.insert_edge(u, v) {
-            return None;
-        }
-        // Common neighbors computed on the post-insert graph equal the
-        // pre-insert intersection (u ∉ N(u), v ∉ N(v)).
-        let common = self.graph.common_neighbors(u, v);
-        let delta = common.len() as u64;
-        self.tri[u as usize] += delta;
-        self.tri[v as usize] += delta;
-        for w in common {
-            self.tri[w as usize] += 1;
-        }
-        self.total += delta;
-        Some(delta)
-    }
-
-    /// Remove `{u, v}`; returns the number of triangles destroyed
-    /// (`None` if the edge was absent).
-    pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> Option<u64> {
-        if !self.graph.remove_edge(u, v) {
-            return None;
-        }
-        let common = self.graph.common_neighbors(u, v);
-        let delta = common.len() as u64;
-        self.tri[u as usize] -= delta;
-        self.tri[v as usize] -= delta;
-        for w in common {
-            self.tri[w as usize] -= 1;
-        }
-        self.total -= delta;
-        Some(delta)
-    }
-
-    /// Recompute all counts from scratch (used by `from_graph` and by
-    /// tests to cross-check the incremental path).
-    pub fn recount(&mut self) {
-        let csr = self.graph.to_csr();
-        let (_cc, total) = graph_recount(&csr, &mut self.tri);
-        self.total = total;
-    }
-}
-
-/// Static per-vertex triangle recount over a CSR (each triangle counted
-/// at all three corners); returns (unused, total).
-fn graph_recount(g: &xmt_graph::Csr, tri: &mut [u64]) -> ((), u64) {
-    tri.iter_mut().for_each(|t| *t = 0);
-    let mut total = 0u64;
-    for v in 0..g.num_vertices() {
-        let nv = g.neighbors(v);
-        for &u in nv {
-            if u <= v {
-                continue;
-            }
-            let nu = g.neighbors(u);
-            // Count all common neighbors; attribute per corner.
-            let (mut i, mut j) = (0, 0);
-            while i < nv.len() && j < nu.len() {
-                match nv[i].cmp(&nu[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        // Count each triangle once (v < u < w) and credit
-                        // all three corners.
-                        let w = nv[i];
-                        if w > u {
-                            total += 1;
-                            tri[v as usize] += 1;
-                            tri[u as usize] += 1;
-                            tri[w as usize] += 1;
+    /// Static recount over an undirected CSR: each triangle is found
+    /// once (`v < u < w`) and credited at all three corners.
+    pub fn from_csr(g: &Csr) -> Self {
+        let mut this = TriangleTracker::new(g.num_vertices());
+        for v in 0..g.num_vertices() {
+            let nv = g.neighbors(v);
+            for &u in nv {
+                if u <= v {
+                    continue;
+                }
+                let nu = g.neighbors(u);
+                let (mut i, mut j) = (0, 0);
+                while i < nv.len() && j < nu.len() {
+                    match nv[i].cmp(&nu[j]) {
+                        std::cmp::Ordering::Less => i += 1,
+                        std::cmp::Ordering::Greater => j += 1,
+                        std::cmp::Ordering::Equal => {
+                            let w = nv[i];
+                            if w > u {
+                                this.total += 1;
+                                this.tri[v as usize] += 1;
+                                this.tri[u as usize] += 1;
+                                this.tri[w as usize] += 1;
+                            }
+                            i += 1;
+                            j += 1;
                         }
-                        i += 1;
-                        j += 1;
                     }
                 }
             }
         }
+        this
     }
-    ((), total)
+
+    /// Global triangle count.
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// Triangles through vertex `v`.
+    pub fn of(&self, v: VertexId) -> u64 {
+        self.tri[v as usize]
+    }
+
+    /// The new edge `{u, v}` closed one triangle per common neighbor.
+    /// (`common` taken after the insert equals the pre-insert
+    /// intersection, since u ∉ N(u) and v ∉ N(v).)
+    #[inline]
+    pub fn edge_inserted(&mut self, u: VertexId, v: VertexId, common: &[VertexId]) {
+        let delta = common.len() as u64;
+        self.tri[u as usize] += delta;
+        self.tri[v as usize] += delta;
+        for &w in common {
+            self.tri[w as usize] += 1;
+        }
+        self.total += delta;
+    }
+
+    /// The removed edge `{u, v}` opened one triangle per common
+    /// neighbor.
+    #[inline]
+    pub fn edge_removed(&mut self, u: VertexId, v: VertexId, common: &[VertexId]) {
+        let delta = common.len() as u64;
+        self.tri[u as usize] -= delta;
+        self.tri[v as usize] -= delta;
+        for &w in common {
+            self.tri[w as usize] -= 1;
+        }
+        self.total -= delta;
+    }
+
+    /// Local clustering coefficient of a vertex `v` of degree `degree`.
+    pub fn coefficient(&self, v: VertexId, degree: u64) -> f64 {
+        if degree < 2 {
+            0.0
+        } else {
+            2.0 * self.tri[v as usize] as f64 / (degree * (degree - 1)) as f64
+        }
+    }
+
+    /// Resident bytes of the per-vertex array (length-based).
+    pub fn memory_bytes(&self) -> usize {
+        self.tri.len() * 8
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EdgeOp, StreamingAnalytics};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn triangle_appears_and_disappears() {
-        let mut s = StreamingClustering::new(3);
-        assert_eq!(s.insert_edge(0, 1), Some(0));
-        assert_eq!(s.insert_edge(1, 2), Some(0));
-        assert_eq!(s.insert_edge(0, 2), Some(1), "closing the triangle");
-        assert_eq!(s.triangles(), 1);
-        assert_eq!(s.triangles_of(0), 1);
-        assert!((s.coefficient(0) - 1.0).abs() < 1e-12);
-        assert_eq!(s.remove_edge(1, 2), Some(1));
-        assert_eq!(s.triangles(), 0);
-        assert!(s.tri.iter().all(|&t| t == 0));
-    }
-
-    #[test]
-    fn duplicate_and_missing_edges_return_none() {
-        let mut s = StreamingClustering::new(3);
-        s.insert_edge(0, 1);
-        assert_eq!(s.insert_edge(0, 1), None);
-        assert_eq!(s.insert_edge(1, 1), None);
-        assert_eq!(s.remove_edge(0, 2), None);
+        let mut t = TriangleTracker::new(3);
+        t.edge_inserted(0, 1, &[]);
+        t.edge_inserted(1, 2, &[]);
+        t.edge_inserted(0, 2, &[1]);
+        assert_eq!(t.total(), 1, "closing the triangle");
+        assert_eq!(t.of(0), 1);
+        assert!((t.coefficient(0, 2) - 1.0).abs() < 1e-12);
+        t.edge_removed(1, 2, &[0]);
+        assert_eq!(t, TriangleTracker::new(3));
     }
 
     #[test]
     fn incremental_counts_match_recount_under_random_churn() {
         let mut rng = ChaCha8Rng::seed_from_u64(77);
         let n = 30u64;
-        let mut s = StreamingClustering::new(n);
+        let mut s = StreamingAnalytics::new(n);
         let mut present: Vec<(u64, u64)> = Vec::new();
         for step in 0..2000 {
             let insert = present.is_empty() || rng.gen_bool(0.7);
             if insert {
                 let u = rng.gen_range(0..n);
                 let v = rng.gen_range(0..n);
-                if s.insert_edge(u, v).is_some() {
+                if s.apply_batch(&[EdgeOp::Insert(u, v)]).unwrap().inserted == 1 {
                     present.push((u.min(v), u.max(v)));
                 }
             } else {
                 let idx = rng.gen_range(0..present.len());
                 let (u, v) = present.swap_remove(idx);
-                assert!(s.remove_edge(u, v).is_some());
+                assert_eq!(s.apply_batch(&[EdgeOp::Delete(u, v)]).unwrap().deleted, 1);
             }
             if step % 250 == 0 {
-                let mut check = StreamingClustering::from_graph(s.graph().clone());
-                check.recount();
-                assert_eq!(s.triangles(), check.triangles(), "step {step}");
-                assert_eq!(s.tri, check.tri, "step {step}");
+                let check = TriangleTracker::from_csr(&s.graph().to_csr());
+                assert_eq!(s.triangles(), check.total(), "step {step}");
+                for v in 0..n {
+                    assert_eq!(s.triangles_of(v), check.of(v), "step {step}");
+                }
             }
         }
         assert!(s.graph().check_consistency());
@@ -218,9 +169,9 @@ mod tests {
     #[test]
     fn matches_static_graphct_counts() {
         let el = xmt_graph::gen::er::gnm(60, 400, 3);
-        let mut s = StreamingClustering::new(60);
+        let mut s = StreamingAnalytics::new(60);
         for &(u, v) in &el.edges {
-            s.insert_edge(u, v);
+            s.apply_batch(&[EdgeOp::Insert(u, v)]).unwrap();
         }
         let csr = s.graph().to_csr();
         assert_eq!(s.triangles(), graphct::count_triangles(&csr));
@@ -234,13 +185,15 @@ mod tests {
     }
 
     #[test]
-    fn from_graph_initializes_counts() {
-        let mut g = DynGraph::new(4);
-        for &(u, v) in &[(0, 1), (1, 2), (0, 2), (2, 3)] {
-            g.insert_edge(u, v);
-        }
-        let s = StreamingClustering::from_graph(g);
-        assert_eq!(s.triangles(), 1);
-        assert_eq!(s.triangles_of(3), 0);
+    fn from_csr_counts_each_triangle_at_its_three_corners() {
+        let csr = xmt_graph::builder::build_undirected(&xmt_graph::EdgeList::from_pairs([
+            (0, 1),
+            (1, 2),
+            (0, 2),
+            (2, 3),
+        ]));
+        let t = TriangleTracker::from_csr(&csr);
+        assert_eq!(t.total(), 1);
+        assert_eq!((t.of(0), t.of(1), t.of(2), t.of(3)), (1, 1, 1, 0));
     }
 }

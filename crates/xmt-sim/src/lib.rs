@@ -21,7 +21,7 @@
 //! Programs are [`Tasklet`]s — small op-stream state machines — scheduled
 //! onto hardware [`machine::Machine`] streams.  The [`kernels`] module
 //! contains the micro-benchmarks used to calibrate the analytic model in
-//! the `xmt-model` crate ([`calibrate`]).
+//! the `xmt-model` crate ([`calibrate()`]).
 //!
 //! # Example
 //!

@@ -9,7 +9,7 @@
 //! ```
 
 use xmt_bsp_repro::graph::gen::rmat::{rmat_edges, RmatParams};
-use xmt_bsp_repro::stinger::{StreamingClustering, StreamingComponents};
+use xmt_bsp_repro::stinger::{EdgeOp, StreamingAnalytics};
 
 fn main() {
     let params = RmatParams {
@@ -25,55 +25,45 @@ fn main() {
         params.scale
     );
 
-    let mut clustering = StreamingClustering::new(n);
-    let mut components = StreamingComponents::new(n);
+    let mut analytics = StreamingAnalytics::new(n);
 
     let batch_size = stream.num_edges() / 8;
-    let mut inserted = Vec::new();
     for (b, chunk) in stream.edges.chunks(batch_size).enumerate() {
         // Ingest the batch.
-        let mut new_edges = 0u64;
-        let mut new_triangles = 0u64;
-        for &(u, v) in chunk {
-            if let Some(d) = clustering.insert_edge(u, v) {
-                components.insert_edge(u, v);
-                inserted.push((u, v));
-                new_edges += 1;
-                new_triangles += d;
-            }
-        }
-        // Churn: in later batches, also delete a slice of old edges.
+        let before = analytics.triangles();
+        let inserts: Vec<EdgeOp> = chunk.iter().map(|&(u, v)| EdgeOp::Insert(u, v)).collect();
+        let new_edges = analytics.apply_batch(&inserts).expect("in range").inserted;
+        let new_triangles = analytics.triangles() - before;
+        // Churn: in later batches, also delete a slice of the newest edges.
         let mut deleted = 0u64;
         if b >= 4 {
-            for _ in 0..(new_edges / 4) {
-                if let Some((u, v)) = inserted.pop() {
-                    if clustering.remove_edge(u, v).is_some() {
-                        components.remove_edge(u, v);
-                        deleted += 1;
-                    }
-                }
-            }
+            let deletes: Vec<EdgeOp> = chunk
+                .iter()
+                .rev()
+                .take(new_edges as usize / 4)
+                .map(|&(u, v)| EdgeOp::Delete(u, v))
+                .collect();
+            deleted = analytics.apply_batch(&deletes).expect("in range").deleted;
         }
         println!(
             "batch {b}: +{new_edges} edges (-{deleted}), +{new_triangles} triangles | \
 now {} edges, {} triangles, {} components, mean cc {:.4}",
-            clustering.graph().num_edges(),
-            clustering.triangles(),
-            components.count(),
-            clustering.mean_coefficient(),
+            analytics.graph().num_edges(),
+            analytics.triangles(),
+            analytics.components(),
+            analytics.mean_coefficient(),
         );
     }
 
-    // Cross-check the incremental state against a from-scratch recount
-    // and the static toolkit.
-    let csr = clustering.graph().to_csr();
+    // Cross-check the incremental state against the static toolkit.
+    let csr = analytics.graph().to_csr();
     let static_triangles = graphct::count_triangles(&csr);
-    assert_eq!(clustering.triangles(), static_triangles);
+    assert_eq!(analytics.triangles(), static_triangles);
     let static_labels = graphct::connected_components(&csr);
-    assert_eq!(components.labels(), static_labels);
+    assert_eq!(analytics.labels(), static_labels);
     println!(
         "\nfinal state cross-checked against the static toolkit: {} triangles, {} components ✓",
         static_triangles,
-        components.count()
+        analytics.components()
     );
 }

@@ -152,11 +152,7 @@ fn tc_write_counts_separate_the_two_models() {
     // the paper-faithful merge kernel writes once per triangle.
     let g = build_undirected(&clique(6));
     let mut ct_rec = Recorder::new();
-    let tri = graphct::count_triangles_idorder(
-        &g,
-        graphct::IntersectStrategy::Merge,
-        &mut graphct::Ctx::recording(&mut ct_rec),
-    );
+    let tri = graphct::count_triangles_idorder(&g, &mut graphct::Ctx::recording(&mut ct_rec));
     assert_eq!(tri, 20);
     let ct_writes: u64 = ct_rec.records.iter().map(|r| r.counts.writes).sum();
     assert_eq!(ct_writes, 20, "one write per triangle");

@@ -120,11 +120,7 @@ fn tc_claims_hold() {
     // Paper-faithful merge baseline (the optimized DAG kernel would
     // deflate the write side of the blowup claim being reproduced).
     let mut ct_rec = Recorder::new();
-    let ct_count = graphct::count_triangles_idorder(
-        &g,
-        graphct::IntersectStrategy::Merge,
-        &mut graphct::Ctx::recording(&mut ct_rec),
-    );
+    let ct_count = graphct::count_triangles_idorder(&g, &mut graphct::Ctx::recording(&mut ct_rec));
     assert_eq!(bsp_count, ct_count);
 
     // The paper's claim is about the raw-id total order: every wedge

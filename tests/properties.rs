@@ -142,18 +142,19 @@ proptest! {
         let g = build_undirected(&rmat_edges(&RmatParams::graph500(scale), seed));
         let want = reference_triangles(&g);
         for exec in [par::Executor::fixed(), par::Executor::guided()] {
+            // The id-order merge sweep (the paper's kernel) ...
+            prop_assert_eq!(
+                graphct::count_triangles_idorder(&g, &mut graphct::Ctx::on(exec.clone())),
+                want,
+                "idorder on {:?}", exec
+            );
+            // ... and every strategy of the degree-ordered DAG sweep
+            // that replaced it as the default.
             for strategy in graphct::IntersectStrategy::ALL {
-                // Degree-ordered DAG sweep (the optimized path) ...
                 prop_assert_eq!(
                     graphct::count_triangles_with(&g, strategy, &mut graphct::Ctx::on(exec.clone())),
                     want,
                     "dag strategy {} on {:?}", strategy.name(), exec
-                );
-                // ... and the id-order sweep it replaced.
-                prop_assert_eq!(
-                    graphct::count_triangles_idorder(&g, strategy, &mut graphct::Ctx::on(exec.clone())),
-                    want,
-                    "idorder strategy {} on {:?}", strategy.name(), exec
                 );
             }
         }
@@ -165,6 +166,11 @@ proptest! {
         let g = build_undirected(&gnm(n, m, seed));
         let want = reference_triangles(&g);
         for exec in [par::Executor::fixed(), par::Executor::guided()] {
+            prop_assert_eq!(
+                graphct::count_triangles_idorder(&g, &mut graphct::Ctx::on(exec.clone())),
+                want,
+                "idorder on {:?}", exec
+            );
             for strategy in graphct::IntersectStrategy::ALL {
                 prop_assert_eq!(
                     graphct::count_triangles_with(&g, strategy, &mut graphct::Ctx::on(exec.clone())),
@@ -218,13 +224,28 @@ proptest! {
         sends in proptest::collection::vec((0u64..32, 0u64..1000), 0..400),
         workers in 1usize..6,
     ) {
+        use xmt_bsp_repro::bsp::transport::{MessageCollector, Transport};
         use xmt_bsp_repro::bsp::Inbox;
-        // Split sends across worker batches arbitrarily (round-robin).
+        // Split sends across worker batches arbitrarily (round-robin),
+        // deposit them, and regroup the collector's view — the path the
+        // runtime's exchange takes.
         let mut batches: Vec<Vec<(u64, u64)>> = vec![Vec::new(); workers];
         for (i, &s) in sends.iter().enumerate() {
             batches[i % workers].push(s);
         }
-        let ib = Inbox::build(32, &batches, None);
+        let mut collector = MessageCollector::new(Transport::PerThreadOutbox, workers, 32, false);
+        for (w, batch) in batches.iter_mut().enumerate() {
+            collector.deposit_from(w, batch, None);
+        }
+        let exec = par::Executor::fixed();
+        let mut ib = Inbox::new();
+        ib.rebuild(
+            &exec,
+            32,
+            &collector.collected(),
+            None,
+            &par::WorkerScratch::new(exec.workers()),
+        );
         prop_assert_eq!(ib.total_messages() as usize, sends.len());
         // Every vertex's multiset of payloads matches what was sent.
         for v in 0..32u64 {

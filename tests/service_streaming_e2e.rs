@@ -102,7 +102,7 @@ fn update_batches_flow_through_the_wire() {
     let mut expect =
         xmt_bsp_repro::stinger::StreamingAnalytics::from_csr(&build_undirected(&path(12)));
     expect
-        .apply_batch(&xmt_service::batch_ops(&[(0, 2), (1, 3)], &[(6, 7)]))
+        .apply_batch(&xmt_service::edge_ops(&[(0, 2), (1, 3)], &[(6, 7)]))
         .expect("in-range batch");
     let csr = expect.graph().to_csr();
     let want_labels = reference_components(&csr);
