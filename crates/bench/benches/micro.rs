@@ -65,26 +65,26 @@ fn bench_exchange(c: &mut Criterion) {
         let mut batch: Vec<(u64, u64)> = (0..per)
             .map(|i| ((i * 7 + w) as u64 % n as u64, i as u64))
             .collect();
-        collector.deposit_from(w, &mut batch, None);
+        collector.deposit_from(w, w * per, &mut batch, None);
     }
     let collected = collector.collected();
     let mut inbox = Inbox::new();
     group.throughput(Throughput::Elements((workers * per) as u64));
     group.bench_function("inbox_rebuild_1.6M_msgs", |b| {
-        b.iter(|| inbox.rebuild(&exec, n, &collected, None, &scratch))
+        b.iter(|| inbox.rebuild(&exec, &collected, None, &scratch))
     });
     group.bench_function("inbox_rebuild_combined", |b| {
-        b.iter(|| inbox.rebuild(&exec, n, &collected, Some(&MinCombiner), &scratch))
+        b.iter(|| inbox.rebuild(&exec, &collected, Some(&MinCombiner), &scratch))
     });
     group.finish();
 }
 
 fn bench_exchange_transports(c: &mut Criterion) {
     // The full superstep-boundary path — concurrent deposits through the
-    // collector, then the inbox rebuild — for each transport, at 1, 4
-    // and 8 depositing workers.  The mutex outbox pays one lock per
-    // deposit, the single queue pays a fetch-and-add per message (the
-    // paper's §VII hotspot), and the bucketed transport pays neither.
+    // collector (the destination partition), then the inbox rebuild —
+    // for each transport, at 1, 4 and 8 depositing workers.  The single
+    // queue pays one lock per deposit and has one receiving task (the
+    // paper's §VII hotspot); the other two differ in bucket shape only.
     use xmt_bsp::transport::{MessageCollector, Transport};
 
     let mut group = c.benchmark_group("exchange_transport");
@@ -115,11 +115,13 @@ fn bench_exchange_transports(c: &mut Criterion) {
                         for (w, batch) in batches.iter().enumerate() {
                             let collector = &collector;
                             let mut batch = batch.clone();
-                            scope.spawn(move || collector.deposit_from(w, &mut batch, None));
+                            scope.spawn(move || {
+                                collector.deposit_from(w, w * per, &mut batch, None)
+                            });
                         }
                     });
                     let mut inbox = Inbox::new();
-                    inbox.rebuild(&exec, n, &collector.collected(), None, &scratch);
+                    inbox.rebuild(&exec, &collector.collected(), None, &scratch);
                     inbox
                 })
             });

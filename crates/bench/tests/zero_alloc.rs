@@ -16,6 +16,7 @@
 //! - the same CC and BFS push configurations on the **native** executor
 //!   (guided scheduling): the guided claim loop must be as
 //!   allocation-free as the fixed one;
+//! - connected components on the default transport, both executors;
 //! - BFS under Beamer `Delivery::Auto` on both executors: the direction
 //!   decision (claim pass, frontier-edge estimate, dense visited
 //!   bitmap) must ride the frame's retained buffers.
@@ -121,6 +122,18 @@ fn main() {
         push,
         SKIP_PUSH,
         "bfs/bucketed/push/native",
+        &native,
+    );
+    // The default transport — the lanes, deposit tables and slot arrays
+    // every job without a transport override runs on.
+    let outbox = BspConfig::default();
+    gate(&g, &CcProgram, outbox, SKIP_PUSH, "cc/outbox/push", &sim);
+    gate(
+        &g,
+        &CcProgram,
+        outbox,
+        SKIP_PUSH,
+        "cc/outbox/push/native",
         &native,
     );
     // Beamer Auto mixes push supersteps (two polls) with pull

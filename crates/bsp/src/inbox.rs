@@ -1,39 +1,84 @@
 //! Per-vertex message inboxes for one superstep.
 //!
 //! Messages collected during superstep *s* are grouped by destination
-//! into a CSR-shaped structure readable in superstep *s + 1*: `offsets`
-//! indexes `data` by vertex.  When a combiner is configured the group is
-//! folded to a single message at delivery time, so compute sees at most
-//! one message per vertex.
+//! into a structure readable in superstep *s + 1*.  Which structure
+//! depends on the program:
+//!
+//! * with a combiner, a dense array of one slot per vertex plus a
+//!   presence bitmap — every message is folded straight into its
+//!   destination's slot, so there is no offsets array, prefix sum,
+//!   scatter or second fold pass, and [`Inbox::messages`] hands back the
+//!   one slot;
+//! * without one, CSR-shaped groups: `offsets` indexes `data` by vertex.
+//!
+//! Either way [`Inbox::rebuild`] gives every destination bucket of the
+//! collector's [`Collected`] view to exactly one task, which walks the
+//! bucket's deposits in ascending chunk position with plain loads and
+//! stores.  A destination therefore receives (and a combiner folds) its
+//! messages in the order the active list produced them — ascending
+//! source order under `DenseScan` — whatever the worker count or
+//! schedule (DESIGN.md §17).
 //!
 //! Inboxes are double-buffer friendly: [`Inbox::rebuild`] /
 //! [`Inbox::reset_empty`] reshape an existing inbox in place, reusing
-//! its `offsets`/`data`/scratch capacity, so the superstep loop can keep
-//! two inboxes (live + spare) and swap them instead of allocating a
-//! fresh one per superstep.  `rebuild` takes the collector's borrowed
-//! [`Collected`] view and picks the grouping pass from its shape, so the
-//! flat-vs-bucketed distinction stops here.
+//! its storage, so the superstep loop can keep two inboxes (live +
+//! spare) and swap them instead of allocating a fresh one per superstep.
 
-use std::sync::atomic::Ordering;
+use std::mem::MaybeUninit;
 
 use xmt_graph::VertexId;
-use xmt_par::atomic::as_atomic_u64;
-use xmt_par::{exclusive_prefix_sum, Executor, WorkerScratch};
+use xmt_par::{Executor, WorkerScratch};
 
 use crate::program::Combiner;
 use crate::transport::Collected;
 
+/// How an inbox currently holds its messages.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Shape {
+    /// No messages for any vertex.
+    Empty,
+    /// One folded message per vertex whose `present` bit is set.
+    Slots,
+    /// CSR groups: `data[offsets[v]..offsets[v + 1]]`.
+    Groups,
+}
+
 /// Messages grouped by destination vertex.
 pub struct Inbox<M> {
+    num_vertices: usize,
+    shape: Shape,
+    /// Messages received (pre-combining).
+    total: u64,
+    /// `Slots`: vertex `v`'s folded message, initialized iff bit `v` of
+    /// `present` is set.
+    slots: Vec<MaybeUninit<M>>,
+    present: Vec<u64>,
+    /// `Groups`: the CSR.
     offsets: Vec<u64>,
     data: Vec<M>,
-    /// Scatter cursors for the flat rebuild, retained so the
-    /// per-superstep copy of `offsets` reuses capacity.
-    cursors: Vec<u64>,
-    /// Per-bucket base offsets for the bucketed rebuild, retained across
-    /// rebuilds.
+    /// Per-bucket base offsets into `data`, retained across rebuilds.
     bucket_base: Vec<u64>,
-    combined: bool,
+}
+
+/// A raw pointer the bucket tasks of one rebuild share; each task turns
+/// it into a slice over its own bucket's range only.
+struct Shared<T>(*mut T);
+
+// SAFETY: the pointer is only dereferenced through `range`, whose callers
+// guarantee disjoint ranges across threads; `T: Send` lets another thread
+// write the elements.
+unsafe impl<T: Send> Sync for Shared<T> {}
+
+impl<T> Shared<T> {
+    /// # Safety
+    /// `range` must lie inside the allocation, and no other live
+    /// reference may overlap it.
+    #[allow(clippy::mut_from_ref)]
+    // SAFETY: the `# Safety` contract above — in bounds and unaliased —
+    // is exactly what `from_raw_parts_mut` requires.
+    unsafe fn range(&self, range: std::ops::Range<usize>) -> &mut [T] {
+        std::slice::from_raw_parts_mut(self.0.add(range.start), range.len())
+    }
 }
 
 impl<M: Copy + Send + Sync> Inbox<M> {
@@ -42,11 +87,14 @@ impl<M: Copy + Send + Sync> Inbox<M> {
     /// [`reset_empty`](Self::reset_empty).
     pub fn new() -> Self {
         Inbox {
+            num_vertices: 0,
+            shape: Shape::Empty,
+            total: 0,
+            slots: Vec::new(),
+            present: Vec::new(),
             offsets: Vec::new(),
             data: Vec::new(),
-            cursors: Vec::new(),
             bucket_base: Vec::new(),
-            combined: false,
         }
     }
 
@@ -60,19 +108,19 @@ impl<M: Copy + Send + Sync> Inbox<M> {
     /// Reshape in place to an empty inbox over `n` vertices, retaining
     /// all capacity.
     pub fn reset_empty(&mut self, n: usize) {
-        self.offsets.clear();
-        self.offsets.resize(n + 1, 0);
-        self.data.clear();
-        self.combined = false;
+        self.num_vertices = n;
+        self.shape = Shape::Empty;
+        self.total = 0;
     }
 
-    /// Message-storage slots currently allocated (a rebuild
-    /// reallocates only when a superstep's traffic exceeds this).
+    /// Message-storage slots currently allocated for uncombined groups
+    /// (a rebuild reallocates only when a superstep's traffic exceeds
+    /// this; combined inboxes hold one slot per vertex and never grow).
     pub fn message_capacity(&self) -> usize {
         self.data.capacity()
     }
 
-    /// Grow message storage to hold at least `cap` messages.  The frame
+    /// Grow group storage to hold at least `cap` messages.  The frame
     /// equalizes its double-buffered pair with this at run start: the
     /// two inboxes serve alternating supersteps, so their high-water
     /// marks diverge, and a run ending role-swapped would otherwise
@@ -81,110 +129,113 @@ impl<M: Copy + Send + Sync> Inbox<M> {
         self.data.reserve(cap.saturating_sub(self.data.len()));
     }
 
-    /// Regroup `collected` by destination in place over `n` vertices.
+    /// Regroup `collected` by destination in place.
     ///
-    /// Counts, offsets, scatter cursors and data all reuse this inbox's
-    /// retained buffers, so a steady-state rebuild allocates nothing
-    /// once the buffers have grown to their high-water mark.  If
-    /// `combiner` is given, each vertex's group is folded to one
-    /// message.  `cursor_scratch` (one slot per `exec` worker) is the
-    /// bucketed pass's per-worker cursor buffer; the flat pass ignores
-    /// it.
+    /// Every buffer is retained, so a steady-state rebuild allocates
+    /// nothing once the buffers have grown to their high-water mark.  If
+    /// `combiner` is given, each vertex's messages are folded to one, in
+    /// deposit order.  `cursor_scratch` (one slot per `exec` worker) is
+    /// the uncombined pass's per-worker cursor buffer.
+    ///
+    /// # Panics
+    /// If a collected destination lies outside the collector's vertex
+    /// count.
     pub fn rebuild(
         &mut self,
         exec: &Executor,
-        n: usize,
         collected: &Collected<'_, M>,
         combiner: Option<&dyn Combiner<M>>,
         cursor_scratch: &WorkerScratch<Vec<u64>>,
     ) {
-        self.combined = false;
-        match *collected {
-            Collected::Flat(batches) => self.rebuild_flat(exec, n, batches),
-            Collected::Bucketed { stride, per_worker } => {
-                self.rebuild_bucketed(exec, n, stride, per_worker, cursor_scratch)
+        self.num_vertices = collected.num_vertices();
+        self.total = (0..collected.num_batches())
+            .map(|i| collected.batch(i).len() as u64)
+            .sum();
+        match combiner {
+            Some(c) => self.fold_into_slots(exec, collected, c),
+            None => self.group(exec, collected, cursor_scratch),
+        }
+    }
+
+    /// Fold every message into its destination's slot.  Each bucket is
+    /// owned by one task, so the slot and presence-word updates are
+    /// plain read-modify-writes.
+    fn fold_into_slots(
+        &mut self,
+        exec: &Executor,
+        collected: &Collected<'_, M>,
+        combiner: &dyn Combiner<M>,
+    ) {
+        let n = self.num_vertices;
+        self.shape = Shape::Slots;
+        self.slots.resize_with(n, MaybeUninit::uninit);
+        self.present.clear();
+        self.present.resize(n.div_ceil(64), 0);
+        let slots = Shared(self.slots.as_mut_ptr());
+        let present = Shared(self.present.as_mut_ptr());
+        // Chunk size 1: each claim processes one bucket.
+        exec.pfor_chunked(0, collected.num_buckets(), 1, |_, range| {
+            for b in range {
+                let owned = collected.bucket_range(b);
+                if owned.is_empty() {
+                    continue;
+                }
+                let lo = owned.start;
+                // SAFETY: non-empty bucket vertex ranges are disjoint and start on
+                // multiples of 64 (the collector keeps the bucket shift
+                // ≥ 6), so neither the slots nor the presence words of two
+                // buckets overlap; both ranges end at or before `n`.
+                let (slots, present) = unsafe {
+                    (
+                        slots.range(owned.clone()),
+                        present.range(lo / 64..owned.end.div_ceil(64)),
+                    )
+                };
+                for deposit in collected.bucket_deposits(b) {
+                    for &(dst, msg) in deposit {
+                        let i = dst as usize - lo;
+                        let (word, bit) = (&mut present[i / 64], 1u64 << (i % 64));
+                        if *word & bit == 0 {
+                            *word |= bit;
+                            slots[i].write(msg);
+                        } else {
+                            // SAFETY: the bit says this slot was written
+                            // earlier in this rebuild.
+                            let acc = unsafe { slots[i].assume_init() };
+                            slots[i].write(combiner.combine(acc, msg));
+                        }
+                    }
+                }
             }
-        }
-        if let Some(c) = combiner {
-            self.combine_in_place(exec, c);
-        }
+        });
     }
 
-    /// Group per-slot batches whose pairs may target any vertex: one
-    /// uncontended atomic per message to count, one to claim a slot.
-    fn rebuild_flat(&mut self, exec: &Executor, n: usize, batches: &[Vec<(VertexId, M)>]) {
-        // Count messages per destination (counts become the offsets
-        // after the prefix sum).
-        self.offsets.clear();
-        self.offsets.resize(n + 1, 0);
-        {
-            let acounts = as_atomic_u64(&mut self.offsets);
-            exec.pfor(0, batches.len(), |b| {
-                for &(dst, _) in &batches[b] {
-                    // Relaxed: pure occupancy count; totals are read
-                    // only after the parallel_for join barrier.
-                    acounts[dst as usize].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
-        let total = exclusive_prefix_sum(&mut self.offsets) as usize;
-
-        // Scatter.
-        self.cursors.clone_from(&self.offsets);
-        self.data.clear();
-        self.data.reserve(total);
-        {
-            let acursors = as_atomic_u64(&mut self.cursors);
-            let base = self.data.as_mut_ptr() as usize;
-            exec.pfor(0, batches.len(), |b| {
-                for &(dst, msg) in &batches[b] {
-                    // Relaxed: the fetch_add only reserves a unique slot
-                    // index; the scattered data is published by the join.
-                    let slot = acursors[dst as usize].fetch_add(1, Ordering::Relaxed) as usize;
-                    // SAFETY: slots are unique via fetch-add; capacity is
-                    // at least `total` via the reserve above.
-                    unsafe { (base as *mut M).add(slot).write(msg) };
-                }
-            });
-            // SAFETY: all `total` slots were written exactly once.
-            unsafe { self.data.set_len(total) };
-        }
-    }
-
-    /// Group radix-partitioned batches *without atomics*.
-    ///
-    /// `per_worker[w][b]` holds worker `w`'s sends whose destinations lie
-    /// in bucket `b`'s vertex range `[b·stride, (b+1)·stride)` (the shape
-    /// produced by the bucketed transport).  Because every destination in
-    /// bucket `b` is owned by exactly one parallel task, that task can
-    /// count, prefix-sum, and scatter its contiguous `offsets`/`data`
-    /// regions with plain reads and writes — no `fetch_add` per message,
-    /// unlike the flat pass.
+    /// Group uncombined messages into the CSR *without atomics*: every
+    /// destination in bucket `b` is owned by exactly one parallel task,
+    /// which counts, prefix-sums, and scatters its contiguous
+    /// `offsets`/`data` regions with plain reads and writes, keeping each
+    /// destination's messages in deposit order.
     ///
     /// `cursor_scratch` provides each worker's per-bucket cursor buffer
     /// and must be sized for `exec`'s worker count; a retained scratch
     /// (the `SuperstepFrame` holds one) makes the steady-state rebuild
     /// allocation-free.
-    fn rebuild_bucketed(
+    fn group(
         &mut self,
         exec: &Executor,
-        n: usize,
-        stride: u64,
-        per_worker: &[Vec<Vec<(VertexId, M)>>],
+        collected: &Collected<'_, M>,
         cursor_scratch: &WorkerScratch<Vec<u64>>,
     ) {
-        let num_buckets = per_worker.first().map_or(0, |w| w.len());
-        debug_assert!(per_worker.iter().all(|w| w.len() == num_buckets));
-        debug_assert!(stride.max(1) * num_buckets.max(1) as u64 >= n as u64);
+        let n = self.num_vertices;
+        let num_buckets = collected.num_buckets();
+        self.shape = Shape::Groups;
 
         // Per-bucket totals -> each bucket's base offset into `data`.
-        // Sequential: one addition per (worker, bucket) pair.
+        // Sequential: one addition per (lane, bucket) pair.
         self.bucket_base.clear();
         self.bucket_base.resize(num_buckets + 1, 0);
-        for w in per_worker {
-            for (b, batch) in w.iter().enumerate() {
-                self.bucket_base[b + 1] += batch.len() as u64;
-            }
+        for i in 0..collected.num_batches() {
+            self.bucket_base[i % num_buckets + 1] += collected.batch(i).len() as u64;
         }
         for b in 0..num_buckets {
             self.bucket_base[b + 1] += self.bucket_base[b];
@@ -192,166 +243,109 @@ impl<M: Copy + Send + Sync> Inbox<M> {
         let total = self.bucket_base[num_buckets] as usize;
 
         self.offsets.clear();
-        self.offsets.resize(n + 1, 0);
+        self.offsets.resize(n + 1, total as u64);
         self.data.clear();
         self.data.reserve(total);
-        {
-            let offsets_base = self.offsets.as_mut_ptr() as usize;
-            let data_base = self.data.as_mut_ptr() as usize;
-            let bucket_base = &self.bucket_base;
-            // Chunk size 1: each claim processes one bucket, and the
-            // worker id keys the cursor scratch (one live thread per id).
-            exec.pfor_chunked(0, num_buckets, 1, |worker, range| {
-                for b in range {
-                    let lo = (b as u64 * stride).min(n as u64) as usize;
-                    let hi = ((b as u64 + 1) * stride).min(n as u64) as usize;
-                    if lo >= hi {
-                        debug_assert_eq!(bucket_base[b], bucket_base[b + 1]);
-                        continue;
-                    }
-                    // Count this bucket's messages per destination.
-                    // SAFETY: parallel_for_chunked runs at most one
-                    // thread per worker id, so this slot is private.
-                    let cursors = unsafe { cursor_scratch.get(worker) };
-                    cursors.clear();
-                    cursors.resize(hi - lo, 0);
-                    for w in per_worker {
-                        for &(dst, _) in &w[b] {
-                            debug_assert!((lo..hi).contains(&(dst as usize)));
-                            cursors[dst as usize - lo] += 1;
-                        }
-                    }
-                    // Local exclusive prefix starting at the bucket's base;
-                    // publish each destination's offset.
-                    let mut acc = bucket_base[b];
-                    for (i, c) in cursors.iter_mut().enumerate() {
-                        let count = *c;
-                        *c = acc;
-                        // SAFETY: bucket vertex ranges `[lo, hi)` are
-                        // disjoint, so these offset writes are too.
-                        unsafe { (offsets_base as *mut u64).add(lo + i).write(acc) };
-                        acc += count;
-                    }
-                    debug_assert_eq!(acc, bucket_base[b + 1]);
-                    // Scatter into this bucket's private region of `data`.
-                    for w in per_worker {
-                        for &(dst, msg) in &w[b] {
-                            let cursor = &mut cursors[dst as usize - lo];
-                            // SAFETY: `cursors` hold unique slots within the
-                            // bucket's private `[bucket_base[b],
-                            // bucket_base[b+1])` region of `data`.
-                            unsafe { (data_base as *mut M).add(*cursor as usize).write(msg) };
-                            *cursor += 1;
-                        }
+        let offsets = Shared(self.offsets.as_mut_ptr());
+        let data = Shared(self.data.as_mut_ptr() as *mut MaybeUninit<M>);
+        let bucket_base = &self.bucket_base;
+        // Chunk size 1: each claim processes one bucket, and the worker
+        // id keys the cursor scratch (one live thread per id).
+        exec.pfor_chunked(0, num_buckets, 1, |worker, range| {
+            for b in range {
+                let owned = collected.bucket_range(b);
+                if owned.is_empty() {
+                    continue;
+                }
+                let lo = owned.start;
+                let (base, end) = (bucket_base[b] as usize, bucket_base[b + 1] as usize);
+                // SAFETY: bucket vertex ranges are disjoint and inside
+                // `0..n`; `data` regions `[bucket_base[b], bucket_base[b+1])`
+                // are disjoint and inside the `total` slots reserved above.
+                let (offsets, data) = unsafe { (offsets.range(owned), data.range(base..end)) };
+                // Count this bucket's messages per destination.
+                // SAFETY: parallel_for_chunked runs at most one thread
+                // per worker id, so this slot is private.
+                let cursors = unsafe { cursor_scratch.get(worker) };
+                cursors.clear();
+                cursors.resize(offsets.len(), 0);
+                for deposit in collected.bucket_deposits(b) {
+                    for &(dst, _) in deposit {
+                        cursors[dst as usize - lo] += 1;
                     }
                 }
-            });
-            // SAFETY: the buckets' disjoint regions cover all `total`
-            // slots and each was written exactly once.
-            unsafe { self.data.set_len(total) };
-        }
-        self.offsets[n] = total as u64;
-        // Vertices beyond the last non-empty bucket range were never
-        // visited; their offsets must close the CSR (empty groups).
-        let covered = ((num_buckets as u64) * stride).min(n as u64) as usize;
-        self.offsets[covered..n].fill(total as u64);
-    }
-
-    /// Fold each vertex's group to one message (kept at the group head).
-    fn combine_in_place(&mut self, exec: &Executor, combiner: &dyn Combiner<M>) {
-        let n = self.num_vertices();
-        let offsets = &self.offsets;
-        let base = self.data.as_mut_ptr() as usize;
-        exec.pfor(0, n, |v| {
-            let lo = offsets[v] as usize;
-            let hi = offsets[v + 1] as usize;
-            if hi - lo >= 2 {
-                // SAFETY: per-vertex ranges are disjoint.
-                unsafe {
-                    let slice = std::slice::from_raw_parts_mut((base as *mut M).add(lo), hi - lo);
-                    let mut acc = slice[0];
-                    for &m in &slice[1..] {
-                        acc = combiner.combine(acc, m);
+                // Local exclusive prefix; publish each destination's
+                // offset (bucket base + local cursor).
+                let mut acc = 0u64;
+                for (c, offset) in cursors.iter_mut().zip(offsets.iter_mut()) {
+                    let count = *c;
+                    *c = acc;
+                    *offset = base as u64 + acc;
+                    acc += count;
+                }
+                debug_assert_eq!(acc as usize, data.len());
+                // Scatter into this bucket's private region of `data`;
+                // every one of its slots is written exactly once.
+                for deposit in collected.bucket_deposits(b) {
+                    for &(dst, msg) in deposit {
+                        let cursor = &mut cursors[dst as usize - lo];
+                        data[*cursor as usize].write(msg);
+                        *cursor += 1;
                     }
-                    slice[0] = acc;
                 }
             }
         });
-        // Mark groups as length ≤ 1 logically via `combined` accessor.
-        self.combined = true;
+        // SAFETY: the buckets' disjoint regions cover all `total` slots
+        // and each was written exactly once.
+        unsafe { self.data.set_len(total) };
     }
 
     /// Messages for vertex `v` (post-combining view).
     pub fn messages(&self, v: VertexId) -> &[M] {
         let v = v as usize;
-        let lo = self.offsets[v] as usize;
-        let hi = self.offsets[v + 1] as usize;
-        if self.combined && hi > lo {
-            &self.data[lo..lo + 1]
-        } else {
-            &self.data[lo..hi]
+        match self.shape {
+            Shape::Empty => &[],
+            Shape::Slots if self.present[v / 64] >> (v % 64) & 1 == 1 => {
+                // SAFETY: the presence bit is set only after the slot
+                // was written.
+                std::slice::from_ref(unsafe { self.slots[v].assume_init_ref() })
+            }
+            Shape::Slots => &[],
+            Shape::Groups => &self.data[self.offsets[v] as usize..self.offsets[v + 1] as usize],
         }
-    }
-
-    /// Raw (pre-combining) message count for `v` — what was *sent* to it.
-    pub fn raw_count(&self, v: VertexId) -> u64 {
-        let v = v as usize;
-        self.offsets[v + 1] - self.offsets[v]
     }
 
     /// Does `v` have any messages waiting?
     pub fn has_messages(&self, v: VertexId) -> bool {
-        self.raw_count(v) > 0
+        !self.messages(v).is_empty()
     }
 
-    /// Total messages stored (pre-combining).
+    /// Total messages received (pre-combining).
     pub fn total_messages(&self) -> u64 {
-        self.data.len() as u64
+        self.total
     }
 
     /// Number of vertices this inbox covers.
     pub fn num_vertices(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Messages awaiting delivery in each destination bucket of width
-    /// `stride` (bucket `b` covers vertices `[b·stride, (b+1)·stride)`),
-    /// read off the CSR offsets in O(buckets).  The post-combining
-    /// counterpart of [`Collected::bucket_counts`]: together they give
-    /// sent/combined/delivered per bucket for trace reporting.
-    pub fn bucket_counts(&self, stride: u64) -> Vec<u64> {
-        let n = self.num_vertices() as u64;
-        if stride == 0 || n == 0 {
-            return Vec::new();
-        }
-        let buckets = n.div_ceil(stride) as usize;
-        (0..buckets)
-            .map(|b| {
-                let lo = b as u64 * stride;
-                let hi = (lo + stride).min(n);
-                self.offsets[hi as usize] - self.offsets[lo as usize]
-            })
-            .collect()
+        self.num_vertices
     }
 
     /// Snapshot all pending deliveries as `(destination, message)` pairs
-    /// (post-combining view).  Rebuilding an inbox from this snapshot
-    /// delivers the same messages — the basis of superstep checkpoints.
+    /// (post-combining view), ascending by destination and in delivery
+    /// order within one.  Rebuilding an inbox from this snapshot delivers
+    /// the same messages in the same order — the basis of superstep
+    /// checkpoints.
     pub fn snapshot(&self) -> Vec<(VertexId, M)> {
         // Exact capacity from the counts already on hand: one entry per
-        // non-empty group when combined, one per stored message otherwise.
-        let cap = if self.combined {
-            (0..self.num_vertices())
-                .filter(|&v| self.offsets[v + 1] > self.offsets[v])
-                .count()
-        } else {
-            self.data.len()
+        // set presence bit when combined, one per stored message otherwise.
+        let cap = match self.shape {
+            Shape::Empty => 0,
+            Shape::Slots => self.present.iter().map(|w| w.count_ones() as usize).sum(),
+            Shape::Groups => self.data.len(),
         };
         let mut out = Vec::with_capacity(cap);
-        for v in 0..self.num_vertices() as u64 {
-            for &m in self.messages(v) {
-                out.push((v, m));
-            }
+        for v in 0..self.num_vertices as u64 {
+            out.extend(self.messages(v).iter().map(|&m| (v, m)));
         }
         debug_assert_eq!(out.len(), cap);
         out
@@ -365,99 +359,127 @@ impl<M: Copy + Send + Sync> Default for Inbox<M> {
 }
 
 impl<M> Inbox<M> {
-    /// Whether groups have been folded by a combiner.
+    /// Whether messages have been folded by a combiner.
     pub fn is_combined(&self) -> bool {
-        self.combined
+        self.shape == Shape::Slots
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::MinCombiner;
+    use crate::program::{MinCombiner, SumCombiner};
     use crate::transport::{MessageCollector, Transport};
 
+    const TRANSPORTS: [Transport; 3] = [
+        Transport::PerThreadOutbox,
+        Transport::SingleQueue,
+        Transport::Bucketed,
+    ];
+
     /// The production path in miniature: deposit `batches[w]` as worker
-    /// `w`, then regroup the collector's view into `inbox` (pass
-    /// `Inbox::new()` for a fresh one).
-    fn deliver(
-        mut inbox: Inbox<u64>,
+    /// `w` for the chunk at position `w`, then regroup the collector's
+    /// view into `inbox` (pass `Inbox::new()` for a fresh one).
+    fn deliver<M: Copy + Send + Sync>(
+        mut inbox: Inbox<M>,
         transport: Transport,
         n: usize,
-        batches: &[Vec<(u64, u64)>],
-        combiner: Option<&dyn Combiner<u64>>,
-    ) -> Inbox<u64> {
+        batches: &[Vec<(u64, M)>],
+        combiner: Option<&dyn Combiner<M>>,
+    ) -> Inbox<M> {
         let mut mc = MessageCollector::new(transport, batches.len(), n, combiner.is_some());
         for (w, batch) in batches.iter().enumerate() {
-            mc.deposit_from(w, &mut batch.clone(), combiner);
+            mc.deposit_from(w, w, &mut batch.clone(), combiner);
         }
         let exec = Executor::fixed();
         let scratch = WorkerScratch::new(exec.workers());
-        inbox.rebuild(&exec, n, &mc.collected(), combiner, &scratch);
+        inbox.rebuild(&exec, &mc.collected(), combiner, &scratch);
         inbox
-    }
-
-    fn sorted(ib: &Inbox<u64>, v: u64) -> Vec<u64> {
-        let mut m = ib.messages(v).to_vec();
-        m.sort_unstable();
-        m
     }
 
     #[test]
     fn empty_inbox_has_no_messages() {
         let ib: Inbox<u64> = Inbox::empty(5);
         assert_eq!(ib.total_messages(), 0);
+        assert_eq!(ib.num_vertices(), 5);
         for v in 0..5 {
             assert!(!ib.has_messages(v));
             assert!(ib.messages(v).is_empty());
         }
+        assert!(ib.snapshot().is_empty());
     }
 
     #[test]
-    fn build_groups_by_destination() {
+    fn build_groups_by_destination_in_deposit_order() {
         let batches = vec![vec![(1u64, 10u64), (3, 30)], vec![(1, 11), (0, 1)], vec![]];
-        let ib = deliver(Inbox::new(), Transport::PerThreadOutbox, 4, &batches, None);
-        assert_eq!(ib.total_messages(), 4);
-        assert_eq!(ib.messages(0), &[1]);
-        assert_eq!(sorted(&ib, 1), vec![10, 11]);
-        assert!(ib.messages(2).is_empty());
-        assert_eq!(ib.messages(3), &[30]);
+        for transport in TRANSPORTS {
+            let ib = deliver(Inbox::new(), transport, 4, &batches, None);
+            assert!(!ib.is_combined());
+            assert_eq!(ib.total_messages(), 4);
+            assert_eq!(ib.messages(0), &[1]);
+            assert_eq!(ib.messages(1), &[10, 11], "{transport:?}");
+            assert!(ib.messages(2).is_empty());
+            assert_eq!(ib.messages(3), &[30]);
+        }
     }
 
     #[test]
-    fn combiner_folds_groups_to_one() {
-        let batches = vec![vec![(0u64, 9u64), (0, 3), (0, 7), (1, 5)]];
+    fn combiner_folds_into_one_slot() {
+        let batches = vec![vec![(0u64, 9u64), (0, 3), (0, 7), (1, 5)], vec![(0, 4)]];
+        for transport in TRANSPORTS {
+            let ib = deliver(Inbox::new(), transport, 3, &batches, Some(&MinCombiner));
+            assert!(ib.is_combined());
+            assert_eq!(ib.messages(0), &[3]);
+            assert_eq!(ib.messages(1), &[5]);
+            assert!(!ib.has_messages(2));
+        }
+        // Totals still reflect what was received (sender-side combining
+        // aside).
         let ib = deliver(
             Inbox::new(),
             Transport::PerThreadOutbox,
-            2,
+            3,
             &batches,
             Some(&MinCombiner),
         );
-        assert!(ib.is_combined());
-        assert_eq!(ib.messages(0), &[3]);
-        assert_eq!(ib.messages(1), &[5]);
-        // Raw counts still reflect what was sent (for Fig. 2).
-        assert_eq!(ib.raw_count(0), 3);
-        assert_eq!(ib.total_messages(), 4);
+        assert_eq!(ib.total_messages(), 5);
     }
 
     #[test]
-    fn bucketed_build_matches_flat_build() {
-        // 10 vertices, 2 workers -> stride 5.  The same sends through
-        // every transport must group identically.
-        let n = 10usize;
+    fn float_fold_is_the_sequential_fold_in_deposit_order() {
+        // Three addends whose sum depends on association; several
+        // destinations spread over every bucket of a 1000-vertex inbox.
+        let parts = [1e16, 1.0, -1e16, 3.0, 1e-3];
+        let sequential = parts
+            .iter()
+            .fold(0.0, |acc, &x| SumCombiner.combine(acc, x));
+        assert_ne!(sequential, parts.iter().rev().sum::<f64>());
+        let n = 1000usize;
+        let batches: Vec<Vec<(u64, f64)>> = parts
+            .iter()
+            .map(|&x| (0..n as u64).step_by(37).map(|v| (v, x)).collect())
+            .collect();
+        for transport in [Transport::PerThreadOutbox, Transport::SingleQueue] {
+            let ib = deliver(Inbox::new(), transport, n, &batches, Some(&SumCombiner));
+            for v in (0..n as u64).step_by(37) {
+                let got = ib.messages(v)[0];
+                assert_eq!(got.to_bits(), sequential.to_bits(), "{transport:?} {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_transport_builds_the_same_inbox() {
+        let n = 1000usize;
         let sends = vec![
-            vec![(1u64, 10u64), (7, 70), (1, 11), (4, 40)],
-            vec![(5, 50), (9, 90), (1, 12)],
+            vec![(1u64, 10u64), (700, 70), (1, 11), (400, 40)],
+            vec![(512, 50), (999, 90), (1, 12)],
         ];
         let a = deliver(Inbox::new(), Transport::PerThreadOutbox, n, &sends, None);
         for transport in [Transport::Bucketed, Transport::SingleQueue] {
             let b = deliver(Inbox::new(), transport, n, &sends, None);
             assert_eq!(a.total_messages(), b.total_messages());
-            for v in 0..n as u64 {
-                assert_eq!(sorted(&a, v), sorted(&b, v), "{transport:?} vertex {v}");
-            }
+            assert_eq!(a.snapshot(), b.snapshot(), "{transport:?}");
         }
     }
 
@@ -476,25 +498,31 @@ mod tests {
         assert!(ib.is_combined());
         assert_eq!(ib.messages(2), &[3]);
         assert_eq!(ib.messages(5), &[55]);
-        assert_eq!(ib.raw_count(2), 2);
+        assert_eq!(ib.total_messages(), 3);
     }
 
     #[test]
-    fn bucketed_build_handles_partial_final_bucket() {
-        // n = 7 over 3 workers -> stride 3, buckets [0,3) [3,6) [6,7):
-        // the last bucket is a stub and vertex 6 still resolves correctly.
-        let sends = vec![vec![(0u64, 1u64), (3, 2), (6, 3)], vec![], vec![]];
-        let ib = deliver(Inbox::new(), Transport::Bucketed, 7, &sends, None);
-        assert_eq!(ib.total_messages(), 3);
-        assert_eq!(ib.messages(0), &[1]);
-        assert_eq!(ib.messages(3), &[2]);
-        assert_eq!(ib.messages(6), &[3]);
-        assert!(!ib.has_messages(5));
+    fn partial_final_bucket_and_unaligned_vertex_counts() {
+        // n = 130 over 3 workers: shift 6, buckets [0,64) [64,128)
+        // [128,130) — the last one a stub whose presence word is partial.
+        let sends = vec![
+            vec![(0u64, 1u64), (64, 2), (129, 3)],
+            vec![(129, 4)],
+            vec![],
+        ];
+        for combiner in [None, Some(&MinCombiner as &dyn Combiner<u64>)] {
+            let ib = deliver(Inbox::new(), Transport::Bucketed, 130, &sends, combiner);
+            assert_eq!(ib.total_messages(), 4);
+            assert_eq!(ib.messages(0), &[1]);
+            assert_eq!(ib.messages(64), &[2]);
+            assert_eq!(ib.messages(129)[0], 3);
+            assert!(!ib.has_messages(128));
+        }
     }
 
     #[test]
     fn large_scatter_is_complete() {
-        let n = 1000usize;
+        let n = 10_000usize;
         let mut batches = Vec::new();
         for b in 0..8 {
             let mut v = Vec::new();
@@ -505,34 +533,35 @@ mod tests {
         }
         let ib = deliver(Inbox::new(), Transport::PerThreadOutbox, n, &batches, None);
         assert_eq!(ib.total_messages(), 8 * 5000);
-        let sum: u64 = (0..n as u64).map(|v| ib.raw_count(v)).sum();
+        let sum: usize = (0..n as u64).map(|v| ib.messages(v).len()).sum();
         assert_eq!(sum, 8 * 5000);
     }
 
     #[test]
-    fn bucket_counts_tile_the_inbox() {
-        // n = 7, stride 3: buckets [0,3) [3,6) [6,7).
-        let batches = vec![vec![(0u64, 1u64), (1, 2), (4, 3), (6, 4), (6, 5)]];
-        let ib = deliver(Inbox::new(), Transport::PerThreadOutbox, 7, &batches, None);
-        assert_eq!(ib.bucket_counts(3), vec![2, 1, 2]);
-        assert_eq!(ib.bucket_counts(3).iter().sum::<u64>(), ib.total_messages());
-        // Stride covering everything is one bucket; stride 0 is empty.
-        assert_eq!(ib.bucket_counts(100), vec![5]);
-        assert!(ib.bucket_counts(0).is_empty());
-        assert!(Inbox::<u64>::empty(0).bucket_counts(3).is_empty());
+    #[should_panic]
+    fn out_of_range_destination_is_a_panic_not_a_wild_write() {
+        // 100 vertices round up to a 128-wide bucket; vertex 100 slips
+        // past the partition and must be stopped at the slot write.
+        let sends = vec![vec![(100u64, 1u64)]];
+        deliver(
+            Inbox::new(),
+            Transport::SingleQueue,
+            100,
+            &sends,
+            Some(&MinCombiner),
+        );
     }
 
     #[test]
     fn rebuild_reuses_and_matches_fresh_build() {
         // One inbox rebuilt through a sequence of shapes must agree with
-        // a fresh build at every step (combined, uncombined, empty), on
-        // the flat and the bucketed pass alike.
+        // a fresh build at every step (combined, uncombined, empty).
         let rounds: Vec<Vec<Vec<(u64, u64)>>> = vec![
             vec![vec![(0, 5), (3, 1), (0, 2)], vec![(2, 7)]],
             vec![vec![]],
             vec![vec![(3, 3), (3, 4), (1, 9), (2, 2), (0, 1)]],
         ];
-        for transport in [Transport::PerThreadOutbox, Transport::Bucketed] {
+        for transport in TRANSPORTS {
             let mut reused: Inbox<u64> = Inbox::new();
             for batches in &rounds {
                 for combiner in [None, Some(&MinCombiner as &dyn Combiner<u64>)] {
@@ -540,15 +569,14 @@ mod tests {
                     let fresh = deliver(Inbox::new(), transport, 4, batches, combiner);
                     assert_eq!(reused.is_combined(), fresh.is_combined());
                     assert_eq!(reused.total_messages(), fresh.total_messages());
-                    for v in 0..4u64 {
-                        assert_eq!(sorted(&reused, v), sorted(&fresh, v), "vertex {v}");
-                    }
+                    assert_eq!(reused.snapshot(), fresh.snapshot());
                 }
             }
             // Shrinking to empty and regrowing works too.
             reused.reset_empty(4);
             assert_eq!(reused.total_messages(), 0);
             assert!(!reused.is_combined());
+            assert!(!reused.has_messages(3));
         }
     }
 
@@ -557,7 +585,7 @@ mod tests {
         let batches = vec![vec![(0u64, 9u64), (0, 3), (2, 7)]];
         let plain = deliver(Inbox::new(), Transport::PerThreadOutbox, 3, &batches, None);
         let snap = plain.snapshot();
-        assert_eq!(snap.len(), 3);
+        assert_eq!(snap, vec![(0, 9), (0, 3), (2, 7)]);
         assert_eq!(snap.capacity(), 3);
         let combined = deliver(
             Inbox::new(),
@@ -567,7 +595,7 @@ mod tests {
             Some(&MinCombiner),
         );
         let snap = combined.snapshot();
-        assert_eq!(snap.len(), 2); // two non-empty groups
+        assert_eq!(snap, vec![(0, 3), (2, 7)]);
         assert_eq!(snap.capacity(), 2);
     }
 }

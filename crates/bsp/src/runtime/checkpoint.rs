@@ -11,7 +11,6 @@ use super::frame::SuperstepFrame;
 use super::BspResult;
 use crate::inbox::Inbox;
 use crate::program::VertexProgram;
-use crate::transport::Collected;
 
 /// A superstep-boundary checkpoint (Pregel §3.3: "fault tolerance is
 /// achieved through checkpointing ... at the beginning of a superstep").
@@ -160,16 +159,22 @@ pub(super) fn validate<S, M>(
 /// in-flight messages regrouped into the frame's live inbox, and
 /// `(states, halt flags, previous aggregates)` returned.
 pub(super) fn restore<P: VertexProgram>(
-    n: usize,
     program: &P,
     exec: &Executor,
     frame: &mut SuperstepFrame<P::State, P::Message>,
-    (states, resume): Snapshot<P>,
+    (states, mut resume): Snapshot<P>,
 ) -> (Vec<P::State>, Vec<AtomicU64>, (u64, f64)) {
+    // One deposit through the prepared collector: `pending` is ascending
+    // by destination and in delivery order within one, and the rebuild
+    // keeps deposit order, so the resumed superstep sees exactly what the
+    // uninterrupted one would have.
+    frame.collector.reset();
+    frame
+        .collector
+        .deposit_from(0, 0, &mut resume.pending, None);
     frame.inbox.rebuild(
         exec,
-        n,
-        &Collected::one_batch(&resume.pending),
+        &frame.collector.collected(),
         program.combiner(),
         &frame.bucket_cursors,
     );

@@ -75,15 +75,18 @@ impl<P: VertexProgram> Run<'_, P> {
             dense_visited,
             active,
             next_active,
-            agg_parts: agg_parts_buf,
+            agg_f64,
             outbox: outbox_scratch,
             awake: awake_scratch,
             ..
         } = &mut *self.frame;
-        // Chunk contributions accumulate into the frame's buffers, moved
-        // behind stack mutexes for the parallel region and restored after
-        // it (the mutexes themselves are stack values — no allocation).
-        let agg_parts: Mutex<Vec<(u64, f64)>> = Mutex::new(std::mem::take(agg_parts_buf));
+        // The aggregator's integer half is exact in any order; the float
+        // half is written per active position and summed after the join
+        // in that order, so neither depends on chunk boundaries.
+        let agg_u64 = AtomicU64::new(0);
+        agg_f64.clear();
+        agg_f64.resize(active.len(), 0.0);
+        let agg_f64_base = agg_f64.as_mut_ptr() as usize;
         let delivered = AtomicU64::new(0);
         let pull_probes = AtomicU64::new(0);
         let pull_hits = AtomicU64::new(0);
@@ -91,6 +94,9 @@ impl<P: VertexProgram> Run<'_, P> {
         let extra_reads = AtomicU64::new(0);
         let extra_alu = AtomicU64::new(0);
         let halt_votes = AtomicU64::new(0);
+        // The stayed-awake claims accumulate into the frame's buffer, moved
+        // behind a stack mutex for the parallel region and restored after
+        // it (the mutex itself is a stack value — no allocation).
         let next_active_parts: Mutex<Vec<VertexId>> = Mutex::new(std::mem::take(next_active));
         // Pull supersteps gather from the states as of the *end of the
         // previous superstep*; snapshot them (into the frame's retained
@@ -113,8 +119,15 @@ impl<P: VertexProgram> Run<'_, P> {
             let collector_ref = &*collector;
             let outbox_ref = &*outbox_scratch;
             let awake_ref = &*awake_scratch;
-            let chunk = chunk_for(active_ref.len(), self.exec.workers());
             let exec = self.exec;
+            let chunk = if collector_ref.combines_at_sender() {
+                // One chunk per worker — the static schedule that
+                // per-worker combining models — under either executor,
+                // so what ships does not depend on who claims what.
+                active_ref.len().div_ceil(exec.workers()) as u64
+            } else {
+                chunk_for(active_ref.len(), exec.workers())
+            };
             exec.pfor_chunked(0, active_ref.len(), chunk as usize, |worker, range| {
                 // SAFETY: at most one live thread per worker id (the
                 // pfor_chunked contract under both schedules), so the
@@ -122,7 +135,8 @@ impl<P: VertexProgram> Run<'_, P> {
                 let outbox = unsafe { outbox_ref.get(worker) };
                 // SAFETY: same single-thread-per-worker-id contract.
                 let local_awake = unsafe { awake_ref.get(worker) };
-                let mut agg = (0u64, 0.0f64);
+                let chunk_start = range.start;
+                let mut local_agg = 0u64;
                 let mut local_delivered = 0u64;
                 let mut local_probes = (0u64, 0u64);
                 let mut local_settled_deg = 0u64;
@@ -184,14 +198,17 @@ impl<P: VertexProgram> Run<'_, P> {
                     {
                         local_awake.push(v);
                     }
-                    agg.0 += ctx.agg_u64;
-                    agg.1 += ctx.agg_f64;
+                    local_agg = local_agg.wrapping_add(ctx.agg_u64);
+                    // SAFETY: position `i` belongs to this chunk alone and
+                    // lies inside the `active.len()` slots sized above.
+                    unsafe { (agg_f64_base as *mut f64).add(i).write(ctx.agg_f64) };
                     local_extra.0 += ctx.extra_reads;
                     local_extra.1 += ctx.extra_alu;
                 }
-                // Relaxed (all five below): pure statistics accumulators
-                // whose totals are read only after the parallel_for join.
-                extra_reads.fetch_add(local_extra.0, Ordering::Relaxed);
+                // Relaxed (all six below): pure accumulators whose totals
+                // are read only after the parallel_for join.
+                agg_u64.fetch_add(local_agg, Ordering::Relaxed);
+                extra_reads.fetch_add(local_extra.0, Ordering::Relaxed); // Relaxed: stats, read post-join
                 extra_alu.fetch_add(local_extra.1, Ordering::Relaxed); // Relaxed: stats, read post-join
                 delivered.fetch_add(local_delivered, Ordering::Relaxed); // Relaxed: stats, read post-join
                 if local_probes.0 > 0 {
@@ -209,22 +226,17 @@ impl<P: VertexProgram> Run<'_, P> {
                 }
                 // Drains the scratch, leaving its capacity warm for the
                 // worker's next chunk (and the next superstep).
-                collector_ref.deposit_from(worker, outbox, program.combiner());
+                collector_ref.deposit_from(worker, chunk_start, outbox, program.combiner());
                 if !local_awake.is_empty() {
                     next_active_parts.lock().extend(local_awake.drain(..));
-                }
-                if agg != (0, 0.0) {
-                    agg_parts.lock().push(agg);
                 }
             });
         }
         *next_active = next_active_parts.into_inner();
-        let mut parts = agg_parts.into_inner();
-        let aggregate = parts
-            .iter()
-            .fold((0, 0.0), |acc, x| (acc.0 + x.0, acc.1 + x.1));
-        parts.clear();
-        *agg_parts_buf = parts;
+        let aggregate = (
+            agg_u64.load(Ordering::Relaxed), // Relaxed: post-join read
+            agg_f64.iter().fold(0.0, |acc, &x| acc + x),
+        );
         // Settled transitions keep Beamer's explored-edge total exact.
         // Relaxed loads (here and below): the compute parallel_for joined
         // above, so every worker's accumulation happens-before these reads.

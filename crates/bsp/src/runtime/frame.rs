@@ -48,13 +48,15 @@ pub struct SuperstepFrame<S, M> {
     /// The next superstep's active list (worklist strategy); swaps with
     /// `active` at the boundary.
     pub(super) next_active: Vec<VertexId>,
-    /// Per-chunk aggregate contributions, drained each superstep.
-    pub(super) agg_parts: Vec<(u64, f64)>,
+    /// Each active vertex's `f64` aggregate contribution, by position in
+    /// `active`: summed in that order after the compute join, so the
+    /// total does not depend on how the list was chunked.
+    pub(super) agg_f64: Vec<f64>,
     /// Per-worker outbox scratch for the compute phase.
     pub(super) outbox: WorkerScratch<Vec<(VertexId, M)>>,
     /// Per-worker awake-list scratch (worklist strategy).
     pub(super) awake: WorkerScratch<Vec<VertexId>>,
-    /// Per-worker bucket-cursor scratch for the bucketed inbox rebuild.
+    /// Per-worker bucket-cursor scratch for the uncombined inbox rebuild.
     pub(super) bucket_cursors: WorkerScratch<Vec<u64>>,
 }
 
@@ -70,7 +72,7 @@ impl<S, M: Copy + Send + Sync> SuperstepFrame<S, M> {
             dense_visited: Vec::new(),
             active: Vec::new(),
             next_active: Vec::new(),
-            agg_parts: Vec::new(),
+            agg_f64: Vec::new(),
             outbox: WorkerScratch::new(1),
             awake: WorkerScratch::new(1),
             bucket_cursors: WorkerScratch::new(1),
@@ -116,7 +118,6 @@ impl<S, M: Copy + Send + Sync> SuperstepFrame<S, M> {
         // capacity is carried over.
         self.active.clear();
         self.next_active.clear();
-        self.agg_parts.clear();
     }
 }
 

@@ -162,9 +162,10 @@ pub struct RunOptions<'a, P: VertexProgram> {
     /// global pool, the loop shape the cost model charges for; the
     /// native engine passes a guided executor, optionally pinned to its
     /// own pool.  Programs, transports, frames, checkpoints and traces
-    /// are identical across executors, so results agree
-    /// superstep-for-superstep whenever the program's message folding is
-    /// order-independent (any combiner).
+    /// are identical across executors, and the exchange delivers in
+    /// source order whatever the schedule, so results agree
+    /// superstep-for-superstep — bit for bit where DESIGN.md §17 says
+    /// the order holds, and for any exact combiner elsewhere.
     pub exec: Executor,
 }
 
@@ -252,7 +253,7 @@ fn run_validated<P: VertexProgram>(
             frame.inbox.reset_empty(n);
             (states, halted, (0u64, 0.0f64))
         }
-        Some(from) => checkpoint::restore(n, program, &exec, frame, from),
+        Some(from) => checkpoint::restore(program, &exec, frame, from),
     };
 
     let policy = Policy::new(
@@ -402,7 +403,7 @@ fn run_validated<P: VertexProgram>(
                 bucket_messages: if exchanged.pull_next {
                     Vec::new()
                 } else {
-                    run.frame.collector.collected().bucket_counts()
+                    run.frame.collector.bucket_counts()
                 },
                 allocs: step_allocs,
                 scan_ns,

@@ -9,18 +9,25 @@
 //! hook (the scheduler's deadline path), checkpoints, and resumes *with
 //! the same frame*, requiring the stitched run to match an
 //! uninterrupted one.
+//!
+//! The last two cases pin the exchange's ordering guarantee (DESIGN.md
+//! §17) on the one program whose results can show a fold order: PageRank
+//! must come out bit-identical on explicit pools of 1, 2, 4 and 8
+//! workers under both schedules, and across a checkpoint cut.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use xmt_bsp::algorithms::bfs::BfsProgram;
 use xmt_bsp::algorithms::components::CcProgram;
+use xmt_bsp::algorithms::pagerank::PagerankProgram;
 use xmt_bsp::program::VertexProgram;
 use xmt_bsp::{run, ActiveSetStrategy, BspConfig, Delivery, RunOptions, SuperstepFrame, Transport};
 use xmt_graph::builder::build_undirected;
 use xmt_graph::gen::rmat::{rmat_edges, RmatParams};
 use xmt_graph::Csr;
 use xmt_model::Recorder;
-use xmt_par::Executor;
+use xmt_par::{Executor, Pool};
 
 const TRANSPORTS: [Transport; 3] = [
     Transport::PerThreadOutbox,
@@ -308,5 +315,125 @@ fn interrupted_resume_with_the_same_frame_matches_uninterrupted() {
                 assert_eq!(full.result.superstep_stats, stitched, "stats: {tag}");
             }
         }
+    }
+}
+
+/// Everything a PageRank run can show of its `f64` arithmetic, as bits:
+/// ranks, superstep count, per-superstep stats and aggregates.
+type PagerankBits = (
+    Vec<u64>,
+    u64,
+    Vec<xmt_bsp::runtime::SuperstepStats>,
+    Vec<(u64, u64)>,
+);
+
+fn pagerank_bits(g: &Csr, config: BspConfig, exec: Executor) -> PagerankBits {
+    let opts = RunOptions {
+        config,
+        exec,
+        ..Default::default()
+    };
+    let r = run(g, &PagerankProgram::default(), opts)
+        .expect("fresh run")
+        .result;
+    assert!(!r.hit_superstep_limit, "PageRank did not converge");
+    (
+        r.states.iter().map(|x| x.to_bits()).collect(),
+        r.supersteps,
+        r.superstep_stats,
+        r.aggregates
+            .iter()
+            .map(|&(u, f)| (u, f.to_bits()))
+            .collect(),
+    )
+}
+
+/// A graph with enough vertices that every pool below splits a superstep
+/// into several chunks per worker.
+fn pagerank_graph() -> Csr {
+    build_undirected(&rmat_edges(&RmatParams::graph500(10), 3))
+}
+
+#[test]
+fn pagerank_is_bit_identical_across_pools_schedules_and_queue_transports() {
+    let g = pagerank_graph();
+    let reference = pagerank_bits(
+        &g,
+        BspConfig::default(),
+        Executor::fixed_on(Arc::new(Pool::new(1))),
+    );
+    // 8 workers oversubscribe any CI host this runs on.
+    for workers in [1, 2, 4, 8] {
+        let pool = Arc::new(Pool::new(workers));
+        for transport in [Transport::PerThreadOutbox, Transport::SingleQueue] {
+            let config = BspConfig {
+                transport,
+                ..BspConfig::default()
+            };
+            for exec in [
+                Executor::fixed_on(Arc::clone(&pool)),
+                Executor::guided_on(Arc::clone(&pool)),
+            ] {
+                let tag = format!("{workers} workers, {transport:?}, {:?}", exec.schedule());
+                let got = pagerank_bits(&g, config, exec);
+                assert_eq!(reference.1, got.1, "supersteps: {tag}");
+                assert_eq!(reference.3, got.3, "aggregates: {tag}");
+                assert_eq!(reference.2, got.2, "stats: {tag}");
+                assert_eq!(reference.0, got.0, "ranks: {tag}");
+            }
+        }
+    }
+}
+
+#[test]
+fn pagerank_cut_and_resumed_is_bit_identical_to_uninterrupted() {
+    let g = pagerank_graph();
+    let program = PagerankProgram::default();
+    let pool = Arc::new(Pool::new(4));
+    for transport in [Transport::PerThreadOutbox, Transport::SingleQueue] {
+        let config = BspConfig {
+            transport,
+            ..BspConfig::default()
+        };
+        let full = pagerank_bits(&g, config, Executor::guided_on(Arc::clone(&pool)));
+        // Cut at the superstep limit, mid-convergence, and resume on the
+        // other schedule.
+        let cut = run(
+            &g,
+            &program,
+            RunOptions {
+                config: BspConfig {
+                    max_supersteps: 7,
+                    ..config
+                },
+                exec: Executor::fixed_on(Arc::clone(&pool)),
+                ..Default::default()
+            },
+        )
+        .expect("first slice");
+        let checkpoint = cut.resume.expect("cut by the limit");
+        let rest = run(
+            &g,
+            &program,
+            RunOptions {
+                config,
+                from: Some((cut.result.states, checkpoint)),
+                exec: Executor::guided_on(Arc::clone(&pool)),
+                ..Default::default()
+            },
+        )
+        .expect("resumed slice")
+        .result;
+        let ranks: Vec<u64> = rest.states.iter().map(|x| x.to_bits()).collect();
+        let aggregates: Vec<(u64, u64)> = cut
+            .result
+            .aggregates
+            .iter()
+            .chain(&rest.aggregates)
+            .map(|&(u, f)| (u, f.to_bits()))
+            .collect();
+        assert_eq!(full.1, rest.supersteps, "supersteps: {transport:?}");
+        assert_eq!(full.3, aggregates, "aggregates: {transport:?}");
+        assert_eq!(full.0, ranks, "ranks: {transport:?}");
     }
 }

@@ -184,9 +184,15 @@ pub enum JobOutput {
 /// exactly the graph that existed when it was admitted.
 #[derive(Clone, Debug)]
 pub struct JobGraph {
-    /// The immutable CSR the engines execute against.
-    pub csr: Arc<Csr>,
-    /// The snapshot epoch the CSR materializes (0 for static graphs).
+    /// The immutable CSR the engines execute against.  `None` for an
+    /// `incremental` job, whose answer needs no graph, and in the
+    /// scheduler's record of a job that can no longer run or be resumed
+    /// (so a finished job does not pin its epoch's snapshot).
+    pub csr: Option<Arc<Csr>>,
+    /// Vertices of the graph at `epoch` (what a BFS source is checked
+    /// against).
+    pub num_vertices: u64,
+    /// The snapshot epoch the job observes (0 for static graphs).
     pub epoch: u64,
     /// For the `incremental` engine: the answer captured atomically at
     /// admission from the stinger-maintained state.  The worker returns
@@ -194,13 +200,21 @@ pub struct JobGraph {
     pub precomputed: Option<JobOutput>,
 }
 
-impl From<Arc<Csr>> for JobGraph {
-    fn from(csr: Arc<Csr>) -> Self {
+impl JobGraph {
+    /// A job computing against `csr` as of `epoch`.
+    pub fn snapshot(csr: Arc<Csr>, epoch: u64) -> Self {
         JobGraph {
-            csr,
-            epoch: 0,
+            num_vertices: csr.num_vertices(),
+            csr: Some(csr),
+            epoch,
             precomputed: None,
         }
+    }
+}
+
+impl From<Arc<Csr>> for JobGraph {
+    fn from(csr: Arc<Csr>) -> Self {
+        JobGraph::snapshot(csr, 0)
     }
 }
 

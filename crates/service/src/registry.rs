@@ -284,8 +284,9 @@ impl GraphRegistry {
     }
 
     /// Resolve a job's graph handle at admission: the CSR it will
-    /// compute against, the epoch that CSR materializes, and — for the
-    /// incremental engine — the answer captured atomically with it.
+    /// compute against and the epoch that CSR materializes, or — for the
+    /// incremental engine, which needs no CSR — the answer captured
+    /// atomically with the epoch.
     pub fn admit(
         &self,
         name: &str,
@@ -299,27 +300,20 @@ impl GraphRegistry {
                         name: name.to_string(),
                     });
                 }
-                Ok(JobGraph {
-                    csr,
-                    epoch: 0,
-                    precomputed: None,
-                })
+                Ok(JobGraph::snapshot(csr, 0))
             }
             GraphKind::Dynamic(d) => {
                 if engine == Engine::Incremental {
-                    let (csr, epoch, output) = d.incremental(name, algorithm)?;
+                    let (num_vertices, epoch, output) = d.incremental(name, algorithm)?;
                     Ok(JobGraph {
-                        csr,
+                        csr: None,
+                        num_vertices,
                         epoch,
                         precomputed: Some(output),
                     })
                 } else {
                     let (csr, epoch) = d.snapshot();
-                    Ok(JobGraph {
-                        csr,
-                        epoch,
-                        precomputed: None,
-                    })
+                    Ok(JobGraph::snapshot(csr, epoch))
                 }
             }
         }
@@ -781,6 +775,11 @@ mod tests {
         let jg = reg.admit("d", Algorithm::Cc, Engine::Incremental).unwrap();
         assert_eq!(jg.epoch, 1);
         assert_eq!(jg.precomputed, Some(JobOutput::Labels(vec![0, 0, 0, 0, 4])));
+        // An incremental read builds no snapshot: the vertex count rides
+        // along instead, and no epoch is pinned.
+        assert!(jg.csr.is_none());
+        assert_eq!(jg.num_vertices, 5);
+        assert_eq!(reg.stats().snapshot_epochs_live, 0);
 
         // Static entries refuse the incremental engine, typed.
         reg.register("s", graph(5)).unwrap();
@@ -792,7 +791,7 @@ mod tests {
         let jg = reg.admit("d", Algorithm::Cc, Engine::Bsp).unwrap();
         assert_eq!(jg.epoch, 1);
         assert!(jg.precomputed.is_none());
-        assert_eq!(jg.csr.num_edges(), 3);
+        assert_eq!(jg.csr.expect("snapshot").num_edges(), 3);
     }
 
     #[test]
@@ -804,9 +803,10 @@ mod tests {
         let after = reg.admit("d", Algorithm::Cc, Engine::Bsp).unwrap();
         assert_eq!(before.epoch, 0);
         assert_eq!(after.epoch, 1);
-        assert_eq!(before.csr.num_edges(), 7, "pre-batch snapshot mutated");
-        assert_eq!(after.csr.num_edges(), 8);
-        assert!(!Arc::ptr_eq(&before.csr, &after.csr));
+        let (old, new) = (before.csr.expect("snapshot"), after.csr.expect("snapshot"));
+        assert_eq!(old.num_edges(), 7, "pre-batch snapshot mutated");
+        assert_eq!(new.num_edges(), 8);
+        assert!(!Arc::ptr_eq(&old, &new));
         assert!(reg.stats().snapshot_epochs_live >= 2);
     }
 

@@ -103,6 +103,16 @@ struct JobRecord {
 }
 
 impl JobRecord {
+    /// Let go of the epoch snapshot once nothing can run on it again: the
+    /// job is terminal and holds no checkpoint a `resume` could continue
+    /// from.  The record stays (status, output, epoch number); only the
+    /// graph memory it pinned goes.
+    fn release_graph(&mut self) {
+        if self.checkpoint.is_none() {
+            self.graph.csr = None;
+        }
+    }
+
     fn snapshot(&self, id: JobId) -> JobSnapshot {
         let queued_ms = self
             .started
@@ -281,7 +291,7 @@ impl Scheduler {
         // The one spec field whose valid range depends on the admitted
         // graph.  Unchecked, an out-of-range source answers
         // all-unreachable on bsp/native and trips an assert on graphct.
-        let n = graph.csr.num_vertices();
+        let n = graph.num_vertices;
         if spec.algorithm == Algorithm::Bfs && spec.source >= n {
             return Err(ServiceError::InvalidConfig {
                 field: "source",
@@ -364,6 +374,7 @@ impl Scheduler {
                 rec.cancel.store(true, Ordering::Relaxed);
                 rec.state = JobState::Cancelled;
                 rec.finished = Some(Instant::now());
+                rec.release_graph();
                 queue.stale += 1;
                 Ok(JobState::Cancelled)
             }
@@ -445,11 +456,15 @@ impl Scheduler {
         let mut jobs = self.shared.jobs.lock();
         let rec = jobs.get_mut(&id).ok_or(ServiceError::JobNotFound { id })?;
         match rec.state {
-            JobState::Cancelled | JobState::TimedOut | JobState::Interrupted => rec
-                .checkpoint
-                .take()
-                .map(|cp| (rec.spec.clone(), rec.graph.clone(), cp, rec.frame.take()))
-                .ok_or(ServiceError::NoCheckpoint { id }),
+            JobState::Cancelled | JobState::TimedOut | JobState::Interrupted => {
+                let cp = rec
+                    .checkpoint
+                    .take()
+                    .ok_or(ServiceError::NoCheckpoint { id })?;
+                let graph = rec.graph.clone();
+                rec.release_graph();
+                Ok((rec.spec.clone(), graph, cp, rec.frame.take()))
+            }
             other => Err(ServiceError::WrongState {
                 id,
                 state: other.name().to_string(),
@@ -627,7 +642,7 @@ fn run_one(shared: &Shared, id: JobId) -> bool {
             .map(|ms| rec.submitted + Duration::from_millis(ms));
         (
             rec.spec.clone(),
-            Arc::clone(&rec.graph.csr),
+            rec.graph.csr.clone(),
             rec.graph.precomputed.take(),
             Arc::clone(&rec.cancel),
             rec.resume_from.take(),
@@ -647,15 +662,18 @@ fn run_one(shared: &Shared, id: JobId) -> bool {
     // One sink per run: resumed jobs get a fresh sink whose records
     // continue the checkpoint's absolute superstep numbering.
     let mut sink = xmt_trace::TraceSink::new();
-    let outcome = match precomputed {
+    let outcome = match (precomputed, &graph) {
         // Incremental-engine jobs carry their answer from admission
-        // (captured atomically with the epoch snapshot); nothing to run.
-        Some(output) => Ok(Ok(ExecVerdict::Completed {
+        // (captured atomically with the epoch); nothing to run.
+        (Some(output), _) => Ok(Ok(ExecVerdict::Completed {
             output,
             supersteps: 0,
         })),
-        None => catch_unwind(AssertUnwindSafe(|| {
-            execute(&spec, &graph, resume_from, resume_frame, &stop, &mut sink)
+        (None, Some(graph)) => catch_unwind(AssertUnwindSafe(|| {
+            execute(&spec, graph, resume_from, resume_frame, &stop, &mut sink)
+        })),
+        (None, None) => Ok(Err(ServiceError::Internal {
+            message: "job admitted with neither a graph snapshot nor an answer".to_string(),
         })),
     };
 
@@ -723,6 +741,7 @@ fn run_one(shared: &Shared, id: JobId) -> bool {
             rec.error = Some(format!("panic: {message}"));
         }
     }
+    rec.release_graph();
     drop(jobs);
     // Terminal transition: wake anyone blocked in wait_job.
     shared.jobs_cond.notify_all();
@@ -825,6 +844,27 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{engine:?}: {e}"));
             assert_eq!(wait_terminal(&sched, id).state, JobState::Completed);
         }
+        // An incremental admission carries the vertex count, not a CSR;
+        // the check reads the count.
+        let graphless = JobGraph {
+            csr: None,
+            num_vertices: 10,
+            epoch: 1,
+            precomputed: Some(JobOutput::Triangles(0)),
+        };
+        let bfs_from_10 = JobSpec {
+            algorithm: Algorithm::Bfs,
+            engine: Engine::Incremental,
+            source: 10,
+            ..spec("p")
+        };
+        assert!(matches!(
+            sched.submit(bfs_from_10, graphless, None, None),
+            Err(ServiceError::InvalidConfig {
+                field: "source",
+                ..
+            })
+        ));
         // Rejected before queueing: not a queue-capacity rejection, and
         // the field only constrains BFS.
         assert_eq!(sched.stats().rejected, 0);
@@ -983,6 +1023,38 @@ mod tests {
     }
 
     #[test]
+    fn finished_jobs_release_their_epoch_snapshots() {
+        use crate::registry::GraphRegistry;
+        let sched = Scheduler::new(SchedulerConfig {
+            workers: 1,
+            queue_capacity: 8,
+        });
+        let reg = GraphRegistry::new(0);
+        reg.register_dynamic("d", build_undirected(&path(12)))
+            .unwrap();
+        // One job per epoch: every admission after a batch builds a new
+        // snapshot, and a job that kept its handle would pin it.
+        let mut ids = Vec::new();
+        for v in 2..8u64 {
+            reg.update("d", &[(0, v)], &[]).unwrap();
+            let jg = reg.admit("d", Algorithm::Cc, Engine::Native).unwrap();
+            let id = sched.submit(spec("d"), jg, None, None).unwrap();
+            assert_eq!(wait_terminal(&sched, id).state, JobState::Completed);
+            ids.push(id);
+        }
+        // The gauge is refreshed by the next touch of the graph; only the
+        // registry's cached current epoch is still alive.
+        reg.update_trace("d").unwrap();
+        assert_eq!(reg.stats().snapshot_epochs_live, 1);
+        // The records still answer, epoch included.
+        for (i, id) in ids.into_iter().enumerate() {
+            assert_eq!(sched.status(id).unwrap().epoch, i as u64 + 1);
+            assert!(sched.output(id).is_ok());
+        }
+        sched.shutdown();
+    }
+
+    #[test]
     fn precomputed_jobs_complete_without_executing() {
         // Incremental-engine jobs arrive with their answer attached; the
         // worker must return it verbatim, run zero supersteps, and keep
@@ -995,7 +1067,8 @@ mod tests {
         s.algorithm = Algorithm::Triangles;
         s.engine = Engine::Incremental;
         let jg = JobGraph {
-            csr: Arc::new(build_undirected(&path(8))),
+            csr: None,
+            num_vertices: 8,
             epoch: 3,
             precomputed: Some(JobOutput::Triangles(7)),
         };

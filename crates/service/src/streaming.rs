@@ -118,33 +118,31 @@ impl DynamicGraph {
     /// plus the epoch number.
     pub(crate) fn snapshot(&self) -> (Arc<Csr>, u64) {
         let mut st = self.state.lock();
-        self.snapshot_locked(&mut st)
-    }
-
-    /// [`snapshot`](Self::snapshot) under an already-held lock.
-    pub(crate) fn snapshot_locked(&self, st: &mut DynState) -> (Arc<Csr>, u64) {
-        if st.snapshot.is_none() {
-            let csr = Arc::new(st.analytics.graph().to_csr());
-            st.issued.push((st.epoch, Arc::downgrade(&csr)));
-            st.snapshot = Some(csr);
-        }
-        self.refresh_gauge(st);
         let csr = match &st.snapshot {
             Some(csr) => Arc::clone(csr),
-            // Unreachable: populated two lines up; avoid unwrap in lib
-            // code per workspace lint.
-            None => Arc::new(st.analytics.graph().to_csr()),
+            None => {
+                // lint:allow(guard-across-call): the snapshot must be of
+                // exactly this epoch, so it is built under the lock that
+                // orders batches; one `to_csr` per epoch, then cached.
+                let csr = Arc::new(st.analytics.graph().to_csr());
+                let epoch = st.epoch;
+                st.issued.push((epoch, Arc::downgrade(&csr)));
+                st.snapshot = Some(Arc::clone(&csr));
+                csr
+            }
         };
+        self.refresh_gauge(&mut st);
         (csr, st.epoch)
     }
 
-    /// Capture the incremental answer for `algorithm` plus the snapshot
-    /// it is consistent with, atomically under the graph lock.
+    /// Capture the incremental answer for `algorithm` plus the vertex
+    /// count and epoch it is consistent with, atomically under the graph
+    /// lock.  No CSR is materialized: nothing reads one.
     pub(crate) fn incremental(
         &self,
         name: &str,
         algorithm: Algorithm,
-    ) -> Result<(Arc<Csr>, u64, JobOutput), ServiceError> {
+    ) -> Result<(u64, u64, JobOutput), ServiceError> {
         let mut st = self.state.lock();
         let output = match algorithm {
             Algorithm::Cc => JobOutput::Labels(st.analytics.labels()),
@@ -162,8 +160,7 @@ impl DynamicGraph {
                 })
             }
         };
-        let (csr, epoch) = self.snapshot_locked(&mut st);
-        Ok((csr, epoch, output))
+        Ok((st.analytics.graph().num_vertices(), st.epoch, output))
     }
 
     /// Finish an applied batch under the held lock: bump the epoch if

@@ -45,7 +45,8 @@ impl DynGraph {
     pub fn to_csr(&self) -> Csr {
         let n = self.num_vertices();
         let mut offsets = Vec::with_capacity(n as usize + 1);
-        let mut adj = Vec::new();
+        // Every undirected edge is stored at both endpoints.
+        let mut adj = Vec::with_capacity(2 * self.num_edges as usize);
         offsets.push(0u64);
         for v in 0..n as usize {
             adj.extend_from_slice(&self.adj[v]);

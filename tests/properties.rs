@@ -221,39 +221,41 @@ proptest! {
 
     #[test]
     fn inbox_delivery_is_exactly_once(
-        sends in proptest::collection::vec((0u64..32, 0u64..1000), 0..400),
+        sends in proptest::collection::vec((0u64..200, 0u64..1000), 0..400),
         workers in 1usize..6,
+        chunk in 1usize..40,
     ) {
         use xmt_bsp_repro::bsp::transport::{MessageCollector, Transport};
         use xmt_bsp_repro::bsp::Inbox;
-        // Split sends across worker batches arbitrarily (round-robin),
-        // deposit them, and regroup the collector's view — the path the
-        // runtime's exchange takes.
-        let mut batches: Vec<Vec<(u64, u64)>> = vec![Vec::new(); workers];
-        for (i, &s) in sends.iter().enumerate() {
-            batches[i % workers].push(s);
-        }
-        let mut collector = MessageCollector::new(Transport::PerThreadOutbox, workers, 32, false);
-        for (w, batch) in batches.iter_mut().enumerate() {
-            collector.deposit_from(w, batch, None);
-        }
-        let exec = par::Executor::fixed();
-        let mut ib = Inbox::new();
-        ib.rebuild(
-            &exec,
-            32,
-            &collector.collected(),
-            None,
-            &par::WorkerScratch::new(exec.workers()),
-        );
-        prop_assert_eq!(ib.total_messages() as usize, sends.len());
-        // Every vertex's multiset of payloads matches what was sent.
-        for v in 0..32u64 {
-            let mut got: Vec<u64> = ib.messages(v).to_vec();
-            let mut want: Vec<u64> = sends.iter().filter(|&&(d, _)| d == v).map(|&(_, m)| m).collect();
-            got.sort_unstable();
-            want.sort_unstable();
-            prop_assert_eq!(got, want, "vertex {}", v);
+        // `sends` is what the sources produce, in source order.  Cut it
+        // into compute chunks, let the workers claim them round-robin,
+        // and have the last worker deposit first — arrival order is the
+        // reverse of source order — then regroup the collector's view:
+        // the path the runtime's exchange takes.
+        for transport in [Transport::PerThreadOutbox, Transport::SingleQueue, Transport::Bucketed] {
+            let mut collector = MessageCollector::new(transport, workers, 200, false);
+            let chunks: Vec<(usize, &[(u64, u64)])> =
+                sends.chunks(chunk).enumerate().map(|(i, c)| (i * chunk, c)).collect();
+            for w in (0..workers).rev() {
+                for &(start, sent) in chunks.iter().skip(w).step_by(workers) {
+                    collector.deposit_from(w, start, &mut sent.to_vec(), None);
+                }
+            }
+            let exec = par::Executor::fixed();
+            let mut ib = Inbox::new();
+            ib.rebuild(
+                &exec,
+                &collector.collected(),
+                None,
+                &par::WorkerScratch::new(exec.workers()),
+            );
+            prop_assert_eq!(ib.total_messages() as usize, sends.len());
+            // Every vertex receives exactly the payloads sent to it, in
+            // the order its sources sent them.
+            for v in 0..200u64 {
+                let want: Vec<u64> = sends.iter().filter(|&&(d, _)| d == v).map(|&(_, m)| m).collect();
+                prop_assert_eq!(ib.messages(v), &want[..], "{:?} vertex {}", transport, v);
+            }
         }
     }
 
