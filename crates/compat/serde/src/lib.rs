@@ -38,12 +38,25 @@ impl std::error::Error for DeError {}
 pub trait Serialize {
     /// Convert `self` into a content tree.
     fn to_content(&self) -> Content;
+
+    /// The tree a writer renders.  The default builds one; [`Content`]
+    /// lends itself instead of copying node by node.
+    fn as_content(&self) -> std::borrow::Cow<'_, Content> {
+        std::borrow::Cow::Owned(self.to_content())
+    }
 }
 
 /// A type reconstructible from the [`Content`] data model.
 pub trait Deserialize: Sized {
     /// Build `Self` from a content tree.
     fn from_content(c: &Content) -> Result<Self, DeError>;
+
+    /// Build `Self` from a tree the caller is done with (a parser's
+    /// output).  The default borrows; [`Content`] keeps the tree instead
+    /// of copying it node by node.
+    fn from_owned_content(c: Content) -> Result<Self, DeError> {
+        Self::from_content(&c)
+    }
 }
 
 /// Look up `name` in a [`Content::Map`] and deserialize it.
@@ -238,11 +251,19 @@ impl Serialize for Content {
     fn to_content(&self) -> Content {
         self.clone()
     }
+
+    fn as_content(&self) -> std::borrow::Cow<'_, Content> {
+        std::borrow::Cow::Borrowed(self)
+    }
 }
 
 impl Deserialize for Content {
     fn from_content(c: &Content) -> Result<Self, DeError> {
         Ok(c.clone())
+    }
+
+    fn from_owned_content(c: Content) -> Result<Self, DeError> {
+        Ok(c)
     }
 }
 

@@ -134,14 +134,14 @@ fn render(out: &mut String, c: &Content, indent: Option<usize>) {
 /// Serialize `value` to a compact JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    render(&mut out, &value.to_content(), None);
+    render(&mut out, &value.as_content(), None);
     Ok(out)
 }
 
 /// Serialize `value` to pretty-printed JSON (2-space indent).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    render(&mut out, &value.to_content(), Some(0));
+    render(&mut out, &value.as_content(), Some(0));
     Ok(out)
 }
 
@@ -168,7 +168,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
     if p.pos != p.bytes.len() {
         return Err(Error(format!("trailing characters at byte {}", p.pos)));
     }
-    T::from_content(&c).map_err(|e| Error(e.0))
+    T::from_owned_content(c).map_err(|e| Error(e.0))
 }
 
 struct Parser<'a> {

@@ -6,7 +6,11 @@
 //! atomic claim on the distance word, and winners are appended to the
 //! next-frontier queue through a shared fetch-and-add cursor (the mild
 //! hotspot responsible for the reduced scalability at 128 processors in
-//! Fig. 3).
+//! Fig. 3).  The cost model charges that cursor once per discovery, as
+//! the XMT pays it; on the host each loop chunk collects its winners in a
+//! small local buffer and reserves queue slots one flush at a time, and
+//! sums its edge probes locally — a cache line shared by every item
+//! costs a multicore more than the work it counts.
 //!
 //! Levels are direction-optimized (Beamer): when the frontier's edges
 //! outgrow the unexplored edges by `BEAMER_ALPHA`, the level flips to a
@@ -23,6 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use xmt_graph::{Csr, VertexId, NO_VERTEX};
 use xmt_model::PhaseCounts;
 use xmt_par::atomic::claim;
+use xmt_par::pfor::default_chunk;
 
 use crate::Ctx;
 
@@ -51,6 +56,48 @@ const BEAMER_ALPHA: f64 = 15.0;
 /// Beamer bottom-up→top-down switch ratio (GAP default), mirroring
 /// `BspConfig::beamer_beta`.
 const BEAMER_BETA: f64 = 18.0;
+
+/// Discoveries a loop chunk buffers before reserving queue slots.
+const FLUSH: usize = 64;
+
+/// One loop chunk's discoveries on their way to the next-frontier queue.
+struct Discovered<'a> {
+    buf: [VertexId; FLUSH],
+    len: usize,
+    cursor: &'a AtomicU64,
+    next: &'a [AtomicU64],
+}
+
+impl<'a> Discovered<'a> {
+    fn new(cursor: &'a AtomicU64, next: &'a [AtomicU64]) -> Self {
+        Discovered {
+            buf: [0; FLUSH],
+            len: 0,
+            cursor,
+            next,
+        }
+    }
+
+    fn push(&mut self, v: VertexId) {
+        if self.len == FLUSH {
+            self.flush();
+        }
+        self.buf[self.len] = v;
+        self.len += 1;
+    }
+
+    /// Append the buffered vertices to the queue, in order; a chunk ends
+    /// with one call.
+    fn flush(&mut self) {
+        // Relaxed: slot reservation only — the slots are disjoint and
+        // the level-ending join publishes cursor and queue together.
+        let base = self.cursor.fetch_add(self.len as u64, Ordering::Relaxed) as usize;
+        for (slot, &v) in self.next[base..].iter().zip(&self.buf[..self.len]) {
+            slot.store(v, Ordering::Relaxed); // Relaxed: read post-join
+        }
+        self.len = 0;
+    }
+}
 
 /// [`bfs`] under an explicit [`Ctx`].
 ///
@@ -83,10 +130,10 @@ pub fn bfs_with(g: &Csr, source: VertexId, ctx: &mut Ctx<'_>) -> BfsResult {
         r.push("init", 0, c, 0);
     }
 
-    // Relaxed: sequential code — the pool has not been handed these
-    // arrays yet; the broadcast that starts the level publishes them.
+    // Relaxed: sequential code — no loop has been handed these arrays
+    // yet; the fork that starts the level publishes them.
     dist[source as usize].store(0, Ordering::Relaxed);
-    parent[source as usize].store(source, Ordering::Relaxed); // Relaxed: pre-broadcast
+    parent[source as usize].store(source, Ordering::Relaxed); // Relaxed: pre-fork
 
     // Frontier buffer sized for the worst case (every vertex discovered
     // in one level) so the per-level refill below never reallocates —
@@ -146,53 +193,58 @@ pub fn bfs_with(g: &Csr, source: VertexId, ctx: &mut Ctx<'_>) -> BfsResult {
             // neighbors against the bitmap and claims itself at the
             // first hit — no dist race (each vertex is written only by
             // its own iteration) and one queue append per discovery.
-            exec.pfor(0, n, |vi| {
-                // Relaxed: dist writes preceded the previous level's
-                // join; this level writes vi's slot only from here.
-                if dist[vi].load(Ordering::Relaxed) != u64::MAX {
-                    return;
-                }
-                let v = vi as u64;
+            exec.pfor_chunked(0, n, default_chunk(n, workers), |_, range| {
+                let mut found = Discovered::new(&cursor, next);
                 let mut probes = 0u64;
-                for &u in g.neighbors(v) {
-                    probes += 1;
-                    let word = u as usize >> 6;
-                    // Relaxed: the bitmap was published by the build join.
-                    let hit = frontier_bits[word].load(Ordering::Relaxed) >> (u & 63) & 1;
-                    if hit == 1 {
-                        // This iteration is the sole writer of vi's
-                        // dist/parent; the level-ending join publishes.
-                        dist[vi].store(level + 1, Ordering::Relaxed); // Relaxed: sole writer
-                        parent[vi].store(u, Ordering::Relaxed); // Relaxed: sole writer
-                        let slot = cursor.fetch_add(1, Ordering::Relaxed) as usize; // Relaxed: slot reservation only
-                        next[slot].store(v, Ordering::Relaxed); // Relaxed: read post-join
-                        break;
+                for vi in range {
+                    // Relaxed: dist writes preceded the previous level's
+                    // join; this level writes vi's slot only from here.
+                    if dist[vi].load(Ordering::Relaxed) != u64::MAX {
+                        continue;
+                    }
+                    for &u in g.neighbors(vi as u64) {
+                        probes += 1;
+                        let word = u as usize >> 6;
+                        // Relaxed: the bitmap was published by the build join.
+                        let hit = frontier_bits[word].load(Ordering::Relaxed) >> (u & 63) & 1;
+                        if hit == 1 {
+                            // This iteration is the sole writer of vi's
+                            // dist/parent; the level-ending join publishes.
+                            dist[vi].store(level + 1, Ordering::Relaxed); // Relaxed: sole writer
+                            parent[vi].store(u, Ordering::Relaxed); // Relaxed: sole writer
+                            found.push(vi as u64);
+                            break;
+                        }
                     }
                 }
-                if probes > 0 {
-                    // Relaxed: statistics counter, read after the join.
-                    edges_scanned.fetch_add(probes, Ordering::Relaxed);
-                }
+                found.flush();
+                // Relaxed: statistics counter, read after the join.
+                edges_scanned.fetch_add(probes, Ordering::Relaxed);
             });
         } else {
             let frontier_ref = &frontier;
-            exec.pfor(0, frontier_ref.len(), |i| {
-                let v = frontier_ref[i];
+            let chunk = default_chunk(frontier_ref.len(), workers);
+            exec.pfor_chunked(0, frontier_ref.len(), chunk, |_, range| {
+                let mut found = Discovered::new(&cursor, next);
+                let mut scanned = 0u64;
                 let d = level + 1;
-                let nbrs = g.neighbors(v);
-                // Relaxed: statistics counter, read after the join.
-                edges_scanned.fetch_add(nbrs.len() as u64, Ordering::Relaxed);
-                for &u in nbrs {
-                    // Claim the distance word: exactly one discoverer wins.
-                    if claim(&dist[u as usize], u64::MAX, d) {
-                        // Relaxed: the claim above made this thread the
-                        // sole writer of u's parent and queue slot; the
-                        // level-ending join publishes both.
-                        parent[u as usize].store(v, Ordering::Relaxed);
-                        let slot = cursor.fetch_add(1, Ordering::Relaxed) as usize; // Relaxed: slot reservation only
-                        next[slot].store(u, Ordering::Relaxed); // Relaxed: read post-join
+                for &v in &frontier_ref[range] {
+                    let nbrs = g.neighbors(v);
+                    scanned += nbrs.len() as u64;
+                    for &u in nbrs {
+                        // Claim the distance word: exactly one discoverer wins.
+                        if claim(&dist[u as usize], u64::MAX, d) {
+                            // Relaxed: the claim above made this thread the
+                            // sole writer of u's parent; the level-ending
+                            // join publishes it.
+                            parent[u as usize].store(v, Ordering::Relaxed);
+                            found.push(u);
+                        }
                     }
                 }
+                found.flush();
+                // Relaxed: statistics counter, read after the join.
+                edges_scanned.fetch_add(scanned, Ordering::Relaxed);
             });
         }
 
@@ -284,7 +336,7 @@ pub fn bfs_with(g: &Csr, source: VertexId, ctx: &mut Ctx<'_>) -> BfsResult {
 }
 
 fn chunk(n: usize, workers: usize) -> u64 {
-    xmt_par::pfor::default_chunk(n.max(1), workers) as u64
+    default_chunk(n.max(1), workers) as u64
 }
 
 #[cfg(test)]

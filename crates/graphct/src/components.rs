@@ -18,6 +18,7 @@ use xmt_graph::{Csr, VertexId};
 use xmt_model::{PhaseCounts, Recorder};
 use xmt_par::atomic::fetch_min;
 use xmt_par::parallel_for;
+use xmt_par::pfor::default_chunk;
 
 use crate::Ctx;
 
@@ -65,47 +66,56 @@ pub fn connected_components_with(g: &Csr, ctx: &mut Ctx<'_>) -> Vec<VertexId> {
         // Hook: for every arc (u, v) pull the smaller label across.
         // Updated labels are read by later arcs in the SAME sweep —
         // the label-propagation behaviour the paper highlights.
-        exec.pfor(0, n, |v| {
-            // Relaxed (all label loads in this sweep): deliberately racy
-            // reads of a monotonically decreasing label array — a stale
-            // value can only delay convergence, never corrupt it, and
-            // the fixpoint loop re-checks until no sweep changes a label.
-            let lv = labels[v].load(Ordering::Relaxed);
-            for &u in g.neighbors(v as u64) {
-                let lu = labels[u as usize].load(Ordering::Relaxed); // Relaxed: monotone label race, see above
-                if lu < lv {
-                    if fetch_min(&labels[v], lu) {
-                        // Relaxed: convergence counter, read post-join.
-                        changed.fetch_add(1, Ordering::Relaxed);
+        // Both sweeps count per loop chunk and add once per chunk: a
+        // counter line shared by every vertex costs more than the sweep.
+        let sweep_chunk = default_chunk(n, workers);
+        exec.pfor_chunked(0, n, sweep_chunk, |_, range| {
+            let mut updates = 0u64;
+            for v in range {
+                // Relaxed (all label loads in this sweep): deliberately racy
+                // reads of a monotonically decreasing label array — a stale
+                // value can only delay convergence, never corrupt it, and
+                // the fixpoint loop re-checks until no sweep changes a label.
+                let lv = labels[v].load(Ordering::Relaxed);
+                for &u in g.neighbors(v as u64) {
+                    let lu = labels[u as usize].load(Ordering::Relaxed); // Relaxed: monotone label race, see above
+                    if lu < lv {
+                        updates += fetch_min(&labels[v], lu) as u64;
+                    } else if lv < lu {
+                        updates += fetch_min(&labels[u as usize], lv) as u64;
                     }
-                } else if lv < lu && fetch_min(&labels[u as usize], lv) {
-                    changed.fetch_add(1, Ordering::Relaxed); // Relaxed: counter, read post-join
                 }
             }
+            // Relaxed: convergence counter, read post-join.
+            changed.fetch_add(updates, Ordering::Relaxed);
         });
 
         let hook_ns = sweep_watch.as_mut().map_or(0, xmt_trace::Stopwatch::lap_ns);
 
         // Compress: pointer-jump labels to their representative.
         let jumps = AtomicU64::new(0);
-        exec.pfor(0, n, |v| {
-            // Relaxed: same monotone-label argument as the hook sweep —
-            // stale reads chase a shorter chain, the next sweep retries.
-            let mut l = labels[v].load(Ordering::Relaxed);
-            let mut hops = 0u64;
-            loop {
-                let ll = labels[l as usize].load(Ordering::Relaxed); // Relaxed: monotone label race
-                if ll == l {
-                    break;
+        exec.pfor_chunked(0, n, sweep_chunk, |_, range| {
+            let mut chunk_hops = 0u64;
+            for v in range {
+                // Relaxed: same monotone-label argument as the hook sweep —
+                // stale reads chase a shorter chain, the next sweep retries.
+                let mut l = labels[v].load(Ordering::Relaxed);
+                let mut hops = 0u64;
+                loop {
+                    let ll = labels[l as usize].load(Ordering::Relaxed); // Relaxed: monotone label race
+                    if ll == l {
+                        break;
+                    }
+                    l = ll;
+                    hops += 1;
                 }
-                l = ll;
-                hops += 1;
+                if hops > 0 {
+                    // Relaxed: only ever lowers the label; read post-join.
+                    labels[v].store(l, Ordering::Relaxed);
+                    chunk_hops += hops;
+                }
             }
-            if hops > 0 {
-                // Relaxed: only ever lowers the label; read post-join.
-                labels[v].store(l, Ordering::Relaxed);
-                jumps.fetch_add(hops, Ordering::Relaxed); // Relaxed: stats, read post-join
-            }
+            jumps.fetch_add(chunk_hops, Ordering::Relaxed); // Relaxed: stats, read post-join
         });
 
         // Relaxed: both sweeps joined above; all counter updates
@@ -228,7 +238,7 @@ pub fn connected_components_jacobi(g: &Csr, mut rec: Option<&mut Recorder>) -> V
 }
 
 fn chunk(n: usize, workers: usize) -> u64 {
-    xmt_par::pfor::default_chunk(n, workers) as u64
+    default_chunk(n, workers) as u64
 }
 
 /// Number of distinct components in a labeling.

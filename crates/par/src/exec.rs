@@ -14,6 +14,13 @@
 //! functions [`crate::parallel_for`] / [`crate::parallel_for_chunked`]:
 //! same pool, same chunking, same claim order — existing callers that
 //! migrate onto the seam observe no change.
+//!
+//! Under either schedule the thread that calls `pfor` is worker 0 of the
+//! loop and the pool's helpers join it while chunks remain (see
+//! [`crate::pool`]); [`Executor::workers`] is therefore the *most*
+//! worker ids a loop can see, not a promise that all of them run.  Size
+//! per-worker scratch by it, never wait inside a loop body for another
+//! worker id to show up.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -105,7 +112,8 @@ impl Executor {
         }
     }
 
-    /// Number of workers in this executor's pool.
+    /// Number of workers in this executor's pool: loop bodies see worker
+    /// ids in `0..workers()`.
     pub fn workers(&self) -> usize {
         self.pool().num_workers()
     }

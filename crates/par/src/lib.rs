@@ -11,8 +11,10 @@
 //!
 //! Provided primitives:
 //!
-//! * [`Pool`] — a persistent worker pool; [`global`] returns the
-//!   process-wide instance.
+//! * [`Pool`] — a caller-runs fork-join pool: the thread that starts a
+//!   loop works on it as worker 0 and persistent helpers join while it
+//!   lasts; a pool that is already busy runs a second loop on its caller
+//!   alone.  [`global`] returns the process-wide instance.
 //! * [`parallel_for`] / [`parallel_for_chunked`] — dynamically chunked
 //!   loop parallelism over an index range (the XMT compiler's `#pragma mta
 //!   assert parallel` analogue).

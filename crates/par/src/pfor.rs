@@ -7,6 +7,13 @@
 //! `fetch_add` and executes the body for every index in the chunk.  This
 //! gives the same dynamic load balance the paper relies on for skewed
 //! degree distributions.
+//!
+//! The cursor is also what makes the pool's contract enough: the calling
+//! thread claims chunks as worker 0 from the first instruction, helpers
+//! claim from the same cursor if and when they join, and whoever is
+//! there drains the range — a loop is complete when its caller finds the
+//! cursor past the end and the helpers that joined have left, however
+//! many that was.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -65,7 +72,7 @@ where
     }
     let chunk = chunk.max(1);
     let n = end - start;
-    // Small trip counts: run inline to skip broadcast overhead.
+    // One chunk: nothing to share, skip the pool.
     if n <= chunk {
         body(0, start..end);
         return;
@@ -101,7 +108,7 @@ where
     }
     let min_chunk = min_chunk.max(1);
     let n = end - start;
-    // Small trip counts: run inline to skip broadcast overhead.
+    // One chunk: nothing to share, skip the pool.
     if n <= min_chunk {
         body(0, start..end);
         return;

@@ -7,11 +7,17 @@
 //! to their high-water mark and are then reused.
 //!
 //! The soundness contract mirrors [`parallel_for_chunked`]'s worker-id
-//! guarantee: within one parallel region, at most one thread runs under
-//! any given worker id (the pool has one thread per id, and the inline
-//! small-`n` path runs everything as worker 0 on the submitting thread).
-//! [`WorkerScratch::get`] leans on exactly that to give each worker `&mut`
-//! access to its own slot through a shared reference.
+//! guarantee: within one parallel region — one `parallel_for*` call — at
+//! most one thread runs under any given worker id.  The calling thread
+//! is worker 0; helper `k` of the pool is the only thread that ever runs
+//! as worker `k`, and it joins at most one region at a time; a region
+//! that finds the pool busy, or is too small to fork, runs wholly on its
+//! caller as worker 0.  [`WorkerScratch::get`] leans on exactly that to
+//! give each worker `&mut` access to its own slot through a shared
+//! reference.  A region is the unit: a loop nested in a loop body (or
+//! started by another thread) is a region of its own whose worker 0 is a
+//! different thread, so a scratch must not be shared between a region
+//! and one nested in it or running beside it.
 //!
 //! [`parallel_for_chunked`]: crate::pfor::parallel_for_chunked
 
@@ -67,10 +73,10 @@ impl<T> WorkerScratch<T> {
     ///
     /// # Safety
     /// Within the region where the returned borrow is alive, no other
-    /// call to `get` with the same `worker` id may be made (in
-    /// `parallel_for_chunked` bodies this holds because the pool runs at
-    /// most one thread per worker id), and no `&mut self` method may be
-    /// called concurrently.
+    /// call to `get` with the same `worker` id may be made (in the body
+    /// of one `parallel_for_chunked` call this holds because a region
+    /// runs at most one thread per worker id), and no `&mut self` method
+    /// may be called concurrently.
     #[allow(clippy::mut_from_ref)]
     // SAFETY: the `# Safety` contract above — disjoint `worker` ids and
     // no concurrent `&mut self` — makes the UnsafeCell access unique.
@@ -120,7 +126,7 @@ mod tests {
         let workers = crate::num_threads();
         let scratch: WorkerScratch<Vec<u64>> = WorkerScratch::new(workers);
         parallel_for_chunked(0, 10_000, 16, |worker, range| {
-            // SAFETY: parallel_for_chunked runs one thread per worker id.
+            // SAFETY: one region, so at most one thread per worker id.
             let slot = unsafe { scratch.get(worker) };
             for i in range {
                 slot.push(i as u64);

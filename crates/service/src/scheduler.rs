@@ -670,6 +670,8 @@ fn run_one(shared: &Shared, id: JobId) -> bool {
             supersteps: 0,
         })),
         (None, Some(graph)) => catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
+            tests::inject_fault(&spec);
             execute(&spec, graph, resume_from, resume_frame, &stop, &mut sink)
         })),
         (None, None) => Ok(Err(ServiceError::Internal {
@@ -775,6 +777,22 @@ mod tests {
             config,
             priority: 0,
             deadline_ms: None,
+        }
+    }
+
+    /// Graph name that makes [`inject_fault`] fail the job.
+    const FAULTY: &str = "fault: panic inside a pool loop";
+
+    /// Test-only fault injection, called by `run_one` where the engine
+    /// runs: a panic raised inside a parallel loop on the global pool,
+    /// by whichever worker claims the chosen index.
+    pub(super) fn inject_fault(spec: &JobSpec) {
+        if spec.graph == FAULTY {
+            xmt_par::parallel_for(0, 1 << 12, |i| {
+                if i == 4000 {
+                    panic!("injected job failure");
+                }
+            });
         }
     }
 
@@ -976,6 +994,33 @@ mod tests {
 
         // The same worker still serves new jobs.
         let small = Arc::new(build_undirected(&path(64)));
+        let id2 = sched.submit(spec("small"), small, None, None).unwrap();
+        let snap = wait_terminal(&sched, id2);
+        assert_eq!(snap.state, JobState::Completed);
+        sched.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_job_fails_typed_and_the_next_job_completes() {
+        let sched = Scheduler::new(SchedulerConfig {
+            workers: 1,
+            queue_capacity: 8,
+        });
+        let small = Arc::new(build_undirected(&path(64)));
+        let id = sched
+            .submit(spec(FAULTY), Arc::clone(&small), None, None)
+            .unwrap();
+        let snap = wait_terminal(&sched, id);
+        assert_eq!(snap.state, JobState::Failed);
+        match sched.output(id) {
+            Err(err @ ServiceError::Internal { .. }) => {
+                assert_eq!(err.code(), "internal");
+                assert!(err.to_string().contains("panic:"), "{err}");
+            }
+            other => panic!("expected an internal error, got {other:?}"),
+        }
+
+        // The same worker, and the same global pool, serve the next job.
         let id2 = sched.submit(spec("small"), small, None, None).unwrap();
         let snap = wait_terminal(&sched, id2);
         assert_eq!(snap.state, JobState::Completed);
