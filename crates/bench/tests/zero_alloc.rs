@@ -19,7 +19,12 @@
 //! - connected components on the default transport, both executors;
 //! - BFS under Beamer `Delivery::Auto` on both executors: the direction
 //!   decision (claim pass, frontier-edge estimate, dense visited
-//!   bitmap) must ride the frame's retained buffers.
+//!   bitmap) must ride the frame's retained buffers;
+//! - triangle counting on the default transport, both executors: its
+//!   run has three cuttable boundaries, and the window between them
+//!   holds the candidate superstep (a chunk's sends leave in several
+//!   deposits, each a row of the lane's deposit table) and the
+//!   wedge-closing one (the frame's per-worker mark arrays).
 //!
 //! Built `harness = false` (plain `main`): libtest allocates between
 //! callbacks, which would pollute the measurement windows.  Without
@@ -32,6 +37,7 @@ use xmt_bench::alloc_count;
 use xmt_bench::{build_paper_graph, pick_bfs_source, HarnessConfig};
 use xmt_bsp::algorithms::bfs::BfsProgram;
 use xmt_bsp::algorithms::components::CcProgram;
+use xmt_bsp::algorithms::triangles::TcProgram;
 use xmt_bsp::program::VertexProgram;
 use xmt_bsp::{run, BspConfig, Delivery, RunOptions, SuperstepFrame, Transport};
 use xmt_par::Executor;
@@ -52,6 +58,10 @@ const SKIP_PULL: usize = 2;
 /// twice.  Skipping three snapshots therefore starts the window at
 /// boundary 1's last poll at the earliest, covering superstep >= 2 only.
 const SKIP_AUTO: usize = 3;
+/// Triangle counting quiesces after four supersteps and polls once at
+/// each of boundaries 1, 2 and 3: the window is all three snapshots, the
+/// whole of supersteps 1 and 2.
+const SKIP_TC: usize = 0;
 
 fn main() {
     // Pin the pool to one worker (unless the caller overrides) before
@@ -159,9 +169,22 @@ fn main() {
         &native,
     );
 
-    // Triangle counting: on a prebuilt DAG view with a warmed scratch
-    // pool, a hash-marking sweep is a single parallel region with no
-    // boundaries to snapshot — gate the whole call instead.
+    // The BSP triangle program: no combiner, so every candidate is
+    // grouped into the inbox, and the one program that uses the frame's
+    // mark arrays.
+    gate(&g, &TcProgram, outbox, SKIP_TC, "tc/outbox/push", &sim);
+    gate(
+        &g,
+        &TcProgram,
+        outbox,
+        SKIP_TC,
+        "tc/outbox/push/native",
+        &native,
+    );
+
+    // GraphCT triangle counting: on a prebuilt DAG view with a warmed
+    // scratch pool, a hash-marking sweep is a single parallel region with
+    // no boundaries to snapshot — gate the whole call instead.
     gate_tc(&g, &sim, "tc/dag+hash");
     gate_tc(&g, &native, "tc/dag+hash/native");
 

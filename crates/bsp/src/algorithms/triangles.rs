@@ -19,6 +19,17 @@
 //! the superstep-1 candidate volume by an order of magnitude (the
 //! wire-visible drop in Fig. 4) while leaving the count — and the
 //! seed-message invariant (one message per edge) — unchanged.
+//!
+//! The messages are the algorithm; the host work around them is kept
+//! proportional to them.  Superstep 1 enumerates *destination-major*:
+//! one rank test per neighbor (Σ deg(v), not Σ |msgs(v)|·deg(v)), and
+//! each higher-ranked neighbor is forwarded every seed in inbox order,
+//! so superstep 2's inboxes are what a seed-major loop delivers.
+//! Superstep 2 stamps the adjacency into the worker's mark array
+//! ([`Context::marks`]) once and answers each candidate with one load —
+//! while the model is charged the paper's machine: `⌊log₂ deg⌋ + 1`
+//! reads and ALU operations *per candidate*, the membership probe a
+//! cacheless Threadstorm processor would make on the sorted adjacency.
 
 use xmt_graph::{Csr, VertexId};
 use xmt_model::Recorder;
@@ -30,12 +41,12 @@ use crate::runtime::{run_bsp, BspConfig, BspResult};
 /// to this vertex (as the lowest-degree-ordered corner).
 pub struct TcProgram;
 
-/// `true` iff `a` precedes `b` in the `(degree, id)` rank — the total
-/// order the program enumerates triangles in.  One degree lookup per
-/// operand; callers charge the reads.
+/// `true` iff a vertex of degree `dv` and id `v` precedes `n` in the
+/// `(degree, id)` rank — the total order the program enumerates
+/// triangles in.  One degree lookup; callers charge the read.
 #[inline]
-fn rank_before<M: Copy>(ctx: &Context<'_, M>, a: VertexId, b: VertexId) -> bool {
-    (ctx.degree_of(a), a) < (ctx.degree_of(b), b)
+fn ranks_below<M: Copy>(ctx: &Context<'_, M>, dv: u64, v: VertexId, n: VertexId) -> bool {
+    (dv, v) < (ctx.degree_of(n), n)
 }
 
 impl VertexProgram for TcProgram {
@@ -47,30 +58,28 @@ impl VertexProgram for TcProgram {
     }
 
     fn compute(&self, ctx: &mut Context<'_, VertexId>, count: &mut u64, msgs: &[VertexId]) {
-        let v = ctx.vertex();
+        let (v, dv) = (ctx.vertex(), ctx.degree());
+        let nbrs = ctx.neighbors();
         match ctx.superstep() {
             // Lines 1-4: seed the wedges (one message per edge, sent from
             // the lower-ranked endpoint).
             0 => {
-                let nbrs = ctx.neighbors();
                 // One offsets read per neighbor-degree lookup.
                 ctx.charge_reads(nbrs.len() as u64);
                 for &n in nbrs {
-                    if rank_before(ctx, v, n) {
+                    if ranks_below(ctx, dv, v, n) {
                         ctx.send_to(n, v);
                     }
                 }
             }
             // Lines 5-9: enumerate possible triangles rank(m) < rank(v)
-            // < rank(n).  Pruning by degree rank is what keeps hubs from
-            // fanning out candidate pairs.
+            // < rank(n), destination-major.  Pruning by degree rank is
+            // what keeps hubs from fanning out candidate pairs.
             1 => {
-                let nbrs = ctx.neighbors();
                 ctx.charge_reads(nbrs.len() as u64);
-                for &m in msgs {
-                    debug_assert!(rank_before(ctx, m, v));
-                    for &n in nbrs {
-                        if rank_before(ctx, v, n) {
+                for &n in nbrs {
+                    if ranks_below(ctx, dv, v, n) {
+                        for &m in msgs {
                             ctx.send_to(n, m);
                         }
                     }
@@ -78,13 +87,13 @@ impl VertexProgram for TcProgram {
             }
             // Lines 10-13: close the wedge — m is a neighbor ⇒ triangle.
             2 => {
-                let nbrs = ctx.neighbors();
+                // Charged: a probe of the sorted adjacency per candidate.
+                let probes = (nbrs.len().max(1)).ilog2() as u64 + 1;
+                ctx.charge_reads(probes * msgs.len() as u64);
+                ctx.charge_alu(probes * msgs.len() as u64);
+                let window = ctx.marks().mark(nbrs);
                 for &m in msgs {
-                    // Membership probe on the sorted adjacency.
-                    let probes = (nbrs.len().max(1)).ilog2() as u64 + 1;
-                    ctx.charge_reads(probes);
-                    ctx.charge_alu(probes);
-                    if nbrs.binary_search(&m).is_ok() {
+                    if ctx.marks().is_marked(m, window) {
                         ctx.send_to(m, m);
                     }
                 }

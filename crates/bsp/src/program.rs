@@ -1,6 +1,7 @@
 //! The vertex-program abstraction (Pregel's `Compute()` API).
 
 use xmt_graph::{Csr, VertexId};
+use xmt_par::MarkScratch;
 
 /// Optional message combiner (Pregel §3.2): folds messages addressed to
 /// the same vertex into one.  Must be commutative and associative.
@@ -145,6 +146,7 @@ pub struct Context<'a, M> {
     pub(crate) superstep: u64,
     pub(crate) vertex: VertexId,
     pub(crate) outbox: &'a mut Vec<(VertexId, M)>,
+    pub(crate) marks: &'a mut MarkScratch,
     pub(crate) halt: bool,
     pub(crate) agg_u64: u64,
     pub(crate) agg_f64: f64,
@@ -189,6 +191,13 @@ impl<'a, M: Copy> Context<'a, M> {
     /// candidate pruning in triangle counting.
     pub fn degree_of(&self, u: VertexId) -> u64 {
         self.graph.degree(u)
+    }
+
+    /// The worker's mark array, sized for the graph: stamp a vertex set
+    /// once, then answer each membership question with one load.  What
+    /// the simulated machine would pay is the caller's to charge.
+    pub fn marks(&mut self) -> &mut MarkScratch {
+        self.marks
     }
 
     /// Send `msg` to an arbitrary vertex, delivered next superstep.
@@ -267,6 +276,8 @@ mod tests {
             superstep: 3,
             vertex: v,
             outbox,
+            // Leaked: a test context has no frame to borrow one from.
+            marks: Box::leak(Box::default()),
             halt: false,
             agg_u64: 0,
             agg_f64: 0.0,

@@ -13,6 +13,14 @@ use super::frame::{bit, SuperstepFrame};
 use super::{chunk_for, Run};
 use crate::program::{Context, VertexProgram};
 
+/// Sends a worker's outbox may hold before the chunk deposits them
+/// (256 KiB of 16-byte `(dst, msg)` pairs).  The partition should read
+/// the outbox from cache (2 MiB of L2 here), and every deposit is one
+/// more row of the lane's deposit table for the receiving side to walk.
+/// Picked by measurement (EXPERIMENTS.md, "Triangle counting at message
+/// cost"; DESIGN.md §17 says why order holds).
+const DEPOSIT_HIGH_WATER: usize = 1 << 14;
+
 /// Superstep "-1": every vertex's initial state, charged as `init`.
 pub(super) fn init_states<P: VertexProgram>(
     n: usize,
@@ -78,6 +86,7 @@ impl<P: VertexProgram> Run<'_, P> {
             agg_f64,
             outbox: outbox_scratch,
             awake: awake_scratch,
+            marks: marks_scratch,
             ..
         } = &mut *self.frame;
         // The aggregator's integer half is exact in any order; the float
@@ -119,8 +128,11 @@ impl<P: VertexProgram> Run<'_, P> {
             let collector_ref = &*collector;
             let outbox_ref = &*outbox_scratch;
             let awake_ref = &*awake_scratch;
+            let marks_ref = &*marks_scratch;
             let exec = self.exec;
-            let chunk = if collector_ref.combines_at_sender() {
+            // What sender-side combining ships is defined per chunk.
+            let one_deposit = collector_ref.combines_at_sender();
+            let chunk = if one_deposit {
                 // One chunk per worker — the static schedule that
                 // per-worker combining models — under either executor,
                 // so what ships does not depend on who claims what.
@@ -135,6 +147,8 @@ impl<P: VertexProgram> Run<'_, P> {
                 let outbox = unsafe { outbox_ref.get(worker) };
                 // SAFETY: same single-thread-per-worker-id contract.
                 let local_awake = unsafe { awake_ref.get(worker) };
+                // SAFETY: same single-thread-per-worker-id contract.
+                let marks = unsafe { marks_ref.get(worker) };
                 let chunk_start = range.start;
                 let mut local_agg = 0u64;
                 let mut local_delivered = 0u64;
@@ -160,6 +174,7 @@ impl<P: VertexProgram> Run<'_, P> {
                         superstep: s,
                         vertex: v,
                         outbox: &mut *outbox,
+                        marks: &mut *marks,
                         halt: false,
                         agg_u64: 0,
                         agg_f64: 0.0,
@@ -204,6 +219,11 @@ impl<P: VertexProgram> Run<'_, P> {
                     unsafe { (agg_f64_base as *mut f64).add(i).write(ctx.agg_f64) };
                     local_extra.0 += ctx.extra_reads;
                     local_extra.1 += ctx.extra_alu;
+                    // Deposit while the sends are still in cache; the
+                    // chunk's later deposits follow in this same lane.
+                    if outbox.len() >= DEPOSIT_HIGH_WATER && !one_deposit {
+                        collector_ref.deposit_from(worker, chunk_start, outbox, program.combiner());
+                    }
                 }
                 // Relaxed (all six below): pure accumulators whose totals
                 // are read only after the parallel_for join.

@@ -1,7 +1,7 @@
 //! Reusable storage for the superstep loop.
 
 use xmt_graph::VertexId;
-use xmt_par::WorkerScratch;
+use xmt_par::{MarkScratch, WorkerScratch};
 
 use crate::inbox::Inbox;
 use crate::transport::{MessageCollector, Transport};
@@ -58,6 +58,9 @@ pub struct SuperstepFrame<S, M> {
     pub(super) awake: WorkerScratch<Vec<VertexId>>,
     /// Per-worker bucket-cursor scratch for the uncombined inbox rebuild.
     pub(super) bucket_cursors: WorkerScratch<Vec<u64>>,
+    /// Per-worker mark array over the run's vertices, lent to `compute`
+    /// through [`Context::marks`](crate::program::Context::marks).
+    pub(super) marks: WorkerScratch<MarkScratch>,
 }
 
 impl<S, M: Copy + Send + Sync> SuperstepFrame<S, M> {
@@ -76,6 +79,7 @@ impl<S, M: Copy + Send + Sync> SuperstepFrame<S, M> {
             outbox: WorkerScratch::new(1),
             awake: WorkerScratch::new(1),
             bucket_cursors: WorkerScratch::new(1),
+            marks: WorkerScratch::new(1),
         }
     }
 
@@ -101,6 +105,11 @@ impl<S, M: Copy + Send + Sync> SuperstepFrame<S, M> {
             self.outbox = WorkerScratch::new(workers);
             self.awake = WorkerScratch::new(workers);
             self.bucket_cursors = WorkerScratch::new(workers);
+            self.marks = WorkerScratch::new(workers);
+        }
+        // Pages of a mark array no program stamps are never touched.
+        for marks in self.marks.iter_mut() {
+            marks.ensure(n);
         }
         // The live/spare inboxes serve alternating supersteps, so each
         // buffer's high-water mark tracks only its own parity class; a

@@ -23,7 +23,8 @@
 //!   O(active vertices) messages across the boundary instead of
 //!   O(edges).
 //!
-//! Every deposit records the position of its chunk in the active list.
+//! Every deposit records the position of its chunk in the active list; a
+//! chunk may leave in several deposits, all at that position.
 //! The receiving side ([`Inbox::rebuild`](crate::Inbox::rebuild)) gives
 //! each bucket to exactly one task, which walks that bucket's deposits
 //! in ascending chunk position with plain loads and stores.  The active
@@ -308,8 +309,9 @@ impl<M: Copy + Send> MessageCollector<M> {
         self.generated.store(0, Ordering::Relaxed); // Relaxed: as above.
     }
 
-    /// Deposit the sends of the compute chunk that starts at position
-    /// `chunk_start` of the active list, draining `batch` but leaving
+    /// Deposit sends of the compute chunk that starts at position
+    /// `chunk_start` of the active list — all of them, or the next part
+    /// when the chunk deposits as it goes — draining `batch` but leaving
     /// its capacity with the caller for reuse.
     ///
     /// The batch is radix-partitioned by destination range into the
@@ -423,8 +425,10 @@ impl<M: Copy + Send> MessageCollector<M> {
         }
         // Workers claim chunks in ascending position, so each lane's rows
         // are already sorted and this only merges the lanes.  In place,
-        // no allocation; equal positions (callers that deposit without
-        // one) fall back to lane, then deposit order.
+        // no allocation.  A chunk that passes the deposit high-water mark
+        // leaves in several deposits at its one position: one worker made
+        // them all, into one lane, so ordering equal positions by lane,
+        // then row, keeps them in the order they were made.
         self.order.sort_unstable();
         Collected {
             num_vertices: self.num_vertices,
@@ -575,13 +579,15 @@ mod tests {
     #[test]
     fn deposits_are_walked_in_chunk_order_not_arrival_order() {
         // Worker 1 claimed the earlier chunks but deposits between worker
-        // 0's; the single queue sees the same arrivals through its lock.
+        // 0's, its second chunk in two parts; the single queue sees the
+        // same arrivals through its lock.
         for transport in [Transport::PerThreadOutbox, Transport::SingleQueue] {
             let mut mc: MessageCollector<u64> = MessageCollector::new(transport, 2, 100, false);
             mc.deposit_from(0, 32, &mut vec![(7, 3), (70, 30)], None);
             mc.deposit_from(1, 0, &mut vec![(7, 1)], None);
+            mc.deposit_from(1, 16, &mut vec![(7, 2)], None);
             mc.deposit_from(0, 48, &mut vec![(7, 4)], None);
-            mc.deposit_from(1, 16, &mut vec![(7, 2), (7, 22)], None);
+            mc.deposit_from(1, 16, &mut vec![(7, 22)], None);
             let bucket_of_7: Vec<_> = deposits(&mut mc, 0)
                 .into_iter()
                 .flatten()

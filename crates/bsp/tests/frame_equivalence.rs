@@ -10,10 +10,16 @@
 //! the same frame*, requiring the stitched run to match an
 //! uninterrupted one.
 //!
-//! The last two cases pin the exchange's ordering guarantee (DESIGN.md
+//! The PageRank cases pin the exchange's ordering guarantee (DESIGN.md
 //! §17) on the one program whose results can show a fold order: PageRank
 //! must come out bit-identical on explicit pools of 1, 2, 4 and 8
-//! workers under both schedules, and across a checkpoint cut.
+//! workers under both schedules, across a checkpoint cut, and on a graph
+//! whose compute chunks deposit more than once.
+//!
+//! The triangle cases cover the one uncombined program — every message
+//! reaches `compute`, so its per-vertex counts and per-superstep message
+//! totals show a lost, doubled or misrouted deposit directly — over
+//! pools × schedules × transports × active sets and a cut + resume.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,10 +27,12 @@ use std::sync::Arc;
 use xmt_bsp::algorithms::bfs::BfsProgram;
 use xmt_bsp::algorithms::components::CcProgram;
 use xmt_bsp::algorithms::pagerank::PagerankProgram;
+use xmt_bsp::algorithms::triangles::TcProgram;
 use xmt_bsp::program::VertexProgram;
 use xmt_bsp::{run, ActiveSetStrategy, BspConfig, Delivery, RunOptions, SuperstepFrame, Transport};
 use xmt_graph::builder::build_undirected;
 use xmt_graph::gen::rmat::{rmat_edges, RmatParams};
+use xmt_graph::validate::reference_triangles;
 use xmt_graph::Csr;
 use xmt_model::Recorder;
 use xmt_par::{Executor, Pool};
@@ -354,18 +362,18 @@ fn pagerank_graph() -> Csr {
     build_undirected(&rmat_edges(&RmatParams::graph500(10), 3))
 }
 
-#[test]
-fn pagerank_is_bit_identical_across_pools_schedules_and_queue_transports() {
-    let g = pagerank_graph();
+/// PageRank on `g` is bit-identical to a one-worker fixed run on explicit
+/// pools of 1, 2, 4 and 8 workers (8 oversubscribes any CI host this runs
+/// on), under both schedules and each of `transports`.
+fn assert_pagerank_bit_identical_across_pools(g: &Csr, transports: &[Transport]) {
     let reference = pagerank_bits(
-        &g,
+        g,
         BspConfig::default(),
         Executor::fixed_on(Arc::new(Pool::new(1))),
     );
-    // 8 workers oversubscribe any CI host this runs on.
     for workers in [1, 2, 4, 8] {
         let pool = Arc::new(Pool::new(workers));
-        for transport in [Transport::PerThreadOutbox, Transport::SingleQueue] {
+        for &transport in transports {
             let config = BspConfig {
                 transport,
                 ..BspConfig::default()
@@ -375,7 +383,7 @@ fn pagerank_is_bit_identical_across_pools_schedules_and_queue_transports() {
                 Executor::guided_on(Arc::clone(&pool)),
             ] {
                 let tag = format!("{workers} workers, {transport:?}, {:?}", exec.schedule());
-                let got = pagerank_bits(&g, config, exec);
+                let got = pagerank_bits(g, config, exec);
                 assert_eq!(reference.1, got.1, "supersteps: {tag}");
                 assert_eq!(reference.3, got.3, "aggregates: {tag}");
                 assert_eq!(reference.2, got.2, "stats: {tag}");
@@ -383,6 +391,14 @@ fn pagerank_is_bit_identical_across_pools_schedules_and_queue_transports() {
             }
         }
     }
+}
+
+#[test]
+fn pagerank_is_bit_identical_across_pools_schedules_and_queue_transports() {
+    assert_pagerank_bit_identical_across_pools(
+        &pagerank_graph(),
+        &[Transport::PerThreadOutbox, Transport::SingleQueue],
+    );
 }
 
 #[test]
@@ -435,5 +451,128 @@ fn pagerank_cut_and_resumed_is_bit_identical_to_uninterrupted() {
         assert_eq!(full.1, rest.supersteps, "supersteps: {transport:?}");
         assert_eq!(full.3, aggregates, "aggregates: {transport:?}");
         assert_eq!(full.0, ranks, "ranks: {transport:?}");
+    }
+}
+
+#[test]
+fn pagerank_is_bit_identical_when_chunks_deposit_more_than_once() {
+    let g = build_undirected(&rmat_edges(&RmatParams::graph500(12), 3));
+    // The premise: a guided loop's first claim on two workers is a
+    // quarter of the vertices (half on one), and that chunk sends more
+    // than the runtime's deposit high-water mark of 2^14 messages, so it
+    // leaves in several deposits — while the one-worker fixed reference
+    // run's chunks of n / 16 vertices mostly leave in one.
+    let first_claim: u64 = (0..g.num_vertices() / 4).map(|v| g.degree(v)).sum();
+    assert!(first_claim > 1 << 14, "first claim sends {first_claim}");
+    assert_pagerank_bit_identical_across_pools(&g, &[Transport::PerThreadOutbox]);
+}
+
+/// What a triangle run shows: per-vertex counts, superstep count and the
+/// messages each superstep sent.
+fn tc_outcome(r: &xmt_bsp::BspResult<u64>) -> (Vec<u64>, u64, Vec<u64>) {
+    let sent = r.superstep_stats.iter().map(|s| s.messages_sent).collect();
+    (r.states.clone(), r.supersteps, sent)
+}
+
+#[test]
+fn triangles_match_one_worker_across_pools_schedules_transports_and_active_sets() {
+    let g = pagerank_graph();
+    let one_worker = RunOptions {
+        exec: Executor::fixed_on(Arc::new(Pool::new(1))),
+        ..Default::default()
+    };
+    let reference = tc_outcome(&run(&g, &TcProgram, one_worker).expect("fresh run").result);
+    assert_eq!(reference.0.iter().sum::<u64>(), reference_triangles(&g));
+    assert_eq!(reference.1, 4);
+    // One frame per pool survives every schedule, transport and active
+    // set, so its mark arrays and deposit tables are reshaped and reused.
+    for workers in [1, 2, 4, 8] {
+        let pool = Arc::new(Pool::new(workers));
+        let mut frame = SuperstepFrame::new();
+        for transport in TRANSPORTS {
+            for active_set in ACTIVE_SETS {
+                for exec in [
+                    Executor::fixed_on(Arc::clone(&pool)),
+                    Executor::guided_on(Arc::clone(&pool)),
+                ] {
+                    let tag = format!(
+                        "{workers} workers, {transport:?}, {active_set:?}, {:?}",
+                        exec.schedule()
+                    );
+                    let opts = RunOptions {
+                        config: BspConfig {
+                            transport,
+                            active_set,
+                            ..BspConfig::default()
+                        },
+                        frame: Some(&mut frame),
+                        exec,
+                        ..Default::default()
+                    };
+                    let got = run(&g, &TcProgram, opts).expect("framed run").result;
+                    assert_eq!(reference, tc_outcome(&got), "{tag}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn triangles_cut_at_the_superstep_limit_and_resumed_on_the_same_frame_match() {
+    let g = pagerank_graph();
+    let reference = tc_outcome(
+        &run(&g, &TcProgram, RunOptions::default())
+            .expect("fresh run")
+            .result,
+    );
+    let pool = Arc::new(Pool::new(4));
+    for transport in TRANSPORTS {
+        let config = BspConfig {
+            transport,
+            ..BspConfig::default()
+        };
+        // Cut with the candidates in flight — the largest inbox of the
+        // run travels through the checkpoint.
+        let mut frame = SuperstepFrame::new();
+        let cut = run(
+            &g,
+            &TcProgram,
+            RunOptions {
+                config: BspConfig {
+                    max_supersteps: 2,
+                    ..config
+                },
+                frame: Some(&mut frame),
+                exec: Executor::guided_on(Arc::clone(&pool)),
+                ..Default::default()
+            },
+        )
+        .expect("first slice");
+        let checkpoint = cut.resume.expect("cut by the limit");
+        let rest = run(
+            &g,
+            &TcProgram,
+            RunOptions {
+                config,
+                from: Some((cut.result.states, checkpoint)),
+                frame: Some(&mut frame),
+                exec: Executor::fixed_on(Arc::clone(&pool)),
+                ..Default::default()
+            },
+        )
+        .expect("resumed slice")
+        .result;
+        let sent: Vec<u64> = cut
+            .result
+            .superstep_stats
+            .iter()
+            .chain(&rest.superstep_stats)
+            .map(|s| s.messages_sent)
+            .collect();
+        assert_eq!(
+            reference,
+            (rest.states, rest.supersteps, sent),
+            "{transport:?}"
+        );
     }
 }

@@ -33,43 +33,9 @@ use xmt_graph::ops::dag::dag_view;
 use xmt_graph::{Csr, IntersectStrategy, VertexId};
 use xmt_model::{PhaseCounts, Recorder};
 use xmt_par::atomic::as_atomic_u64;
-use xmt_par::{Executor, WorkerScratch};
+use xmt_par::{Executor, MarkScratch, WorkerScratch};
 
 use crate::Ctx;
-
-/// One worker's epoch-stamped mark array.
-///
-/// `stamps[w] == epoch` means `w` is marked in the current intersection
-/// window; bumping `epoch` unmarks everything in O(1) — the trick that
-/// replaces the `tc.c` exemplar's per-pair clear pass.
-#[derive(Default)]
-pub struct MarkScratch {
-    stamps: Vec<u32>,
-    epoch: u32,
-}
-
-impl MarkScratch {
-    /// Grow the stamp array to cover `n` vertices (no-op once sized).
-    fn ensure(&mut self, n: usize) {
-        if self.stamps.len() < n {
-            self.stamps.resize(n, 0);
-        }
-    }
-
-    /// Open a fresh marking window and return its stamp value.
-    ///
-    /// On `u32` wrap the array is cleared once — amortized O(1) over
-    /// four billion windows.
-    #[inline]
-    fn next_epoch(&mut self) -> u32 {
-        if self.epoch == u32::MAX {
-            self.stamps.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.epoch
-    }
-}
 
 /// Reusable per-worker scratch for the hash-marking strategies.
 ///
@@ -251,7 +217,7 @@ fn dag_sweep(
             // until the first pair that actually wants hash probing.
             let mut epoch = 0u32;
             if strategy == IntersectStrategy::Hash {
-                epoch = mark(ms, nv);
+                epoch = ms.mark(nv);
                 markw += nv.len() as u64;
             }
             let mut v_found = 0u64;
@@ -273,7 +239,7 @@ fn dag_sweep(
                             intersect_binsearch(nv, nu, tri, &mut probes)
                         } else {
                             if epoch == 0 {
-                                epoch = mark(ms, nv);
+                                epoch = ms.mark(nv);
                                 markw += nv.len() as u64;
                             }
                             intersect_hash(ms, epoch, nu, tri, &mut probes)
@@ -323,16 +289,6 @@ fn dag_sweep(
         r.push("count", 0, c, count);
     }
     (count, tri_storage)
-}
-
-/// Stamp every element of `list` into the current epoch; returns it.
-#[inline]
-fn mark(ms: &mut MarkScratch, list: &[VertexId]) -> u32 {
-    let epoch = ms.next_epoch();
-    for &x in list {
-        ms.stamps[x as usize] = epoch;
-    }
-    epoch
 }
 
 /// Merge-walk `|a ∩ b|` (sorted lists), crediting third corners into
@@ -391,7 +347,7 @@ fn intersect_binsearch(
 }
 
 /// Probe every element of `b` against the epoch marks (the marked list
-/// was stamped by [`mark`]); one stamp read per element.
+/// was stamped by [`MarkScratch::mark`]); one stamp read per element.
 fn intersect_hash(
     ms: &MarkScratch,
     epoch: u32,
@@ -402,7 +358,7 @@ fn intersect_hash(
     let mut count = 0u64;
     *probes += b.len() as u64;
     for &w in b {
-        if ms.stamps[w as usize] == epoch {
+        if ms.is_marked(w, epoch) {
             count += 1;
             if let Some(tri) = tri {
                 // Relaxed: per-vertex tally, read after the join.
@@ -576,20 +532,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn epoch_wrap_resets_marks() {
-        let mut ms = MarkScratch::default();
-        ms.ensure(4);
-        ms.epoch = u32::MAX - 1;
-        let e1 = ms.next_epoch();
-        assert_eq!(e1, u32::MAX);
-        ms.stamps[2] = e1;
-        // Wrap: the array is cleared so stale stamps can never collide.
-        let e2 = ms.next_epoch();
-        assert_eq!(e2, 1);
-        assert!(ms.stamps.iter().all(|&s| s == 0));
     }
 
     #[test]

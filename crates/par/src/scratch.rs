@@ -19,6 +19,9 @@
 //! different thread, so a scratch must not be shared between a region
 //! and one nested in it or running beside it.
 //!
+//! [`MarkScratch`], an epoch-stamped mark array over vertex ids, is the
+//! slot type both engines put in such a pool.
+//!
 //! [`parallel_for_chunked`]: crate::pfor::parallel_for_chunked
 
 use std::cell::UnsafeCell;
@@ -116,6 +119,53 @@ impl<T> fmt::Debug for WorkerScratch<T> {
     }
 }
 
+/// One worker's epoch-stamped mark array over vertex ids.
+///
+/// `stamps[w] == epoch` means `w` is marked in the current window;
+/// opening the next window bumps `epoch`, which unmarks everything in
+/// O(1) — the trick that replaces the `tc.c` exemplar's per-pair clear
+/// pass.
+#[derive(Default)]
+pub struct MarkScratch {
+    stamps: Vec<u32>,
+    epoch: u32,
+}
+
+impl MarkScratch {
+    /// Cover ids `0..n` (no-op once sized); call it outside parallel
+    /// regions.  A grown array comes zeroed from the allocator, so pages
+    /// no mark ever lands on are never touched.
+    pub fn ensure(&mut self, n: usize) {
+        if self.stamps.len() < n {
+            self.stamps = vec![0; n];
+            self.epoch = 0;
+        }
+    }
+
+    /// Open a fresh window with every id of `list` marked in it and
+    /// return its stamp.  On `u32` wrap the array is cleared once —
+    /// amortized O(1) over four billion windows.  Panics on an id outside
+    /// the range [`ensure`](Self::ensure) covered.
+    #[inline]
+    pub fn mark(&mut self, list: &[u64]) -> u32 {
+        if self.epoch == u32::MAX {
+            self.stamps.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        for &x in list {
+            self.stamps[x as usize] = self.epoch;
+        }
+        self.epoch
+    }
+
+    /// Whether `x` was marked in the window `epoch` names.
+    #[inline]
+    pub fn is_marked(&self, x: u64, epoch: u32) -> bool {
+        self.stamps[x as usize] == epoch
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,6 +205,20 @@ mod tests {
         let s: WorkerScratch<u64> = WorkerScratch::new(0);
         assert_eq!(s.len(), 1);
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn epoch_wrap_resets_marks() {
+        let mut ms = MarkScratch::default();
+        ms.ensure(4);
+        ms.epoch = u32::MAX - 1;
+        let e1 = ms.mark(&[2]);
+        assert_eq!(e1, u32::MAX);
+        assert!(ms.is_marked(2, e1));
+        // Wrap: the array is cleared so stale stamps can never collide.
+        let e2 = ms.mark(&[]);
+        assert_eq!(e2, 1);
+        assert!(ms.stamps.iter().all(|&s| s == 0));
     }
 
     #[test]

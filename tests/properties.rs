@@ -224,21 +224,26 @@ proptest! {
         sends in proptest::collection::vec((0u64..200, 0u64..1000), 0..400),
         workers in 1usize..6,
         chunk in 1usize..40,
+        pieces in 2usize..5,
     ) {
         use xmt_bsp_repro::bsp::transport::{MessageCollector, Transport};
         use xmt_bsp_repro::bsp::Inbox;
         // `sends` is what the sources produce, in source order.  Cut it
         // into compute chunks, let the workers claim them round-robin,
         // and have the last worker deposit first — arrival order is the
-        // reverse of source order — then regroup the collector's view:
-        // the path the runtime's exchange takes.
+        // reverse of source order.  A chunk leaves in up to `pieces`
+        // deposits at its one position, as a compute chunk that passes
+        // the deposit high-water mark does.  Then regroup the
+        // collector's view: the path the runtime's exchange takes.
         for transport in [Transport::PerThreadOutbox, Transport::SingleQueue, Transport::Bucketed] {
             let mut collector = MessageCollector::new(transport, workers, 200, false);
             let chunks: Vec<(usize, &[(u64, u64)])> =
                 sends.chunks(chunk).enumerate().map(|(i, c)| (i * chunk, c)).collect();
             for w in (0..workers).rev() {
                 for &(start, sent) in chunks.iter().skip(w).step_by(workers) {
-                    collector.deposit_from(w, start, &mut sent.to_vec(), None);
+                    for piece in sent.chunks(sent.len().div_ceil(pieces)) {
+                        collector.deposit_from(w, start, &mut piece.to_vec(), None);
+                    }
                 }
             }
             let exec = par::Executor::fixed();
