@@ -2,12 +2,14 @@
 //! programming models (the host-side complement to the simulated-XMT
 //! numbers the figure binaries report).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Routine};
 
 use xmt_bench::HarnessConfig;
 use xmt_bsp::algorithms as bsp_alg;
-use xmt_bsp::runtime::BspConfig;
+use xmt_bsp::program::VertexProgram;
+use xmt_bsp::{ActiveSetStrategy, BspConfig, Delivery, RunOptions, Transport};
 use xmt_graph::Csr;
+use xmt_par::Executor;
 
 fn graph(scale: u32) -> Csr {
     let cfg = HarnessConfig::parse(scale, std::iter::empty::<String>());
@@ -68,27 +70,114 @@ fn bench_toolkit_extras(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_transports(c: &mut Criterion) {
-    let g = graph(12);
-    let mut group = c.benchmark_group("transport");
-    group.sample_size(10);
-    for (name, transport) in [
-        ("outbox", xmt_bsp::Transport::PerThreadOutbox),
-        ("single_queue", xmt_bsp::Transport::SingleQueue),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                bsp_alg::components::bsp_connected_components_with_config(
-                    &g,
-                    BspConfig {
-                        transport,
-                        ..Default::default()
-                    },
-                    None,
-                )
-            })
-        });
+/// One call of the BSP runtime the way a service job makes it: a fresh
+/// frame, no recorder, no sink.
+fn bsp_call<P: VertexProgram>(g: &Csr, program: &P, config: BspConfig, exec: &Executor) {
+    let opts = RunOptions {
+        config,
+        exec: exec.clone(),
+        ..RunOptions::default()
+    };
+    let run = xmt_bsp::run(g, program, opts).expect("a fresh run has no checkpoint to reject");
+    std::hint::black_box(run.result.supersteps);
+}
+
+/// Host-time ablation of every BSP knob a caller can still set, one knob
+/// off the wire default at a time: the table EXPERIMENTS.md carries as
+/// "Host-time knob ablation" (`cargo bench -p xmt-bench --bench kernels
+/// -- knobs`).  A fresh-frame call's time depends on what the allocator
+/// kept from the call before it, so the rows are timed in alternating
+/// rounds, not one after the other.
+fn bench_knobs(c: &mut Criterion) {
+    use bsp_alg::bfs::BfsProgram;
+    use bsp_alg::components::CcProgram;
+    use bsp_alg::pagerank::PagerankProgram;
+    use bsp_alg::triangles::TcProgram;
+
+    let wire = BspConfig::default();
+    let knobs = [
+        ("default", wire, Executor::guided()),
+        ("fixed_schedule", wire, Executor::fixed()),
+        (
+            "single_queue",
+            BspConfig {
+                transport: Transport::SingleQueue,
+                ..wire
+            },
+            Executor::guided(),
+        ),
+        (
+            "worklist",
+            BspConfig {
+                active_set: ActiveSetStrategy::Worklist,
+                ..wire
+            },
+            Executor::guided(),
+        ),
+        (
+            "pull",
+            BspConfig {
+                delivery: Delivery::Pull,
+                ..wire
+            },
+            Executor::guided(),
+        ),
+        (
+            "auto",
+            BspConfig {
+                delivery: Delivery::Auto,
+                ..wire
+            },
+            Executor::guided(),
+        ),
+    ];
+    let g = graph(15);
+    let tc_graph = graph(13);
+    let source = xmt_bench::pick_bfs_source(&g);
+    let pagerank = PagerankProgram {
+        damping: 0.85,
+        tolerance: 1e-7,
+    };
+    // A path's BFS runs one superstep per vertex: the input the worklist
+    // exists for.
+    let long_path = xmt_graph::builder::build_undirected(&xmt_graph::gen::structured::path(16_384));
+    let uncapped = |config| BspConfig {
+        max_supersteps: 1_000_000,
+        ..config
+    };
+
+    let (bfs, path_bfs) = (BfsProgram { source }, BfsProgram { source: 0 });
+    let mut routines = Vec::new();
+    for (knob, config, exec) in &knobs {
+        routines.extend([
+            Routine::new(format!("cc15/{knob}"), || {
+                bsp_call(&g, &CcProgram, *config, exec)
+            }),
+            Routine::new(format!("bfs15/{knob}"), || {
+                bsp_call(&g, &bfs, *config, exec)
+            }),
+            Routine::new(format!("pagerank15/{knob}"), || {
+                bsp_call(&g, &pagerank, *config, exec)
+            }),
+            Routine::new(format!("tc13/{knob}"), || {
+                bsp_call(&tc_graph, &TcProgram, *config, exec)
+            }),
+        ]);
+        if ["default", "worklist"].contains(knob) {
+            routines.push(Routine::new(format!("bfs_path16384/{knob}"), || {
+                bsp_call(&long_path, &path_bfs, uncapped(*config), exec)
+            }));
+        }
     }
+
+    println!(
+        "knobs: {} pool workers on {} hardware threads",
+        xmt_par::num_threads(),
+        std::thread::available_parallelism().map_or(0, usize::from)
+    );
+    let mut group = c.benchmark_group("knobs");
+    group.sample_size(30);
+    group.bench_alternating(&mut routines);
     group.finish();
 }
 
@@ -98,6 +187,6 @@ criterion_group!(
     bench_bfs,
     bench_triangles,
     bench_toolkit_extras,
-    bench_transports
+    bench_knobs
 );
 criterion_main!(benches);

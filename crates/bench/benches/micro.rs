@@ -60,12 +60,12 @@ fn bench_exchange(c: &mut Criterion) {
     let per = 200_000usize;
     let exec = xmt_par::Executor::fixed();
     let scratch = xmt_par::WorkerScratch::new(exec.workers());
-    let mut collector = MessageCollector::new(Transport::PerThreadOutbox, workers, n, false);
+    let mut collector = MessageCollector::new(Transport::PerThreadOutbox, workers, n);
     for w in 0..workers {
         let mut batch: Vec<(u64, u64)> = (0..per)
             .map(|i| ((i * 7 + w) as u64 % n as u64, i as u64))
             .collect();
-        collector.deposit_from(w, w * per, &mut batch, None);
+        collector.deposit_from(w, w * per, &mut batch);
     }
     let collected = collector.collected();
     let mut inbox = Inbox::new();
@@ -84,7 +84,7 @@ fn bench_exchange_transports(c: &mut Criterion) {
     // collector (the destination partition), then the inbox rebuild —
     // for each transport, at 1, 4 and 8 depositing workers.  The single
     // queue pays one lock per deposit and has one receiving task (the
-    // paper's §VII hotspot); the other two differ in bucket shape only.
+    // paper's §VII hotspot).
     use xmt_bsp::transport::{MessageCollector, Transport};
 
     let mut group = c.benchmark_group("exchange_transport");
@@ -106,18 +106,15 @@ fn bench_exchange_transports(c: &mut Criterion) {
         for (name, transport) in [
             ("mutex_outbox", Transport::PerThreadOutbox),
             ("single_queue", Transport::SingleQueue),
-            ("bucketed", Transport::Bucketed),
         ] {
             group.bench_function(format!("{name}/w{workers}"), |b| {
                 b.iter(|| {
-                    let mut collector = MessageCollector::new(transport, workers, n, false);
+                    let mut collector = MessageCollector::new(transport, workers, n);
                     std::thread::scope(|scope| {
                         for (w, batch) in batches.iter().enumerate() {
                             let collector = &collector;
                             let mut batch = batch.clone();
-                            scope.spawn(move || {
-                                collector.deposit_from(w, w * per, &mut batch, None)
-                            });
+                            scope.spawn(move || collector.deposit_from(w, w * per, &mut batch));
                         }
                     });
                     let mut inbox = Inbox::new();
@@ -171,28 +168,6 @@ fn bench_streaming(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_full_empty(c: &mut Criterion) {
-    let mut group = c.benchmark_group("full_empty");
-    group.bench_function("handoff_10k", |b| {
-        b.iter(|| {
-            let cell = std::sync::Arc::new(xmt_par::FullEmptyCell::empty());
-            let tx = std::sync::Arc::clone(&cell);
-            let producer = std::thread::spawn(move || {
-                for i in 0..10_000u64 {
-                    tx.write_ef(i);
-                }
-            });
-            let mut sum = 0u64;
-            for _ in 0..10_000 {
-                sum += cell.read_fe();
-            }
-            producer.join().unwrap();
-            sum
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_parallel_for,
@@ -200,7 +175,6 @@ criterion_group!(
     bench_exchange,
     bench_exchange_transports,
     bench_intersection,
-    bench_streaming,
-    bench_full_empty
+    bench_streaming
 );
 criterion_main!(benches);

@@ -2,11 +2,9 @@
 //! combiner, each vertex's inbox collapses to one message before
 //! `compute` runs; without it every raw message is delivered.
 //!
-//! A second table moves the combiner to the *sender* side: under the
-//! bucketed transport, the fold runs inside each worker's destination
-//! bucket at deposit time, so duplicate updates never cross the
-//! exchange at all (compare `messages_generated` — what compute
-//! produced — with `messages_sent` — what actually shipped).
+//! (`results/ablation_combiner_sender.json` is the dated output of a
+//! second table this binary printed while the runtime could also fold at
+//! the sender; EXPERIMENTS.md says what it did and did not measure.)
 //!
 //! ```text
 //! cargo run --release -p xmt-bench --bin ablation_combiner [-- --scale N]
@@ -21,7 +19,6 @@ use xmt_bsp::algorithms::bfs::BfsProgram;
 use xmt_bsp::algorithms::components::CcProgram;
 use xmt_bsp::program::WithoutCombiner;
 use xmt_bsp::runtime::{run_bsp, BspConfig};
-use xmt_bsp::Transport;
 use xmt_model::Recorder;
 
 #[derive(Serialize)]
@@ -29,14 +26,6 @@ struct CombinerRow {
     algorithm: String,
     combiner: bool,
     delivered_messages: u64,
-    seconds_at_max_procs: f64,
-}
-
-#[derive(Serialize)]
-struct SenderRow {
-    algorithm: String,
-    generated_messages: u64,
-    sent_messages: u64,
     seconds_at_max_procs: f64,
 }
 
@@ -66,7 +55,6 @@ fn main() {
         with.states, without.states,
         "combiner must not change results"
     );
-    let cc_ref_states = with.states.clone();
     for (rec, r, comb) in [(&with_rec, &with, true), (&without_rec, &without, false)] {
         rows.push(CombinerRow {
             algorithm: "Connected Components".into(),
@@ -131,78 +119,7 @@ fn main() {
         );
     }
 
-    // Sender-side combining: the same fold, applied inside each worker's
-    // destination bucket before the exchange (bucketed transport only).
-    eprintln!("running sender-side combining (bucketed transport) ...");
-    let bucketed = BspConfig {
-        transport: Transport::Bucketed,
-        ..Default::default()
-    };
-    let mut sender_rows = Vec::new();
-
-    let mut cc_rec = Recorder::new();
-    let cc = run_bsp(&g, &CcProgram, bucketed, Some(&mut cc_rec));
-    assert_eq!(
-        cc.states, cc_ref_states,
-        "bucketed transport must not change results"
-    );
-    sender_rows.push(SenderRow {
-        algorithm: "Connected Components".into(),
-        generated_messages: cc
-            .superstep_stats
-            .iter()
-            .map(|s| s.messages_generated)
-            .sum(),
-        sent_messages: cc.superstep_stats.iter().map(|s| s.messages_sent).sum(),
-        seconds_at_max_procs: total_seconds(&cc_rec, &model, pmax),
-    });
-
-    let mut bfs_rec = Recorder::new();
-    let bfs = run_bsp(&g, &BfsProgram { source }, bucketed, Some(&mut bfs_rec));
-    let d_bucketed: Vec<u64> = bfs.states.iter().map(|s| s.dist).collect();
-    assert_eq!(
-        d_bucketed, d_with,
-        "bucketed transport must not change results"
-    );
-    sender_rows.push(SenderRow {
-        algorithm: "Breadth-first Search".into(),
-        generated_messages: bfs
-            .superstep_stats
-            .iter()
-            .map(|s| s.messages_generated)
-            .sum(),
-        sent_messages: bfs.superstep_stats.iter().map(|s| s.messages_sent).sum(),
-        seconds_at_max_procs: total_seconds(&bfs_rec, &model, pmax),
-    });
-
-    println!();
-    println!(
-        "SENDER-SIDE combining — bucketed transport, RMAT scale {}",
-        cfg.scale
-    );
-    let mut t = Table::new(&[
-        "algorithm",
-        "generated msgs",
-        "sent msgs",
-        "reduction",
-        &format!("time @ P={pmax}"),
-    ]);
-    for r in &sender_rows {
-        t.row(&[
-            r.algorithm.clone(),
-            r.generated_messages.to_string(),
-            r.sent_messages.to_string(),
-            format!(
-                "{:.1}x",
-                r.generated_messages as f64 / r.sent_messages.max(1) as f64
-            ),
-            fmt_secs(r.seconds_at_max_procs),
-        ]);
-    }
-    t.print();
-
     if let Some(dir) = &cfg.out_dir {
         write_json(dir, "ablation_combiner", &rows).expect("write results");
-        write_json(dir, "ablation_combiner_sender", &sender_rows).expect("write results");
     }
 }

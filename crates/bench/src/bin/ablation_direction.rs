@@ -1,6 +1,5 @@
-//! Ablation of BFS delivery direction: static push, static pull, the
-//! old density-threshold `Auto` (Beamer disabled via `beamer_alpha: 0`),
-//! and the Beamer alpha/beta `Auto`.  The point of direction
+//! Ablation of BFS delivery direction: static push, static pull and the
+//! Beamer alpha/beta `Auto`.  The point of direction
 //! optimization is the apex superstep: a push there ships one message
 //! per frontier edge, while a bottom-up pull gathers with early exit
 //! and ships nothing.
@@ -51,7 +50,7 @@ fn main() {
     let g = build_paper_graph(&cfg);
     let source = pick_bfs_source(&g);
 
-    let configs: [(&str, BspConfig); 4] = [
+    let configs: [(&str, BspConfig); 3] = [
         (
             "static-push",
             BspConfig {
@@ -63,14 +62,6 @@ fn main() {
             "static-pull",
             BspConfig {
                 delivery: Delivery::Pull,
-                ..Default::default()
-            },
-        ),
-        (
-            "auto-threshold",
-            BspConfig {
-                delivery: Delivery::Auto,
-                beamer_alpha: 0.0, // disables Beamer: density rule only
                 ..Default::default()
             },
         ),
@@ -181,14 +172,14 @@ fn main() {
     s.print();
 
     let push_apex = summary[0].apex_messages;
-    let beamer_apex = summary[3].apex_messages.max(1);
+    let beamer_apex = summary[2].apex_messages.max(1);
     let ratio = push_apex as f64 / beamer_apex as f64;
     println!();
     println!(
         "apex message volume: static-push ships {push_apex}, beamer-auto ships {} ({ratio:.0}x \
 less): the alpha rule flips the apex supersteps bottom-up, so the heavy frontier is gathered \
 with early exit instead of shipped.",
-        summary[3].apex_messages
+        summary[2].apex_messages
     );
     assert!(
         ratio >= 10.0,

@@ -1,19 +1,9 @@
 //! Ablation of the superstep exchange itself: message transport
-//! (per-worker mutex outboxes vs the single fetch-and-add queue vs the
-//! lock-free bucketed all-to-all) crossed with delivery mode (push vs
-//! pull vs the density-adaptive auto policy), for the paper's three
-//! algorithm families.
-//!
-//! Two headline numbers fall out of the table:
-//!
-//! * the bucketed transport retires the atomic-per-message cost, so its
-//!   predicted exchange time beats the mutex outbox at every machine
-//!   size (the gap widens with processors, since the bucketed build has
-//!   no serialization to amortize);
-//! * sender-side combining (implied by the bucketed transport whenever
-//!   the program has a combiner) ships `messages_sent` ≪
-//!   `messages_generated` — for connected components on the scale-16
-//!   RMAT graph the reduction is well above the 2x acceptance bar.
+//! (per-worker outboxes vs the single fetch-and-add queue) crossed with
+//! delivery mode (push vs pull vs the adaptive auto policy), for the
+//! paper's three algorithm families, in model time.  A pulled superstep
+//! ships nothing (`messages_sent` < `messages_generated`), which is
+//! where the delivery rows differ.
 //!
 //! ```text
 //! cargo run --release -p xmt-bench --bin ablation_exchange [-- --scale N --out DIR]
@@ -42,10 +32,9 @@ struct ExchangeRow {
     supersteps: u64,
 }
 
-const TRANSPORTS: [(&str, Transport); 3] = [
+const TRANSPORTS: [(&str, Transport); 2] = [
     ("outbox", Transport::PerThreadOutbox),
     ("single-queue", Transport::SingleQueue),
-    ("bucketed", Transport::Bucketed),
 ];
 
 const DELIVERIES: [(&str, Delivery); 3] = [
@@ -171,29 +160,6 @@ fn main() {
         }
         t.print();
     }
-
-    // Headline 1: bucketed vs mutex outbox, push delivery.
-    println!();
-    for alg in ["Connected Components", "Breadth-first Search", "PageRank"] {
-        let outbox = find(alg, "outbox", "push", pmax).seconds;
-        let bucketed = find(alg, "bucketed", "push", pmax).seconds;
-        println!(
-            "{alg}: bucketed is {:.2}x vs outbox at P={pmax} (push)",
-            outbox / bucketed
-        );
-    }
-
-    // Headline 2: sender-side combining reduction (bucketed push).
-    let cc = find("Connected Components", "bucketed", "push", pmax);
-    let reduction = cc.messages_generated as f64 / cc.messages_sent.max(1) as f64;
-    println!(
-        "Connected Components: sender-side combining ships {} of {} generated messages ({:.1}x reduction)",
-        cc.messages_sent, cc.messages_generated, reduction
-    );
-    assert!(
-        reduction >= 2.0,
-        "expected >=2x sender-side combining reduction, got {reduction:.2}x"
-    );
 
     if let Some(dir) = &cfg.out_dir {
         write_json(dir, "ablation_exchange", &rows).expect("write results");

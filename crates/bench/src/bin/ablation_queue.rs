@@ -39,7 +39,6 @@ fn main() {
     let transports = [
         ("outbox", Transport::PerThreadOutbox),
         ("single-queue", Transport::SingleQueue),
-        ("bucketed", Transport::Bucketed),
     ];
 
     let mut rows = Vec::new();

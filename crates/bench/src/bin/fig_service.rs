@@ -56,6 +56,7 @@ fn main() {
         source,
         damping: 0.85,
         tolerance: 1e-7,
+        intersect: xmt_graph::IntersectStrategy::Auto,
         config: BspConfig::default(),
         priority: 0,
         deadline_ms: None,

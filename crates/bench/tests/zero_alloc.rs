@@ -9,18 +9,18 @@
 //! first steady-state boundary (superstep ≥ 2) to the last must be
 //! exactly zero for:
 //!
-//! - connected components, bucketed transport, push delivery;
-//! - BFS, bucketed transport, push delivery;
-//! - connected components, bucketed transport, **pull** delivery (the
-//!   retained snapshot buffer replaces the old `states.clone()`);
-//! - the same CC and BFS push configurations on the **native** executor
-//!   (guided scheduling): the guided claim loop must be as
-//!   allocation-free as the fixed one;
-//! - connected components on the default transport, both executors;
+//! - connected components, push delivery — the lanes, deposit tables and
+//!   slot arrays every job without a transport override runs on;
+//! - BFS, push delivery;
+//! - connected components, **pull** delivery (the retained snapshot
+//!   buffer replaces the old `states.clone()`);
+//! - the same CC and BFS push configurations on the **guided**
+//!   executor: the guided claim loop must be as allocation-free as the
+//!   fixed one;
 //! - BFS under Beamer `Delivery::Auto` on both executors: the direction
 //!   decision (claim pass, frontier-edge estimate, dense visited
 //!   bitmap) must ride the frame's retained buffers;
-//! - triangle counting on the default transport, both executors: its
+//! - triangle counting, both executors: its
 //!   run has three cuttable boundaries, and the window between them
 //!   holds the candidate superstep (a chunk's sends leave in several
 //!   deposits, each a row of the lane's deposit table) and the
@@ -39,7 +39,7 @@ use xmt_bsp::algorithms::bfs::BfsProgram;
 use xmt_bsp::algorithms::components::CcProgram;
 use xmt_bsp::algorithms::triangles::TcProgram;
 use xmt_bsp::program::VertexProgram;
-use xmt_bsp::{run, BspConfig, Delivery, RunOptions, SuperstepFrame, Transport};
+use xmt_bsp::{run, BspConfig, Delivery, RunOptions, SuperstepFrame};
 use xmt_par::Executor;
 
 #[cfg(feature = "alloc-count")]
@@ -93,11 +93,7 @@ fn main() {
     );
     let source = pick_bfs_source(&g);
 
-    let push = BspConfig {
-        transport: Transport::Bucketed,
-        delivery: Delivery::Push,
-        ..BspConfig::default()
-    };
+    let push = BspConfig::default();
     let pull = BspConfig {
         delivery: Delivery::Pull,
         ..push
@@ -106,24 +102,24 @@ fn main() {
     let sim = Executor::fixed();
     let native = Executor::guided();
 
-    gate(&g, &CcProgram, push, SKIP_PUSH, "cc/bucketed/push", &sim);
+    gate(&g, &CcProgram, push, SKIP_PUSH, "cc/outbox/push", &sim);
     gate(
         &g,
         &BfsProgram { source },
         push,
         SKIP_PUSH,
-        "bfs/bucketed/push",
+        "bfs/outbox/push",
         &sim,
     );
-    gate(&g, &CcProgram, pull, SKIP_PULL, "cc/bucketed/pull", &sim);
-    // Native engine: the guided schedule reuses the same frame paths, so
-    // its steady state must be equally allocation-free.
+    gate(&g, &CcProgram, pull, SKIP_PULL, "cc/outbox/pull", &sim);
+    // The guided schedule reuses the same frame paths, so its steady
+    // state must be equally allocation-free.
     gate(
         &g,
         &CcProgram,
         push,
         SKIP_PUSH,
-        "cc/bucketed/push/native",
+        "cc/outbox/push/native",
         &native,
     );
     gate(
@@ -131,19 +127,7 @@ fn main() {
         &BfsProgram { source },
         push,
         SKIP_PUSH,
-        "bfs/bucketed/push/native",
-        &native,
-    );
-    // The default transport — the lanes, deposit tables and slot arrays
-    // every job without a transport override runs on.
-    let outbox = BspConfig::default();
-    gate(&g, &CcProgram, outbox, SKIP_PUSH, "cc/outbox/push", &sim);
-    gate(
-        &g,
-        &CcProgram,
-        outbox,
-        SKIP_PUSH,
-        "cc/outbox/push/native",
+        "bfs/outbox/push/native",
         &native,
     );
     // Beamer Auto mixes push supersteps (two polls) with pull
@@ -157,7 +141,7 @@ fn main() {
         &BfsProgram { source },
         auto,
         SKIP_AUTO,
-        "bfs/bucketed/beamer-auto",
+        "bfs/outbox/beamer-auto",
         &sim,
     );
     gate(
@@ -165,18 +149,18 @@ fn main() {
         &BfsProgram { source },
         auto,
         SKIP_AUTO,
-        "bfs/bucketed/beamer-auto/native",
+        "bfs/outbox/beamer-auto/native",
         &native,
     );
 
     // The BSP triangle program: no combiner, so every candidate is
     // grouped into the inbox, and the one program that uses the frame's
     // mark arrays.
-    gate(&g, &TcProgram, outbox, SKIP_TC, "tc/outbox/push", &sim);
+    gate(&g, &TcProgram, push, SKIP_TC, "tc/outbox/push", &sim);
     gate(
         &g,
         &TcProgram,
-        outbox,
+        push,
         SKIP_TC,
         "tc/outbox/push/native",
         &native,

@@ -283,31 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn beamer_alpha_zero_falls_back_to_the_density_rule() {
-        use crate::runtime::Delivery;
-        // alpha = 0 is the documented escape hatch to the plain
-        // pull_threshold rule; with an unreachable threshold the run
-        // stays pure push and matches the static-push schedule exactly.
-        let el = xmt_graph::gen::er::gnm(1000, 8000, 3);
-        let g = build_undirected(&el);
-        let out = bsp_bfs_with_config(
-            &g,
-            0,
-            BspConfig {
-                delivery: Delivery::Auto,
-                beamer_alpha: 0.0,
-                pull_threshold: 1.1,
-                ..Default::default()
-            },
-            None,
-        );
-        let push = bsp_bfs(&g, 0, None);
-        assert!(out.result.superstep_stats.iter().all(|s| !s.pulled));
-        assert_eq!(out.dist(), push.dist());
-        assert_eq!(out.result.supersteps, push.result.supersteps);
-    }
-
-    #[test]
     fn static_pull_uses_the_bottom_up_probe_path() {
         use crate::runtime::Delivery;
         // BFS now advertises a settled predicate, so static Pull

@@ -371,11 +371,7 @@ mod tests {
     use crate::program::{MinCombiner, SumCombiner};
     use crate::transport::{MessageCollector, Transport};
 
-    const TRANSPORTS: [Transport; 3] = [
-        Transport::PerThreadOutbox,
-        Transport::SingleQueue,
-        Transport::Bucketed,
-    ];
+    const TRANSPORTS: [Transport; 2] = [Transport::PerThreadOutbox, Transport::SingleQueue];
 
     /// The production path in miniature: deposit `batches[w]` as worker
     /// `w` for the chunk at position `w`, then regroup the collector's
@@ -387,9 +383,9 @@ mod tests {
         batches: &[Vec<(u64, M)>],
         combiner: Option<&dyn Combiner<M>>,
     ) -> Inbox<M> {
-        let mut mc = MessageCollector::new(transport, batches.len(), n, combiner.is_some());
+        let mut mc = MessageCollector::new(transport, batches.len(), n);
         for (w, batch) in batches.iter().enumerate() {
-            mc.deposit_from(w, w, &mut batch.clone(), combiner);
+            mc.deposit_from(w, w, &mut batch.clone());
         }
         let exec = Executor::fixed();
         let scratch = WorkerScratch::new(exec.workers());
@@ -432,17 +428,9 @@ mod tests {
             assert_eq!(ib.messages(0), &[3]);
             assert_eq!(ib.messages(1), &[5]);
             assert!(!ib.has_messages(2));
+            // The total still counts what was received.
+            assert_eq!(ib.total_messages(), 5);
         }
-        // Totals still reflect what was received (sender-side combining
-        // aside).
-        let ib = deliver(
-            Inbox::new(),
-            Transport::PerThreadOutbox,
-            3,
-            &batches,
-            Some(&MinCombiner),
-        );
-        assert_eq!(ib.total_messages(), 5);
     }
 
     #[test]
@@ -476,42 +464,29 @@ mod tests {
             vec![(512, 50), (999, 90), (1, 12)],
         ];
         let a = deliver(Inbox::new(), Transport::PerThreadOutbox, n, &sends, None);
-        for transport in [Transport::Bucketed, Transport::SingleQueue] {
-            let b = deliver(Inbox::new(), transport, n, &sends, None);
-            assert_eq!(a.total_messages(), b.total_messages());
-            assert_eq!(a.snapshot(), b.snapshot(), "{transport:?}");
-        }
-    }
-
-    #[test]
-    fn bucketed_build_combines_at_the_receiver() {
-        // Two workers both target vertex 2 — sender-side combining keeps
-        // one copy per worker; the receiver fold collapses them.
-        let sends = vec![vec![(2u64, 9u64), (5, 55)], vec![(2, 3)]];
-        let ib = deliver(
-            Inbox::new(),
-            Transport::Bucketed,
-            6,
-            &sends,
-            Some(&MinCombiner),
-        );
-        assert!(ib.is_combined());
-        assert_eq!(ib.messages(2), &[3]);
-        assert_eq!(ib.messages(5), &[55]);
-        assert_eq!(ib.total_messages(), 3);
+        let b = deliver(Inbox::new(), Transport::SingleQueue, n, &sends, None);
+        assert_eq!(a.total_messages(), b.total_messages());
+        assert_eq!(a.snapshot(), b.snapshot());
     }
 
     #[test]
     fn partial_final_bucket_and_unaligned_vertex_counts() {
-        // n = 130 over 3 workers: shift 6, buckets [0,64) [64,128)
-        // [128,130) — the last one a stub whose presence word is partial.
+        // n = 130 over 3 workers: shift 6 (the floor), buckets [0,64)
+        // [64,128) [128,130) — the last one a stub whose presence word is
+        // partial.
         let sends = vec![
             vec![(0u64, 1u64), (64, 2), (129, 3)],
             vec![(129, 4)],
             vec![],
         ];
         for combiner in [None, Some(&MinCombiner as &dyn Combiner<u64>)] {
-            let ib = deliver(Inbox::new(), Transport::Bucketed, 130, &sends, combiner);
+            let ib = deliver(
+                Inbox::new(),
+                Transport::PerThreadOutbox,
+                130,
+                &sends,
+                combiner,
+            );
             assert_eq!(ib.total_messages(), 4);
             assert_eq!(ib.messages(0), &[1]);
             assert_eq!(ib.messages(64), &[2]);

@@ -17,10 +17,10 @@
 //!   [`SuperstepFrame`] and the [`xmt_par::Executor`] the loops run on
 //!   (all optional; the default is `run_bsp`'s behaviour), and an
 //!   interrupted run returns the [`ResumePoint`] that continues it;
-//! * message [`transport`] strategies — per-worker outboxes merged at
-//!   the superstep boundary, destination-bucketed outboxes with
-//!   sender-side combining, and the naive single shared queue whose
-//!   fetch-and-add cursor is the hotspot the paper warns about in §VII;
+//! * two message [`transport`] strategies — per-worker outboxes
+//!   partitioned by destination and merged at the superstep boundary,
+//!   and the naive single shared queue whose fetch-and-add cursor is the
+//!   hotspot the paper warns about in §VII;
 //! * the paper's three algorithms ([`algorithms::components`] = Alg. 1,
 //!   [`algorithms::bfs`] = Alg. 2, [`algorithms::triangles`] = Alg. 3)
 //!   plus PageRank and SSSP extension programs;
@@ -86,5 +86,4 @@ pub use runtime::{
     RunOptions, SlicedRun, StopHook, SuperstepFrame,
 };
 pub use transport::Transport;
-pub use xmt_graph::IntersectStrategy;
 pub use xmt_trace::{JobTrace, SuperstepTrace, TraceSink};

@@ -169,9 +169,7 @@ pub(super) fn restore<P: VertexProgram>(
     // keeps deposit order, so the resumed superstep sees exactly what the
     // uninterrupted one would have.
     frame.collector.reset();
-    frame
-        .collector
-        .deposit_from(0, 0, &mut resume.pending, None);
+    frame.collector.deposit_from(0, 0, &mut resume.pending);
     frame.inbox.rebuild(
         exec,
         &frame.collector.collected(),

@@ -49,11 +49,9 @@ pub(super) fn init_states<P: VertexProgram>(
 /// What one compute phase observed, read after its join.
 #[derive(Clone, Copy, Debug)]
 pub(super) struct Computed {
-    /// Messages that would cross the boundary (post sender-side
-    /// combining).
+    /// Messages `compute` produced: what crosses the boundary unless the
+    /// next superstep pulls.
     pub shipped: u64,
-    /// Messages produced by `compute` (pre sender-side combining).
-    pub generated: u64,
     /// Messages handed to `compute`.
     pub delivered: u64,
     /// Neighbor states probed by pull-mode gathers.
@@ -130,16 +128,7 @@ impl<P: VertexProgram> Run<'_, P> {
             let awake_ref = &*awake_scratch;
             let marks_ref = &*marks_scratch;
             let exec = self.exec;
-            // What sender-side combining ships is defined per chunk.
-            let one_deposit = collector_ref.combines_at_sender();
-            let chunk = if one_deposit {
-                // One chunk per worker — the static schedule that
-                // per-worker combining models — under either executor,
-                // so what ships does not depend on who claims what.
-                active_ref.len().div_ceil(exec.workers()) as u64
-            } else {
-                chunk_for(active_ref.len(), exec.workers())
-            };
+            let chunk = chunk_for(active_ref.len(), exec.workers());
             exec.pfor_chunked(0, active_ref.len(), chunk as usize, |worker, range| {
                 // SAFETY: at most one live thread per worker id (the
                 // pfor_chunked contract under both schedules), so the
@@ -221,8 +210,8 @@ impl<P: VertexProgram> Run<'_, P> {
                     local_extra.1 += ctx.extra_alu;
                     // Deposit while the sends are still in cache; the
                     // chunk's later deposits follow in this same lane.
-                    if outbox.len() >= DEPOSIT_HIGH_WATER && !one_deposit {
-                        collector_ref.deposit_from(worker, chunk_start, outbox, program.combiner());
+                    if outbox.len() >= DEPOSIT_HIGH_WATER {
+                        collector_ref.deposit_from(worker, chunk_start, outbox);
                     }
                 }
                 // Relaxed (all six below): pure accumulators whose totals
@@ -246,7 +235,7 @@ impl<P: VertexProgram> Run<'_, P> {
                 }
                 // Drains the scratch, leaving its capacity warm for the
                 // worker's next chunk (and the next superstep).
-                collector_ref.deposit_from(worker, chunk_start, outbox, program.combiner());
+                collector_ref.deposit_from(worker, chunk_start, outbox);
                 if !local_awake.is_empty() {
                     next_active_parts.lock().extend(local_awake.drain(..));
                 }
@@ -263,7 +252,6 @@ impl<P: VertexProgram> Run<'_, P> {
         self.explored_edges += settled_deg.load(Ordering::Relaxed);
         Computed {
             shipped: collector.total(),
-            generated: collector.total_generated(),
             delivered: delivered.load(Ordering::Relaxed), // Relaxed: post-join read
             probes: pull_probes.load(Ordering::Relaxed),  // Relaxed: post-join read
             hits: pull_hits.load(Ordering::Relaxed),      // Relaxed: post-join read
@@ -283,13 +271,13 @@ impl<P: VertexProgram> Run<'_, P> {
         let a = self.frame.active.len() as u64;
         // Parallelism is the active set (+ the message fan-out): state
         // read+write and halt write per active vertex; one neighbor-id
-        // read and one ALU op per generated message.  Push supersteps
+        // read and one ALU op per produced message.  Push supersteps
         // read the delivered words from the inbox; pull supersteps charge
         // the gather probes instead.
-        let mut c = PhaseCounts::with_items(a.max(done.generated).max(1));
-        c.reads = 2 * a + done.generated + done.extra_reads;
+        let mut c = PhaseCounts::with_items(a.max(done.shipped).max(1));
+        c.reads = 2 * a + done.shipped + done.extra_reads;
         c.writes = 2 * a;
-        c.alu_ops = a + done.generated + done.extra_alu;
+        c.alu_ops = a + done.shipped + done.extra_alu;
         if self.pulling {
             xmt_model::charge_pull_gather(&mut c, done.probes, done.hits, msg_words::<P>());
         } else {

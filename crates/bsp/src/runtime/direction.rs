@@ -27,25 +27,37 @@ pub enum Delivery {
     /// Per-superstep choice.  For programs that expose a settled
     /// predicate ([`VertexProgram::supports_bottom_up`]) the decision is
     /// Beamer-style direction optimization: switch to bottom-up
-    /// gathering when the frontier's edges outgrow the unexplored edges
-    /// by `BspConfig::beamer_alpha`, and back to push when the frontier
-    /// thins below `1/beamer_beta` of the vertices.  Other pull-capable
-    /// programs use the plain density rule: pull when the estimated
-    /// active fraction of the next superstep is at least
-    /// `BspConfig::pull_threshold`.  Either way push wins on small
+    /// gathering when the frontier's edges times 15 outgrow the
+    /// unexplored edges, and back to push when the frontier thins below
+    /// 1/18 of the vertices.  Other pull-capable programs use the plain
+    /// density rule: pull when the next superstep's active set is at
+    /// least half the vertices.  Either way push wins on small
     /// frontiers where an O(V) gather would dwarf the few real messages,
     /// pull wins when traffic approaches O(E) and shipping it costs more
     /// than re-reading neighbor state.
     Auto,
 }
 
+/// Beamer's top-down → bottom-up ratio: a bottom-up capable program
+/// under `Delivery::Auto` switches to pull when
+/// `frontier_edges * BEAMER_ALPHA > unexplored_edges`.  GAP's default,
+/// and the one value any caller outside a test ever ran with.
+const BEAMER_ALPHA: f64 = 15.0;
+
+/// Beamer's bottom-up → top-down ratio: switch back to push when the
+/// next frontier holds fewer than `n / BEAMER_BETA` vertices.  GAP's
+/// default.
+const BEAMER_BETA: f64 = 18.0;
+
+/// The density rule of `Delivery::Auto` for pull-capable programs
+/// without a settled predicate: pull when the next superstep's active
+/// set is at least this fraction of the vertices.
+const PULL_THRESHOLD: f64 = 0.5;
+
 /// The per-run constants of the delivery decision.
 #[derive(Clone, Copy, Debug)]
 pub(super) struct Policy {
     delivery: Delivery,
-    pull_threshold: f64,
-    beamer_alpha: f64,
-    beamer_beta: f64,
     max_supersteps: u64,
     /// The program has a gather rule and a combiner to fold the gathered
     /// messages with; without both, `Delivery::Pull`/`Auto` silently
@@ -56,8 +68,8 @@ pub(super) struct Policy {
     /// against).
     pub bottom_up: bool,
     /// `Auto` decides by Beamer alpha/beta hysteresis: a bottom-up
-    /// capable program with a positive alpha.  Every other program on
-    /// the `Auto` path uses the plain `pull_threshold` density rule.
+    /// capable program.  Every other program on the `Auto` path uses
+    /// the plain [`PULL_THRESHOLD`] density rule.
     pub beamer: bool,
 }
 
@@ -82,13 +94,10 @@ impl Policy {
         let bottom_up = supports_pull && supports_bottom_up;
         Policy {
             delivery: config.delivery,
-            pull_threshold: config.pull_threshold,
-            beamer_alpha: config.beamer_alpha,
-            beamer_beta: config.beamer_beta,
             max_supersteps: config.max_supersteps,
             supports_pull,
             bottom_up,
-            beamer: config.delivery == Delivery::Auto && bottom_up && config.beamer_alpha > 0.0,
+            beamer: config.delivery == Delivery::Auto && bottom_up,
         }
     }
 
@@ -127,15 +136,13 @@ impl Policy {
             Delivery::Pull => true,
             // Hysteresis exit: stay bottom-up until the frontier thins
             // below n / beta.
-            Delivery::Auto if self.beamer && pulling => {
-                next.est_active as f64 * self.beamer_beta >= n
-            }
+            Delivery::Auto if self.beamer && pulling => next.est_active as f64 * BEAMER_BETA >= n,
             // Enter bottom-up when the frontier's edges outweigh the
             // unexplored edges / alpha.
             Delivery::Auto if self.beamer => {
-                next.frontier_edges as f64 * self.beamer_alpha > next.unexplored_edges as f64
+                next.frontier_edges as f64 * BEAMER_ALPHA > next.unexplored_edges as f64
             }
-            Delivery::Auto => next.est_active as f64 >= self.pull_threshold * n,
+            Delivery::Auto => next.est_active as f64 >= PULL_THRESHOLD * n,
         }
     }
 }
@@ -242,15 +249,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_alpha_falls_back_to_the_pull_threshold() {
-        let config = BspConfig {
-            beamer_alpha: 0.0,
-            pull_threshold: 0.5,
-            ..auto()
-        };
-        let p = beamer(&config);
-        assert!(!p.beamer);
-        assert!(p.bottom_up, "gathers stay bottom-up; only the rule changes");
+    fn without_a_settled_predicate_auto_pulls_at_half_the_vertices() {
+        let plain = Policy::new(&auto(), true, false);
+        assert!(!plain.beamer && !plain.bottom_up);
         let at = |est_active| Frontier {
             est_active,
             // Beamer would enter here; the density rule must not look.
@@ -258,14 +259,24 @@ mod tests {
             unexplored_edges: 0,
             num_vertices: N,
         };
+        // No hysteresis: the same threshold entering and staying.
         for pulling in [false, true] {
-            assert!(!p.pull_next(true, pulling, &at(N / 2 - 1)));
-            assert!(p.pull_next(true, pulling, &at(N / 2)));
+            assert!(!plain.pull_next(true, pulling, &at(N / 2 - 1)));
+            assert!(plain.pull_next(true, pulling, &at(N / 2)));
         }
-        // Programs without a settled predicate always use the density rule.
-        let plain = Policy::new(&auto(), true, false);
-        assert!(!plain.beamer && !plain.bottom_up);
-        assert!(plain.pull_next(true, false, &at(N / 2)));
+        // A settled predicate moves the program to the Beamer rule, which
+        // does not look at the active count when entering.
+        let p = beamer(&auto());
+        assert!(p.beamer && p.bottom_up);
+        assert!(!p.pull_next(
+            true,
+            false,
+            &Frontier {
+                frontier_edges: 0,
+                unexplored_edges: 1,
+                ..at(N)
+            }
+        ));
     }
 
     #[test]

@@ -57,7 +57,6 @@ impl<P: VertexProgram> Run<'_, P> {
         } = &mut *self.frame;
         // Borrow the collected messages in place (the storage stays with
         // the collector for next superstep's reuse).
-        let combines_at_sender = collector.combines_at_sender();
         let collected = collector.collected();
         if claims_ran {
             let next_active_parts = Mutex::new(std::mem::take(next_active));
@@ -106,16 +105,7 @@ impl<P: VertexProgram> Run<'_, P> {
             next_active.clear();
             spare.reset_empty(n);
         } else {
-            if self.worklist {
-                // Claims land in whatever order the workers made them.
-                // Sender-side combining ships one message per distinct
-                // (chunk, destination), so there the list's order shows
-                // in `messages_sent`; ascending, it is the list a dense
-                // scan would have found and the count repeats exactly.
-                if combines_at_sender {
-                    next_active.sort_unstable();
-                }
-            } else {
+            if !self.worklist {
                 // The claims fed the density estimate only; the next
                 // active set is rebuilt densely.
                 next_active.clear();

@@ -68,7 +68,7 @@ impl<S, M: Copy + Send + Sync> SuperstepFrame<S, M> {
     pub fn new() -> Self {
         SuperstepFrame {
             workers: 1,
-            collector: MessageCollector::new(Transport::PerThreadOutbox, 1, 0, false),
+            collector: MessageCollector::new(Transport::PerThreadOutbox, 1, 0),
             inbox: Inbox::new(),
             spare: Inbox::new(),
             snapshot: Vec::new(),
@@ -85,20 +85,13 @@ impl<S, M: Copy + Send + Sync> SuperstepFrame<S, M> {
 
     /// Reshape for a run over `n` vertices with `workers` workers; a
     /// frame whose shape already matches keeps all warm storage.
-    pub(super) fn prepare(
-        &mut self,
-        n: usize,
-        workers: usize,
-        transport: Transport,
-        combining: bool,
-    ) {
+    pub(super) fn prepare(&mut self, n: usize, workers: usize, transport: Transport) {
         let workers = workers.max(1);
         if self.collector.transport() != transport
             || self.collector.workers() != workers
             || self.collector.num_vertices() != n
-            || self.collector.is_combining() != combining
         {
-            self.collector = MessageCollector::new(transport, workers, n, combining);
+            self.collector = MessageCollector::new(transport, workers, n);
         }
         if self.workers != workers {
             self.workers = workers;

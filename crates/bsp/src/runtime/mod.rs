@@ -41,7 +41,9 @@ pub use scan::ActiveSetStrategy;
 
 use direction::Policy;
 
-/// Runtime configuration.
+/// Runtime configuration: the four things two callers set differently.
+/// What `Delivery::Auto` switches on is not among them — its thresholds
+/// are the constants in `runtime/direction.rs`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BspConfig {
     /// Message transport strategy.
@@ -50,28 +52,6 @@ pub struct BspConfig {
     pub active_set: ActiveSetStrategy,
     /// Message delivery mode (push, pull, or per-superstep auto).
     pub delivery: Delivery,
-    /// `Delivery::Auto` pulls when the estimated active fraction of the
-    /// next superstep is at least this (0.0 ‥ 1.0).  Only used for
-    /// pull-capable programs without a settled predicate; bottom-up
-    /// capable programs use `beamer_alpha`/`beamer_beta` instead.
-    pub pull_threshold: f64,
-    /// Beamer top-down→bottom-up ratio: under `Delivery::Auto` a
-    /// bottom-up capable program switches to pull when
-    /// `frontier_edges * beamer_alpha > unexplored_edges` (GAP default
-    /// 15).  `0.0` disables the Beamer rule and falls back to the
-    /// `pull_threshold` density rule — the pre-direction-optimization
-    /// `Auto`, kept as an ablation escape hatch.
-    pub beamer_alpha: f64,
-    /// Beamer bottom-up→top-down ratio: switch back to push when the
-    /// estimated next frontier holds fewer than `n / beamer_beta`
-    /// vertices (GAP default 18).
-    pub beamer_beta: f64,
-    /// Adjacency-intersection strategy for triangle counting and
-    /// clustering jobs.  The BSP `TcProgram` always prunes candidates by
-    /// degree rank; this knob selects the shared-memory (GraphCT engine)
-    /// intersection kernel — see
-    /// [`xmt_graph::IntersectStrategy`].
-    pub intersect: xmt_graph::IntersectStrategy,
     /// Hard stop after this many supersteps (guards non-converging
     /// programs).
     pub max_supersteps: u64,
@@ -83,10 +63,6 @@ impl Default for BspConfig {
             transport: Transport::PerThreadOutbox,
             active_set: ActiveSetStrategy::DenseScan,
             delivery: Delivery::Push,
-            pull_threshold: 0.5,
-            beamer_alpha: 15.0,
-            beamer_beta: 18.0,
-            intersect: xmt_graph::IntersectStrategy::Auto,
             max_supersteps: 10_000,
         }
     }
@@ -97,12 +73,11 @@ impl Default for BspConfig {
 pub struct SuperstepStats {
     /// Vertices that executed `compute` this superstep.
     pub active: u64,
-    /// Messages that crossed the superstep boundary (post sender-side
-    /// combining; zero when the next superstep pulled instead).
+    /// Messages that crossed the superstep boundary (zero when the next
+    /// superstep pulled instead).
     pub messages_sent: u64,
-    /// Messages produced by `compute` (pre sender-side combining).
-    /// Equals `messages_sent` except under the bucketed transport with a
-    /// combiner.
+    /// Messages produced by `compute`.  Equals `messages_sent` unless the
+    /// next superstep pulled and they were discarded.
     pub messages_generated: u64,
     /// Messages delivered to `compute` (post-combiner).
     pub messages_delivered: u64,
@@ -157,13 +132,12 @@ pub struct RunOptions<'a, P: VertexProgram> {
     /// uses a throwaway frame.  Results are identical either way — only
     /// the allocation behavior differs.
     pub frame: Option<&'a mut SuperstepFrame<P::State, P::Message>>,
-    /// Where and how the parallel loops run — the seam both engines
-    /// share.  `Executor::fixed()` (the default) is static chunks on the
-    /// global pool, the loop shape the cost model charges for; the
-    /// native engine passes a guided executor, optionally pinned to its
-    /// own pool.  Programs, transports, frames, checkpoints and traces
-    /// are identical across executors, and the exchange delivers in
-    /// source order whatever the schedule, so results agree
+    /// Where and how the parallel loops run.  `Executor::fixed()` (the
+    /// default) is static chunks on the global pool, the loop shape the
+    /// cost model charges for; the service passes a guided executor.
+    /// Programs, transports, frames, checkpoints and traces are
+    /// identical across executors, and the exchange delivers in source
+    /// order whatever the schedule, so results agree
     /// superstep-for-superstep — bit for bit where DESIGN.md §17 says
     /// the order holds, and for any exact combiner elsewhere.
     pub exec: Executor,
@@ -243,7 +217,7 @@ fn run_validated<P: VertexProgram>(
     let tracing = xmt_trace::ENABLED && sink.is_some();
     let n = graph.num_vertices() as usize;
     let workers = exec.workers();
-    frame.prepare(n, workers, config.transport, program.combiner().is_some());
+    frame.prepare(n, workers, config.transport);
 
     let resumed_at = from.as_ref().map(|(_, resume)| resume.superstep);
     let (states, halted, prev_agg) = match from {
@@ -327,9 +301,9 @@ fn run_validated<P: VertexProgram>(
         let mut step_watch = tracing.then(xmt_trace::Stopwatch::start);
         let mut phase_watch = step_watch;
         // Allocation window: everything from here through the end of the
-        // exchange phase is covered; trace bookkeeping after the window
-        // (bucket counts, the record itself) is excluded so tracing does
-        // not observe its own allocations.
+        // exchange phase is covered; the trace record built after the
+        // window is excluded so tracing does not observe its own
+        // allocations.
         let allocs_at = if tracing { xmt_trace::alloc_count() } else { 0 };
         run.frame.collector.reset();
 
@@ -382,7 +356,7 @@ fn run_validated<P: VertexProgram>(
         superstep_stats.push(SuperstepStats {
             active,
             messages_sent: exchanged.messages_sent,
-            messages_generated: computed.generated,
+            messages_generated: computed.shipped,
             messages_delivered: computed.delivered,
             pulled: run.pulling,
             pull_probes: computed.probes,
@@ -392,19 +366,11 @@ fn run_validated<P: VertexProgram>(
                 superstep: run.s,
                 active,
                 messages_sent: exchanged.messages_sent,
-                messages_generated: computed.generated,
+                messages_generated: computed.shipped,
                 messages_delivered: computed.delivered,
                 halt_votes: computed.halt_votes,
                 pulled: run.pulling,
                 pull_probes: computed.probes,
-                // Per-bucket boundary traffic (bucketed transport
-                // only; counts what actually crosses — nothing does
-                // when the next superstep pulls).
-                bucket_messages: if exchanged.pull_next {
-                    Vec::new()
-                } else {
-                    run.frame.collector.bucket_counts()
-                },
                 allocs: step_allocs,
                 scan_ns,
                 compute_ns,

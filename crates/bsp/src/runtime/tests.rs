@@ -47,7 +47,7 @@ fn limit(max_supersteps: u64) -> BspConfig {
 }
 
 /// A pull-capable min-flood without a settled predicate: Auto uses
-/// the `pull_threshold` density rule for it.
+/// the density rule (pull at half the vertices) for it.
 struct PullFlood;
 impl VertexProgram for PullFlood {
     type State = u64;
@@ -119,58 +119,11 @@ fn single_queue_transport_gives_identical_results() {
     );
     assert_eq!(a.states, b.states);
     assert_eq!(a.supersteps, b.supersteps);
-}
-
-#[test]
-fn bucketed_transport_gives_identical_results() {
-    let g = build_undirected(&path(20));
-    let a = run_bsp(&g, &MinFlood, BspConfig::default(), None);
-    let b = run_bsp(
-        &g,
-        &MinFlood,
-        BspConfig {
-            transport: Transport::Bucketed,
-            ..Default::default()
-        },
-        None,
-    );
-    assert_eq!(a.states, b.states);
-    assert_eq!(a.supersteps, b.supersteps);
-}
-
-#[test]
-fn sender_side_combining_ships_fewer_messages() {
-    // On a star, every leaf sends its label to the hub in superstep
-    // 0: per-thread outboxes ship all of them, the bucketed
-    // transport folds each worker's copies to one per (worker, hub).
-    let g = build_undirected(&star(64));
-    let push = run_bsp(&g, &MinFlood, BspConfig::default(), None);
-    let bucketed = run_bsp(
-        &g,
-        &MinFlood,
-        BspConfig {
-            transport: Transport::Bucketed,
-            ..Default::default()
-        },
-        None,
-    );
-    assert_eq!(push.states, bucketed.states);
-    // Same compute -> same generated volume; fewer cross the boundary.
-    assert_eq!(
-        push.superstep_stats[0].messages_generated,
-        bucketed.superstep_stats[0].messages_generated
-    );
-    assert!(
-        bucketed.superstep_stats[0].messages_sent < push.superstep_stats[0].messages_sent,
-        "bucketed {} !< outbox {}",
-        bucketed.superstep_stats[0].messages_sent,
-        push.superstep_stats[0].messages_sent
-    );
-    // Without combining, generated == sent.
-    assert_eq!(
-        push.superstep_stats[0].messages_sent,
-        push.superstep_stats[0].messages_generated
-    );
+    // Nothing is combined or dropped on the way out: on a push boundary
+    // what compute produced is what crosses, under either transport.
+    for s in a.superstep_stats.iter().chain(&b.superstep_stats) {
+        assert_eq!(s.messages_sent, s.messages_generated);
+    }
 }
 
 #[test]
@@ -208,6 +161,7 @@ fn forced_pull_marks_supersteps_and_probes() {
     // superstep 0 generated traffic, so superstep 1 pulls.
     assert!(!r.superstep_stats[0].pulled);
     assert_eq!(r.superstep_stats[0].messages_sent, 0); // discarded for pull
+    assert_eq!(r.superstep_stats[0].messages_generated, 2 * (10 - 1));
     assert!(r.superstep_stats[1].pulled);
     // A pull superstep over a path probes each non-isolated vertex's
     // neighbors: sum of degrees = 2 * edges.
@@ -236,54 +190,53 @@ fn pull_ignores_programs_without_support() {
 }
 
 #[test]
-fn auto_delivery_pushes_on_sparse_supersteps() {
-    // An unreachable threshold keeps every superstep in push mode; a
-    // zero threshold pulls whenever there is any traffic.  Both must
-    // agree on the answer.
+fn auto_delivery_pulls_dense_supersteps_and_pushes_sparse_ones() {
+    // A min-flood over a path wakes one vertex fewer every superstep:
+    // the early boundaries see more than half the vertices active next
+    // and hand over to pull, the late ones push.  Both must agree with
+    // static push on the answer.
     let g = build_undirected(&path(50));
-    let never = run_bsp(
+    let push = run_bsp(&g, &PullFlood, BspConfig::default(), None);
+    assert!(push.superstep_stats.iter().all(|s| !s.pulled));
+    let auto = run_bsp(
         &g,
         &PullFlood,
         BspConfig {
             delivery: Delivery::Auto,
-            pull_threshold: 1.1,
             ..Default::default()
         },
         None,
     );
-    assert!(never.superstep_stats.iter().all(|s| !s.pulled));
-    let always = run_bsp(
-        &g,
-        &PullFlood,
-        BspConfig {
-            delivery: Delivery::Auto,
-            pull_threshold: 0.0,
-            ..Default::default()
-        },
-        None,
+    let pulled: Vec<bool> = auto.superstep_stats.iter().map(|s| s.pulled).collect();
+    assert!(pulled[1], "superstep 0 wakes everyone: superstep 1 pulls");
+    let first_push = 1 + pulled[1..].iter().position(|&p| !p).expect("thins out");
+    assert!(
+        pulled[first_push..].iter().all(|&p| !p),
+        "a frontier that only shrinks never goes back to pull: {pulled:?}"
     );
-    assert!(always.superstep_stats.iter().skip(1).any(|s| s.pulled));
-    assert_eq!(never.states, always.states);
-    assert!(never.states.iter().all(|&s| s == 0));
+    assert_eq!(auto.states, push.states);
+    assert!(auto.states.iter().all(|&s| s == 0));
 }
 
 #[test]
-fn pull_composes_with_worklist_and_bucketed_transport() {
+fn pull_composes_with_worklist_and_either_transport() {
     let g = build_undirected(&path(30));
     let reference = run_bsp(&g, &PullFlood, BspConfig::default(), None);
-    for delivery in [Delivery::Push, Delivery::Pull, Delivery::Auto] {
-        let r = run_bsp(
-            &g,
-            &PullFlood,
-            BspConfig {
-                transport: Transport::Bucketed,
-                active_set: ActiveSetStrategy::Worklist,
-                delivery,
-                ..Default::default()
-            },
-            None,
-        );
-        assert_eq!(r.states, reference.states, "{delivery:?}");
+    for transport in [Transport::PerThreadOutbox, Transport::SingleQueue] {
+        for delivery in [Delivery::Push, Delivery::Pull, Delivery::Auto] {
+            let r = run_bsp(
+                &g,
+                &PullFlood,
+                BspConfig {
+                    transport,
+                    active_set: ActiveSetStrategy::Worklist,
+                    delivery,
+                    ..Default::default()
+                },
+                None,
+            );
+            assert_eq!(r.states, reference.states, "{transport:?} {delivery:?}");
+        }
     }
 }
 
@@ -796,33 +749,6 @@ fn trace_series_is_contiguous_across_a_stop_cut() {
     assert_eq!(all, (0..all.len() as u64).collect::<Vec<_>>());
 }
 
-#[cfg(feature = "trace")]
-#[test]
-fn bucketed_trace_reports_per_bucket_traffic() {
-    let g = build_undirected(&path(64));
-    let mut sink = xmt_trace::TraceSink::new();
-    let run = run(
-        &g,
-        &MinFlood,
-        RunOptions {
-            config: BspConfig {
-                transport: Transport::Bucketed,
-                ..Default::default()
-            },
-            sink: Some(&mut sink),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let trace = sink.finish();
-    for (t, s) in trace.iter().zip(&run.result.superstep_stats) {
-        // Bucket counts tile the boundary traffic exactly.
-        assert_eq!(t.bucket_messages.iter().sum::<u64>(), s.messages_sent);
-    }
-    // One bucket per worker, however many the pool has.
-    assert_eq!(trace[0].bucket_messages.len(), xmt_par::num_threads());
-}
-
 #[test]
 fn untraced_runs_record_nothing() {
     // Without a sink: equivalent runs, no records — in every feature
@@ -900,15 +826,15 @@ fn auto_estimator_counts_distinct_destinations_not_messages() {
 
 #[test]
 fn stop_hook_never_cuts_on_a_pull_boundary_under_auto() {
-    // Regression for the `!stop.is_some_and(...)` gate: a zero
-    // threshold makes Auto want to pull at EVERY boundary with
-    // traffic, so the frontier is "dense" at the cut; the stop gate
-    // must still land the checkpoint on a push boundary with a
-    // materialized inbox, and the resumed run must compose exactly.
+    // Regression for the `!stop.is_some_and(...)` gate: a min-flood
+    // over a path keeps more than half the vertices awake for its
+    // first supersteps, so Auto wants to pull at the boundary where the
+    // hook fires; the stop gate must still land the checkpoint on a
+    // push boundary with a materialized inbox, and the resumed run must
+    // compose exactly.
     for strategy in [ActiveSetStrategy::DenseScan, ActiveSetStrategy::Worklist] {
         let cfg = BspConfig {
             delivery: Delivery::Auto,
-            pull_threshold: 0.0,
             active_set: strategy,
             ..Default::default()
         };

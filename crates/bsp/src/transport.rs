@@ -3,25 +3,26 @@
 //! §VII of the paper: "Without native support for message features such
 //! as enqueueing and dequeueing, serialization around a single atomic
 //! fetch-and-add is possible, inhibiting scalability."  We implement
-//! three designs and let the experiment harness compare them
-//! (`ablation_queue`, `ablation_exchange`).  The *model* charges differ
-//! per transport (`xmt_model::exchange`); on the host all three share
+//! the design that avoids that and the one the paper warns against, and
+//! let the experiment harness compare them (`ablation_queue`,
+//! `ablation_exchange`, the `knobs` bench group).  The *model* charges
+//! differ per transport (`xmt_model::exchange`); on the host both share
 //! one data path and differ only in how it is shaped:
 //!
 //! * [`Transport::PerThreadOutbox`] (the default) — every worker owns a
 //!   lane of bucket buffers; a compute chunk's sends are
 //!   radix-partitioned by destination range into the lane as they are
-//!   deposited, in buckets of at most 2^16 vertices;
+//!   deposited, in buckets of at most 2^16 vertices — an atomic-free
+//!   all-to-all;
 //! * [`Transport::SingleQueue`] — the XMT-naive port: one lane with one
 //!   bucket behind one lock that every deposit takes (every message
 //!   charges the hotspot in the performance model), and therefore one
-//!   receiving task;
-//! * [`Transport::Bucketed`] — the all-to-all the model charges: one
-//!   bucket per worker, plus *sender-side combining*: when the program
-//!   has a combiner, each worker folds messages to the same destination
-//!   inside its bucket as they are deposited, so combined programs ship
-//!   O(active vertices) messages across the boundary instead of
-//!   O(edges).
+//!   receiving task.  1.3–1.8× the default's host time on the four
+//!   kernels (EXPERIMENTS.md, "Host-time knob ablation"), kept as the
+//!   paper-faithful baseline, lock and all.
+//!
+//! Messages are never combined at the sender: a combiner folds at the
+//! receiving side only, so what ships is what `compute` produced.
 //!
 //! Every deposit records the position of its chunk in the active list; a
 //! chunk may leave in several deposits, all at that position.
@@ -38,8 +39,6 @@
 //! instead of reallocating them (the steady-state zero-allocation
 //! contract of the runtime).
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -47,8 +46,6 @@ use parking_lot::Mutex;
 use xmt_graph::VertexId;
 use xmt_model::{charge_push_exchange, ExchangeKind, PhaseCounts};
 use xmt_par::WorkerScratch;
-
-use crate::program::Combiner;
 
 /// How sent messages travel from `compute` to the next superstep's inbox.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -60,9 +57,6 @@ pub enum Transport {
     /// fetch-and-add cursor — the XMT-naive port. Functionally identical,
     /// but every message charges the hotspot in the performance model.
     SingleQueue,
-    /// One destination bucket per worker (the model's all-to-all), with
-    /// sender-side combining when the program has a combiner.
-    Bucketed,
 }
 
 /// log2 of the most vertices a destination bucket of the default
@@ -91,7 +85,6 @@ fn bucket_shape(transport: Transport, workers: usize, n: usize) -> (u32, usize) 
     };
     match transport {
         Transport::SingleQueue => (covering(1), 1),
-        Transport::Bucketed => (covering(workers), workers),
         Transport::PerThreadOutbox => {
             let shift = covering(workers * BUCKETS_PER_WORKER).min(BUCKET_SHIFT);
             (shift, n.div_ceil(1 << shift).max(1))
@@ -206,7 +199,6 @@ pub struct MessageCollector<M> {
     transport: Transport,
     workers: usize,
     num_vertices: usize,
-    combining: bool,
     shift: u32,
     buckets: usize,
     /// One private lane per worker (all but single-queue mode).
@@ -215,35 +207,23 @@ pub struct MessageCollector<M> {
     /// workspace lock-order graph: held only for a deposit, never across
     /// another acquisition or a foreign call.
     queue: Mutex<Lane<M>>,
-    /// Sender-side combining index: per worker, per bucket, destination →
-    /// position in the bucket buffer (bucketed mode with a combiner).
-    index: WorkerScratch<Vec<HashMap<VertexId, u32>>>,
     /// Every deposit of the superstep, sorted by [`collected`](Self::collected).
     order: Vec<(u64, u32, u32)>,
-    /// Messages that will cross the superstep boundary (post sender-side
-    /// combining), maintained with one relaxed add per deposit so
-    /// [`total`](Self::total) never takes a lock.
+    /// Messages deposited so far, maintained with one relaxed add per
+    /// deposit so [`total`](Self::total) never takes a lock.
     shipped: AtomicU64,
-    /// Messages produced by `compute` (pre sender-side combining).
-    generated: AtomicU64,
 }
 
 impl<M: Copy + Send> MessageCollector<M> {
     /// A collector for `workers` workers over `num_vertices` vertices.
-    ///
-    /// `combining` enables the sender-side combining index; it only has
-    /// an effect for [`Transport::Bucketed`] (the other transports always
-    /// ship raw messages and combine at the receiver).
-    pub fn new(transport: Transport, workers: usize, num_vertices: usize, combining: bool) -> Self {
+    pub fn new(transport: Transport, workers: usize, num_vertices: usize) -> Self {
         let workers = workers.max(1);
         let (shift, buckets) = bucket_shape(transport, workers, num_vertices);
         let single_queue = transport == Transport::SingleQueue;
-        let bucketed_combining = combining && transport == Transport::Bucketed;
         MessageCollector {
             transport,
             workers,
             num_vertices,
-            combining,
             shift,
             buckets,
             // WorkerScratch always holds ≥ 1 slot; the unused shape keeps
@@ -252,16 +232,8 @@ impl<M: Copy + Send> MessageCollector<M> {
                 Lane::new(if single_queue { 0 } else { buckets })
             }),
             queue: Mutex::new(Lane::new(if single_queue { buckets } else { 0 })),
-            index: WorkerScratch::with(if bucketed_combining { workers } else { 1 }, || {
-                if bucketed_combining {
-                    (0..buckets).map(|_| HashMap::new()).collect()
-                } else {
-                    Vec::new()
-                }
-            }),
             order: Vec::new(),
             shipped: AtomicU64::new(0),
-            generated: AtomicU64::new(0),
         }
     }
 
@@ -280,19 +252,6 @@ impl<M: Copy + Send> MessageCollector<M> {
         self.num_vertices
     }
 
-    /// Whether the sender-side combining index was requested.
-    pub fn is_combining(&self) -> bool {
-        self.combining
-    }
-
-    /// Whether deposits are combined at the sender: the bucketed
-    /// transport with the index requested.  Each deposit is combined on
-    /// its own, so what ships depends on how the active list is chunked
-    /// and on nothing else.
-    pub fn combines_at_sender(&self) -> bool {
-        self.combining && self.transport == Transport::Bucketed
-    }
-
     /// Clear all deposited messages, retaining every buffer's capacity.
     ///
     /// After a reset the collector behaves like a fresh
@@ -303,10 +262,9 @@ impl<M: Copy + Send> MessageCollector<M> {
             lane.clear();
         }
         self.queue.get_mut().clear();
-        // Relaxed (both): `&mut self` excludes all depositors; the next
-        // parallel region's pool handoff publishes the zeroes.
+        // Relaxed: `&mut self` excludes all depositors; the next
+        // parallel region's pool handoff publishes the zero.
         self.shipped.store(0, Ordering::Relaxed);
-        self.generated.store(0, Ordering::Relaxed); // Relaxed: as above.
     }
 
     /// Deposit sends of the compute chunk that starts at position
@@ -318,8 +276,7 @@ impl<M: Copy + Send> MessageCollector<M> {
     /// worker's private lane; in single-queue mode all workers funnel
     /// through one lock into one lane — on the simulated machine every
     /// message would individually pay the shared cursor, which the model
-    /// charges via [`charge_exchange`].  In bucketed mode duplicates are
-    /// folded through `combiner` on the way in when one is supplied.
+    /// charges via [`charge_exchange`].
     ///
     /// Worker-private storage relies on the `parallel_for_chunked`
     /// contract: at most one live thread per worker id.
@@ -327,17 +284,10 @@ impl<M: Copy + Send> MessageCollector<M> {
     /// # Panics
     /// Here or in [`Inbox::rebuild`](crate::Inbox::rebuild), if a
     /// destination lies outside the collector's vertex count.
-    pub fn deposit_from(
-        &self,
-        worker: usize,
-        chunk_start: usize,
-        batch: &mut Vec<(VertexId, M)>,
-        combiner: Option<&dyn Combiner<M>>,
-    ) {
+    pub fn deposit_from(&self, worker: usize, chunk_start: usize, batch: &mut Vec<(VertexId, M)>) {
         if batch.is_empty() {
             return;
         }
-        let raw = batch.len() as u64;
         let mut queue_guard;
         let lane = if self.transport == Transport::SingleQueue {
             queue_guard = self.queue.lock();
@@ -347,65 +297,27 @@ impl<M: Copy + Send> MessageCollector<M> {
             unsafe { self.lanes.get(worker) }
         };
         let shift = self.shift;
-        let shipped = match combiner {
-            Some(c) if self.combines_at_sender() => {
-                // SAFETY: same single-depositor contract.
-                let index = unsafe { self.index.get(worker) };
-                // Combining stops at the chunk: what ships is then a
-                // function of the chunk, not of which worker claimed it.
-                // HashMap::clear retains capacity: re-inserts up to the
-                // high-water mark do not allocate.
-                index.iter_mut().for_each(HashMap::clear);
-                let mut inserted = 0u64;
-                for &(dst, msg) in batch.iter() {
-                    let b = (dst >> shift) as usize;
-                    let bucket = &mut lane.buckets[b];
-                    match index[b].entry(dst) {
-                        Entry::Occupied(e) => {
-                            let at = *e.get() as usize;
-                            bucket[at].1 = c.combine(bucket[at].1, msg);
-                        }
-                        Entry::Vacant(e) => {
-                            e.insert(bucket.len() as u32);
-                            bucket.push((dst, msg));
-                            inserted += 1;
-                        }
-                    }
-                }
-                inserted
-            }
-            _ => {
-                for &(dst, msg) in batch.iter() {
-                    lane.buckets[(dst >> shift) as usize].push((dst, msg));
-                }
-                raw
-            }
-        };
+        for &(dst, msg) in batch.iter() {
+            lane.buckets[(dst >> shift) as usize].push((dst, msg));
+        }
         lane.starts.push(chunk_start as u64);
         lane.ends.extend(lane.buckets.iter().map(Vec::len));
+        let deposited = batch.len() as u64;
         batch.clear();
-        // Relaxed (both): monotonic counters; the runtime reads totals
-        // only after the compute parallel_for joins, so every deposit
+        // Relaxed: monotonic counter; the runtime reads the total only
+        // after the compute parallel_for joins, so every deposit
         // happens-before the read without counter-side ordering.
-        self.generated.fetch_add(raw, Ordering::Relaxed);
-        self.shipped.fetch_add(shipped, Ordering::Relaxed); // Relaxed: see above
+        self.shipped.fetch_add(deposited, Ordering::Relaxed);
     }
 
-    /// Messages that will cross the superstep boundary so far (post
-    /// sender-side combining).  Lock-free: reads one relaxed counter.
+    /// Messages deposited so far — what crosses the superstep boundary
+    /// unless the next superstep pulls.  Lock-free: reads one relaxed
+    /// counter.
     pub fn total(&self) -> u64 {
         // Relaxed: exact only once all depositors have joined (the
         // runtime calls this after the compute barrier); mid-superstep
         // readers get a monotonic snapshot.
         self.shipped.load(Ordering::Relaxed)
-    }
-
-    /// Messages produced by `compute` so far (pre sender-side combining).
-    /// Equals [`total`](Self::total) unless bucketed combining folded
-    /// some away.
-    pub fn total_generated(&self) -> u64 {
-        // Relaxed: same contract as `total` — read after the barrier.
-        self.generated.load(Ordering::Relaxed)
     }
 
     /// Borrow the deposited messages without moving them out, with the
@@ -415,7 +327,7 @@ impl<M: Copy + Send> MessageCollector<M> {
     pub fn collected(&mut self) -> Collected<'_, M> {
         let lanes: &[Lane<M>] = match self.transport {
             Transport::SingleQueue => std::slice::from_ref(self.queue.get_mut()),
-            _ => self.lanes.as_slice(),
+            Transport::PerThreadOutbox => self.lanes.as_slice(),
         };
         self.order.clear();
         for (l, lane) in lanes.iter().enumerate() {
@@ -438,23 +350,6 @@ impl<M: Copy + Send> MessageCollector<M> {
             order: &self.order,
         }
     }
-
-    /// Messages bound for each destination bucket, summed across workers
-    /// (post sender-side combining); empty unless the transport is
-    /// [`Transport::Bucketed`].  Trace reporting only — allocates its
-    /// result.
-    pub fn bucket_counts(&mut self) -> Vec<u64> {
-        if self.transport != Transport::Bucketed {
-            return Vec::new();
-        }
-        let mut counts = vec![0u64; self.buckets];
-        for lane in self.lanes.iter_mut() {
-            for (b, bucket) in lane.buckets.iter().enumerate() {
-                counts[b] += bucket.len() as u64;
-            }
-        }
-        counts
-    }
 }
 
 /// Charge the model for moving `messages` messages of `msg_words` words
@@ -472,7 +367,6 @@ pub fn charge_exchange(
     let kind = match transport {
         Transport::PerThreadOutbox => ExchangeKind::PerThreadOutbox,
         Transport::SingleQueue => ExchangeKind::SharedQueue,
-        Transport::Bucketed => ExchangeKind::BucketedAllToAll,
     };
     charge_push_exchange(c, kind, messages, msg_words, n);
 }
@@ -480,7 +374,6 @@ pub fn charge_exchange(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::MinCombiner;
 
     /// The collected view, batch by batch.
     fn batches(mc: &mut MessageCollector<u64>) -> Vec<Vec<(VertexId, u64)>> {
@@ -517,18 +410,16 @@ mod tests {
         // Never narrower than a presence-bitmap word; never zero buckets.
         assert_eq!(bucket_shape(Transport::PerThreadOutbox, 8, 100), (6, 2));
         assert_eq!(bucket_shape(Transport::PerThreadOutbox, 2, 0), (6, 1));
-        // The queue is one bucket; the all-to-all one bucket per worker.
+        // The queue is one bucket.
         assert_eq!(bucket_shape(Transport::SingleQueue, 8, 1000), (10, 1));
-        assert_eq!(bucket_shape(Transport::Bucketed, 2, 1000), (9, 2));
-        assert_eq!(bucket_shape(Transport::Bucketed, 3, 10), (6, 3));
     }
 
     #[test]
     fn outbox_mode_keeps_lanes_separate() {
         let mut mc: MessageCollector<u64> =
-            MessageCollector::new(Transport::PerThreadOutbox, 3, 10, false);
-        mc.deposit_from(0, 0, &mut vec![(1, 10)], None);
-        mc.deposit_from(2, 4, &mut vec![(2, 20), (3, 30)], None);
+            MessageCollector::new(Transport::PerThreadOutbox, 3, 10);
+        mc.deposit_from(0, 0, &mut vec![(1, 10)]);
+        mc.deposit_from(2, 4, &mut vec![(2, 20), (3, 30)]);
         assert_eq!(mc.total(), 3);
         let batches = batches(&mut mc);
         assert_eq!(batches.len(), 3);
@@ -539,10 +430,9 @@ mod tests {
 
     #[test]
     fn queue_mode_funnels_everything() {
-        let mut mc: MessageCollector<u64> =
-            MessageCollector::new(Transport::SingleQueue, 8, 10, false);
-        mc.deposit_from(0, 0, &mut vec![(1, 10)], None);
-        mc.deposit_from(5, 3, &mut vec![(2, 20)], None);
+        let mut mc: MessageCollector<u64> = MessageCollector::new(Transport::SingleQueue, 8, 10);
+        mc.deposit_from(0, 0, &mut vec![(1, 10)]);
+        mc.deposit_from(5, 3, &mut vec![(2, 20)]);
         let batches = batches(&mut mc);
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].len(), 2);
@@ -551,29 +441,27 @@ mod tests {
     #[test]
     fn empty_deposits_are_free() {
         let mut mc: MessageCollector<u64> =
-            MessageCollector::new(Transport::PerThreadOutbox, 2, 10, false);
-        mc.deposit_from(1, 0, &mut vec![], None);
+            MessageCollector::new(Transport::PerThreadOutbox, 2, 10);
+        mc.deposit_from(1, 0, &mut vec![]);
         assert_eq!(mc.total(), 0);
-        assert_eq!(mc.total_generated(), 0);
         assert_eq!(mc.collected().bucket_deposits(0).count(), 0);
     }
 
     #[test]
     fn deposits_partition_by_destination_range() {
-        // 1000 vertices over 2 workers: shift 9, bucket 0 = [0,512),
-        // bucket 1 = [512,1000).
+        // 1000 vertices over 2 workers: shift 7, eight buckets of 128
+        // vertices, the last one cut at 1000.
         let mut mc: MessageCollector<u64> =
-            MessageCollector::new(Transport::Bucketed, 2, 1000, false);
-        mc.deposit_from(0, 0, &mut vec![(1, 10), (700, 70), (400, 40)], None);
-        mc.deposit_from(1, 8, &mut vec![(512, 50)], None);
+            MessageCollector::new(Transport::PerThreadOutbox, 2, 1000);
+        mc.deposit_from(0, 0, &mut vec![(1, 10), (700, 70), (100, 40)]);
+        mc.deposit_from(1, 8, &mut vec![(640, 50)]);
         assert_eq!(mc.total(), 4);
-        assert_eq!(mc.bucket_counts(), vec![2, 2]);
         let view = mc.collected();
-        assert_eq!(view.num_buckets(), 2);
-        assert_eq!(view.bucket_range(0), 0..512);
-        assert_eq!(view.bucket_range(1), 512..1000);
-        assert_eq!(deposits(&mut mc, 0), vec![vec![(1, 10), (400, 40)]]);
-        assert_eq!(deposits(&mut mc, 1), vec![vec![(700, 70)], vec![(512, 50)]]);
+        assert_eq!(view.num_buckets(), 8);
+        assert_eq!(view.bucket_range(0), 0..128);
+        assert_eq!(view.bucket_range(7), 896..1000);
+        assert_eq!(deposits(&mut mc, 0), vec![vec![(1, 10), (100, 40)]]);
+        assert_eq!(deposits(&mut mc, 5), vec![vec![(700, 70)], vec![(640, 50)]]);
     }
 
     #[test]
@@ -582,12 +470,12 @@ mod tests {
         // 0's, its second chunk in two parts; the single queue sees the
         // same arrivals through its lock.
         for transport in [Transport::PerThreadOutbox, Transport::SingleQueue] {
-            let mut mc: MessageCollector<u64> = MessageCollector::new(transport, 2, 100, false);
-            mc.deposit_from(0, 32, &mut vec![(7, 3), (70, 30)], None);
-            mc.deposit_from(1, 0, &mut vec![(7, 1)], None);
-            mc.deposit_from(1, 16, &mut vec![(7, 2)], None);
-            mc.deposit_from(0, 48, &mut vec![(7, 4)], None);
-            mc.deposit_from(1, 16, &mut vec![(7, 22)], None);
+            let mut mc: MessageCollector<u64> = MessageCollector::new(transport, 2, 100);
+            mc.deposit_from(0, 32, &mut vec![(7, 3), (70, 30)]);
+            mc.deposit_from(1, 0, &mut vec![(7, 1)]);
+            mc.deposit_from(1, 16, &mut vec![(7, 2)]);
+            mc.deposit_from(0, 48, &mut vec![(7, 4)]);
+            mc.deposit_from(1, 16, &mut vec![(7, 22)]);
             let bucket_of_7: Vec<_> = deposits(&mut mc, 0)
                 .into_iter()
                 .flatten()
@@ -599,87 +487,51 @@ mod tests {
     }
 
     #[test]
-    fn sender_side_combining_folds_within_a_chunk() {
-        let mut mc: MessageCollector<u64> =
-            MessageCollector::new(Transport::Bucketed, 2, 1000, true);
-        // The first chunk sends twice to vertex 3 and once to vertex 800;
-        // the same worker's next chunk and the other worker's chunk also
-        // target vertex 3 — those duplicates survive (combining is per
-        // chunk) for the receiver to fold.
-        mc.deposit_from(
-            0,
-            0,
-            &mut vec![(3, 9), (3, 4), (800, 1)],
-            Some(&MinCombiner),
-        );
-        mc.deposit_from(0, 8, &mut vec![(3, 6)], Some(&MinCombiner));
-        mc.deposit_from(1, 4, &mut vec![(3, 2)], Some(&MinCombiner));
-        assert_eq!(mc.total_generated(), 5);
-        assert_eq!(mc.total(), 4);
-        assert_eq!(
-            batches(&mut mc),
-            vec![vec![(3, 4), (3, 6)], vec![(800, 1)], vec![(3, 2)], vec![]]
-        );
-    }
-
-    #[test]
     fn total_is_lock_free_and_matches_contents() {
-        // `total` must agree with the drained contents for every
-        // transport (it is maintained incrementally, not by locking).
-        for transport in [
-            Transport::PerThreadOutbox,
-            Transport::SingleQueue,
-            Transport::Bucketed,
-        ] {
-            let mut mc: MessageCollector<u64> = MessageCollector::new(transport, 4, 100, false);
+        // `total` is the deposited count, and agrees with the collected
+        // contents, for both transports (it is maintained incrementally,
+        // not by locking).
+        for transport in [Transport::PerThreadOutbox, Transport::SingleQueue] {
+            let mut mc: MessageCollector<u64> = MessageCollector::new(transport, 4, 100);
             for w in 0..4 {
                 let mut batch = (0..25).map(|i| ((i * 4 + w as u64) % 100, i)).collect();
-                mc.deposit_from(w, w * 25, &mut batch, None);
+                mc.deposit_from(w, w * 25, &mut batch);
             }
-            let claimed = mc.total();
+            assert_eq!(mc.total(), 100, "{transport:?}");
             let stored: usize = batches(&mut mc).iter().map(|b| b.len()).sum();
-            assert_eq!(claimed, stored as u64, "{transport:?}");
+            assert_eq!(stored, 100, "{transport:?}");
         }
     }
 
     #[test]
     fn deposit_from_drains_but_keeps_capacity() {
-        let mc: MessageCollector<u64> = MessageCollector::new(Transport::Bucketed, 2, 10, true);
+        let mc: MessageCollector<u64> = MessageCollector::new(Transport::PerThreadOutbox, 2, 10);
         let mut outbox: Vec<(VertexId, u64)> = Vec::with_capacity(64);
         outbox.extend([(1, 10), (7, 70), (1, 3)]);
         let cap = outbox.capacity();
-        mc.deposit_from(0, 0, &mut outbox, Some(&MinCombiner));
+        mc.deposit_from(0, 0, &mut outbox);
         assert!(outbox.is_empty());
         assert_eq!(outbox.capacity(), cap);
-        assert_eq!(mc.total_generated(), 3);
-        assert_eq!(mc.total(), 2); // (1, min(10,3)) and (7, 70)
+        // Duplicate destinations ship as they are: combiners fold at the
+        // receiver.
+        assert_eq!(mc.total(), 3);
     }
 
     #[test]
     fn reset_clears_contents_and_keeps_shape() {
-        for transport in [
-            Transport::PerThreadOutbox,
-            Transport::SingleQueue,
-            Transport::Bucketed,
-        ] {
-            let mut mc: MessageCollector<u64> = MessageCollector::new(transport, 2, 10, true);
-            mc.deposit_from(0, 0, &mut vec![(1, 10), (7, 70)], Some(&MinCombiner));
-            mc.deposit_from(1, 2, &mut vec![(3, 30)], Some(&MinCombiner));
+        for transport in [Transport::PerThreadOutbox, Transport::SingleQueue] {
+            let mut mc: MessageCollector<u64> = MessageCollector::new(transport, 2, 10);
+            mc.deposit_from(0, 0, &mut vec![(1, 10), (7, 70)]);
+            mc.deposit_from(1, 2, &mut vec![(3, 30)]);
             assert_eq!(mc.total(), 3, "{transport:?}");
             mc.reset();
             assert_eq!(mc.total(), 0, "{transport:?}");
-            assert_eq!(mc.total_generated(), 0, "{transport:?}");
             assert_eq!(mc.collected().bucket_deposits(0).count(), 0);
-            // A fresh deposit after reset behaves like the first one —
-            // including re-engaging the (cleared) combining index.
-            mc.deposit_from(0, 0, &mut vec![(1, 4), (1, 2)], Some(&MinCombiner));
-            let shipped = mc.total();
-            match transport {
-                Transport::Bucketed => assert_eq!(shipped, 1, "combined after reset"),
-                _ => assert_eq!(shipped, 2),
-            }
+            // A fresh deposit after reset behaves like the first one.
+            mc.deposit_from(0, 0, &mut vec![(1, 4), (1, 2)]);
+            assert_eq!(mc.total(), 2, "{transport:?}");
             let stored: usize = batches(&mut mc).iter().map(|b| b.len()).sum();
-            assert_eq!(shipped, stored as u64, "{transport:?}");
+            assert_eq!(stored, 2, "{transport:?}");
         }
     }
 
@@ -691,29 +543,9 @@ mod tests {
         charge_exchange(&mut b, Transport::SingleQueue, 1000, 1, 100);
         assert_eq!(a.hotspot_ops, 0);
         assert_eq!(b.hotspot_ops, 1000);
+        assert_eq!(a.atomics, 1000);
         assert_eq!(a.writes, b.writes);
         assert_eq!(a.barriers, 2);
-    }
-
-    #[test]
-    fn bucketed_transport_charges_no_atomics() {
-        let mut outbox = PhaseCounts::default();
-        let mut bucketed = PhaseCounts::default();
-        charge_exchange(&mut outbox, Transport::PerThreadOutbox, 1000, 1, 100);
-        charge_exchange(&mut bucketed, Transport::Bucketed, 1000, 1, 100);
-        assert_eq!(outbox.atomics, 1000);
-        assert_eq!(bucketed.atomics, 0);
-        assert_eq!(bucketed.hotspot_ops, 0);
-        assert_eq!(bucketed.barriers, 2);
-    }
-
-    #[test]
-    fn bucket_counts_are_a_bucketed_trace_only() {
-        for transport in [Transport::PerThreadOutbox, Transport::SingleQueue] {
-            let mut mc: MessageCollector<u64> = MessageCollector::new(transport, 2, 1000, false);
-            mc.deposit_from(0, 0, &mut vec![(0, 1), (900, 2)], None);
-            assert!(mc.bucket_counts().is_empty(), "{transport:?}");
-        }
     }
 
     #[test]

@@ -37,11 +37,7 @@ use xmt_graph::Csr;
 use xmt_model::Recorder;
 use xmt_par::{Executor, Pool};
 
-const TRANSPORTS: [Transport; 3] = [
-    Transport::PerThreadOutbox,
-    Transport::SingleQueue,
-    Transport::Bucketed,
-];
+const TRANSPORTS: [Transport; 2] = [Transport::PerThreadOutbox, Transport::SingleQueue];
 const DELIVERIES: [Delivery; 3] = [Delivery::Push, Delivery::Pull, Delivery::Auto];
 const ACTIVE_SETS: [ActiveSetStrategy; 2] =
     [ActiveSetStrategy::DenseScan, ActiveSetStrategy::Worklist];
@@ -109,7 +105,7 @@ fn assert_equivalent<P>(
 #[test]
 fn cc_matches_fresh_across_the_whole_config_matrix() {
     let g = test_graph();
-    // One frame survives all 18 configurations: `prepare` must reshape
+    // One frame survives all 12 configurations: `prepare` must reshape
     // whatever the previous config left behind.
     let mut frame = SuperstepFrame::new();
     for transport in TRANSPORTS {

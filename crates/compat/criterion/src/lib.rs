@@ -4,8 +4,11 @@
 //! `benchmark_group`, `Bencher::iter`, `Throughput`, `BenchmarkId`,
 //! `black_box`) but a much simpler engine: each benchmark is timed over
 //! `sample_size` samples after a short warm-up, and the median sample
-//! time (plus derived throughput) is printed to stdout.  No statistics,
-//! plots, or saved baselines.
+//! time with its quartiles and sample count (plus derived throughput) is
+//! printed to stdout.  No other statistics, plots, or saved baselines.
+//! One addition criterion does not have: [`BenchmarkGroup::bench_alternating`]
+//! times a set of routines in interleaved rounds, for comparisons that a
+//! drifting host or a warming allocator would otherwise decide.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -120,6 +123,24 @@ impl Criterion {
     }
 }
 
+/// One named routine of a [`BenchmarkGroup::bench_alternating`] set.
+pub struct Routine<'a> {
+    name: String,
+    call: Box<dyn FnMut() + 'a>,
+    samples: Vec<Duration>,
+}
+
+impl<'a> Routine<'a> {
+    /// `call`, reported as `name`.
+    pub fn new(name: impl Into<String>, call: impl FnMut() + 'a) -> Self {
+        Routine {
+            name: name.into(),
+            call: Box::new(call),
+            samples: Vec::new(),
+        }
+    }
+}
+
 /// A group of benchmarks sharing sample-size and throughput settings.
 pub struct BenchmarkGroup<'a> {
     criterion: &'a Criterion,
@@ -141,7 +162,8 @@ impl<'a> BenchmarkGroup<'a> {
         self
     }
 
-    /// Time `f` and print the median sample.
+    /// Time `f` and print the median sample, the quartiles around it and
+    /// how many samples they are of.
     pub fn bench_function<I, F>(&mut self, id: I, mut f: F) -> &mut Self
     where
         I: IntoBenchmarkId,
@@ -169,7 +191,7 @@ impl<'a> BenchmarkGroup<'a> {
         let iters =
             (Duration::from_millis(50).as_nanos() / per_iter.as_nanos()).clamp(1, 1_000_000) as u64;
 
-        let mut samples: Vec<Duration> = (0..self.sample_size)
+        let samples = (0..self.sample_size)
             .map(|_| {
                 let mut b = Bencher {
                     iters,
@@ -179,8 +201,50 @@ impl<'a> BenchmarkGroup<'a> {
                 b.elapsed / iters as u32
             })
             .collect();
+        self.report(&full, samples);
+        self
+    }
+
+    /// Time every routine once per round for `sample_size` rounds, odd
+    /// rounds in reverse order, after one untimed call of each — so
+    /// whatever the host or the allocator does over the minutes a group
+    /// takes lands on all routines alike, and no routine always runs
+    /// behind the same neighbour.  One line per routine, as
+    /// [`bench_function`](Self::bench_function) prints it.  Routines
+    /// should take milliseconds or more: a sample is one call.
+    pub fn bench_alternating(&mut self, routines: &mut [Routine<'_>]) -> &mut Self {
+        let filter = self.criterion.filter.as_deref();
+        let full = |r: &Routine<'_>| format!("{}/{}", self.name, r.name);
+        let mut live: Vec<&mut Routine<'_>> = routines
+            .iter_mut()
+            .filter(|r| filter.is_none_or(|flt| full(r).contains(flt)))
+            .collect();
+        for routine in &mut live {
+            (routine.call)();
+        }
+        for round in 0..self.sample_size {
+            let once = |routine: &mut &mut Routine<'_>| {
+                let start = Instant::now();
+                (routine.call)();
+                routine.samples.push(start.elapsed());
+            };
+            if round % 2 == 0 {
+                live.iter_mut().for_each(once);
+            } else {
+                live.iter_mut().rev().for_each(once);
+            }
+        }
+        for routine in live {
+            self.report(&full(routine), std::mem::take(&mut routine.samples));
+        }
+        self
+    }
+
+    /// Print one benchmark's median, quartiles, sample count and rate.
+    fn report(&self, full: &str, mut samples: Vec<Duration>) {
         samples.sort_unstable();
         let median = samples[samples.len() / 2];
+        let (q1, q3) = (samples[samples.len() / 4], samples[samples.len() * 3 / 4]);
 
         let rate = match self.throughput {
             Some(Throughput::Elements(n)) if median > Duration::ZERO => {
@@ -194,8 +258,10 @@ impl<'a> BenchmarkGroup<'a> {
             }
             _ => String::new(),
         };
-        println!("{full:<48} {median:>12.3?}/iter{rate}");
-        self
+        println!(
+            "{full:<48} {median:>12.3?}/iter  [{q1:.3?} .. {q3:.3?}, n={}]{rate}",
+            samples.len()
+        );
     }
 
     /// End the group (reporting already happened per-benchmark).
@@ -235,6 +301,10 @@ mod tests {
         group.bench_function(BenchmarkId::new("sum", 1000), |b| {
             b.iter(|| (0..1000u64).sum::<u64>())
         });
+        let (mut a, mut b) = (0u32, 0u32);
+        group.bench_alternating(&mut [Routine::new("a", || a += 1), Routine::new("b", || b += 1)]);
+        // One warm-up call and one per round, for each.
+        assert_eq!((a, b), (4, 4));
         group.finish();
     }
 

@@ -13,8 +13,6 @@
 
 use std::io::{self, Read, Write};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::{Csr, Weight};
 
 const MAGIC: u32 = 0x584d_5447; // "XMTG"
@@ -26,9 +24,9 @@ const FLAG_WEIGHTED: u64 = 4;
 
 /// Serialize a CSR to a writer.
 pub fn write_csr_binary<W: Write>(writer: &mut W, g: &Csr) -> io::Result<()> {
-    let mut buf = BytesMut::with_capacity(64 + g.memory_bytes());
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(VERSION);
+    let mut buf: Vec<u8> = Vec::with_capacity(64 + g.memory_bytes());
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    buf.extend_from_slice(&VERSION.to_le_bytes());
     let mut flags = 0u64;
     if g.is_directed() {
         flags |= FLAG_DIRECTED;
@@ -39,73 +37,75 @@ pub fn write_csr_binary<W: Write>(writer: &mut W, g: &Csr) -> io::Result<()> {
     if g.is_weighted() {
         flags |= FLAG_WEIGHTED;
     }
-    buf.put_u64_le(flags);
-    buf.put_u64_le(g.num_vertices());
-    buf.put_u64_le(g.num_arcs());
+    buf.extend_from_slice(&flags.to_le_bytes());
+    buf.extend_from_slice(&g.num_vertices().to_le_bytes());
+    buf.extend_from_slice(&g.num_arcs().to_le_bytes());
     for &o in g.offsets() {
-        buf.put_u64_le(o);
+        buf.extend_from_slice(&o.to_le_bytes());
     }
     for &a in g.adjacency() {
-        buf.put_u64_le(a);
+        buf.extend_from_slice(&a.to_le_bytes());
     }
     if let Some(ws) = g.raw_weights() {
         for &w in ws {
-            buf.put_i64_le(w);
+            buf.extend_from_slice(&w.to_le_bytes());
         }
     }
     writer.write_all(&buf)
+}
+
+fn truncated() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "truncated CSR file")
+}
+
+/// Split the next `N` bytes off the front of `rest`.
+fn take<const N: usize>(rest: &mut &[u8]) -> io::Result<[u8; N]> {
+    let (head, tail) = rest.split_first_chunk::<N>().ok_or_else(truncated)?;
+    *rest = tail;
+    Ok(*head)
+}
+
+/// The next `count` little-endian 8-byte words of `rest`, decoded by
+/// `decode`.  The length is checked against what is left before anything
+/// is allocated, so a corrupt count cannot ask for more than the file
+/// holds.
+fn take_words<T>(rest: &mut &[u8], count: u64, decode: fn([u8; 8]) -> T) -> io::Result<Vec<T>> {
+    let bytes = usize::try_from(count)
+        .ok()
+        .and_then(|c| c.checked_mul(8))
+        .filter(|&b| b <= rest.len())
+        .ok_or_else(truncated)?;
+    let (words, tail) = rest.split_at(bytes);
+    *rest = tail;
+    let (words, _) = words.as_chunks::<8>();
+    Ok(words.iter().map(|&w| decode(w)).collect())
 }
 
 /// Deserialize a CSR from a reader.
 pub fn read_csr_binary<R: Read>(reader: &mut R) -> io::Result<Csr> {
     let mut raw = Vec::new();
     reader.read_to_end(&mut raw)?;
-    let mut buf = Bytes::from(raw);
-    let need = |buf: &Bytes, n: usize| -> io::Result<()> {
-        if buf.remaining() < n {
-            Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "truncated CSR file",
-            ))
-        } else {
-            Ok(())
-        }
-    };
-    need(&buf, 8)?;
-    if buf.get_u32_le() != MAGIC {
+    let mut rest = raw.as_slice();
+    if u32::from_le_bytes(take(&mut rest)?) != MAGIC {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
     }
-    if buf.get_u32_le() != VERSION {
+    if u32::from_le_bytes(take(&mut rest)?) != VERSION {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "unsupported version",
         ));
     }
-    need(&buf, 24)?;
-    let flags = buf.get_u64_le();
-    let n = buf.get_u64_le();
-    let arcs = buf.get_u64_le();
-    let want = (n as usize + 1) * 8 + arcs as usize * 8;
-    need(&buf, want)?;
-    let mut offsets = Vec::with_capacity(n as usize + 1);
-    for _ in 0..=n {
-        offsets.push(buf.get_u64_le());
-    }
-    let mut adj = Vec::with_capacity(arcs as usize);
-    for _ in 0..arcs {
-        adj.push(buf.get_u64_le());
-    }
-    let weights = if flags & FLAG_WEIGHTED != 0 {
-        need(&buf, arcs as usize * 8)?;
-        let mut ws: Vec<Weight> = Vec::with_capacity(arcs as usize);
-        for _ in 0..arcs {
-            ws.push(buf.get_i64_le());
-        }
-        Some(ws)
+    let flags = u64::from_le_bytes(take(&mut rest)?);
+    let n = u64::from_le_bytes(take(&mut rest)?);
+    let arcs = u64::from_le_bytes(take(&mut rest)?);
+    let offsets = take_words(&mut rest, n.saturating_add(1), u64::from_le_bytes)?;
+    let adj = take_words(&mut rest, arcs, u64::from_le_bytes)?;
+    let weights: Option<Vec<Weight>> = if flags & FLAG_WEIGHTED != 0 {
+        Some(take_words(&mut rest, arcs, i64::from_le_bytes)?)
     } else {
         None
     };
-    if buf.has_remaining() {
+    if !rest.is_empty() {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "trailing bytes after CSR payload",
@@ -137,24 +137,53 @@ mod tests {
         assert_eq!(back, g);
     }
 
-    #[test]
-    fn roundtrip_weighted_directed() {
+    /// Directed, sorted, weighted: 0 -(-5)-> 1 and 2 -(8)-> 0.
+    fn weighted_directed() -> Csr {
         let mut el = EdgeList::new(3);
         el.push_weighted(0, 1, -5);
         el.push_weighted(2, 0, 8);
-        let g = CsrBuilder::new(BuildOptions {
+        CsrBuilder::new(BuildOptions {
             symmetrize: false,
             remove_self_loops: false,
             dedup: false,
             sort: true,
         })
-        .build(&el);
+        .build(&el)
+    }
+
+    #[test]
+    fn roundtrip_weighted_directed() {
+        let g = weighted_directed();
         let mut buf = Vec::new();
         write_csr_binary(&mut buf, &g).unwrap();
         let back = read_csr_binary(&mut buf.as_slice()).unwrap();
         assert_eq!(back, g);
         assert!(back.is_directed());
         assert!(back.is_weighted());
+    }
+
+    #[test]
+    fn on_disk_bytes_are_pinned() {
+        let g = weighted_directed();
+        #[rustfmt::skip]
+        let golden: [u8; 96] = [
+            71, 84, 77, 88,  1, 0, 0, 0,          // "XMTG" little-endian, version 1
+            7, 0, 0, 0, 0, 0, 0, 0,               // flags: directed | sorted | weighted
+            3, 0, 0, 0, 0, 0, 0, 0,               // n
+            2, 0, 0, 0, 0, 0, 0, 0,               // arcs
+            0, 0, 0, 0, 0, 0, 0, 0,               // offsets[0..=3] = 0 1 1 2
+            1, 0, 0, 0, 0, 0, 0, 0,
+            1, 0, 0, 0, 0, 0, 0, 0,
+            2, 0, 0, 0, 0, 0, 0, 0,
+            1, 0, 0, 0, 0, 0, 0, 0,               // adj = 1 0
+            0, 0, 0, 0, 0, 0, 0, 0,
+            251, 255, 255, 255, 255, 255, 255, 255, // weights = -5 8
+            8, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        let mut buf = Vec::new();
+        write_csr_binary(&mut buf, &g).unwrap();
+        assert_eq!(buf, golden);
+        assert_eq!(read_csr_binary(&mut &golden[..]).unwrap(), g);
     }
 
     #[test]
@@ -174,9 +203,17 @@ mod tests {
         bad[0] ^= 0xff;
         assert!(read_csr_binary(&mut bad.as_slice()).is_err());
         // Bad version.
-        let mut badv = buf;
+        let mut badv = buf.clone();
         badv[4] ^= 0xff;
         assert!(read_csr_binary(&mut badv.as_slice()).is_err());
+        // A vertex or arc count the file cannot hold is a truncation,
+        // not an allocation of that size.
+        for field in [16, 24] {
+            let mut huge = buf.clone();
+            huge[field..field + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            let err = read_csr_binary(&mut huge.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        }
     }
 
     #[test]

@@ -50,11 +50,10 @@ pub fn bfs(g: &Csr, source: VertexId) -> BfsResult {
     bfs_with(g, source, &mut Ctx::default())
 }
 
-/// Beamer top-down→bottom-up switch ratio (GAP default), mirroring
-/// `BspConfig::beamer_alpha`.
+/// Beamer top-down→bottom-up switch ratio (GAP default), the value the
+/// BSP runtime's `Delivery::Auto` uses too.
 const BEAMER_ALPHA: f64 = 15.0;
-/// Beamer bottom-up→top-down switch ratio (GAP default), mirroring
-/// `BspConfig::beamer_beta`.
+/// Beamer bottom-up→top-down switch ratio (GAP default), likewise.
 const BEAMER_BETA: f64 = 18.0;
 
 /// Discoveries a loop chunk buffers before reserving queue slots.

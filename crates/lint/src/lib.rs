@@ -4,8 +4,8 @@
 //! The paper's argument rests on fine-grained synchronization done
 //! right (GraphCT's `int_fetch_add` and full/empty bits vs. BSP's
 //! barriers), and the reproduction carries the same hazard surface:
-//! `unsafe` scatter loops, `Ordering::Relaxed` counters, and
-//! full/empty cells.  This crate makes the discipline around those
+//! `unsafe` scatter loops, `Ordering::Relaxed` counters, and a
+//! long-lived service's locks.  This crate makes the discipline around those
 //! sites machine-checked instead of reviewer-checked:
 //!
 //! * [`lexer`] — a hand-rolled line-oriented Rust lexer (comments,

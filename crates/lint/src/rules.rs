@@ -53,12 +53,6 @@ pub fn all_rules() -> Vec<Rule> {
             check: no_lock_unwrap,
         },
         Rule {
-            name: "full-empty-pairing",
-            severity: Severity::Error,
-            summary: "readfe-style acquires must be matched by writeef-style fills per function",
-            check: full_empty_pairing,
-        },
-        Rule {
             name: "no-alloc-in-parallel-for",
             severity: Severity::Warning,
             summary: "Vec::new()/vec![] inside parallel_for closures in crates/{par,bsp,graphct,stinger} (advisory)",
@@ -290,78 +284,7 @@ fn no_lock_unwrap(m: &FileModel) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------
-// Rule 5: full-empty-pairing
-// ---------------------------------------------------------------------
-
-const ACQUIRES: &[&str] = &["read_fe", "readfe"];
-const FILLS: &[&str] = &["write_ef", "writeef"];
-
-/// Heuristic: within one function, every readfe-style acquire (which
-/// leaves the cell *empty*) should be matched by a writeef-style fill;
-/// a function that acquires more than it fills can strand the cell
-/// empty and deadlock later readers.  `try_read_fe` and `read_ff` do
-/// not count (non-blocking probe / non-consuming read).
-fn full_empty_pairing(m: &FileModel) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    if is_bin_path(&m.path) {
-        return out;
-    }
-    for span in &m.fn_spans {
-        // Only innermost attribution matters for counting: nested fns
-        // are rare; counting a nested fn's calls twice (once for the
-        // outer span) is avoided by skipping lines owned by an inner fn.
-        if m.in_test_code(span.start) {
-            continue;
-        }
-        let mut acquires = 0usize;
-        let mut fills = 0usize;
-        let mut first_acquire: Option<usize> = None;
-        for i in span.start..=span.end {
-            if let Some(inner) = m.enclosing_fn(i) {
-                if inner != *span {
-                    continue;
-                }
-            }
-            let line = &m.src.lines[i];
-            let toks = idents(&line.code);
-            for (k, &(at, id)) in toks.iter().enumerate() {
-                let is_call = next_nonspace(&line.code, at + id.len()) == Some('(');
-                if !is_call {
-                    continue;
-                }
-                // A definition (`fn read_fe(...)`) is not a call site.
-                let is_def = k > 0 && toks[k - 1].1 == "fn";
-                if is_def {
-                    continue;
-                }
-                if ACQUIRES.contains(&id) {
-                    acquires += 1;
-                    first_acquire.get_or_insert(i);
-                } else if FILLS.contains(&id) {
-                    fills += 1;
-                }
-            }
-        }
-        if acquires > fills {
-            let line = first_acquire.unwrap_or(span.start);
-            out.push(Diagnostic {
-                rule: "full-empty-pairing",
-                severity: Severity::Error,
-                path: m.path.clone(),
-                line: line + 1,
-                message: format!(
-                    "function acquires {acquires} readfe-style value(s) but fills only \
-                     {fills} writeef-style; a cell taken and never refilled can deadlock \
-                     later readers"
-                ),
-            });
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Rule 6: no-alloc-in-parallel-for (advisory)
+// Rule 5: no-alloc-in-parallel-for (advisory)
 // ---------------------------------------------------------------------
 
 const PARALLEL_ENTRY_POINTS: &[&str] = &[
@@ -570,32 +493,6 @@ mod tests {
         );
         assert_eq!(check("no-lock-unwrap", "crates/bsp/src/x.rs", src).len(), 1);
         assert!(check("no-lock-unwrap", "crates/graph/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unpaired_readfe_is_flagged() {
-        let d = check(
-            "full-empty-pairing",
-            "crates/par/src/x.rs",
-            "fn steal(c: &FullEmptyCell<u64>) -> u64 {\n    c.read_fe()\n}\n",
-        );
-        assert_eq!(d.len(), 1);
-        let ok = check(
-            "full-empty-pairing",
-            "crates/par/src/x.rs",
-            "fn bump(c: &FullEmptyCell<u64>) {\n    let v = c.read_fe();\n    c.write_ef(v + 1);\n}\n",
-        );
-        assert!(ok.is_empty());
-    }
-
-    #[test]
-    fn readfe_definitions_are_not_calls() {
-        let ok = check(
-            "full-empty-pairing",
-            "crates/par/src/x.rs",
-            "impl C {\n    pub fn read_fe(&self) -> u64 {\n        self.take()\n    }\n}\n",
-        );
-        assert!(ok.is_empty());
     }
 
     #[test]

@@ -32,11 +32,6 @@ const CASES: &[(&str, &str, &str)] = &[
         "crates/service/src/lib.rs",
     ),
     (
-        "full-empty-pairing",
-        "full_empty_pairing",
-        "crates/par/src/lib.rs",
-    ),
-    (
         "no-alloc-in-parallel-for",
         "no_alloc_in_parallel_for",
         "crates/bsp/src/lib.rs",

@@ -1,14 +1,18 @@
 //! The executor seam: one handle describing *where* and *how* parallel
 //! loops run.
 //!
-//! The workspace has two execution engines behind one program API: the
-//! simulator-faithful engine (fixed static chunking on the global pool,
-//! so model charging sees the exact loop shapes the XMT compiler would
-//! emit) and the native engine (guided decaying-chunk scheduling,
-//! optionally on a caller-owned pool, chasing wall-clock throughput on
-//! skewed RMAT degree distributions).  An [`Executor`] captures that
-//! choice as a value so the BSP runtime and the GraphCT kernels can be
-//! parameterized over it instead of hard-coding the global pool.
+//! There is one runtime per programming model and two ways to cut its
+//! loops: fixed static chunking (what every model-charging run uses, so
+//! the cost model sees the exact loop shapes the XMT compiler would
+//! emit) and guided decaying-chunk scheduling (what the service's BSP
+//! engine uses; decaying chunks back-fill skewed RMAT degree
+//! distributions), either on the global pool or a caller-owned one.  An
+//! [`Executor`] captures that choice as a value so the BSP runtime and
+//! the GraphCT kernels can be parameterized over it instead of
+//! hard-coding the global pool.  On a 2-thread host the two schedules
+//! are within noise of each other on three of the four kernels and
+//! guided leads on the fourth (EXPERIMENTS.md, "Host-time knob
+//! ablation"), so neither has been retired.
 //!
 //! `Executor::fixed()` is byte-for-byte the behavior of the free
 //! functions [`crate::parallel_for`] / [`crate::parallel_for_chunked`]:
@@ -75,7 +79,8 @@ impl Executor {
         }
     }
 
-    /// Guided scheduling on the global pool — the native engine default.
+    /// Guided scheduling on the global pool — what the service's BSP
+    /// engine runs on.
     pub fn guided() -> Self {
         Executor {
             pool: None,

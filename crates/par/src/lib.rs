@@ -4,10 +4,12 @@
 //! multithreading and exposes loop-level parallelism plus a small set of
 //! synchronization primitives: atomic `int_fetch_add`, and full/empty bits
 //! on every memory word (`readfe`, `writeef`, `readff`).  This crate
-//! provides the software equivalents used by both the shared-memory
-//! (GraphCT-style) and BSP implementations in this workspace, so that the
-//! two programming models run on an identical substrate — exactly the
-//! experimental setup of the paper.
+//! provides the software equivalents of the first two, used by both the
+//! shared-memory (GraphCT-style) and BSP implementations in this
+//! workspace, so that the two programming models run on an identical
+//! substrate — exactly the experimental setup of the paper.  (Full/empty
+//! bits are modelled where the machine is, in `xmt-sim`; no kernel here
+//! needs them.)
 //!
 //! Provided primitives:
 //!
@@ -24,7 +26,6 @@
 //! * [`mod@reduce`] and [`scan`] — parallel reductions and prefix sums.
 //! * [`atomic`] — `int_fetch_add`-style helpers plus atomic-min/max CAS
 //!   loops used by label-update kernels.
-//! * [`FullEmptyCell`] — a full/empty-bit word (`readfe`/`writeef`).
 //!
 //! # Example
 //!
@@ -52,7 +53,6 @@
 
 pub mod atomic;
 pub mod exec;
-pub mod full_empty;
 pub mod pfor;
 pub mod pool;
 pub mod reduce;
@@ -60,7 +60,6 @@ pub mod scan;
 pub mod scratch;
 
 pub use exec::{Executor, Schedule};
-pub use full_empty::FullEmptyCell;
 pub use pfor::{parallel_for, parallel_for_chunked};
 pub use pool::{global, Pool};
 pub use reduce::{reduce, reduce_commutative};

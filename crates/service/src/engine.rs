@@ -1,14 +1,12 @@
 //! Job execution: one spec in, one verdict out.
 //!
-//! The BSP engines (`bsp` on the simulator-faithful fixed executor,
-//! `native` on the guided host-thread executor) thread the scheduler's
-//! stop hook into the sliced runtime, so cancellation and deadlines cut
-//! the run at a superstep boundary and hand back a [`StoredCheckpoint`]
-//! instead of losing the work — a checkpoint cut on one BSP engine
-//! resumes on the other, since both run the same programs and frame
-//! format.  The GraphCT engine serves the same three kernels from the
-//! shared-memory baseline — faster per job, but uninterruptible once
-//! started (no superstep boundaries to cut at).
+//! The BSP engine runs the sliced runtime on the guided executor,
+//! charging no cost model, and threads the scheduler's stop hook into
+//! it, so cancellation and deadlines cut the run at a superstep boundary
+//! and hand back a [`StoredCheckpoint`] instead of losing the work.  The
+//! GraphCT engine serves the same kernels from the shared-memory
+//! baseline — faster per job, but uninterruptible once started (no
+//! superstep boundaries to cut at).
 
 use std::sync::Arc;
 
@@ -68,12 +66,7 @@ pub fn execute(
     sink: &mut TraceSink,
 ) -> Result<ExecVerdict, ServiceError> {
     match spec.engine {
-        // Fixed scheduling on the global pool: the loop shapes the XMT
-        // cost model is calibrated against.
-        Engine::Bsp => execute_bsp(spec, graph, from, frame, stop, sink, Executor::fixed()),
-        // Guided scheduling: decaying chunks back-fill RMAT hub skew.
-        // Same programs, transports, frames and checkpoints as `bsp`.
-        Engine::Native => execute_bsp(spec, graph, from, frame, stop, sink, Executor::guided()),
+        Engine::Bsp => execute_bsp(spec, graph, from, frame, stop, sink),
         Engine::GraphCt => execute_graphct(spec, graph, from, sink),
         // Incremental jobs are answered at admission (the registry
         // captures the stinger-maintained state under the graph lock)
@@ -84,7 +77,6 @@ pub fn execute(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn execute_bsp(
     spec: &JobSpec,
     graph: &Arc<Csr>,
@@ -92,7 +84,6 @@ fn execute_bsp(
     frame: Option<StoredFrame>,
     stop: StopHook<'_>,
     sink: &mut TraceSink,
-    exec: Executor,
 ) -> Result<ExecVerdict, ServiceError> {
     match spec.algorithm {
         Algorithm::Cc => {
@@ -105,7 +96,7 @@ fn execute_bsp(
                 Some(StoredFrame::Cc(f)) => f,
                 _ => SuperstepFrame::new(),
             };
-            let run = run_sliced(graph, &CcProgram, spec, from, stop, sink, &mut frame, exec)?;
+            let run = run_sliced(graph, &CcProgram, spec, from, stop, sink, &mut frame)?;
             Ok(verdict(
                 run,
                 JobOutput::Labels,
@@ -126,7 +117,7 @@ fn execute_bsp(
                 Some(StoredFrame::Bfs(f)) => f,
                 _ => SuperstepFrame::new(),
             };
-            let run = run_sliced(graph, &program, spec, from, stop, sink, &mut frame, exec)?;
+            let run = run_sliced(graph, &program, spec, from, stop, sink, &mut frame)?;
             Ok(verdict(
                 run,
                 |states| JobOutput::Bfs {
@@ -151,7 +142,7 @@ fn execute_bsp(
                 Some(StoredFrame::Pagerank(f)) => f,
                 _ => SuperstepFrame::new(),
             };
-            let run = run_sliced(graph, &program, spec, from, stop, sink, &mut frame, exec)?;
+            let run = run_sliced(graph, &program, spec, from, stop, sink, &mut frame)?;
             Ok(verdict(
                 run,
                 JobOutput::Ranks,
@@ -169,7 +160,7 @@ fn execute_bsp(
                 Some(StoredFrame::Triangles(f)) => f,
                 _ => SuperstepFrame::new(),
             };
-            let run = run_sliced(graph, &TcProgram, spec, from, stop, sink, &mut frame, exec)?;
+            let run = run_sliced(graph, &TcProgram, spec, from, stop, sink, &mut frame)?;
             Ok(verdict(
                 run,
                 // Per-vertex confirmed-triangle tallies sum to the
@@ -183,7 +174,6 @@ fn execute_bsp(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_sliced<P: VertexProgram>(
     graph: &Csr,
     program: &P,
@@ -192,7 +182,6 @@ fn run_sliced<P: VertexProgram>(
     stop: StopHook<'_>,
     sink: &mut TraceSink,
     frame: &mut SuperstepFrame<P::State, P::Message>,
-    exec: Executor,
 ) -> Result<SlicedRun<P::State, P::Message>, ServiceError> {
     let opts = RunOptions {
         config: spec.config,
@@ -201,7 +190,12 @@ fn run_sliced<P: VertexProgram>(
         stop: Some(stop),
         sink: Some(sink),
         frame: Some(frame),
-        exec,
+        // Guided scheduling: decaying chunks back-fill RMAT hub skew.  The
+        // fixed schedule is the loop shape the XMT cost model charges
+        // for, which no job over the wire does, and on host time guided
+        // is level with it or ahead (EXPERIMENTS.md, "Host-time knob
+        // ablation").
+        exec: Executor::guided(),
     };
     run(graph, program, opts).map_err(|e| ServiceError::Internal {
         message: e.to_string(),
@@ -247,7 +241,7 @@ fn execute_graphct(
     if from.is_some() {
         return Err(ServiceError::Internal {
             message: "the graphct engine has no superstep boundaries and cannot resume \
-                      a checkpoint; resubmit on the bsp or native engine"
+                      a checkpoint; resubmit on the bsp engine"
                 .to_string(),
         });
     }
@@ -274,10 +268,10 @@ fn execute_graphct(
             },
         )),
         // One-shot kernel (no per-level structure to trace).  Honors the
-        // job config's intersection strategy (DAG-ordered sweep).
+        // job's intersection strategy (DAG-ordered sweep).
         Algorithm::Triangles => JobOutput::Triangles(graphct::count_triangles_with(
             graph,
-            spec.config.intersect,
+            spec.intersect,
             &mut graphct::Ctx::default(),
         )),
     };

@@ -19,11 +19,11 @@
 
 use serde::{Content, Deserialize};
 
-use xmt_bsp::{BspConfig, IntersectStrategy};
+use xmt_bsp::BspConfig;
 use xmt_graph::builder::build_undirected;
 use xmt_graph::gen::rmat::{rmat_edges, RmatParams};
 use xmt_graph::gen::{er, structured};
-use xmt_graph::Csr;
+use xmt_graph::{Csr, IntersectStrategy};
 
 use crate::error::ServiceError;
 use crate::job::{Algorithm, Engine, JobId, JobOutput, JobSpec};
@@ -247,27 +247,28 @@ fn parse_job_spec(c: &Content) -> Result<JobSpec, ServiceError> {
         None => Engine::Bsp,
         Some(name) => Engine::parse(&name).ok_or_else(|| {
             bad(&format!(
-                "unknown engine `{name}` (expected `bsp`/`sim`, `native`, `graphct`/`shared`, \
+                "unknown engine `{name}` (expected `bsp`/`sim`/`native`, `graphct`/`shared`, \
                  or `incremental`/`inc`)"
             ))
         })?,
     };
     // `config` takes a full serialized BspConfig (strict, all fields);
-    // `max_supersteps` and `intersect` alone are common-case shortcuts.
-    let mut config: BspConfig = opt(c, "config")?.unwrap_or_default();
+    // `max_supersteps` alone is the common-case shortcut.
+    let mut config = parse_config(c)?;
     if let Some(max) = opt::<u64>(c, "max_supersteps")? {
         config.max_supersteps = max;
     }
-    if let Some(name) = opt::<String>(c, "intersect")? {
-        config.intersect =
+    let intersect = match opt::<String>(c, "intersect")? {
+        None => IntersectStrategy::Auto,
+        Some(name) => {
             IntersectStrategy::parse(&name).ok_or_else(|| ServiceError::InvalidConfig {
                 field: "intersect",
                 reason: format!(
                     "unknown intersect strategy `{name}` (expected `merge`, `hash`, or `auto`)"
                 ),
-            })?;
-    }
-    validate_config(&config)?;
+            })?
+        }
+    };
     Ok(JobSpec {
         algorithm,
         engine,
@@ -275,31 +276,47 @@ fn parse_job_spec(c: &Content) -> Result<JobSpec, ServiceError> {
         source: opt(c, "source")?.unwrap_or(0),
         damping: opt(c, "damping")?.unwrap_or(0.85),
         tolerance: opt(c, "tolerance")?.unwrap_or(1e-7),
+        intersect,
         config,
         priority: opt(c, "priority")?.unwrap_or(0),
         deadline_ms: opt(c, "deadline_ms")?,
     })
 }
 
-/// Admission-time validation of the tuning parameters a job's
-/// [`BspConfig`] carries: the delivery heuristics divide and compare by
-/// these, so a NaN or negative value would silently disable or invert
-/// the push/pull decision mid-run.  Rejecting here keeps bad configs
-/// out of the queue entirely.
-fn validate_config(config: &BspConfig) -> Result<(), ServiceError> {
-    for (field, value) in [
-        ("pull_threshold", config.pull_threshold),
-        ("beamer_alpha", config.beamer_alpha),
-        ("beamer_beta", config.beamer_beta),
-    ] {
-        if !value.is_finite() || value < 0.0 {
-            return Err(ServiceError::InvalidConfig {
-                field,
-                reason: format!("must be finite and non-negative, got {value}"),
-            });
-        }
+/// The request's `config` object as a [`BspConfig`], the default when
+/// absent.  Every key must be a `BspConfig` field and every field must
+/// be there: a misspelt or retired key, or a retired variant name, is an
+/// `invalid_config` naming it instead of a job that silently runs on
+/// the defaults.
+fn parse_config(c: &Content) -> Result<BspConfig, ServiceError> {
+    const FIELDS: [&str; 4] = ["transport", "active_set", "delivery", "max_supersteps"];
+    let Some(tree) = opt::<Content>(c, "config")? else {
+        return Ok(BspConfig::default());
+    };
+    let Content::Map(entries) = &tree else {
+        return Err(bad("field `config`: expected an object"));
+    };
+    if let Some((key, _)) = entries.iter().find(|(k, _)| !FIELDS.contains(&k.as_str())) {
+        return Err(ServiceError::InvalidConfig {
+            field: "config",
+            reason: format!(
+                "unknown key `{key}` (a config has `{}`)",
+                FIELDS.join("`, `")
+            ),
+        });
     }
-    Ok(())
+    fn field<T: Deserialize>(tree: &Content, name: &'static str) -> Result<T, ServiceError> {
+        serde::get_field(tree, name).map_err(|e| ServiceError::InvalidConfig {
+            field: name,
+            reason: e.to_string(),
+        })
+    }
+    Ok(BspConfig {
+        transport: field(&tree, "transport")?,
+        active_set: field(&tree, "active_set")?,
+        delivery: field(&tree, "delivery")?,
+        max_supersteps: field(&tree, "max_supersteps")?,
+    })
 }
 
 /// Tiny ordered-map builder for response trees.
@@ -455,8 +472,7 @@ pub fn output_content(output: &JobOutput) -> Content {
 }
 
 /// A job's per-superstep trace as a response tree.  Phase timings ride
-/// as nanoseconds; the per-bucket breakdown appears only for supersteps
-/// that used the bucketed transport.
+/// as nanoseconds.
 pub fn trace_content(trace: &xmt_trace::JobTrace) -> Content {
     Obj::new()
         .put("label", str(&trace.label))
@@ -467,7 +483,7 @@ pub fn trace_content(trace: &xmt_trace::JobTrace) -> Content {
                     .supersteps
                     .iter()
                     .map(|t| {
-                        let mut obj = Obj::new()
+                        Obj::new()
                             .put("superstep", u64v(t.superstep))
                             .put("active", u64v(t.active))
                             .put("messages_sent", u64v(t.messages_sent))
@@ -479,16 +495,8 @@ pub fn trace_content(trace: &xmt_trace::JobTrace) -> Content {
                             .put("scan_ns", u64v(t.scan_ns))
                             .put("compute_ns", u64v(t.compute_ns))
                             .put("exchange_ns", u64v(t.exchange_ns))
-                            .put("total_ns", u64v(t.total_ns));
-                        if !t.bucket_messages.is_empty() {
-                            obj = obj.put(
-                                "bucket_messages",
-                                Content::Seq(
-                                    t.bucket_messages.iter().map(|&b| Content::U64(b)).collect(),
-                                ),
-                            );
-                        }
-                        obj.done()
+                            .put("total_ns", u64v(t.total_ns))
+                            .done()
                     })
                     .collect(),
             ),
@@ -578,7 +586,7 @@ mod tests {
         for (name, engine) in [
             ("bsp", Engine::Bsp),
             ("sim", Engine::Bsp),
-            ("native", Engine::Native),
+            ("native", Engine::Bsp),
             ("graphct", Engine::GraphCt),
             ("shared", Engine::GraphCt),
             ("incremental", Engine::Incremental),
@@ -591,6 +599,9 @@ mod tests {
             };
             assert_eq!(spec.engine, engine, "engine name `{name}`");
         }
+        // One BSP engine, whatever it was asked for as: replies say `bsp`.
+        assert_eq!(Engine::parse("native").map(|e| e.name()), Some("bsp"));
+        assert_eq!(Engine::parse("sim").map(|e| e.name()), Some("bsp"));
         let err =
             parse(r#"{"op":"submit","algorithm":"cc","engine":"warp","graph":"g"}"#).unwrap_err();
         assert_eq!(err.code(), "bad_request");
@@ -685,14 +696,14 @@ mod tests {
 
     #[test]
     fn full_config_rides_the_wire() {
-        let json = serde_json::to_string(&BspConfig {
+        use xmt_bsp::{ActiveSetStrategy, Delivery, Transport};
+        let config = BspConfig {
+            transport: Transport::SingleQueue,
+            active_set: ActiveSetStrategy::Worklist,
+            delivery: Delivery::Auto,
             max_supersteps: 3,
-            pull_threshold: 0.25,
-            beamer_alpha: 7.5,
-            beamer_beta: 9.0,
-            ..BspConfig::default()
-        })
-        .unwrap();
+        };
+        let json = serde_json::to_string(&config).unwrap();
         let line = format!(
             r#"{{"op":"submit","algorithm":"pagerank","engine":"graphct","graph":"g","config":{json},"priority":5,"deadline_ms":250}}"#
         );
@@ -700,42 +711,93 @@ mod tests {
             panic!("wrong op");
         };
         assert_eq!(spec.engine, Engine::GraphCt);
-        assert_eq!(spec.config.max_supersteps, 3);
-        assert_eq!(spec.config.pull_threshold, 0.25);
-        assert_eq!(spec.config.beamer_alpha, 7.5);
-        assert_eq!(spec.config.beamer_beta, 9.0);
+        assert_eq!(spec.config, config);
         assert_eq!(spec.priority, 5);
         assert_eq!(spec.deadline_ms, Some(250));
+        // The top-level shortcut wins over the object's value.
+        let line = format!(
+            r#"{{"op":"submit","algorithm":"cc","graph":"g","config":{json},"max_supersteps":9}}"#
+        );
+        let Request::Submit { spec } = parse(&line).unwrap() else {
+            panic!("wrong op");
+        };
+        assert_eq!(spec.config.max_supersteps, 9);
+    }
+
+    /// A `submit` whose `config` object is `body`.
+    fn submit_with_config(body: &str) -> Result<Request, ServiceError> {
+        parse(&format!(
+            r#"{{"op":"submit","algorithm":"cc","graph":"g","config":{{{body}}}}}"#
+        ))
+    }
+
+    const FOUR: &str = r#""transport":"PerThreadOutbox","active_set":"DenseScan","delivery":"Push","max_supersteps":10"#;
+
+    #[test]
+    fn unknown_config_keys_are_invalid_config_not_dropped() {
+        assert!(submit_with_config(FOUR).is_ok());
+        // A typo, a key that never existed, the three retired tuning
+        // knobs, and `intersect`, which is a job field now.
+        for key in [
+            "trasnport",
+            "no_such_knob",
+            "pull_threshold",
+            "beamer_alpha",
+            "beamer_beta",
+            "intersect",
+        ] {
+            let err = submit_with_config(&format!(r#"{FOUR},"{key}":1"#)).unwrap_err();
+            assert_eq!(err.code(), "invalid_config", "key `{key}`");
+            let ServiceError::InvalidConfig { field, reason } = &err else {
+                panic!("wrong variant");
+            };
+            assert_eq!(*field, "config");
+            assert!(reason.contains(&format!("`{key}`")), "{reason}");
+        }
+    }
+
+    #[test]
+    fn retired_variant_names_and_missing_fields_are_invalid_config() {
+        let err = submit_with_config(&FOUR.replace("PerThreadOutbox", "Bucketed")).unwrap_err();
+        assert_eq!(err.code(), "invalid_config");
+        let ServiceError::InvalidConfig { field, reason } = &err else {
+            panic!("wrong variant");
+        };
+        assert_eq!(*field, "transport");
+        assert!(reason.contains("Bucketed"), "{reason}");
+        // The object stays strict: all four fields or none.
+        let err = submit_with_config(r#""transport":"SingleQueue""#).unwrap_err();
+        assert_eq!(err.code(), "invalid_config");
+        assert!(err.to_string().contains("active_set"), "{err}");
+        // Not an object at all is a malformed envelope.
+        let err = parse(r#"{"op":"submit","algorithm":"cc","graph":"g","config":7}"#).unwrap_err();
+        assert_eq!(err.code(), "bad_request");
     }
 
     #[test]
     fn intersect_shortcut_sets_strategy() {
-        // Shortcut field, lowercase CLI spelling.
+        // Top-level field, lowercase CLI spelling.
         let Request::Submit { spec } =
             parse(r#"{"op":"submit","algorithm":"tc","graph":"g","intersect":"hash"}"#).unwrap()
         else {
             panic!("wrong op");
         };
-        assert_eq!(spec.config.intersect, IntersectStrategy::Hash);
+        assert_eq!(spec.intersect, IntersectStrategy::Hash);
         // Default when absent.
         let Request::Submit { spec } =
             parse(r#"{"op":"submit","algorithm":"tc","graph":"g"}"#).unwrap()
         else {
             panic!("wrong op");
         };
-        assert_eq!(spec.config.intersect, IntersectStrategy::Auto);
-        // A full config also carries the strategy (wire variant name).
-        let json = serde_json::to_string(&BspConfig {
-            intersect: IntersectStrategy::Hash,
-            ..BspConfig::default()
-        })
-        .unwrap();
-        assert!(json.contains("\"Hash\""));
-        let line = format!(r#"{{"op":"submit","algorithm":"tc","graph":"g","config":{json}}}"#);
-        let Request::Submit { spec } = parse(&line).unwrap() else {
+        assert_eq!(spec.intersect, IntersectStrategy::Auto);
+        // The line the benchmark sends.
+        let Request::Submit { spec } = parse(
+            r#"{"op":"submit","algorithm":"triangles","engine":"graphct","graph":"g","intersect":"merge"}"#,
+        )
+        .unwrap() else {
             panic!("wrong op");
         };
-        assert_eq!(spec.config.intersect, IntersectStrategy::Hash);
+        assert_eq!(spec.intersect, IntersectStrategy::Merge);
     }
 
     #[test]
@@ -753,90 +815,6 @@ mod tests {
             assert_eq!(*field, "intersect");
             assert!(reason.contains(name), "{reason}");
         }
-    }
-
-    #[test]
-    fn negative_tuning_params_are_rejected_at_admission() {
-        for (field, config) in [
-            (
-                "pull_threshold",
-                BspConfig {
-                    pull_threshold: -0.5,
-                    ..BspConfig::default()
-                },
-            ),
-            (
-                "beamer_alpha",
-                BspConfig {
-                    beamer_alpha: -1.0,
-                    ..BspConfig::default()
-                },
-            ),
-            (
-                "beamer_beta",
-                BspConfig {
-                    beamer_beta: -18.0,
-                    ..BspConfig::default()
-                },
-            ),
-        ] {
-            let json = serde_json::to_string(&config).unwrap();
-            let line = format!(r#"{{"op":"submit","algorithm":"cc","graph":"g","config":{json}}}"#);
-            let err = parse(&line).unwrap_err();
-            assert_eq!(err.code(), "invalid_config", "field `{field}`");
-            assert!(
-                err.to_string().contains(field),
-                "`{err}` should name `{field}`"
-            );
-        }
-        // Zero is a legal value for every tuning knob (alpha 0.0 is the
-        // documented Beamer escape hatch).
-        let json = serde_json::to_string(&BspConfig {
-            pull_threshold: 0.0,
-            beamer_alpha: 0.0,
-            beamer_beta: 0.0,
-            ..BspConfig::default()
-        })
-        .unwrap();
-        let line = format!(r#"{{"op":"submit","algorithm":"cc","graph":"g","config":{json}}}"#);
-        assert!(parse(&line).is_ok());
-    }
-
-    #[test]
-    fn non_finite_tuning_params_are_rejected_at_admission() {
-        // JSON itself cannot carry NaN/inf, so exercise the validator
-        // directly: it is the last gate before the queue.
-        for (field, config) in [
-            (
-                "pull_threshold",
-                BspConfig {
-                    pull_threshold: f64::NAN,
-                    ..BspConfig::default()
-                },
-            ),
-            (
-                "beamer_alpha",
-                BspConfig {
-                    beamer_alpha: f64::INFINITY,
-                    ..BspConfig::default()
-                },
-            ),
-            (
-                "beamer_beta",
-                BspConfig {
-                    beamer_beta: f64::NEG_INFINITY,
-                    ..BspConfig::default()
-                },
-            ),
-        ] {
-            let err = validate_config(&config).unwrap_err();
-            assert_eq!(err.code(), "invalid_config", "field `{field}`");
-            let ServiceError::InvalidConfig { field: got, .. } = err else {
-                panic!("wrong variant");
-            };
-            assert_eq!(got, field);
-        }
-        assert!(validate_config(&BspConfig::default()).is_ok());
     }
 
     #[test]

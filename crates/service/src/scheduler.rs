@@ -57,7 +57,7 @@ pub struct JobSnapshot {
     pub id: JobId,
     /// Kernel name (`cc`/`bfs`/`pagerank`).
     pub algorithm: &'static str,
-    /// Engine name (`bsp`/`native`/`graphct`).
+    /// Engine name (`bsp`/`graphct`/`incremental`).
     pub engine: &'static str,
     /// Target graph's registry name.
     pub graph: String,
@@ -290,7 +290,7 @@ impl Scheduler {
         let graph = graph.into();
         // The one spec field whose valid range depends on the admitted
         // graph.  Unchecked, an out-of-range source answers
-        // all-unreachable on bsp/native and trips an assert on graphct.
+        // all-unreachable on bsp and trips an assert on graphct.
         let n = graph.num_vertices;
         if spec.algorithm == Algorithm::Bfs && spec.source >= n {
             return Err(ServiceError::InvalidConfig {
@@ -774,6 +774,7 @@ mod tests {
             source: 0,
             damping: 0.85,
             tolerance: 1e-7,
+            intersect: xmt_graph::IntersectStrategy::Auto,
             config,
             priority: 0,
             deadline_ms: None,
@@ -840,7 +841,7 @@ mod tests {
             queue_capacity: 8,
         });
         let g = Arc::new(build_undirected(&path(10)));
-        for engine in [Engine::Bsp, Engine::Native, Engine::GraphCt] {
+        for engine in [Engine::Bsp, Engine::GraphCt] {
             let bfs_from = |source| JobSpec {
                 algorithm: Algorithm::Bfs,
                 engine,
@@ -929,46 +930,6 @@ mod tests {
             sched.take_checkpoint(id).unwrap_err(),
             ServiceError::NoCheckpoint { id }
         );
-        sched.shutdown();
-    }
-
-    #[test]
-    fn native_engine_checkpoint_resumes_across_engines() {
-        // Cut a run on the native engine, resume it on the sim engine:
-        // the two BSP executors share programs, frames and checkpoints,
-        // so a boundary cut on one continues exactly on the other.
-        let sched = Scheduler::new(SchedulerConfig {
-            workers: 1,
-            queue_capacity: 8,
-        });
-        let g = long_path();
-        let mut s = spec("p");
-        s.engine = Engine::Native;
-        s.deadline_ms = Some(10);
-        let id = sched.submit(s, Arc::clone(&g), None, None).unwrap();
-        let snap = wait_terminal(&sched, id);
-        assert_eq!(snap.state, JobState::TimedOut);
-        assert_eq!(snap.engine, "native");
-        assert!(
-            snap.has_checkpoint,
-            "timed-out native job kept no checkpoint"
-        );
-        assert!(snap.supersteps >= 1);
-
-        let (mut orig_spec, orig_graph, cp, frame) = sched.take_checkpoint(id).unwrap();
-        orig_spec.deadline_ms = None;
-        orig_spec.engine = Engine::Bsp;
-        assert!(frame.is_some(), "interrupted native run kept no frame");
-        let resumed = sched
-            .submit(orig_spec, orig_graph, Some(cp), frame)
-            .unwrap();
-        let snap = wait_terminal(&sched, resumed);
-        assert_eq!(snap.state, JobState::Completed, "err={:?}", snap.error);
-        let (output, _) = sched.output(resumed).unwrap();
-        let JobOutput::Labels(labels) = output else {
-            panic!("cc job returned non-label output");
-        };
-        assert!(labels.iter().all(|&l| l == 0), "path has one component");
         sched.shutdown();
     }
 
@@ -1082,7 +1043,7 @@ mod tests {
         let mut ids = Vec::new();
         for v in 2..8u64 {
             reg.update("d", &[(0, v)], &[]).unwrap();
-            let jg = reg.admit("d", Algorithm::Cc, Engine::Native).unwrap();
+            let jg = reg.admit("d", Algorithm::Cc, Engine::Bsp).unwrap();
             let id = sched.submit(spec("d"), jg, None, None).unwrap();
             assert_eq!(wait_terminal(&sched, id).state, JobState::Completed);
             ids.push(id);

@@ -154,7 +154,7 @@ impl DynamicGraph {
                 return Err(ServiceError::BadRequest {
                     message: format!(
                         "the incremental engine maintains `cc` and `triangles` only; \
-                         `{}` on graph `{name}` needs a bsp/native/graphct engine",
+                         `{}` on graph `{name}` needs a bsp/graphct engine",
                         other.name()
                     ),
                 })

@@ -7,12 +7,11 @@
 //! transport, active-set sizes, and halt votes — without perturbing the
 //! hot path it is measuring.
 //!
-//! Both execution engines emit these records: the sim engine's *cost
-//! predictions* are simulated XMT cycles (the recorder's department, not
-//! this crate's), but every [`SuperstepTrace`] here is host wall-clock —
-//! the `sim` and `native` engines produce identically-shaped series
-//! (labels e.g. `"cc/bsp"` vs `"cc/native"`), differing only in the
-//! nanoseconds their schedulers actually spent.
+//! Both programming models emit these records (labels e.g. `"cc/bsp"`
+//! and `"cc/graphct"`).  *Cost predictions* are simulated XMT cycles —
+//! the recorder's department, not this crate's; every
+//! [`SuperstepTrace`] here is host wall-clock, whichever schedule the
+//! run's loops were cut with.
 //!
 //! The design is compile-time gating, not runtime indirection: the
 //! whole sink is behind the `enabled` cargo feature (forwarded as
@@ -67,7 +66,8 @@ pub struct SuperstepTrace {
     /// Messages shipped through the exchange this superstep (0 when the
     /// next superstep pulls instead).
     pub messages_sent: u64,
-    /// Messages generated before sender-side combining.
+    /// Messages compute produced (equal to `messages_sent` unless the
+    /// next superstep pulled and they were discarded).
     pub messages_generated: u64,
     /// Messages delivered into this superstep's compute phase.
     pub messages_delivered: u64,
@@ -77,9 +77,6 @@ pub struct SuperstepTrace {
     pub pulled: bool,
     /// Edge probes performed by pull-mode delivery.
     pub pull_probes: u64,
-    /// Messages landing in each destination bucket (bucketed transport
-    /// only; empty otherwise).
-    pub bucket_messages: Vec<u64>,
     /// Heap allocations performed during the superstep's scan, compute
     /// and exchange phases (0 unless the process registered a counting
     /// allocator via [`set_alloc_counter`]).  Steady-state supersteps of

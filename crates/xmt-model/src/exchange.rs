@@ -3,18 +3,17 @@
 //! The runtime in `xmt-bsp` executes exchanges for real on the host and
 //! reports *what it did* (message counts, word widths, gather probes);
 //! this module maps each exchange design onto [`PhaseCounts`] so the
-//! calibrated XMT model can price them.  Three designs are charged:
+//! calibrated XMT model can price them.  Two designs are charged:
 //!
 //! * a **shared queue** — every message pays a fetch-and-add on one hot
 //!   word (the paper's §VII warning);
 //! * **per-worker outboxes** — no hot word, but grouping the merged
 //!   outboxes by destination still costs one uncontended atomic per
-//!   message (the per-destination count);
-//! * a **bucketed all-to-all** — senders radix-partition by destination
-//!   range, so each receiver owns a contiguous bucket and builds its
-//!   inbox slice with plain reads/writes: *zero* atomics, at the price
-//!   of one extra counting pass and a bucket-index computation per
-//!   message.
+//!   message (the per-destination count).
+//!
+//! The charge prices the XMT port, not the host: the host's outbox
+//! exchange groups without atomics (DESIGN.md §17), the model's pays one
+//! per message, which is what Table I and Figs. 1–4 rest on.
 //!
 //! Pull-mode delivery replaces the exchange entirely: the next superstep
 //! gathers from neighbor state, so the boundary only pays a state
@@ -32,9 +31,6 @@ pub enum ExchangeKind {
     /// One shared queue behind a single fetch-and-add cursor: identical
     /// traffic plus one hotspot operation per message.
     SharedQueue,
-    /// Destination-bucketed all-to-all: per-bucket counting + prefix
-    /// replaces the per-message atomics entirely.
-    BucketedAllToAll,
 }
 
 /// Charge moving `messages` messages of `msg_words` words each through
@@ -42,15 +38,8 @@ pub enum ExchangeKind {
 /// vertices.
 ///
 /// All kinds pay the enqueue writes (destination + payload), the prefix
-/// sum over the vertex range, and the per-word scatter read+write.  They
-/// differ in how destination grouping is coordinated:
-///
-/// * `PerThreadOutbox` / `SharedQueue`: one atomic count per message
-///   (and, for the queue, one hotspot op per message);
-/// * `BucketedAllToAll`: a plain counting pass (one read and one
-///   bucket-index ALU op per message) — no atomics, no hotspot, because
-///   every bucket's offset and data regions are written by exactly one
-///   worker.
+/// sum over the vertex range, the per-word scatter read+write and one
+/// atomic count per message; the queue adds one hotspot op per message.
 pub fn charge_push_exchange(
     c: &mut PhaseCounts,
     kind: ExchangeKind,
@@ -72,13 +61,6 @@ pub fn charge_push_exchange(
         ExchangeKind::SharedQueue => {
             c.atomics += messages; // per-destination count
             c.hotspot_ops += messages; // the shared cursor
-        }
-        ExchangeKind::BucketedAllToAll => {
-            // Plain counting pass over each bucket + bucket-index math on
-            // the sender side; offsets/data regions are disjoint per
-            // bucket, so no coordination at all.
-            c.reads += messages;
-            c.alu_ops += messages;
         }
     }
     c.barriers += 2; // end of compute, end of exchange
@@ -109,20 +91,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucketed_exchange_needs_no_atomics() {
-        let mut outbox = PhaseCounts::default();
-        let mut bucketed = PhaseCounts::default();
-        charge_push_exchange(&mut outbox, ExchangeKind::PerThreadOutbox, 1000, 1, 100);
-        charge_push_exchange(&mut bucketed, ExchangeKind::BucketedAllToAll, 1000, 1, 100);
-        assert_eq!(outbox.atomics, 1000);
-        assert_eq!(bucketed.atomics, 0);
-        assert_eq!(bucketed.hotspot_ops, 0);
-        // The bucketed design trades the atomics for a plain counting
-        // pass, so its total memory traffic stays in the same ballpark.
-        assert!(bucketed.mem_ops() <= outbox.mem_ops() + 1000);
-    }
-
-    #[test]
     fn shared_queue_adds_the_hotspot_only() {
         let mut outbox = PhaseCounts::default();
         let mut queue = PhaseCounts::default();
@@ -133,6 +101,7 @@ mod tests {
         assert_eq!(queue.reads, outbox.reads);
         assert_eq!(queue.writes, outbox.writes);
         assert_eq!(queue.atomics, outbox.atomics);
+        assert_eq!(outbox.atomics, 500);
     }
 
     #[test]

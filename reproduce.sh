@@ -7,10 +7,13 @@ OUT=${OUT:-results}
 
 cargo build --workspace --release
 
-for bin in table1 fig1 fig2 fig3 fig4 fig_service \
-           ablation_queue ablation_labelprop ablation_combiner \
-           ablation_activeset ablation_intersect ablation_direction \
-           graph500 related_work calibrate; do
+# Every binary under crates/bench/src/bin (CI asserts the two lists agree).
+BINS="table1 fig1 fig2 fig3 fig4 fig_service
+      ablation_queue ablation_exchange ablation_labelprop ablation_combiner
+      ablation_activeset ablation_intersect ablation_direction
+      graph500 related_work calibrate"
+
+for bin in $BINS; do
   echo "== $bin =="
   cargo run --release -p xmt-bench --bin "$bin" -- --out "$OUT" $FLAGS \
     > "$OUT/$bin.txt" 2>&1

@@ -81,11 +81,7 @@ fn triangle_counts_agree_everywhere() {
 /// Every runtime-mode configuration the engine supports.
 fn mode_matrix() -> Vec<BspConfig> {
     let mut configs = Vec::new();
-    for transport in [
-        Transport::PerThreadOutbox,
-        Transport::SingleQueue,
-        Transport::Bucketed,
-    ] {
+    for transport in [Transport::PerThreadOutbox, Transport::SingleQueue] {
         for delivery in [Delivery::Push, Delivery::Pull, Delivery::Auto] {
             for active_set in [ActiveSetStrategy::DenseScan, ActiveSetStrategy::Worklist] {
                 configs.push(BspConfig {
@@ -127,7 +123,7 @@ fn every_transport_and_strategy_combination_agrees() {
 /// distances is a no-op); PageRank gets a tight tolerance instead,
 /// because the f64 message-sum fold order is nondeterministic in every
 /// mode (it already differs run-to-run in the seed's per-worker inboxes),
-/// and sender-side combining / pull gathers reorder it further.
+/// and pull gathers reorder it further.
 #[test]
 fn exchange_mode_matrix_agrees_on_random_rmat_graphs() {
     for seed in [7u64, 23, 71] {

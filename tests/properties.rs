@@ -26,8 +26,9 @@ fn arb_edge_list(max_n: u64, max_m: usize) -> impl Strategy<Value = EdgeList> {
     })
 }
 
-/// Strategy: the sim engine's fixed executor or the native engine's
-/// guided one, both on the global pool.
+/// Strategy: the fixed executor (what every model-charging run uses) or
+/// the guided one (what the service's BSP engine uses), both on the
+/// global pool.
 fn arb_executor() -> impl Strategy<Value = par::Executor> {
     (0u8..2).prop_map(|guided| {
         if guided == 1 {
@@ -235,14 +236,14 @@ proptest! {
         // deposits at its one position, as a compute chunk that passes
         // the deposit high-water mark does.  Then regroup the
         // collector's view: the path the runtime's exchange takes.
-        for transport in [Transport::PerThreadOutbox, Transport::SingleQueue, Transport::Bucketed] {
-            let mut collector = MessageCollector::new(transport, workers, 200, false);
+        for transport in [Transport::PerThreadOutbox, Transport::SingleQueue] {
+            let mut collector = MessageCollector::new(transport, workers, 200);
             let chunks: Vec<(usize, &[(u64, u64)])> =
                 sends.chunks(chunk).enumerate().map(|(i, c)| (i * chunk, c)).collect();
             for w in (0..workers).rev() {
                 for &(start, sent) in chunks.iter().skip(w).step_by(workers) {
                     for piece in sent.chunks(sent.len().div_ceil(pieces)) {
-                        collector.deposit_from(w, start, &mut piece.to_vec(), None);
+                        collector.deposit_from(w, start, &mut piece.to_vec());
                     }
                 }
             }

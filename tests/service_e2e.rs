@@ -124,6 +124,20 @@ fn serves_all_three_kernels_matching_direct_runs() {
     let direct = run_bsp(&rmat, &CcProgram, config, None);
     assert_eq!(labels_of(&r), direct.states);
 
+    // `native` (and `sim`) are spellings of the one BSP engine: same
+    // answer, and every reply calls it `bsp`.
+    let r = run_job(
+        &mut client,
+        r#"{"op":"submit","algorithm":"cc","engine":"native","graph":"rmat"}"#,
+    );
+    assert_eq!(labels_of(&r), direct.states);
+    let id = field_u64(&r, "job_id").expect("job id");
+    let r = client
+        .request_line(&format!(r#"{{"op":"status","job_id":{id}}}"#))
+        .expect("status");
+    let job = field(&r, "job").expect("job");
+    assert_eq!(field_str(job, "engine"), Some("bsp"), "{r:?}");
+
     // BFS from vertex 1.
     let r = run_job(
         &mut client,
@@ -214,7 +228,7 @@ fn serves_concurrent_jobs_on_two_graphs() {
 
     // A BFS source outside the graph is refused at submit, typed, on
     // every engine — not run to an all-unreachable answer or a panic.
-    for engine in ["bsp", "native", "graphct"] {
+    for engine in ["bsp", "graphct"] {
         let r = client
             .request_line(&format!(
                 r#"{{"op":"submit","algorithm":"bfs","engine":"{engine}","graph":"gnm","source":{GNM_N}}}"#

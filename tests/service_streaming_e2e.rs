@@ -111,7 +111,7 @@ fn update_batches_flow_through_the_wire() {
 
     // Every engine answers against the post-batch snapshot, and the
     // incremental engine agrees with the recomputing ones.
-    for engine in ["incremental", "bsp", "native", "graphct"] {
+    for engine in ["incremental", "bsp", "graphct"] {
         let r = run_job(
             &mut client,
             &format!(r#"{{"op":"submit","algorithm":"cc","engine":"{engine}","graph":"d"}}"#),
