@@ -1,4 +1,13 @@
 //! Minimal command-line parsing shared by the experiment binaries.
+//!
+//! Aborting with a message on a malformed flag IS this parser's
+//! interface (pinned by the should_panic tests below).
+
+#![expect(
+    clippy::panic,
+    clippy::expect_used,
+    reason = "the CLI aborts on bad flags"
+)]
 
 use std::path::PathBuf;
 
@@ -47,27 +56,19 @@ impl HarnessConfig {
         };
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
-            // Aborting with a message on malformed flags IS this CLI
-            // parser's interface (pinned by the should_panic tests), so
-            // each abort site below carries a lint allow.
             let mut need = |name: &str| {
                 it.next()
-                    // lint:allow(no-panic-in-lib): CLI abort on a missing value
                     .unwrap_or_else(|| panic!("missing value for {name}"))
             };
             match arg.as_str() {
-                // lint:allow(no-panic-in-lib): CLI abort on a bad value
                 "--scale" => cfg.scale = need("--scale").parse().expect("bad --scale"),
                 "--edge-factor" => {
-                    // lint:allow(no-panic-in-lib): CLI abort on a bad value
                     cfg.edge_factor = need("--edge-factor").parse().expect("bad --edge-factor")
                 }
-                // lint:allow(no-panic-in-lib): CLI abort on a bad value
                 "--seed" => cfg.seed = need("--seed").parse().expect("bad --seed"),
                 "--procs" => {
                     cfg.procs = need("--procs")
                         .split(',')
-                        // lint:allow(no-panic-in-lib): CLI abort on a bad value
                         .map(|s| s.trim().parse().expect("bad --procs"))
                         .collect()
                 }
@@ -79,7 +80,6 @@ impl HarnessConfig {
                     );
                     std::process::exit(0);
                 }
-                // lint:allow(no-panic-in-lib): CLI abort on an unknown flag
                 other => panic!("unknown option {other}"),
             }
         }
@@ -98,8 +98,7 @@ impl HarnessConfig {
 
     /// The largest processor count in the sweep (the paper headlines 128).
     pub fn max_procs(&self) -> usize {
-        // lint:allow(no-panic-in-lib): `parse` asserts `procs` is
-        // non-empty, so the max always exists.
+        #[expect(clippy::unwrap_used, reason = "`parse` asserts `procs` is non-empty")]
         *self.procs.iter().max().unwrap()
     }
 }

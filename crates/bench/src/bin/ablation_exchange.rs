@@ -3,7 +3,11 @@
 //! delivery mode (push vs pull vs the adaptive auto policy), for the
 //! paper's three algorithm families, in model time.  A pulled superstep
 //! ships nothing (`messages_sent` < `messages_generated`), which is
-//! where the delivery rows differ.
+//! where the delivery rows differ.  The two `push` rows are the paper's
+//! §VII remark in numbers ("serialization around a single atomic
+//! fetch-and-add is possible, inhibiting scalability"): every message of
+//! the single queue goes through one hot word, so its time flattens at
+//! the hotspot floor while the outboxes keep scaling.
 //!
 //! ```text
 //! cargo run --release -p xmt-bench --bin ablation_exchange [-- --scale N --out DIR]

@@ -6,6 +6,12 @@
 //! recorded operation counts through the calibrated XMT model to get
 //! time-at-P series.  See DESIGN.md §5 for the experiment index.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+
 pub mod alloc_count;
 pub mod args;
 pub mod output;

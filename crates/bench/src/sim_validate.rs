@@ -63,6 +63,11 @@ pub fn simulate_cc_hook_sweep(cfg: &MachineConfig, g: &Csr, chunk: u64) -> RunSt
         let mut ph = Ph::Claim;
         let mut e = 0u64;
         let mut e_hi = 0u64;
+        // Each `last.unwrap()` below is a tasklet-protocol invariant:
+        // the simulator delivers the previous op's result before
+        // re-entering the state machine, and every unwrapping state is
+        // reachable only after an op was returned.
+        #[expect(clippy::unwrap_used, reason = "tasklet protocol invariant")]
         Box::new(FnTasklet(move |last| loop {
             match ph {
                 Ph::Claim => {
@@ -70,12 +75,6 @@ pub fn simulate_cc_hook_sweep(cfg: &MachineConfig, g: &Csr, chunk: u64) -> RunSt
                     return Some(Op::FetchAdd(CURSOR, chunk as i64));
                 }
                 Ph::GotClaim => {
-                    // Each `last.unwrap()` below is a tasklet-protocol
-                    // invariant: the simulator delivers the previous op's
-                    // result before re-entering the state machine, and
-                    // every unwrapping state is reachable only after an
-                    // op was returned.
-                    // lint:allow(no-panic-in-lib): tasklet protocol invariant
                     let lo = last.unwrap();
                     if lo >= arcs {
                         return None;
@@ -93,25 +92,21 @@ pub fn simulate_cc_hook_sweep(cfg: &MachineConfig, g: &Csr, chunk: u64) -> RunSt
                     return Some(Op::Load(SRC_BASE + 8 * e));
                 }
                 Ph::LoadDst => {
-                    // lint:allow(no-panic-in-lib): tasklet protocol invariant
                     let v = last.unwrap();
                     ph = Ph::LoadLabelU { v };
                     return Some(Op::Load(ADJ_BASE + 8 * e));
                 }
                 Ph::LoadLabelU { v } => {
-                    // lint:allow(no-panic-in-lib): tasklet protocol invariant
                     let u = last.unwrap();
                     ph = Ph::LoadLabelV { v };
                     return Some(Op::Load(LAB_BASE + 8 * u));
                 }
                 Ph::LoadLabelV { v } => {
-                    // lint:allow(no-panic-in-lib): tasklet protocol invariant
                     let lu = last.unwrap();
                     ph = Ph::Decide { v, lu };
                     return Some(Op::Load(LAB_BASE + 8 * v));
                 }
                 Ph::Decide { v, lu } => {
-                    // lint:allow(no-panic-in-lib): tasklet protocol invariant
                     let lv = last.unwrap();
                     e += 1;
                     ph = Ph::LoadSrc;

@@ -28,10 +28,12 @@ pub fn build_paper_graph(cfg: &HarnessConfig) -> Csr {
 /// the smallest id.
 pub fn pick_bfs_source(g: &Csr) -> VertexId {
     let labels = graphct::connected_components(g);
-    let big = xmt_graph::validate::largest_component(&labels)
-        // lint:allow(no-panic-in-lib): bench workloads are generated
-        // non-empty (scale >= 1), so a largest component always exists.
-        .expect("empty graph has no BFS source");
+    #[expect(
+        clippy::expect_used,
+        reason = "bench workloads are generated non-empty"
+    )]
+    let big =
+        xmt_graph::validate::largest_component(&labels).expect("empty graph has no BFS source");
     (0..g.num_vertices())
         .filter(|&v| labels[v as usize] == big && g.degree(v) > 0)
         .min_by_key(|&v| (g.degree(v), v))

@@ -73,7 +73,7 @@ impl<T> Shared<T> {
     /// # Safety
     /// `range` must lie inside the allocation, and no other live
     /// reference may overlap it.
-    #[allow(clippy::mut_from_ref)]
+    #[expect(clippy::mut_from_ref, reason = "the `# Safety` contract")]
     // SAFETY: the `# Safety` contract above — in bounds and unaliased —
     // is exactly what `from_raw_parts_mut` requires.
     unsafe fn range(&self, range: std::ops::Range<usize>) -> &mut [T] {

@@ -4,8 +4,8 @@
 //! as enqueueing and dequeueing, serialization around a single atomic
 //! fetch-and-add is possible, inhibiting scalability."  We implement
 //! the design that avoids that and the one the paper warns against, and
-//! let the experiment harness compare them (`ablation_queue`,
-//! `ablation_exchange`, the `knobs` bench group).  The *model* charges
+//! let the experiment harness compare them (`ablation_exchange`, the
+//! `knobs` bench group).  The *model* charges
 //! differ per transport (`xmt_model::exchange`); on the host both share
 //! one data path and differ only in how it is shaped:
 //!
@@ -203,9 +203,9 @@ pub struct MessageCollector<M> {
     buckets: usize,
     /// One private lane per worker (all but single-queue mode).
     lanes: WorkerScratch<Lane<M>>,
-    /// The one shared lane (single-queue mode).  A leaf lock in the
-    /// workspace lock-order graph: held only for a deposit, never across
-    /// another acquisition or a foreign call.
+    /// The one shared lane (single-queue mode).  A leaf lock
+    /// (`Mutex::new`): held only for a deposit, never across another
+    /// acquisition.
     queue: Mutex<Lane<M>>,
     /// Every deposit of the superstep, sorted by [`collected`](Self::collected).
     order: Vec<(u64, u32, u32)>,

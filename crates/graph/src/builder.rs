@@ -69,12 +69,12 @@ impl CsrBuilder {
     pub fn build(&self, edges: &EdgeList) -> Csr {
         assert!(edges.is_consistent(), "inconsistent edge list");
         let opts = self.opts;
-        if opts.dedup && edges.weights.is_some() {
-            // lint:allow(no-panic-in-lib): documented precondition on
-            // BuildOptions (there is no meaningful weight to keep when
-            // coalescing duplicates); covered by weighted_dedup_panics.
-            panic!("dedup is not supported for weighted graphs");
-        }
+        // A documented precondition on BuildOptions: there is no
+        // meaningful weight to keep when coalescing duplicates.
+        assert!(
+            !(opts.dedup && edges.weights.is_some()),
+            "dedup is not supported for weighted graphs"
+        );
         let n = edges.num_vertices as usize;
         let keep = |u: VertexId, v: VertexId| !(opts.remove_self_loops && u == v);
 

@@ -126,8 +126,7 @@ impl Csr {
     #[inline]
     pub fn weights_of(&self, v: VertexId) -> &[Weight] {
         let v = v as usize;
-        // lint:allow(no-panic-in-lib): the documented contract of this
-        // accessor; callers check `is_weighted` or own a weighted build.
+        #[expect(clippy::expect_used, reason = "the accessor's documented contract")]
         let w = self.weights.as_ref().expect("graph is unweighted");
         &w[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }

@@ -39,6 +39,12 @@
 //! }
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+
 pub mod builder;
 pub mod csr;
 pub mod edge_list;

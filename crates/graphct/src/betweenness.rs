@@ -30,9 +30,9 @@ pub fn betweenness_centrality(g: &Csr, sources: Option<usize>) -> Vec<f64> {
     let partials: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
     let src_ref = &source_list;
     parallel_for_chunked(0, src_ref.len(), 4, |_, range| {
-        // lint:allow(no-alloc-in-parallel-for): one private accumulator
-        // per chunk is this kernel's merge strategy, not a per-superstep
-        // leak — brandes_from allocates its BFS scratch per source anyway.
+        // One private accumulator per chunk is this kernel's merge
+        // strategy, not a per-superstep leak — brandes_from allocates
+        // its BFS scratch per source anyway.
         let mut acc = vec![0.0f64; n];
         for i in range {
             brandes_from(g, src_ref[i], &mut acc);

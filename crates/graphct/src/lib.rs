@@ -49,6 +49,12 @@
 //! assert!(core.iter().all(|&k| k == 4), "each clique is a 4-core");
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+
 pub mod betweenness;
 pub mod bfs;
 pub mod components;

@@ -158,8 +158,10 @@ pub fn clustering_coefficients_with(
     let mut scratch = TcScratch::new();
     let rec = ctx.rec.as_deref_mut();
     let (count, per_vertex) = dag_sweep(&dag, strategy, rec, true, &ctx.exec, &mut scratch);
-    // lint:allow(no-panic-in-lib): unreachable — dag_sweep returns
-    // per-vertex tallies whenever per_vertex is true.
+    #[expect(
+        clippy::expect_used,
+        reason = "dag_sweep tallies whenever per_vertex is true"
+    )]
     let tri = per_vertex.expect("per-vertex counts requested");
     let cc = (0..g.num_vertices())
         .map(|v| {
@@ -177,7 +179,6 @@ pub fn clustering_coefficients_with(
 /// The DAG-view sweep: for each vertex `v` and each out-neighbor `u`,
 /// count `|N⁺(v) ∩ N⁺(u)|` with the chosen strategy.  Every triangle is
 /// enumerated exactly once, rooted at its lowest-`(degree, id)` corner.
-#[allow(clippy::type_complexity)]
 fn dag_sweep(
     dag: &Csr,
     strategy: IntersectStrategy,

@@ -190,15 +190,16 @@ impl Pool {
             park: Mutex::new(()),
             wake: Condvar::new(),
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "spawn fails only under OS resource exhaustion; no caller could proceed"
+        )]
         let helpers = (1..n)
             .map(|id| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("xmt-par-{id}"))
                     .spawn(move || shared.helper(id))
-                    // lint:allow(no-panic-in-lib): spawn fails only under OS
-                    // resource exhaustion at pool construction; Pool::new has
-                    // no fallible contract and no caller could proceed anyway.
                     .expect("failed to spawn pool helper")
             })
             .collect();
@@ -245,9 +246,13 @@ impl Pool {
         drop(closing);
         // Relaxed: `Closing::drop` acquired every helper's `fetch_sub`.
         if job.panicked.load(Ordering::Relaxed) {
-            // lint:allow(no-panic-in-lib): deliberate re-raise of a helper
-            // panic in the submitting thread, mirroring std::thread::join.
-            panic!("a pool worker panicked during Pool::run");
+            #[expect(
+                clippy::panic,
+                reason = "re-raises a helper's panic, as thread::join does"
+            )]
+            {
+                panic!("a pool worker panicked during Pool::run");
+            }
         }
     }
 }

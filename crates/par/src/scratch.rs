@@ -80,7 +80,7 @@ impl<T> WorkerScratch<T> {
     /// of one `parallel_for_chunked` call this holds because a region
     /// runs at most one thread per worker id), and no `&mut self` method
     /// may be called concurrently.
-    #[allow(clippy::mut_from_ref)]
+    #[expect(clippy::mut_from_ref, reason = "the `# Safety` contract")]
     // SAFETY: the `# Safety` contract above — disjoint `worker` ids and
     // no concurrent `&mut self` — makes the UnsafeCell access unique.
     pub unsafe fn get(&self, worker: usize) -> &mut T {

@@ -29,7 +29,7 @@ use crate::job::{Algorithm, Engine, JobOutput, JobSpec, StoredCheckpoint, Stored
 // One verdict exists per run and the scheduler destructures it on
 // receipt — it is never stored in bulk — so the variant-size spread
 // (the warmed frame's buffer handles) is not worth an indirection.
-#[allow(clippy::large_enum_variant)]
+#[expect(clippy::large_enum_variant, reason = "one per run, never stored")]
 pub enum ExecVerdict {
     /// Ran to quiescence.
     Completed {

@@ -68,7 +68,10 @@ pub enum Engine {
 impl Engine {
     /// The name the frozen benchmark (`spine/src/probes.rs`) admits its
     /// registry probes under; the one BSP engine.
-    #[allow(non_upper_case_globals)]
+    #[expect(
+        non_upper_case_globals,
+        reason = "the frozen spine spells it as a variant"
+    )]
     pub const Native: Engine = Engine::Bsp;
 
     /// Parse the wire name.

@@ -33,6 +33,12 @@
 //!                               engine  →  xmt_bsp::run / graphct::*_with
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+
 pub mod client;
 pub mod engine;
 pub mod error;
@@ -43,6 +49,21 @@ pub mod scheduler;
 pub mod server;
 pub mod stats;
 pub mod streaming;
+
+/// The service's lock ranks, outermost first: a thread may take a lock
+/// only while everything it holds ranks strictly lower (`parking_lot`
+/// stand-in, checked at every `lock()` in debug builds).  The nestings
+/// that occur are `state → inner` (`update` re-costs its batch under
+/// the graph's lock) and `queue → jobs → series` (admission registers
+/// the job; completion records its latency).  Every other mutex in the
+/// workspace is a leaf (`Mutex::new`): nothing is taken under it.
+mod rank {
+    pub(crate) const STATE: u32 = 10;
+    pub(crate) const INNER: u32 = 20;
+    pub(crate) const QUEUE: u32 = 30;
+    pub(crate) const JOBS: u32 = 40;
+    pub(crate) const SERIES: u32 = 50;
+}
 
 pub use client::Client;
 pub use engine::{execute, ExecVerdict};

@@ -121,6 +121,7 @@ impl Entry {
     }
 }
 
+#[derive(Default)]
 struct Inner {
     entries: HashMap<String, Entry>,
     used: usize,
@@ -169,15 +170,7 @@ impl GraphRegistry {
     pub fn new(budget_bytes: usize) -> Self {
         GraphRegistry {
             budget: budget_bytes,
-            inner: Mutex::new(Inner {
-                entries: HashMap::new(),
-                used: 0,
-                clock: 0,
-                evictions: 0,
-                batches_applied: 0,
-                edges_inserted: 0,
-                edges_deleted: 0,
-            }),
+            inner: Mutex::ranked(crate::rank::INNER, Inner::default()),
         }
     }
 
@@ -349,9 +342,9 @@ impl GraphRegistry {
         let mut st = dynamic.lock();
         let plan = st
             .analytics
-            // lint:allow(guard-across-call): planning is bounded CPU work
-            // on the guarded state itself; the per-graph lock must cover
-            // plan -> re-cost -> apply (see the comment above).
+            // Planning is bounded CPU work on the guarded state itself;
+            // the per-graph lock must cover plan -> re-cost -> apply
+            // (see the comment above).
             .plan_batch(&ops)
             .map_err(|e| ServiceError::BadRequest {
                 message: format!("update for graph `{name}`: {e}"),

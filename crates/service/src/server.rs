@@ -166,10 +166,12 @@ impl Service {
                             .put("result", output_content(&output))
                             .done())
                     }
-                    JobState::Failed => Err(self
-                        .scheduler
-                        .output(*job_id)
-                        .expect_err("failed job has no output")),
+                    JobState::Failed => match self.scheduler.output(*job_id) {
+                        Err(stored) => Err(stored),
+                        Ok(_) => Err(ServiceError::Internal {
+                            message: format!("failed job {job_id} has an output"),
+                        }),
+                    },
                     other => Err(ServiceError::WrongState {
                         id: *job_id,
                         state: other.name().to_string(),
@@ -269,12 +271,13 @@ impl Server {
             let service = Arc::clone(&self.service);
             let stop = Arc::clone(&self.stop);
             let addr = self.addr;
+            #[expect(
+                clippy::expect_used,
+                reason = "spawn fails only on OS resource exhaustion; serving cannot go on"
+            )]
             let handle = std::thread::Builder::new()
                 .name("svc-conn".to_string())
                 .spawn(move || serve_connection(stream, &service, &stop, addr))
-                // lint:allow(no-panic-in-lib): thread spawn fails only on
-                // OS resource exhaustion; there is no useful way to keep
-                // serving once threads cannot be created.
                 .expect("spawn connection thread");
             // Reap finished connections first, so the list is bounded by
             // live connections rather than by connections ever accepted.
@@ -289,11 +292,13 @@ impl Server {
 
     /// Serve on a background thread; returns the join handle.
     pub fn spawn(self) -> JoinHandle<()> {
+        #[expect(
+            clippy::expect_used,
+            reason = "spawn fails only on OS resource exhaustion, at startup"
+        )]
         std::thread::Builder::new()
             .name("svc-accept".to_string())
             .spawn(move || self.run())
-            // lint:allow(no-panic-in-lib): spawn fails only on OS
-            // resource exhaustion at server startup.
             .expect("spawn server thread")
     }
 }

@@ -110,9 +110,16 @@ pub struct LatencySummary {
 
 /// Keyed latency histograms behind one lock (updated once per finished
 /// job — not a hot path).
-#[derive(Default)]
 pub struct LatencyBook {
     series: Mutex<HashMap<String, LatencyHistogram>>,
+}
+
+impl Default for LatencyBook {
+    fn default() -> Self {
+        LatencyBook {
+            series: Mutex::ranked(crate::rank::SERIES, HashMap::new()),
+        }
+    }
 }
 
 impl LatencyBook {

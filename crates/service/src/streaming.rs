@@ -74,8 +74,7 @@ pub(crate) struct DynState {
 /// A dynamic graph: streaming analytics state plus epoch bookkeeping.
 // A per-graph state holder may take the registry's inner lock (batch
 // re-costing), never the reverse — the ordering described in the module
-// docs, machine-checked by the workspace lock-order analysis.
-// lint:order: state < inner
+// docs, `rank::STATE < rank::INNER`.
 pub(crate) struct DynamicGraph {
     state: Mutex<DynState>,
     /// Gauge of snapshot epochs still referenced by at least one holder,
@@ -90,13 +89,16 @@ pub(crate) struct DynamicGraph {
 impl DynamicGraph {
     pub(crate) fn new(analytics: StreamingAnalytics) -> Self {
         DynamicGraph {
-            state: Mutex::new(DynState {
-                analytics,
-                epoch: 0,
-                snapshot: None,
-                issued: Vec::new(),
-                updates: VecDeque::new(),
-            }),
+            state: Mutex::ranked(
+                crate::rank::STATE,
+                DynState {
+                    analytics,
+                    epoch: 0,
+                    snapshot: None,
+                    issued: Vec::new(),
+                    updates: VecDeque::new(),
+                },
+            ),
             live_epochs: AtomicU64::new(0),
         }
     }
@@ -121,9 +123,9 @@ impl DynamicGraph {
         let csr = match &st.snapshot {
             Some(csr) => Arc::clone(csr),
             None => {
-                // lint:allow(guard-across-call): the snapshot must be of
-                // exactly this epoch, so it is built under the lock that
-                // orders batches; one `to_csr` per epoch, then cached.
+                // The snapshot must be of exactly this epoch, so it is
+                // built under the lock that orders batches; one `to_csr`
+                // per epoch, then cached.
                 let csr = Arc::new(st.analytics.graph().to_csr());
                 let epoch = st.epoch;
                 st.issued.push((epoch, Arc::downgrade(&csr)));
@@ -146,9 +148,9 @@ impl DynamicGraph {
         let mut st = self.state.lock();
         let output = match algorithm {
             Algorithm::Cc => JobOutput::Labels(st.analytics.labels()),
-            // lint:allow(guard-across-call): reading the incrementally
-            // maintained labels/counts is O(V) copying, no graph work;
-            // the lock keeps the read consistent with the epoch.
+            // Reading the incrementally maintained labels/counts is O(V)
+            // copying, no graph work; the lock keeps the read consistent
+            // with the epoch.
             Algorithm::Triangles => JobOutput::Triangles(st.analytics.triangles()),
             other => {
                 return Err(ServiceError::BadRequest {

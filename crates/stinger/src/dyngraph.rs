@@ -84,12 +84,16 @@ impl DynGraph {
     /// nothing) if it already exists or is a self loop.
     pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> bool {
         assert!(u < self.num_vertices() && v < self.num_vertices());
-        if u == v || self.has_edge(u, v) {
+        if u == v {
             return false;
         }
-        let pu = self.adj[u as usize].binary_search(&v).unwrap_err();
+        let (Err(pu), Err(pv)) = (
+            self.adj[u as usize].binary_search(&v),
+            self.adj[v as usize].binary_search(&u),
+        ) else {
+            return false;
+        };
         self.adj[u as usize].insert(pu, v);
-        let pv = self.adj[v as usize].binary_search(&u).unwrap_err();
         self.adj[v as usize].insert(pv, u);
         self.num_edges += 1;
         true
@@ -104,11 +108,9 @@ impl DynGraph {
             return false;
         };
         self.adj[u as usize].remove(pu);
+        #[expect(clippy::expect_used, reason = "both directions are inserted together")]
         let pv = self.adj[v as usize]
             .binary_search(&u)
-            // lint:allow(no-panic-in-lib): structural invariant —
-            // add_edge inserts both directions atomically w.r.t. &mut
-            // self, so a present u->v edge implies v->u exists.
             .expect("asymmetric adjacency");
         self.adj[v as usize].remove(pv);
         self.num_edges -= 1;

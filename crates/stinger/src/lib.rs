@@ -19,6 +19,12 @@
 //!   pending counter for deletions that need the recompute fallback (as
 //!   in \[13\], deletions are the hard case).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+
 pub mod analytics;
 pub mod components;
 pub mod dyngraph;

@@ -23,6 +23,12 @@
 //! compiled so wire formats and APIs do not change shape between
 //! configurations — feature-off builds simply never produce any.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+
 /// Whether the tracing feature is compiled in.
 ///
 /// A `const`, so `if ENABLED { ... }` blocks are stripped by constant
@@ -212,7 +218,10 @@ impl TraceSink {
     }
 
     /// Append one superstep record.  No-op when the feature is off.
-    #[cfg_attr(not(feature = "enabled"), allow(unused_variables))]
+    #[cfg_attr(
+        not(feature = "enabled"),
+        expect(unused_variables, reason = "the body compiles out with the feature")
+    )]
     pub fn record(&mut self, record: SuperstepTrace) {
         #[cfg(feature = "enabled")]
         self.records.push(record);

@@ -172,9 +172,7 @@ pub fn parallel_loop(
                     return Some(Op::FetchAdd(cursor, chunk as i64));
                 }
                 1 => {
-                    // lint:allow(no-panic-in-lib): tasklet protocol
-                    // invariant — phase 1 is entered only after the
-                    // fetch-add issued in phase 0 delivered its result.
+                    #[expect(clippy::unwrap_used, reason = "phase 0's fetch-add has delivered")]
                     let lo = last.unwrap();
                     if lo >= items as u64 {
                         return None;

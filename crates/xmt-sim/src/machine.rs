@@ -114,7 +114,7 @@ impl Machine {
 
         // Seed: hand tasklets to streams round-robin across processors so
         // work spreads over the whole machine first.
-        #[allow(clippy::needless_range_loop)]
+        #[expect(clippy::needless_range_loop, reason = "the index is the slot id")]
         'seed: for s_slot in 0..sper {
             for p in 0..nproc {
                 if self.work.is_empty() {
@@ -184,7 +184,6 @@ impl Machine {
             }
 
             // One issue slot per processor.
-            #[allow(clippy::needless_range_loop)]
             for p in 0..nproc {
                 let Some(sid) = ready[p].pop_front() else {
                     continue;
@@ -218,7 +217,10 @@ impl Machine {
         stats
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the scheduler loop's locals, borrowed apart"
+    )]
     fn issue(
         &mut self,
         sid: usize,
@@ -301,8 +303,10 @@ impl Machine {
             Op::FetchAdd(a, d) => self.memory.fetch_add(a, d, cycle),
             Op::ReadFE(a) => self.memory.read_fe(a, cycle),
             Op::WriteEF(a, v) => self.memory.write_ef(a, v, cycle),
-            // lint:allow(no-panic-in-lib): issue() routes Alu ops to the
-            // scoreboard before attempt_memory is ever called.
+            #[expect(
+                clippy::unreachable,
+                reason = "issue() routes Alu ops to the scoreboard"
+            )]
             Op::Alu(_) => unreachable!("ALU ops never reach memory"),
         }
     }

@@ -46,17 +46,15 @@ impl RunStats {
     /// Load imbalance: max over mean of per-processor issue counts
     /// (1.0 = perfectly balanced; 0.0 when untracked or idle).
     pub fn imbalance(&self) -> f64 {
-        if self.per_proc_instructions.is_empty() {
+        let Some(&max) = self.per_proc_instructions.iter().max() else {
             return 0.0;
-        }
-        // lint:allow(no-panic-in-lib): the empty case returned above.
-        let max = *self.per_proc_instructions.iter().max().unwrap() as f64;
+        };
         let mean = self.per_proc_instructions.iter().sum::<u64>() as f64
             / self.per_proc_instructions.len() as f64;
         if mean == 0.0 {
             0.0
         } else {
-            max / mean
+            max as f64 / mean
         }
     }
 }

@@ -9,7 +9,7 @@ cargo build --workspace --release
 
 # Every binary under crates/bench/src/bin (CI asserts the two lists agree).
 BINS="table1 fig1 fig2 fig3 fig4 fig_service
-      ablation_queue ablation_exchange ablation_labelprop ablation_combiner
+      ablation_exchange ablation_labelprop ablation_combiner
       ablation_activeset ablation_intersect ablation_direction
       graph500 related_work calibrate"
 

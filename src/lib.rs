@@ -18,6 +18,12 @@
 //! See `README.md` for a tour, `DESIGN.md` for the system inventory and
 //! `EXPERIMENTS.md` for paper-vs-measured results.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+
 pub use graphct;
 pub use stinger_lite as stinger;
 pub use xmt_bsp as bsp;
