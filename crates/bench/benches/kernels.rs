@@ -64,9 +64,6 @@ fn bench_toolkit_extras(c: &mut Criterion) {
     group.bench_function("pagerank", |b| {
         b.iter(|| graphct::pagerank(&g, graphct::pagerank::PagerankOptions::default()))
     });
-    group.bench_function("betweenness_sampled_16", |b| {
-        b.iter(|| graphct::betweenness_centrality(&g, Some(16)))
-    });
     group.finish();
 }
 

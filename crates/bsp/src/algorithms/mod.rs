@@ -1,25 +1,20 @@
-//! The paper's BSP graph algorithms, plus extensions.
+//! The paper's BSP graph algorithms, plus two Pregel staples.
 //!
 //! * [`components`] — Algorithm 1 (connected components);
 //! * [`bfs`] — Algorithm 2 (breadth-first search);
 //! * [`triangles`] — Algorithm 3 (triangle counting);
-//! * [`pagerank`], [`sssp`] — the Pregel staples, as extension programs
-//!   (the paper's related-work section measures both on Giraph/Trinity);
-//! * [`kcore`], [`clustering`] — further extension programs covering the
-//!   GraphCT toolkit kernels the paper lists in §II.
+//! * [`pagerank`], [`sssp`] — the Pregel staples the paper's related-work
+//!   section measures on Giraph/Trinity; PageRank is a served kernel and
+//!   SSSP is checked against GraphCT's Bellman-Ford.
 
 pub mod bfs;
-pub mod clustering;
 pub mod components;
-pub mod kcore;
 pub mod pagerank;
 pub mod sssp;
 pub mod triangles;
 
 pub use bfs::{bsp_bfs, bsp_bfs_with_config, BspBfsOutput};
-pub use clustering::bsp_clustering;
 pub use components::{bsp_connected_components, bsp_connected_components_with_config};
-pub use kcore::{bsp_kcore, core_numbers};
 pub use pagerank::bsp_pagerank;
 pub use sssp::bsp_sssp;
 pub use triangles::{bsp_count_triangles, bsp_count_triangles_with_config};

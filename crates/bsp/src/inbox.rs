@@ -358,13 +358,6 @@ impl<M: Copy + Send + Sync> Default for Inbox<M> {
     }
 }
 
-impl<M> Inbox<M> {
-    /// Whether messages have been folded by a combiner.
-    pub fn is_combined(&self) -> bool {
-        self.shape == Shape::Slots
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,7 +403,7 @@ mod tests {
         let batches = vec![vec![(1u64, 10u64), (3, 30)], vec![(1, 11), (0, 1)], vec![]];
         for transport in TRANSPORTS {
             let ib = deliver(Inbox::new(), transport, 4, &batches, None);
-            assert!(!ib.is_combined());
+            assert_ne!(ib.shape, Shape::Slots);
             assert_eq!(ib.total_messages(), 4);
             assert_eq!(ib.messages(0), &[1]);
             assert_eq!(ib.messages(1), &[10, 11], "{transport:?}");
@@ -424,7 +417,7 @@ mod tests {
         let batches = vec![vec![(0u64, 9u64), (0, 3), (0, 7), (1, 5)], vec![(0, 4)]];
         for transport in TRANSPORTS {
             let ib = deliver(Inbox::new(), transport, 3, &batches, Some(&MinCombiner));
-            assert!(ib.is_combined());
+            assert_eq!(ib.shape, Shape::Slots);
             assert_eq!(ib.messages(0), &[3]);
             assert_eq!(ib.messages(1), &[5]);
             assert!(!ib.has_messages(2));
@@ -542,7 +535,7 @@ mod tests {
                 for combiner in [None, Some(&MinCombiner as &dyn Combiner<u64>)] {
                     reused = deliver(reused, transport, 4, batches, combiner);
                     let fresh = deliver(Inbox::new(), transport, 4, batches, combiner);
-                    assert_eq!(reused.is_combined(), fresh.is_combined());
+                    assert_eq!(reused.shape, fresh.shape);
                     assert_eq!(reused.total_messages(), fresh.total_messages());
                     assert_eq!(reused.snapshot(), fresh.snapshot());
                 }
@@ -550,7 +543,7 @@ mod tests {
             // Shrinking to empty and regrowing works too.
             reused.reset_empty(4);
             assert_eq!(reused.total_messages(), 0);
-            assert!(!reused.is_combined());
+            assert_eq!(reused.shape, Shape::Empty);
             assert!(!reused.has_messages(3));
         }
     }

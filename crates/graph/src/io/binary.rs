@@ -58,6 +58,10 @@ fn truncated() -> io::Error {
     io::Error::new(io::ErrorKind::UnexpectedEof, "truncated CSR file")
 }
 
+fn invalid(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
 /// Split the next `N` bytes off the front of `rest`.
 fn take<const N: usize>(rest: &mut &[u8]) -> io::Result<[u8; N]> {
     let (head, tail) = rest.split_first_chunk::<N>().ok_or_else(truncated)?;
@@ -82,23 +86,28 @@ fn take_words<T>(rest: &mut &[u8], count: u64, decode: fn([u8; 8]) -> T) -> io::
 }
 
 /// Deserialize a CSR from a reader.
+///
+/// Every invariant [`Csr::from_parts`] asserts is checked here first, so a
+/// corrupt file is an [`io::ErrorKind::InvalidData`] error, never a panic;
+/// that includes a set sorted flag over an unsorted adjacency list, which
+/// would otherwise silently miscount triangles.
 pub fn read_csr_binary<R: Read>(reader: &mut R) -> io::Result<Csr> {
     let mut raw = Vec::new();
     reader.read_to_end(&mut raw)?;
     let mut rest = raw.as_slice();
     if u32::from_le_bytes(take(&mut rest)?) != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
+        return Err(invalid("bad magic"));
     }
     if u32::from_le_bytes(take(&mut rest)?) != VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "unsupported version",
-        ));
+        return Err(invalid("unsupported version"));
     }
     let flags = u64::from_le_bytes(take(&mut rest)?);
     let n = u64::from_le_bytes(take(&mut rest)?);
     let arcs = u64::from_le_bytes(take(&mut rest)?);
-    let offsets = take_words(&mut rest, n.saturating_add(1), u64::from_le_bytes)?;
+    let num_offsets = n
+        .checked_add(1)
+        .ok_or_else(|| invalid("vertex count overflows"))?;
+    let offsets = take_words(&mut rest, num_offsets, u64::from_le_bytes)?;
     let adj = take_words(&mut rest, arcs, u64::from_le_bytes)?;
     let weights: Option<Vec<Weight>> = if flags & FLAG_WEIGHTED != 0 {
         Some(take_words(&mut rest, arcs, i64::from_le_bytes)?)
@@ -106,10 +115,24 @@ pub fn read_csr_binary<R: Read>(reader: &mut R) -> io::Result<Csr> {
         None
     };
     if !rest.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "trailing bytes after CSR payload",
-        ));
+        return Err(invalid("trailing bytes after CSR payload"));
+    }
+    if offsets.first() != Some(&0)
+        || offsets.last() != Some(&arcs)
+        || offsets.windows(2).any(|w| w[0] > w[1])
+    {
+        return Err(invalid("offsets are not monotone from 0 to the arc count"));
+    }
+    if adj.iter().any(|&v| v >= n) {
+        return Err(invalid("adjacency entry out of range"));
+    }
+    let sorted = flags & FLAG_SORTED != 0;
+    if sorted
+        && offsets
+            .windows(2)
+            .any(|w| !adj[w[0] as usize..w[1] as usize].is_sorted())
+    {
+        return Err(invalid("sorted flag set over an unsorted adjacency list"));
     }
     Ok(Csr::from_parts(
         n,
@@ -117,7 +140,7 @@ pub fn read_csr_binary<R: Read>(reader: &mut R) -> io::Result<Csr> {
         adj,
         weights,
         flags & FLAG_DIRECTED != 0,
-        flags & FLAG_SORTED != 0,
+        sorted,
     ))
 }
 
@@ -206,14 +229,60 @@ mod tests {
         let mut badv = buf.clone();
         badv[4] ^= 0xff;
         assert!(read_csr_binary(&mut badv.as_slice()).is_err());
-        // A vertex or arc count the file cannot hold is a truncation,
-        // not an allocation of that size.
-        for field in [16, 24] {
-            let mut huge = buf.clone();
-            huge[field..field + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-            let err = read_csr_binary(&mut huge.as_slice()).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        }
+        // An arc count the file cannot hold is a truncation, not an
+        // allocation of that size.
+        let mut huge = buf.clone();
+        huge[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = read_csr_binary(&mut huge.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// The golden file of `on_disk_bytes_are_pinned` with one 8-byte
+    /// word (`word` counts from the flags word at byte 8) replaced.
+    fn golden_with(word: usize, value: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_csr_binary(&mut buf, &weighted_directed()).unwrap();
+        let at = 8 + 8 * word;
+        buf[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        buf
+    }
+
+    fn invalid_data(buf: &[u8]) -> bool {
+        read_csr_binary(&mut &buf[..]).unwrap_err().kind() == io::ErrorKind::InvalidData
+    }
+
+    #[test]
+    fn bad_offsets_or_adjacency_are_invalid_data() {
+        // Offsets 0 1 1 2 → 0 2 1 2 (not monotone).
+        assert!(invalid_data(&golden_with(4, 2)));
+        // Offsets end at 1, not at the arc count 2.
+        assert!(invalid_data(&golden_with(6, 1)));
+        // Adjacency 1 0 → 3 0, but n = 3.
+        assert!(invalid_data(&golden_with(7, 3)));
+    }
+
+    #[test]
+    fn vertex_count_overflow_is_invalid_data() {
+        assert!(invalid_data(&golden_with(1, u64::MAX)));
+    }
+
+    #[test]
+    fn sorted_flag_over_unsorted_lists_is_invalid_data() {
+        // Vertex 0 gets arcs to 1 and 0, in that order.
+        let el = EdgeList::from_pairs([(0, 1), (0, 0)]);
+        let g = CsrBuilder::new(BuildOptions {
+            symmetrize: false,
+            remove_self_loops: false,
+            dedup: false,
+            sort: false,
+        })
+        .build(&el);
+        assert_eq!(g.neighbors(0), &[1, 0]);
+        let mut buf = Vec::new();
+        write_csr_binary(&mut buf, &g).unwrap();
+        assert!(read_csr_binary(&mut buf.as_slice()).is_ok());
+        buf[8] |= FLAG_SORTED as u8;
+        assert!(invalid_data(&buf));
     }
 
     #[test]

@@ -1,19 +1,14 @@
 //! Graph file input and output.
 //!
 //! GraphCT ships graph data-file input and output as part of the
-//! toolkit; we provide the formats it would need:
+//! toolkit.  Both readers reject malformed input with
+//! [`std::io::ErrorKind::InvalidData`] rather than panicking:
 //!
 //! * [`text`] — whitespace-separated edge lists (`u v [w]` per line).
-//! * [`dimacs`] — the 9th DIMACS shortest-path challenge format.
-//! * [`matrix_market`] — SuiteSparse-style Matrix Market coordinate files.
 //! * [`binary`] — a compact little-endian binary CSR dump.
 
 pub mod binary;
-pub mod dimacs;
-pub mod matrix_market;
 pub mod text;
 
 pub use binary::{read_csr_binary, write_csr_binary};
-pub use dimacs::{read_dimacs, write_dimacs};
-pub use matrix_market::{read_matrix_market, write_matrix_market};
 pub use text::{read_edge_list, write_edge_list};

@@ -12,7 +12,7 @@ use crate::{EdgeList, Weight};
 pub fn read_edge_list<R: BufRead>(reader: R) -> io::Result<EdgeList> {
     let mut edges = Vec::new();
     let mut weights: Option<Vec<Weight>> = None;
-    let mut max_v = 0u64;
+    let mut num_vertices = 0u64;
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
         let t = line.trim();
@@ -42,10 +42,13 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> io::Result<EdgeList> {
                 return Err(bad(lineno, "mixed weighted and unweighted lines"));
             }
         }
-        max_v = max_v.max(u).max(v);
+        // The vertex count is one past the largest id, so `u64::MAX`
+        // itself cannot be a vertex.
+        let past = u.max(v).checked_add(1);
+        let past = past.ok_or_else(|| bad(lineno, "vertex id too large"))?;
+        num_vertices = num_vertices.max(past);
         edges.push((u, v));
     }
-    let num_vertices = if edges.is_empty() { 0 } else { max_v + 1 };
     Ok(EdgeList {
         num_vertices,
         edges,
@@ -124,6 +127,24 @@ mod tests {
         assert!(read_edge_list(Cursor::new("0 1 x\n")).is_err());
         assert!(read_edge_list(Cursor::new("0 1 2\n3 4\n")).is_err());
         assert!(read_edge_list(Cursor::new("0 1\n3 4 9\n")).is_err());
+    }
+
+    #[test]
+    fn largest_id_is_rejected() {
+        let err = read_edge_list(Cursor::new(
+            "0 1
+18446744073709551615 0
+",
+        ))
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().starts_with("line 2:"), "{err}");
+        let el = read_edge_list(Cursor::new(
+            "18446744073709551614 0
+",
+        ))
+        .unwrap();
+        assert_eq!(el.num_vertices, u64::MAX);
     }
 
     #[test]

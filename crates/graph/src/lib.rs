@@ -10,9 +10,9 @@
 //! * [`gen`] — graph generators: RMAT (the paper's workload, Chakrabarti
 //!   et al. with Graph500 parameters), Erdős–Rényi, and deterministic
 //!   families for tests.
-//! * [`io`] — text edge-list, DIMACS, and compact binary formats.
-//! * [`ops`] — degree statistics, subgraph extraction, transpose,
-//!   relabeling.
+//! * [`io`] — text edge-list and compact binary formats.
+//! * [`ops`] — the degree-ordered DAG view and degree relabeling that
+//!   triangle counting runs on.
 //! * [`validate`] — Graph500-style BFS tree validation and component
 //!   label validation.
 //!

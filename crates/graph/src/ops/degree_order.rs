@@ -13,19 +13,9 @@ use crate::{Csr, VertexId};
 /// A permutation (old id → new id) ordering vertices by ascending
 /// degree; ties break on the original id for determinism.
 pub fn degree_ascending_permutation(g: &Csr) -> Vec<VertexId> {
-    permutation_by_key(g, |d| d)
-}
-
-/// A permutation (old id → new id) ordering vertices by descending
-/// degree; ties break on the original id.
-pub fn degree_descending_permutation(g: &Csr) -> Vec<VertexId> {
-    permutation_by_key(g, |d| u64::MAX - d)
-}
-
-fn permutation_by_key(g: &Csr, key: impl Fn(u64) -> u64) -> Vec<VertexId> {
     let n = g.num_vertices() as usize;
     let mut order: Vec<VertexId> = (0..n as u64).collect();
-    order.sort_by_key(|&v| (key(g.degree(v)), v));
+    order.sort_by_key(|&v| (g.degree(v), v));
     // order[rank] = old id  =>  perm[old id] = rank.
     let mut perm = vec![0 as VertexId; n];
     for (rank, &old) in order.iter().enumerate() {
@@ -49,25 +39,13 @@ mod tests {
     }
 
     #[test]
-    fn descending_puts_the_hub_first() {
-        let g = build_undirected(&star(10));
-        let perm = degree_descending_permutation(&g);
-        assert_eq!(perm[0], 0, "the hub keeps the lowest id");
-    }
-
-    #[test]
-    fn permutations_are_bijections() {
+    fn permutation_is_a_bijection() {
         let el = crate::gen::er::gnm(200, 900, 4);
         let g = build_undirected(&el);
-        for perm in [
-            degree_ascending_permutation(&g),
-            degree_descending_permutation(&g),
-        ] {
-            let mut seen = [false; 200];
-            for &p in &perm {
-                assert!(!seen[p as usize]);
-                seen[p as usize] = true;
-            }
+        let mut seen = [false; 200];
+        for &p in &degree_ascending_permutation(&g) {
+            assert!(!seen[p as usize]);
+            seen[p as usize] = true;
         }
     }
 

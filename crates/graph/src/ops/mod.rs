@@ -1,15 +1,9 @@
 //! Graph operations: the GraphCT "utility function" layer.
 
 pub mod dag;
-pub mod degree;
 pub mod degree_order;
 pub mod relabel;
-pub mod subgraph;
-pub mod transpose;
 
 pub use dag::{dag_view, degree_order_before, IntersectStrategy};
-pub use degree::{degree_histogram, DegreeStats};
-pub use degree_order::{degree_ascending_permutation, degree_descending_permutation};
+pub use degree_order::degree_ascending_permutation;
 pub use relabel::relabel;
-pub use subgraph::extract_subgraph;
-pub use transpose::transpose;

@@ -57,15 +57,6 @@ pub fn kcore_decomposition(g: &Csr) -> Vec<u64> {
     core.into_iter().map(AtomicU64::into_inner).collect()
 }
 
-/// Vertices belonging to the `k`-core (core number >= k).
-pub fn kcore_members(core: &[u64], k: u64) -> Vec<u64> {
-    core.iter()
-        .enumerate()
-        .filter(|&(_, &c)| c >= k)
-        .map(|(v, _)| v as u64)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,8 +98,6 @@ mod tests {
         let core = kcore_decomposition(&g);
         // All clique members have core 4; the bridge does not raise it.
         assert!(core.iter().all(|&c| c == 4), "{core:?}");
-        assert_eq!(kcore_members(&core, 4).len(), 10);
-        assert!(kcore_members(&core, 5).is_empty());
     }
 
     #[test]

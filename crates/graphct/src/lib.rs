@@ -4,9 +4,7 @@
 //! as its hand-tuned shared-memory reference.  This crate re-implements
 //! the three kernels the paper measures, in the same algorithmic style
 //! (loop-level parallelism, atomic fetch-and-add, immediate visibility of
-//! updates), plus the surrounding toolkit capabilities the paper lists
-//! (§II: "clustering coefficients, connected components, betweenness
-//! centrality, k-core, and others"):
+//! updates), plus PageRank and two reference kernels:
 //!
 //! * [`components`] — Shiloach-Vishkin-style connected components with
 //!   in-iteration label propagation (§III);
@@ -14,9 +12,10 @@
 //!   frontier queue (§IV);
 //! * [`triangles`] — triangle counting and clustering coefficients by
 //!   sorted-adjacency intersection (§V);
-//! * [`kcore`], [`betweenness`], [`mod@pagerank`], [`mod@sssp`] — toolkit extras;
-//! * [`workflow`] — the chained-analysis driver (one read-only graph,
-//!   a series of kernel calls, an accumulated report).
+//! * [`mod@pagerank`] — pull-based PageRank, a served kernel;
+//! * [`kcore`], [`mod@sssp`] — k-core peeling and level-synchronous
+//!   Bellman-Ford, the reference answers the property and equivalence
+//!   tests check against.
 //!
 //! The three measured kernels each have two entry points: the plain
 //! zero-option form ([`connected_components`], [`bfs()`],
@@ -26,7 +25,7 @@
 //! turns those into Cray XMT time predictions), and an optional
 //! wall-clock [`xmt_trace::TraceSink`].
 //!
-//! # Example: a GraphCT workflow
+//! # Example
 //!
 //! ```
 //! use xmt_graph::builder::build_undirected;
@@ -55,16 +54,13 @@
 #![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 #![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 
-pub mod betweenness;
 pub mod bfs;
 pub mod components;
 pub mod kcore;
 pub mod pagerank;
 pub mod sssp;
 pub mod triangles;
-pub mod workflow;
 
-pub use betweenness::betweenness_centrality;
 pub use bfs::{bfs, bfs_with, BfsResult};
 pub use components::{
     connected_components, connected_components_jacobi, connected_components_with,
@@ -76,7 +72,6 @@ pub use triangles::{
     clustering_coefficients, clustering_coefficients_with, count_triangles, count_triangles_dag,
     count_triangles_idorder, count_triangles_with, TcScratch,
 };
-pub use workflow::Workflow;
 pub use xmt_graph::IntersectStrategy;
 
 use xmt_model::Recorder;

@@ -1,4 +1,5 @@
-//! PageRank by parallel power iteration (toolkit extra).
+//! PageRank by parallel power iteration: the `graphct` engine's answer
+//! to a served `pagerank` job.
 
 use xmt_graph::Csr;
 use xmt_par::pfor::parallel_fill;
@@ -37,7 +38,7 @@ pub fn pagerank(g: &Csr, opts: PagerankOptions) -> Vec<f64> {
     }
     assert!(
         !g.is_directed(),
-        "this kernel pulls over stored arcs; pass an undirected (symmetrized) graph or transpose first"
+        "this kernel pulls over stored arcs; pass an undirected (symmetrized) graph"
     );
     let nf = n as f64;
     let mut pr = vec![1.0 / nf; n];

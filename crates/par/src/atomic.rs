@@ -7,7 +7,7 @@
 //! which on the XMT is expressed with full/empty bits; here we provide it
 //! as a CAS loop.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Reinterpret an exclusively borrowed `u64` slice as atomics.
 ///
@@ -19,13 +19,6 @@ pub fn as_atomic_u64(data: &mut [u64]) -> &[AtomicU64] {
     // and alignment), and the exclusive input borrow outlives the
     // returned shared view, so no non-atomic access can race it.
     unsafe { &*(data as *mut [u64] as *const [AtomicU64]) }
-}
-
-/// Reinterpret an exclusively borrowed `usize` slice as atomics.
-pub fn as_atomic_usize(data: &mut [usize]) -> &[AtomicUsize] {
-    // SAFETY: `AtomicUsize` is layout-identical to `usize`, and the
-    // exclusive borrow rules out concurrent non-atomic access.
-    unsafe { &*(data as *mut [usize] as *const [AtomicUsize]) }
 }
 
 /// `int_fetch_add` on a shared counter; returns the previous value.
@@ -140,16 +133,5 @@ mod tests {
         for (i, &v) in data.iter().enumerate() {
             assert_eq!(v, i as u64 + 1);
         }
-    }
-
-    #[test]
-    fn atomic_usize_view_roundtrips() {
-        let mut data = vec![5usize; 8];
-        {
-            let view = as_atomic_usize(&mut data);
-            view[3].store(42, Ordering::Relaxed);
-        }
-        assert_eq!(data[3], 42);
-        assert_eq!(data[0], 5);
     }
 }

@@ -90,72 +90,6 @@ where
     sum_u64(start, end, |i| pred(i) as u64) as usize
 }
 
-/// Minimum of `f(i)` over the range, or `None` when empty.
-pub fn min_u64<F>(start: usize, end: usize, f: F) -> Option<u64>
-where
-    F: Fn(usize) -> u64 + Sync,
-{
-    if start >= end {
-        return None;
-    }
-    Some(reduce_commutative(
-        start,
-        end,
-        || u64::MAX,
-        |acc, i| acc.min(f(i)),
-        |a, b| a.min(b),
-    ))
-}
-
-/// Maximum of `f(i)` over the range, or `None` when empty.
-pub fn max_u64<F>(start: usize, end: usize, f: F) -> Option<u64>
-where
-    F: Fn(usize) -> u64 + Sync,
-{
-    if start >= end {
-        return None;
-    }
-    Some(reduce_commutative(
-        start,
-        end,
-        || 0u64,
-        |acc, i| acc.max(f(i)),
-        |a, b| a.max(b),
-    ))
-}
-
-/// Index of the maximum of `f(i)` (ties broken toward the smaller index),
-/// or `None` when empty.
-pub fn argmax_u64<F>(start: usize, end: usize, f: F) -> Option<usize>
-where
-    F: Fn(usize) -> u64 + Sync,
-{
-    if start >= end {
-        return None;
-    }
-    let best = reduce_commutative(
-        start,
-        end,
-        || (0u64, usize::MAX),
-        |acc, i| {
-            let v = f(i);
-            if v > acc.0 || (v == acc.0 && i < acc.1) {
-                (v, i)
-            } else {
-                acc
-            }
-        },
-        |a, b| {
-            if a.0 > b.0 || (a.0 == b.0 && a.1 < b.1) {
-                a
-            } else {
-                b
-            }
-        },
-    );
-    Some(best.1.min(end - 1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,37 +104,10 @@ mod tests {
     #[test]
     fn empty_range_yields_identity() {
         assert_eq!(sum_u64(10, 10, |_| 1), 0);
-        assert_eq!(min_u64(10, 10, |_| 1), None);
-        assert_eq!(max_u64(10, 10, |_| 1), None);
-        assert_eq!(argmax_u64(10, 10, |_| 1), None);
     }
 
     #[test]
     fn count_counts() {
         assert_eq!(count(0, 1000, |i| i % 3 == 0), 334);
-    }
-
-    #[test]
-    fn min_max_over_permuted_values() {
-        let vals: Vec<u64> = (0..5000)
-            .map(|i| ((i * 2654435761u64) % 10_007) + 5)
-            .collect();
-        let lo = *vals.iter().min().unwrap();
-        let hi = *vals.iter().max().unwrap();
-        assert_eq!(min_u64(0, vals.len(), |i| vals[i]), Some(lo));
-        assert_eq!(max_u64(0, vals.len(), |i| vals[i]), Some(hi));
-    }
-
-    #[test]
-    fn argmax_finds_the_peak() {
-        let mut vals = vec![3u64; 777];
-        vals[412] = 99;
-        assert_eq!(argmax_u64(0, vals.len(), |i| vals[i]), Some(412));
-    }
-
-    #[test]
-    fn argmax_breaks_ties_low() {
-        let vals = vec![7u64; 64];
-        assert_eq!(argmax_u64(0, vals.len(), |i| vals[i]), Some(0));
     }
 }

@@ -59,20 +59,6 @@ impl Recorder {
     }
 }
 
-/// A no-allocation instrumentation sink. Algorithms take
-/// `Option<&mut Recorder>` so the instrumented and plain paths share code.
-pub fn record_if(
-    rec: &mut Option<&mut Recorder>,
-    label: &str,
-    step: u64,
-    counts: PhaseCounts,
-    observed: u64,
-) {
-    if let Some(r) = rec.as_deref_mut() {
-        r.push(label, step, counts, observed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,17 +88,6 @@ mod tests {
         assert_eq!(t.reads, 100);
         assert_eq!(t.writes, 7);
         assert_eq!(t.items, 20);
-    }
-
-    #[test]
-    fn record_if_none_is_a_noop() {
-        let mut none: Option<&mut Recorder> = None;
-        record_if(&mut none, "x", 0, PhaseCounts::default(), 0);
-        let mut rec = Recorder::new();
-        let mut some = Some(&mut rec);
-        record_if(&mut some, "x", 0, PhaseCounts::default(), 3);
-        assert_eq!(rec.records.len(), 1);
-        assert_eq!(rec.records[0].observed, 3);
     }
 
     #[test]

@@ -40,15 +40,6 @@ impl Default for MachineConfig {
 }
 
 impl MachineConfig {
-    /// The paper's machine with a different processor count (their scaling
-    /// experiments sweep 8..128 processors).
-    pub fn with_processors(p: usize) -> Self {
-        MachineConfig {
-            processors: p,
-            ..Default::default()
-        }
-    }
-
     /// A tiny machine for fast unit tests.
     pub fn tiny() -> Self {
         MachineConfig {
@@ -89,12 +80,5 @@ mod tests {
     fn cycle_conversion() {
         let c = MachineConfig::default();
         assert!((c.cycles_to_seconds(500_000_000) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn with_processors_overrides_only_p() {
-        let c = MachineConfig::with_processors(16);
-        assert_eq!(c.processors, 16);
-        assert_eq!(c.streams_per_proc, 128);
     }
 }

@@ -20,13 +20,6 @@ pub enum Op {
     WriteEF(u64, u64),
 }
 
-impl Op {
-    /// Is this a memory operation (vs pure ALU)?
-    pub fn is_memory(&self) -> bool {
-        !matches!(self, Op::Alu(_))
-    }
-}
-
 /// A small program executed by one hardware stream.
 ///
 /// The machine calls [`next`](Tasklet::next) when the stream is ready to
@@ -71,16 +64,6 @@ impl<F: FnMut(Option<u64>) -> Option<Op> + Send> Tasklet for FnTasklet<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn op_memory_classification() {
-        assert!(!Op::Alu(3).is_memory());
-        assert!(Op::Load(0).is_memory());
-        assert!(Op::Store(0, 1).is_memory());
-        assert!(Op::FetchAdd(0, 1).is_memory());
-        assert!(Op::ReadFE(0).is_memory());
-        assert!(Op::WriteEF(0, 1).is_memory());
-    }
 
     #[test]
     fn oplist_drains_in_order() {

@@ -4,12 +4,16 @@
 
 use proptest::prelude::*;
 
+use std::fmt::Debug;
+
+use xmt_bsp_repro::bsp::algorithms::bfs::BfsProgram;
 use xmt_bsp_repro::bsp::algorithms::components::CcProgram;
 use xmt_bsp_repro::bsp::algorithms::sssp::SsspProgram;
+use xmt_bsp_repro::bsp::algorithms::triangles::TcProgram;
 use xmt_bsp_repro::bsp::runtime::{run, run_bsp, BspConfig, RunOptions};
 use xmt_bsp_repro::bsp::{Context, VertexProgram};
 use xmt_bsp_repro::graph::builder::build_undirected;
-use xmt_bsp_repro::graph::{BuildOptions, CsrBuilder, EdgeList};
+use xmt_bsp_repro::graph::{BuildOptions, Csr, CsrBuilder, EdgeList};
 
 fn arb_graph(max_n: u64, max_m: usize) -> impl Strategy<Value = EdgeList> {
     (2..=max_n).prop_flat_map(move |n| {
@@ -21,26 +25,58 @@ fn arb_graph(max_n: u64, max_m: usize) -> impl Strategy<Value = EdgeList> {
     })
 }
 
+/// Run `prog` on `g` cut after `cut` supersteps, resume it from the
+/// checkpoint, and require the same final states and superstep count as
+/// one uninterrupted run.
+fn slices_compose<P>(g: &Csr, prog: &P, cut: u64)
+where
+    P: VertexProgram,
+    P::State: PartialEq + Debug,
+{
+    let whole = run_bsp(g, prog, BspConfig::default(), None);
+    let config = BspConfig {
+        max_supersteps: cut,
+        ..Default::default()
+    };
+    let first = run(
+        g,
+        prog,
+        RunOptions {
+            config,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let Some(ckpt) = first.resume else {
+        // Finished before the cut.
+        assert_eq!(first.result.states, whole.states);
+        return;
+    };
+    let from = Some((first.result.states, ckpt));
+    let second = run(
+        g,
+        prog,
+        RunOptions {
+            from,
+            ..Default::default()
+        },
+    )
+    .expect("valid checkpoint");
+    assert!(second.resume.is_none());
+    assert_eq!(second.result.supersteps, whole.supersteps);
+    assert_eq!(second.result.states, whole.states);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn cc_slices_compose_for_any_boundary(el in arb_graph(40, 120), cut in 1u64..8) {
+        // The integer-state programs the service resumes after a cut.
         let g = build_undirected(&el);
-        let whole = run_bsp(&g, &CcProgram, BspConfig::default(), None);
-
-        let first = run(&g, &CcProgram, RunOptions { config: BspConfig { max_supersteps: cut, ..Default::default() }, ..Default::default() }).unwrap();
-        let final_states = match first.resume {
-            None => first.result.states, // finished before the cut
-            Some(ckpt) => {
-                let second = run(&g, &CcProgram, RunOptions { from: Some((first.result.states, ckpt)), ..Default::default() })
-                .expect("valid checkpoint");
-                prop_assert!(second.resume.is_none());
-                prop_assert_eq!(second.result.supersteps, whole.supersteps);
-                second.result.states
-            }
-        };
-        prop_assert_eq!(final_states, whole.states);
+        slices_compose(&g, &CcProgram, cut);
+        slices_compose(&g, &BfsProgram { source: 0 }, cut);
+        slices_compose(&g, &TcProgram, cut);
     }
 
     #[test]
@@ -57,20 +93,7 @@ proptest! {
             sort: true,
         })
         .build(&wel);
-        let prog = SsspProgram { source: 0 };
-        let whole = run_bsp(&g, &prog, BspConfig::default(), None);
-
-        let first = run(&g, &prog, RunOptions { config: BspConfig { max_supersteps: cut, ..Default::default() }, ..Default::default() }).unwrap();
-        let final_states = match first.resume {
-            None => first.result.states,
-            Some(ckpt) => {
-                run(&g, &prog, RunOptions { from: Some((first.result.states, ckpt)), ..Default::default() })
-                    .expect("valid checkpoint")
-                    .result
-                    .states
-            }
-        };
-        prop_assert_eq!(final_states, whole.states);
+        slices_compose(&g, &SsspProgram { source: 0 }, cut);
     }
 }
 
