@@ -3,7 +3,10 @@
 //! Mirrors GraphCT's ingest path on the XMT: a fetch-and-add degree count,
 //! a prefix sum for the offsets, and a fetch-and-add scatter — all
 //! parallel.  Optional post-passes sort each adjacency list, remove self
-//! loops, and coalesce duplicate edges (RMAT emits both).
+//! loops, and coalesce duplicate edges (RMAT emits both).  Coalescing
+//! compacts the arc array in place, so a build holds the edge list and
+//! one arc array at its peak; most of its time is the two atomic passes
+//! (degree count and scatter), not the sort or the dedup.
 
 use std::sync::atomic::Ordering;
 
@@ -178,54 +181,53 @@ fn sort_adjacency(n: usize, offsets: &[u64], adj: &mut [VertexId], weights: Opti
     });
 }
 
-/// Compact away duplicate neighbors (input adjacency must be sorted).
-fn dedup_sorted(n: usize, offsets: Vec<u64>, adj: Vec<VertexId>) -> (Vec<u64>, Vec<VertexId>) {
-    // Count unique neighbors per vertex.
+/// Compact away duplicate neighbors in place (input adjacency must be
+/// sorted).  Each vertex first moves its distinct neighbors to the front
+/// of its own slice, in parallel; a prefix sum of the distinct counts
+/// gives the new offsets; one left-to-right pass then closes the gaps.
+/// That pass is sequential because a destination can overlap an earlier
+/// vertex's source, but it moves each kept arc once, and no second
+/// adjacency array is ever allocated.
+fn dedup_sorted(n: usize, offsets: Vec<u64>, mut adj: Vec<VertexId>) -> (Vec<u64>, Vec<VertexId>) {
     let mut uniq = vec![0u64; n + 1];
     {
+        let adj_base = adj.as_mut_ptr() as usize;
         let uniq_base = uniq.as_mut_ptr() as usize;
         let offsets = &offsets;
-        let adj = &adj;
         parallel_for(0, n, |v| {
             let lo = offsets[v] as usize;
             let hi = offsets[v + 1] as usize;
-            let mut count = 0u64;
-            let mut prev = None;
-            for &x in &adj[lo..hi] {
-                if prev != Some(x) {
-                    count += 1;
-                    prev = Some(x);
-                }
+            // SAFETY: per-vertex slices of `adj` are disjoint, and index
+            // `v` of `uniq` has one writer.
+            unsafe {
+                let run =
+                    std::slice::from_raw_parts_mut((adj_base as *mut VertexId).add(lo), hi - lo);
+                *(uniq_base as *mut u64).add(v) = compact_run(run) as u64;
             }
-            // SAFETY: one writer per index.
-            unsafe { *(uniq_base as *mut u64).add(v) = count };
         });
     }
     let total = exclusive_prefix_sum(&mut uniq);
-    let new_offsets = uniq;
-    let mut new_adj = vec![0 as VertexId; total as usize];
-    {
-        let dst_base = new_adj.as_mut_ptr() as usize;
-        let offsets = &offsets;
-        let adj = &adj;
-        let new_offsets = &new_offsets;
-        parallel_for(0, n, |v| {
-            let lo = offsets[v] as usize;
-            let hi = offsets[v + 1] as usize;
-            let mut out = new_offsets[v] as usize;
-            let mut prev = None;
-            for &x in &adj[lo..hi] {
-                if prev != Some(x) {
-                    // SAFETY: output ranges are disjoint per vertex.
-                    unsafe { *(dst_base as *mut VertexId).add(out) = x };
-                    out += 1;
-                    prev = Some(x);
-                }
-            }
-            debug_assert_eq!(out as u64, new_offsets[v + 1]);
-        });
+    for v in 0..n {
+        let len = (uniq[v + 1] - uniq[v]) as usize;
+        let src = offsets[v] as usize;
+        // The destination never lies right of the source.
+        adj.copy_within(src..src + len, uniq[v] as usize);
     }
-    (new_offsets, new_adj)
+    adj.truncate(total as usize);
+    adj.shrink_to_fit();
+    (uniq, adj)
+}
+
+/// Move the distinct values of a sorted run to its front; their count.
+fn compact_run(run: &mut [VertexId]) -> usize {
+    let mut kept = 0;
+    for i in 0..run.len() {
+        if kept == 0 || run[i] != run[kept - 1] {
+            run[kept] = run[i];
+            kept += 1;
+        }
+    }
+    kept
 }
 
 /// Convenience: build an undirected simple graph (the paper's default).
@@ -241,6 +243,86 @@ pub fn build_directed(edges: &EdgeList) -> Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::er::{gnm, gnm_weighted};
+    use crate::gen::rmat::{rmat_edges, RmatParams};
+
+    /// Serial reference: append each kept arc to its source's list, then
+    /// sort each list by (neighbor, weight) and drop repeats if `dedup`.
+    fn reference(el: &EdgeList, opts: BuildOptions) -> Vec<Vec<(VertexId, i64)>> {
+        let mut lists = vec![Vec::new(); el.num_vertices as usize];
+        for (i, &(u, v)) in el.edges.iter().enumerate() {
+            if opts.remove_self_loops && u == v {
+                continue;
+            }
+            let w = el.weights.as_ref().map_or(0, |ws| ws[i]);
+            lists[u as usize].push((v, w));
+            if opts.symmetrize {
+                lists[v as usize].push((u, w));
+            }
+        }
+        for list in &mut lists {
+            list.sort_unstable();
+            if opts.dedup {
+                list.dedup();
+            }
+        }
+        lists
+    }
+
+    /// `g` as per-vertex (neighbor, weight) lists, each sorted, after
+    /// checking that the neighbor ids themselves come out sorted.
+    fn lists_of(g: &Csr) -> Vec<Vec<(VertexId, i64)>> {
+        (0..g.num_vertices())
+            .map(|v| {
+                let nbrs = g.neighbors(v);
+                assert!(nbrs.is_sorted(), "vertex {v} unsorted");
+                let mut list: Vec<_> = match g.is_weighted() {
+                    true => nbrs
+                        .iter()
+                        .copied()
+                        .zip(g.weights_of(v).iter().copied())
+                        .collect(),
+                    false => nbrs.iter().map(|&x| (x, 0)).collect(),
+                };
+                list.sort_unstable();
+                list
+            })
+            .collect()
+    }
+
+    #[test]
+    fn csr_bytes_are_pinned() {
+        // Measured on the builder that deduplicated into a second array.
+        let g = build_undirected(&rmat_edges(&RmatParams::graph500(10), 1));
+        assert_eq!(g.num_arcs(), 21_216);
+        let hash = crate::fnv1a(g.offsets().iter().chain(g.adjacency()).copied());
+        assert_eq!(hash, 0x5389_23cb_5ffe_79d1);
+    }
+
+    #[test]
+    fn builder_equals_the_serial_reference() {
+        // Duplicates and self loops: 3 000 edges on 200 vertices.
+        let multi = gnm(200, 3_000, 5);
+        assert!(multi.edges.iter().any(|&(u, v)| u == v));
+        let simple = BuildOptions::undirected_simple();
+        let g = CsrBuilder::new(simple).build(&multi);
+        assert_eq!(lists_of(&g), reference(&multi, simple));
+        // The compacted array ends where the offsets do.
+        assert_eq!(Some(&(g.adjacency().len() as u64)), g.offsets().last());
+
+        let empty = EdgeList::new(7);
+        let g = build_undirected(&empty);
+        assert_eq!(lists_of(&g), reference(&empty, simple));
+        assert_eq!(g.offsets(), &[0; 8]);
+
+        let weighted = gnm_weighted(100, 1_000, 50, 3);
+        let sym = BuildOptions {
+            dedup: false,
+            ..simple
+        };
+        let g = CsrBuilder::new(sym).build(&weighted);
+        assert_eq!(lists_of(&g), reference(&weighted, sym));
+    }
 
     #[test]
     fn undirected_simple_graph() {

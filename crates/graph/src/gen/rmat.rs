@@ -6,15 +6,23 @@
 //! the skewed, small-world degree distribution the paper studies.
 //!
 //! Generation is deterministic and embarrassingly parallel: edge `k` is
-//! produced by a counter-seeded ChaCha8 stream derived from `(seed, k)`,
-//! so the same `(params, seed)` produce the same graph regardless of
-//! thread count.
+//! produced by its own ChaCha8 stream, keyed by `(seed, k, "RMAT")` and
+//! read from block 0, so the same `(params, seed)` produce the same graph
+//! regardless of thread count.  Almost all of the cost is those random
+//! bits (`5 × scale` doubles an edge with noise), so edges are made four
+//! at a time: one 4-lane ChaCha8 pass ([`chacha8_block4`]) yields the
+//! next block of four edges' streams, and the four descents run side by
+//! side without a branch on the quadrant.  Every edge reads the same
+//! words in the same order and every float operation keeps its
+//! association, so the edge list is the one a scalar per-edge
+//! `ChaCha8Rng` descent produces, bit for bit (the tests keep that
+//! reference and pin the bytes with hashes).
 
 use rand::distributions::{Distribution, Uniform};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use rand::SeedableRng;
+use rand_chacha::{chacha8_block4, ChaCha8Rng};
 
-use xmt_par::pfor::parallel_fill;
+use xmt_par::parallel_for;
 
 use crate::{EdgeList, VertexId};
 
@@ -83,16 +91,26 @@ pub fn rmat_edges(params: &RmatParams, seed: u64) -> EdgeList {
     let m = params.num_edges() as usize;
 
     let mut edges = vec![(0 as VertexId, 0 as VertexId); m];
-    if params.permute {
-        let perm = random_permutation(n, seed ^ 0x9e37_79b9_7f4a_7c15);
-        let perm = &perm;
-        parallel_fill(&mut edges, move |k| {
-            let (u, v) = gen_edge(params, seed, k as u64);
-            (perm[u as usize], perm[v as usize])
-        });
-    } else {
-        parallel_fill(&mut edges, |k| gen_edge(params, seed, k as u64));
-    }
+    let perm = params
+        .permute
+        .then(|| random_permutation(n, seed ^ 0x9e37_79b9_7f4a_7c15));
+    let perm = perm.as_deref();
+    let out = edges.as_mut_ptr() as usize;
+    parallel_for(0, m.div_ceil(LANES), |group| {
+        let first = group * LANES;
+        let quad = gen_edges4(params, seed, first as u64);
+        // The last group's lanes past `m` are generated and dropped.
+        for (i, &(u, v)) in quad.iter().enumerate().take(m - first) {
+            let edge = match perm {
+                Some(p) => (p[u as usize], p[v as usize]),
+                None => (u, v),
+            };
+            // SAFETY: this group alone writes `first..first + 4`, and the
+            // `take` keeps those indices below `m`; `edges` is exclusively
+            // borrowed until the loop has joined.
+            unsafe { *(out as *mut (VertexId, VertexId)).add(first + i) = edge };
+        }
+    });
 
     EdgeList {
         num_vertices: n,
@@ -101,44 +119,87 @@ pub fn rmat_edges(params: &RmatParams, seed: u64) -> EdgeList {
     }
 }
 
-/// Generate edge `k` of the stream: one ChaCha8 stream per edge.
-fn gen_edge(params: &RmatParams, seed: u64, k: u64) -> (VertexId, VertexId) {
-    let mut key = [0u8; 32];
-    key[..8].copy_from_slice(&seed.to_le_bytes());
-    key[8..16].copy_from_slice(&k.to_le_bytes());
-    key[16..24].copy_from_slice(&0x524d_4154u64.to_le_bytes()); // "RMAT"
-    let mut rng = ChaCha8Rng::from_seed(key);
+/// Edges per pass: the lanes of [`chacha8_block4`].
+const LANES: usize = 4;
 
-    let (mut a, mut b, mut c, mut d) = (params.a, params.b, params.c, params.d());
-    let mut u: u64 = 0;
-    let mut v: u64 = 0;
-    for _ in 0..params.scale {
-        u <<= 1;
-        v <<= 1;
-        let total = a + b + c + d;
-        let r: f64 = rng.gen::<f64>() * total;
-        if r < a {
-            // upper-left: no bits set
-        } else if r < a + b {
-            v |= 1;
-        } else if r < a + b + c {
-            u |= 1;
-        } else {
-            u |= 1;
-            v |= 1;
-        }
-        if params.noise > 0.0 {
-            // Multiplicative noise, renormalized next iteration via `total`.
-            let jitter = |x: f64, rng: &mut ChaCha8Rng| {
-                x * (1.0 - params.noise + 2.0 * params.noise * rng.gen::<f64>())
-            };
-            a = jitter(a, &mut rng);
-            b = jitter(b, &mut rng);
-            c = jitter(c, &mut rng);
-            d = jitter(d, &mut rng);
+/// Four edges' keyed ChaCha8 streams read side by side: each read is the
+/// next `f64` of every lane, drawn as `rand`'s `gen::<f64>()` draws it
+/// from `ChaCha8Rng::next_u64` (two words, never across blocks).
+struct Streams {
+    key: [[u32; LANES]; 8],
+    counter: u64,
+    block: [[u32; LANES]; 16],
+    word: usize,
+}
+
+impl Streams {
+    /// The streams of edges `first..first + 4`: key `(seed, k, "RMAT")`.
+    fn new(seed: u64, first: u64) -> Self {
+        let k: [u64; LANES] = std::array::from_fn(|l| first + l as u64);
+        let mut key = [[0; LANES]; 8];
+        key[0] = [seed as u32; LANES];
+        key[1] = [(seed >> 32) as u32; LANES];
+        key[2] = k.map(|k| k as u32);
+        key[3] = k.map(|k| (k >> 32) as u32);
+        key[4] = [0x524d_4154; LANES]; // "RMAT"
+        Streams {
+            key,
+            counter: 0,
+            block: [[0; LANES]; 16],
+            word: 16,
         }
     }
-    (u, v)
+
+    #[inline(always)]
+    fn next_f64(&mut self) -> [f64; LANES] {
+        if self.word == 16 {
+            self.block = chacha8_block4(&self.key, [self.counter; LANES]);
+            self.counter += 1;
+            self.word = 0;
+        }
+        let (lo, hi) = (self.block[self.word], self.block[self.word + 1]);
+        self.word += 2;
+        std::array::from_fn(|l| {
+            // The top 53 bits `hi << 21 | lo >> 11`, as a sum of two
+            // exact halves: the total is an integer below 2^53, so exact.
+            let top = hi[l] as f64 * (1u64 << 21) as f64 + (lo[l] >> 11) as f64;
+            top * (1.0 / (1u64 << 53) as f64)
+        })
+    }
+}
+
+/// Edges `first..first + 4` of the stream, one per lane.
+fn gen_edges4(params: &RmatParams, seed: u64, first: u64) -> [(VertexId, VertexId); LANES] {
+    let mut rng = Streams::new(seed, first);
+    let mut a = [params.a; LANES];
+    let mut b = [params.b; LANES];
+    let mut c = [params.c; LANES];
+    let mut d = [params.d(); LANES];
+    let mut u = [0u64; LANES];
+    let mut v = [0u64; LANES];
+    for _ in 0..params.scale {
+        let r = rng.next_f64();
+        for l in 0..LANES {
+            let r = r[l] * (a[l] + b[l] + c[l] + d[l]);
+            let ab = a[l] + b[l];
+            // Quadrant without a branch: (0,0) below a, (0,1) below
+            // a + b, (1,0) below a + b + c, (1,1) above.
+            let hi = r >= ab;
+            let right = (a[l] <= r) & (r < ab) | (r >= ab + c[l]);
+            u[l] = u[l] << 1 | hi as u64;
+            v[l] = v[l] << 1 | right as u64;
+        }
+        if params.noise > 0.0 {
+            // Multiplicative noise, renormalized next level via the total.
+            for x in [&mut a, &mut b, &mut c, &mut d] {
+                let f = rng.next_f64();
+                for l in 0..LANES {
+                    x[l] *= 1.0 - params.noise + 2.0 * params.noise * f[l];
+                }
+            }
+        }
+    }
+    std::array::from_fn(|l| (u[l], v[l]))
 }
 
 /// Fisher-Yates permutation of `0..n`, seeded.
@@ -155,6 +216,107 @@ pub fn random_permutation(n: u64, seed: u64) -> Vec<VertexId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
+
+    /// Edge `k` of the stream on a scalar `ChaCha8Rng`: the reference the
+    /// four-lane path must equal.
+    fn gen_edge(params: &RmatParams, seed: u64, k: u64) -> (VertexId, VertexId) {
+        let mut key = [0u8; 32];
+        key[..8].copy_from_slice(&seed.to_le_bytes());
+        key[8..16].copy_from_slice(&k.to_le_bytes());
+        key[16..24].copy_from_slice(&0x524d_4154u64.to_le_bytes()); // "RMAT"
+        let mut rng = ChaCha8Rng::from_seed(key);
+
+        let (mut a, mut b, mut c, mut d) = (params.a, params.b, params.c, params.d());
+        let mut u: u64 = 0;
+        let mut v: u64 = 0;
+        for _ in 0..params.scale {
+            u <<= 1;
+            v <<= 1;
+            let total = a + b + c + d;
+            let r: f64 = rng.gen::<f64>() * total;
+            if r < a {
+                // upper-left: no bits set
+            } else if r < a + b {
+                v |= 1;
+            } else if r < a + b + c {
+                u |= 1;
+            } else {
+                u |= 1;
+                v |= 1;
+            }
+            if params.noise > 0.0 {
+                let jitter = |x: f64, rng: &mut ChaCha8Rng| {
+                    x * (1.0 - params.noise + 2.0 * params.noise * rng.gen::<f64>())
+                };
+                a = jitter(a, &mut rng);
+                b = jitter(b, &mut rng);
+                c = jitter(c, &mut rng);
+                d = jitter(d, &mut rng);
+            }
+        }
+        (u, v)
+    }
+
+    fn edge_hash(el: &EdgeList) -> u64 {
+        crate::fnv1a(el.edges.iter().flat_map(|&(u, v)| [u, v]))
+    }
+
+    #[test]
+    fn edge_list_bytes_are_pinned() {
+        // Measured on the scalar per-edge generator this one replaced.
+        for (scale, want) in [(10, 0xfb9f_be0f_748f_7c37), (12, 0xfc0c_4f13_960f_c413)] {
+            let el = rmat_edges(&RmatParams::graph500(scale), 1);
+            assert_eq!(edge_hash(&el), want, "scale {scale}");
+        }
+    }
+
+    /// `rmat_edges` against [`gen_edge`] edge by edge.
+    fn assert_matches_reference(params: &RmatParams, seed: u64) {
+        let perm = params
+            .permute
+            .then(|| random_permutation(params.num_vertices(), seed ^ 0x9e37_79b9_7f4a_7c15));
+        let want: Vec<_> = (0..params.num_edges())
+            .map(|k| {
+                let (u, v) = gen_edge(params, seed, k);
+                perm.as_ref()
+                    .map_or((u, v), |p| (p[u as usize], p[v as usize]))
+            })
+            .collect();
+        assert_eq!(
+            rmat_edges(params, seed).edges,
+            want,
+            "{params:?}, seed {seed}"
+        );
+    }
+
+    #[test]
+    fn four_lane_path_equals_the_scalar_reference() {
+        for scale in 1..=12 {
+            // A few thousand edges a case keep the reference fast in debug.
+            let paper = RmatParams {
+                edge_factor: (1024 >> scale).clamp(1, 16),
+                ..RmatParams::graph500(scale)
+            };
+            let raw = RmatParams {
+                permute: false,
+                ..paper
+            };
+            assert_matches_reference(&paper, 1);
+            assert_matches_reference(&raw, 1);
+            assert_matches_reference(&RmatParams { noise: 0.0, ..raw }, 1);
+            assert_matches_reference(&raw, 0xdead_beef_0123_4567);
+        }
+        // `m` is `2^scale × edge_factor`, so only scale 1 has counts that
+        // are not a multiple of four: the last group's spare lanes.
+        for edge_factor in 1..=7 {
+            let params = RmatParams {
+                edge_factor,
+                ..RmatParams::graph500(1)
+            };
+            assert_matches_reference(&params, 9);
+        }
+    }
 
     #[test]
     fn sizes_match_parameters() {

@@ -67,3 +67,12 @@ pub type Weight = i64;
 
 /// Sentinel "no vertex" value (used for BFS parents, etc.).
 pub const NO_VERTEX: VertexId = u64::MAX;
+
+/// FNV-1a over 64-bit words: the hash the byte-pinning tests fold edge
+/// lists and CSR arrays with.
+#[cfg(test)]
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x100_0000_01b3)
+    })
+}

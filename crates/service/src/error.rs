@@ -26,8 +26,10 @@ pub enum ServiceError {
         bytes: usize,
         budget: usize,
     },
-    /// An update batch would grow the graph past the registry's memory
-    /// budget even with every other entry evicted; nothing was applied.
+    /// A `register_graph` whose build would need more than the
+    /// registry's memory budget (nothing was generated), or an update
+    /// batch that would grow the graph past it even with every other
+    /// entry evicted (nothing was applied).
     BudgetExceeded {
         name: String,
         bytes: usize,
@@ -105,8 +107,8 @@ impl fmt::Display for ServiceError {
                 budget,
             } => write!(
                 f,
-                "update would grow graph `{name}` to {bytes} bytes, past the {budget}-byte \
-                 registry budget; batch rejected"
+                "graph `{name}` would need {bytes} bytes, past the {budget}-byte registry \
+                 budget; nothing was changed"
             ),
             ServiceError::NotDynamic { name } => write!(
                 f,

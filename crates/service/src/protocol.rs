@@ -124,27 +124,69 @@ pub struct GraphSpec {
     pub seed: u64,
 }
 
-/// Build the CSR a [`GraphSpec`] describes.
-pub fn build_graph(spec: &GraphSpec) -> Result<Csr, ServiceError> {
+/// Build the CSR a [`GraphSpec`] describes, for registration as `name` in
+/// a registry of `budget_bytes` (0 = unbounded).
+///
+/// The spec is sized before anything is generated: a degenerate or
+/// overflowing size is a `bad_request`, and a build whose peak — the
+/// edge list at 16 bytes an edge, both arcs of every edge at 8 bytes
+/// each, and the `n + 1` offsets — exceeds the budget is
+/// `budget_exceeded`.
+pub fn build_graph(name: &str, spec: &GraphSpec, budget_bytes: usize) -> Result<Csr, ServiceError> {
+    let (vertices, edges) = spec_size(spec)?;
+    let bytes = edges
+        .checked_mul(16 + 2 * 8)
+        .and_then(|b| b.checked_add(vertices.checked_add(1)?.checked_mul(8)?))
+        .filter(|&b| b <= isize::MAX as u64)
+        .ok_or_else(|| bad("graph size overflows"))?;
+    if budget_bytes > 0 && bytes > budget_bytes as u64 {
+        return Err(ServiceError::BudgetExceeded {
+            name: name.to_string(),
+            bytes: bytes as usize,
+            budget: budget_bytes,
+        });
+    }
     let edges = match spec.kind.as_str() {
-        "rmat" => {
-            if spec.scale == 0 || spec.scale > 24 {
-                return Err(bad("rmat scale must be in 1..=24"));
-            }
-            let params = RmatParams {
+        "rmat" => rmat_edges(
+            &RmatParams {
                 edge_factor: spec.edge_factor.clamp(1, 64),
                 ..RmatParams::graph500(spec.scale)
-            };
-            rmat_edges(&params, spec.seed)
-        }
+            },
+            spec.seed,
+        ),
         "path" => structured::path(spec.n),
         "ring" => structured::ring(spec.n),
         "star" => structured::star(spec.n),
         "grid" => structured::grid(spec.n, spec.m.max(1)),
-        "gnm" => er::gnm(spec.n, spec.m, spec.seed),
-        other => return Err(bad(&format!("unknown graph kind `{other}`"))),
+        // `spec_size` rejected every other kind.
+        _ => er::gnm(spec.n, spec.m, spec.seed),
     };
     Ok(build_undirected(&edges))
+}
+
+/// Vertices and (at most) edges of the graph a spec generates.
+fn spec_size(spec: &GraphSpec) -> Result<(u64, u64), ServiceError> {
+    let n = spec.n;
+    let kind = spec.kind.as_str();
+    match kind {
+        "rmat" if spec.scale == 0 || spec.scale > 24 => Err(bad("rmat scale must be in 1..=24")),
+        "rmat" => {
+            let n = 1u64 << spec.scale;
+            Ok((n, n * spec.edge_factor.clamp(1, 64)))
+        }
+        "ring" if n < 3 => Err(bad("a ring needs n >= 3")),
+        "path" | "star" | "grid" | "gnm" if n == 0 => Err(bad(&format!("a {kind} needs n >= 1"))),
+        "path" | "star" => Ok((n, n - 1)),
+        "ring" => Ok((n, n)),
+        "grid" => {
+            let vertices = n
+                .checked_mul(spec.m.max(1))
+                .ok_or_else(|| bad("grid size overflows"))?;
+            Ok((vertices, vertices.saturating_mul(2)))
+        }
+        "gnm" => Ok((n, spec.m)),
+        other => Err(bad(&format!("unknown graph kind `{other}`"))),
+    }
 }
 
 fn bad(message: &str) -> ServiceError {
@@ -840,7 +882,7 @@ mod tests {
             m: 0,
             seed: 0,
         };
-        assert_eq!(build_graph(&spec).unwrap().num_vertices(), 5);
+        assert_eq!(build_graph("g", &spec, 0).unwrap().num_vertices(), 5);
         let rmat = GraphSpec {
             kind: "rmat".to_string(),
             scale: 6,
@@ -849,12 +891,100 @@ mod tests {
             m: 0,
             seed: 7,
         };
-        assert_eq!(build_graph(&rmat).unwrap().num_vertices(), 64);
+        assert_eq!(build_graph("g", &rmat, 0).unwrap().num_vertices(), 64);
         let nope = GraphSpec {
             kind: "torus".to_string(),
             ..spec
         };
-        assert_eq!(build_graph(&nope).unwrap_err().code(), "bad_request");
+        assert_eq!(
+            build_graph("g", &nope, 0).unwrap_err().code(),
+            "bad_request"
+        );
+    }
+
+    /// A spec of `kind` with the given sizes; the rest as the wire defaults.
+    fn spec(kind: &str, n: u64, m: u64) -> GraphSpec {
+        GraphSpec {
+            kind: kind.to_string(),
+            scale: 10,
+            edge_factor: 16,
+            n,
+            m,
+            seed: 1,
+        }
+    }
+
+    fn code_of(spec: &GraphSpec, budget: usize) -> &'static str {
+        build_graph("x", spec, budget).unwrap_err().code()
+    }
+
+    #[test]
+    fn a_ring_below_three_vertices_is_a_bad_request() {
+        for n in 0..3 {
+            assert_eq!(code_of(&spec("ring", n, 0), 0), "bad_request", "n = {n}");
+        }
+        assert_eq!(
+            build_graph("x", &spec("ring", 3, 0), 0)
+                .unwrap()
+                .num_edges(),
+            3
+        );
+    }
+
+    #[test]
+    fn an_empty_star_or_gnm_is_a_bad_request() {
+        for kind in ["star", "gnm", "path", "grid"] {
+            assert_eq!(code_of(&spec(kind, 0, 4), 0), "bad_request", "{kind}");
+        }
+        assert_eq!(
+            build_graph("x", &spec("star", 1, 0), 0)
+                .unwrap()
+                .num_vertices(),
+            1
+        );
+    }
+
+    #[test]
+    fn a_grid_whose_size_overflows_is_a_bad_request() {
+        let err = build_graph("x", &spec("grid", 1 << 33, 1 << 33), 0).unwrap_err();
+        assert_eq!(err.code(), "bad_request");
+        assert!(err.to_string().contains("overflows"), "{err}");
+        // Vertices that fit but bytes that do not.
+        assert_eq!(code_of(&spec("grid", 1 << 31, 1 << 31), 0), "bad_request");
+        assert_eq!(code_of(&spec("gnm", 8, u64::MAX / 8), 0), "bad_request");
+    }
+
+    #[test]
+    fn a_build_past_the_budget_is_refused_before_it_is_generated() {
+        // RMAT scale 24 at edge factor 64 would be 2^30 edges: 32 GiB of
+        // edge list and arcs, refused without being generated.
+        let big = GraphSpec {
+            scale: 24,
+            edge_factor: 64,
+            ..spec("rmat", 0, 0)
+        };
+        let err = build_graph("big", &big, 64 << 20).unwrap_err();
+        let ServiceError::BudgetExceeded {
+            name,
+            bytes,
+            budget,
+        } = &err
+        else {
+            panic!("wrong variant: {err:?}");
+        };
+        assert_eq!((name.as_str(), *budget), ("big", 64 << 20));
+        assert_eq!(*bytes, (1 << 30) * 32 + ((1 << 24) + 1) * 8);
+        for kind in ["path", "star", "gnm"] {
+            assert_eq!(
+                code_of(&spec(kind, 1 << 40, 1 << 40), 1 << 30),
+                "budget_exceeded"
+            );
+        }
+        // The projection is exact at the boundary: path(5) is 4 edges.
+        let path = spec("path", 5, 0);
+        let need = 4 * 32 + 6 * 8;
+        assert_eq!(code_of(&path, need - 1), "budget_exceeded");
+        assert!(build_graph("x", &path, need).is_ok());
     }
 
     #[test]

@@ -84,7 +84,7 @@ impl Service {
                 spec,
                 dynamic,
             } => {
-                let graph = build_graph(spec)?;
+                let graph = build_graph(name, spec, self.registry.budget_bytes())?;
                 let info = if *dynamic {
                     self.registry.register_dynamic(name, graph)?
                 } else {

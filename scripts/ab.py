@@ -4,6 +4,7 @@
     python3 scripts/ab.py HEAD~1                         # ten 20 s pairs, every workload
     python3 scripts/ab.py 58eb3dd --pairs 3 --seconds 10 --workloads bsp-batch --traced 2
     python3 scripts/ab.py --render BENCH_<sha>.json      # the Markdown tables of a results file
+    python3 scripts/ab.py --trajectory                   # every results file at the root, in commit order
 
 Run from the root of the repo.  The spine is built twice, each side into
 its own target directory under `--build-dir` (default `.bench_build/ab`,
@@ -22,9 +23,18 @@ a verdict by the rule of the choosing-metrics guide: `gain` needs nine
 tenths of the pairs and a median difference beyond the parent's own
 inter-quartile distance; `regression` is a median worse by more than the
 bound; `unresolved` a parent spread wider than the bound.
+
+`--trajectory` reads every `BENCH_<sha>[-dirty].json` at the repo root
+(not the `.traced.json` or `.rerun-*.json` companions).  A file is named
+after the commit its change was measured on top of, so the files are
+ordered by that commit's place in `git rev-list --topo-order HEAD`,
+oldest first; a file whose commit is not in this history goes last,
+marked.  It prints one table per workload: each end-to-end metric's
+change-side median (q1–q3) per file.
 """
 
 import argparse
+import glob
 import json
 import os
 import re
@@ -36,6 +46,7 @@ import sys
 # Per-layer counts that repeat exactly and that no performance change may move.
 EXACT = re.compile(r"bsp\.\w+\.(supersteps|messages_sent|messages_delivered|candidates)$"
                    r"|graphct\.(cc\.iterations|bfs\.levels|tc\.triangles)$"
+                   r"|graph\.(edges|bytes_per_edge)$"
                    r"|xmt-model\.\w+\.pred_us_128p$")
 
 
@@ -187,6 +198,37 @@ def render(out, layers):
                   f" of {total} comparisons equal" + (f"; differing: {', '.join(unequal)}" if unequal else "") + ".\n")
 
 
+def trajectory(bench):
+    """Each end-to-end metric across the root results files, in commit order."""
+    history = sh("git", "rev-list", "--topo-order", "HEAD").split()  # newest first
+    known, unknown = [], []
+    for path in sorted(glob.glob("BENCH_*.json")):
+        name = re.fullmatch(r"BENCH_([0-9a-f]+)(?:-dirty)?\.json", os.path.basename(path))
+        if not name:
+            continue
+        age = next((i for i, full in enumerate(history) if full.startswith(name.group(1))), None)
+        with open(path) as f:
+            out = json.load(f)
+        (unknown if age is None else known).append((age, path, out))
+    points = sorted(known, key=lambda p: -p[0]) + unknown
+    print(f"{len(points)} results files, oldest first; change-side median (q1–q3)"
+          + ("; † = commit not in this history" if unknown else "") + ".\n")
+    for workload in [w["name"] for w in bench["workloads"]]:
+        rows = [(age, path, out["workloads"][workload]["end_to_end"])
+                for age, path, out in points if workload in out["workloads"]]
+        metrics = [m["name"] for m in bench["end_to_end"] if any(m["name"] in r for _, _, r in rows)]
+        if not rows:
+            continue
+        print(f"**{workload}**\n")
+        print("| file | " + " | ".join(f"`{m}`" for m in metrics) + " |")
+        print("|---" * (len(metrics) + 1) + "|")
+        for age, path, row in rows:
+            cells = [f"{row[m]['change']['median']:.4g} ({row[m]['change']['q1']:.4g}–{row[m]['change']['q3']:.4g})"
+                     if m in row else "—" for m in metrics]
+            print(f"| `{path}`{' †' if age is None else ''} | " + " | ".join(cells) + " |")
+        print()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent", nargs="?", help="revision the change is compared with")
@@ -198,14 +240,18 @@ def main():
     ap.add_argument("--out", help="results file (default BENCH_<sha>.json at the repo root)")
     ap.add_argument("--render", metavar="FILE", help="print the Markdown tables of a results file")
     ap.add_argument("--layers", default="bsp.,graphct.,paper.,par.", help="per-layer prefixes --render shows")
+    ap.add_argument("--trajectory", action="store_true",
+                    help="print each end-to-end metric across every root BENCH_*.json, in commit order")
     args = ap.parse_args()
+    with open("BENCHMARK.json") as f:
+        bench = json.load(f)
+    if args.trajectory:
+        return trajectory(bench)
     if args.render:
         with open(args.render) as f:
             return render(json.load(f), args.layers)
     if not args.parent:
         ap.error("a parent revision is required")
-    with open("BENCHMARK.json") as f:
-        bench = json.load(f)
     out = measure(args, bench)
     bad = [(w, n) for w, r in out["workloads"].items() for n, row in r["end_to_end"].items()
            if row["verdict"] == "regression"]

@@ -297,6 +297,45 @@ fn rejects_jobs_when_the_queue_is_full() {
 }
 
 #[test]
+fn unbuildable_graph_specs_are_typed_rejections_on_a_live_connection() {
+    let (addr, server) = start_server(ServiceConfig {
+        workers: 1,
+        queue_capacity: 4,
+        memory_budget_bytes: 64 << 20,
+    });
+    let mut client = Client::connect(&addr).expect("connect");
+    for (spec, code) in [
+        (r#""kind":"ring","n":2"#, "bad_request"),
+        (r#""kind":"star","n":0"#, "bad_request"),
+        (r#""kind":"gnm","n":0,"m":5"#, "bad_request"),
+        (
+            r#""kind":"grid","n":8589934592,"m":8589934592"#,
+            "bad_request",
+        ),
+        (
+            r#""kind":"rmat","scale":24,"edge_factor":64"#,
+            "budget_exceeded",
+        ),
+        (r#""kind":"path","n":1099511627776"#, "budget_exceeded"),
+    ] {
+        let r = client
+            .request_line(&format!(r#"{{"op":"register_graph","name":"x",{spec}}}"#))
+            .expect("a reply, not a dropped connection");
+        assert_eq!(field_str(&r, "code"), Some(code), "{spec}: {r:?}");
+        // The same connection still answers.
+        let r = client.request_line(r#"{"op":"ping"}"#).expect("ping");
+        assert_eq!(field_str(&r, "status"), Some("ok"), "after {spec}");
+    }
+    let r = client
+        .request_line(r#"{"op":"list_graphs"}"#)
+        .expect("list");
+    assert_eq!(field(&r, "graphs"), Some(&Content::Seq(Vec::new())));
+    let _ = client.request_line(r#"{"op":"shutdown"}"#);
+    drop(client);
+    server.join().expect("server thread");
+}
+
+#[test]
 fn expired_result_wait_is_flagged_not_errored() {
     let (addr, server) = start_server(ServiceConfig {
         workers: 1,
