@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Routine
 use xmt_bench::HarnessConfig;
 use xmt_bsp::algorithms as bsp_alg;
 use xmt_bsp::program::VertexProgram;
-use xmt_bsp::{ActiveSetStrategy, BspConfig, Delivery, RunOptions, Transport};
+use xmt_bsp::{ActiveSetStrategy, BspConfig, Delivery, RunOptions, SuperstepFrame, Transport};
 use xmt_graph::Csr;
 use xmt_par::Executor;
 
@@ -67,12 +67,19 @@ fn bench_toolkit_extras(c: &mut Criterion) {
     group.finish();
 }
 
-/// One call of the BSP runtime the way a service job makes it: a fresh
-/// frame, no recorder, no sink.
-fn bsp_call<P: VertexProgram>(g: &Csr, program: &P, config: BspConfig, exec: &Executor) {
+/// One call of the BSP runtime the way a service job makes it: no
+/// recorder, no sink, and a fresh frame unless `frame` lends a warm one.
+fn bsp_call<P: VertexProgram>(
+    g: &Csr,
+    program: &P,
+    config: BspConfig,
+    exec: &Executor,
+    frame: Option<&mut SuperstepFrame<P::State, P::Message>>,
+) {
     let opts = RunOptions {
         config,
         exec: exec.clone(),
+        frame,
         ..RunOptions::default()
     };
     let run = xmt_bsp::run(g, program, opts).expect("a fresh run has no checkpoint to reject");
@@ -82,9 +89,11 @@ fn bsp_call<P: VertexProgram>(g: &Csr, program: &P, config: BspConfig, exec: &Ex
 /// Host-time ablation of every BSP knob a caller can still set, one knob
 /// off the wire default at a time: the table EXPERIMENTS.md carries as
 /// "Host-time knob ablation" (`cargo bench -p xmt-bench --bench kernels
-/// -- knobs`).  A fresh-frame call's time depends on what the allocator
-/// kept from the call before it, so the rows are timed in alternating
-/// rounds, not one after the other.
+/// -- knobs`).  The host's speed drifts over the minutes a group takes,
+/// so the rows are timed in alternating rounds, not one after the other.
+/// The `warm` rows run the default config on one frame held across
+/// calls, so they time the supersteps without a fresh frame's page
+/// faults.
 fn bench_knobs(c: &mut Criterion) {
     use bsp_alg::bfs::BfsProgram;
     use bsp_alg::components::CcProgram;
@@ -144,28 +153,38 @@ fn bench_knobs(c: &mut Criterion) {
     };
 
     let (bfs, path_bfs) = (BfsProgram { source }, BfsProgram { source: 0 });
+    let guided = Executor::guided();
+    let (mut cc_frame, mut pagerank_frame) = (SuperstepFrame::new(), SuperstepFrame::new());
     let mut routines = Vec::new();
     for (knob, config, exec) in &knobs {
         routines.extend([
             Routine::new(format!("cc15/{knob}"), || {
-                bsp_call(&g, &CcProgram, *config, exec)
+                bsp_call(&g, &CcProgram, *config, exec, None)
             }),
             Routine::new(format!("bfs15/{knob}"), || {
-                bsp_call(&g, &bfs, *config, exec)
+                bsp_call(&g, &bfs, *config, exec, None)
             }),
             Routine::new(format!("pagerank15/{knob}"), || {
-                bsp_call(&g, &pagerank, *config, exec)
+                bsp_call(&g, &pagerank, *config, exec, None)
             }),
             Routine::new(format!("tc13/{knob}"), || {
-                bsp_call(&tc_graph, &TcProgram, *config, exec)
+                bsp_call(&tc_graph, &TcProgram, *config, exec, None)
             }),
         ]);
         if ["default", "worklist"].contains(knob) {
             routines.push(Routine::new(format!("bfs_path16384/{knob}"), || {
-                bsp_call(&long_path, &path_bfs, uncapped(*config), exec)
+                bsp_call(&long_path, &path_bfs, uncapped(*config), exec, None)
             }));
         }
     }
+    routines.extend([
+        Routine::new("cc15/warm", || {
+            bsp_call(&g, &CcProgram, wire, &guided, Some(&mut cc_frame))
+        }),
+        Routine::new("pagerank15/warm", || {
+            bsp_call(&g, &pagerank, wire, &guided, Some(&mut pagerank_frame))
+        }),
+    ]);
 
     println!(
         "knobs: {} pool workers on {} hardware threads",

@@ -142,3 +142,45 @@ impl<S, M> std::fmt::Debug for SuperstepFrame<S, M> {
 pub(super) fn bit(bits: &[u64], v: VertexId) -> bool {
     bits[(v >> 6) as usize] >> (v & 63) & 1 == 1
 }
+
+#[cfg(test)]
+mod tests {
+    use std::ops::Range;
+
+    use super::*;
+
+    /// The byte range each slot of `scratch` occupies.
+    fn spans<T>(scratch: &mut WorkerScratch<T>) -> Vec<Range<usize>> {
+        let addr = |slot: &T| slot as *const T as usize;
+        let slots = scratch.as_slice().iter();
+        slots
+            .map(|s| addr(s)..addr(s) + std::mem::size_of::<T>())
+            .collect()
+    }
+
+    #[test]
+    fn per_worker_slots_sit_on_disjoint_cache_lines() {
+        for workers in [2, 4] {
+            let mut frame: SuperstepFrame<u64, u64> = SuperstepFrame::new();
+            frame.prepare(1000, workers, Transport::PerThreadOutbox);
+            let mut all = spans(&mut frame.outbox);
+            all.extend(spans(&mut frame.awake));
+            all.extend(spans(&mut frame.bucket_cursors));
+            all.extend(spans(&mut frame.marks));
+            all.extend(frame.collector.lane_spans());
+            assert_eq!(all.len(), 5 * workers);
+            let lines: Vec<_> = all
+                .iter()
+                .map(|s| s.start / 64..=(s.end - 1) / 64)
+                .collect();
+            for (i, a) in lines.iter().enumerate() {
+                for b in &lines[i + 1..] {
+                    assert!(
+                        a.end() < b.start() || b.end() < a.start(),
+                        "{workers} workers: lines {a:?} and {b:?} overlap"
+                    );
+                }
+            }
+        }
+    }
+}

@@ -45,7 +45,7 @@ use parking_lot::Mutex;
 
 use xmt_graph::VertexId;
 use xmt_model::{charge_push_exchange, ExchangeKind, PhaseCounts};
-use xmt_par::WorkerScratch;
+use xmt_par::{CachePadded, WorkerScratch};
 
 /// How sent messages travel from `compute` to the next superstep's inbox.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -141,7 +141,7 @@ pub struct Collected<'a, M> {
     num_vertices: usize,
     shift: u32,
     buckets: usize,
-    lanes: &'a [Lane<M>],
+    lanes: &'a [CachePadded<Lane<M>>],
     /// `(chunk position, lane, row)`, ascending.
     order: &'a [(u64, u32, u32)],
 }
@@ -203,10 +203,10 @@ pub struct MessageCollector<M> {
     buckets: usize,
     /// One private lane per worker (all but single-queue mode).
     lanes: WorkerScratch<Lane<M>>,
-    /// The one shared lane (single-queue mode).  A leaf lock
-    /// (`Mutex::new`): held only for a deposit, never across another
-    /// acquisition.
-    queue: Mutex<Lane<M>>,
+    /// The one shared lane (single-queue mode), padded like the private
+    /// ones so [`Collected`] sees one slice type.  A leaf lock
+    /// (`Mutex::new`): held only for a deposit, never across another.
+    queue: Mutex<CachePadded<Lane<M>>>,
     /// Every deposit of the superstep, sorted by [`collected`](Self::collected).
     order: Vec<(u64, u32, u32)>,
     /// Messages deposited so far, maintained with one relaxed add per
@@ -220,6 +220,7 @@ impl<M: Copy + Send> MessageCollector<M> {
         let workers = workers.max(1);
         let (shift, buckets) = bucket_shape(transport, workers, num_vertices);
         let single_queue = transport == Transport::SingleQueue;
+        let queue_buckets = if single_queue { buckets } else { 0 };
         MessageCollector {
             transport,
             workers,
@@ -231,7 +232,7 @@ impl<M: Copy + Send> MessageCollector<M> {
             lanes: WorkerScratch::with(if single_queue { 1 } else { workers }, || {
                 Lane::new(if single_queue { 0 } else { buckets })
             }),
-            queue: Mutex::new(Lane::new(if single_queue { buckets } else { 0 })),
+            queue: Mutex::new(CachePadded::new(Lane::new(queue_buckets))),
             order: Vec::new(),
             shipped: AtomicU64::new(0),
         }
@@ -291,7 +292,7 @@ impl<M: Copy + Send> MessageCollector<M> {
         let mut queue_guard;
         let lane = if self.transport == Transport::SingleQueue {
             queue_guard = self.queue.lock();
-            &mut *queue_guard
+            &mut **queue_guard
         } else {
             // SAFETY: one live depositor per worker id (see above).
             unsafe { self.lanes.get(worker) }
@@ -325,7 +326,7 @@ impl<M: Copy + Send> MessageCollector<M> {
     /// stays warm for the next [`reset`](Self::reset) + deposit cycle.
     /// `&mut self` proves no depositor is live.
     pub fn collected(&mut self) -> Collected<'_, M> {
-        let lanes: &[Lane<M>] = match self.transport {
+        let lanes: &[CachePadded<Lane<M>>] = match self.transport {
             Transport::SingleQueue => std::slice::from_ref(self.queue.get_mut()),
             Transport::PerThreadOutbox => self.lanes.as_slice(),
         };
@@ -369,6 +370,17 @@ pub fn charge_exchange(
         Transport::SingleQueue => ExchangeKind::SharedQueue,
     };
     charge_push_exchange(c, kind, messages, msg_words, n);
+}
+
+#[cfg(test)]
+impl<M> MessageCollector<M> {
+    /// The byte range each private lane's slot occupies, for layout tests.
+    pub(crate) fn lane_spans(&mut self) -> Vec<std::ops::Range<usize>> {
+        let size = std::mem::size_of::<Lane<M>>();
+        let addr = |lane: &CachePadded<Lane<M>>| &**lane as *const Lane<M> as usize;
+        let lanes = self.lanes.as_slice().iter();
+        lanes.map(|lane| addr(lane)..addr(lane) + size).collect()
+    }
 }
 
 #[cfg(test)]

@@ -70,7 +70,7 @@ pub use pfor::{parallel_for, parallel_for_chunked};
 pub use pool::{global, Pool};
 pub use reduce::{reduce, reduce_commutative};
 pub use scan::{exclusive_prefix_sum, exclusive_prefix_sum_seq};
-pub use scratch::{MarkScratch, WorkerScratch};
+pub use scratch::{CachePadded, MarkScratch, WorkerScratch};
 
 /// Number of workers in the global pool.
 pub fn num_threads() -> usize {

@@ -19,6 +19,14 @@
 //! different thread, so a scratch must not be shared between a region
 //! and one nested in it or running beside it.
 //!
+//! Each slot is a [`CachePadded`] — 64-byte aligned, rounded up to whole
+//! lines — so no cache line holds bytes of two slots.  The XMT has no
+//! data caches and never needed this.  A commodity core does: packed
+//! back to back, two slots shared a line or not by where the allocator
+//! put them, each outbox `len` write was then a coherence miss for the
+//! neighbour, and a BSP run fell into a fast or a slow mode by chance
+//! (EXPERIMENTS.md, "Per-worker scratch on its own cache line").
+//!
 //! [`MarkScratch`], an epoch-stamped mark array over vertex ids, is the
 //! slot type both engines put in such a pool.
 //!
@@ -26,14 +34,42 @@
 
 use std::cell::UnsafeCell;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
-/// One recyclable scratch value per worker id.
+/// A value aligned to, and padded out to, whole 64-byte cache lines, so
+/// no other value shares a line with it.
+#[derive(Default, Debug)]
+#[repr(align(64))]
+pub struct CachePadded<T>(T);
+
+impl<T> CachePadded<T> {
+    /// Pad `value`.
+    pub const fn new(value: T) -> Self {
+        CachePadded(value)
+    }
+}
+
+impl<T> Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> DerefMut for CachePadded<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}
+
+/// One recyclable scratch value per worker id, each on its own lines.
 ///
 /// Obtain per-worker `&mut` access inside a parallel region with the
 /// unsafe [`get`](Self::get) (one thread per worker id), and whole-pool
 /// access between regions with the safe [`as_mut_slice`](Self::as_mut_slice).
 pub struct WorkerScratch<T> {
-    slots: Vec<UnsafeCell<T>>,
+    slots: Vec<UnsafeCell<CachePadded<T>>>,
 }
 
 // SAFETY: `WorkerScratch` hands out `&mut T` only through `get`, whose
@@ -57,7 +93,7 @@ impl<T> WorkerScratch<T> {
         let mut init = init;
         WorkerScratch {
             slots: (0..workers.max(1))
-                .map(|_| UnsafeCell::new(init()))
+                .map(|_| UnsafeCell::new(CachePadded::new(init())))
                 .collect(),
         }
     }
@@ -85,29 +121,27 @@ impl<T> WorkerScratch<T> {
     // no concurrent `&mut self` — makes the UnsafeCell access unique.
     pub unsafe fn get(&self, worker: usize) -> &mut T {
         debug_assert!(worker < self.slots.len());
-        &mut *self.slots[worker].get()
+        &mut (*self.slots[worker].get()).0
     }
 
     /// All slots, exclusively (between parallel regions).
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        // SAFETY: `&mut self` excludes every `get` borrow, so the
-        // UnsafeCell contents are uniquely reachable here.
-        unsafe {
-            std::slice::from_raw_parts_mut(self.slots.as_mut_ptr() as *mut T, self.slots.len())
-        }
+    pub fn as_mut_slice(&mut self) -> &mut [CachePadded<T>] {
+        // SAFETY: `UnsafeCell` is `repr(transparent)`, and `&mut self`
+        // excludes every `get` borrow, so the contents are unique here.
+        unsafe { std::slice::from_raw_parts_mut(self.slots.as_mut_ptr().cast(), self.slots.len()) }
     }
 
     /// All slots, shared and read-only (between parallel regions).
     ///
     /// Takes `&mut self` so the borrow checker proves no `get` borrow is
     /// alive, then downgrades.
-    pub fn as_slice(&mut self) -> &[T] {
+    pub fn as_slice(&mut self) -> &[CachePadded<T>] {
         self.as_mut_slice()
     }
 
     /// Iterate all slots mutably (between parallel regions).
-    pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, T> {
-        self.as_mut_slice().iter_mut()
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.slots.iter_mut().map(|slot| &mut slot.get_mut().0)
     }
 }
 
@@ -228,8 +262,53 @@ mod tests {
             k += 1;
             k * 10
         });
-        assert_eq!(s.as_slice(), &[10, 20, 30]);
-        s.as_mut_slice()[1] = 7;
-        assert_eq!(s.as_slice(), &[10, 7, 30]);
+        let values =
+            |s: &mut WorkerScratch<u64>| s.as_slice().iter().map(|v| **v).collect::<Vec<_>>();
+        assert_eq!(values(&mut s), [10, 20, 30]);
+        *s.as_mut_slice()[1] = 7;
+        assert_eq!(values(&mut s), [10, 7, 30]);
+        assert_eq!(s.iter_mut().map(|v| *v).sum::<u64>(), 47);
+    }
+
+    /// Slot layout for `[u8; N]` slots over 1–8 workers: no 64-byte line
+    /// holds bytes of two slots, and the pool takes at most one rounded-up
+    /// line run per slot.
+    fn check_layout<const N: usize>() {
+        for workers in 1..=8 {
+            let mut s = WorkerScratch::with(workers, || [0u8; N]);
+            let slots = s.as_slice();
+            let lines: Vec<(usize, usize)> = slots
+                .iter()
+                .map(|slot| {
+                    let addr = &**slot as *const [u8; N] as usize;
+                    (addr / 64, (addr + N - 1) / 64)
+                })
+                .collect();
+            for (i, a) in lines.iter().enumerate() {
+                for b in &lines[i + 1..] {
+                    assert!(
+                        a.1 < b.0 || b.1 < a.0,
+                        "N={N} workers={workers}: {a:?} {b:?}"
+                    );
+                }
+            }
+            let span = (lines[workers - 1].1 + 1 - lines[0].0) * 64;
+            let bound = workers * N.div_ceil(64) * 64;
+            assert!(
+                std::mem::size_of_val(slots) <= bound,
+                "N={N} workers={workers}"
+            );
+            assert!(span <= bound, "N={N} workers={workers}: {span} > {bound}");
+        }
+    }
+
+    #[test]
+    fn slots_never_share_a_cache_line() {
+        check_layout::<1>();
+        check_layout::<24>();
+        check_layout::<48>();
+        check_layout::<65>();
+        check_layout::<72>();
+        check_layout::<128>();
     }
 }

@@ -67,7 +67,8 @@ impl LatencyHistogram {
     }
 
     /// Approximate quantile (`0.0 ..= 1.0`) in milliseconds: the rank's
-    /// bucket, linearly interpolated across the bucket's span.
+    /// bucket, linearly interpolated across the bucket's span, and never
+    /// above the largest observation.
     pub fn quantile_ms(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -83,7 +84,8 @@ impl LatencyHistogram {
                 let hi = lo << 1;
                 let within = (rank - seen) as f64 / c as f64;
                 let us = lo as f64 + within * (hi - lo) as f64;
-                return us / 1000.0;
+                // The bucket's top can lie past every sample in it.
+                return us.min(self.max_us as f64) / 1000.0;
             }
             seen += c;
         }
@@ -172,6 +174,22 @@ mod tests {
         let p100 = h.quantile_ms(1.0);
         assert!(p100 >= 500.0, "p100={p100}");
         assert!((h.mean_ms() - (99.0 + 1000.0) / 100.0).abs() < 0.5);
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_maximum() {
+        // 1 000 µs lands in [512, 1024): interpolating to the bucket's top
+        // would read 1.024 ms against a 1.0 ms maximum.
+        for samples in [1, 50] {
+            let mut h = LatencyHistogram::default();
+            for _ in 0..samples {
+                h.record_us(1_000);
+            }
+            for q in [0.5, 0.99, 1.0] {
+                let v = h.quantile_ms(q);
+                assert!(v <= h.max_ms(), "n={samples} q={q}: {v} > {}", h.max_ms());
+            }
+        }
     }
 
     #[test]
