@@ -105,10 +105,7 @@ fn main() {
 
 fn run_traced(service: &Service, spec: JobSpec) -> JobTrace {
     let graph = service.registry().get(&spec.graph).expect("graph");
-    let id = service
-        .scheduler()
-        .submit(spec, graph, None, None)
-        .expect("submit");
+    let id = service.scheduler().submit(spec, graph).expect("submit");
     let (snap, timed_out) = service
         .scheduler()
         .wait_terminal(id, Duration::from_secs(3600))

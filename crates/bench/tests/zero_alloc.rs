@@ -24,14 +24,18 @@
 //!   run has three cuttable boundaries, and the window between them
 //!   holds the candidate superstep (a chunk's sends leave in several
 //!   deposits, each a row of the lane's deposit table) and the
-//!   wedge-closing one (the frame's per-worker mark arrays).
+//!   wedge-closing one (the frame's per-worker mark arrays);
+//! - a CC job through `xmt_service::execute` on a scheduler worker's
+//!   frame slot that the previous same-shape job warmed, from its first
+//!   boundary on — trace-stripped builds only, since a live `TraceSink`
+//!   grows its record vector every superstep by design.
 //!
 //! Built `harness = false` (plain `main`): libtest allocates between
 //! callbacks, which would pollute the measurement windows.  Without
 //! `alloc-count` the counter never moves and the gate reports itself
 //! skipped rather than vacuously green.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use xmt_bench::alloc_count;
 use xmt_bench::{build_paper_graph, pick_bfs_source, HarnessConfig};
@@ -86,7 +90,7 @@ fn main() {
     }
 
     let cfg = HarnessConfig::from_args(12);
-    let g = build_paper_graph(&cfg);
+    let g = Arc::new(build_paper_graph(&cfg));
     assert!(
         alloc_count::total() > 0,
         "counting allocator installed but the counter never moved"
@@ -172,6 +176,12 @@ fn main() {
     gate_tc(&g, &sim, "tc/dag+hash");
     gate_tc(&g, &native, "tc/dag+hash/native");
 
+    if cfg!(feature = "trace") {
+        println!("zero_alloc: service/cc/worker-slot: not run with tracing on");
+    } else {
+        gate_worker_slot(&g);
+    }
+
     println!("zero_alloc: all steady-state windows allocation-free");
 }
 
@@ -203,6 +213,49 @@ fn gate_tc(g: &xmt_graph::Csr, exec: &Executor, label: &str) {
         "{label}: {allocs} heap allocation(s) in a warmed hash-marking sweep"
     );
     println!("zero_alloc: {label}: 0 allocations in a warmed sweep ({count} triangles)");
+}
+
+/// Warm a worker's frame slot with one CC job, then require a second job
+/// through the same slot to allocate nothing from its first superstep
+/// boundary to its last.
+fn gate_worker_slot(g: &Arc<xmt_graph::Csr>) {
+    use xmt_service::{execute, Algorithm, Engine, ExecVerdict, FrameSlot, JobSpec};
+    let label = "service/cc/worker-slot";
+    let spec = JobSpec {
+        algorithm: Algorithm::Cc,
+        engine: Engine::Bsp,
+        graph: "g".to_string(),
+        source: 0,
+        damping: 0.85,
+        tolerance: 1e-7,
+        intersect: xmt_graph::IntersectStrategy::Auto,
+        config: BspConfig::default(),
+        priority: 0,
+        deadline_ms: None,
+    };
+    let mut slot: FrameSlot = None;
+    let mut sink = xmt_trace::TraceSink::new();
+    execute(&spec, g, None, Some(&mut slot), &|| false, &mut sink)
+        .unwrap_or_else(|e| panic!("{label}: warm-up job failed: {e}"));
+
+    let snaps: Mutex<Vec<u64>> = Mutex::new(Vec::with_capacity(4096));
+    let hook = || {
+        snaps
+            .lock()
+            .expect("snapshot lock")
+            .push(alloc_count::total());
+        false
+    };
+    let supersteps = match execute(&spec, g, None, Some(&mut slot), &hook, &mut sink) {
+        Ok(ExecVerdict::Completed { supersteps, .. }) => supersteps,
+        other => panic!("{label}: measured job did not complete: {other:?}"),
+    };
+    check_window(
+        &snaps.into_inner().expect("snapshot lock"),
+        0,
+        label,
+        supersteps,
+    );
 }
 
 /// Warm the frame with one full run, then re-run with a snapshotting
@@ -256,6 +309,11 @@ fn gate<P: VertexProgram>(
     );
 
     let snaps = snaps.into_inner().expect("snapshot lock");
+    check_window(&snaps, skip, label, run.result.supersteps);
+}
+
+/// Require the allocation total to stay put across `snaps[skip..]`.
+fn check_window(snaps: &[u64], skip: usize, label: &str, supersteps: u64) {
     // At least three snapshots past the skip point, so the window spans
     // real intervals rather than being vacuously empty.
     let min_snapshots = skip + 3;
@@ -271,13 +329,11 @@ fn gate<P: VertexProgram>(
     assert!(
         total == 0,
         "{label}: {total} heap allocation(s) in the steady-state window \
-         ({} supersteps converged; per-interval counts {diffs:?})",
-        run.result.supersteps
+         ({supersteps} supersteps converged; per-interval counts {diffs:?})"
     );
     println!(
         "zero_alloc: {label}: 0 allocations across {} boundary intervals \
-         ({} supersteps)",
-        diffs.len(),
-        run.result.supersteps
+         ({supersteps} supersteps)",
+        diffs.len()
     );
 }

@@ -3,11 +3,15 @@
 //! The BSP engine runs the sliced runtime on the guided executor,
 //! charging no cost model, and threads the scheduler's stop hook into
 //! it, so cancellation and deadlines cut the run at a superstep boundary
-//! and hand back a [`StoredCheckpoint`] instead of losing the work.  The
+//! and hand back a [`StoredCheckpoint`] instead of losing the work.  Every
+//! BSP program goes through one generic path, which borrows its
+//! [`SuperstepFrame`] from the calling worker's [`FrameSlot`], so a
+//! worker's next job of the same shape starts on warm buffers.  The
 //! GraphCT engine serves the same kernels from the shared-memory
 //! baseline — faster per job, but uninterruptible once started (no
 //! superstep boundaries to cut at).
 
+use std::any::Any;
 use std::sync::Arc;
 
 use xmt_bsp::algorithms::bfs::BfsProgram;
@@ -16,20 +20,16 @@ use xmt_bsp::algorithms::pagerank::PagerankProgram;
 use xmt_bsp::algorithms::triangles::TcProgram;
 use xmt_bsp::program::VertexProgram;
 use xmt_bsp::runtime::Snapshot;
-use xmt_bsp::{run, RunOptions, SlicedRun, StopHook, SuperstepFrame};
+use xmt_bsp::{run, RunOptions, StopHook, SuperstepFrame};
 use xmt_graph::Csr;
 use xmt_par::Executor;
 use xmt_trace::TraceSink;
 
 use crate::error::ServiceError;
-use crate::job::{Algorithm, Engine, JobOutput, JobSpec, StoredCheckpoint, StoredFrame};
+use crate::job::{Algorithm, Engine, JobOutput, JobSpec, StoredCheckpoint};
 
 /// How a job run ended.
 #[derive(Debug)]
-// One verdict exists per run and the scheduler destructures it on
-// receipt — it is never stored in bulk — so the variant-size spread
-// (the warmed frame's buffer handles) is not worth an indirection.
-#[expect(clippy::large_enum_variant, reason = "one per run, never stored")]
 pub enum ExecVerdict {
     /// Ran to quiescence.
     Completed {
@@ -42,31 +42,70 @@ pub enum ExecVerdict {
     Interrupted {
         /// Partial states + runtime checkpoint.
         checkpoint: StoredCheckpoint,
-        /// The run's warmed superstep frame; a resume that hands it back
-        /// continues without re-paying the warm-up allocations.
-        frame: StoredFrame,
         /// Supersteps executed before the cut.
         supersteps: u64,
     },
 }
 
+/// One scheduler worker's warmed [`SuperstepFrame`] and the vertex count
+/// it was shaped for, type-erased so the worker can hold whichever
+/// program's frame it ran last.  A BSP run takes the frame if its
+/// program's `(State, Message)` types and its graph's vertex count match,
+/// and drops it otherwise, so a worker never keeps a frame shaped for a
+/// graph it no longer serves.  It puts its frame back only when the run
+/// returns: a run that panics leaves the slot empty.
+pub type FrameSlot = Option<(u64, Box<dyn Any + Send>)>;
+
 /// Run `spec` on `graph`, optionally continuing `from` a checkpoint,
 /// polling `stop` at superstep boundaries.  Per-superstep trace records
 /// accumulate in `sink` (a no-op unless the `trace` feature is on).
 ///
-/// `frame` optionally carries the warmed [`StoredFrame`] of the
-/// interrupted run being resumed; a mismatched or absent frame just
-/// means the run warms a fresh one (results are identical either way).
+/// A BSP run borrows its frame from `slot` and leaves it there for the
+/// next call; `None` runs on a throwaway frame.
 pub fn execute(
     spec: &JobSpec,
     graph: &Arc<Csr>,
     from: Option<StoredCheckpoint>,
-    frame: Option<StoredFrame>,
+    slot: Option<&mut FrameSlot>,
     stop: StopHook<'_>,
     sink: &mut TraceSink,
 ) -> Result<ExecVerdict, ServiceError> {
     match spec.engine {
-        Engine::Bsp => execute_bsp(spec, graph, from, frame, stop, sink),
+        Engine::Bsp => {
+            let job = BspJob {
+                spec,
+                graph,
+                from,
+                slot,
+                stop,
+                sink,
+            };
+            match spec.algorithm {
+                Algorithm::Cc => job.run_program(&CcProgram, JobOutput::Labels),
+                Algorithm::Bfs => job.run_program(
+                    &BfsProgram {
+                        source: spec.source,
+                    },
+                    |states| JobOutput::Bfs {
+                        dist: states.iter().map(|s| s.dist).collect(),
+                        parent: states.iter().map(|s| s.parent).collect(),
+                    },
+                ),
+                Algorithm::Pagerank => job.run_program(
+                    &PagerankProgram {
+                        damping: spec.damping,
+                        tolerance: spec.tolerance,
+                    },
+                    JobOutput::Ranks,
+                ),
+                // Per-vertex confirmed-triangle tallies sum to the global
+                // count (each triangle lands at its lowest-ordered corner
+                // exactly once).
+                Algorithm::Triangles => job.run_program(&TcProgram, |states| {
+                    JobOutput::Triangles(states.iter().sum())
+                }),
+            }
+        }
         Engine::GraphCt => execute_graphct(spec, graph, from, sink),
         // Incremental jobs are answered at admission (the registry
         // captures the stinger-maintained state under the graph lock)
@@ -77,158 +116,89 @@ pub fn execute(
     }
 }
 
-fn execute_bsp(
-    spec: &JobSpec,
-    graph: &Arc<Csr>,
+/// [`execute`]'s arguments on the BSP engine, minus the program.
+struct BspJob<'a> {
+    spec: &'a JobSpec,
+    graph: &'a Csr,
     from: Option<StoredCheckpoint>,
-    frame: Option<StoredFrame>,
-    stop: StopHook<'_>,
-    sink: &mut TraceSink,
-) -> Result<ExecVerdict, ServiceError> {
-    match spec.algorithm {
-        Algorithm::Cc => {
-            let from = match from {
-                None => None,
-                Some(StoredCheckpoint::Cc(states, resume)) => Some((states, resume)),
-                Some(other) => return Err(checkpoint_mismatch(spec.algorithm, &other)),
-            };
-            let mut frame = match frame {
-                Some(StoredFrame::Cc(f)) => f,
-                _ => SuperstepFrame::new(),
-            };
-            let run = run_sliced(graph, &CcProgram, spec, from, stop, sink, &mut frame)?;
-            Ok(verdict(
-                run,
-                JobOutput::Labels,
-                StoredCheckpoint::Cc,
-                StoredFrame::Cc(frame),
-            ))
+    slot: Option<&'a mut FrameSlot>,
+    stop: StopHook<'a>,
+    sink: &'a mut TraceSink,
+}
+
+impl BspJob<'_> {
+    /// Run `program` and map its final states through `output`.
+    fn run_program<P>(
+        self,
+        program: &P,
+        output: impl FnOnce(Vec<P::State>) -> JobOutput,
+    ) -> Result<ExecVerdict, ServiceError>
+    where
+        P: VertexProgram,
+        P::State: 'static,
+        P::Message: 'static,
+    {
+        let algorithm = self.spec.algorithm;
+        // The tag first: CC's and triangle counting's snapshots are one
+        // Rust type.
+        let from = match self.from {
+            None => None,
+            Some(cp) => {
+                let tagged = (cp.algorithm == algorithm).then_some(cp.snapshot);
+                let Some(Ok(snapshot)) = tagged.map(|s| s.downcast::<Snapshot<P>>()) else {
+                    return Err(ServiceError::Internal {
+                        message: format!(
+                            "checkpoint algorithm mismatch: job is {}, checkpoint is {}",
+                            algorithm.name(),
+                            cp.algorithm.name()
+                        ),
+                    });
+                };
+                Some(*snapshot)
+            }
+        };
+        let n = self.graph.num_vertices();
+        let mut slot = self.slot;
+        let held = slot.as_deref_mut().and_then(Option::take);
+        let mut frame = held
+            .filter(|(held_n, _)| *held_n == n)
+            .and_then(|(_, held)| held.downcast::<SuperstepFrame<P::State, P::Message>>().ok())
+            .map_or_else(SuperstepFrame::new, |frame| *frame);
+        let opts = RunOptions {
+            config: self.spec.config,
+            rec: None,
+            from,
+            stop: Some(self.stop),
+            sink: Some(self.sink),
+            frame: Some(&mut frame),
+            // Guided scheduling: decaying chunks back-fill RMAT hub skew.
+            // The fixed schedule is the loop shape the XMT cost model
+            // charges for, which no job over the wire does, and on host
+            // time guided is level with it or ahead (EXPERIMENTS.md,
+            // "Host-time knob ablation").
+            exec: Executor::guided(),
+        };
+        let run = run(self.graph, program, opts).map_err(|e| ServiceError::Internal {
+            message: e.to_string(),
+        })?;
+        if let Some(slot) = slot {
+            *slot = Some((n, Box::new(frame)));
         }
-        Algorithm::Bfs => {
-            let from = match from {
-                None => None,
-                Some(StoredCheckpoint::Bfs(states, resume)) => Some((states, resume)),
-                Some(other) => return Err(checkpoint_mismatch(spec.algorithm, &other)),
-            };
-            let program = BfsProgram {
-                source: spec.source,
-            };
-            let mut frame = match frame {
-                Some(StoredFrame::Bfs(f)) => f,
-                _ => SuperstepFrame::new(),
-            };
-            let run = run_sliced(graph, &program, spec, from, stop, sink, &mut frame)?;
-            Ok(verdict(
-                run,
-                |states| JobOutput::Bfs {
-                    dist: states.iter().map(|s| s.dist).collect(),
-                    parent: states.iter().map(|s| s.parent).collect(),
+        let supersteps = run.result.supersteps;
+        Ok(match run.resume {
+            None => ExecVerdict::Completed {
+                output: output(run.result.states),
+                supersteps,
+            },
+            Some(resume) => ExecVerdict::Interrupted {
+                checkpoint: StoredCheckpoint {
+                    algorithm,
+                    superstep: resume.superstep,
+                    snapshot: Box::new((run.result.states, resume)),
                 },
-                StoredCheckpoint::Bfs,
-                StoredFrame::Bfs(frame),
-            ))
-        }
-        Algorithm::Pagerank => {
-            let from = match from {
-                None => None,
-                Some(StoredCheckpoint::Pagerank(states, resume)) => Some((states, resume)),
-                Some(other) => return Err(checkpoint_mismatch(spec.algorithm, &other)),
-            };
-            let program = PagerankProgram {
-                damping: spec.damping,
-                tolerance: spec.tolerance,
-            };
-            let mut frame = match frame {
-                Some(StoredFrame::Pagerank(f)) => f,
-                _ => SuperstepFrame::new(),
-            };
-            let run = run_sliced(graph, &program, spec, from, stop, sink, &mut frame)?;
-            Ok(verdict(
-                run,
-                JobOutput::Ranks,
-                StoredCheckpoint::Pagerank,
-                StoredFrame::Pagerank(frame),
-            ))
-        }
-        Algorithm::Triangles => {
-            let from = match from {
-                None => None,
-                Some(StoredCheckpoint::Triangles(states, resume)) => Some((states, resume)),
-                Some(other) => return Err(checkpoint_mismatch(spec.algorithm, &other)),
-            };
-            let mut frame = match frame {
-                Some(StoredFrame::Triangles(f)) => f,
-                _ => SuperstepFrame::new(),
-            };
-            let run = run_sliced(graph, &TcProgram, spec, from, stop, sink, &mut frame)?;
-            Ok(verdict(
-                run,
-                // Per-vertex confirmed-triangle tallies sum to the
-                // global count (each triangle lands at its
-                // lowest-ordered corner exactly once).
-                |states| JobOutput::Triangles(states.iter().sum()),
-                StoredCheckpoint::Triangles,
-                StoredFrame::Triangles(frame),
-            ))
-        }
-    }
-}
-
-fn run_sliced<P: VertexProgram>(
-    graph: &Csr,
-    program: &P,
-    spec: &JobSpec,
-    from: Option<Snapshot<P>>,
-    stop: StopHook<'_>,
-    sink: &mut TraceSink,
-    frame: &mut SuperstepFrame<P::State, P::Message>,
-) -> Result<SlicedRun<P::State, P::Message>, ServiceError> {
-    let opts = RunOptions {
-        config: spec.config,
-        rec: None,
-        from,
-        stop: Some(stop),
-        sink: Some(sink),
-        frame: Some(frame),
-        // Guided scheduling: decaying chunks back-fill RMAT hub skew.  The
-        // fixed schedule is the loop shape the XMT cost model charges
-        // for, which no job over the wire does, and on host time guided
-        // is level with it or ahead (EXPERIMENTS.md, "Host-time knob
-        // ablation").
-        exec: Executor::guided(),
-    };
-    run(graph, program, opts).map_err(|e| ServiceError::Internal {
-        message: e.to_string(),
-    })
-}
-
-fn verdict<S, M>(
-    run: SlicedRun<S, M>,
-    output: impl FnOnce(Vec<S>) -> JobOutput,
-    checkpoint: impl FnOnce(Vec<S>, xmt_bsp::ResumePoint<M>) -> StoredCheckpoint,
-    frame: StoredFrame,
-) -> ExecVerdict {
-    let supersteps = run.result.supersteps;
-    match run.resume {
-        None => ExecVerdict::Completed {
-            output: output(run.result.states),
-            supersteps,
-        },
-        Some(resume) => ExecVerdict::Interrupted {
-            checkpoint: checkpoint(run.result.states, resume),
-            frame,
-            supersteps,
-        },
-    }
-}
-
-fn checkpoint_mismatch(expected: Algorithm, found: &StoredCheckpoint) -> ServiceError {
-    ServiceError::Internal {
-        message: format!(
-            "checkpoint algorithm mismatch: job is {}, checkpoint is {}",
-            expected.name(),
-            found.algorithm().name()
-        ),
+                supersteps,
+            },
+        })
     }
 }
 
@@ -279,4 +249,135 @@ fn execute_graphct(
         output,
         supersteps: 0,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use xmt_bsp::algorithms::bfs::BfsState;
+    use xmt_graph::builder::build_undirected;
+    use xmt_graph::gen::structured::path;
+    use xmt_graph::VertexId;
+
+    use super::*;
+
+    fn spec(algorithm: Algorithm) -> JobSpec {
+        JobSpec {
+            algorithm,
+            engine: Engine::Bsp,
+            graph: "p".to_string(),
+            source: 0,
+            damping: 0.85,
+            tolerance: 1e-7,
+            intersect: xmt_graph::IntersectStrategy::Auto,
+            config: xmt_bsp::BspConfig::default(),
+            priority: 0,
+            deadline_ms: None,
+        }
+    }
+
+    #[test]
+    fn the_slot_holds_the_last_runs_frame_and_its_vertex_count() {
+        let mut slot: FrameSlot = None;
+        let held = |slot: &FrameSlot| {
+            let (n, frame) = slot.as_ref().expect("a finished run left no frame");
+            let cc = frame.is::<SuperstepFrame<u64, VertexId>>();
+            let bfs = frame.is::<SuperstepFrame<BfsState, (u64, VertexId)>>();
+            (*n, cc, bfs)
+        };
+        for (n, algorithm, expect) in [
+            (64, Algorithm::Cc, (64, true, false)),
+            (64, Algorithm::Bfs, (64, false, true)),
+            (65, Algorithm::Triangles, (65, true, false)),
+        ] {
+            let g = Arc::new(build_undirected(&path(n)));
+            execute(
+                &spec(algorithm),
+                &g,
+                None,
+                Some(&mut slot),
+                &|| false,
+                &mut TraceSink::new(),
+            )
+            .unwrap();
+            assert_eq!(held(&slot), expect, "after {algorithm:?} on {n} vertices");
+        }
+    }
+
+    #[test]
+    fn a_panicking_run_leaves_the_slot_empty() {
+        let g = Arc::new(build_undirected(&path(64)));
+        let mut slot: FrameSlot = None;
+        let cc = spec(Algorithm::Cc);
+        execute(
+            &cc,
+            &g,
+            None,
+            Some(&mut slot),
+            &|| false,
+            &mut TraceSink::new(),
+        )
+        .unwrap();
+        assert!(slot.is_some());
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            let hook = || -> bool { panic!("stop hook failure") };
+            execute(&cc, &g, None, Some(&mut slot), &hook, &mut TraceSink::new())
+        }));
+        assert!(panicked.is_err(), "the hook did not panic");
+        assert!(slot.is_none(), "a panicked run's frame went back");
+    }
+
+    #[test]
+    fn a_checkpoint_resumes_only_the_algorithm_that_left_it() {
+        let g = Arc::new(build_undirected(&path(64)));
+        let cut = |algorithm| match execute(
+            &spec(algorithm),
+            &g,
+            None,
+            None,
+            &|| true,
+            &mut TraceSink::new(),
+        ) {
+            Ok(ExecVerdict::Interrupted { checkpoint, .. }) => checkpoint,
+            other => panic!("{algorithm:?} was not cut: {other:?}"),
+        };
+        // CC's snapshot downcasts as a triangle-counting one: only the
+        // tag tells them apart.
+        let checkpoint = cut(Algorithm::Cc);
+        assert!(checkpoint.snapshot.is::<Snapshot<TcProgram>>());
+        let tc = spec(Algorithm::Triangles);
+        match execute(
+            &tc,
+            &g,
+            Some(checkpoint),
+            None,
+            &|| false,
+            &mut TraceSink::new(),
+        ) {
+            Err(ServiceError::Internal { message }) => {
+                assert!(
+                    message.contains("job is triangles, checkpoint is cc"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected a mismatch, got {other:?}"),
+        }
+        let cc = spec(Algorithm::Cc);
+        let resumed = execute(
+            &cc,
+            &g,
+            Some(cut(Algorithm::Cc)),
+            None,
+            &|| false,
+            &mut TraceSink::new(),
+        );
+        match resumed {
+            Ok(ExecVerdict::Completed {
+                output: JobOutput::Labels(labels),
+                ..
+            }) => assert!(labels.iter().all(|&l| l == 0)),
+            other => panic!("resume did not complete: {other:?}"),
+        }
+    }
 }

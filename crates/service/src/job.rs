@@ -1,10 +1,12 @@
 //! The job model: what a client submits, what the scheduler tracks, and
-//! what an interrupted run leaves behind.
+//! what an interrupted run leaves behind.  A cut job keeps only its
+//! [`StoredCheckpoint`]; the warmed superstep frame stays with the
+//! scheduler worker that ran it (see [`crate::engine::FrameSlot`]).
 
+use std::any::Any;
 use std::sync::Arc;
 
-use xmt_bsp::algorithms::bfs::BfsState;
-use xmt_bsp::{BspConfig, ResumePoint, SuperstepFrame};
+use xmt_bsp::BspConfig;
 use xmt_graph::{Csr, IntersectStrategy, VertexId};
 
 /// Monotonically increasing job identifier.
@@ -224,72 +226,19 @@ impl From<Arc<Csr>> for JobGraph {
     }
 }
 
-/// The typed per-algorithm checkpoint an interrupted BSP job leaves
-/// behind: the partial vertex states plus the runtime's [`ResumePoint`].
-/// A follow-up `resume` request turns it back into a job that continues
-/// the computation exactly.
-#[derive(Clone, Debug)]
-pub enum StoredCheckpoint {
-    /// Interrupted connected components.
-    Cc(Vec<VertexId>, ResumePoint<VertexId>),
-    /// Interrupted BFS (message = (distance, sender)).
-    Bfs(Vec<BfsState>, ResumePoint<(u64, VertexId)>),
-    /// Interrupted PageRank.
-    Pagerank(Vec<f64>, ResumePoint<f64>),
-    /// Interrupted triangle counting (message = wedge originator id).
-    Triangles(Vec<u64>, ResumePoint<VertexId>),
-}
-
-impl StoredCheckpoint {
-    /// The algorithm this checkpoint belongs to (a resume job must
-    /// match).
-    pub fn algorithm(&self) -> Algorithm {
-        match self {
-            StoredCheckpoint::Cc(..) => Algorithm::Cc,
-            StoredCheckpoint::Bfs(..) => Algorithm::Bfs,
-            StoredCheckpoint::Pagerank(..) => Algorithm::Pagerank,
-            StoredCheckpoint::Triangles(..) => Algorithm::Triangles,
-        }
-    }
-
-    /// The superstep the resumed run would execute next.
-    pub fn superstep(&self) -> u64 {
-        match self {
-            StoredCheckpoint::Cc(_, r) => r.superstep,
-            StoredCheckpoint::Bfs(_, r) => r.superstep,
-            StoredCheckpoint::Pagerank(_, r) => r.superstep,
-            StoredCheckpoint::Triangles(_, r) => r.superstep,
-        }
-    }
-}
-
-/// The typed per-algorithm [`SuperstepFrame`] an interrupted BSP job
-/// hands back alongside its checkpoint.  Unlike the checkpoint it is
-/// pure capacity — buckets, inbox pair, scratch pools — with no
-/// algorithmic state, so a resume that reuses it produces bit-identical
-/// results while skipping the warm-up allocations an interrupted run
-/// already paid for.  Dropping it (or resuming with `None`) is always
-/// correct, just slower on the first resumed superstep.
+/// What an interrupted BSP job leaves behind: the partial vertex states
+/// plus the runtime's [`ResumePoint`](xmt_bsp::ResumePoint), boxed as the
+/// program's [`Snapshot`](xmt_bsp::runtime::Snapshot).  A follow-up
+/// `resume` request turns it back into a job that continues the
+/// computation exactly.
 #[derive(Debug)]
-pub enum StoredFrame {
-    /// Frame from an interrupted connected-components run.
-    Cc(SuperstepFrame<VertexId, VertexId>),
-    /// Frame from an interrupted BFS run.
-    Bfs(SuperstepFrame<BfsState, (u64, VertexId)>),
-    /// Frame from an interrupted PageRank run.
-    Pagerank(SuperstepFrame<f64, f64>),
-    /// Frame from an interrupted triangle-counting run.
-    Triangles(SuperstepFrame<u64, VertexId>),
-}
-
-impl StoredFrame {
-    /// The algorithm whose run shaped this frame.
-    pub fn algorithm(&self) -> Algorithm {
-        match self {
-            StoredFrame::Cc(_) => Algorithm::Cc,
-            StoredFrame::Bfs(_) => Algorithm::Bfs,
-            StoredFrame::Pagerank(_) => Algorithm::Pagerank,
-            StoredFrame::Triangles(_) => Algorithm::Triangles,
-        }
-    }
+pub struct StoredCheckpoint {
+    /// The algorithm whose run was cut.  The engine checks it before
+    /// unboxing: CC's and triangle counting's snapshots are one Rust
+    /// type, so the downcast alone cannot tell them apart.
+    pub(crate) algorithm: Algorithm,
+    /// The superstep the resumed run would execute next.
+    pub(crate) superstep: u64,
+    /// The program's `Snapshot`.
+    pub(crate) snapshot: Box<dyn Any + Send>,
 }

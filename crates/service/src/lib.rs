@@ -13,7 +13,10 @@
 //!
 //! Interrupted work is never lost: cancelling or timing out a BSP job
 //! cuts it at a superstep boundary into a [`StoredCheckpoint`], and a
-//! `resume` request continues it exactly where it stopped.
+//! `resume` request continues it exactly where it stopped.  Superstep
+//! frames belong to the scheduler's workers, not to jobs: each worker
+//! keeps the frame of its last BSP run in a [`FrameSlot`], so its next
+//! job of the same program and vertex count starts on warm buffers.
 //!
 //! Graphs registered with `dynamic: true` additionally accept `update`
 //! batches (edge inserts/deletes) while analytics jobs run: each job is
@@ -66,7 +69,7 @@ mod rank {
 }
 
 pub use client::Client;
-pub use engine::{execute, ExecVerdict};
+pub use engine::{execute, ExecVerdict, FrameSlot};
 pub use error::ServiceError;
 pub use job::{Algorithm, Engine, JobGraph, JobId, JobOutput, JobSpec, JobState, StoredCheckpoint};
 pub use protocol::{parse_request, GraphSpec, Request};

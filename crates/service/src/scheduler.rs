@@ -12,9 +12,14 @@
 //! (`cancelled || past deadline`) that is polled at superstep
 //! boundaries.  A cut run comes back as a [`StoredCheckpoint`] and the
 //! job lands in `Cancelled`/`TimedOut`/`Interrupted` with the checkpoint
-//! attached — a follow-up `resume` submission continues it exactly.
+//! attached — [`Scheduler::resume`] continues it exactly.
 //! Worker threads wrap engine calls in `catch_unwind`, so a panicking
 //! program marks its job `Failed` and the pool stays healthy.
+//!
+//! Each worker owns one [`FrameSlot`]: the superstep frame of the last
+//! BSP job it ran, which its next job of the same program and vertex
+//! count reuses.  Jobs carry no frames, so a cut job that is never
+//! resumed pins nothing but its checkpoint.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -25,11 +30,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::engine::{execute, ExecVerdict};
+use crate::engine::{execute, ExecVerdict, FrameSlot};
 use crate::error::ServiceError;
-use crate::job::{
-    Algorithm, JobGraph, JobId, JobOutput, JobSpec, JobState, StoredCheckpoint, StoredFrame,
-};
+use crate::job::{Algorithm, JobGraph, JobId, JobOutput, JobSpec, JobState, StoredCheckpoint};
 use crate::rank;
 use crate::stats::{LatencyBook, LatencySummary};
 
@@ -56,7 +59,7 @@ impl Default for SchedulerConfig {
 pub struct JobSnapshot {
     /// Job id.
     pub id: JobId,
-    /// Kernel name (`cc`/`bfs`/`pagerank`).
+    /// Kernel name (`cc`/`bfs`/`pagerank`/`triangles`).
     pub algorithm: &'static str,
     /// Engine name (`bsp`/`graphct`/`incremental`).
     pub engine: &'static str,
@@ -94,10 +97,6 @@ struct JobRecord {
     error: Option<String>,
     checkpoint: Option<StoredCheckpoint>,
     resume_from: Option<StoredCheckpoint>,
-    /// The warmed [`StoredFrame`] travelling with the job: set at
-    /// submit time for a resume, taken by the worker when the run
-    /// starts, and re-attached when an interrupted run hands it back.
-    frame: Option<StoredFrame>,
     /// Per-superstep trace, set when the run ends (empty series when
     /// the `trace` feature is off).
     trace: Option<xmt_trace::JobTrace>,
@@ -272,18 +271,8 @@ impl Scheduler {
     /// Admit a job: bounded-queue admission control, then enqueue.
     /// `graph` is the handle resolved at admission (a plain `Arc<Csr>`
     /// converts to an epoch-0 static handle); for dynamic graphs it pins
-    /// the epoch snapshot the job computes against.  `resume_from`
-    /// continues an interrupted run from its checkpoint; `resume_frame`
-    /// optionally rides along with the interrupted run's warmed
-    /// superstep frame (skipping the continuation's warm-up allocations
-    /// — results are identical with or without it).
-    pub fn submit(
-        &self,
-        spec: JobSpec,
-        graph: impl Into<JobGraph>,
-        resume_from: Option<StoredCheckpoint>,
-        resume_frame: Option<StoredFrame>,
-    ) -> Result<JobId, ServiceError> {
+    /// the epoch snapshot the job computes against.
+    pub fn submit(&self, spec: JobSpec, graph: impl Into<JobGraph>) -> Result<JobId, ServiceError> {
         let graph = graph.into();
         // The one spec field whose valid range depends on the admitted
         // graph.  Unchecked, an out-of-range source answers
@@ -298,6 +287,59 @@ impl Scheduler {
                 ),
             });
         }
+        self.enqueue(|_| Ok((spec, graph, None)))
+    }
+
+    /// Continue an interrupted job from its checkpoint as a new job with
+    /// `deadline_ms`; returns the new id and the superstep it starts at.
+    /// The checkpoint moves to the new job, so a stale double-resume gets
+    /// `no_checkpoint` instead of forking the run — but only once the new
+    /// job is admitted: a `queue_full` or `shutting_down` rejection
+    /// leaves it in place for a retry.  The new job computes against the
+    /// *original* epoch handle, whatever update batches landed since.
+    pub fn resume(
+        &self,
+        id: JobId,
+        deadline_ms: Option<u64>,
+    ) -> Result<(JobId, u64), ServiceError> {
+        let mut from_superstep = 0;
+        let new_id = self.enqueue(|jobs| {
+            let rec = jobs.get_mut(&id).ok_or(ServiceError::JobNotFound { id })?;
+            if !matches!(
+                rec.state,
+                JobState::Cancelled | JobState::TimedOut | JobState::Interrupted
+            ) {
+                return Err(ServiceError::WrongState {
+                    id,
+                    state: rec.state.name().to_string(),
+                });
+            }
+            let checkpoint = rec
+                .checkpoint
+                .take()
+                .ok_or(ServiceError::NoCheckpoint { id })?;
+            from_superstep = checkpoint.superstep;
+            let graph = rec.graph.clone();
+            rec.release_graph();
+            let spec = JobSpec {
+                deadline_ms,
+                ..rec.spec.clone()
+            };
+            Ok((spec, graph, Some(checkpoint)))
+        })?;
+        Ok((new_id, from_superstep))
+    }
+
+    /// Admission control, then register and queue the job `make` builds
+    /// from the job table.  One queue → jobs critical section, so a
+    /// rejection happens before `make` runs and moves nothing.
+    fn enqueue(
+        &self,
+        make: impl FnOnce(
+            &mut HashMap<JobId, JobRecord>,
+        )
+            -> Result<(JobSpec, JobGraph, Option<StoredCheckpoint>), ServiceError>,
+    ) -> Result<JobId, ServiceError> {
         let id = {
             let mut queue = self.shared.queue.lock();
             if queue.shutdown {
@@ -310,6 +352,8 @@ impl Scheduler {
                     capacity: self.shared.config.queue_capacity,
                 });
             }
+            let mut jobs = self.shared.jobs.lock();
+            let (spec, graph, resume_from) = make(&mut jobs)?;
             // Relaxed (both): id/seq allocation needs only the RMW's
             // atomicity for uniqueness; the values travel to workers via
             // the jobs/queue locks.
@@ -318,7 +362,7 @@ impl Scheduler {
             let priority = spec.priority;
             // Record before the entry is visible to workers, so a pop
             // always finds its job.
-            self.shared.jobs.lock().insert(
+            jobs.insert(
                 id,
                 JobRecord {
                     spec,
@@ -333,10 +377,10 @@ impl Scheduler {
                     error: None,
                     checkpoint: None,
                     resume_from,
-                    frame: resume_frame,
                     trace: None,
                 },
             );
+            drop(jobs);
             queue.heap.push(QueueEntry { priority, seq, id });
             // Count inside the queue lock so `stats()` (which reads the
             // depth under the same lock) never observes a queue deeper
@@ -427,36 +471,6 @@ impl Scheduler {
                     .clone()
                     .unwrap_or_else(|| "job failed".to_string()),
             }),
-            other => Err(ServiceError::WrongState {
-                id,
-                state: other.name().to_string(),
-            }),
-        }
-    }
-
-    /// Take an interrupted job's checkpoint (and warmed frame, when the
-    /// run left one) for resumption.  Move semantics: both transfer to
-    /// the new job, so a stale double-resume gets `no_checkpoint`
-    /// instead of forking the run.  The returned [`JobGraph`] is the
-    /// *original* epoch handle — a resume continues against the exact
-    /// snapshot the interrupted run saw, regardless of update batches
-    /// that landed in between.
-    pub fn take_checkpoint(
-        &self,
-        id: JobId,
-    ) -> Result<(JobSpec, JobGraph, StoredCheckpoint, Option<StoredFrame>), ServiceError> {
-        let mut jobs = self.shared.jobs.lock();
-        let rec = jobs.get_mut(&id).ok_or(ServiceError::JobNotFound { id })?;
-        match rec.state {
-            JobState::Cancelled | JobState::TimedOut | JobState::Interrupted => {
-                let cp = rec
-                    .checkpoint
-                    .take()
-                    .ok_or(ServiceError::NoCheckpoint { id })?;
-                let graph = rec.graph.clone();
-                rec.release_graph();
-                Ok((rec.spec.clone(), graph, cp, rec.frame.take()))
-            }
             other => Err(ServiceError::WrongState {
                 id,
                 state: other.name().to_string(),
@@ -588,6 +602,7 @@ impl Drop for Scheduler {
 }
 
 fn worker_loop(shared: &Shared) {
+    let mut slot: FrameSlot = None;
     loop {
         let entry = {
             let mut queue = shared.queue.lock();
@@ -601,7 +616,7 @@ fn worker_loop(shared: &Shared) {
                 shared.cond.wait(&mut queue);
             }
         };
-        if !run_one(shared, entry.id) {
+        if !run_one(shared, entry.id, &mut slot) {
             // The popped entry was stale (its job was cancelled while
             // queued, or evicted).  Balance the stale count bumped at
             // cancel time.
@@ -614,10 +629,10 @@ fn worker_loop(shared: &Shared) {
 /// Run the job behind a popped queue entry.  Returns `false` when the
 /// entry was stale — the job was no longer `Queued` (cancelled while it
 /// waited) or no longer tracked — so the caller can settle the queue's
-/// stale-entry count.
-fn run_one(shared: &Shared, id: JobId) -> bool {
+/// stale-entry count.  A BSP job borrows the worker's frame `slot`.
+fn run_one(shared: &Shared, id: JobId, slot: &mut FrameSlot) -> bool {
     // Claim the job; skip entries whose job was cancelled while queued.
-    let (spec, graph, precomputed, cancel, resume_from, resume_frame, deadline) = {
+    let (spec, graph, precomputed, cancel, resume_from, deadline) = {
         let mut jobs = shared.jobs.lock();
         let rec = match jobs.get_mut(&id) {
             Some(rec) => rec,
@@ -638,7 +653,6 @@ fn run_one(shared: &Shared, id: JobId) -> bool {
             rec.graph.precomputed.take(),
             Arc::clone(&rec.cancel),
             rec.resume_from.take(),
-            rec.frame.take(),
             deadline,
         )
     };
@@ -647,9 +661,15 @@ fn run_one(shared: &Shared, id: JobId) -> bool {
 
     let stop = {
         let cancel = Arc::clone(&cancel);
-        // Relaxed: the flag is monotonic and only gates an early cut; a
-        // stale read costs at most one extra superstep.
-        move || cancel.load(Ordering::Relaxed) || deadline.is_some_and(|d| Instant::now() >= d)
+        #[cfg(test)]
+        let spec = spec.clone();
+        move || {
+            #[cfg(test)]
+            tests::inject_fault(&spec);
+            // Relaxed: the flag is monotonic and only gates an early cut; a
+            // stale read costs at most one extra superstep.
+            cancel.load(Ordering::Relaxed) || deadline.is_some_and(|d| Instant::now() >= d)
+        }
     };
     // One sink per run: resumed jobs get a fresh sink whose records
     // continue the checkpoint's absolute superstep numbering.
@@ -662,9 +682,7 @@ fn run_one(shared: &Shared, id: JobId) -> bool {
             supersteps: 0,
         })),
         (None, Some(graph)) => catch_unwind(AssertUnwindSafe(|| {
-            #[cfg(test)]
-            tests::inject_fault(&spec);
-            execute(&spec, graph, resume_from, resume_frame, &stop, &mut sink)
+            execute(&spec, graph, resume_from, Some(slot), &stop, &mut sink)
         })),
         (None, None) => Ok(Err(ServiceError::Internal {
             message: "job admitted with neither a graph snapshot nor an answer".to_string(),
@@ -698,12 +716,10 @@ fn run_one(shared: &Shared, id: JobId) -> bool {
         }
         Ok(Ok(ExecVerdict::Interrupted {
             checkpoint,
-            frame,
             supersteps,
         })) => {
             rec.supersteps = supersteps;
             rec.checkpoint = Some(checkpoint);
-            rec.frame = Some(frame);
             // Why did the run stop?  Cancel flag and deadline map to
             // their own states; otherwise the superstep budget cut it.
             // Relaxed: post-run classification; the flag only ever goes
@@ -776,8 +792,9 @@ mod tests {
     /// Graph name that makes [`inject_fault`] fail the job.
     const FAULTY: &str = "fault: panic inside a pool loop";
 
-    /// Test-only fault injection, called by `run_one` where the engine
-    /// runs: a panic raised inside a parallel loop on the global pool,
+    /// Test-only fault injection, called from `run_one`'s stop hook, so
+    /// it fires at a superstep boundary while the run holds the worker's
+    /// frame: a panic raised inside a parallel loop on the global pool,
     /// by whichever worker claims the chosen index.
     pub(super) fn inject_fault(spec: &JobSpec) {
         if spec.graph == FAULTY {
@@ -816,7 +833,7 @@ mod tests {
         let mut admitted = Vec::new();
         let mut rejected = 0;
         for _ in 0..16 {
-            match sched.submit(spec("p"), Arc::clone(&g), None, None) {
+            match sched.submit(spec("p"), Arc::clone(&g)) {
                 Ok(id) => admitted.push(id),
                 Err(ServiceError::QueueFull { capacity }) => {
                     assert_eq!(capacity, 2);
@@ -849,7 +866,7 @@ mod tests {
                 ..spec("p")
             };
             for source in [10, u64::MAX] {
-                match sched.submit(bfs_from(source), Arc::clone(&g), None, None) {
+                match sched.submit(bfs_from(source), Arc::clone(&g)) {
                     Err(ServiceError::InvalidConfig { field, reason }) => {
                         assert_eq!(field, "source", "{engine:?}");
                         assert!(reason.contains("10 vertices"), "{engine:?}: {reason}");
@@ -859,7 +876,7 @@ mod tests {
             }
             // The last vertex is a valid source.
             let id = sched
-                .submit(bfs_from(9), Arc::clone(&g), None, None)
+                .submit(bfs_from(9), Arc::clone(&g))
                 .unwrap_or_else(|e| panic!("{engine:?}: {e}"));
             assert_eq!(wait_terminal(&sched, id).state, JobState::Completed);
         }
@@ -878,7 +895,7 @@ mod tests {
             ..spec("p")
         };
         assert!(matches!(
-            sched.submit(bfs_from_10, graphless, None, None),
+            sched.submit(bfs_from_10, graphless),
             Err(ServiceError::InvalidConfig {
                 field: "source",
                 ..
@@ -891,7 +908,60 @@ mod tests {
             source: 99,
             ..spec("p")
         };
-        assert!(sched.submit(cc, Arc::clone(&g), None, None).is_ok());
+        assert!(sched.submit(cc, Arc::clone(&g)).is_ok());
+        sched.shutdown();
+    }
+
+    fn labels(sched: &Scheduler, id: JobId) -> Vec<u64> {
+        let snap = wait_terminal(sched, id);
+        assert_eq!(snap.state, JobState::Completed, "err={:?}", snap.error);
+        match sched.output(id).unwrap() {
+            (JobOutput::Labels(labels), _) => labels,
+            (other, _) => panic!("cc job returned {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_worker_frame_crosses_jobs_of_any_shape_without_changing_results() {
+        // One worker, so every job below runs on the same frame slot.
+        let sched = Scheduler::new(SchedulerConfig {
+            workers: 1,
+            queue_capacity: 8,
+        });
+        let g = short_path();
+        let reference = xmt_graph::validate::reference_components(&g);
+        let cut = sched
+            .submit(
+                JobSpec {
+                    deadline_ms: Some(1),
+                    ..spec("p")
+                },
+                Arc::clone(&g),
+            )
+            .unwrap();
+        assert_eq!(wait_terminal(&sched, cut).state, JobState::TimedOut);
+        // The slot now holds a CC frame for 1 000 vertices; a BFS on 64
+        // mismatches both its types and its size.
+        let small = Arc::new(build_undirected(&path(64)));
+        let bfs = JobSpec {
+            algorithm: Algorithm::Bfs,
+            ..spec("small")
+        };
+        let id = sched.submit(bfs, Arc::clone(&small)).unwrap();
+        assert_eq!(wait_terminal(&sched, id).state, JobState::Completed);
+        // Panics mid-run, with the worker's frame taken out of the slot.
+        let id = sched.submit(spec(FAULTY), Arc::clone(&small)).unwrap();
+        assert_eq!(wait_terminal(&sched, id).state, JobState::Failed);
+
+        let (resumed, _) = sched.resume(cut, None).unwrap();
+        assert_eq!(labels(&sched, resumed), reference);
+        // Back to back on one shape: the second job runs on the first's
+        // frame.
+        let first = sched.submit(spec("p"), Arc::clone(&g)).unwrap();
+        let first = labels(&sched, first);
+        let second = sched.submit(spec("p"), Arc::clone(&g)).unwrap();
+        assert_eq!(labels(&sched, second), first);
+        assert_eq!(first, reference);
         sched.shutdown();
     }
 
@@ -904,7 +974,7 @@ mod tests {
         let g = short_path();
         let mut s = spec("p");
         s.deadline_ms = Some(1);
-        let id = sched.submit(s, Arc::clone(&g), None, None).unwrap();
+        let id = sched.submit(s, Arc::clone(&g)).unwrap();
         let snap = wait_terminal(&sched, id);
         assert_eq!(snap.state, JobState::TimedOut);
         assert!(snap.has_checkpoint, "timed-out job kept no checkpoint");
@@ -912,12 +982,8 @@ mod tests {
 
         // Resume to completion (without the old deadline, which would
         // just cut the continuation again).
-        let (mut orig_spec, orig_graph, cp, frame) = sched.take_checkpoint(id).unwrap();
-        orig_spec.deadline_ms = None;
-        assert!(frame.is_some(), "interrupted bsp run kept no frame");
-        let resumed = sched
-            .submit(orig_spec, orig_graph, Some(cp), frame)
-            .unwrap();
+        let (resumed, from_superstep) = sched.resume(id, None).unwrap();
+        assert_eq!(from_superstep, snap.supersteps);
         let snap = wait_terminal(&sched, resumed);
         assert_eq!(snap.state, JobState::Completed, "err={:?}", snap.error);
         let (output, _) = sched.output(resumed).unwrap();
@@ -927,7 +993,7 @@ mod tests {
         assert!(labels.iter().all(|&l| l == 0), "path has one component");
         // The checkpoint moved: a second resume is refused.
         assert_eq!(
-            sched.take_checkpoint(id).unwrap_err(),
+            sched.resume(id, None).unwrap_err(),
             ServiceError::NoCheckpoint { id }
         );
         sched.shutdown();
@@ -940,7 +1006,7 @@ mod tests {
             queue_capacity: 8,
         });
         let g = long_path();
-        let id = sched.submit(spec("p"), Arc::clone(&g), None, None).unwrap();
+        let id = sched.submit(spec("p"), Arc::clone(&g)).unwrap();
         // Let it start, then cancel mid-run.  The condvar wait wakes on
         // the Queued -> Running transition — no spin.
         let (snap, timed_out) = sched
@@ -955,7 +1021,7 @@ mod tests {
 
         // The same worker still serves new jobs.
         let small = Arc::new(build_undirected(&path(64)));
-        let id2 = sched.submit(spec("small"), small, None, None).unwrap();
+        let id2 = sched.submit(spec("small"), small).unwrap();
         let snap = wait_terminal(&sched, id2);
         assert_eq!(snap.state, JobState::Completed);
         sched.shutdown();
@@ -968,9 +1034,7 @@ mod tests {
             queue_capacity: 8,
         });
         let small = Arc::new(build_undirected(&path(64)));
-        let id = sched
-            .submit(spec(FAULTY), Arc::clone(&small), None, None)
-            .unwrap();
+        let id = sched.submit(spec(FAULTY), Arc::clone(&small)).unwrap();
         let snap = wait_terminal(&sched, id);
         assert_eq!(snap.state, JobState::Failed);
         match sched.output(id) {
@@ -982,7 +1046,7 @@ mod tests {
         }
 
         // The same worker, and the same global pool, serve the next job.
-        let id2 = sched.submit(spec("small"), small, None, None).unwrap();
+        let id2 = sched.submit(spec("small"), small).unwrap();
         let snap = wait_terminal(&sched, id2);
         assert_eq!(snap.state, JobState::Completed);
         sched.shutdown();
@@ -996,16 +1060,12 @@ mod tests {
         });
         let g = long_path();
         // Occupy the worker so the queue orders the rest.
-        let blocker = sched.submit(spec("p"), Arc::clone(&g), None, None).unwrap();
+        let blocker = sched.submit(spec("p"), Arc::clone(&g)).unwrap();
         let small = Arc::new(build_undirected(&path(32)));
-        let lo = sched
-            .submit(spec("lo"), Arc::clone(&small), None, None)
-            .unwrap();
+        let lo = sched.submit(spec("lo"), Arc::clone(&small)).unwrap();
         let mut hi_spec = spec("hi");
         hi_spec.priority = 9;
-        let hi = sched
-            .submit(hi_spec, Arc::clone(&small), None, None)
-            .unwrap();
+        let hi = sched.submit(hi_spec, Arc::clone(&small)).unwrap();
         let _ = sched.cancel(blocker);
         let hi_snap = wait_terminal(&sched, hi);
         let lo_snap = sched.status(lo).unwrap();
@@ -1044,7 +1104,7 @@ mod tests {
         for v in 2..8u64 {
             reg.update("d", &[(0, v)], &[]).unwrap();
             let jg = reg.admit("d", Algorithm::Cc, Engine::Bsp).unwrap();
-            let id = sched.submit(spec("d"), jg, None, None).unwrap();
+            let id = sched.submit(spec("d"), jg).unwrap();
             assert_eq!(wait_terminal(&sched, id).state, JobState::Completed);
             ids.push(id);
         }
@@ -1077,7 +1137,7 @@ mod tests {
         reg.update("d", &[(0, 5)], &[]).unwrap();
         // queue → jobs: admission registers the job under the queue lock.
         let jg = reg.admit("d", Algorithm::Cc, Engine::Bsp).unwrap();
-        let id = sched.submit(spec("d"), jg, None, None).unwrap();
+        let id = sched.submit(spec("d"), jg).unwrap();
         // jobs → series: completion records the latency under the jobs lock.
         assert_eq!(wait_terminal(&sched, id).state, JobState::Completed);
         assert_eq!(sched.stats().latencies[0].completed, 1);
@@ -1115,7 +1175,7 @@ mod tests {
             epoch: 3,
             precomputed: Some(JobOutput::Triangles(7)),
         };
-        let id = sched.submit(s, jg, None, None).unwrap();
+        let id = sched.submit(s, jg).unwrap();
         let snap = wait_terminal(&sched, id);
         assert_eq!(snap.state, JobState::Completed, "err={:?}", snap.error);
         assert_eq!(snap.supersteps, 0);
@@ -1138,7 +1198,7 @@ mod tests {
             queue_capacity: 3,
         });
         let g = long_path();
-        let blocker = sched.submit(spec("p"), Arc::clone(&g), None, None).unwrap();
+        let blocker = sched.submit(spec("p"), Arc::clone(&g)).unwrap();
         let (_, timed_out) = sched
             .wait_job(blocker, Duration::from_secs(60), |s| {
                 s.state != JobState::Queued
@@ -1147,10 +1207,10 @@ mod tests {
         assert!(!timed_out);
 
         let queued: Vec<JobId> = (0..3)
-            .map(|_| sched.submit(spec("p"), Arc::clone(&g), None, None).unwrap())
+            .map(|_| sched.submit(spec("p"), Arc::clone(&g)).unwrap())
             .collect();
         assert!(matches!(
-            sched.submit(spec("p"), Arc::clone(&g), None, None),
+            sched.submit(spec("p"), Arc::clone(&g)),
             Err(ServiceError::QueueFull { .. })
         ));
         for id in &queued {
@@ -1160,7 +1220,7 @@ mod tests {
         assert_eq!(sched.stats().queue_depth, 0);
         // ... and admission control sees the free slots again.
         let small = Arc::new(build_undirected(&path(64)));
-        let id = sched.submit(spec("small"), small, None, None).unwrap();
+        let id = sched.submit(spec("small"), small).unwrap();
         let _ = sched.cancel(blocker);
         let snap = wait_terminal(&sched, id);
         assert_eq!(snap.state, JobState::Completed);
@@ -1183,8 +1243,8 @@ mod tests {
             queue_capacity: 8,
         });
         let g = long_path();
-        let blocker = sched.submit(spec("p"), Arc::clone(&g), None, None).unwrap();
-        let queued = sched.submit(spec("p"), Arc::clone(&g), None, None).unwrap();
+        let blocker = sched.submit(spec("p"), Arc::clone(&g)).unwrap();
+        let queued = sched.submit(spec("p"), Arc::clone(&g)).unwrap();
 
         let waiter = {
             let started = Instant::now();
@@ -1219,8 +1279,8 @@ mod tests {
             queue_capacity: 8,
         });
         let g = long_path();
-        let blocker = sched.submit(spec("p"), Arc::clone(&g), None, None).unwrap();
-        let queued = sched.submit(spec("p"), Arc::clone(&g), None, None).unwrap();
+        let blocker = sched.submit(spec("p"), Arc::clone(&g)).unwrap();
+        let queued = sched.submit(spec("p"), Arc::clone(&g)).unwrap();
         // Nothing will run `queued` while the blocker holds the only
         // worker, so a short wait must report a timeout, not an error.
         let (snap, timed_out) = sched
@@ -1245,7 +1305,7 @@ mod tests {
         let g = short_path();
         let mut s = spec("p");
         s.deadline_ms = Some(1);
-        let id = sched.submit(s, Arc::clone(&g), None, None).unwrap();
+        let id = sched.submit(s, Arc::clone(&g)).unwrap();
         let snap = wait_terminal(&sched, id);
         assert_eq!(snap.state, JobState::TimedOut);
         let first = sched.trace(id).unwrap();
@@ -1253,12 +1313,7 @@ mod tests {
         assert!(!first.supersteps.is_empty(), "cut run recorded no trace");
         assert_eq!(first.supersteps[0].superstep, 0);
 
-        let (mut orig_spec, orig_graph, cp, frame) = sched.take_checkpoint(id).unwrap();
-        orig_spec.deadline_ms = None;
-        assert!(frame.is_some(), "interrupted bsp run kept no frame");
-        let resumed = sched
-            .submit(orig_spec, orig_graph, Some(cp), frame)
-            .unwrap();
+        let (resumed, _) = sched.resume(id, None).unwrap();
         let snap = wait_terminal(&sched, resumed);
         assert_eq!(snap.state, JobState::Completed, "err={:?}", snap.error);
         let second = sched.trace(resumed).unwrap();
@@ -1286,8 +1341,8 @@ mod tests {
             queue_capacity: 8,
         });
         let g = long_path();
-        let blocker = sched.submit(spec("p"), Arc::clone(&g), None, None).unwrap();
-        let queued = sched.submit(spec("p"), Arc::clone(&g), None, None).unwrap();
+        let blocker = sched.submit(spec("p"), Arc::clone(&g)).unwrap();
+        let queued = sched.submit(spec("p"), Arc::clone(&g)).unwrap();
         assert!(matches!(
             sched.trace(queued),
             Err(ServiceError::WrongState { .. })

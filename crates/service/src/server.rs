@@ -118,20 +118,14 @@ impl Service {
                 let graph = self
                     .registry
                     .admit(&spec.graph, spec.algorithm, spec.engine)?;
-                let id = self.scheduler.submit(spec.clone(), graph, None, None)?;
+                let id = self.scheduler.submit(spec.clone(), graph)?;
                 Ok(ok().put("job_id", Content::U64(id)).done())
             }
             Request::Resume {
                 job_id,
                 deadline_ms,
             } => {
-                let (mut spec, graph, checkpoint, frame) =
-                    self.scheduler.take_checkpoint(*job_id)?;
-                spec.deadline_ms = *deadline_ms;
-                let from_superstep = checkpoint.superstep();
-                let id = self
-                    .scheduler
-                    .submit(spec, graph, Some(checkpoint), frame)?;
+                let (id, from_superstep) = self.scheduler.resume(*job_id, *deadline_ms)?;
                 Ok(ok()
                     .put("job_id", Content::U64(id))
                     .put("resumed_from", Content::U64(*job_id))
@@ -371,6 +365,88 @@ fn serve_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::field_u64;
+    use crate::job::{Algorithm, Engine, JobOutput, JobSpec};
+    use xmt_bsp::{ActiveSetStrategy, BspConfig};
+    use xmt_graph::builder::build_undirected;
+    use xmt_graph::gen::structured::path;
+
+    fn cc_on(graph: &str, deadline_ms: Option<u64>) -> Request {
+        Request::Submit {
+            spec: JobSpec {
+                algorithm: Algorithm::Cc,
+                engine: Engine::Bsp,
+                graph: graph.to_string(),
+                source: 0,
+                damping: 0.85,
+                tolerance: 1e-7,
+                intersect: xmt_graph::IntersectStrategy::Auto,
+                // One superstep per hop of a path, each O(frontier).
+                config: BspConfig {
+                    active_set: ActiveSetStrategy::Worklist,
+                    max_supersteps: 1_000_000,
+                    ..BspConfig::default()
+                },
+                priority: 0,
+                deadline_ms,
+            },
+        }
+    }
+
+    #[test]
+    fn a_rejected_resume_keeps_its_checkpoint() {
+        let service = Service::new(ServiceConfig {
+            workers: 1,
+            queue_capacity: 1,
+            memory_budget_bytes: 0,
+        });
+        let scheduler = service.scheduler();
+        let wait = Duration::from_secs(60);
+        let submit = |request: &Request| {
+            let reply = service.handle(request).unwrap();
+            field_u64(&reply, "job_id").unwrap()
+        };
+        let registry = service.registry();
+        registry
+            .register("p", build_undirected(&path(1_000)))
+            .unwrap();
+        registry
+            .register("long", build_undirected(&path(16_000)))
+            .unwrap();
+
+        let cut = submit(&cc_on("p", Some(1)));
+        let (snap, _) = scheduler.wait_terminal(cut, wait).unwrap();
+        assert_eq!(snap.state, JobState::TimedOut);
+        // Occupy the one worker, then fill the one queue slot.
+        let blocker = submit(&cc_on("long", None));
+        scheduler
+            .wait_job(blocker, wait, |s| s.state != JobState::Queued)
+            .unwrap();
+        let filler = submit(&cc_on("p", None));
+        let resume = Request::Resume {
+            job_id: cut,
+            deadline_ms: None,
+        };
+        assert_eq!(
+            service.handle(&resume).unwrap_err(),
+            ServiceError::QueueFull { capacity: 1 }
+        );
+        assert!(scheduler.status(cut).unwrap().has_checkpoint);
+
+        scheduler.cancel(filler).unwrap();
+        let reply = service.handle(&resume).unwrap();
+        let resumed = field_u64(&reply, "job_id").unwrap();
+        assert_eq!(field_u64(&reply, "resumed_from"), Some(cut));
+        assert_eq!(field_u64(&reply, "from_superstep"), Some(snap.supersteps));
+        scheduler.cancel(blocker).unwrap();
+        let (snap, _) = scheduler.wait_terminal(resumed, wait).unwrap();
+        assert_eq!(snap.state, JobState::Completed, "err={:?}", snap.error);
+        match scheduler.output(resumed).unwrap() {
+            (JobOutput::Labels(labels), _) => assert!(labels.iter().all(|&l| l == 0)),
+            (other, _) => panic!("cc job returned {other:?}"),
+        }
+        service.shutdown();
+    }
 
     #[test]
     fn request_split_across_the_read_timeout_is_reassembled() {
