@@ -5,7 +5,7 @@
 //! it, so cancellation and deadlines cut the run at a superstep boundary
 //! and hand back a [`StoredCheckpoint`] instead of losing the work.  Every
 //! BSP program goes through one generic path, which borrows its
-//! [`SuperstepFrame`] from the calling worker's [`FrameSlot`], so a
+//! [`SuperstepFrame`] from the calling worker's [`FrameSlot`], so a busy
 //! worker's next job of the same shape starts on warm buffers.  The
 //! GraphCT engine serves the same kernels from the shared-memory
 //! baseline — faster per job, but uninterruptible once started (no
@@ -51,9 +51,9 @@ pub enum ExecVerdict {
 /// it was shaped for, type-erased so the worker can hold whichever
 /// program's frame it ran last.  A BSP run takes the frame if its
 /// program's `(State, Message)` types and its graph's vertex count match,
-/// and drops it otherwise, so a worker never keeps a frame shaped for a
-/// graph it no longer serves.  It puts its frame back only when the run
-/// returns: a run that panics leaves the slot empty.
+/// and drops it otherwise; it puts its frame back only when the run
+/// returns, so a run that panics leaves the slot empty.  A worker that
+/// finds the scheduler's queue empty drops its frame.
 pub type FrameSlot = Option<(u64, Box<dyn Any + Send>)>;
 
 /// Run `spec` on `graph`, optionally continuing `from` a checkpoint,

@@ -1,7 +1,7 @@
 //! The job model: what a client submits, what the scheduler tracks, and
 //! what an interrupted run leaves behind.  A cut job keeps only its
 //! [`StoredCheckpoint`]; the warmed superstep frame stays with the
-//! scheduler worker that ran it (see [`crate::engine::FrameSlot`]).
+//! scheduler worker that ran it, until it idles ([`crate::engine::FrameSlot`]).
 
 use std::any::Any;
 use std::sync::Arc;

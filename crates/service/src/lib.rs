@@ -14,9 +14,10 @@
 //! Interrupted work is never lost: cancelling or timing out a BSP job
 //! cuts it at a superstep boundary into a [`StoredCheckpoint`], and a
 //! `resume` request continues it exactly where it stopped.  Superstep
-//! frames belong to the scheduler's workers, not to jobs: each worker
+//! frames belong to the scheduler's workers, not to jobs: a busy worker
 //! keeps the frame of its last BSP run in a [`FrameSlot`], so its next
-//! job of the same program and vertex count starts on warm buffers.
+//! queued job of the same program and vertex count starts on warm
+//! buffers, and an idle worker holds none.
 //!
 //! Graphs registered with `dynamic: true` additionally accept `update`
 //! batches (edge inserts/deletes) while analytics jobs run: each job is

@@ -18,8 +18,10 @@
 //!
 //! Each worker owns one [`FrameSlot`]: the superstep frame of the last
 //! BSP job it ran, which its next job of the same program and vertex
-//! count reuses.  Jobs carry no frames, so a cut job that is never
-//! resumed pins nothing but its checkpoint.
+//! count reuses if it was already queued.  A worker that finds the queue
+//! empty drops its frame, so only busy workers hold one.  Jobs carry no
+//! frames, so a cut job that is never resumed pins nothing but its
+//! checkpoint.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -287,111 +289,123 @@ impl Scheduler {
                 ),
             });
         }
-        self.enqueue(|_| Ok((spec, graph, None)))
+        let mut queue = self.shared.queue.lock();
+        self.admit(&queue)?;
+        let id = self.enqueue(&mut queue, &mut self.shared.jobs.lock(), spec, graph, None);
+        drop(queue);
+        self.shared.cond.notify_one();
+        Ok(id)
     }
 
     /// Continue an interrupted job from its checkpoint as a new job with
     /// `deadline_ms`; returns the new id and the superstep it starts at.
-    /// The checkpoint moves to the new job, so a stale double-resume gets
-    /// `no_checkpoint` instead of forking the run — but only once the new
-    /// job is admitted: a `queue_full` or `shutting_down` rejection
-    /// leaves it in place for a retry.  The new job computes against the
-    /// *original* epoch handle, whatever update batches landed since.
+    /// The job is checked before admission, so a resume that can never
+    /// succeed gets `job_not_found`, `wrong_state` or `no_checkpoint`,
+    /// never a `queue_full` worth retrying.  The checkpoint moves to the
+    /// new job only once it is admitted: a `queue_full` or
+    /// `shutting_down` rejection leaves it in place for a retry, and a
+    /// stale double-resume gets `no_checkpoint` instead of forking the
+    /// run.  The new job computes against the *original* epoch handle,
+    /// whatever update batches landed since.
     pub fn resume(
         &self,
         id: JobId,
         deadline_ms: Option<u64>,
     ) -> Result<(JobId, u64), ServiceError> {
-        let mut from_superstep = 0;
-        let new_id = self.enqueue(|jobs| {
-            let rec = jobs.get_mut(&id).ok_or(ServiceError::JobNotFound { id })?;
-            if !matches!(
-                rec.state,
-                JobState::Cancelled | JobState::TimedOut | JobState::Interrupted
-            ) {
-                return Err(ServiceError::WrongState {
-                    id,
-                    state: rec.state.name().to_string(),
-                });
-            }
-            let checkpoint = rec
-                .checkpoint
-                .take()
-                .ok_or(ServiceError::NoCheckpoint { id })?;
-            from_superstep = checkpoint.superstep;
-            let graph = rec.graph.clone();
-            rec.release_graph();
-            let spec = JobSpec {
-                deadline_ms,
-                ..rec.spec.clone()
-            };
-            Ok((spec, graph, Some(checkpoint)))
-        })?;
+        // One queue → jobs critical section, the order `cancel` uses.
+        let mut queue = self.shared.queue.lock();
+        let mut jobs = self.shared.jobs.lock();
+        let rec = jobs.get_mut(&id).ok_or(ServiceError::JobNotFound { id })?;
+        if !matches!(
+            rec.state,
+            JobState::Cancelled | JobState::TimedOut | JobState::Interrupted
+        ) {
+            return Err(ServiceError::WrongState {
+                id,
+                state: rec.state.name().to_string(),
+            });
+        }
+        let from_superstep = rec
+            .checkpoint
+            .as_ref()
+            .ok_or(ServiceError::NoCheckpoint { id })?
+            .superstep;
+        self.admit(&queue)?;
+        let resume_from = rec.checkpoint.take();
+        let graph = rec.graph.clone();
+        rec.release_graph();
+        let spec = JobSpec {
+            deadline_ms,
+            ..rec.spec.clone()
+        };
+        let new_id = self.enqueue(&mut queue, &mut jobs, spec, graph, resume_from);
+        drop(jobs);
+        drop(queue);
+        self.shared.cond.notify_one();
         Ok((new_id, from_superstep))
     }
 
-    /// Admission control, then register and queue the job `make` builds
-    /// from the job table.  One queue → jobs critical section, so a
-    /// rejection happens before `make` runs and moves nothing.
+    /// Admission control: no new jobs once shut down or while the queue
+    /// is full.
+    fn admit(&self, queue: &Queue) -> Result<(), ServiceError> {
+        if queue.shutdown {
+            return Err(ServiceError::ShuttingDown);
+        }
+        if queue.live_depth() >= self.shared.config.queue_capacity {
+            // Relaxed: monotonic stats counter, read only by stats().
+            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
+            return Err(ServiceError::QueueFull {
+                capacity: self.shared.config.queue_capacity,
+            });
+        }
+        Ok(())
+    }
+
+    /// Register an admitted job and queue it, under the queue and jobs
+    /// locks the caller holds.  The caller wakes a worker once it has
+    /// released them.
     fn enqueue(
         &self,
-        make: impl FnOnce(
-            &mut HashMap<JobId, JobRecord>,
-        )
-            -> Result<(JobSpec, JobGraph, Option<StoredCheckpoint>), ServiceError>,
-    ) -> Result<JobId, ServiceError> {
-        let id = {
-            let mut queue = self.shared.queue.lock();
-            if queue.shutdown {
-                return Err(ServiceError::ShuttingDown);
-            }
-            if queue.live_depth() >= self.shared.config.queue_capacity {
-                // Relaxed: monotonic stats counter, read only by stats().
-                self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(ServiceError::QueueFull {
-                    capacity: self.shared.config.queue_capacity,
-                });
-            }
-            let mut jobs = self.shared.jobs.lock();
-            let (spec, graph, resume_from) = make(&mut jobs)?;
-            // Relaxed (both): id/seq allocation needs only the RMW's
-            // atomicity for uniqueness; the values travel to workers via
-            // the jobs/queue locks.
-            let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-            let seq = self.shared.next_seq.fetch_add(1, Ordering::Relaxed); // Relaxed: as above
-            let priority = spec.priority;
-            // Record before the entry is visible to workers, so a pop
-            // always finds its job.
-            jobs.insert(
-                id,
-                JobRecord {
-                    spec,
-                    graph,
-                    state: JobState::Queued,
-                    cancel: Arc::new(AtomicBool::new(false)),
-                    submitted: Instant::now(),
-                    started: None,
-                    finished: None,
-                    supersteps: 0,
-                    output: None,
-                    error: None,
-                    checkpoint: None,
-                    resume_from,
-                    trace: None,
-                },
-            );
-            drop(jobs);
-            queue.heap.push(QueueEntry { priority, seq, id });
-            // Count inside the queue lock so `stats()` (which reads the
-            // depth under the same lock) never observes a queue deeper
-            // than the submitted total.
-            // Relaxed: the queue lock provides the ordering; the counter
-            // itself is a monotonic stat.
-            self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-            id
-        };
-        self.shared.cond.notify_one();
-        Ok(id)
+        queue: &mut Queue,
+        jobs: &mut HashMap<JobId, JobRecord>,
+        spec: JobSpec,
+        graph: JobGraph,
+        resume_from: Option<StoredCheckpoint>,
+    ) -> JobId {
+        // Relaxed (both): id/seq allocation needs only the RMW's
+        // atomicity for uniqueness; the values travel to workers via
+        // the jobs/queue locks.
+        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
+        let seq = self.shared.next_seq.fetch_add(1, Ordering::Relaxed); // Relaxed: as above
+        let priority = spec.priority;
+        // Record before the entry is visible to workers, so a pop
+        // always finds its job.
+        jobs.insert(
+            id,
+            JobRecord {
+                spec,
+                graph,
+                state: JobState::Queued,
+                cancel: Arc::new(AtomicBool::new(false)),
+                submitted: Instant::now(),
+                started: None,
+                finished: None,
+                supersteps: 0,
+                output: None,
+                error: None,
+                checkpoint: None,
+                resume_from,
+                trace: None,
+            },
+        );
+        queue.heap.push(QueueEntry { priority, seq, id });
+        // Count inside the queue lock so `stats()` (which reads the
+        // depth under the same lock) never observes a queue deeper
+        // than the submitted total.
+        // Relaxed: the queue lock provides the ordering; the counter
+        // itself is a monotonic stat.
+        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
+        id
     }
 
     /// Request cancellation.  A queued job is cancelled on the spot; a
@@ -603,19 +617,7 @@ impl Drop for Scheduler {
 
 fn worker_loop(shared: &Shared) {
     let mut slot: FrameSlot = None;
-    loop {
-        let entry = {
-            let mut queue = shared.queue.lock();
-            loop {
-                if let Some(e) = queue.heap.pop() {
-                    break e;
-                }
-                if queue.shutdown {
-                    return;
-                }
-                shared.cond.wait(&mut queue);
-            }
-        };
+    while let Some(entry) = next_entry(shared, &mut slot) {
         if !run_one(shared, entry.id, &mut slot) {
             // The popped entry was stale (its job was cancelled while
             // queued, or evicted).  Balance the stale count bumped at
@@ -623,6 +625,30 @@ fn worker_loop(shared: &Shared) {
             let mut queue = shared.queue.lock();
             queue.stale = queue.stale.saturating_sub(1);
         }
+    }
+}
+
+/// The next entry for a worker to run, or `None` once the scheduler shuts
+/// down.  A worker that finds the queue empty lets go of its frame before
+/// it waits, so an idle worker holds no frame: a frame carries over only
+/// to a job that was already queued when the previous one finished.
+fn next_entry(shared: &Shared, slot: &mut FrameSlot) -> Option<QueueEntry> {
+    let mut queue = shared.queue.lock();
+    loop {
+        if let Some(entry) = queue.heap.pop() {
+            return Some(entry);
+        }
+        if slot.is_some() {
+            // Free the frame outside the queue lock, then look again.
+            drop(queue);
+            *slot = None;
+            queue = shared.queue.lock();
+            continue;
+        }
+        if queue.shutdown {
+            return None;
+        }
+        shared.cond.wait(&mut queue);
     }
 }
 
@@ -940,29 +966,64 @@ mod tests {
             )
             .unwrap();
         assert_eq!(wait_terminal(&sched, cut).state, JobState::TimedOut);
-        // The slot now holds a CC frame for 1 000 vertices; a BFS on 64
+        // An idle worker drops its frame, so the jobs below queue behind
+        // a busy one and run back to back once it is cancelled.
+        let blocker = sched.submit(spec("long"), long_path()).unwrap();
+        let (_, timed_out) = sched
+            .wait_job(blocker, Duration::from_secs(60), |s| {
+                s.state != JobState::Queued
+            })
+            .unwrap();
+        assert!(!timed_out, "the blocker never started");
+        // The blocker leaves a CC frame for 16 000 vertices; a BFS on 64
         // mismatches both its types and its size.
         let small = Arc::new(build_undirected(&path(64)));
         let bfs = JobSpec {
             algorithm: Algorithm::Bfs,
             ..spec("small")
         };
-        let id = sched.submit(bfs, Arc::clone(&small)).unwrap();
-        assert_eq!(wait_terminal(&sched, id).state, JobState::Completed);
+        let bfs = sched.submit(bfs, Arc::clone(&small)).unwrap();
         // Panics mid-run, with the worker's frame taken out of the slot.
-        let id = sched.submit(spec(FAULTY), Arc::clone(&small)).unwrap();
-        assert_eq!(wait_terminal(&sched, id).state, JobState::Failed);
-
+        let faulty = sched.submit(spec(FAULTY), Arc::clone(&small)).unwrap();
         let (resumed, _) = sched.resume(cut, None).unwrap();
-        assert_eq!(labels(&sched, resumed), reference);
         // Back to back on one shape: the second job runs on the first's
         // frame.
         let first = sched.submit(spec("p"), Arc::clone(&g)).unwrap();
-        let first = labels(&sched, first);
         let second = sched.submit(spec("p"), Arc::clone(&g)).unwrap();
+        sched.cancel(blocker).unwrap();
+
+        assert_eq!(wait_terminal(&sched, bfs).state, JobState::Completed);
+        assert_eq!(wait_terminal(&sched, faulty).state, JobState::Failed);
+        assert_eq!(labels(&sched, resumed), reference);
+        let first = labels(&sched, first);
         assert_eq!(labels(&sched, second), first);
         assert_eq!(first, reference);
         sched.shutdown();
+    }
+
+    #[test]
+    fn a_worker_that_finds_the_queue_empty_drops_its_frame() {
+        let sched = Scheduler::new(SchedulerConfig {
+            workers: 1,
+            queue_capacity: 8,
+        });
+        sched.shutdown();
+        let warm = || -> FrameSlot { Some((64, Box::new(()))) };
+        // A queued entry is handed out and the frame kept for it.
+        let mut slot = warm();
+        sched.shared.queue.lock().heap.push(QueueEntry {
+            priority: 0,
+            seq: 0,
+            id: 1,
+        });
+        assert_eq!(next_entry(&sched.shared, &mut slot).map(|e| e.id), Some(1));
+        assert!(
+            slot.is_some(),
+            "a worker with queued work dropped its frame"
+        );
+        // An empty queue: the frame goes before the worker would wait.
+        assert!(next_entry(&sched.shared, &mut slot).is_none());
+        assert!(slot.is_none(), "an idle worker kept its frame");
     }
 
     #[test]

@@ -432,6 +432,27 @@ mod tests {
             ServiceError::QueueFull { capacity: 1 }
         );
         assert!(scheduler.status(cut).unwrap().has_checkpoint);
+        // A resume that can never succeed says why, full queue or not.
+        let resume_of = |job_id| Request::Resume {
+            job_id,
+            deadline_ms: None,
+        };
+        assert_eq!(
+            service.handle(&resume_of(999)).unwrap_err(),
+            ServiceError::JobNotFound { id: 999 }
+        );
+        assert!(matches!(
+            service.handle(&resume_of(blocker)).unwrap_err(),
+            ServiceError::WrongState { state, .. } if state == "running"
+        ));
+        // Cancelled while queued, so it holds no checkpoint.
+        let cancelled = filler;
+        scheduler.cancel(cancelled).unwrap();
+        let filler = submit(&cc_on("p", None));
+        assert_eq!(
+            service.handle(&resume_of(cancelled)).unwrap_err(),
+            ServiceError::NoCheckpoint { id: cancelled }
+        );
 
         scheduler.cancel(filler).unwrap();
         let reply = service.handle(&resume).unwrap();
