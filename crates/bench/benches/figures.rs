@@ -1,120 +1,24 @@
-//! One Criterion benchmark per paper artifact: each measures the full
-//! measurement pipeline behind the corresponding table/figure at a
-//! reduced scale.  The presentation-quality regeneration lives in the
-//! `table1`/`fig1`..`fig4` binaries; these keep every pipeline under
-//! `cargo bench` so performance regressions in the harness itself are
-//! caught.
+//! One Criterion benchmark per paper artifact: each runs the entry of
+//! `xmt_bench::artifacts::ARTIFACTS` behind the corresponding table or
+//! figure at scale 11, so performance regressions in the harness itself
+//! are caught by `cargo bench`.  The graph is built once, before the
+//! first sample (artifacts share it per scale, edge factor and seed).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use xmt_bench::run::{bsp_step_seconds, ct_step_seconds, run_bfs, run_cc, run_tc, total_seconds};
-use xmt_bench::{build_paper_graph, pick_bfs_source, HarnessConfig};
-use xmt_bsp::runtime::BspConfig;
-use xmt_model::ModelParams;
+use xmt_bench::artifacts::find;
+use xmt_bench::HarnessConfig;
 
-fn cfg(scale: u32) -> HarnessConfig {
-    HarnessConfig::parse(scale, std::iter::empty::<String>())
-}
-
-fn bench_table1(c: &mut Criterion) {
-    let g = build_paper_graph(&cfg(11));
-    let model = ModelParams::default();
-    let source = pick_bfs_source(&g);
+fn bench_artifacts(c: &mut Criterion) {
+    let cfg = HarnessConfig::parse(11, std::iter::empty::<String>());
     let mut group = c.benchmark_group("artifacts");
     group.sample_size(10);
-    group.bench_function("table1_pipeline", |b| {
-        b.iter(|| {
-            let cc = run_cc(&g, BspConfig::default());
-            let bfs = run_bfs(&g, source, BspConfig::default());
-            let tc = run_tc(&g, BspConfig::default());
-            let mut acc = 0.0;
-            for rec in [
-                &cc.bsp_rec,
-                &cc.ct_rec,
-                &bfs.bsp_rec,
-                &bfs.ct_rec,
-                &tc.bsp_rec,
-                &tc.ct_rec,
-            ] {
-                acc += total_seconds(rec, &model, 128);
-            }
-            acc
-        })
-    });
+    for name in ["table1", "fig1", "fig2", "fig3", "fig4"] {
+        let artifact = find(name).expect("every figure is an artifact");
+        group.bench_function(name, |b| b.iter(|| (artifact.run)(&cfg)));
+    }
     group.finish();
 }
 
-fn bench_fig1(c: &mut Criterion) {
-    let g = build_paper_graph(&cfg(11));
-    let model = ModelParams::default();
-    let mut group = c.benchmark_group("artifacts");
-    group.sample_size(10);
-    group.bench_function("fig1_pipeline", |b| {
-        b.iter(|| {
-            let cc = run_cc(&g, BspConfig::default());
-            let mut points = 0usize;
-            for p in [8usize, 16, 32, 64, 128] {
-                points += bsp_step_seconds(&cc.bsp_rec, &model, p).len();
-                points += ct_step_seconds(&cc.ct_rec, &model, "iteration", p).len();
-            }
-            points
-        })
-    });
-    group.finish();
-}
-
-fn bench_fig2_fig3(c: &mut Criterion) {
-    let g = build_paper_graph(&cfg(11));
-    let model = ModelParams::default();
-    let source = pick_bfs_source(&g);
-    let mut group = c.benchmark_group("artifacts");
-    group.sample_size(10);
-    group.bench_function("fig2_fig3_pipeline", |b| {
-        b.iter(|| {
-            let bfs = run_bfs(&g, source, BspConfig::default());
-            // Fig 2: frontier vs messages series.
-            let series: u64 = bfs
-                .ct
-                .frontier_sizes
-                .iter()
-                .zip(bfs.bsp.superstep_stats.iter())
-                .map(|(&f, s)| f + s.messages_sent)
-                .sum();
-            // Fig 3: per-level sweep.
-            let mut points = 0usize;
-            for p in [8usize, 16, 32, 64, 128] {
-                points += bsp_step_seconds(&bfs.bsp_rec, &model, p).len();
-            }
-            (series, points)
-        })
-    });
-    group.finish();
-}
-
-fn bench_fig4(c: &mut Criterion) {
-    let g = build_paper_graph(&cfg(10));
-    let model = ModelParams::default();
-    let mut group = c.benchmark_group("artifacts");
-    group.sample_size(10);
-    group.bench_function("fig4_pipeline", |b| {
-        b.iter(|| {
-            let tc = run_tc(&g, BspConfig::default());
-            let mut acc = 0.0;
-            for p in [8usize, 16, 32, 64, 128] {
-                acc += total_seconds(&tc.bsp_rec, &model, p);
-                acc += total_seconds(&tc.ct_rec, &model, p);
-            }
-            acc
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_table1,
-    bench_fig1,
-    bench_fig2_fig3,
-    bench_fig4
-);
+criterion_group!(benches, bench_artifacts);
 criterion_main!(benches);

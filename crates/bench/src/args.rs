@@ -1,4 +1,4 @@
-//! Minimal command-line parsing shared by the experiment binaries.
+//! Minimal command-line parsing shared by every artifact of `repro`.
 //!
 //! Aborting with a message on a malformed flag IS this parser's
 //! interface (pinned by the should_panic tests below).
@@ -14,10 +14,11 @@ use std::path::PathBuf;
 /// Common experiment options.
 ///
 /// ```text
-/// --scale N        log2 vertices of the RMAT graph (default per binary)
+/// --scale N        log2 vertices of the RMAT graph (default per artifact)
 /// --edge-factor N  edges per vertex (default 16, as in the paper)
 /// --seed N         RMAT seed (default 1)
-/// --procs A,B,C    processor counts to sweep (default 8,16,32,64,128)
+/// --procs A,B,C    processor counts to sweep (default 8,16,32,64,128;
+///                  sorted ascending, duplicates dropped, 0 rejected)
 /// --out DIR        also write machine-readable JSON under DIR
 /// --calibrate      derive model constants from xmt-sim instead of the
 ///                  pinned defaults (slower, same shapes)
@@ -30,7 +31,7 @@ pub struct HarnessConfig {
     pub edge_factor: u64,
     /// Generator seed.
     pub seed: u64,
-    /// Processor counts for scaling sweeps.
+    /// Processor counts for scaling sweeps, ascending and distinct.
     pub procs: Vec<usize>,
     /// Optional output directory for JSON results.
     pub out_dir: Option<PathBuf>,
@@ -39,11 +40,6 @@ pub struct HarnessConfig {
 }
 
 impl HarnessConfig {
-    /// Parse `std::env::args`, with a per-binary default scale.
-    pub fn from_args(default_scale: u32) -> Self {
-        Self::parse(default_scale, std::env::args().skip(1))
-    }
-
     /// Parse from an explicit iterator (testable).
     pub fn parse(default_scale: u32, args: impl IntoIterator<Item = String>) -> Self {
         let mut cfg = HarnessConfig {
@@ -84,6 +80,9 @@ impl HarnessConfig {
             }
         }
         assert!(!cfg.procs.is_empty(), "need at least one processor count");
+        assert!(!cfg.procs.contains(&0), "--procs takes no 0");
+        cfg.procs.sort_unstable();
+        cfg.procs.dedup();
         cfg
     }
 
@@ -142,6 +141,19 @@ mod tests {
         assert_eq!(c.procs, vec![4, 8]);
         assert_eq!(c.edge_factor, 8);
         assert!(c.calibrate);
+    }
+
+    #[test]
+    fn procs_are_sorted_and_deduplicated() {
+        let c = HarnessConfig::parse(20, strs(&["--procs", "128,8,32,8"]));
+        assert_eq!(c.procs, vec![8, 32, 128]);
+        assert_eq!(c.max_procs(), 128);
+    }
+
+    #[test]
+    #[should_panic(expected = "takes no 0")]
+    fn zero_procs_are_rejected() {
+        HarnessConfig::parse(20, strs(&["--procs", "0,8"]));
     }
 
     #[test]

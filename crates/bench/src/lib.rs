@@ -1,10 +1,11 @@
-//! Experiment harness shared by the figure/table binaries.
+//! Experiment harness: every table and figure of the reproduction.
 //!
-//! Every binary follows the same recipe: generate the paper's workload
-//! (an undirected scale-free RMAT graph), run an algorithm pair (BSP and
-//! GraphCT-style shared memory) with instrumentation, and map the
-//! recorded operation counts through the calibrated XMT model to get
-//! time-at-P series.  See DESIGN.md §5 for the experiment index.
+//! Every artifact in [`artifacts::ARTIFACTS`] follows the same recipe:
+//! generate the paper's workload (an undirected scale-free RMAT graph),
+//! run an algorithm pair (BSP and GraphCT-style shared memory) with
+//! instrumentation, and map the recorded operation counts through the
+//! calibrated XMT model to get time-at-P series.  The `repro` binary
+//! runs them; see DESIGN.md §5 for the experiment index.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
@@ -14,13 +15,14 @@
 
 pub mod alloc_count;
 pub mod args;
+pub mod artifacts;
 pub mod output;
 pub mod run;
 pub mod sim_validate;
 pub mod workload;
 
 pub use args::HarnessConfig;
-pub use output::{write_csv, write_json, Table};
+pub use output::Output;
 pub use workload::{build_paper_graph, pick_bfs_source};
 
 /// Paper reference numbers (128-processor Cray XMT, RMAT scale 24).

@@ -1,68 +1,29 @@
-//! Plain-text tables and JSON result files.
+//! What an artifact produces: its files and its transcript, whose tables
+//! render JSON records generically.
 
-use std::io::Write;
 use std::path::Path;
 
-use serde::Serialize;
+use serde::{Content, Serialize};
 
-/// A simple aligned text table.
-pub struct Table {
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// A table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
-        Table {
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
+/// `header` and `rows` as right-aligned columns, the header over a rule.
+fn render(header: &[String], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = header.iter().map(|h| h.chars().count()).collect();
+    for row in rows {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.chars().count());
         }
     }
-
-    /// Append a row (must match the header width).
-    pub fn row(&mut self, cells: &[String]) -> &mut Self {
-        assert_eq!(cells.len(), self.header.len(), "row width mismatch");
-        self.rows.push(cells.to_vec());
-        self
-    }
-
-    /// Render with aligned columns.
-    pub fn render(&self) -> String {
-        let ncols = self.header.len();
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            let mut line = String::new();
-            for i in 0..ncols {
-                if i > 0 {
-                    line.push_str("  ");
-                }
-                let pad = widths[i] - cells[i].len();
-                line.push_str(&" ".repeat(pad));
-                line.push_str(&cells[i]);
-            }
-            line.push('\n');
-            line
-        };
-        out.push_str(&fmt_row(&self.header, &widths));
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (ncols - 1)));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-        }
-        out
-    }
-
-    /// Print to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
+    let line = |cells: &[String]| {
+        let padded: Vec<String> = cells
+            .iter()
+            .zip(&widths)
+            .map(|(c, &w)| format!("{c:>w$}"))
+            .collect();
+        padded.join("  ") + "\n"
+    };
+    let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)) + "\n";
+    let body = rows.iter().map(|r| line(r));
+    [line(header), rule].into_iter().chain(body).collect()
 }
 
 /// Format seconds with sensible precision.
@@ -78,53 +39,156 @@ pub fn fmt_secs(s: f64) -> String {
     }
 }
 
-/// Write CSV rows to `dir/name.csv` (creating `dir`), header first.
-pub fn write_csv(dir: &Path, name: &str, header: &str, rows: &[String]) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.csv"));
-    let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
-    writeln!(f, "{header}")?;
-    for row in rows {
-        writeln!(f, "{row}")?;
-    }
-    f.flush()?;
-    eprintln!("wrote {}", path.display());
-    Ok(())
+/// What one artifact produces: its data files and its text transcript.
+#[derive(Debug, Default)]
+pub struct Output {
+    /// `(file name, contents)` pairs, e.g. `("table1.json", "{ .. }")`.
+    pub files: Vec<(String, String)>,
+    /// The printed report: tables, checks and every "paper: …" line.
+    pub text: String,
 }
 
-/// Write a serializable result to `dir/name.json` (creating `dir`).
-pub fn write_json<T: Serialize>(dir: &Path, name: &str, value: &T) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.json"));
-    let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
-    serde_json::to_writer_pretty(&mut f, value)?;
-    f.write_all(b"\n")?;
-    f.flush()?;
-    eprintln!("wrote {}", path.display());
-    Ok(())
+impl Output {
+    /// An output whose transcript opens with `title`.
+    pub(crate) fn titled(title: &str) -> Self {
+        let text = format!("{title}\n");
+        Output {
+            text,
+            ..Self::default()
+        }
+    }
+
+    /// Add `name.json`, pretty-printed with a trailing newline.
+    pub(crate) fn json<T: Serialize + ?Sized>(&mut self, name: &str, value: &T) {
+        // The stand-in serializer only fails on a writer; a `String` has none.
+        let body = serde_json::to_string_pretty(value).unwrap_or_default();
+        self.files.push((format!("{name}.json"), body + "\n"));
+    }
+
+    /// Append `rows` — JSON objects with the same keys — as a table whose
+    /// columns are those keys.
+    pub(crate) fn records<'a>(&mut self, rows: impl IntoIterator<Item = &'a Content>) {
+        let rows: Vec<_> = rows.into_iter().filter_map(fields).collect();
+        let Some(first) = rows.first() else { return };
+        let header: Vec<String> = first.iter().map(|(k, _)| k.clone()).collect();
+        let cells = rows
+            .iter()
+            .map(|r| r.iter().map(|(k, v)| cell(k, v)).collect());
+        self.text += &render(&header, &cells.collect::<Vec<_>>());
+    }
+
+    /// Append `rows` pivoted: a line per distinct tuple of the `row` keys,
+    /// a column per distinct value of `col` (both in first-seen order),
+    /// and in each cell the row's `value`.
+    pub(crate) fn pivot<'a>(
+        &mut self,
+        rows: impl IntoIterator<Item = &'a Content>,
+        row: &[&str],
+        col: &str,
+        value: &str,
+    ) {
+        let (mut cols, mut lines) = (Vec::new(), Vec::<Vec<String>>::new());
+        for r in rows {
+            let get = |k: &str| field(r, k).map_or_else(String::new, |v| cell(k, v));
+            let label = row.iter().map(|k| get(k)).collect::<Vec<_>>().join("/");
+            let c = get(col);
+            let ci = cols.iter().position(|x| *x == c).unwrap_or(cols.len());
+            if ci == cols.len() {
+                cols.push(c);
+            }
+            let li = lines
+                .iter()
+                .position(|l| l[0] == label)
+                .unwrap_or(lines.len());
+            if li == lines.len() {
+                lines.push(vec![label]);
+            }
+            lines[li].resize(ci + 2, "-".into());
+            lines[li][ci + 1] = get(value);
+        }
+        let mut header = vec![row.join("/")];
+        header.extend(cols.iter().map(|c| format!("{col}={c}")));
+        for line in &mut lines {
+            line.resize(header.len(), "-".into());
+        }
+        self.text += &render(&header, &lines);
+    }
+
+    /// Write every file under `dir` (creating it), naming each on stderr.
+    pub fn write_files(&self, dir: &Path) -> std::io::Result<()> {
+        std::fs::create_dir_all(dir)?;
+        for (name, body) in &self.files {
+            let path = dir.join(name);
+            std::fs::write(&path, body)?;
+            eprintln!("wrote {}", path.display());
+        }
+        Ok(())
+    }
 }
+
+fn fields(c: &Content) -> Option<&[(String, Content)]> {
+    match c {
+        Content::Map(fields) => Some(fields),
+        _ => None,
+    }
+}
+
+/// The value under `key` of a JSON object.
+pub(crate) fn field<'a>(c: &'a Content, key: &str) -> Option<&'a Content> {
+    fields(c)?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// A table cell: a `*seconds*` field through [`fmt_secs`], any other
+/// float to two decimals, or in scientific notation outside [0.01, 10⁴).
+fn cell(key: &str, v: &Content) -> String {
+    match v {
+        Content::F64(x) if key.contains("seconds") => fmt_secs(*x),
+        Content::F64(x) if *x != 0.0 && !(1e-2..1e4).contains(&x.abs()) => format!("{x:.2e}"),
+        Content::F64(x) => format!("{x:.2}"),
+        Content::U64(n) => n.to_string(),
+        Content::I64(n) => n.to_string(),
+        Content::Str(s) => s.clone(),
+        Content::Bool(b) => b.to_string(),
+        _ => "-".into(),
+    }
+}
+
+/// Append one formatted line to an [`Output`]'s transcript.
+macro_rules! say {
+    ($out:expr) => { $out.text.push('\n') };
+    ($out:expr, $($fmt:tt)+) => {{
+        $out.text.push_str(&format!($($fmt)+));
+        $out.text.push('\n');
+    }};
+}
+
+/// A JSON object whose keys are the field names, in the order written:
+/// `rec! { procs: p, seconds: s }`.
+macro_rules! rec {
+    ($($key:ident: $value:expr),* $(,)?) => {
+        serde::Content::Map(vec![$(
+            (stringify!($key).to_string(), serde::Serialize::to_content(&$value))
+        ),*])
+    };
+}
+pub(crate) use {rec, say};
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn table_aligns_columns() {
-        let mut t = Table::new(&["a", "long-header"]);
-        t.row(&["12345".into(), "x".into()]);
-        let r = t.render();
+    fn tables_align_columns() {
+        let r = render(
+            &["a".into(), "long-header".into()],
+            &[vec!["12345".into(), "µs".into()]],
+        );
         let lines: Vec<&str> = r.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("long-header"));
-        assert!(lines[2].ends_with("x"));
-        // Right-aligned numeric column.
-        assert!(lines[2].starts_with("12345"));
-    }
-
-    #[test]
-    #[should_panic(expected = "row width mismatch")]
-    fn wrong_width_rows_panic() {
-        Table::new(&["a"]).row(&["x".into(), "y".into()]);
+        // Right-aligned by characters, not bytes.
+        assert!(lines[2].starts_with("12345") && lines[2].ends_with(" µs"));
+        assert_eq!(lines[2].chars().count(), lines[0].chars().count());
     }
 
     #[test]
@@ -137,10 +201,49 @@ mod tests {
 
     #[test]
     fn json_roundtrip() {
-        let dir = std::env::temp_dir().join("xmt-bench-test");
-        write_json(&dir, "t", &vec![1, 2, 3]).unwrap();
-        let s = std::fs::read_to_string(dir.join("t.json")).unwrap();
-        let v: Vec<i32> = serde_json::from_str(&s).unwrap();
+        let mut out = Output::default();
+        out.json("t", &vec![1, 2, 3]);
+        assert_eq!(out.files[0].0, "t.json");
+        let v: Vec<i32> = serde_json::from_str(&out.files[0].1).unwrap();
         assert_eq!(v, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn records_and_lines() {
+        let mut out = Output::default();
+        let r = serde_json::to_string(&rec! { procs: 8usize, panel: "BSP" }).unwrap();
+        assert_eq!(r, r#"{"procs":8,"panel":"BSP"}"#);
+        say!(out, "x = {}", 1);
+        assert_eq!(out.text, "x = 1\n");
+    }
+
+    #[test]
+    fn records_and_pivots_render_fields() {
+        let rows = [
+            rec! { panel: "BSP", procs: 8usize, seconds: 2.5e-3 },
+            rec! { panel: "BSP", procs: 16usize, seconds: 1.5 },
+            rec! { panel: "CT", procs: 16usize, seconds: 0.5e-6 },
+        ];
+        let mut out = Output::default();
+        out.records(&rows);
+        assert!(out.text.starts_with("panel  procs  "), "{}", out.text);
+        assert!(out.text.contains("2.50 ms"), "{}", out.text);
+        let mut out = Output::default();
+        out.pivot(&rows, &["panel"], "procs", "seconds");
+        let lines: Vec<&str> = out.text.lines().collect();
+        assert_eq!(
+            lines[0].split_whitespace().collect::<Vec<_>>(),
+            ["panel", "procs=8", "procs=16"]
+        );
+        assert!(
+            lines[2].contains("BSP") && lines[2].ends_with("1.50"),
+            "{}",
+            out.text
+        );
+        assert!(
+            lines[3].contains(" - ") && lines[3].ends_with("0.50 µs"),
+            "{}",
+            out.text
+        );
     }
 }

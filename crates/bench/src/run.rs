@@ -146,20 +146,15 @@ pub fn run_tc(g: &Csr, config: BspConfig) -> TcRun {
 /// Per-superstep predicted seconds for a BSP recorder at `procs`
 /// (the scan and compute/exchange records of a superstep are summed).
 pub fn bsp_step_seconds(rec: &Recorder, model: &ModelParams, procs: usize) -> Vec<(u64, f64)> {
-    let mut out: Vec<(u64, f64)> = Vec::new();
+    let mut steps = std::collections::BTreeMap::new();
     for r in rec
         .records
         .iter()
-        .filter(|r| r.label == "scan" || r.label == "superstep" || r.label == "exchange")
+        .filter(|r| ["scan", "superstep", "exchange"].contains(&r.label.as_str()))
     {
-        let secs = r.counts.predict_seconds(model, procs);
-        match out.iter_mut().find(|(s, _)| *s == r.step) {
-            Some((_, acc)) => *acc += secs,
-            None => out.push((r.step, secs)),
-        }
+        *steps.entry(r.step).or_insert(0.0) += r.counts.predict_seconds(model, procs);
     }
-    out.sort_by_key(|&(s, _)| s);
-    out
+    steps.into_iter().collect()
 }
 
 /// Per-iteration predicted seconds for a GraphCT recorder under `label`.

@@ -7,23 +7,15 @@
 use xmt_bsp_repro::bsp::algorithms as bsp_alg;
 use xmt_bsp_repro::bsp::runtime::BspConfig;
 use xmt_bsp_repro::bsp::Transport;
-use xmt_bsp_repro::graph::builder::build_undirected;
-use xmt_bsp_repro::graph::gen::rmat::{rmat_edges, RmatParams};
 use xmt_bsp_repro::graph::Csr;
 use xmt_bsp_repro::graphct;
 use xmt_bsp_repro::model::{predict_total_seconds, ModelParams, Recorder};
 
-fn paper_graph(scale: u32) -> Csr {
-    build_undirected(&rmat_edges(&RmatParams::graph500(scale), 1))
-}
+use xmt_bench::{build_paper_graph, pick_bfs_source, HarnessConfig};
 
-fn low_degree_source(g: &Csr) -> u64 {
-    let labels = graphct::connected_components(g);
-    let big = xmt_bsp_repro::graph::validate::largest_component(&labels).unwrap();
-    (0..g.num_vertices())
-        .filter(|&v| labels[v as usize] == big && g.degree(v) > 0)
-        .min_by_key(|&v| (g.degree(v), v))
-        .unwrap()
+/// The harness's workload: RMAT at `scale`, edge factor 16, seed 1.
+fn paper_graph(scale: u32) -> Csr {
+    build_paper_graph(&HarnessConfig::parse(scale, std::iter::empty::<String>()))
 }
 
 /// §III / Table I: BSP CC needs at least 2x the shared-memory
@@ -62,7 +54,7 @@ fn cc_claims_hold() {
 fn bfs_claims_hold() {
     let g = paper_graph(12);
     let model = ModelParams::default();
-    let source = low_degree_source(&g);
+    let source = pick_bfs_source(&g);
 
     let mut bsp_rec = Recorder::new();
     let out = bsp_alg::bfs::bsp_bfs(&g, source, Some(&mut bsp_rec));
