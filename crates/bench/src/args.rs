@@ -40,6 +40,11 @@ pub struct HarnessConfig {
 }
 
 impl HarnessConfig {
+    /// Parse `std::env::args`, with a per-artifact default scale.
+    pub fn from_args(default_scale: u32) -> Self {
+        Self::parse(default_scale, std::env::args().skip(1))
+    }
+
     /// Parse from an explicit iterator (testable).
     pub fn parse(default_scale: u32, args: impl IntoIterator<Item = String>) -> Self {
         let mut cfg = HarnessConfig {

@@ -89,7 +89,7 @@ fn main() {
         return;
     }
 
-    let cfg = HarnessConfig::parse(12, std::env::args().skip(1));
+    let cfg = HarnessConfig::from_args(12);
     let g = Arc::new(build_paper_graph(&cfg));
     assert!(
         alloc_count::total() > 0,
