@@ -20,6 +20,9 @@
 //! The orientation preserves vertex ids (no relabeling), so per-vertex
 //! results indexed by the view line up with the original graph.
 
+use xmt_par::pfor::parallel_fill;
+use xmt_par::{exclusive_prefix_sum, parallel_for};
+
 use crate::{Csr, VertexId};
 
 /// `true` iff `a` precedes `b` in the degree-order rank `(degree, id)` —
@@ -41,20 +44,36 @@ pub fn degree_order_before(g: &Csr, a: VertexId, b: VertexId) -> bool {
 pub fn dag_view(g: &Csr) -> Csr {
     assert!(!g.is_directed(), "dag_view needs an undirected graph");
     assert!(g.is_sorted(), "dag_view needs sorted adjacency");
-    let n = g.num_vertices();
-    let mut offsets = Vec::with_capacity(n as usize + 1);
-    offsets.push(0u64);
-    let mut adj: Vec<VertexId> = Vec::with_capacity((g.num_arcs() / 2) as usize);
-    for v in 0..n {
-        adj.extend(
-            g.neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&u| degree_order_before(g, v, u)),
-        );
-        offsets.push(adj.len() as u64);
-    }
-    Csr::from_parts(n, offsets, adj, None, true, true)
+    let n = g.num_vertices() as usize;
+    // The CSR builder's shape: out-degrees, a prefix sum into offsets,
+    // then every vertex copies its out-arcs into its own slice.
+    let mut offsets = vec![0u64; n + 1];
+    parallel_fill(&mut offsets[..n], |v| {
+        let v = v as VertexId;
+        let keep = |&u: &VertexId| degree_order_before(g, v, u) as u64;
+        g.neighbors(v).iter().map(keep).sum()
+    });
+    let total = exclusive_prefix_sum(&mut offsets);
+    let mut adj: Vec<VertexId> = vec![0; total as usize];
+    let base = adj.as_mut_ptr() as usize;
+    let offsets_ref = &offsets;
+    parallel_for(0, n, |v| {
+        let (mut pos, end) = (offsets_ref[v] as usize, offsets_ref[v + 1] as usize);
+        // Branch-free compaction: every neighbour is written at `pos`,
+        // which moves on only past a kept one, so a dropped neighbour is
+        // overwritten by the next kept one.  The predicate is close to a
+        // coin flip; a branch on it would mispredict half the time.
+        for &u in g.neighbors(v as VertexId) {
+            if pos == end {
+                break;
+            }
+            // SAFETY: `pos < end`, so vertex `v` writes only its own
+            // slice `offsets[v]..offsets[v + 1]`; the slices are disjoint.
+            unsafe { *(base as *mut VertexId).add(pos) = u };
+            pos += degree_order_before(g, v as VertexId, u) as usize;
+        }
+    });
+    Csr::from_parts(n as u64, offsets, adj, None, true, true)
 }
 
 /// How a triangle kernel intersects two adjacency lists.
@@ -129,6 +148,37 @@ mod tests {
                     assert!(g.has_arc(v, u));
                 }
             }
+        }
+    }
+
+    /// Reference: the orientation filter run serially, vertex by vertex.
+    fn serial_dag(g: &Csr) -> (Vec<u64>, Vec<VertexId>) {
+        let mut offsets = vec![0u64];
+        let mut adj = Vec::new();
+        for v in 0..g.num_vertices() {
+            adj.extend(
+                g.neighbors(v)
+                    .iter()
+                    .copied()
+                    .filter(|&u| degree_order_before(g, v, u)),
+            );
+            offsets.push(adj.len() as u64);
+        }
+        (offsets, adj)
+    }
+
+    #[test]
+    fn parallel_view_matches_the_serial_filter() {
+        let p = crate::gen::rmat::RmatParams::graph500(12);
+        let mut graphs = vec![build_undirected(&crate::gen::rmat::rmat_edges(&p, 1))];
+        graphs
+            .extend((0..3).map(|seed| build_undirected(&crate::gen::er::gnm(2_000, 9_000, seed))));
+        graphs.push(build_undirected(&crate::EdgeList::new(5)));
+        for g in &graphs {
+            let d = dag_view(g);
+            let (offsets, adj) = serial_dag(g);
+            assert_eq!(d.offsets(), &offsets[..]);
+            assert_eq!(d.adjacency(), &adj[..]);
         }
     }
 

@@ -68,7 +68,7 @@ pub mod scratch;
 pub use exec::{Executor, Schedule};
 pub use pfor::{parallel_for, parallel_for_chunked};
 pub use pool::{global, Pool};
-pub use reduce::{reduce, reduce_commutative};
+pub use reduce::reduce;
 pub use scan::{exclusive_prefix_sum, exclusive_prefix_sum_seq};
 pub use scratch::{CachePadded, MarkScratch, WorkerScratch};
 
