@@ -43,8 +43,16 @@ fn bench_csr_build(c: &mut Criterion) {
     group.bench_function("csr_build_undirected_1.6M", |b| {
         b.iter(|| build_undirected(&el))
     });
-    let rp = xmt_graph::gen::rmat::RmatParams::graph500(16);
-    group.bench_function("rmat_generate_scale16", |b| {
+    group.finish();
+}
+
+/// The other half of graph set-up: RMAT generation at scale 15.
+fn bench_rmat_edges(c: &mut Criterion) {
+    let mut group = c.benchmark_group("rmat_edges");
+    group.sample_size(20);
+    let rp = xmt_graph::gen::rmat::RmatParams::graph500(15);
+    group.throughput(Throughput::Elements(rp.num_edges()));
+    group.bench_function("scale15", |b| {
         b.iter(|| xmt_graph::gen::rmat::rmat_edges(&rp, 9))
     });
     group.finish();
@@ -172,6 +180,7 @@ criterion_group!(
     benches,
     bench_parallel_for,
     bench_csr_build,
+    bench_rmat_edges,
     bench_exchange,
     bench_exchange_transports,
     bench_intersection,

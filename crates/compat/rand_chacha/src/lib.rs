@@ -4,14 +4,15 @@
 //! though the word stream is not bit-identical to upstream rand_chacha,
 //! which nothing in this workspace depends on.
 //!
-//! The block function computes four blocks at once, one per lane of a
-//! 4 × `u32` vector ([`chacha8_block4`]); each lane has its own key and
-//! counter.  On `x86_64` the lanes are an SSE2 register — SSE2 is part of
-//! the baseline target, so there is no runtime detection — and elsewhere
-//! a plain `[u32; 4]`.  [`ChaCha8Rng`] refills four consecutive counters
-//! per call, as upstream does; callers that run several keyed streams
-//! side by side (the RMAT generator, one stream per edge) call
-//! [`chacha8_block4`] directly.
+//! One block function body runs several blocks at once, one per lane of
+//! a vector of `u32`s, each with its own key and counter.
+//! [`chacha8_block4`] runs four on an SSE2 register on `x86_64` (SSE2 is
+//! baseline there) and on a `[u32; 4]` elsewhere; [`ChaCha8Rng`] refills
+//! four consecutive counters per call with it, as upstream does.
+//! [`chacha8_block8`] runs eight for callers with many keyed streams (the
+//! RMAT generator, one per edge): on AVX2 registers given an [`Avx2`]
+//! token, which only [`Avx2::detect`] makes, where it finds AVX2 at run
+//! time, else on two 4-lane halves, with the same words.
 
 use rand::{RngCore, SeedableRng};
 
@@ -33,87 +34,108 @@ const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 /// Words in the four-block buffer.
 const BUF_WORDS: usize = 64;
 
-/// One ChaCha state word across four blocks.
+/// One ChaCha state word across `N` blocks, one block per lane.
+trait Lanes<const N: usize>: Copy {
+    fn new(lanes: [u32; N]) -> Self;
+    fn lanes(self) -> [u32; N];
+    fn add(self, o: Self) -> Self;
+    fn xor(self, o: Self) -> Self;
+    /// Rotate each lane left by `L` bits; `R` is `32 - L` (see the tests).
+    fn rotl<const L: i32, const R: i32>(self) -> Self;
+}
+
+/// `$name`: `$n` lanes in an x86_64 register `$reg`, on these intrinsics.
 #[cfg(target_arch = "x86_64")]
-#[derive(Clone, Copy)]
-struct U32x4(std::arch::x86_64::__m128i);
+macro_rules! x86_lanes {
+    ($name:ident, $reg:ident, $n:literal,
+     $add:ident, $xor:ident, $or:ident, $shl:ident, $shr:ident) => {
+        #[derive(Clone, Copy)]
+        struct $name(std::arch::x86_64::$reg);
 
+        impl Lanes<$n> for $name {
+            #[inline(always)]
+            fn new(lanes: [u32; $n]) -> Self {
+                // SAFETY: same-size plain integer data; any bits are valid.
+                $name(unsafe { std::mem::transmute::<[u32; $n], std::arch::x86_64::$reg>(lanes) })
+            }
+
+            #[inline(always)]
+            fn lanes(self) -> [u32; $n] {
+                // SAFETY: as in `new`.
+                unsafe { std::mem::transmute::<std::arch::x86_64::$reg, [u32; $n]>(self.0) }
+            }
+
+            #[inline(always)]
+            fn add(self, o: Self) -> Self {
+                // SAFETY: its instruction set is present (see each `x86_lanes!`).
+                $name(unsafe { std::arch::x86_64::$add(self.0, o.0) })
+            }
+
+            #[inline(always)]
+            fn xor(self, o: Self) -> Self {
+                // SAFETY: as in `add`.
+                $name(unsafe { std::arch::x86_64::$xor(self.0, o.0) })
+            }
+
+            #[inline(always)]
+            fn rotl<const L: i32, const R: i32>(self) -> Self {
+                use std::arch::x86_64::{$or, $shl, $shr};
+                const { assert!(L + R == 32) };
+                // SAFETY: as in `add`.
+                $name(unsafe { $or($shl::<L>(self.0), $shr::<R>(self.0)) })
+            }
+        }
+    };
+}
+
+// Four lanes in an SSE2 register: SSE2 is baseline on x86_64.
 #[cfg(target_arch = "x86_64")]
-impl U32x4 {
-    #[inline(always)]
-    fn new(lanes: [u32; 4]) -> Self {
-        // SAFETY: `__m128i` and `[u32; 4]` are 16 bytes of plain integer
-        // data; every bit pattern is valid for both.
-        U32x4(unsafe { std::mem::transmute::<[u32; 4], std::arch::x86_64::__m128i>(lanes) })
-    }
+x86_lanes! {
+    U32x4, __m128i, 4, _mm_add_epi32, _mm_xor_si128, _mm_or_si128, _mm_slli_epi32, _mm_srli_epi32
+}
 
-    #[inline(always)]
-    fn lanes(self) -> [u32; 4] {
-        // SAFETY: as in `new`, the two types are the same plain bytes.
-        unsafe { std::mem::transmute::<std::arch::x86_64::__m128i, [u32; 4]>(self.0) }
-    }
-
-    #[inline(always)]
-    fn add(self, o: Self) -> Self {
-        // SAFETY: SSE2 is part of the x86_64 baseline target, so the
-        // intrinsic's target feature is always present.
-        U32x4(unsafe { std::arch::x86_64::_mm_add_epi32(self.0, o.0) })
-    }
-
-    #[inline(always)]
-    fn xor(self, o: Self) -> Self {
-        // SAFETY: SSE2 is baseline on x86_64 (see `add`).
-        U32x4(unsafe { std::arch::x86_64::_mm_xor_si128(self.0, o.0) })
-    }
-
-    /// Rotate each lane left by `L` bits; `R` is `32 - L` (SSE2 has no
-    /// rotate, and a const generic cannot compute it).
-    #[inline(always)]
-    fn rotl<const L: i32, const R: i32>(self) -> Self {
-        use std::arch::x86_64::{_mm_or_si128, _mm_slli_epi32, _mm_srli_epi32};
-        const { assert!(L + R == 32) };
-        // SAFETY: SSE2 is baseline on x86_64 (see `add`).
-        U32x4(unsafe { _mm_or_si128(_mm_slli_epi32::<L>(self.0), _mm_srli_epi32::<R>(self.0)) })
-    }
+// Eight in an AVX2 register: only `chacha8_block8` given an `Avx2` has one.
+#[cfg(target_arch = "x86_64")]
+x86_lanes! {
+    U32x8, __m256i, 8, _mm256_add_epi32, _mm256_xor_si256, _mm256_or_si256, _mm256_slli_epi32,
+    _mm256_srli_epi32
 }
 
 /// One ChaCha state word across four blocks.
 #[cfg(not(target_arch = "x86_64"))]
-#[derive(Clone, Copy)]
-struct U32x4([u32; 4]);
+type U32x4 = [u32; 4];
 
 #[cfg(not(target_arch = "x86_64"))]
-impl U32x4 {
+impl Lanes<4> for [u32; 4] {
     #[inline(always)]
     fn new(lanes: [u32; 4]) -> Self {
-        U32x4(lanes)
+        lanes
     }
 
     #[inline(always)]
     fn lanes(self) -> [u32; 4] {
-        self.0
+        self
     }
 
     #[inline(always)]
     fn add(self, o: Self) -> Self {
-        U32x4(std::array::from_fn(|l| self.0[l].wrapping_add(o.0[l])))
+        std::array::from_fn(|l| self[l].wrapping_add(o[l]))
     }
 
     #[inline(always)]
     fn xor(self, o: Self) -> Self {
-        U32x4(std::array::from_fn(|l| self.0[l] ^ o.0[l]))
+        std::array::from_fn(|l| self[l] ^ o[l])
     }
 
-    /// Rotate each lane left by `L` bits (`R` = `32 - L`, as on x86_64).
     #[inline(always)]
     fn rotl<const L: i32, const R: i32>(self) -> Self {
         const { assert!(L + R == 32) };
-        U32x4(self.0.map(|x| x.rotate_left(L as u32)))
+        self.map(|x| x.rotate_left(L as u32))
     }
 }
 
 #[inline(always)]
-fn quarter_round(s: &mut [U32x4; 16], a: usize, b: usize, c: usize, d: usize) {
+fn quarter_round<V: Lanes<N>, const N: usize>(s: &mut [V; 16], [a, b, c, d]: [usize; 4]) {
     s[a] = s[a].add(s[b]);
     s[d] = s[d].xor(s[a]).rotl::<16, 16>();
     s[c] = s[c].add(s[d]);
@@ -124,37 +146,84 @@ fn quarter_round(s: &mut [U32x4; 16], a: usize, b: usize, c: usize, d: usize) {
     s[b] = s[b].xor(s[c]).rotl::<7, 25>();
 }
 
+/// `N` ChaCha8 blocks side by side, one per lane (layout as in
+/// [`chacha8_block4`]).
+#[inline(always)]
+fn block<V: Lanes<N>, const N: usize>(key: &[[u32; N]; 8], counter: [u64; N]) -> [[u32; N]; 16] {
+    let zero = V::new([0; N]);
+    let mut state = [zero; 16];
+    for (s, sigma) in state.iter_mut().zip(SIGMA) {
+        *s = V::new([sigma; N]);
+    }
+    for (s, k) in state[4..12].iter_mut().zip(key) {
+        *s = V::new(*k);
+    }
+    state[12] = V::new(counter.map(|c| c as u32));
+    state[13] = V::new(counter.map(|c| (c >> 32) as u32));
+    // state[14..16] = nonce = 0
+    let initial = state;
+    for _ in 0..4 {
+        // Column round.
+        quarter_round(&mut state, [0, 4, 8, 12]);
+        quarter_round(&mut state, [1, 5, 9, 13]);
+        quarter_round(&mut state, [2, 6, 10, 14]);
+        quarter_round(&mut state, [3, 7, 11, 15]);
+        // Diagonal round.
+        quarter_round(&mut state, [0, 5, 10, 15]);
+        quarter_round(&mut state, [1, 6, 11, 12]);
+        quarter_round(&mut state, [2, 7, 8, 13]);
+        quarter_round(&mut state, [3, 4, 9, 14]);
+    }
+    // Not `array::from_fn`: its closure might run outside `target_feature`.
+    let mut out = [[0; N]; 16];
+    for ((o, s), i) in out.iter_mut().zip(state).zip(initial) {
+        *o = s.add(i).lanes();
+    }
+    out
+}
+
 /// Four ChaCha8 blocks side by side, one per lane: lane `l` is the block
 /// of key `key[..][l]` (key word `i` of lane `l` is `key[i][l]`) at
 /// block counter `counter[l]`, nonce 0.  The result is word-major: word
 /// `w` of lane `l`'s block is `out[w][l]`.
 #[inline]
 pub fn chacha8_block4(key: &[[u32; 4]; 8], counter: [u64; 4]) -> [[u32; 4]; 16] {
-    let zero = U32x4::new([0; 4]);
-    let mut state = [zero; 16];
-    for (s, sigma) in state.iter_mut().zip(SIGMA) {
-        *s = U32x4::new([sigma; 4]);
+    block::<U32x4, 4>(key, counter)
+}
+
+/// Eight ChaCha8 blocks side by side, laid out as in [`chacha8_block4`],
+/// on AVX2 given an [`Avx2`] token, else on two 4-lane halves: the same
+/// words.  Inlined, so a caller compiled for AVX2 gets AVX2 instructions.
+#[inline(always)]
+pub fn chacha8_block8(avx2: Option<Avx2>, key: &[[u32; 8]; 8], ctr: [u64; 8]) -> [[u32; 8]; 16] {
+    match avx2 {
+        #[cfg(target_arch = "x86_64")]
+        Some(_) => block::<U32x8, 8>(key, ctr),
+        // One half after the other, each as `chacha8_block4` computes it:
+        // its sixteen state words already fill the sixteen SSE2 registers.
+        _ => {
+            let half = |h: usize| {
+                let key = key.map(|k| std::array::from_fn(|l| k[h + l]));
+                block::<U32x4, 4>(&key, std::array::from_fn(|l| ctr[h + l]))
+            };
+            let (lo, hi) = (half(0), half(4));
+            std::array::from_fn(|w| std::array::from_fn(|l| [lo, hi][l / 4][w][l % 4]))
+        }
     }
-    for (s, k) in state[4..12].iter_mut().zip(key) {
-        *s = U32x4::new(*k);
+}
+
+/// Proof that the CPU has AVX2; only [`Avx2::detect`] makes one.
+#[derive(Clone, Copy, Debug)]
+pub struct Avx2(());
+
+impl Avx2 {
+    /// The token, where the CPU has AVX2 (at run time; never off x86_64).
+    pub fn detect() -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        return std::arch::is_x86_feature_detected!("avx2").then_some(Avx2(()));
+        #[cfg(not(target_arch = "x86_64"))]
+        None
     }
-    state[12] = U32x4::new(counter.map(|c| c as u32));
-    state[13] = U32x4::new(counter.map(|c| (c >> 32) as u32));
-    // state[14..16] = nonce = 0
-    let initial = state;
-    for _ in 0..4 {
-        // Column round.
-        quarter_round(&mut state, 0, 4, 8, 12);
-        quarter_round(&mut state, 1, 5, 9, 13);
-        quarter_round(&mut state, 2, 6, 10, 14);
-        quarter_round(&mut state, 3, 7, 11, 15);
-        // Diagonal round.
-        quarter_round(&mut state, 0, 5, 10, 15);
-        quarter_round(&mut state, 1, 6, 11, 12);
-        quarter_round(&mut state, 2, 7, 8, 13);
-        quarter_round(&mut state, 3, 4, 9, 14);
-    }
-    std::array::from_fn(|w| state[w].add(initial[w]).lanes())
 }
 
 impl ChaCha8Rng {
@@ -323,6 +392,40 @@ mod tests {
                 let got: [u32; 16] = std::array::from_fn(|w| out[w][l]);
                 assert_eq!(got, want, "lane {l} at counter {}", counters[l]);
             }
+        }
+    }
+
+    /// `chacha8_block8` on `avx2`'s lanes against two `chacha8_block4` calls,
+    /// lanes 0–3 and 4–7, word by word.
+    fn assert_eight_lanes_are_two_blocks4(avx2: Option<Avx2>, name: &str) {
+        let key: [[u32; 8]; 8] = std::array::from_fn(|i| {
+            std::array::from_fn(|l| 0x9E37_79B9u32.wrapping_mul((l * 8 + i + 1) as u32))
+        });
+        let half = |h: usize| -> [[u32; 4]; 8] {
+            std::array::from_fn(|i| std::array::from_fn(|l| key[i][h * 4 + l]))
+        };
+        let wide = u32::MAX as u64;
+        for c in [
+            [0, 1, 2, 3, 4, 5, 6, 7],
+            [9, 0, wide, u64::MAX, 3, 3, 1 << 40, 8],
+        ] {
+            let got = chacha8_block8(avx2, &key, c);
+            let lo = chacha8_block4(&half(0), [c[0], c[1], c[2], c[3]]);
+            let hi = chacha8_block4(&half(1), [c[4], c[5], c[6], c[7]]);
+            for w in 0..16 {
+                let want: [u32; 8] =
+                    std::array::from_fn(|l| if l < 4 { lo[w][l] } else { hi[w][l - 4] });
+                assert_eq!(got[w], want, "{name}, word {w}, counters {c:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn eight_lanes_are_two_four_lane_blocks_on_either_token() {
+        assert_eight_lanes_are_two_blocks4(None, "halves");
+        match Avx2::detect() {
+            Some(avx2) => assert_eight_lanes_are_two_blocks4(Some(avx2), "avx2"),
+            None => eprintln!("no AVX2 on this CPU: the AVX2 lanes are not exercised"),
         }
     }
 

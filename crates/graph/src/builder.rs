@@ -1,19 +1,21 @@
-//! Parallel CSR construction.
-//!
-//! Mirrors GraphCT's ingest path on the XMT: a fetch-and-add degree count,
-//! a prefix sum for the offsets, and a fetch-and-add scatter — all
-//! parallel.  Optional post-passes sort each adjacency list, remove self
-//! loops, and coalesce duplicate edges (RMAT emits both).  Coalescing
-//! compacts the arc array in place, so a build holds the edge list and
-//! one arc array at its peak; most of its time is the two atomic passes
-//! (degree count and scatter), not the sort or the dedup.
+//! Parallel CSR construction by a counted radix partition, no atomics.
+//! (1) Each fixed chunk of the edge list checks its endpoints and counts
+//! its arcs per *bucket* (at most 2^16 rows) in its own histogram row.
+//! (2) Bucket-major prefix sums give each chunk private cursors into the
+//! buckets' slices of one arc array: it writes its arcs there in order,
+//! one word each (row in bucket above neighbour).  (3) A task per bucket
+//! counting-sorts it by row through its worker's scratch, sorts and
+//! coalesces rows if asked, and packs them; a last pass closes the gaps.
+//! Rows keep edge-list order on any pool; the peak is the edge list, the
+//! arc array and a bucket (about 32 k arcs) per worker.  The host build
+//! does not mirror GraphCT's fetch-and-add ingest, and no model charges it.
 
-use std::sync::atomic::Ordering;
+use xmt_par::pfor::parallel_fill;
+use xmt_par::{
+    exclusive_prefix_sum_seq, global, parallel_for, parallel_for_chunked, WorkerScratch,
+};
 
-use xmt_par::atomic::{as_atomic_u64, fetch_add};
-use xmt_par::{exclusive_prefix_sum, parallel_for};
-
-use crate::{Csr, EdgeList, VertexId};
+use crate::{Csr, EdgeList, VertexId, Weight};
 
 /// Options controlling CSR construction.
 #[derive(Clone, Copy, Debug)]
@@ -40,7 +42,7 @@ impl BuildOptions {
         }
     }
 
-    /// A directed multigraph, adjacency in arrival order.
+    /// A directed multigraph, adjacency in edge-list order.
     pub fn directed_raw() -> Self {
         BuildOptions {
             symmetrize: false,
@@ -68,163 +70,200 @@ impl CsrBuilder {
         CsrBuilder { opts }
     }
 
-    /// Build a CSR from `edges` (which must be consistent).
+    /// Build a CSR from `edges`, which must be consistent (every endpoint
+    /// below `num_vertices`, one weight per edge if weighted).
     pub fn build(&self, edges: &EdgeList) -> Csr {
-        assert!(edges.is_consistent(), "inconsistent edge list");
         let opts = self.opts;
+        let (list, n, m) = (&edges.edges, edges.num_vertices as usize, edges.edges.len());
+        let wlist = edges.weights.as_deref();
+        assert!(wlist.is_none_or(|w| w.len() == m), "inconsistent edge list");
         // A documented precondition on BuildOptions: there is no
         // meaningful weight to keep when coalescing duplicates.
         assert!(
-            !(opts.dedup && edges.weights.is_some()),
+            !(opts.dedup && wlist.is_some()),
             "dedup is not supported for weighted graphs"
         );
-        let n = edges.num_vertices as usize;
+        assert!((n as u64) < 1 << NBR_BITS, "at most 2^48 vertices");
         let keep = |u: VertexId, v: VertexId| !(opts.remove_self_loops && u == v);
+        // Buckets of about BUCKET_ARCS arcs, a few per worker, 1024 at most.
+        let workers = global().num_workers();
+        let wanted = (m << opts.symmetrize as u32) / BUCKET_ARCS;
+        let width = n.div_ceil(wanted.max(4 * workers).min(1024));
+        let shift = width.next_power_of_two().ilog2().min(16);
+        let buckets = n.div_ceil(1 << shift);
+        let chunk = CHUNK.max(m.div_ceil(512));
+        let chunks = m.div_ceil(chunk);
+        let chunk_of = |c: usize| c * chunk..((c + 1) * chunk).min(m);
 
-        // Pass 1: degrees via fetch-and-add.
-        let mut counts = vec![0u64; n + 1];
-        {
-            let ecounts = as_atomic_u64(&mut counts);
-            let list = &edges.edges;
-            parallel_for(0, list.len(), |i| {
+        // 1. Count: row `c` of `hist` is chunk `c`'s arcs per bucket.
+        let mut hist = vec![0u64; chunks * buckets];
+        let mut valid = vec![false; chunks];
+        let hist_base = hist.as_mut_ptr() as usize;
+        parallel_fill(&mut valid, |c| {
+            // SAFETY: row `c` of `hist` belongs to chunk `c` alone, and
+            // `hist` is not otherwise touched until the loop has joined.
+            let row = unsafe { slice_at::<u64>(hist_base, c * buckets, buckets) };
+            for &(u, v) in &list[chunk_of(c)] {
+                if u.max(v) >= n as u64 {
+                    return false;
+                }
+                if keep(u, v) {
+                    row[(u >> shift) as usize] += 1;
+                    if opts.symmetrize {
+                        row[(v >> shift) as usize] += 1;
+                    }
+                }
+            }
+            true
+        });
+        assert!(valid.iter().all(|&ok| ok), "inconsistent edge list");
+
+        // 2. Partition: a bucket-major prefix sum makes counts cursors.
+        let mut starts = vec![0usize; buckets + 1];
+        for b in 0..buckets {
+            starts[b + 1] = starts[b];
+            for c in 0..chunks {
+                let count = std::mem::replace(&mut hist[c * buckets + b], starts[b + 1] as u64);
+                starts[b + 1] += count as usize;
+            }
+        }
+        let total = starts[buckets];
+        let mut arcs = vec![0u64; total];
+        let mut weights = wlist.map(|_| vec![0 as Weight; total]);
+        let arc_base = arcs.as_mut_ptr() as usize;
+        let w_base = weights.as_mut().map(|w| w.as_mut_ptr() as usize);
+        let local = (1 << shift) - 1;
+        parallel_for(0, chunks, |c| {
+            // SAFETY: as in the count pass, row `c` is chunk `c`'s own.
+            let cursor = unsafe { slice_at::<u64>(hist_base, c * buckets, buckets) };
+            let mut put = |row: VertexId, nbr: VertexId, i: usize| {
+                let slot = &mut cursor[(row >> shift) as usize];
+                // SAFETY: the cursor walks this chunk's own range of the
+                // bucket's slice; the arrays are untouched until the join.
+                unsafe {
+                    *(arc_base as *mut u64).add(*slot as usize) = (row & local) << NBR_BITS | nbr;
+                    if let (Some(base), Some(ws)) = (w_base, wlist) {
+                        *(base as *mut Weight).add(*slot as usize) = ws[i];
+                    }
+                }
+                *slot += 1;
+            };
+            for i in chunk_of(c) {
                 let (u, v) = list[i];
                 if keep(u, v) {
-                    fetch_add(&ecounts[u as usize], 1);
+                    put(u, v, i);
                     if opts.symmetrize {
-                        fetch_add(&ecounts[v as usize], 1);
+                        put(v, u, i);
                     }
                 }
-            });
-        }
-
-        // Pass 2: offsets.
-        let total = exclusive_prefix_sum(&mut counts);
-        let offsets = counts;
-
-        // Pass 3: scatter with per-vertex cursors.
-        let mut adj = vec![0 as VertexId; total as usize];
-        let mut weights = edges.weights.as_ref().map(|_| vec![0; total as usize]);
-        {
-            let mut cursors = offsets.clone();
-            let acursors = as_atomic_u64(&mut cursors);
-            let adj_base = adj.as_mut_ptr() as usize;
-            let w_base = weights.as_mut().map(|w| w.as_mut_ptr() as usize);
-            let list = &edges.edges;
-            let wlist = edges.weights.as_deref();
-            parallel_for(0, list.len(), |i| {
-                let (u, v) = list[i];
-                if !keep(u, v) {
-                    return;
-                }
-                let w = wlist.map(|ws| ws[i]);
-                // SAFETY: each slot index is claimed exactly once by the
-                // fetch-and-add cursor, so writes are disjoint.
-                unsafe {
-                    // Relaxed: the cursor RMW only reserves a unique slot;
-                    // the scattered arrays are published by the pool join.
-                    let slot = acursors[u as usize].fetch_add(1, Ordering::Relaxed) as usize;
-                    *(adj_base as *mut VertexId).add(slot) = v;
-                    if let (Some(base), Some(w)) = (w_base, w) {
-                        *(base as *mut i64).add(slot) = w;
-                    }
-                    if opts.symmetrize {
-                        // Relaxed: same slot-reservation argument.
-                        let slot = acursors[v as usize].fetch_add(1, Ordering::Relaxed) as usize;
-                        *(adj_base as *mut VertexId).add(slot) = u;
-                        if let (Some(base), Some(w)) = (w_base, w) {
-                            *(base as *mut i64).add(slot) = w;
-                        }
-                    }
-                }
-            });
-        }
-
-        let sort = opts.sort || opts.dedup;
-        if sort {
-            sort_adjacency(n, &offsets, &mut adj, weights.as_deref_mut());
-        }
-        let (offsets, adj) = if opts.dedup {
-            dedup_sorted(n, offsets, adj)
-        } else {
-            (offsets, adj)
-        };
-
-        Csr::from_parts(n as u64, offsets, adj, weights, !opts.symmetrize, sort)
-    }
-}
-
-/// Sort each vertex's adjacency slice (weights, if present, follow).
-fn sort_adjacency(n: usize, offsets: &[u64], adj: &mut [VertexId], weights: Option<&mut [i64]>) {
-    let adj_base = adj.as_mut_ptr() as usize;
-    let w_base = weights.map(|w| w.as_mut_ptr() as usize);
-    parallel_for(0, n, |v| {
-        let lo = offsets[v] as usize;
-        let hi = offsets[v + 1] as usize;
-        // SAFETY: per-vertex slices are disjoint.
-        unsafe {
-            let slice =
-                std::slice::from_raw_parts_mut((adj_base as *mut VertexId).add(lo), hi - lo);
-            match w_base {
-                None => slice.sort_unstable(),
-                Some(base) => {
-                    let ws = std::slice::from_raw_parts_mut((base as *mut i64).add(lo), hi - lo);
-                    // Co-sort adjacency and weights by neighbor id.
-                    let mut perm: Vec<usize> = (0..slice.len()).collect();
-                    perm.sort_unstable_by_key(|&i| slice[i]);
-                    let sorted_adj: Vec<VertexId> = perm.iter().map(|&i| slice[i]).collect();
-                    let sorted_w: Vec<i64> = perm.iter().map(|&i| ws[i]).collect();
-                    slice.copy_from_slice(&sorted_adj);
-                    ws.copy_from_slice(&sorted_w);
-                }
-            }
-        }
-    });
-}
-
-/// Compact away duplicate neighbors in place (input adjacency must be
-/// sorted).  Each vertex first moves its distinct neighbors to the front
-/// of its own slice, in parallel; a prefix sum of the distinct counts
-/// gives the new offsets; one left-to-right pass then closes the gaps.
-/// That pass is sequential because a destination can overlap an earlier
-/// vertex's source, but it moves each kept arc once, and no second
-/// adjacency array is ever allocated.
-fn dedup_sorted(n: usize, offsets: Vec<u64>, mut adj: Vec<VertexId>) -> (Vec<u64>, Vec<VertexId>) {
-    let mut uniq = vec![0u64; n + 1];
-    {
-        let adj_base = adj.as_mut_ptr() as usize;
-        let uniq_base = uniq.as_mut_ptr() as usize;
-        let offsets = &offsets;
-        parallel_for(0, n, |v| {
-            let lo = offsets[v] as usize;
-            let hi = offsets[v + 1] as usize;
-            // SAFETY: per-vertex slices of `adj` are disjoint, and index
-            // `v` of `uniq` has one writer.
-            unsafe {
-                let run =
-                    std::slice::from_raw_parts_mut((adj_base as *mut VertexId).add(lo), hi - lo);
-                *(uniq_base as *mut u64).add(v) = compact_run(run) as u64;
             }
         });
+
+        // 3. Finish: offsets and kept counts come back bucket-relative.
+        let mut offsets = vec![0u64; n + 1];
+        let mut kept = vec![0u64; buckets + 1];
+        let (o_base, k_base) = (offsets.as_mut_ptr() as usize, kept.as_mut_ptr() as usize);
+        // Reserved up front; weighted, two words an arc, it grows once.
+        let largest = starts.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        let scratch = WorkerScratch::with(workers, || Vec::with_capacity(largest));
+        parallel_for_chunked(0, buckets, 1, |worker, range| {
+            for b in range {
+                let (lo, span) = (b << shift, starts[b]..starts[b + 1]);
+                // SAFETY: bucket `b` alone touches its rows, its span and
+                // `kept[b]` until the join; one thread runs per worker id.
+                unsafe {
+                    let offsets = slice_at(o_base, lo, (n - lo).min(1 << shift));
+                    let arcs = slice_at(arc_base, span.start, span.len());
+                    let ws = w_base.map(|base| slice_at(base, span.start, span.len()));
+                    let k = finish_bucket(offsets, arcs, ws, scratch.get(worker), opts);
+                    *(k_base as *mut u64).add(b) = k as u64;
+                }
+            }
+        });
+
+        // Close the gaps.  Weighted builds keep every arc: weights stay.
+        let total = exclusive_prefix_sum_seq(&mut kept) as usize;
+        for b in (0..buckets).filter(|&b| starts[b] != kept[b] as usize) {
+            let len = (kept[b + 1] - kept[b]) as usize;
+            arcs.copy_within(starts[b]..starts[b] + len, kept[b] as usize);
+        }
+        for (v, offset) in offsets[..n].iter_mut().enumerate() {
+            *offset += kept[v >> shift];
+        }
+        offsets[n] = total as u64;
+        arcs.truncate(total);
+        arcs.shrink_to_fit();
+
+        let sorted = opts.sort || opts.dedup;
+        Csr::from_parts(n as u64, offsets, arcs, weights, !opts.symmetrize, sorted)
     }
-    let total = exclusive_prefix_sum(&mut uniq);
-    for v in 0..n {
-        let len = (uniq[v + 1] - uniq[v]) as usize;
-        let src = offsets[v] as usize;
-        // The destination never lies right of the source.
-        adj.copy_within(src..src + len, uniq[v] as usize);
-    }
-    adj.truncate(total as usize);
-    adj.shrink_to_fit();
-    (uniq, adj)
 }
 
-/// Move the distinct values of a sorted run to its front; their count.
-fn compact_run(run: &mut [VertexId]) -> usize {
-    let mut kept = 0;
-    for i in 0..run.len() {
-        if kept == 0 || run[i] != run[kept - 1] {
-            run[kept] = run[i];
-            kept += 1;
+/// Edges per chunk: 2^16, or more where that keeps the chunks to 512.
+const CHUNK: usize = 1 << 16;
+
+/// Arcs a bucket holds on average: a worker's scratch is about 256 kB.
+const BUCKET_ARCS: usize = 1 << 15;
+
+/// Low bits of a partitioned arc word: the neighbour; the row sits above.
+const NBR_BITS: u32 = 48;
+
+/// `len` elements of the `T` array at address `base`, from `start`.
+/// # Safety
+/// The array must be live and hold `start + len` elements, and no other
+/// reference to them may exist while the result does.
+unsafe fn slice_at<'a, T>(base: usize, start: usize, len: usize) -> &'a mut [T] {
+    std::slice::from_raw_parts_mut((base as *mut T).add(start), len)
+}
+
+/// Order one bucket's partitioned `arcs` by row, stably, through
+/// `scratch`; sort (by neighbour, then weight) and coalesce each row if
+/// asked; write the rows back to the front of `arcs` and `weights`.
+/// `rows` (zeroed) gets each row's first arc; returns the arcs kept.
+fn finish_bucket(
+    rows: &mut [u64],
+    arcs: &mut [u64],
+    mut weights: Option<&mut [Weight]>,
+    scratch: &mut Vec<u64>,
+    opts: BuildOptions,
+) -> usize {
+    // One word an arc, two with a weight (sign flipped: words order as weights).
+    let width = 1 + weights.is_some() as usize;
+    // A stable counting sort by row; each cursor ends at its row's end.
+    for &arc in arcs.iter() {
+        rows[(arc >> NBR_BITS) as usize] += 1;
+    }
+    exclusive_prefix_sum_seq(rows);
+    scratch.clear();
+    scratch.resize(arcs.len() * width, 0);
+    for (j, &arc) in arcs.iter().enumerate() {
+        let cursor = &mut rows[(arc >> NBR_BITS) as usize];
+        let at = *cursor as usize * width;
+        scratch[at] = arc & ((1 << NBR_BITS) - 1);
+        if let Some(w) = weights.as_deref() {
+            scratch[at + 1] = w[j] as u64 ^ 1 << 63;
+        }
+        *cursor += 1;
+    }
+    let (mut start, mut kept) = (0, 0);
+    for end in rows.iter_mut() {
+        let row = &mut scratch[start * width..*end as usize * width];
+        start = *end as usize;
+        match width {
+            _ if !(opts.sort || opts.dedup) => {}
+            1 => row.sort_unstable(),
+            _ => row.as_chunks_mut::<2>().0.sort_unstable(),
+        }
+        *end = kept as u64;
+        // Coalescing compares neighbours only: dedup builds are unweighted.
+        for i in (0..row.len()).step_by(width) {
+            if !opts.dedup || i == 0 || row[i] != row[i - 1] {
+                arcs[kept] = row[i];
+                if let Some(w) = weights.as_deref_mut() {
+                    w[kept] = (row[i + 1] ^ 1 << 63) as Weight;
+                }
+                kept += 1;
+            }
         }
     }
     kept
@@ -246,9 +285,9 @@ mod tests {
     use crate::gen::er::{gnm, gnm_weighted};
     use crate::gen::rmat::{rmat_edges, RmatParams};
 
-    /// Serial reference: append each kept arc to its source's list, then
-    /// sort each list by (neighbor, weight) and drop repeats if `dedup`.
-    fn reference(el: &EdgeList, opts: BuildOptions) -> Vec<Vec<(VertexId, i64)>> {
+    /// Serial arrival order: each kept arc appended to its row's list,
+    /// edge by edge (`u → v` before its mirror `v → u`).
+    fn arrival(el: &EdgeList, opts: BuildOptions) -> Vec<Vec<(VertexId, i64)>> {
         let mut lists = vec![Vec::new(); el.num_vertices as usize];
         for (i, &(u, v)) in el.edges.iter().enumerate() {
             if opts.remove_self_loops && u == v {
@@ -260,6 +299,13 @@ mod tests {
                 lists[v as usize].push((u, w));
             }
         }
+        lists
+    }
+
+    /// Serial reference: [`arrival`], each list sorted by (neighbor,
+    /// weight) and with repeats dropped if `dedup`.
+    fn reference(el: &EdgeList, opts: BuildOptions) -> Vec<Vec<(VertexId, i64)>> {
+        let mut lists = arrival(el, opts);
         for list in &mut lists {
             list.sort_unstable();
             if opts.dedup {
@@ -269,25 +315,30 @@ mod tests {
         lists
     }
 
+    /// `g`'s rows as (neighbor, weight) lists in CSR order.
+    fn rows_of(g: &Csr) -> Vec<Vec<(VertexId, i64)>> {
+        (0..g.num_vertices())
+            .map(|v| match g.is_weighted() {
+                true => g
+                    .neighbors(v)
+                    .iter()
+                    .copied()
+                    .zip(g.weights_of(v).iter().copied())
+                    .collect(),
+                false => g.neighbors(v).iter().map(|&x| (x, 0)).collect(),
+            })
+            .collect()
+    }
+
     /// `g` as per-vertex (neighbor, weight) lists, each sorted, after
     /// checking that the neighbor ids themselves come out sorted.
     fn lists_of(g: &Csr) -> Vec<Vec<(VertexId, i64)>> {
-        (0..g.num_vertices())
-            .map(|v| {
-                let nbrs = g.neighbors(v);
-                assert!(nbrs.is_sorted(), "vertex {v} unsorted");
-                let mut list: Vec<_> = match g.is_weighted() {
-                    true => nbrs
-                        .iter()
-                        .copied()
-                        .zip(g.weights_of(v).iter().copied())
-                        .collect(),
-                    false => nbrs.iter().map(|&x| (x, 0)).collect(),
-                };
-                list.sort_unstable();
-                list
-            })
-            .collect()
+        let mut lists = rows_of(g);
+        for (v, list) in lists.iter_mut().enumerate() {
+            assert!(g.neighbors(v as u64).is_sorted(), "vertex {v} unsorted");
+            list.sort_unstable();
+        }
+        lists
     }
 
     #[test]
@@ -322,6 +373,66 @@ mod tests {
         };
         let g = CsrBuilder::new(sym).build(&weighted);
         assert_eq!(lists_of(&g), reference(&weighted, sym));
+    }
+
+    #[test]
+    fn unsorted_builds_keep_edge_list_order() {
+        // Multigraphs with self loops, one chunk and several.
+        let mut weighted = EdgeList::new(4);
+        for (u, v, w) in [
+            (0, 1, 5),
+            (2, 0, 1),
+            (0, 1, 3),
+            (1, 0, 9),
+            (0, 0, 4),
+            (0, 1, 5),
+            (3, 0, 2),
+        ] {
+            weighted.push_weighted(u, v, w);
+        }
+        let lists = [
+            gnm(200, 3_000, 5),
+            gnm(3_000, 150_000, 6),
+            gnm_weighted(100, 1_000, 50, 3),
+            weighted,
+        ];
+        let raw = BuildOptions::directed_raw();
+        let symmetric = BuildOptions {
+            symmetrize: true,
+            ..raw
+        };
+        let loopless = BuildOptions {
+            remove_self_loops: true,
+            ..symmetric
+        };
+        for el in &lists {
+            assert!(el.edges.iter().any(|&(u, v)| u == v));
+            for opts in [raw, symmetric, loopless] {
+                let g = CsrBuilder::new(opts).build(el);
+                assert_eq!(
+                    rows_of(&g),
+                    arrival(el, opts),
+                    "{opts:?}, n {}",
+                    el.num_vertices
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "inconsistent edge list")]
+    fn an_endpoint_past_the_vertex_count_panics() {
+        let mut el = gnm(100, 1_000, 1);
+        el.edges[700].1 = 100;
+        build_directed(&el);
+    }
+
+    #[test]
+    #[should_panic(expected = "inconsistent edge list")]
+    fn a_weight_list_of_the_wrong_length_panics() {
+        let mut el = gnm_weighted(10, 20, 5, 1);
+        el.weights.as_mut().map(Vec::pop);
+        build_directed(&el);
     }
 
     #[test]

@@ -9,18 +9,20 @@
 //! produced by its own ChaCha8 stream, keyed by `(seed, k, "RMAT")` and
 //! read from block 0, so the same `(params, seed)` produce the same graph
 //! regardless of thread count.  Almost all of the cost is those random
-//! bits (`5 × scale` doubles an edge with noise), so edges are made four
-//! at a time: one 4-lane ChaCha8 pass ([`chacha8_block4`]) yields the
-//! next block of four edges' streams, and the four descents run side by
-//! side without a branch on the quadrant.  Every edge reads the same
-//! words in the same order and every float operation keeps its
-//! association, so the edge list is the one a scalar per-edge
-//! `ChaCha8Rng` descent produces, bit for bit (the tests keep that
-//! reference and pin the bytes with hashes).
+//! bits (`5 × scale` doubles an edge with noise), so edges are made eight
+//! at a time: one 8-lane ChaCha8 pass ([`chacha8_block8`]) yields the
+//! next block of eight edges' streams, and the eight descents run side
+//! by side without a branch on the quadrant, in one body compiled twice:
+//! for AVX2, picked per call where [`Avx2::detect`] finds it, and for the
+//! baseline target.  Every edge reads the same words in the same order
+//! and every float operation keeps its association (AVX2 has no fused
+//! multiply-add), so on either instance the edge list is the one a scalar
+//! per-edge `ChaCha8Rng` descent produces, bit for bit (the tests keep
+//! that reference and pin the bytes with hashes).
 
 use rand::distributions::{Distribution, Uniform};
 use rand::SeedableRng;
-use rand_chacha::{chacha8_block4, ChaCha8Rng};
+use rand_chacha::{chacha8_block8, Avx2, ChaCha8Rng};
 
 use xmt_par::parallel_for;
 
@@ -78,10 +80,12 @@ impl RmatParams {
 
 /// Generate the RMAT edge list for `params` with the given seed.
 pub fn rmat_edges(params: &RmatParams, seed: u64) -> EdgeList {
-    assert!(
-        params.scale >= 1 && params.scale <= 40,
-        "scale out of range"
-    );
+    rmat_edges_on(params, seed, Avx2::detect())
+}
+
+/// [`rmat_edges`] on the AVX2 descent if `avx2` is given, else baseline.
+fn rmat_edges_on(params: &RmatParams, seed: u64, avx2: Option<Avx2>) -> EdgeList {
+    assert!((1..=40).contains(&params.scale), "scale out of range");
     let d = params.d();
     assert!(
         params.a > 0.0 && params.b >= 0.0 && params.c >= 0.0 && d >= 0.0,
@@ -90,7 +94,7 @@ pub fn rmat_edges(params: &RmatParams, seed: u64) -> EdgeList {
     let n = params.num_vertices();
     let m = params.num_edges() as usize;
 
-    let mut edges = vec![(0 as VertexId, 0 as VertexId); m];
+    let mut edges: Vec<Edge> = vec![(0, 0); m];
     let perm = params
         .permute
         .then(|| random_permutation(n, seed ^ 0x9e37_79b9_7f4a_7c15));
@@ -98,17 +102,21 @@ pub fn rmat_edges(params: &RmatParams, seed: u64) -> EdgeList {
     let out = edges.as_mut_ptr() as usize;
     parallel_for(0, m.div_ceil(LANES), |group| {
         let first = group * LANES;
-        let quad = gen_edges4(params, seed, first as u64);
+        let lanes = match avx2 {
+            // SAFETY: an `Avx2` token exists only where the CPU has AVX2.
+            Some(avx2) => unsafe { gen_edges8_avx2(avx2, params, seed, first as u64) },
+            None => gen_edges8(None, params, seed, first as u64),
+        };
         // The last group's lanes past `m` are generated and dropped.
-        for (i, &(u, v)) in quad.iter().enumerate().take(m - first) {
+        for (i, &(u, v)) in lanes.iter().enumerate().take(m - first) {
             let edge = match perm {
                 Some(p) => (p[u as usize], p[v as usize]),
                 None => (u, v),
             };
-            // SAFETY: this group alone writes `first..first + 4`, and the
+            // SAFETY: this group alone writes `first..first + 8`, and the
             // `take` keeps those indices below `m`; `edges` is exclusively
             // borrowed until the loop has joined.
-            unsafe { *(out as *mut (VertexId, VertexId)).add(first + i) = edge };
+            unsafe { *(out as *mut Edge).add(first + i) = edge };
         }
     });
 
@@ -119,13 +127,16 @@ pub fn rmat_edges(params: &RmatParams, seed: u64) -> EdgeList {
     }
 }
 
-/// Edges per pass: the lanes of [`chacha8_block4`].
-const LANES: usize = 4;
+/// Edges per pass: the lanes of [`chacha8_block8`].
+const LANES: usize = 8;
 
-/// Four edges' keyed ChaCha8 streams read side by side: each read is the
-/// next `f64` of every lane, drawn as `rand`'s `gen::<f64>()` draws it
-/// from `ChaCha8Rng::next_u64` (two words, never across blocks).
+type Edge = (VertexId, VertexId);
+
+/// Eight edges' keyed ChaCha8 streams read side by side: each read is
+/// the next `f64` of every lane, drawn as `rand`'s `gen::<f64>()` draws
+/// it from `ChaCha8Rng::next_u64` (two words, never across blocks).
 struct Streams {
+    avx2: Option<Avx2>,
     key: [[u32; LANES]; 8],
     counter: u64,
     block: [[u32; LANES]; 16],
@@ -133,8 +144,8 @@ struct Streams {
 }
 
 impl Streams {
-    /// The streams of edges `first..first + 4`: key `(seed, k, "RMAT")`.
-    fn new(seed: u64, first: u64) -> Self {
+    /// The streams of edges `first..first + 8`: key `(seed, k, "RMAT")`.
+    fn new(avx2: Option<Avx2>, seed: u64, first: u64) -> Self {
         let k: [u64; LANES] = std::array::from_fn(|l| first + l as u64);
         let mut key = [[0; LANES]; 8];
         key[0] = [seed as u32; LANES];
@@ -143,6 +154,7 @@ impl Streams {
         key[3] = k.map(|k| (k >> 32) as u32);
         key[4] = [0x524d_4154; LANES]; // "RMAT"
         Streams {
+            avx2,
             key,
             counter: 0,
             block: [[0; LANES]; 16],
@@ -153,7 +165,7 @@ impl Streams {
     #[inline(always)]
     fn next_f64(&mut self) -> [f64; LANES] {
         if self.word == 16 {
-            self.block = chacha8_block4(&self.key, [self.counter; LANES]);
+            self.block = chacha8_block8(self.avx2, &self.key, [self.counter; LANES]);
             self.counter += 1;
             self.word = 0;
         }
@@ -168,9 +180,18 @@ impl Streams {
     }
 }
 
-/// Edges `first..first + 4` of the stream, one per lane.
-fn gen_edges4(params: &RmatParams, seed: u64, first: u64) -> [(VertexId, VertexId); LANES] {
-    let mut rng = Streams::new(seed, first);
+/// [`gen_edges8`] on AVX2 lanes, its float lanes compiled for AVX2 too.
+/// # Safety
+/// The CPU must have AVX2 (holding `avx2` proves it).
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
+unsafe fn gen_edges8_avx2(avx2: Avx2, p: &RmatParams, seed: u64, first: u64) -> [Edge; LANES] {
+    gen_edges8(Some(avx2), p, seed, first)
+}
+
+/// Edges `first..first + 8` of the stream, one per lane.
+#[inline(always)]
+fn gen_edges8(avx2: Option<Avx2>, params: &RmatParams, seed: u64, first: u64) -> [Edge; LANES] {
+    let mut rng = Streams::new(avx2, seed, first);
     let mut a = [params.a; LANES];
     let mut b = [params.b; LANES];
     let mut c = [params.c; LANES];
@@ -262,17 +283,33 @@ mod tests {
         crate::fnv1a(el.edges.iter().flat_map(|&(u, v)| [u, v]))
     }
 
+    /// The baseline descent, and the AVX2 one where the CPU has AVX2.
+    fn instances() -> Vec<Option<Avx2>> {
+        let avx2 = Avx2::detect();
+        if avx2.is_none() {
+            eprintln!("no AVX2 on this CPU: only the baseline descent is checked");
+        }
+        [None].into_iter().chain(avx2.map(Some)).collect()
+    }
+
     #[test]
     fn edge_list_bytes_are_pinned() {
         // Measured on the scalar per-edge generator this one replaced.
-        for (scale, want) in [(10, 0xfb9f_be0f_748f_7c37), (12, 0xfc0c_4f13_960f_c413)] {
-            let el = rmat_edges(&RmatParams::graph500(scale), 1);
-            assert_eq!(edge_hash(&el), want, "scale {scale}");
+        for avx2 in instances() {
+            for (scale, want) in [(10, 0xfb9f_be0f_748f_7c37), (12, 0xfc0c_4f13_960f_c413)] {
+                let el = rmat_edges_on(&RmatParams::graph500(scale), 1, avx2);
+                assert_eq!(
+                    edge_hash(&el),
+                    want,
+                    "scale {scale}, avx2 {}",
+                    avx2.is_some()
+                );
+            }
         }
     }
 
-    /// `rmat_edges` against [`gen_edge`] edge by edge.
-    fn assert_matches_reference(params: &RmatParams, seed: u64) {
+    /// `rmat_edges_on(.., avx2)` against [`gen_edge`] edge by edge.
+    fn assert_matches_reference(params: &RmatParams, seed: u64, avx2: Option<Avx2>) {
         let perm = params
             .permute
             .then(|| random_permutation(params.num_vertices(), seed ^ 0x9e37_79b9_7f4a_7c15));
@@ -284,37 +321,43 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            rmat_edges(params, seed).edges,
+            rmat_edges_on(params, seed, avx2).edges,
             want,
-            "{params:?}, seed {seed}"
+            "{params:?}, seed {seed}, avx2 {}",
+            avx2.is_some()
         );
     }
 
     #[test]
-    fn four_lane_path_equals_the_scalar_reference() {
-        for scale in 1..=12 {
-            // A few thousand edges a case keep the reference fast in debug.
-            let paper = RmatParams {
-                edge_factor: (1024 >> scale).clamp(1, 16),
-                ..RmatParams::graph500(scale)
-            };
-            let raw = RmatParams {
-                permute: false,
-                ..paper
-            };
-            assert_matches_reference(&paper, 1);
-            assert_matches_reference(&raw, 1);
-            assert_matches_reference(&RmatParams { noise: 0.0, ..raw }, 1);
-            assert_matches_reference(&raw, 0xdead_beef_0123_4567);
-        }
-        // `m` is `2^scale × edge_factor`, so only scale 1 has counts that
-        // are not a multiple of four: the last group's spare lanes.
-        for edge_factor in 1..=7 {
-            let params = RmatParams {
-                edge_factor,
-                ..RmatParams::graph500(1)
-            };
-            assert_matches_reference(&params, 9);
+    fn both_descent_instances_equal_the_scalar_reference() {
+        for avx2 in instances() {
+            for scale in 1..=12 {
+                // A few thousand edges a case keep the reference fast in debug.
+                let paper = RmatParams {
+                    edge_factor: (1024 >> scale).clamp(1, 16),
+                    ..RmatParams::graph500(scale)
+                };
+                let raw = RmatParams {
+                    permute: false,
+                    ..paper
+                };
+                assert_matches_reference(&paper, 1, avx2);
+                assert_matches_reference(&raw, 1, avx2);
+                assert_matches_reference(&RmatParams { noise: 0.0, ..raw }, 1, avx2);
+                assert_matches_reference(&raw, 0xdead_beef_0123_4567, avx2);
+            }
+            // `m` is `2^scale × edge_factor`, so only scales 1 and 2 have
+            // counts that are not a multiple of eight: the last group's
+            // spare lanes.
+            for scale in 1..=2 {
+                for edge_factor in 1..=7 {
+                    let params = RmatParams {
+                        edge_factor,
+                        ..RmatParams::graph500(scale)
+                    };
+                    assert_matches_reference(&params, 9, avx2);
+                }
+            }
         }
     }
 

@@ -147,7 +147,7 @@ pub fn read_csr_binary<R: Read>(reader: &mut R) -> io::Result<Csr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::build_undirected;
+    use crate::builder::{build_directed, build_undirected};
     use crate::gen::structured::clique;
     use crate::{BuildOptions, CsrBuilder, EdgeList};
 
@@ -268,9 +268,10 @@ mod tests {
 
     #[test]
     fn sorted_flag_over_unsorted_lists_is_invalid_data() {
-        // Vertex 0 has arcs to 1 and 0, in that order (built by hand: the
-        // parallel scatter's arrival order is not fixed).
-        let g = Csr::from_parts(2, vec![0, 2, 2], vec![1, 0], None, true, false);
+        // Vertex 0 has arcs to 1 and 0, in that order: a raw build keeps
+        // edge-list order.
+        let g = build_directed(&EdgeList::from_pairs([(0, 1), (0, 0)]));
+        assert_eq!(g.neighbors(0), &[1, 0]);
         let mut buf = Vec::new();
         write_csr_binary(&mut buf, &g).unwrap();
         assert!(read_csr_binary(&mut buf.as_slice()).is_ok());
