@@ -7,10 +7,11 @@ use parking_lot::Mutex;
 
 use xmt_graph::{Csr, VertexId};
 use xmt_model::{PhaseCounts, Recorder};
+use xmt_par::pfor::default_chunk;
 use xmt_par::Executor;
 
 use super::frame::{bit, SuperstepFrame};
-use super::{chunk_for, Run};
+use super::Run;
 use crate::program::{Context, VertexProgram};
 
 /// Sends a worker's outbox may hold before the chunk deposits them
@@ -39,7 +40,7 @@ pub(super) fn init_states<P: VertexProgram>(
     if let Some(r) = rec {
         let mut c = PhaseCounts::with_items(n as u64);
         c.writes = n as u64;
-        c.charge_loop_overhead(chunk_for(n, exec.workers()));
+        c.charge_loop_overhead(default_chunk(n, exec.workers()) as u64);
         c.barriers = 1;
         r.push("init", 0, c, n as u64);
     }
@@ -128,8 +129,8 @@ impl<P: VertexProgram> Run<'_, P> {
             let awake_ref = &*awake_scratch;
             let marks_ref = &*marks_scratch;
             let exec = self.exec;
-            let chunk = chunk_for(active_ref.len(), exec.workers());
-            exec.pfor_chunked(0, active_ref.len(), chunk as usize, |worker, range| {
+            let chunk = default_chunk(active_ref.len(), exec.workers());
+            exec.pfor_chunked(0, active_ref.len(), chunk, |worker, range| {
                 // SAFETY: at most one live thread per worker id (the
                 // pfor_chunked contract under both schedules), so the
                 // slots below are private to this invocation.
@@ -283,7 +284,7 @@ impl<P: VertexProgram> Run<'_, P> {
         } else {
             c.reads += done.delivered * msg_words::<P>();
         }
-        c.charge_loop_overhead(chunk_for(self.frame.active.len(), self.exec.workers()));
+        c.charge_loop_overhead(default_chunk(self.frame.active.len(), self.exec.workers()) as u64);
         r.push("superstep", self.s, c, messages_sent);
     }
 }

@@ -7,6 +7,7 @@
 //! superstep.
 
 use serde::{Deserialize, Serialize};
+use xmt_graph::{BEAMER_ALPHA, BEAMER_BETA};
 
 use super::BspConfig;
 #[cfg(doc)]
@@ -37,17 +38,6 @@ pub enum Delivery {
     /// than re-reading neighbor state.
     Auto,
 }
-
-/// Beamer's top-down → bottom-up ratio: a bottom-up capable program
-/// under `Delivery::Auto` switches to pull when
-/// `frontier_edges * BEAMER_ALPHA > unexplored_edges`.  GAP's default,
-/// and the one value any caller outside a test ever ran with.
-const BEAMER_ALPHA: f64 = 15.0;
-
-/// Beamer's bottom-up → top-down ratio: switch back to push when the
-/// next frontier holds fewer than `n / BEAMER_BETA` vertices.  GAP's
-/// default.
-const BEAMER_BETA: f64 = 18.0;
 
 /// The density rule of `Delivery::Auto` for pull-capable programs
 /// without a settled predicate: pull when the next superstep's active

@@ -6,11 +6,12 @@ use std::sync::atomic::Ordering;
 use parking_lot::Mutex;
 
 use xmt_model::PhaseCounts;
+use xmt_par::pfor::default_chunk;
 
 use super::compute::msg_words;
 use super::direction::Frontier;
 use super::frame::SuperstepFrame;
-use super::{chunk_for, Delivery, Run};
+use super::{Delivery, Run};
 use crate::program::VertexProgram;
 use crate::transport::charge_exchange;
 
@@ -153,7 +154,7 @@ impl<P: VertexProgram> Run<'_, P> {
                 e.atomics += sent + a;
             }
         }
-        e.charge_loop_overhead(chunk_for(self.n, self.exec.workers()));
+        e.charge_loop_overhead(default_chunk(self.n, self.exec.workers()) as u64);
         r.push("exchange", self.s, e, sent);
     }
 }

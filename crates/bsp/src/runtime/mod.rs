@@ -445,9 +445,5 @@ struct Run<'a, P: VertexProgram> {
     explored_edges: u64,
 }
 
-fn chunk_for(n: usize, workers: usize) -> u64 {
-    xmt_par::pfor::default_chunk(n.max(1), workers) as u64
-}
-
 #[cfg(test)]
 mod tests;

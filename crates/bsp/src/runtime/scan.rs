@@ -5,9 +5,10 @@ use std::sync::atomic::Ordering;
 use serde::{Deserialize, Serialize};
 
 use xmt_model::PhaseCounts;
+use xmt_par::pfor::default_chunk;
 
 use super::frame::{bit, SuperstepFrame};
-use super::{chunk_for, Run};
+use super::Run;
 use crate::program::VertexProgram;
 
 /// How the runtime finds the active vertices each superstep.
@@ -126,7 +127,7 @@ impl<P: VertexProgram> Run<'_, P> {
                 }
             }
         };
-        c.charge_loop_overhead(chunk_for(self.n, self.exec.workers()));
+        c.charge_loop_overhead(default_chunk(self.n, self.exec.workers()) as u64);
         c.barriers = 1;
         r.push("scan", self.s, c, active);
     }

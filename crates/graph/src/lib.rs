@@ -68,6 +68,18 @@ pub type Weight = i64;
 /// Sentinel "no vertex" value (used for BFS parents, etc.).
 pub const NO_VERTEX: VertexId = u64::MAX;
 
+/// Beamer's top-down → bottom-up ratio for direction-optimizing BFS:
+/// switch to bottom-up when `frontier_edges * BEAMER_ALPHA >
+/// unexplored_edges`.  GAP's default.  GraphCT's BFS and the BSP
+/// runtime's `Delivery::Auto` both read it, so the two engines flip
+/// direction on the same levels.
+pub const BEAMER_ALPHA: f64 = 15.0;
+
+/// Beamer's bottom-up → top-down ratio: switch back to top-down when the
+/// frontier holds fewer than `n / BEAMER_BETA` vertices.  GAP's default,
+/// shared the same way as [`BEAMER_ALPHA`].
+pub const BEAMER_BETA: f64 = 18.0;
+
 /// FNV-1a over 64-bit words: the hash the byte-pinning tests fold edge
 /// lists and CSR arrays with.
 #[cfg(test)]

@@ -24,7 +24,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use xmt_graph::{Csr, VertexId, NO_VERTEX};
+use xmt_graph::{Csr, VertexId, BEAMER_ALPHA, BEAMER_BETA, NO_VERTEX};
 use xmt_model::PhaseCounts;
 use xmt_par::atomic::claim;
 use xmt_par::pfor::default_chunk;
@@ -49,12 +49,6 @@ pub struct BfsResult {
 pub fn bfs(g: &Csr, source: VertexId) -> BfsResult {
     bfs_with(g, source, &mut Ctx::default())
 }
-
-/// Beamer top-down→bottom-up switch ratio (GAP default), the value the
-/// BSP runtime's `Delivery::Auto` uses too.
-const BEAMER_ALPHA: f64 = 15.0;
-/// Beamer bottom-up→top-down switch ratio (GAP default), likewise.
-const BEAMER_BETA: f64 = 18.0;
 
 /// Discoveries a loop chunk buffers before reserving queue slots.
 const FLUSH: usize = 64;
@@ -124,7 +118,7 @@ pub fn bfs_with(g: &Csr, source: VertexId, ctx: &mut Ctx<'_>) -> BfsResult {
     if let Some(r) = rec.as_deref_mut() {
         let mut c = PhaseCounts::with_items(n as u64);
         c.writes = 2 * n as u64; // dist + parent initialization
-        c.charge_loop_overhead(chunk(n, workers));
+        c.charge_loop_overhead(default_chunk(n, workers) as u64);
         c.barriers = 1;
         r.push("init", 0, c, 0);
     }
@@ -266,7 +260,7 @@ pub fn bfs_with(g: &Csr, source: VertexId, ctx: &mut Ctx<'_>) -> BfsResult {
                 c.atomics = discovered + frontier.len() as u64;
                 c.writes = 3 * discovered + frontier_bits.len() as u64;
                 c.hotspot_ops = discovered;
-                c.charge_loop_overhead(chunk(n, workers));
+                c.charge_loop_overhead(default_chunk(n, workers) as u64);
                 c
             } else {
                 // Per frontier vertex: offsets read; per edge: neighbor
@@ -279,7 +273,7 @@ pub fn bfs_with(g: &Csr, source: VertexId, ctx: &mut Ctx<'_>) -> BfsResult {
                 c.atomics = discovered;
                 c.writes = 2 * discovered;
                 c.hotspot_ops = discovered;
-                c.charge_loop_overhead(chunk(frontier.len(), workers));
+                c.charge_loop_overhead(default_chunk(frontier.len(), workers) as u64);
                 c
             };
             c.barriers = 1;
@@ -332,10 +326,6 @@ pub fn bfs_with(g: &Csr, source: VertexId, ctx: &mut Ctx<'_>) -> BfsResult {
         parent: parent.into_iter().map(AtomicU64::into_inner).collect(),
         frontier_sizes,
     }
-}
-
-fn chunk(n: usize, workers: usize) -> u64 {
-    default_chunk(n.max(1), workers) as u64
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ pub fn connected_components_with(g: &Csr, ctx: &mut Ctx<'_>) -> Vec<VertexId> {
     if let Some(r) = rec.as_deref_mut() {
         let mut c = PhaseCounts::with_items(n as u64);
         c.writes = n as u64;
-        c.charge_loop_overhead(chunk(n, workers));
+        c.charge_loop_overhead(default_chunk(n, workers) as u64);
         c.barriers = 1;
         r.push("init", 0, c, n as u64);
     }
@@ -133,7 +133,7 @@ pub fn connected_components_with(g: &Csr, ctx: &mut Ctx<'_>) -> Vec<VertexId> {
             // representative's label at least once; extra reads per hop.
             c.reads += 2 * n as u64 + jumps.load(Ordering::Relaxed); // Relaxed: post-join read
             c.writes += jumps.load(Ordering::Relaxed).min(n as u64); // Relaxed: post-join read
-            c.charge_loop_overhead(chunk(n, workers));
+            c.charge_loop_overhead(default_chunk(n, workers) as u64);
             c.barriers = 2; // hook and compress are separate sweeps
             r.push("iteration", iteration, c, changed);
         }
@@ -183,7 +183,7 @@ pub fn connected_components_jacobi(g: &Csr, mut rec: Option<&mut Recorder>) -> V
     if let Some(r) = rec.as_deref_mut() {
         let mut c = PhaseCounts::with_items(n as u64);
         c.writes = 2 * n as u64;
-        c.charge_loop_overhead(chunk(n, xmt_par::num_threads()));
+        c.charge_loop_overhead(default_chunk(n, xmt_par::num_threads()) as u64);
         c.barriers = 1;
         r.push("init", 0, c, n as u64);
     }
@@ -224,7 +224,7 @@ pub fn connected_components_jacobi(g: &Csr, mut rec: Option<&mut Recorder>) -> V
             c.reads = n as u64 + arcs + 2 * n as u64;
             c.alu_ops = arcs;
             c.writes = n as u64;
-            c.charge_loop_overhead(chunk(n, xmt_par::num_threads()));
+            c.charge_loop_overhead(default_chunk(n, xmt_par::num_threads()) as u64);
             c.barriers = 1;
             r.push("iteration", iteration, c, changed);
         }
@@ -235,10 +235,6 @@ pub fn connected_components_jacobi(g: &Csr, mut rec: Option<&mut Recorder>) -> V
         }
     }
     current
-}
-
-fn chunk(n: usize, workers: usize) -> u64 {
-    default_chunk(n, workers) as u64
 }
 
 /// Number of distinct components in a labeling.

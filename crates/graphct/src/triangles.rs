@@ -33,6 +33,7 @@ use xmt_graph::ops::dag::dag_view;
 use xmt_graph::{Csr, IntersectStrategy, VertexId};
 use xmt_model::{PhaseCounts, Recorder};
 use xmt_par::atomic::as_atomic_u64;
+use xmt_par::pfor::default_chunk;
 use xmt_par::{Executor, MarkScratch, WorkerScratch};
 
 use crate::Ctx;
@@ -199,8 +200,8 @@ fn dag_sweep(
     let tri: Option<&[AtomicU64]> = tri_storage.as_mut().map(|v| as_atomic_u64(v));
 
     let marks = &scratch.marks;
-    let chunk = chunk(n, exec.workers());
-    exec.pfor_chunked(0, n, chunk as usize, |worker, range| {
+    let chunk = default_chunk(n, exec.workers());
+    exec.pfor_chunked(0, n, chunk, |worker, range| {
         // SAFETY: the pool runs at most one thread per worker id within
         // this parallel region (WorkerScratch's contract).
         let ms = unsafe { marks.get(worker) };
@@ -285,7 +286,7 @@ fn dag_sweep(
         c.alu_ops = probes;
         c.writes = count + markw;
         c.atomics = count;
-        c.charge_loop_overhead(chunk);
+        c.charge_loop_overhead(chunk as u64);
         c.barriers = 1;
         r.push("count", 0, c, count);
     }
@@ -421,7 +422,7 @@ pub fn count_triangles_idorder(g: &Csr, ctx: &mut Ctx<'_>) -> u64 {
         c.alu_ops = cmp;
         c.writes = count;
         c.atomics = count;
-        c.charge_loop_overhead(chunk(n, exec.workers()));
+        c.charge_loop_overhead(default_chunk(n, exec.workers()) as u64);
         c.barriers = 1;
         r.push("count", 0, c, count);
     }
@@ -448,10 +449,6 @@ fn intersect_above(a: &[VertexId], b: &[VertexId], floor: VertexId) -> (u64, u64
         }
     }
     (count, cmp)
-}
-
-fn chunk(n: usize, workers: usize) -> u64 {
-    xmt_par::pfor::default_chunk(n.max(1), workers) as u64
 }
 
 #[cfg(test)]

@@ -26,6 +26,15 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
+    /// Every algorithm, one per variant (the scheduler keeps a latency
+    /// series per algorithm and engine, indexed by discriminant).
+    pub(crate) const ALL: [Algorithm; 4] = [
+        Algorithm::Cc,
+        Algorithm::Bfs,
+        Algorithm::Pagerank,
+        Algorithm::Triangles,
+    ];
+
     /// Parse the wire name.
     pub fn parse(s: &str) -> Option<Algorithm> {
         match s {
@@ -75,6 +84,9 @@ impl Engine {
         reason = "the frozen spine spells it as a variant"
     )]
     pub const Native: Engine = Engine::Bsp;
+
+    /// Every engine, one per variant (see [`Algorithm::ALL`]).
+    pub(crate) const ALL: [Engine; 3] = [Engine::Bsp, Engine::GraphCt, Engine::Incremental];
 
     /// Parse the wire name.
     pub fn parse(s: &str) -> Option<Engine> {

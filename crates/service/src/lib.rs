@@ -56,17 +56,15 @@ pub mod streaming;
 
 /// The service's lock ranks, outermost first: a thread may take a lock
 /// only while everything it holds ranks strictly lower (`parking_lot`
-/// stand-in, checked at every `lock()` in debug builds).  The nestings
-/// that occur are `state → inner` (`update` re-costs its batch under
-/// the graph's lock) and `queue → jobs → series` (admission registers
-/// the job; completion records its latency).  Every other mutex in the
+/// stand-in, checked at every `lock()` in debug builds).  The one
+/// nesting that occurs is `state → inner`: `update` re-costs its batch
+/// under the graph's lock.  The scheduler keeps all of its bookkeeping
+/// under one lock and takes nothing under it.  Every other mutex in the
 /// workspace is a leaf (`Mutex::new`): nothing is taken under it.
 mod rank {
     pub(crate) const STATE: u32 = 10;
     pub(crate) const INNER: u32 = 20;
-    pub(crate) const QUEUE: u32 = 30;
-    pub(crate) const JOBS: u32 = 40;
-    pub(crate) const SERIES: u32 = 50;
+    pub(crate) const SCHEDULER: u32 = 30;
 }
 
 pub use client::Client;
@@ -77,5 +75,5 @@ pub use protocol::{parse_request, GraphSpec, Request};
 pub use registry::{GraphEntryInfo, GraphRegistry, RegistryStats};
 pub use scheduler::{JobSnapshot, Scheduler, SchedulerConfig, SchedulerStats};
 pub use server::{Server, Service, ServiceConfig};
-pub use stats::{LatencyBook, LatencyHistogram, LatencySummary};
+pub use stats::{LatencyHistogram, LatencySummary};
 pub use streaming::{edge_ops, UpdateOutcome};

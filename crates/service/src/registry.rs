@@ -821,4 +821,19 @@ mod tests {
             assert!(trace.updates.is_empty());
         }
     }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lock order: acquiring rank 10 while holding [20]")]
+    fn taking_a_graph_state_under_the_registry_lock_panics() {
+        // `update` nests the registry lock under a graph's state lock
+        // (`crate::rank`); the reverse order must fail the rank check.
+        let reg = GraphRegistry::new(0);
+        reg.register_dynamic("d", graph(6)).unwrap();
+        let GraphKind::Dynamic(dynamic) = reg.lookup("d").unwrap() else {
+            panic!("`d` was registered dynamic");
+        };
+        let _inner = reg.inner.lock();
+        let _state = dynamic.lock();
+    }
 }

@@ -1,11 +1,21 @@
 //! The bounded job scheduler: a fixed worker pool draining a
 //! priority/FIFO queue with admission control.
 //!
+//! Everything the scheduler tracks — the queue, the job table, the
+//! counters and the latency series — is one `State` behind one mutex,
+//! so every operation is a single critical section that nests no other
+//! lock, and `stats()` reads a consistent snapshot by construction.  Two
+//! condvars share that mutex: one wakes a worker when a job is queued,
+//! the other broadcasts every job state transition to
+//! [`Scheduler::wait_job`].
+//!
 //! The queue has a hard capacity; a submit that finds it full is
 //! rejected immediately with [`ServiceError::QueueFull`] instead of
 //! buffering unbounded work (the closed-loop bench driver leans on this
 //! to measure saturation).  Within the queue, higher `priority` runs
-//! first and ties break FIFO by submission order.
+//! first and ties break FIFO: job ids are handed out in submission
+//! order.  The queue is an ordered set, so cancelling a queued job takes
+//! its entry out on the spot.
 //!
 //! Cancellation and deadlines share one mechanism: each job carries an
 //! atomic cancel flag, and the worker hands the BSP engine a stop hook
@@ -23,20 +33,24 @@
 //! frames, so a cut job that is never resumed pins nothing but its
 //! checkpoint.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
+use xmt_graph::Csr;
 
 use crate::engine::{execute, ExecVerdict, FrameSlot};
 use crate::error::ServiceError;
-use crate::job::{Algorithm, JobGraph, JobId, JobOutput, JobSpec, JobState, StoredCheckpoint};
+use crate::job::{
+    Algorithm, Engine, JobGraph, JobId, JobOutput, JobSpec, JobState, StoredCheckpoint,
+};
 use crate::rank;
-use crate::stats::{LatencyBook, LatencySummary};
+use crate::stats::{LatencyHistogram, LatencySummary};
 
 /// Scheduler sizing.
 #[derive(Clone, Copy, Debug)]
@@ -115,6 +129,14 @@ impl JobRecord {
         }
     }
 
+    /// The `wrong_state` error for an operation the job's state rules out.
+    fn wrong_state(&self, id: JobId) -> ServiceError {
+        ServiceError::WrongState {
+            id,
+            state: self.state.name().to_string(),
+        }
+    }
+
     fn snapshot(&self, id: JobId) -> JobSnapshot {
         let queued_ms = self
             .started
@@ -146,68 +168,145 @@ impl JobRecord {
     }
 }
 
-/// Heap entry: max priority first, then FIFO by submission sequence.
-struct QueueEntry {
-    priority: u8,
-    seq: u64,
+/// A series label (`cc/bsp`): the name of a trace and of a latency
+/// series.
+fn label(algorithm: Algorithm, engine: Engine) -> String {
+    format!("{}/{}", algorithm.name(), engine.name())
+}
+
+/// A job a worker has claimed (`Queued → Running`), with what its run
+/// takes out of the record.
+struct Claim {
     id: JobId,
+    spec: JobSpec,
+    graph: Option<Arc<Csr>>,
+    precomputed: Option<JobOutput>,
+    cancel: Arc<AtomicBool>,
+    resume_from: Option<StoredCheckpoint>,
+    deadline: Option<Instant>,
 }
 
-impl PartialEq for QueueEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for QueueEntry {}
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap: higher priority wins, then *lower*
-        // sequence (earlier submit).
-        self.priority
-            .cmp(&other.priority)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
+/// Everything the scheduler tracks, under its one lock.
 #[derive(Default)]
-struct Queue {
-    heap: BinaryHeap<QueueEntry>,
-    /// Heap entries whose job was cancelled while queued.  The entries
-    /// stay in the heap (a `BinaryHeap` cannot remove by key) and
-    /// workers discard them on pop, but they must not count toward the
-    /// live queue depth: admission control would otherwise reject
-    /// submits against dead entries, and `stats()` would overcount.
-    stale: usize,
+struct State {
+    /// Queued jobs, highest priority first, then FIFO by id.  Every id
+    /// in it has a `Queued` record in `jobs`.
+    queue: BTreeSet<(Reverse<u8>, JobId)>,
+    jobs: HashMap<JobId, JobRecord>,
+    /// Jobs accepted since startup, which is also the last id handed out.
+    submitted: u64,
+    /// Jobs rejected by admission control since startup.
+    rejected: u64,
+    /// Completion latency per `[algorithm][engine]`, by discriminant.
+    latency: [[LatencyHistogram; Engine::ALL.len()]; Algorithm::ALL.len()],
     shutdown: bool,
 }
 
-impl Queue {
-    /// Entries that represent jobs which will actually run.
-    fn live_depth(&self) -> usize {
-        self.heap.len().saturating_sub(self.stale)
+impl State {
+    /// A tracked job's record.
+    fn record(&self, id: JobId) -> Result<&JobRecord, ServiceError> {
+        self.jobs.get(&id).ok_or(ServiceError::JobNotFound { id })
+    }
+
+    /// Admission control: no new jobs once shut down or while the queue
+    /// is full.
+    fn admit(&mut self, capacity: usize) -> Result<(), ServiceError> {
+        if self.shutdown {
+            return Err(ServiceError::ShuttingDown);
+        }
+        if self.queue.len() >= capacity {
+            self.rejected += 1;
+            return Err(ServiceError::QueueFull { capacity });
+        }
+        Ok(())
+    }
+
+    /// Register an admitted job and queue it.  The caller wakes a worker
+    /// once it has released the lock.
+    fn enqueue(
+        &mut self,
+        spec: JobSpec,
+        graph: JobGraph,
+        resume_from: Option<StoredCheckpoint>,
+    ) -> JobId {
+        self.submitted += 1;
+        let id = self.submitted;
+        self.queue.insert((Reverse(spec.priority), id));
+        self.jobs.insert(
+            id,
+            JobRecord {
+                spec,
+                graph,
+                state: JobState::Queued,
+                cancel: Arc::new(AtomicBool::new(false)),
+                submitted: Instant::now(),
+                started: None,
+                finished: None,
+                supersteps: 0,
+                output: None,
+                error: None,
+                checkpoint: None,
+                resume_from,
+                trace: None,
+            },
+        );
+        id
+    }
+
+    /// Cancel a queued job on the spot: its entry leaves the queue, it
+    /// turns `Cancelled`, and it lets go of its snapshot.  No worker ever
+    /// sees it, so its cancel flag is left alone.
+    fn cancel_queued(&mut self, id: JobId) {
+        if let Some(rec) = self.jobs.get_mut(&id) {
+            self.queue.remove(&(Reverse(rec.spec.priority), id));
+            rec.state = JobState::Cancelled;
+            rec.finished = Some(Instant::now());
+            rec.release_graph();
+        }
+    }
+
+    /// Pop the next queued job and claim it for a worker.
+    fn claim_next(&mut self) -> Option<Claim> {
+        let (_, id) = self.queue.pop_first()?;
+        let rec = self.jobs.get_mut(&id)?;
+        rec.state = JobState::Running;
+        rec.started = Some(Instant::now());
+        Some(Claim {
+            id,
+            spec: rec.spec.clone(),
+            graph: rec.graph.csr.clone(),
+            precomputed: rec.graph.precomputed.take(),
+            cancel: Arc::clone(&rec.cancel),
+            resume_from: rec.resume_from.take(),
+            deadline: rec
+                .spec
+                .deadline_ms
+                .map(|ms| rec.submitted + Duration::from_millis(ms)),
+        })
+    }
+
+    /// The non-empty latency series, sorted by label.
+    fn latencies(&self) -> Vec<LatencySummary> {
+        let mut out: Vec<LatencySummary> = Algorithm::ALL
+            .iter()
+            .flat_map(|&algorithm| Engine::ALL.map(|engine| (algorithm, engine)))
+            .filter_map(|(algorithm, engine)| {
+                let h = &self.latency[algorithm as usize][engine as usize];
+                (h.count() > 0).then(|| h.summary(label(algorithm, engine)))
+            })
+            .collect();
+        out.sort_by(|a, b| a.label.cmp(&b.label));
+        out
     }
 }
 
-// The scheduler's lock hierarchy, outermost first: admission takes the
-// queue lock then registers under the jobs lock; completion updates a
-// job record then records its latency series (`crate::rank`).
 struct Shared {
-    queue: Mutex<Queue>,
-    cond: Condvar,
-    jobs: Mutex<HashMap<JobId, JobRecord>>,
+    state: Mutex<State>,
+    /// Wakes a worker when a job is queued or the scheduler shuts down.
+    work: Condvar,
     /// Signalled (broadcast) on every job state transition, so waiters
     /// in [`Scheduler::wait_job`] wake immediately instead of polling.
-    jobs_cond: Condvar,
-    next_id: AtomicU64,
-    next_seq: AtomicU64,
-    submitted: AtomicU64,
-    rejected: AtomicU64,
-    latency: LatencyBook,
+    transition: Condvar,
     config: SchedulerConfig,
 }
 
@@ -240,15 +339,9 @@ impl Scheduler {
     /// Start `config.workers` worker threads (at least one).
     pub fn new(config: SchedulerConfig) -> Self {
         let shared = Arc::new(Shared {
-            queue: Mutex::ranked(rank::QUEUE, Queue::default()),
-            cond: Condvar::new(),
-            jobs: Mutex::ranked(rank::JOBS, HashMap::new()),
-            jobs_cond: Condvar::new(),
-            next_id: AtomicU64::new(1),
-            next_seq: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            latency: LatencyBook::default(),
+            state: Mutex::ranked(rank::SCHEDULER, State::default()),
+            work: Condvar::new(),
+            transition: Condvar::new(),
             config,
         });
         #[expect(
@@ -289,11 +382,11 @@ impl Scheduler {
                 ),
             });
         }
-        let mut queue = self.shared.queue.lock();
-        self.admit(&queue)?;
-        let id = self.enqueue(&mut queue, &mut self.shared.jobs.lock(), spec, graph, None);
-        drop(queue);
-        self.shared.cond.notify_one();
+        let mut state = self.shared.state.lock();
+        state.admit(self.shared.config.queue_capacity)?;
+        let id = state.enqueue(spec, graph, None);
+        drop(state);
+        self.shared.work.notify_one();
         Ok(id)
     }
 
@@ -312,158 +405,71 @@ impl Scheduler {
         id: JobId,
         deadline_ms: Option<u64>,
     ) -> Result<(JobId, u64), ServiceError> {
-        // One queue → jobs critical section, the order `cancel` uses.
-        let mut queue = self.shared.queue.lock();
-        let mut jobs = self.shared.jobs.lock();
-        let rec = jobs.get_mut(&id).ok_or(ServiceError::JobNotFound { id })?;
+        let mut state = self.shared.state.lock();
+        let rec = state.record(id)?;
         if !matches!(
             rec.state,
             JobState::Cancelled | JobState::TimedOut | JobState::Interrupted
         ) {
-            return Err(ServiceError::WrongState {
-                id,
-                state: rec.state.name().to_string(),
-            });
+            return Err(rec.wrong_state(id));
         }
         let from_superstep = rec
             .checkpoint
             .as_ref()
             .ok_or(ServiceError::NoCheckpoint { id })?
             .superstep;
-        self.admit(&queue)?;
-        let resume_from = rec.checkpoint.take();
-        let graph = rec.graph.clone();
-        rec.release_graph();
         let spec = JobSpec {
             deadline_ms,
             ..rec.spec.clone()
         };
-        let new_id = self.enqueue(&mut queue, &mut jobs, spec, graph, resume_from);
-        drop(jobs);
-        drop(queue);
-        self.shared.cond.notify_one();
+        let graph = rec.graph.clone();
+        state.admit(self.shared.config.queue_capacity)?;
+        let resume_from = state.jobs.get_mut(&id).and_then(|rec| {
+            let checkpoint = rec.checkpoint.take();
+            rec.release_graph();
+            checkpoint
+        });
+        let new_id = state.enqueue(spec, graph, resume_from);
+        drop(state);
+        self.shared.work.notify_one();
         Ok((new_id, from_superstep))
-    }
-
-    /// Admission control: no new jobs once shut down or while the queue
-    /// is full.
-    fn admit(&self, queue: &Queue) -> Result<(), ServiceError> {
-        if queue.shutdown {
-            return Err(ServiceError::ShuttingDown);
-        }
-        if queue.live_depth() >= self.shared.config.queue_capacity {
-            // Relaxed: monotonic stats counter, read only by stats().
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(ServiceError::QueueFull {
-                capacity: self.shared.config.queue_capacity,
-            });
-        }
-        Ok(())
-    }
-
-    /// Register an admitted job and queue it, under the queue and jobs
-    /// locks the caller holds.  The caller wakes a worker once it has
-    /// released them.
-    fn enqueue(
-        &self,
-        queue: &mut Queue,
-        jobs: &mut HashMap<JobId, JobRecord>,
-        spec: JobSpec,
-        graph: JobGraph,
-        resume_from: Option<StoredCheckpoint>,
-    ) -> JobId {
-        // Relaxed (both): id/seq allocation needs only the RMW's
-        // atomicity for uniqueness; the values travel to workers via
-        // the jobs/queue locks.
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let seq = self.shared.next_seq.fetch_add(1, Ordering::Relaxed); // Relaxed: as above
-        let priority = spec.priority;
-        // Record before the entry is visible to workers, so a pop
-        // always finds its job.
-        jobs.insert(
-            id,
-            JobRecord {
-                spec,
-                graph,
-                state: JobState::Queued,
-                cancel: Arc::new(AtomicBool::new(false)),
-                submitted: Instant::now(),
-                started: None,
-                finished: None,
-                supersteps: 0,
-                output: None,
-                error: None,
-                checkpoint: None,
-                resume_from,
-                trace: None,
-            },
-        );
-        queue.heap.push(QueueEntry { priority, seq, id });
-        // Count inside the queue lock so `stats()` (which reads the
-        // depth under the same lock) never observes a queue deeper
-        // than the submitted total.
-        // Relaxed: the queue lock provides the ordering; the counter
-        // itself is a monotonic stat.
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-        id
     }
 
     /// Request cancellation.  A queued job is cancelled on the spot; a
     /// running job gets its flag set and is cut at the next superstep
     /// boundary.  Cancelling a terminal job is a `wrong_state` error.
     pub fn cancel(&self, id: JobId) -> Result<JobState, ServiceError> {
-        // Queue lock before jobs lock — the order `submit` established.
-        // Cancelling a queued job must mark its heap entry stale under
-        // the same critical section that flips the state, or a stats
-        // reader between the two would see the depth and the state
-        // disagree.
-        let mut queue = self.shared.queue.lock();
-        let mut jobs = self.shared.jobs.lock();
-        let rec = jobs.get_mut(&id).ok_or(ServiceError::JobNotFound { id })?;
-        let result = match rec.state {
-            JobState::Queued => {
-                // The heap entry stays; workers discard it on pop and
-                // balance the stale count then.
-                // Relaxed: single monotonic flag, polled at superstep
-                // boundaries; the jobs lock orders the state change.
-                rec.cancel.store(true, Ordering::Relaxed);
-                rec.state = JobState::Cancelled;
-                rec.finished = Some(Instant::now());
-                rec.release_graph();
-                queue.stale += 1;
-                Ok(JobState::Cancelled)
-            }
+        let mut state = self.shared.state.lock();
+        let rec = state.record(id)?;
+        match rec.state {
+            JobState::Queued => state.cancel_queued(id),
             JobState::Running => {
                 // Relaxed: single monotonic flag; a slightly late read by
                 // the worker only delays the cut by one superstep.
                 rec.cancel.store(true, Ordering::Relaxed);
-                Ok(JobState::Running)
+                return Ok(JobState::Running);
             }
-            other => Err(ServiceError::WrongState {
-                id,
-                state: other.name().to_string(),
-            }),
-        };
-        drop(jobs);
-        drop(queue);
-        if matches!(result, Ok(JobState::Cancelled)) {
-            self.shared.jobs_cond.notify_all();
+            _ => return Err(rec.wrong_state(id)),
         }
-        result
+        drop(state);
+        self.shared.transition.notify_all();
+        Ok(JobState::Cancelled)
     }
 
     /// A job's current snapshot.
     pub fn status(&self, id: JobId) -> Result<JobSnapshot, ServiceError> {
-        let jobs = self.shared.jobs.lock();
-        jobs.get(&id)
-            .map(|rec| rec.snapshot(id))
-            .ok_or(ServiceError::JobNotFound { id })
+        let state = self.shared.state.lock();
+        state.record(id).map(|rec| rec.snapshot(id))
     }
 
     /// Snapshots of every tracked job, sorted by id.
     pub fn list(&self) -> Vec<JobSnapshot> {
-        let jobs = self.shared.jobs.lock();
-        let mut out: Vec<JobSnapshot> = jobs.iter().map(|(id, rec)| rec.snapshot(*id)).collect();
+        let state = self.shared.state.lock();
+        let mut out: Vec<_> = state
+            .jobs
+            .iter()
+            .map(|(&id, rec)| rec.snapshot(id))
+            .collect();
         out.sort_by_key(|s| s.id);
         out
     }
@@ -471,11 +477,11 @@ impl Scheduler {
     /// A completed job's output (cloned).  Non-terminal jobs are
     /// `wrong_state`; failed jobs surface their stored error.
     pub fn output(&self, id: JobId) -> Result<(JobOutput, u64), ServiceError> {
-        let jobs = self.shared.jobs.lock();
-        let rec = jobs.get(&id).ok_or(ServiceError::JobNotFound { id })?;
+        let state = self.shared.state.lock();
+        let rec = state.record(id)?;
         match rec.state {
             JobState::Completed => Ok((
-                #[expect(clippy::expect_used, reason = "run_one sets both under one lock")]
+                #[expect(clippy::expect_used, reason = "run sets both under one lock")]
                 rec.output.clone().expect("completed job has output"),
                 rec.supersteps,
             )),
@@ -485,10 +491,7 @@ impl Scheduler {
                     .clone()
                     .unwrap_or_else(|| "job failed".to_string()),
             }),
-            other => Err(ServiceError::WrongState {
-                id,
-                state: other.name().to_string(),
-            }),
+            _ => Err(rec.wrong_state(id)),
         }
     }
 
@@ -504,12 +507,9 @@ impl Scheduler {
         pred: impl Fn(&JobSnapshot) -> bool,
     ) -> Result<(JobSnapshot, bool), ServiceError> {
         let deadline = Instant::now() + wait;
-        let mut jobs = self.shared.jobs.lock();
+        let mut state = self.shared.state.lock();
         loop {
-            let snap = jobs
-                .get(&id)
-                .map(|rec| rec.snapshot(id))
-                .ok_or(ServiceError::JobNotFound { id })?;
+            let snap = state.record(id)?.snapshot(id);
             if pred(&snap) {
                 return Ok((snap, false));
             }
@@ -520,7 +520,7 @@ impl Scheduler {
             if remaining.is_zero() {
                 return Ok((snap, true));
             }
-            self.shared.jobs_cond.wait_for(&mut jobs, remaining);
+            self.shared.transition.wait_for(&mut state, remaining);
         }
     }
 
@@ -537,40 +537,32 @@ impl Scheduler {
     /// empty when the `trace` feature is off or the engine produced no
     /// superstep records; non-terminal jobs are `wrong_state`.
     pub fn trace(&self, id: JobId) -> Result<xmt_trace::JobTrace, ServiceError> {
-        let jobs = self.shared.jobs.lock();
-        let rec = jobs.get(&id).ok_or(ServiceError::JobNotFound { id })?;
+        let state = self.shared.state.lock();
+        let rec = state.record(id)?;
         if !rec.state.is_terminal() {
-            return Err(ServiceError::WrongState {
-                id,
-                state: rec.state.name().to_string(),
-            });
+            return Err(rec.wrong_state(id));
         }
         Ok(rec.trace.clone().unwrap_or_else(|| xmt_trace::JobTrace {
-            label: format!("{}/{}", rec.spec.algorithm.name(), rec.spec.engine.name()),
+            label: label(rec.spec.algorithm, rec.spec.engine),
             supersteps: Vec::new(),
         }))
     }
 
     /// Aggregate counters and latency summaries.
     pub fn stats(&self) -> SchedulerStats {
-        let queue_depth = self.shared.queue.lock().live_depth();
-        let mut by_state: HashMap<&'static str, u64> = HashMap::new();
-        {
-            let jobs = self.shared.jobs.lock();
-            for rec in jobs.values() {
-                *by_state.entry(rec.state.name()).or_insert(0) += 1;
-            }
+        let state = self.shared.state.lock();
+        let mut jobs_by_state: BTreeMap<&'static str, u64> = BTreeMap::new();
+        for rec in state.jobs.values() {
+            *jobs_by_state.entry(rec.state.name()).or_default() += 1;
         }
-        let mut jobs_by_state: Vec<(&'static str, u64)> = by_state.into_iter().collect();
-        jobs_by_state.sort_by_key(|(name, _)| *name);
         SchedulerStats {
             workers: self.shared.config.workers.max(1),
             queue_capacity: self.shared.config.queue_capacity,
-            queue_depth,
-            submitted: self.shared.submitted.load(Ordering::Relaxed), // Relaxed: stats snapshot
-            rejected: self.shared.rejected.load(Ordering::Relaxed),   // Relaxed: stats snapshot
-            jobs_by_state,
-            latencies: self.shared.latency.summaries(),
+            queue_depth: state.queue.len(),
+            submitted: state.submitted,
+            rejected: state.rejected,
+            jobs_by_state: jobs_by_state.into_iter().collect(),
+            latencies: state.latencies(),
         }
     }
 
@@ -579,29 +571,20 @@ impl Scheduler {
     /// boundary with a checkpoint.
     pub fn shutdown(&self) {
         {
-            // Queue before jobs — the established nesting order.  Each
-            // queued job cancelled here leaves a stale heap entry, so
-            // the counts must move together under the queue lock.
-            let mut queue = self.shared.queue.lock();
-            queue.shutdown = true;
-            let mut jobs = self.shared.jobs.lock();
-            for rec in jobs.values_mut() {
-                match rec.state {
-                    JobState::Queued => {
-                        // Relaxed: monotonic flag; jobs lock orders state.
-                        rec.cancel.store(true, Ordering::Relaxed);
-                        rec.state = JobState::Cancelled;
-                        rec.finished = Some(Instant::now());
-                        queue.stale += 1;
-                    }
+            let mut state = self.shared.state.lock();
+            state.shutdown = true;
+            while let Some((_, id)) = state.queue.pop_first() {
+                state.cancel_queued(id);
+            }
+            for rec in state.jobs.values() {
+                if rec.state == JobState::Running {
                     // Relaxed: monotonic flag, polled at superstep bounds.
-                    JobState::Running => rec.cancel.store(true, Ordering::Relaxed),
-                    _ => {}
+                    rec.cancel.store(true, Ordering::Relaxed);
                 }
             }
         }
-        self.shared.cond.notify_all();
-        self.shared.jobs_cond.notify_all();
+        self.shared.work.notify_all();
+        self.shared.transition.notify_all();
         let workers: Vec<JoinHandle<()>> = std::mem::take(&mut *self.workers.lock());
         for handle in workers {
             let _ = handle.join();
@@ -617,76 +600,43 @@ impl Drop for Scheduler {
 
 fn worker_loop(shared: &Shared) {
     let mut slot: FrameSlot = None;
-    while let Some(entry) = next_entry(shared, &mut slot) {
-        if !run_one(shared, entry.id, &mut slot) {
-            // The popped entry was stale (its job was cancelled while
-            // queued, or evicted).  Balance the stale count bumped at
-            // cancel time.
-            let mut queue = shared.queue.lock();
-            queue.stale = queue.stale.saturating_sub(1);
-        }
+    while let Some(claim) = next_job(shared, &mut slot) {
+        // The claim flipped Queued -> Running; wake status waiters.
+        shared.transition.notify_all();
+        run(shared, claim, &mut slot);
     }
 }
 
-/// The next entry for a worker to run, or `None` once the scheduler shuts
+/// The next queued job, claimed, or `None` once the scheduler shuts
 /// down.  A worker that finds the queue empty lets go of its frame before
 /// it waits, so an idle worker holds no frame: a frame carries over only
 /// to a job that was already queued when the previous one finished.
-fn next_entry(shared: &Shared, slot: &mut FrameSlot) -> Option<QueueEntry> {
-    let mut queue = shared.queue.lock();
+fn next_job(shared: &Shared, slot: &mut FrameSlot) -> Option<Claim> {
+    let mut state = shared.state.lock();
     loop {
-        if let Some(entry) = queue.heap.pop() {
-            return Some(entry);
+        if let Some(claim) = state.claim_next() {
+            return Some(claim);
         }
         if slot.is_some() {
-            // Free the frame outside the queue lock, then look again.
-            drop(queue);
+            // Free the frame outside the lock, then look again.
+            drop(state);
             *slot = None;
-            queue = shared.queue.lock();
+            state = shared.state.lock();
             continue;
         }
-        if queue.shutdown {
+        if state.shutdown {
             return None;
         }
-        shared.cond.wait(&mut queue);
+        shared.work.wait(&mut state);
     }
 }
 
-/// Run the job behind a popped queue entry.  Returns `false` when the
-/// entry was stale — the job was no longer `Queued` (cancelled while it
-/// waited) or no longer tracked — so the caller can settle the queue's
-/// stale-entry count.  A BSP job borrows the worker's frame `slot`.
-fn run_one(shared: &Shared, id: JobId, slot: &mut FrameSlot) -> bool {
-    // Claim the job; skip entries whose job was cancelled while queued.
-    let (spec, graph, precomputed, cancel, resume_from, deadline) = {
-        let mut jobs = shared.jobs.lock();
-        let rec = match jobs.get_mut(&id) {
-            Some(rec) => rec,
-            None => return false,
-        };
-        if rec.state != JobState::Queued {
-            return false;
-        }
-        rec.state = JobState::Running;
-        rec.started = Some(Instant::now());
-        let deadline = rec
-            .spec
-            .deadline_ms
-            .map(|ms| rec.submitted + Duration::from_millis(ms));
-        (
-            rec.spec.clone(),
-            rec.graph.csr.clone(),
-            rec.graph.precomputed.take(),
-            Arc::clone(&rec.cancel),
-            rec.resume_from.take(),
-            deadline,
-        )
-    };
-    // The claim above flipped Queued -> Running; wake status waiters.
-    shared.jobs_cond.notify_all();
-
+/// Run a claimed job and record how it ended.  A BSP job borrows the
+/// worker's frame `slot`.
+fn run(shared: &Shared, claim: Claim, slot: &mut FrameSlot) {
+    let (spec, deadline) = (&claim.spec, claim.deadline);
     let stop = {
-        let cancel = Arc::clone(&cancel);
+        let cancel = Arc::clone(&claim.cancel);
         #[cfg(test)]
         let spec = spec.clone();
         move || {
@@ -700,7 +650,7 @@ fn run_one(shared: &Shared, id: JobId, slot: &mut FrameSlot) -> bool {
     // One sink per run: resumed jobs get a fresh sink whose records
     // continue the checkpoint's absolute superstep numbering.
     let mut sink = xmt_trace::TraceSink::new();
-    let outcome = match (precomputed, &graph) {
+    let outcome = match (claim.precomputed, &claim.graph) {
         // Incremental-engine jobs carry their answer from admission
         // (captured atomically with the epoch); nothing to run.
         (Some(output), _) => Ok(Ok(ExecVerdict::Completed {
@@ -708,26 +658,24 @@ fn run_one(shared: &Shared, id: JobId, slot: &mut FrameSlot) -> bool {
             supersteps: 0,
         })),
         (None, Some(graph)) => catch_unwind(AssertUnwindSafe(|| {
-            execute(&spec, graph, resume_from, Some(slot), &stop, &mut sink)
+            execute(spec, graph, claim.resume_from, Some(slot), &stop, &mut sink)
         })),
         (None, None) => Ok(Err(ServiceError::Internal {
             message: "job admitted with neither a graph snapshot nor an answer".to_string(),
         })),
     };
-
-    let mut jobs = shared.jobs.lock();
-    let rec = match jobs.get_mut(&id) {
-        Some(rec) => rec,
-        None => return true,
-    };
-    rec.trace = Some(xmt_trace::JobTrace {
-        label: format!("{}/{}", spec.algorithm.name(), spec.engine.name()),
-        // finish() only drains the sink's already-collected superstep
-        // records into a Vec; attaching the trace must be atomic with
-        // the state transition below.
+    let trace = xmt_trace::JobTrace {
+        label: label(spec.algorithm, spec.engine),
         supersteps: sink.finish(),
-    });
+    };
     let now = Instant::now();
+
+    let mut guard = shared.state.lock();
+    let state = &mut *guard;
+    let Some(rec) = state.jobs.get_mut(&claim.id) else {
+        return;
+    };
+    rec.trace = Some(trace);
     rec.finished = Some(now);
     match outcome {
         Ok(Ok(ExecVerdict::Completed { output, supersteps })) => {
@@ -735,10 +683,7 @@ fn run_one(shared: &Shared, id: JobId, slot: &mut FrameSlot) -> bool {
             rec.supersteps = supersteps;
             rec.output = Some(output);
             let us = now.duration_since(rec.submitted).as_micros() as u64;
-            shared.latency.record(
-                &format!("{}/{}", spec.algorithm.name(), spec.engine.name()),
-                us,
-            );
+            state.latency[spec.algorithm as usize][spec.engine as usize].record_us(us);
         }
         Ok(Ok(ExecVerdict::Interrupted {
             checkpoint,
@@ -746,19 +691,16 @@ fn run_one(shared: &Shared, id: JobId, slot: &mut FrameSlot) -> bool {
         })) => {
             rec.supersteps = supersteps;
             rec.checkpoint = Some(checkpoint);
-            // Why did the run stop?  Cancel flag and deadline map to
-            // their own states; otherwise the superstep budget cut it.
+            // Why did the run stop?  A passed deadline wins, then the
+            // cancel flag; otherwise the superstep budget cut it.
             // Relaxed: post-run classification; the flag only ever goes
             // false -> true, so a stale read misclassifies toward the
             // benign `Interrupted` state.
-            rec.state = if cancel.load(Ordering::Relaxed) {
-                if deadline.is_some_and(|d| now >= d) {
-                    JobState::TimedOut
-                } else {
-                    JobState::Cancelled
-                }
-            } else if deadline.is_some_and(|d| now >= d) {
+            let cancelled = claim.cancel.load(Ordering::Relaxed);
+            rec.state = if deadline.is_some_and(|d| now >= d) {
                 JobState::TimedOut
+            } else if cancelled {
+                JobState::Cancelled
             } else {
                 JobState::Interrupted
             };
@@ -778,10 +720,9 @@ fn run_one(shared: &Shared, id: JobId, slot: &mut FrameSlot) -> bool {
         }
     }
     rec.release_graph();
-    drop(jobs);
+    drop(guard);
     // Terminal transition: wake anyone blocked in wait_job.
-    shared.jobs_cond.notify_all();
-    true
+    shared.transition.notify_all();
 }
 
 #[cfg(test)]
@@ -818,7 +759,7 @@ mod tests {
     /// Graph name that makes [`inject_fault`] fail the job.
     const FAULTY: &str = "fault: panic inside a pool loop";
 
-    /// Test-only fault injection, called from `run_one`'s stop hook, so
+    /// Test-only fault injection, called from `run`'s stop hook, so
     /// it fires at a superstep boundary while the run holds the worker's
     /// frame: a panic raised inside a parallel loop on the global pool,
     /// by whichever worker claims the chosen index.
@@ -1009,20 +950,21 @@ mod tests {
         });
         sched.shutdown();
         let warm = || -> FrameSlot { Some((64, Box::new(()))) };
-        // A queued entry is handed out and the frame kept for it.
+        // A queued job is handed out and the frame kept for it.
         let mut slot = warm();
-        sched.shared.queue.lock().heap.push(QueueEntry {
-            priority: 0,
-            seq: 0,
-            id: 1,
-        });
-        assert_eq!(next_entry(&sched.shared, &mut slot).map(|e| e.id), Some(1));
+        let small = Arc::new(build_undirected(&path(4)));
+        let id = sched
+            .shared
+            .state
+            .lock()
+            .enqueue(spec("small"), small.into(), None);
+        assert_eq!(next_job(&sched.shared, &mut slot).map(|c| c.id), Some(id));
         assert!(
             slot.is_some(),
             "a worker with queued work dropped its frame"
         );
         // An empty queue: the frame goes before the worker would wait.
-        assert!(next_entry(&sched.shared, &mut slot).is_none());
+        assert!(next_job(&sched.shared, &mut slot).is_none());
         assert!(slot.is_none(), "an idle worker kept its frame");
     }
 
@@ -1143,6 +1085,93 @@ mod tests {
         sched.shutdown();
     }
 
+    #[test]
+    fn cancelling_from_the_middle_keeps_the_order_of_the_rest() {
+        let sched = Scheduler::new(SchedulerConfig {
+            workers: 1,
+            queue_capacity: 16,
+        });
+        let blocker = sched.submit(spec("p"), long_path()).unwrap();
+        let (_, timed_out) = sched
+            .wait_job(blocker, Duration::from_secs(60), |s| {
+                s.state != JobState::Queued
+            })
+            .unwrap();
+        assert!(!timed_out, "the blocker never started");
+        let small = Arc::new(build_undirected(&path(32)));
+        let ids: Vec<JobId> = [0, 5, 0, 5, 1, 5, 1]
+            .into_iter()
+            .map(|priority| {
+                let s = JobSpec {
+                    priority,
+                    ..spec("small")
+                };
+                sched.submit(s, Arc::clone(&small)).unwrap()
+            })
+            .collect();
+        // Queue order: ids 1, 3, 5 (priority 5), 4, 6 (priority 1), 0, 2.
+        // Cancel the fourth of the seven.
+        assert_eq!(sched.cancel(ids[4]).unwrap(), JobState::Cancelled);
+        sched.cancel(blocker).unwrap();
+        let expect = [ids[1], ids[3], ids[5], ids[6], ids[0], ids[2]];
+        for &id in &expect {
+            assert_eq!(wait_terminal(&sched, id).state, JobState::Completed);
+        }
+        // One worker: the start instants give the run order.
+        let state = sched.shared.state.lock();
+        let started = |id: &JobId| state.jobs[id].started;
+        assert_eq!(started(&ids[4]), None, "the cancelled job ran");
+        let mut ran = expect;
+        ran.sort_by_key(started);
+        assert_eq!(ran, expect);
+        drop(state);
+        sched.shutdown();
+    }
+
+    #[test]
+    fn latency_series_stay_separate_and_sorted_by_label() {
+        let sched = Scheduler::new(SchedulerConfig {
+            workers: 1,
+            queue_capacity: 8,
+        });
+        let g = Arc::new(build_undirected(&path(16)));
+        let run = |algorithm, engine, graph: JobGraph| {
+            let s = JobSpec {
+                algorithm,
+                engine,
+                ..spec("p")
+            };
+            let id = sched.submit(s, graph).unwrap();
+            assert_eq!(wait_terminal(&sched, id).state, JobState::Completed);
+        };
+        run(Algorithm::Cc, Engine::Bsp, Arc::clone(&g).into());
+        run(Algorithm::Cc, Engine::GraphCt, Arc::clone(&g).into());
+        run(Algorithm::Cc, Engine::Bsp, Arc::clone(&g).into());
+        let answered = JobGraph {
+            csr: None,
+            num_vertices: 16,
+            epoch: 1,
+            precomputed: Some(JobOutput::Triangles(0)),
+        };
+        run(Algorithm::Triangles, Engine::Incremental, answered);
+        run(Algorithm::Bfs, Engine::Bsp, Arc::clone(&g).into());
+        let series: Vec<(String, u64)> = sched
+            .stats()
+            .latencies
+            .into_iter()
+            .map(|l| (l.label, l.completed))
+            .collect();
+        let expect = [
+            ("bfs/bsp", 1),
+            ("cc/bsp", 2),
+            ("cc/graphct", 1),
+            ("triangles/incremental", 1),
+        ]
+        .map(|(label, n)| (label.to_string(), n));
+        assert_eq!(series, expect);
+        sched.shutdown();
+    }
+
     fn wait_terminal(sched: &Scheduler, id: JobId) -> JobSnapshot {
         let (snap, timed_out) = sched.wait_terminal(id, Duration::from_secs(60)).unwrap();
         assert!(!timed_out, "job {id} never finished");
@@ -1182,40 +1211,111 @@ mod tests {
     }
 
     #[test]
-    fn the_three_lock_nestings_follow_the_rank_table() {
-        // Every `lock()` checks its rank against what the thread holds
-        // (debug builds), so driving each nesting through its public
-        // path is the check that `crate::rank` agrees with the code.
-        use crate::registry::GraphRegistry;
+    fn shutdown_releases_the_snapshots_of_queued_jobs() {
         let sched = Scheduler::new(SchedulerConfig {
             workers: 1,
             queue_capacity: 8,
         });
-        let reg = GraphRegistry::new(0);
-        reg.register_dynamic("d", build_undirected(&path(12)))
+        let blocker = sched.submit(spec("p"), long_path()).unwrap();
+        let (_, timed_out) = sched
+            .wait_job(blocker, Duration::from_secs(60), |s| {
+                s.state != JobState::Queued
+            })
             .unwrap();
-        // state → inner: the batch is re-costed under the graph's lock.
-        reg.update("d", &[(0, 5)], &[]).unwrap();
-        // queue → jobs: admission registers the job under the queue lock.
-        let jg = reg.admit("d", Algorithm::Cc, Engine::Bsp).unwrap();
-        let id = sched.submit(spec("d"), jg).unwrap();
-        // jobs → series: completion records the latency under the jobs lock.
-        assert_eq!(wait_terminal(&sched, id).state, JobState::Completed);
-        assert_eq!(sched.stats().latencies[0].completed, 1);
-        // The same pair again on the way out (`shutdown`).
+        assert!(!timed_out, "the blocker never started");
+        let small = Arc::new(build_undirected(&path(64)));
+        let queued = sched.submit(spec("small"), Arc::clone(&small)).unwrap();
+        assert_eq!(Arc::strong_count(&small), 2);
         sched.shutdown();
+        assert_eq!(sched.status(queued).unwrap().state, JobState::Cancelled);
+        assert_eq!(
+            Arc::strong_count(&small),
+            1,
+            "a job cancelled by shutdown still pins its snapshot"
+        );
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "lock order: acquiring rank 30 while holding [40]")]
-    fn taking_the_queue_under_the_jobs_lock_panics() {
+    fn stats_stay_consistent_while_submitters_cancellers_and_workers_race() {
+        const PER_SUBMITTER: u64 = 40;
+        const SUBMITTED: u64 = 2 * PER_SUBMITTER;
         let sched = Scheduler::new(SchedulerConfig {
-            workers: 1,
+            workers: 2,
             queue_capacity: 8,
         });
-        let _jobs = sched.shared.jobs.lock();
-        let _queue = sched.shared.queue.lock();
+        let small = Arc::new(build_undirected(&path(16)));
+        let count = |stats: &SchedulerStats, name: &str| {
+            stats
+                .jobs_by_state
+                .iter()
+                .find(|(state, _)| *state == name)
+                .map_or(0, |&(_, n)| n)
+        };
+        let check = |stats: &SchedulerStats| {
+            assert_eq!(
+                stats.queue_depth as u64,
+                count(stats, "queued"),
+                "{stats:?}"
+            );
+            let tracked: u64 = stats.jobs_by_state.iter().map(|&(_, n)| n).sum();
+            assert_eq!(stats.submitted, tracked, "{stats:?}");
+        };
+        std::thread::scope(|scope| {
+            let mut racers: Vec<_> = (0..2u8)
+                .map(|t| {
+                    let (sched, small) = (&sched, &small);
+                    scope.spawn(move || {
+                        let mut admitted = 0;
+                        while admitted < PER_SUBMITTER {
+                            let s = JobSpec {
+                                priority: (admitted % 3) as u8 + t,
+                                ..spec("small")
+                            };
+                            match sched.submit(s, Arc::clone(small)) {
+                                Ok(_) => admitted += 1,
+                                Err(ServiceError::QueueFull { .. }) => std::thread::yield_now(),
+                                Err(other) => panic!("unexpected error: {other}"),
+                            }
+                        }
+                    })
+                })
+                .collect();
+            // Cancel among the newest ids, where the queued jobs are;
+            // whatever state a job is in, the answer is typed.
+            racers.push(scope.spawn(|| {
+                let mut k = 0;
+                loop {
+                    let last = sched.stats().submitted;
+                    if last == SUBMITTED {
+                        break;
+                    }
+                    if last > 0 {
+                        let _ = sched.cancel(last - k % last.min(4));
+                    }
+                    k += 1;
+                    std::thread::yield_now();
+                }
+            }));
+            while !racers.iter().all(|h| h.is_finished()) {
+                check(&sched.stats());
+            }
+            for racer in racers {
+                racer.join().unwrap();
+            }
+        });
+        for id in 1..=SUBMITTED {
+            let state = wait_terminal(&sched, id).state;
+            assert!(
+                matches!(state, JobState::Completed | JobState::Cancelled),
+                "job {id}: {state:?}"
+            );
+        }
+        let stats = sched.stats();
+        check(&stats);
+        assert_eq!(stats.submitted, SUBMITTED);
+        let completed: u64 = stats.latencies.iter().map(|l| l.completed).sum();
+        assert_eq!(completed, count(&stats, "completed"));
+        sched.shutdown();
     }
 
     #[test]
@@ -1251,9 +1351,8 @@ mod tests {
     #[test]
     fn cancelled_queued_jobs_free_their_queue_slots() {
         // One worker pinned on a long job; the queue then fills to
-        // capacity.  Cancelling every queued job must restore the live
-        // depth to zero and re-open admission, even though the heap
-        // still physically holds the dead entries.
+        // capacity.  Cancelling every queued job must take the depth back
+        // to zero and re-open admission.
         let sched = Scheduler::new(SchedulerConfig {
             workers: 1,
             queue_capacity: 3,
@@ -1277,7 +1376,6 @@ mod tests {
         for id in &queued {
             assert_eq!(sched.cancel(*id).unwrap(), JobState::Cancelled);
         }
-        // The heap still holds 3 dead entries, but none of them count.
         assert_eq!(sched.stats().queue_depth, 0);
         // ... and admission control sees the free slots again.
         let small = Arc::new(build_undirected(&path(64)));
@@ -1285,7 +1383,6 @@ mod tests {
         let _ = sched.cancel(blocker);
         let snap = wait_terminal(&sched, id);
         assert_eq!(snap.state, JobState::Completed);
-        // The workers drained the stale entries and settled the count.
         let (_, _) = sched
             .wait_terminal(blocker, Duration::from_secs(60))
             .unwrap();

@@ -1,15 +1,11 @@
-//! Service observability: job counters and per-algorithm latency
-//! histograms.
+//! Service observability: the completion-latency histograms the
+//! scheduler keeps per algorithm and engine.
 //!
 //! Latencies land in log2-spaced microsecond buckets, so a histogram is
-//! a fixed 48-word array — cheap enough to update on every job with a
-//! single lock, precise enough for p50/p99 at the resolution that
+//! a fixed 48-word array — cheap enough to update on every job under the
+//! scheduler's lock, precise enough for p50/p99 at the resolution that
 //! matters (each bucket spans 2×).  Quantiles are read out by walking
 //! the cumulative counts and interpolating inside the hit bucket.
-
-use std::collections::HashMap;
-
-use parking_lot::Mutex;
 
 /// Number of log2 buckets: covers 1 µs .. ~2^47 µs (≈ 4.5 years).
 const BUCKETS: usize = 48;
@@ -91,6 +87,18 @@ impl LatencyHistogram {
         }
         self.max_ms()
     }
+
+    /// This histogram's summary under `label`.
+    pub fn summary(&self, label: String) -> LatencySummary {
+        LatencySummary {
+            label,
+            completed: self.count,
+            mean_ms: self.mean_ms(),
+            p50_ms: self.quantile_ms(0.50),
+            p99_ms: self.quantile_ms(0.99),
+            max_ms: self.max_ms(),
+        }
+    }
 }
 
 /// One labelled latency series (per algorithm/engine pair).
@@ -108,49 +116,6 @@ pub struct LatencySummary {
     pub p99_ms: f64,
     /// Worst latency (ms).
     pub max_ms: f64,
-}
-
-/// Keyed latency histograms behind one lock (updated once per finished
-/// job — not a hot path).
-pub struct LatencyBook {
-    series: Mutex<HashMap<String, LatencyHistogram>>,
-}
-
-impl Default for LatencyBook {
-    fn default() -> Self {
-        LatencyBook {
-            series: Mutex::ranked(crate::rank::SERIES, HashMap::new()),
-        }
-    }
-}
-
-impl LatencyBook {
-    /// Record `us` microseconds under `label`.
-    pub fn record(&self, label: &str, us: u64) {
-        self.series
-            .lock()
-            .entry(label.to_string())
-            .or_default()
-            .record_us(us);
-    }
-
-    /// Summaries of every series, sorted by label.
-    pub fn summaries(&self) -> Vec<LatencySummary> {
-        let series = self.series.lock();
-        let mut out: Vec<LatencySummary> = series
-            .iter()
-            .map(|(label, h)| LatencySummary {
-                label: label.clone(),
-                completed: h.count(),
-                mean_ms: h.mean_ms(),
-                p50_ms: h.quantile_ms(0.50),
-                p99_ms: h.quantile_ms(0.99),
-                max_ms: h.max_ms(),
-            })
-            .collect();
-        out.sort_by(|a, b| a.label.cmp(&b.label));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -197,19 +162,5 @@ mod tests {
         let h = LatencyHistogram::default();
         assert_eq!(h.quantile_ms(0.5), 0.0);
         assert_eq!(h.mean_ms(), 0.0);
-    }
-
-    #[test]
-    fn book_keeps_series_separate() {
-        let book = LatencyBook::default();
-        book.record("cc/bsp", 500);
-        book.record("cc/bsp", 700);
-        book.record("bfs/bsp", 9_000);
-        let sums = book.summaries();
-        assert_eq!(sums.len(), 2);
-        assert_eq!(sums[0].label, "bfs/bsp");
-        assert_eq!(sums[0].completed, 1);
-        assert_eq!(sums[1].label, "cc/bsp");
-        assert_eq!(sums[1].completed, 2);
     }
 }
