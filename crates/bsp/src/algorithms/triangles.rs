@@ -20,11 +20,20 @@
 //! wire-visible drop in Fig. 4) while leaving the count — and the
 //! seed-message invariant (one message per edge) — unchanged.
 //!
-//! The messages are the algorithm; the host work around them is kept
-//! proportional to them.  Superstep 1 enumerates *destination-major*:
-//! one rank test per neighbor (Σ deg(v), not Σ |msgs(v)|·deg(v)), and
-//! each higher-ranked neighbor is forwarded every seed in inbox order,
-//! so superstep 2's inboxes are what a seed-major loop delivers.
+//! The messages are the algorithm; the host work and bytes around them
+//! are kept proportional to them.  Superstep 1 enumerates
+//! *destination-major*: one rank test per neighbor (Σ deg(v), not
+//! Σ |msgs(v)|·deg(v)), and each higher-ranked neighbor is forwarded
+//! every seed in inbox order as one run
+//! ([`Context::send_all_to`](crate::Context::send_all_to)), so superstep
+//! 2's inboxes are what a seed-major loop delivers, while the
+//! destination ships once per run instead of once per candidate.  A
+//! candidate is its originator's id as a `u32` — 4 bytes on the host
+//! instead of a 16-byte `(dst, id)` pair — so a graph of more than
+//! [`TcProgram::MAX_VERTICES`] vertices is refused before superstep 0
+//! ([`bsp_count_triangles_with_config`] asserts it; the service answers
+//! with a typed error).  The model still charges every candidate as one
+//! message of one word.
 //! Superstep 2 stamps the adjacency into the worker's mark array
 //! ([`Context::marks`]) once and answers each candidate with one load —
 //! while the model is charged the paper's machine: `⌊log₂ deg⌋ + 1`
@@ -49,15 +58,23 @@ fn ranks_below<M: Copy>(ctx: &Context<'_, M>, dv: u64, v: VertexId, n: VertexId)
     (dv, v) < (ctx.degree_of(n), n)
 }
 
+impl TcProgram {
+    /// The most vertices a graph may have: a candidate carries its
+    /// originator's id in 32 bits.
+    pub const MAX_VERTICES: u64 = 1 << 32;
+}
+
 impl VertexProgram for TcProgram {
     type State = u64;
-    type Message = VertexId;
+    /// An originator's id, which fits in 32 bits on a graph of at most
+    /// [`TcProgram::MAX_VERTICES`] vertices.
+    type Message = u32;
 
     fn init(&self, _v: VertexId) -> u64 {
         0
     }
 
-    fn compute(&self, ctx: &mut Context<'_, VertexId>, count: &mut u64, msgs: &[VertexId]) {
+    fn compute(&self, ctx: &mut Context<'_, u32>, count: &mut u64, msgs: &[u32]) {
         let (v, dv) = (ctx.vertex(), ctx.degree());
         let nbrs = ctx.neighbors();
         match ctx.superstep() {
@@ -66,22 +83,22 @@ impl VertexProgram for TcProgram {
             0 => {
                 // One offsets read per neighbor-degree lookup.
                 ctx.charge_reads(nbrs.len() as u64);
+                debug_assert!(v < TcProgram::MAX_VERTICES, "vertex id past 32 bits");
                 for &n in nbrs {
                     if ranks_below(ctx, dv, v, n) {
-                        ctx.send_to(n, v);
+                        ctx.send_to(n, v as u32);
                     }
                 }
             }
             // Lines 5-9: enumerate possible triangles rank(m) < rank(v)
-            // < rank(n), destination-major.  Pruning by degree rank is
-            // what keeps hubs from fanning out candidate pairs.
+            // < rank(n), destination-major: every seed goes to each
+            // higher-ranked neighbour as one run.  Pruning by degree rank
+            // is what keeps hubs from fanning out candidate pairs.
             1 => {
                 ctx.charge_reads(nbrs.len() as u64);
                 for &n in nbrs {
                     if ranks_below(ctx, dv, v, n) {
-                        for &m in msgs {
-                            ctx.send_to(n, m);
-                        }
+                        ctx.send_all_to(n, msgs);
                     }
                 }
             }
@@ -93,8 +110,9 @@ impl VertexProgram for TcProgram {
                 ctx.charge_alu(probes * msgs.len() as u64);
                 let window = ctx.marks().mark(nbrs);
                 for &m in msgs {
-                    if ctx.marks().is_marked(m, window) {
-                        ctx.send_to(m, m);
+                    let origin = VertexId::from(m);
+                    if ctx.marks().is_marked(origin, window) {
+                        ctx.send_to(origin, m);
                     }
                 }
             }
@@ -122,6 +140,10 @@ pub fn bsp_count_triangles_with_config(
         "triangle counting needs an undirected graph"
     );
     assert!(g.is_sorted(), "triangle counting needs sorted adjacency");
+    assert!(
+        g.num_vertices() <= TcProgram::MAX_VERTICES,
+        "triangle counting carries vertex ids in 32 bits"
+    );
     run_bsp(g, &TcProgram, config, rec)
 }
 

@@ -14,10 +14,13 @@
 //! Either way [`Inbox::rebuild`] gives every destination bucket of the
 //! collector's [`Collected`] view to exactly one task, which walks the
 //! bucket's deposits in ascending chunk position with plain loads and
-//! stores.  A destination therefore receives (and a combiner folds) its
-//! messages in the order the active list produced them — ascending
-//! source order under `DenseScan` — whatever the worker count or
-//! schedule (DESIGN.md §17).
+//! stores: first every deposit's single `(dst, msg)` pairs, then every
+//! deposit's runs (a run is counted by adding its length and scattered
+//! with one slice copy).  A destination therefore receives (and a
+//! combiner folds) its pairs and then its runs, each in the order the
+//! active list produced them — ascending source order under
+//! `DenseScan` — whatever the worker count, schedule or deposit split
+//! (DESIGN.md §17).
 //!
 //! Inboxes are double-buffer friendly: [`Inbox::rebuild`] /
 //! [`Inbox::reset_empty`] reshape an existing inbox in place, reusing
@@ -134,7 +137,10 @@ impl<M: Copy + Send + Sync> Inbox<M> {
     /// Every buffer is retained, so a steady-state rebuild allocates
     /// nothing once the buffers have grown to their high-water mark.  If
     /// `combiner` is given, each vertex's messages are folded to one, in
-    /// deposit order.  `cursor_scratch` (one slot per `exec` worker) is
+    /// delivery order: the pairs of every deposit in chunk order, then
+    /// the runs of every deposit in chunk order.  That order is a
+    /// function of the active list alone, never of where a chunk's
+    /// deposits split.  `cursor_scratch` (one slot per `exec` worker) is
     /// the uncombined pass's per-worker cursor buffer.
     ///
     /// # Panics
@@ -149,7 +155,7 @@ impl<M: Copy + Send + Sync> Inbox<M> {
     ) {
         self.num_vertices = collected.num_vertices();
         self.total = (0..collected.num_batches())
-            .map(|i| collected.batch(i).len() as u64)
+            .map(|i| collected.batch(i).messages() as u64)
             .sum();
         match combiner {
             Some(c) => self.fold_into_slots(exec, collected, c),
@@ -191,18 +197,31 @@ impl<M: Copy + Send + Sync> Inbox<M> {
                         present.range(lo / 64..owned.end.div_ceil(64)),
                     )
                 };
+                let mut fold = |i: usize, msg: M| {
+                    let (word, bit) = (&mut present[i / 64], 1u64 << (i % 64));
+                    if *word & bit == 0 {
+                        *word |= bit;
+                        slots[i].write(msg);
+                    } else {
+                        // SAFETY: the bit says this slot was written
+                        // earlier in this rebuild.
+                        let acc = unsafe { slots[i].assume_init() };
+                        slots[i].write(combiner.combine(acc, msg));
+                    }
+                };
+                // Pairs first, then runs, each in chunk order (the rule
+                // `rebuild` states).
                 for deposit in collected.bucket_deposits(b) {
-                    for &(dst, msg) in deposit {
-                        let i = dst as usize - lo;
-                        let (word, bit) = (&mut present[i / 64], 1u64 << (i % 64));
-                        if *word & bit == 0 {
-                            *word |= bit;
-                            slots[i].write(msg);
-                        } else {
-                            // SAFETY: the bit says this slot was written
-                            // earlier in this rebuild.
-                            let acc = unsafe { slots[i].assume_init() };
-                            slots[i].write(combiner.combine(acc, msg));
+                    for &(dst, msg) in deposit.pairs {
+                        fold(dst as usize - lo, msg);
+                    }
+                }
+                if collected.bucket_has_runs(b) {
+                    for deposit in collected.bucket_deposits(b) {
+                        for (i, run) in deposit.runs() {
+                            for &msg in run {
+                                fold(i, msg);
+                            }
                         }
                     }
                 }
@@ -235,7 +254,7 @@ impl<M: Copy + Send + Sync> Inbox<M> {
         self.bucket_base.clear();
         self.bucket_base.resize(num_buckets + 1, 0);
         for i in 0..collected.num_batches() {
-            self.bucket_base[i % num_buckets + 1] += collected.batch(i).len() as u64;
+            self.bucket_base[i % num_buckets + 1] += collected.batch(i).messages() as u64;
         }
         for b in 0..num_buckets {
             self.bucket_base[b + 1] += self.bucket_base[b];
@@ -269,9 +288,17 @@ impl<M: Copy + Send + Sync> Inbox<M> {
                 let cursors = unsafe { cursor_scratch.get(worker) };
                 cursors.clear();
                 cursors.resize(offsets.len(), 0);
+                let has_runs = collected.bucket_has_runs(b);
                 for deposit in collected.bucket_deposits(b) {
-                    for &(dst, _) in deposit {
+                    for &(dst, _) in deposit.pairs {
                         cursors[dst as usize - lo] += 1;
+                    }
+                }
+                if has_runs {
+                    for deposit in collected.bucket_deposits(b) {
+                        for &(i, len) in deposit.runs {
+                            cursors[i as usize] += u64::from(len);
+                        }
                     }
                 }
                 // Local exclusive prefix; publish each destination's
@@ -284,13 +311,24 @@ impl<M: Copy + Send + Sync> Inbox<M> {
                     acc += count;
                 }
                 debug_assert_eq!(acc as usize, data.len());
-                // Scatter into this bucket's private region of `data`;
-                // every one of its slots is written exactly once.
+                // Scatter into this bucket's private region of `data`,
+                // pairs first, then runs, each in chunk order; every one
+                // of its slots is written exactly once.
                 for deposit in collected.bucket_deposits(b) {
-                    for &(dst, msg) in deposit {
+                    for &(dst, msg) in deposit.pairs {
                         let cursor = &mut cursors[dst as usize - lo];
                         data[*cursor as usize].write(msg);
                         *cursor += 1;
+                    }
+                }
+                if has_runs {
+                    for deposit in collected.bucket_deposits(b) {
+                        for (i, run) in deposit.runs() {
+                            let cursor = &mut cursors[i];
+                            let at = *cursor as usize;
+                            data[at..at + run.len()].write_copy_of_slice(run);
+                            *cursor += run.len() as u64;
+                        }
                     }
                 }
             }
@@ -362,7 +400,7 @@ impl<M: Copy + Send + Sync> Default for Inbox<M> {
 mod tests {
     use super::*;
     use crate::program::{MinCombiner, SumCombiner};
-    use crate::transport::{MessageCollector, Transport};
+    use crate::transport::{MessageCollector, Outbox, Transport};
 
     const TRANSPORTS: [Transport; 2] = [Transport::PerThreadOutbox, Transport::SingleQueue];
 
@@ -384,6 +422,116 @@ mod tests {
         let scratch = WorkerScratch::new(exec.workers());
         inbox.rebuild(&exec, &mc.collected(), combiner, &scratch);
         inbox
+    }
+
+    /// One send of a test outbox: a single message or a run.
+    #[derive(Clone)]
+    enum Sent {
+        One(u64, u64),
+        Run(u64, Vec<u64>),
+    }
+
+    /// Queue `sends` into one outbox, in order.
+    fn outbox(sends: &[Sent]) -> Outbox<u64> {
+        let mut outbox = Outbox::default();
+        for send in sends {
+            match send {
+                Sent::One(dst, m) => outbox.pairs.push((*dst, *m)),
+                Sent::Run(dst, msgs) => outbox.push_run(*dst, msgs),
+            }
+        }
+        outbox
+    }
+
+    /// Deposit each `(worker, chunk start, sends)` as one outbox, in the
+    /// order given, and regroup into a fresh inbox.
+    fn deliver_sends(
+        transport: Transport,
+        n: usize,
+        workers: usize,
+        deposits: &[(usize, usize, Vec<Sent>)],
+        combiner: Option<&dyn Combiner<u64>>,
+    ) -> Inbox<u64> {
+        let mut mc = MessageCollector::new(transport, workers, n);
+        for (worker, start, sends) in deposits {
+            mc.deposit(*worker, *start, &mut outbox(sends));
+        }
+        let exec = Executor::fixed();
+        let scratch = WorkerScratch::new(exec.workers());
+        let mut inbox = Inbox::new();
+        inbox.rebuild(&exec, &mc.collected(), combiner, &scratch);
+        inbox
+    }
+
+    /// Folds in decimal digits: the result spells out the order it saw.
+    struct Digits;
+
+    impl Combiner<u64> for Digits {
+        fn combine(&self, a: u64, b: u64) -> u64 {
+            a.wrapping_mul(10).wrapping_add(b)
+        }
+    }
+
+    #[test]
+    fn pairs_arrive_before_runs_each_in_source_order() {
+        use Sent::{One, Run};
+        // Chunks 0, 8 and 16 of the active list, deposited out of order
+        // by two workers; every send goes to vertex 5.
+        let deposits = vec![
+            (1, 8, vec![One(5, 4), Run(5, vec![6])]),
+            (0, 0, vec![Run(5, vec![1, 2]), One(5, 3)]),
+            (0, 16, vec![Run(5, vec![7]), Run(5, vec![])]),
+        ];
+        for transport in TRANSPORTS {
+            let ib = deliver_sends(transport, 100, 2, &deposits, None);
+            assert_eq!(ib.total_messages(), 6, "{transport:?}");
+            assert_eq!(ib.messages(5), &[3, 4, 1, 2, 6, 7], "{transport:?}");
+            let ib = deliver_sends(transport, 100, 2, &deposits, Some(&Digits));
+            assert_eq!(ib.messages(5), &[341_267], "{transport:?}");
+        }
+    }
+
+    #[test]
+    fn one_deposit_and_a_split_one_give_the_same_inbox() {
+        use Sent::{One, Run};
+        // Every chunk's sends, mixed singles and runs to shared
+        // destinations across all eight buckets of a 1000-vertex inbox.
+        let n = 1000u64;
+        let chunk_sends = |c: u64| -> Vec<Sent> {
+            (0..40u64)
+                .map(|i| {
+                    let dst = (c * 37 + i * 101) % n % 12 * 83;
+                    if (c + i).is_multiple_of(3) {
+                        One(dst, c * 100 + i)
+                    } else {
+                        Run(dst, (0..(c + i) % 5).map(|k| c * 100 + i + k).collect())
+                    }
+                })
+                .collect()
+        };
+        let chunks: Vec<(usize, usize, Vec<Sent>)> = (0..6)
+            .map(|c| (c as usize % 2, c as usize * 32, chunk_sends(c)))
+            .collect();
+        // The same sends, each chunk leaving in pieces of 1, 7 and 13
+        // sends, as a chunk past the deposit high-water mark does.
+        let split = |piece: usize| -> Vec<(usize, usize, Vec<Sent>)> {
+            let pieces = chunks.iter().flat_map(|(w, start, sends)| {
+                sends.chunks(piece).map(move |p| (*w, *start, p.to_vec()))
+            });
+            pieces.collect()
+        };
+        for transport in TRANSPORTS {
+            for combiner in [None, Some(&Digits as &dyn Combiner<u64>)] {
+                let whole = deliver_sends(transport, n as usize, 2, &chunks, combiner);
+                assert!(whole.total_messages() > 100);
+                for piece in [1, 7, 13] {
+                    let parts = deliver_sends(transport, n as usize, 2, &split(piece), combiner);
+                    let tag = format!("{transport:?}, pieces of {piece}");
+                    assert_eq!(parts.total_messages(), whole.total_messages(), "{tag}");
+                    assert_eq!(parts.snapshot(), whole.snapshot(), "{tag}");
+                }
+            }
+        }
     }
 
     #[test]

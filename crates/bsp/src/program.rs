@@ -3,6 +3,8 @@
 use xmt_graph::{Csr, VertexId};
 use xmt_par::MarkScratch;
 
+use crate::transport::Outbox;
+
 /// Optional message combiner (Pregel §3.2): folds messages addressed to
 /// the same vertex into one.  Must be commutative and associative.
 pub trait Combiner<M>: Sync {
@@ -145,7 +147,7 @@ pub struct Context<'a, M> {
     pub(crate) graph: &'a Csr,
     pub(crate) superstep: u64,
     pub(crate) vertex: VertexId,
-    pub(crate) outbox: &'a mut Vec<(VertexId, M)>,
+    pub(crate) outbox: &'a mut Outbox<M>,
     pub(crate) marks: &'a mut MarkScratch,
     pub(crate) halt: bool,
     pub(crate) agg_u64: u64,
@@ -203,13 +205,27 @@ impl<'a, M: Copy> Context<'a, M> {
     /// Send `msg` to an arbitrary vertex, delivered next superstep.
     pub fn send_to(&mut self, dst: VertexId, msg: M) {
         debug_assert!(dst < self.num_vertices, "message to nonexistent vertex");
-        self.outbox.push((dst, msg));
+        self.outbox.pairs.push((dst, msg));
+    }
+
+    /// Send every message of `msgs` to `dst`, delivered next superstep
+    /// in slice order: as many messages as `msgs.len()` calls of
+    /// [`send_to`](Self::send_to), but shipped as one run, so the
+    /// destination travels once and each message costs only its payload.
+    ///
+    /// A destination receives the messages sent to it with `send_to` (and
+    /// [`send_to_neighbors`](Self::send_to_neighbors)) first and those of
+    /// its runs after, each group in the active list's order (DESIGN.md
+    /// §17).
+    pub fn send_all_to(&mut self, dst: VertexId, msgs: &[M]) {
+        debug_assert!(dst < self.num_vertices, "message to nonexistent vertex");
+        self.outbox.push_run(dst, msgs);
     }
 
     /// Send `msg` to every neighbor.
     pub fn send_to_neighbors(&mut self, msg: M) {
         for &n in self.graph.neighbors(self.vertex) {
-            self.outbox.push((n, msg));
+            self.outbox.pairs.push((n, msg));
         }
     }
 
@@ -266,11 +282,7 @@ mod tests {
     use xmt_graph::builder::build_undirected;
     use xmt_graph::gen::structured::star;
 
-    fn ctx_on<'a>(
-        g: &'a Csr,
-        outbox: &'a mut Vec<(VertexId, u64)>,
-        v: VertexId,
-    ) -> Context<'a, u64> {
+    fn ctx_on<'a>(g: &'a Csr, outbox: &'a mut Outbox<u64>, v: VertexId) -> Context<'a, u64> {
         Context {
             graph: g,
             superstep: 3,
@@ -292,31 +304,47 @@ mod tests {
     #[test]
     fn send_to_neighbors_fans_out() {
         let g = build_undirected(&star(5));
-        let mut outbox = Vec::new();
+        let mut outbox = Outbox::default();
         {
             let mut ctx = ctx_on(&g, &mut outbox, 0);
             assert_eq!(ctx.degree(), 4);
             ctx.send_to_neighbors(99);
         }
-        assert_eq!(outbox.len(), 4);
-        assert!(outbox.iter().all(|&(_, m)| m == 99));
+        assert_eq!(outbox.pairs.len(), 4);
+        assert!(outbox.pairs.iter().all(|&(_, m)| m == 99));
     }
 
     #[test]
     fn send_to_targets_one_vertex() {
         let g = build_undirected(&star(5));
-        let mut outbox = Vec::new();
+        let mut outbox = Outbox::default();
         {
             let mut ctx = ctx_on(&g, &mut outbox, 2);
             ctx.send_to(4, 7);
         }
-        assert_eq!(outbox, vec![(4, 7)]);
+        assert_eq!(outbox.pairs, vec![(4, 7)]);
+    }
+
+    #[test]
+    fn send_all_to_queues_one_run_and_an_empty_one_nothing() {
+        let g = build_undirected(&star(5));
+        let mut outbox = Outbox::default();
+        {
+            let mut ctx = ctx_on(&g, &mut outbox, 2);
+            ctx.send_all_to(4, &[7, 8, 9]);
+            ctx.send_all_to(3, &[]);
+            ctx.send_to(4, 1);
+        }
+        assert_eq!(outbox.runs, vec![(4, 3)]);
+        assert_eq!(outbox.payloads, vec![7, 8, 9]);
+        assert_eq!(outbox.pairs, vec![(4, 1)]);
+        assert_eq!(outbox.messages(), 4);
     }
 
     #[test]
     fn halt_votes_toggle() {
         let g = build_undirected(&star(3));
-        let mut outbox = Vec::new();
+        let mut outbox = Outbox::default();
         let mut ctx = ctx_on(&g, &mut outbox, 1);
         assert!(!ctx.halt);
         ctx.vote_to_halt();
@@ -328,7 +356,7 @@ mod tests {
     #[test]
     fn aggregators_accumulate_and_expose_previous() {
         let g = build_undirected(&star(3));
-        let mut outbox = Vec::new();
+        let mut outbox = Outbox::default();
         let mut ctx = ctx_on(&g, &mut outbox, 1);
         ctx.aggregate_u64(5);
         ctx.aggregate_u64(6);

@@ -14,12 +14,14 @@ use super::frame::{bit, SuperstepFrame};
 use super::Run;
 use crate::program::{Context, VertexProgram};
 
-/// Sends a worker's outbox may hold before the chunk deposits them
-/// (256 KiB of 16-byte `(dst, msg)` pairs).  The partition should read
-/// the outbox from cache (2 MiB of L2 here), and every deposit is one
-/// more row of the lane's deposit table for the receiving side to walk.
-/// Picked by measurement (EXPERIMENTS.md, "Triangle counting at message
-/// cost"; DESIGN.md §17 says why order holds).
+/// Messages a worker's outbox may hold before the chunk deposits them:
+/// pairs plus run payloads, so 256 KiB of 16-byte `(dst, msg)` pairs, or
+/// 64 KiB of 4-byte run payloads (and their headers) for triangle
+/// candidates.  The partition should read the outbox from cache (2 MiB
+/// of L2 here), and every deposit is one more row of the lane's deposit
+/// table for the receiving side to walk.  Picked by measurement on pairs
+/// (EXPERIMENTS.md, "Triangle counting at message cost"; DESIGN.md §17
+/// says why order holds, however a chunk's deposits split).
 const DEPOSIT_HIGH_WATER: usize = 1 << 14;
 
 /// Superstep "-1": every vertex's initial state, charged as `init`.
@@ -211,8 +213,8 @@ impl<P: VertexProgram> Run<'_, P> {
                     local_extra.1 += ctx.extra_alu;
                     // Deposit while the sends are still in cache; the
                     // chunk's later deposits follow in this same lane.
-                    if outbox.len() >= DEPOSIT_HIGH_WATER {
-                        collector_ref.deposit_from(worker, chunk_start, outbox);
+                    if outbox.messages() >= DEPOSIT_HIGH_WATER {
+                        collector_ref.deposit(worker, chunk_start, outbox);
                     }
                 }
                 // Relaxed (all six below): pure accumulators whose totals
@@ -236,7 +238,7 @@ impl<P: VertexProgram> Run<'_, P> {
                 }
                 // Drains the scratch, leaving its capacity warm for the
                 // worker's next chunk (and the next superstep).
-                collector_ref.deposit_from(worker, chunk_start, outbox);
+                collector_ref.deposit(worker, chunk_start, outbox);
                 if !local_awake.is_empty() {
                     next_active_parts.lock().extend(local_awake.drain(..));
                 }

@@ -5,6 +5,7 @@ use std::sync::atomic::Ordering;
 
 use parking_lot::Mutex;
 
+use xmt_graph::VertexId;
 use xmt_model::PhaseCounts;
 use xmt_par::pfor::default_chunk;
 
@@ -69,13 +70,21 @@ impl<P: VertexProgram> Run<'_, P> {
                     // SAFETY: at most one live thread per worker id, so
                     // the awake slot is private to this invocation.
                     let local = unsafe { awake_ref.get(worker) };
+                    let mut claim = |dst: VertexId| {
+                        // Relaxed: generation tag elects one claimer;
+                        // the list itself is read only after the join.
+                        if gen[dst as usize].swap(s + 1, Ordering::Relaxed) != s + 1 {
+                            local.push(dst);
+                        }
+                    };
                     for b in range {
-                        for &(dst, _) in collected_ref.batch(b) {
-                            // Relaxed: generation tag elects one claimer;
-                            // the list itself is read only after the join.
-                            if gen[dst as usize].swap(s + 1, Ordering::Relaxed) != s + 1 {
-                                local.push(dst);
-                            }
+                        let batch = collected_ref.batch(b);
+                        for &(dst, _) in batch.pairs {
+                            claim(dst);
+                        }
+                        // One claim per run header.
+                        for &(i, _) in batch.runs {
+                            claim((batch.base + i as usize) as VertexId);
                         }
                     }
                     if !local.is_empty() {

@@ -4,7 +4,7 @@ use xmt_graph::VertexId;
 use xmt_par::{MarkScratch, WorkerScratch};
 
 use crate::inbox::Inbox;
-use crate::transport::{MessageCollector, Transport};
+use crate::transport::{MessageCollector, Outbox, Transport};
 
 /// Reusable storage for the superstep loop: the message collector, the
 /// double-buffered inbox pair, the pull-mode state snapshot, the active
@@ -53,7 +53,7 @@ pub struct SuperstepFrame<S, M> {
     /// total does not depend on how the list was chunked.
     pub(super) agg_f64: Vec<f64>,
     /// Per-worker outbox scratch for the compute phase.
-    pub(super) outbox: WorkerScratch<Vec<(VertexId, M)>>,
+    pub(super) outbox: WorkerScratch<Outbox<M>>,
     /// Per-worker awake-list scratch (worklist strategy).
     pub(super) awake: WorkerScratch<Vec<VertexId>>,
     /// Per-worker bucket-cursor scratch for the uncombined inbox rebuild.

@@ -371,6 +371,9 @@ fn run_validated<P: VertexProgram>(
                 halt_votes: computed.halt_votes,
                 pulled: run.pulling,
                 pull_probes: computed.probes,
+                // From the lane lengths, while the lanes still hold the
+                // superstep's deposits.
+                bytes_deposited: run.frame.collector.bytes_deposited(),
                 allocs: step_allocs,
                 scan_ns,
                 compute_ns,

@@ -691,6 +691,8 @@ fn trace_sink_mirrors_superstep_stats() {
         assert_eq!(t.messages_delivered, s.messages_delivered);
         assert_eq!(t.pulled, s.pulled);
         assert_eq!(t.pull_probes, s.pull_probes);
+        // MinFlood ships single 16-byte `(dst, label)` pairs.
+        assert_eq!(t.bytes_deposited, 16 * t.messages_generated);
         // Phase laps never exceed the superstep span they tile.
         assert!(t.scan_ns + t.compute_ns + t.exchange_ns <= t.total_ns.max(1));
     }
@@ -700,6 +702,26 @@ fn trace_sink_mirrors_superstep_stats() {
         assert_eq!(t.superstep, i as u64);
         assert_eq!(t.halt_votes, t.active);
     }
+}
+
+#[cfg(feature = "trace")]
+#[test]
+fn trace_counts_the_bytes_of_pairs_and_runs() {
+    // Triangles on K6, ranked by id: seeds and confirmations ship as
+    // 16-byte `(dst, u32)` pairs; vertex v forwards its v seeds to each of
+    // its 5 - v higher neighbours as one run, so the candidates are 10
+    // runs of 8-byte headers carrying 20 four-byte payloads.
+    use crate::algorithms::triangles::TcProgram;
+    let g = build_undirected(&xmt_graph::gen::structured::clique(6));
+    let mut sink = xmt_trace::TraceSink::new();
+    let opts = RunOptions {
+        sink: Some(&mut sink),
+        ..Default::default()
+    };
+    let r = run(&g, &TcProgram, opts).unwrap().result;
+    assert_eq!(r.states.iter().sum::<u64>(), 20);
+    let bytes: Vec<u64> = sink.finish().iter().map(|t| t.bytes_deposited).collect();
+    assert_eq!(bytes, vec![15 * 16, 10 * 8 + 20 * 4, 20 * 16, 0]);
 }
 
 #[cfg(feature = "trace")]

@@ -24,14 +24,24 @@
 //! Messages are never combined at the sender: a combiner folds at the
 //! receiving side only, so what ships is what `compute` produced.
 //!
+//! Every bucket holds two streams.  Single sends travel as `(dst, msg)`
+//! pairs; a run of sends to one destination
+//! ([`Context::send_all_to`](crate::Context::send_all_to)) travels as a
+//! `(bucket-local dst, len)` header plus its payloads back to back, so
+//! the destination ships once per run instead of once per message.
+//! Singles keep their pairs: as runs of one they would cost a header
+//! each and a second indirection (DESIGN.md §17).
+//!
 //! Every deposit records the position of its chunk in the active list; a
 //! chunk may leave in several deposits, all at that position.
 //! The receiving side ([`Inbox::rebuild`](crate::Inbox::rebuild)) gives
 //! each bucket to exactly one task, which walks that bucket's deposits
-//! in ascending chunk position with plain loads and stores.  The active
-//! list is ascending under `DenseScan`, so each destination receives its
-//! messages in ascending source order whatever the worker count or
-//! schedule; DESIGN.md §17 states where that guarantee holds.
+//! in ascending chunk position with plain loads and stores — all the
+//! deposits' pairs first, then all their runs.  The active list is
+//! ascending under `DenseScan`, so each destination receives its pairs,
+//! then its runs, each in ascending source order whatever the worker
+//! count, schedule or deposit split; DESIGN.md §17 states where that
+//! guarantee holds.
 //!
 //! A collector's storage is persistent: [`MessageCollector::reset`]
 //! clears the lanes while retaining their capacity, so a collector held
@@ -92,21 +102,92 @@ fn bucket_shape(transport: Transport, workers: usize, n: usize) -> (u32, usize) 
     }
 }
 
-/// One depositor's storage: a buffer per destination bucket, and one row
-/// per deposit recording where in the active list the depositing chunk
-/// started and where each bucket buffer ended after it.
+/// Messages on their way: single sends as `(dst, msg)` pairs, and runs
+/// of sends to one destination
+/// ([`Context::send_all_to`](crate::Context::send_all_to)) as `(dst, len)`
+/// headers with their payloads back to back, so a run costs one header
+/// and its payloads instead of a destination per message.  `D` is a run
+/// header's destination: a vertex id in a worker's [`Outbox`], an offset
+/// from the bucket's first vertex in a lane's [`Bucket`].
+pub(crate) struct Streams<D, M> {
+    pub(crate) pairs: Vec<(VertexId, M)>,
+    /// `(dst, len)`: the next `len` entries of `payloads` go to `dst`.
+    pub(crate) runs: Vec<(D, u32)>,
+    pub(crate) payloads: Vec<M>,
+}
+
+/// One worker's sends of the current compute chunk, before they are
+/// deposited.
+pub(crate) type Outbox<M> = Streams<VertexId, M>;
+
+/// One destination bucket of a lane; run headers count from the
+/// bucket's first vertex.
+type Bucket<M> = Streams<u32, M>;
+
+impl<D, M> Streams<D, M> {
+    /// Messages held: one per pair and one per payload.
+    pub(crate) fn messages(&self) -> usize {
+        self.pairs.len() + self.payloads.len()
+    }
+
+    fn clear(&mut self) {
+        self.pairs.clear();
+        self.runs.clear();
+        self.payloads.clear();
+    }
+
+    fn ends(&self) -> Ends {
+        Ends {
+            pairs: self.pairs.len(),
+            runs: self.runs.len(),
+            payloads: self.payloads.len(),
+        }
+    }
+}
+
+impl<M: Copy> Outbox<M> {
+    /// Queue `msgs` for `dst`; an empty run queues nothing.
+    pub(crate) fn push_run(&mut self, dst: VertexId, msgs: &[M]) {
+        for run in msgs.chunks(u32::MAX as usize) {
+            self.runs.push((dst, run.len() as u32));
+            self.payloads.extend_from_slice(run);
+        }
+    }
+}
+
+impl<D, M> Default for Streams<D, M> {
+    fn default() -> Self {
+        Streams {
+            pairs: Vec::new(),
+            runs: Vec::new(),
+            payloads: Vec::new(),
+        }
+    }
+}
+
+/// A bucket's three stream lengths after one deposit.
+#[derive(Clone, Copy, Default)]
+struct Ends {
+    pairs: usize,
+    runs: usize,
+    payloads: usize,
+}
+
+/// One depositor's storage: a [`Bucket`] per destination range, and one
+/// row per deposit recording where in the active list the depositing
+/// chunk started and where each bucket's streams ended after it.
 struct Lane<M> {
-    buckets: Vec<Vec<(VertexId, M)>>,
+    buckets: Vec<Bucket<M>>,
     /// Chunk position of deposit `r`.
     starts: Vec<u64>,
-    /// `ends[r * buckets.len() + b]` = `buckets[b].len()` after deposit `r`.
-    ends: Vec<usize>,
+    /// `ends[r * buckets.len() + b]` = bucket `b`'s lengths after deposit `r`.
+    ends: Vec<Ends>,
 }
 
 impl<M> Lane<M> {
     fn new(buckets: usize) -> Self {
         Lane {
-            buckets: (0..buckets).map(|_| Vec::new()).collect(),
+            buckets: (0..buckets).map(|_| Bucket::default()).collect(),
             starts: Vec::new(),
             ends: Vec::new(),
         }
@@ -120,15 +201,62 @@ impl<M> Lane<M> {
         self.ends.clear();
     }
 
-    /// What deposit `row` put into bucket `b`.
-    fn deposit(&self, row: usize, b: usize) -> &[(VertexId, M)] {
+    /// What deposit `row` put into bucket `b`, whose first vertex is `base`.
+    fn deposit(&self, row: usize, b: usize, base: usize) -> Batch<'_, M> {
         let width = self.buckets.len();
         let lo = if row == 0 {
-            0
+            Ends::default()
         } else {
             self.ends[(row - 1) * width + b]
         };
-        &self.buckets[b][lo..self.ends[row * width + b]]
+        let hi = self.ends[row * width + b];
+        let bucket = &self.buckets[b];
+        Batch {
+            base,
+            pairs: &bucket.pairs[lo.pairs..hi.pairs],
+            runs: &bucket.runs[lo.runs..hi.runs],
+            payloads: &bucket.payloads[lo.payloads..hi.payloads],
+        }
+    }
+
+    /// Everything bucket `b` holds, whose first vertex is `base`.
+    fn whole(&self, b: usize, base: usize) -> Batch<'_, M> {
+        let bucket = &self.buckets[b];
+        Batch {
+            base,
+            pairs: &bucket.pairs,
+            runs: &bucket.runs,
+            payloads: &bucket.payloads,
+        }
+    }
+}
+
+/// Messages to one destination bucket — one deposit's, or a whole lane
+/// bucket's: the pairs, and the runs with their payloads.
+pub(crate) struct Batch<'a, M> {
+    /// The bucket's first vertex: run headers count from it.
+    pub(crate) base: usize,
+    pub(crate) pairs: &'a [(VertexId, M)],
+    /// `(dst - base, len)` per run.
+    pub(crate) runs: &'a [(u32, u32)],
+    /// The runs' payloads, back to back.
+    pub(crate) payloads: &'a [M],
+}
+
+impl<'a, M> Batch<'a, M> {
+    /// Messages in the batch: one per pair and one per payload.
+    pub(crate) fn messages(&self) -> usize {
+        self.pairs.len() + self.payloads.len()
+    }
+
+    /// Each run as `(dst - base, payloads)`, in deposit order.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (usize, &'a [M])> + 'a {
+        let mut rest = self.payloads;
+        self.runs.iter().map(move |&(local, len)| {
+            let (run, tail) = rest.split_at(len as usize);
+            rest = tail;
+            (local as usize, run)
+        })
     }
 }
 
@@ -163,16 +291,22 @@ impl<'a, M> Collected<'a, M> {
         (b << self.shift).min(n)..((b + 1) << self.shift).min(n)
     }
 
-    /// Bucket `b`'s messages as one `(dst, msg)` slice per deposit, in
-    /// ascending chunk position — the order its one receiving task folds
-    /// them in.
-    pub(crate) fn bucket_deposits(
-        &self,
-        b: usize,
-    ) -> impl Iterator<Item = &'a [(VertexId, M)]> + '_ {
+    /// Bucket `b`'s messages as one [`Batch`] per deposit, in ascending
+    /// chunk position — the order its one receiving task walks them in,
+    /// first for the pairs, then for the runs.
+    pub(crate) fn bucket_deposits(&self, b: usize) -> impl Iterator<Item = Batch<'a, M>> + '_ {
+        let (lanes, base) = (self.lanes, b << self.shift);
         self.order
             .iter()
-            .map(move |&(_, lane, row)| self.lanes[lane as usize].deposit(row as usize, b))
+            .map(move |&(_, lane, row)| lanes[lane as usize].deposit(row as usize, b, base))
+    }
+
+    /// Whether any deposit put a run into bucket `b`: a bucket without
+    /// runs skips the run walk.
+    pub(crate) fn bucket_has_runs(&self, b: usize) -> bool {
+        self.lanes
+            .iter()
+            .any(|lane| !lane.buckets[b].runs.is_empty())
     }
 
     /// Number of addressable batches (lane × bucket), in no particular
@@ -181,9 +315,10 @@ impl<'a, M> Collected<'a, M> {
         self.lanes.len() * self.buckets
     }
 
-    /// Batch `i` in `0..num_batches()` as a `(dst, msg)` slice.
-    pub(crate) fn batch(&self, i: usize) -> &'a [(VertexId, M)] {
-        self.lanes[i / self.buckets].buckets[i % self.buckets].as_slice()
+    /// Batch `i` in `0..num_batches()`: all one lane put into one bucket.
+    pub(crate) fn batch(&self, i: usize) -> Batch<'a, M> {
+        let b = i % self.buckets;
+        self.lanes[i / self.buckets].whole(b, b << self.shift)
     }
 }
 
@@ -286,7 +421,32 @@ impl<M: Copy + Send> MessageCollector<M> {
     /// Here or in [`Inbox::rebuild`](crate::Inbox::rebuild), if a
     /// destination lies outside the collector's vertex count.
     pub fn deposit_from(&self, worker: usize, chunk_start: usize, batch: &mut Vec<(VertexId, M)>) {
-        if batch.is_empty() {
+        self.deposit_parts(worker, chunk_start, batch, &[], &[]);
+        batch.clear();
+    }
+
+    /// [`deposit_from`](Self::deposit_from) for a compute outbox: its
+    /// pairs into each bucket's pair stream, its runs into the run
+    /// stream.
+    pub(crate) fn deposit(&self, worker: usize, chunk_start: usize, outbox: &mut Outbox<M>) {
+        let Outbox {
+            pairs,
+            runs,
+            payloads,
+        } = &*outbox;
+        self.deposit_parts(worker, chunk_start, pairs, runs, payloads);
+        outbox.clear();
+    }
+
+    fn deposit_parts(
+        &self,
+        worker: usize,
+        chunk_start: usize,
+        pairs: &[(VertexId, M)],
+        runs: &[(VertexId, u32)],
+        payloads: &[M],
+    ) {
+        if pairs.is_empty() && runs.is_empty() {
             return;
         }
         let mut queue_guard;
@@ -298,13 +458,28 @@ impl<M: Copy + Send> MessageCollector<M> {
             unsafe { self.lanes.get(worker) }
         };
         let shift = self.shift;
-        for &(dst, msg) in batch.iter() {
-            lane.buckets[(dst >> shift) as usize].push((dst, msg));
+        for &(dst, msg) in pairs {
+            lane.buckets[(dst >> shift) as usize].pairs.push((dst, msg));
+        }
+        let mut rest = payloads;
+        for &(dst, len) in runs {
+            let (run, tail) = rest.split_at(len as usize);
+            rest = tail;
+            let b = (dst >> shift) as usize;
+            let local = dst - ((b as u64) << shift);
+            // Only a single queue over more than 2^32 vertices has buckets
+            // that wide.
+            assert!(
+                local <= u64::from(u32::MAX),
+                "run destination {dst} lies 2^32 or more into its bucket"
+            );
+            let bucket = &mut lane.buckets[b];
+            bucket.runs.push((local as u32, len));
+            bucket.payloads.extend_from_slice(run);
         }
         lane.starts.push(chunk_start as u64);
-        lane.ends.extend(lane.buckets.iter().map(Vec::len));
-        let deposited = batch.len() as u64;
-        batch.clear();
+        lane.ends.extend(lane.buckets.iter().map(Bucket::ends));
+        let deposited = (pairs.len() + payloads.len()) as u64;
         // Relaxed: monotonic counter; the runtime reads the total only
         // after the compute parallel_for joins, so every deposit
         // happens-before the read without counter-side ordering.
@@ -321,15 +496,26 @@ impl<M: Copy + Send> MessageCollector<M> {
         self.shipped.load(Ordering::Relaxed)
     }
 
+    /// Bytes the superstep's deposits occupy in the lanes: pairs, run
+    /// headers and payloads (the deposit tables not included).
+    pub(crate) fn bytes_deposited(&mut self) -> u64 {
+        let bucket_bytes = |b: &Bucket<M>| {
+            std::mem::size_of_val(b.pairs.as_slice())
+                + std::mem::size_of_val(b.runs.as_slice())
+                + std::mem::size_of_val(b.payloads.as_slice())
+        };
+        let lanes = lanes_of(self.transport, &mut self.lanes, &mut self.queue);
+        let lane_bytes =
+            |lane: &CachePadded<Lane<M>>| lane.buckets.iter().map(bucket_bytes).sum::<usize>();
+        lanes.iter().map(lane_bytes).sum::<usize>() as u64
+    }
+
     /// Borrow the deposited messages without moving them out, with the
     /// superstep's deposits put in ascending chunk position; the storage
     /// stays warm for the next [`reset`](Self::reset) + deposit cycle.
     /// `&mut self` proves no depositor is live.
     pub fn collected(&mut self) -> Collected<'_, M> {
-        let lanes: &[CachePadded<Lane<M>>] = match self.transport {
-            Transport::SingleQueue => std::slice::from_ref(self.queue.get_mut()),
-            Transport::PerThreadOutbox => self.lanes.as_slice(),
-        };
+        let lanes = lanes_of(self.transport, &mut self.lanes, &mut self.queue);
         self.order.clear();
         for (l, lane) in lanes.iter().enumerate() {
             let rows = lane.starts.iter().enumerate();
@@ -350,6 +536,19 @@ impl<M: Copy + Send> MessageCollector<M> {
             lanes,
             order: &self.order,
         }
+    }
+}
+
+/// The lanes a collector deposited into: the private ones, or the one
+/// shared lane in single-queue mode.
+fn lanes_of<'a, M>(
+    transport: Transport,
+    lanes: &'a mut WorkerScratch<Lane<M>>,
+    queue: &'a mut Mutex<CachePadded<Lane<M>>>,
+) -> &'a [CachePadded<Lane<M>>] {
+    match transport {
+        Transport::SingleQueue => std::slice::from_ref(queue.get_mut()),
+        Transport::PerThreadOutbox => lanes.as_slice(),
     }
 }
 
@@ -387,19 +586,30 @@ impl<M> MessageCollector<M> {
 mod tests {
     use super::*;
 
-    /// The collected view, batch by batch.
+    /// The collected view's pairs, batch by batch.
     fn batches(mc: &mut MessageCollector<u64>) -> Vec<Vec<(VertexId, u64)>> {
         let view = mc.collected();
         (0..view.num_batches())
-            .map(|i| view.batch(i).to_vec())
+            .map(|i| view.batch(i).pairs.to_vec())
             .collect()
     }
 
-    /// Bucket `b` of the collected view, deposit by deposit.
+    /// Bucket `b`'s pairs in the collected view, deposit by deposit.
     fn deposits(mc: &mut MessageCollector<u64>, b: usize) -> Vec<Vec<(VertexId, u64)>> {
         let view = mc.collected();
-        let deposits = view.bucket_deposits(b).map(<[_]>::to_vec);
+        let deposits = view.bucket_deposits(b).map(|d| d.pairs.to_vec());
         deposits.filter(|d| !d.is_empty()).collect()
+    }
+
+    /// Bucket `b`'s runs in the collected view as `(dst, payloads)`,
+    /// deposit by deposit.
+    fn runs(mc: &mut MessageCollector<u64>, b: usize) -> Vec<Vec<(VertexId, Vec<u64>)>> {
+        let view = mc.collected();
+        let runs = view.bucket_deposits(b).map(|d| {
+            let run = |(i, run): (usize, &[u64])| ((d.base + i) as VertexId, run.to_vec());
+            d.runs().map(run).collect::<Vec<_>>()
+        });
+        runs.filter(|d| !d.is_empty()).collect()
     }
 
     #[test]
@@ -495,6 +705,64 @@ mod tests {
                 .map(|(_, m)| m)
                 .collect();
             assert_eq!(bucket_of_7, vec![1, 2, 22, 3, 4], "{transport:?}");
+        }
+    }
+
+    #[test]
+    fn an_empty_run_ships_nothing() {
+        for transport in [Transport::PerThreadOutbox, Transport::SingleQueue] {
+            let mut mc: MessageCollector<u64> = MessageCollector::new(transport, 2, 10);
+            let mut outbox = Outbox::default();
+            outbox.push_run(3, &[]);
+            assert_eq!(outbox.runs.len(), 0, "{transport:?}");
+            mc.deposit(0, 0, &mut outbox);
+            assert_eq!(mc.total(), 0, "{transport:?}");
+            assert_eq!(mc.bytes_deposited(), 0, "{transport:?}");
+            assert_eq!(mc.collected().bucket_deposits(0).count(), 0);
+        }
+    }
+
+    #[test]
+    fn runs_travel_with_bucket_local_headers_beside_the_pairs() {
+        // 1000 vertices over 2 workers: eight buckets of 128 vertices.
+        let mut mc: MessageCollector<u64> =
+            MessageCollector::new(Transport::PerThreadOutbox, 2, 1000);
+        let mut outbox = Outbox::default();
+        outbox.pairs.push((700, 70));
+        outbox.push_run(700, &[1, 2, 3]);
+        outbox.push_run(5, &[9]);
+        mc.deposit(1, 4, &mut outbox);
+        assert_eq!(outbox.messages(), 0, "the deposit drains the outbox");
+        assert_eq!(mc.total(), 5);
+        // One 16-byte pair, two 8-byte headers, four 8-byte payloads.
+        assert_eq!(mc.bytes_deposited(), 16 + 2 * 8 + 4 * 8);
+        let view = mc.collected();
+        let lane_1_bucket_5 = view.batch(8 + 5);
+        assert_eq!(lane_1_bucket_5.base, 640);
+        assert_eq!(lane_1_bucket_5.runs, &[(60, 3)]);
+        assert_eq!(lane_1_bucket_5.messages(), 4);
+        assert!(!view.bucket_has_runs(1));
+        assert!(view.bucket_has_runs(5));
+        assert_eq!(deposits(&mut mc, 5), vec![vec![(700, 70)]]);
+        assert_eq!(runs(&mut mc, 5), vec![vec![(700, vec![1, 2, 3])]]);
+        assert_eq!(runs(&mut mc, 0), vec![vec![(5, vec![9])]]);
+    }
+
+    #[test]
+    fn runs_are_walked_in_chunk_order_like_pairs() {
+        for transport in [Transport::PerThreadOutbox, Transport::SingleQueue] {
+            let mut mc: MessageCollector<u64> = MessageCollector::new(transport, 2, 100);
+            let deposit = |mc: &MessageCollector<u64>, worker, start, run: &[u64]| {
+                let mut outbox = Outbox::default();
+                outbox.push_run(7, run);
+                mc.deposit(worker, start, &mut outbox);
+            };
+            deposit(&mc, 0, 32, &[3]);
+            deposit(&mc, 1, 0, &[1, 1]);
+            deposit(&mc, 1, 16, &[2]);
+            let got: Vec<_> = runs(&mut mc, 0).into_iter().flatten().collect();
+            let want = vec![(7, vec![1, 1]), (7, vec![2]), (7, vec![3])];
+            assert_eq!(got, want, "{transport:?}");
         }
     }
 

@@ -20,6 +20,11 @@
 //! reaches `compute`, so its per-vertex counts and per-superstep message
 //! totals show a lost, doubled or misrouted deposit directly — over
 //! pools × schedules × transports × active sets and a cut + resume.
+//!
+//! The mixed-send cases pin the order rule for runs: a program that
+//! sends to the same destinations both with `send_to` and with
+//! `send_all_to`, and hashes what it receives in arrival order, must come
+//! out identical on every pool, schedule and transport, and across a cut.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,7 +33,7 @@ use xmt_bsp::algorithms::bfs::BfsProgram;
 use xmt_bsp::algorithms::components::CcProgram;
 use xmt_bsp::algorithms::pagerank::PagerankProgram;
 use xmt_bsp::algorithms::triangles::TcProgram;
-use xmt_bsp::program::VertexProgram;
+use xmt_bsp::program::{Context, VertexProgram};
 use xmt_bsp::{run, ActiveSetStrategy, BspConfig, Delivery, RunOptions, SuperstepFrame, Transport};
 use xmt_graph::builder::build_undirected;
 use xmt_graph::gen::rmat::{rmat_edges, RmatParams};
@@ -463,9 +468,10 @@ fn pagerank_is_bit_identical_when_chunks_deposit_more_than_once() {
     assert_pagerank_bit_identical_across_pools(&g, &[Transport::PerThreadOutbox]);
 }
 
-/// What a triangle run shows: per-vertex counts, superstep count and the
-/// messages each superstep sent.
-fn tc_outcome(r: &xmt_bsp::BspResult<u64>) -> (Vec<u64>, u64, Vec<u64>) {
+/// What an uncombined run shows — a triangle run's per-vertex counts, a
+/// mixed-send run's hashes —, its superstep count and the messages each
+/// superstep sent.
+fn outcome(r: &xmt_bsp::BspResult<u64>) -> (Vec<u64>, u64, Vec<u64>) {
     let sent = r.superstep_stats.iter().map(|s| s.messages_sent).collect();
     (r.states.clone(), r.supersteps, sent)
 }
@@ -477,7 +483,7 @@ fn triangles_match_one_worker_across_pools_schedules_transports_and_active_sets(
         exec: Executor::fixed_on(Arc::new(Pool::new(1))),
         ..Default::default()
     };
-    let reference = tc_outcome(&run(&g, &TcProgram, one_worker).expect("fresh run").result);
+    let reference = outcome(&run(&g, &TcProgram, one_worker).expect("fresh run").result);
     assert_eq!(reference.0.iter().sum::<u64>(), reference_triangles(&g));
     assert_eq!(reference.1, 4);
     // One frame per pool survives every schedule, transport and active
@@ -506,7 +512,7 @@ fn triangles_match_one_worker_across_pools_schedules_transports_and_active_sets(
                         ..Default::default()
                     };
                     let got = run(&g, &TcProgram, opts).expect("framed run").result;
-                    assert_eq!(reference, tc_outcome(&got), "{tag}");
+                    assert_eq!(reference, outcome(&got), "{tag}");
                 }
             }
         }
@@ -516,7 +522,7 @@ fn triangles_match_one_worker_across_pools_schedules_transports_and_active_sets(
 #[test]
 fn triangles_cut_at_the_superstep_limit_and_resumed_on_the_same_frame_match() {
     let g = pagerank_graph();
-    let reference = tc_outcome(
+    let reference = outcome(
         &run(&g, &TcProgram, RunOptions::default())
             .expect("fresh run")
             .result,
@@ -570,5 +576,146 @@ fn triangles_cut_at_the_superstep_limit_and_resumed_on_the_same_frame_match() {
             (rest.states, rest.supersteps, sent),
             "{transport:?}"
         );
+    }
+}
+
+/// Sends to each neighbour a mix of single messages and runs (empty ones
+/// among them), all derived from its state; the state is an FNV-style
+/// hash of every message received, in arrival order.  Uncombined, so
+/// any change in the order a destination receives its messages shows.
+struct MixedSends;
+
+impl VertexProgram for MixedSends {
+    type State = u64;
+    type Message = u32;
+
+    fn init(&self, v: u64) -> u64 {
+        v.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }
+
+    fn compute(&self, ctx: &mut Context<'_, u32>, h: &mut u64, msgs: &[u32]) {
+        for &m in msgs {
+            *h = (*h ^ u64::from(m)).wrapping_mul(0x100_0000_01b3);
+        }
+        let (v, s) = (ctx.vertex(), ctx.superstep());
+        if s >= 4 {
+            ctx.vote_to_halt();
+            return;
+        }
+        let words: [u32; 8] = std::array::from_fn(|i| (*h >> (4 * i)) as u32);
+        for &n in ctx.neighbors() {
+            if (n + s) % 2 == 0 {
+                ctx.send_to(n, *h as u32);
+            }
+            ctx.send_all_to(n, &words[..((v + n + s) % 9) as usize]);
+            if (v ^ n) % 3 == 0 {
+                ctx.send_to(n, s as u32);
+            }
+        }
+    }
+}
+
+#[test]
+fn mixed_sends_match_one_worker_across_pools_schedules_and_transports() {
+    let g = pagerank_graph();
+    let one_worker = RunOptions {
+        exec: Executor::fixed_on(Arc::new(Pool::new(1))),
+        ..Default::default()
+    };
+    let reference = outcome(&run(&g, &MixedSends, one_worker).expect("fresh run").result);
+    assert_eq!(reference.1, 5);
+    // The premise: a guided first claim on two workers, a quarter of the
+    // vertices, sends past the deposit high-water mark of 2^14 messages
+    // in superstep 0, so it leaves in several deposits.
+    let first_claim: u64 = (0..g.num_vertices() / 4)
+        .flat_map(|v| {
+            let sends =
+                move |&n: &u64| u64::from(n % 2 == 0) + (v + n) % 9 + u64::from((v ^ n) % 3 == 0);
+            g.neighbors(v).iter().map(sends)
+        })
+        .sum();
+    assert!(first_claim > 1 << 14, "first claim sends {first_claim}");
+    for workers in [1, 2, 4, 8] {
+        let pool = Arc::new(Pool::new(workers));
+        let mut frame = SuperstepFrame::new();
+        for transport in TRANSPORTS {
+            for exec in [
+                Executor::fixed_on(Arc::clone(&pool)),
+                Executor::guided_on(Arc::clone(&pool)),
+            ] {
+                let tag = format!("{workers} workers, {transport:?}, {:?}", exec.schedule());
+                let opts = RunOptions {
+                    config: BspConfig {
+                        transport,
+                        ..BspConfig::default()
+                    },
+                    frame: Some(&mut frame),
+                    exec,
+                    ..Default::default()
+                };
+                let got = run(&g, &MixedSends, opts).expect("framed run").result;
+                assert_eq!(reference, outcome(&got), "{tag}");
+            }
+        }
+    }
+}
+
+#[test]
+fn mixed_sends_cut_and_resumed_match_uninterrupted() {
+    let g = pagerank_graph();
+    let reference = outcome(
+        &run(&g, &MixedSends, RunOptions::default())
+            .expect("fresh run")
+            .result,
+    );
+    let pool = Arc::new(Pool::new(4));
+    for transport in TRANSPORTS {
+        let config = BspConfig {
+            transport,
+            ..BspConfig::default()
+        };
+        for cut_at in [1, 2, 3] {
+            let mut frame = SuperstepFrame::new();
+            let cut = run(
+                &g,
+                &MixedSends,
+                RunOptions {
+                    config: BspConfig {
+                        max_supersteps: cut_at,
+                        ..config
+                    },
+                    frame: Some(&mut frame),
+                    exec: Executor::guided_on(Arc::clone(&pool)),
+                    ..Default::default()
+                },
+            )
+            .expect("first slice");
+            let checkpoint = cut.resume.expect("cut by the limit");
+            let rest = run(
+                &g,
+                &MixedSends,
+                RunOptions {
+                    config,
+                    from: Some((cut.result.states, checkpoint)),
+                    frame: Some(&mut frame),
+                    exec: Executor::fixed_on(Arc::clone(&pool)),
+                    ..Default::default()
+                },
+            )
+            .expect("resumed slice")
+            .result;
+            let sent: Vec<u64> = cut
+                .result
+                .superstep_stats
+                .iter()
+                .chain(&rest.superstep_stats)
+                .map(|s| s.messages_sent)
+                .collect();
+            assert_eq!(
+                reference,
+                (rest.states, rest.supersteps, sent),
+                "{transport:?}, cut at {cut_at}"
+            );
+        }
     }
 }

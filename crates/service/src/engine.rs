@@ -98,6 +98,11 @@ pub fn execute(
                     },
                     JobOutput::Ranks,
                 ),
+                // Candidates carry 32-bit ids: refuse a larger graph
+                // before superstep 0.
+                Algorithm::Triangles if graph.num_vertices() > TcProgram::MAX_VERTICES => {
+                    Err(too_many_ids_for_tc(graph.num_vertices()))
+                }
                 // Per-vertex confirmed-triangle tallies sum to the global
                 // count (each triangle lands at its lowest-ordered corner
                 // exactly once).
@@ -113,6 +118,18 @@ pub fn execute(
         Engine::Incremental => Err(ServiceError::Internal {
             message: "incremental jobs are answered at admission; nothing to execute".to_string(),
         }),
+    }
+}
+
+/// Why a triangle job on a graph of `n` vertices does not run on the BSP
+/// engine.
+fn too_many_ids_for_tc(n: u64) -> ServiceError {
+    ServiceError::BadRequest {
+        message: format!(
+            "bsp triangle counting carries vertex ids in 32 bits; the graph has {n} vertices \
+             (at most {}); use the graphct engine",
+            TcProgram::MAX_VERTICES
+        ),
     }
 }
 
@@ -139,8 +156,9 @@ impl BspJob<'_> {
         P::Message: 'static,
     {
         let algorithm = self.spec.algorithm;
-        // The tag first: CC's and triangle counting's snapshots are one
-        // Rust type.
+        // The tag first: it names the algorithm, which the snapshot's
+        // type alone would not if two programs shared `(State, Message)`
+        // types (none do today); the downcast then checks the type.
         let from = match self.from {
             None => None,
             Some(cp) => {
@@ -284,12 +302,14 @@ mod tests {
             let (n, frame) = slot.as_ref().expect("a finished run left no frame");
             let cc = frame.is::<SuperstepFrame<u64, VertexId>>();
             let bfs = frame.is::<SuperstepFrame<BfsState, (u64, VertexId)>>();
-            (*n, cc, bfs)
+            let tc = frame.is::<SuperstepFrame<u64, u32>>();
+            (*n, cc, bfs, tc)
         };
         for (n, algorithm, expect) in [
-            (64, Algorithm::Cc, (64, true, false)),
-            (64, Algorithm::Bfs, (64, false, true)),
-            (65, Algorithm::Triangles, (65, true, false)),
+            (64, Algorithm::Cc, (64, true, false, false)),
+            (64, Algorithm::Bfs, (64, false, true, false)),
+            (65, Algorithm::Triangles, (65, false, false, true)),
+            (65, Algorithm::Cc, (65, true, false, false)),
         ] {
             let g = Arc::new(build_undirected(&path(n)));
             execute(
@@ -342,12 +362,8 @@ mod tests {
             Ok(ExecVerdict::Interrupted { checkpoint, .. }) => checkpoint,
             other => panic!("{algorithm:?} was not cut: {other:?}"),
         };
-        // CC's snapshot downcasts as a triangle-counting one: only the
-        // tag tells them apart.
-        let checkpoint = cut(Algorithm::Cc);
-        assert!(checkpoint.snapshot.is::<Snapshot<TcProgram>>());
         let tc = spec(Algorithm::Triangles);
-        match execute(
+        let refused = |checkpoint| match execute(
             &tc,
             &g,
             Some(checkpoint),
@@ -362,7 +378,15 @@ mod tests {
                 );
             }
             other => panic!("expected a mismatch, got {other:?}"),
-        }
+        };
+        // CC's checkpoint, on a triangle job.
+        refused(cut(Algorithm::Cc));
+        // A triangle snapshot tagged as CC's: its type fits the job, so
+        // only the tag refuses it.
+        let mut retagged = cut(Algorithm::Triangles);
+        assert!(retagged.snapshot.is::<Snapshot<TcProgram>>());
+        retagged.algorithm = Algorithm::Cc;
+        refused(retagged);
         let cc = spec(Algorithm::Cc);
         let resumed = execute(
             &cc,
@@ -379,5 +403,13 @@ mod tests {
             }) => assert!(labels.iter().all(|&l| l == 0)),
             other => panic!("resume did not complete: {other:?}"),
         }
+    }
+
+    #[test]
+    fn triangle_ids_past_32_bits_are_a_bad_request() {
+        assert_eq!(TcProgram::MAX_VERTICES - 1, u64::from(u32::MAX));
+        let err = too_many_ids_for_tc(TcProgram::MAX_VERTICES + 1);
+        assert_eq!(err.code(), "bad_request");
+        assert!(err.to_string().contains("4294967297 vertices"), "{err}");
     }
 }

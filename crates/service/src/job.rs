@@ -246,8 +246,8 @@ impl From<Arc<Csr>> for JobGraph {
 #[derive(Debug)]
 pub struct StoredCheckpoint {
     /// The algorithm whose run was cut.  The engine checks it before
-    /// unboxing: CC's and triangle counting's snapshots are one Rust
-    /// type, so the downcast alone cannot tell them apart.
+    /// unboxing, so a checkpoint resumes only its own algorithm even
+    /// where two programs' snapshots would share one Rust type.
     pub(crate) algorithm: Algorithm,
     /// The superstep the resumed run would execute next.
     pub(crate) superstep: u64,

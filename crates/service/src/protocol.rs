@@ -534,6 +534,7 @@ pub fn trace_content(trace: &xmt_trace::JobTrace) -> Content {
                             .put("halt_votes", u64v(t.halt_votes))
                             .put("pulled", Content::Bool(t.pulled))
                             .put("pull_probes", u64v(t.pull_probes))
+                            .put("bytes_deposited", u64v(t.bytes_deposited))
                             .put("scan_ns", u64v(t.scan_ns))
                             .put("compute_ns", u64v(t.compute_ns))
                             .put("exchange_ns", u64v(t.exchange_ns))

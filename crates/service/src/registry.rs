@@ -516,6 +516,7 @@ impl GraphRegistry {
 mod tests {
     use super::*;
     use crate::job::JobOutput;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use xmt_graph::builder::build_undirected;
     use xmt_graph::gen::structured::{path, ring};
 
@@ -588,14 +589,28 @@ mod tests {
         // that freed it not yet counted).  `stats()` takes everything
         // under one lock; hammer it against register churn and check the
         // single-lock invariants hold in every observed snapshot.
+        //
+        // The overlap is made certain, not left to the thread start-up
+        // race: the writer starts on the reader's signal and churns (at
+        // least 200 registrations, at most a bounded 200 000) until the
+        // reader has seen a snapshot with entries.
         let unit = graph(100).memory_bytes();
         let reg = GraphRegistry::new(2 * unit + unit / 2);
+        let reading = AtomicBool::new(false);
+        let seen = AtomicBool::new(false);
         std::thread::scope(|scope| {
             let writer = scope.spawn(|| {
-                for i in 0..200u64 {
+                while !reading.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                for i in 0..200_000u64 {
+                    if i >= 200 && seen.load(Ordering::Acquire) {
+                        break;
+                    }
                     reg.register(&format!("g{}", i % 4), graph(100)).unwrap();
                 }
             });
+            reading.store(true, Ordering::Release);
             let mut saw_entries = false;
             while !writer.is_finished() {
                 let s = reg.stats();
@@ -608,6 +623,7 @@ mod tests {
                 assert!(s.graphs <= 2, "budget admits at most two graphs");
                 assert_eq!(s.used_bytes, s.graphs * unit);
                 saw_entries |= s.graphs > 0;
+                seen.store(saw_entries, Ordering::Release);
             }
             writer.join().unwrap();
             assert!(saw_entries, "reader never overlapped the churn");

@@ -83,6 +83,9 @@ pub struct SuperstepTrace {
     pub pulled: bool,
     /// Edge probes performed by pull-mode delivery.
     pub pull_probes: u64,
+    /// Bytes compute deposited into the exchange's lanes: message pairs,
+    /// run headers and run payloads (0 for kernels without an exchange).
+    pub bytes_deposited: u64,
     /// Heap allocations performed during the superstep's scan, compute
     /// and exchange phases (0 unless the process registered a counting
     /// allocator via [`set_alloc_counter`]).  Steady-state supersteps of

@@ -433,6 +433,9 @@ fn trace_op_returns_per_superstep_records() {
         assert_eq!(field_u64(rec, "superstep"), Some(i as u64));
         assert!(field_u64(rec, "total_ns").expect("total_ns") > 0);
         assert!(field_u64(rec, "active").expect("active") > 0);
+        // CC sends single `(dst, label)` pairs of 16 bytes only.
+        let generated = field_u64(rec, "messages_generated").expect("messages_generated");
+        assert_eq!(field_u64(rec, "bytes_deposited"), Some(16 * generated));
     }
     // First superstep: every vertex is active and casts no halt vote
     // until it converges; the series must show the active set shrink.
