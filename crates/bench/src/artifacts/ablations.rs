@@ -287,23 +287,17 @@ const REPS: usize = 3;
 /// mechanisms of performing the neighbor intersection can be varied —
 /// see ref 12") on both executors: `merge`, the paper-faithful id-order
 /// merge walk; `dag+hash`, the degree-ordered DAG sweep with
-/// epoch-stamped mark-array probing; `dag+auto`, the DAG sweep with the
-/// per-pair adaptive strategy.  (The id-order `binsearch` and `hash`
-/// cells were measured at 0.99× and 3.05× and retired; EXPERIMENTS.md
-/// keeps the rows.)  Every row is agreement-asserted against the merge
-/// baseline before timing, on the simulator-faithful (`fixed`) and
-/// native (`guided`) executors both.
+/// epoch-stamped mark-array probing.  (Retired strategies keep their
+/// dated rows in EXPERIMENTS.md.)  Every row is agreement-asserted
+/// against the merge baseline before timing, on the simulator-faithful
+/// (`fixed`) and native (`guided`) executors both.
 pub(super) fn intersect(cfg: &HarnessConfig) -> Output {
     let (g, model, pmax) = (graph(cfg), cfg.model(), cfg.max_procs());
     let want = graphct::count_triangles_idorder(&g, &mut graphct::Ctx::default());
     let t = Instant::now();
     let dag = dag_view(&g);
     let dag_build = fmt_secs(t.elapsed().as_secs_f64());
-    let strategies = [
-        ("merge", None),
-        ("dag+hash", Some(IntersectStrategy::Hash)),
-        ("dag+auto", Some(IntersectStrategy::Auto)),
-    ];
+    let strategies = [("merge", None), ("dag+hash", Some(IntersectStrategy::Hash))];
     let (mut rows, mut verdicts) = (Vec::new(), Vec::new());
     for (engine, exec) in [
         ("sim-host", Executor::fixed()),

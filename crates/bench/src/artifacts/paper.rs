@@ -285,7 +285,7 @@ fn id_order_candidates(g: &xmt_graph::Csr) -> u64 {
 /// message (5.5 G candidates vs 30.9 M triangles — 181× the writes).
 /// Two optimized series ride along: the BSP program prunes candidates by
 /// *degree rank* instead of raw ids (the candidate drop reported below),
-/// and a third column tracks the degree-ordered DAG + adaptive
+/// and a third column tracks the degree-ordered DAG + hash-mark
 /// intersection GraphCT kernel against the paper-faithful merge walk.
 /// The default scale is lower than the other figures because the
 /// candidate volume grows superlinearly with scale.
@@ -349,7 +349,7 @@ pub(super) fn fig4(cfg: &HarnessConfig) -> Output {
     let (fast, base) = (tc.fast_host_secs, tc.host_secs.1);
     say!(
         out,
-        "optimized GraphCT kernel (dag+auto): {} vs {} baseline host time -> {:.2}x; \
+        "optimized GraphCT kernel (dag+hash): {} vs {} baseline host time -> {:.2}x; \
          model time at P={p1}: {} vs {}",
         fmt_secs(fast),
         fmt_secs(base),

@@ -90,7 +90,7 @@ pub struct TcRun {
     /// their meaning.
     pub ct_rec: Recorder,
     /// Recorder for the optimized GraphCT kernel (degree-ordered DAG +
-    /// adaptive intersection) — the extra Fig. 4 series.
+    /// hash-mark intersection) — the extra Fig. 4 series.
     pub fast_rec: Recorder,
     /// The BSP run (per-superstep stats hold the candidate volume).
     pub bsp: BspResult<u64>,
@@ -119,7 +119,7 @@ pub fn run_tc(g: &Csr, config: BspConfig) -> TcRun {
     let t = Instant::now();
     let fast_count = graphct::count_triangles_with(
         g,
-        graphct::IntersectStrategy::Auto,
+        graphct::IntersectStrategy::Hash,
         &mut graphct::Ctx::recording(&mut fast_rec),
     );
     let fast_host = t.elapsed().as_secs_f64();

@@ -228,7 +228,7 @@ fn gate_worker_slot(g: &Arc<xmt_graph::Csr>) {
         source: 0,
         damping: 0.85,
         tolerance: 1e-7,
-        intersect: xmt_graph::IntersectStrategy::Auto,
+        intersect: xmt_graph::IntersectStrategy::Hash,
         config: BspConfig::default(),
         priority: 0,
         deadline_ms: None,

@@ -89,29 +89,19 @@ pub enum IntersectStrategy {
     Merge,
     /// Epoch-stamped mark array (the `tc.c` exemplar): mark one list
     /// once per vertex, probe the other in `O(1)` per element.
-    Hash,
-    /// Pick per vertex pair between binary-search probing (walk the
-    /// shorter list, search the longer: `O(d_min · log d_max)`, wins on
-    /// skewed pairs) and [`Self::Hash`] marking by comparing their cost
-    /// models.
     #[default]
-    Auto,
+    Hash,
 }
 
 impl IntersectStrategy {
     /// Every strategy, in ablation order.
-    pub const ALL: [IntersectStrategy; 3] = [
-        IntersectStrategy::Merge,
-        IntersectStrategy::Hash,
-        IntersectStrategy::Auto,
-    ];
+    pub const ALL: [IntersectStrategy; 2] = [IntersectStrategy::Merge, IntersectStrategy::Hash];
 
     /// Canonical lowercase name (CLI / results files).
     pub fn name(self) -> &'static str {
         match self {
             IntersectStrategy::Merge => "merge",
             IntersectStrategy::Hash => "hash",
-            IntersectStrategy::Auto => "auto",
         }
     }
 
@@ -121,7 +111,6 @@ impl IntersectStrategy {
         match s {
             "merge" | "Merge" => Some(IntersectStrategy::Merge),
             "hash" | "Hash" => Some(IntersectStrategy::Hash),
-            "auto" | "Auto" => Some(IntersectStrategy::Auto),
             _ => None,
         }
     }
@@ -227,8 +216,11 @@ mod tests {
             IntersectStrategy::parse("Hash"),
             Some(IntersectStrategy::Hash)
         );
-        assert_eq!(IntersectStrategy::parse("quadratic"), None);
-        assert_eq!(IntersectStrategy::default(), IntersectStrategy::Auto);
+        // `auto` was a strategy until it was retired.
+        for retired in ["quadratic", "auto", "Auto"] {
+            assert_eq!(IntersectStrategy::parse(retired), None);
+        }
+        assert_eq!(IntersectStrategy::default(), IntersectStrategy::Hash);
     }
 
     #[test]

@@ -69,8 +69,8 @@ pub use kcore::kcore_decomposition;
 pub use pagerank::pagerank;
 pub use sssp::sssp;
 pub use triangles::{
-    clustering_coefficients, clustering_coefficients_with, count_triangles, count_triangles_dag,
-    count_triangles_idorder, count_triangles_with, TcScratch,
+    clustering_coefficients, count_triangles, count_triangles_dag, count_triangles_idorder,
+    count_triangles_with, triangles_per_vertex, TcScratch,
 };
 pub use xmt_graph::IntersectStrategy;
 

@@ -17,15 +17,17 @@
 //! * **Intersection strategies** ([`IntersectStrategy`]): merge walk
 //!   (the paper's shape), epoch-stamped hash marking (the `tc.c`
 //!   exemplar's mark array, with a stamp check replacing the O(d)
-//!   unmark pass), or a per-pair `Auto` choice between hash marking and
-//!   binary-search probing.
+//!   unmark pass, the default).
 //!   Mark arrays live in a per-worker [`TcScratch`] pool, so the sweep
 //!   itself performs **zero heap allocations** (the `zero_alloc` gate
 //!   pins this for the hash strategy).
 //!
-//! The paper-faithful `v < u < w` id-order merge enumeration survives
-//! as [`count_triangles_idorder`]; the model-prediction figures keep
-//! using it so the reproduced numbers stay byte-identical.
+//! The same sweep with per-vertex credit, [`triangles_per_vertex`], is
+//! the one static count behind the clustering coefficients here and the
+//! streaming tallies of `stinger-lite`.  The paper-faithful `v < u < w`
+//! id-order merge enumeration survives as [`count_triangles_idorder`];
+//! the model-prediction figures keep using it so the reproduced numbers
+//! stay byte-identical.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -76,11 +78,11 @@ impl TcScratch {
 
 /// Count each triangle of the undirected graph exactly once.
 ///
-/// Default fast path: degree-ordered DAG sweep with the
-/// [`IntersectStrategy::Auto`] per-pair intersection choice, on the
-/// fixed executor, uninstrumented.
+/// Default fast path: degree-ordered DAG sweep with
+/// [`IntersectStrategy::Hash`] marking, on the fixed executor,
+/// uninstrumented.
 pub fn count_triangles(g: &Csr) -> u64 {
-    count_triangles_with(g, IntersectStrategy::Auto, &mut Ctx::default())
+    count_triangles_with(g, IntersectStrategy::Hash, &mut Ctx::default())
 }
 
 /// Degree-ordered DAG triangle count with an explicit strategy, under
@@ -99,14 +101,8 @@ pub fn count_triangles(g: &Csr) -> u64 {
 /// allocation-free steady state build them once and call
 /// [`count_triangles_dag`] directly.
 pub fn count_triangles_with(g: &Csr, strategy: IntersectStrategy, ctx: &mut Ctx<'_>) -> u64 {
-    assert!(
-        !g.is_directed(),
-        "triangle counting needs an undirected graph"
-    );
-    assert!(g.is_sorted(), "triangle counting needs sorted adjacency");
     let dag = dag_view(g);
-    let mut scratch = TcScratch::new();
-    count_triangles_dag(&dag, strategy, ctx, &mut scratch)
+    count_triangles_dag(&dag, strategy, ctx, &mut TcScratch::new())
 }
 
 /// Sweep a prebuilt degree-ordered DAG view (see
@@ -122,48 +118,29 @@ pub fn count_triangles_dag(
 ) -> u64 {
     assert!(dag.is_directed(), "count_triangles_dag takes the DAG view");
     assert!(dag.is_sorted(), "triangle counting needs sorted adjacency");
-    let (count, _) = dag_sweep(
-        dag,
-        strategy,
-        ctx.rec.as_deref_mut(),
-        false,
-        &ctx.exec,
-        scratch,
-    );
-    count
+    let rec = ctx.rec.as_deref_mut();
+    dag_sweep(dag, strategy, rec, None, &ctx.exec, scratch)
 }
 
-/// Per-vertex local clustering coefficients plus the global count.
+/// Triangles through each vertex of the undirected graph: the hash
+/// sweep of [`count_triangles`] crediting every triangle at its three
+/// corners (so the tallies sum to three times the count).  `ctx` as in
+/// [`count_triangles_with`].
+pub fn triangles_per_vertex(g: &Csr, ctx: &mut Ctx<'_>) -> Vec<u64> {
+    let dag = dag_view(g);
+    let mut tri = vec![0u64; dag.num_vertices() as usize];
+    let (rec, hash) = (ctx.rec.as_deref_mut(), IntersectStrategy::Hash);
+    let tallies = Some(as_atomic_u64(&mut tri));
+    dag_sweep(&dag, hash, rec, tallies, &ctx.exec, &mut TcScratch::new());
+    tri
+}
+
+/// Per-vertex local clustering coefficients plus the global count: a
+/// view over [`triangles_per_vertex`].
 ///
 /// `cc[v] = 2·tri(v) / (d(v)·(d(v)−1))`, 0 for degree < 2.
 pub fn clustering_coefficients(g: &Csr) -> (Vec<f64>, u64) {
-    clustering_coefficients_with(g, IntersectStrategy::Auto, &mut Ctx::default())
-}
-
-/// As [`clustering_coefficients`] with an explicit intersection strategy
-/// and [`Ctx`] (used as in [`count_triangles_with`]).  Degrees in the
-/// coefficient come from the undirected graph; triangle credit comes
-/// from the DAG sweep (each triangle credits all three corners exactly
-/// once, so per-vertex tallies are orientation-invariant).
-pub fn clustering_coefficients_with(
-    g: &Csr,
-    strategy: IntersectStrategy,
-    ctx: &mut Ctx<'_>,
-) -> (Vec<f64>, u64) {
-    assert!(
-        !g.is_directed(),
-        "triangle counting needs an undirected graph"
-    );
-    assert!(g.is_sorted(), "triangle counting needs sorted adjacency");
-    let dag = dag_view(g);
-    let mut scratch = TcScratch::new();
-    let rec = ctx.rec.as_deref_mut();
-    let (count, per_vertex) = dag_sweep(&dag, strategy, rec, true, &ctx.exec, &mut scratch);
-    #[expect(
-        clippy::expect_used,
-        reason = "dag_sweep tallies whenever per_vertex is true"
-    )]
-    let tri = per_vertex.expect("per-vertex counts requested");
+    let tri = triangles_per_vertex(g, &mut Ctx::default());
     let cc = (0..g.num_vertices())
         .map(|v| {
             let d = g.degree(v);
@@ -174,30 +151,29 @@ pub fn clustering_coefficients_with(
             }
         })
         .collect();
-    (cc, count)
+    (cc, tri.iter().sum::<u64>() / 3)
 }
 
 /// The DAG-view sweep: for each vertex `v` and each out-neighbor `u`,
 /// count `|N⁺(v) ∩ N⁺(u)|` with the chosen strategy.  Every triangle is
-/// enumerated exactly once, rooted at its lowest-`(degree, id)` corner.
+/// enumerated exactly once, rooted at its lowest-`(degree, id)` corner,
+/// and credited at its three corners in `tri` when that is given.
 fn dag_sweep(
     dag: &Csr,
     strategy: IntersectStrategy,
     rec: Option<&mut Recorder>,
-    per_vertex: bool,
+    tri: Option<&[AtomicU64]>,
     exec: &Executor,
     scratch: &mut TcScratch,
-) -> (u64, Option<Vec<u64>>) {
+) -> u64 {
     let n = dag.num_vertices() as usize;
     scratch.prepare(exec.workers(), n);
 
     let total = AtomicU64::new(0);
     // probes: strategy-dependent compare/probe count; mark_writes: stamp
-    // stores (hash/auto only).  Both feed the model's PhaseCounts.
+    // stores (hash only).  Both feed the model's PhaseCounts.
     let probes_total = AtomicU64::new(0);
     let marks_total = AtomicU64::new(0);
-    let mut tri_storage: Option<Vec<u64>> = per_vertex.then(|| vec![0u64; n]);
-    let tri: Option<&[AtomicU64]> = tri_storage.as_mut().map(|v| as_atomic_u64(v));
 
     let marks = &scratch.marks;
     let chunk = default_chunk(n, exec.workers());
@@ -215,13 +191,14 @@ fn dag_sweep(
                 continue; // a rooted wedge needs two out-neighbors
             }
             // Hash marking pays d⁺(v) stamp stores once per vertex and
-            // then probes each candidate in O(1); Auto defers the marking
-            // until the first pair that actually wants hash probing.
-            let mut epoch = 0u32;
-            if strategy == IntersectStrategy::Hash {
-                epoch = ms.mark(nv);
-                markw += nv.len() as u64;
-            }
+            // then probes each candidate in O(1).
+            let epoch = match strategy {
+                IntersectStrategy::Merge => 0,
+                IntersectStrategy::Hash => {
+                    markw += nv.len() as u64;
+                    ms.mark(nv)
+                }
+            };
             let mut v_found = 0u64;
             for &u in nv {
                 let nu = dag.neighbors(u);
@@ -231,27 +208,11 @@ fn dag_sweep(
                 let found = match strategy {
                     IntersectStrategy::Merge => intersect_merge(nv, nu, tri, &mut probes),
                     IntersectStrategy::Hash => intersect_hash(ms, epoch, nu, tri, &mut probes),
-                    IntersectStrategy::Auto => {
-                        // Cost models: walk-short + binary-probe-long vs
-                        // probe every element of N⁺(u) against the marks.
-                        let short = nv.len().min(nu.len()) as u64;
-                        let long = nv.len().max(nu.len());
-                        let logl = (long.max(2)).ilog2() as u64 + 1;
-                        if short * logl < nu.len() as u64 {
-                            intersect_binsearch(nv, nu, tri, &mut probes)
-                        } else {
-                            if epoch == 0 {
-                                epoch = ms.mark(nv);
-                                markw += nv.len() as u64;
-                            }
-                            intersect_hash(ms, epoch, nu, tri, &mut probes)
-                        }
-                    }
                 };
                 if found > 0 {
                     local += found;
                     v_found += found;
-                    if let Some(tri) = &tri {
+                    if let Some(tri) = tri {
                         // Relaxed (all tri[] adds): pure per-vertex
                         // tallies, read only after the sweep joins.
                         tri[u as usize].fetch_add(found, Ordering::Relaxed);
@@ -259,7 +220,7 @@ fn dag_sweep(
                 }
             }
             if v_found > 0 {
-                if let Some(tri) = &tri {
+                if let Some(tri) = tri {
                     // Relaxed: tally, read post-join (as above).
                     tri[v as usize].fetch_add(v_found, Ordering::Relaxed);
                 }
@@ -290,7 +251,7 @@ fn dag_sweep(
         c.barriers = 1;
         r.push("count", 0, c, count);
     }
-    (count, tri_storage)
+    count
 }
 
 /// Merge-walk `|a ∩ b|` (sorted lists), crediting third corners into
@@ -318,30 +279,6 @@ fn intersect_merge(
                 }
                 i += 1;
                 j += 1;
-            }
-        }
-    }
-    count
-}
-
-/// Walk the shorter list, binary-search the longer; `probes` accrues
-/// `⌈log₂ long⌉` per element walked.
-fn intersect_binsearch(
-    a: &[VertexId],
-    b: &[VertexId],
-    tri: Option<&[AtomicU64]>,
-    probes: &mut u64,
-) -> u64 {
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let logl = (long.len().max(2)).ilog2() as u64 + 1;
-    let mut count = 0u64;
-    for &w in short {
-        *probes += logl;
-        if long.binary_search(&w).is_ok() {
-            count += 1;
-            if let Some(tri) = tri {
-                // Relaxed: per-vertex tally, read after the join.
-                tri[w as usize].fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -567,15 +504,18 @@ mod tests {
     }
 
     #[test]
-    fn clustering_agrees_across_strategies() {
+    fn per_vertex_tallies_agree_across_strategies_and_executors() {
         let el = xmt_graph::gen::er::gnm(120, 1000, 5);
         let g = build_undirected(&el);
-        let (want_cc, want_n) =
-            clustering_coefficients_with(&g, IntersectStrategy::Merge, &mut Ctx::default());
-        for s in [IntersectStrategy::Hash, IntersectStrategy::Auto] {
-            let (cc, n) = clustering_coefficients_with(&g, s, &mut Ctx::on(Executor::guided()));
-            assert_eq!(n, want_n, "{s:?}");
-            assert_eq!(cc, want_cc, "{s:?}");
+        let want = triangles_per_vertex(&g, &mut Ctx::default());
+        let dag = dag_view(&g);
+        for s in IntersectStrategy::ALL {
+            let mut tri = vec![0u64; want.len()];
+            let tallies = Some(as_atomic_u64(&mut tri));
+            let exec = Executor::guided();
+            let n = dag_sweep(&dag, s, None, tallies, &exec, &mut TcScratch::new());
+            assert_eq!(tri, want, "{s:?}");
+            assert_eq!(3 * n, want.iter().sum::<u64>(), "{s:?}");
         }
     }
 
@@ -592,7 +532,7 @@ mod tests {
         let mut dag_rec = Recorder::new();
         let dag = count_triangles_with(
             &g,
-            IntersectStrategy::Auto,
+            IntersectStrategy::Hash,
             &mut Ctx::recording(&mut dag_rec),
         );
         assert_eq!(raw, dag, "count is order-invariant");
@@ -633,7 +573,7 @@ mod tests {
         let g = build_undirected(&clique(10));
         let mut rec = Recorder::new();
         let count =
-            count_triangles_with(&g, IntersectStrategy::Auto, &mut Ctx::recording(&mut rec));
+            count_triangles_with(&g, IntersectStrategy::Hash, &mut Ctx::recording(&mut rec));
         assert_eq!(count, clique_triangles(10));
         let r = rec.with_label("count").next().unwrap();
         assert_eq!(r.observed, count);

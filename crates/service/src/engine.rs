@@ -288,7 +288,7 @@ mod tests {
             source: 0,
             damping: 0.85,
             tolerance: 1e-7,
-            intersect: xmt_graph::IntersectStrategy::Auto,
+            intersect: xmt_graph::IntersectStrategy::Hash,
             config: xmt_bsp::BspConfig::default(),
             priority: 0,
             deadline_ms: None,

@@ -301,13 +301,11 @@ fn parse_job_spec(c: &Content) -> Result<JobSpec, ServiceError> {
         config.max_supersteps = max;
     }
     let intersect = match opt::<String>(c, "intersect")? {
-        None => IntersectStrategy::Auto,
+        None => IntersectStrategy::default(),
         Some(name) => {
             IntersectStrategy::parse(&name).ok_or_else(|| ServiceError::InvalidConfig {
                 field: "intersect",
-                reason: format!(
-                    "unknown intersect strategy `{name}` (expected `merge`, `hash`, or `auto`)"
-                ),
+                reason: format!("unknown intersect strategy `{name}` (expected `merge` or `hash`)"),
             })?
         }
     };
@@ -832,7 +830,7 @@ mod tests {
         else {
             panic!("wrong op");
         };
-        assert_eq!(spec.intersect, IntersectStrategy::Auto);
+        assert_eq!(spec.intersect, IntersectStrategy::Hash);
         // The line the benchmark sends.
         let Request::Submit { spec } = parse(
             r#"{"op":"submit","algorithm":"triangles","engine":"graphct","graph":"g","intersect":"merge"}"#,
@@ -845,9 +843,9 @@ mod tests {
 
     #[test]
     fn unknown_intersect_strategy_is_invalid_config() {
-        // `binsearch` was a strategy until it was retired; it is now as
-        // unknown as any other name.
-        for name in ["quadratic", "binsearch", "BinSearch"] {
+        // `binsearch` and `auto` were strategies until they were retired;
+        // they are now as unknown as any other name.
+        for name in ["quadratic", "binsearch", "BinSearch", "auto"] {
             let line =
                 format!(r#"{{"op":"submit","algorithm":"tc","graph":"g","intersect":"{name}"}}"#);
             let err = parse(&line).unwrap_err();

@@ -749,7 +749,7 @@ mod tests {
             source: 0,
             damping: 0.85,
             tolerance: 1e-7,
-            intersect: xmt_graph::IntersectStrategy::Auto,
+            intersect: xmt_graph::IntersectStrategy::Hash,
             config,
             priority: 0,
             deadline_ms: None,

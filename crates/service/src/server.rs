@@ -380,7 +380,7 @@ mod tests {
                 source: 0,
                 damping: 0.85,
                 tolerance: 1e-7,
-                intersect: xmt_graph::IntersectStrategy::Auto,
+                intersect: xmt_graph::IntersectStrategy::Hash,
                 // One superstep per hop of a path, each O(frontier).
                 config: BspConfig {
                     active_set: ActiveSetStrategy::Worklist,

@@ -30,38 +30,13 @@ impl TriangleTracker {
         }
     }
 
-    /// Static recount over an undirected CSR: each triangle is found
-    /// once (`v < u < w`) and credited at all three corners.
+    /// Static recount over an undirected CSR: GraphCT's per-vertex
+    /// DAG sweep on the global pool, each triangle credited at all
+    /// three corners.
     pub fn from_csr(g: &Csr) -> Self {
-        let mut this = TriangleTracker::new(g.num_vertices());
-        for v in 0..g.num_vertices() {
-            let nv = g.neighbors(v);
-            for &u in nv {
-                if u <= v {
-                    continue;
-                }
-                let nu = g.neighbors(u);
-                let (mut i, mut j) = (0, 0);
-                while i < nv.len() && j < nu.len() {
-                    match nv[i].cmp(&nu[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            let w = nv[i];
-                            if w > u {
-                                this.total += 1;
-                                this.tri[v as usize] += 1;
-                                this.tri[u as usize] += 1;
-                                this.tri[w as usize] += 1;
-                            }
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-            }
-        }
-        this
+        let tri = graphct::triangles_per_vertex(g, &mut graphct::Ctx::default());
+        let total = tri.iter().sum::<u64>() / 3;
+        TriangleTracker { tri, total }
     }
 
     /// Global triangle count.
@@ -184,6 +159,25 @@ mod tests {
         }
     }
 
+    /// Serial brute force: every wedge `v < u < w` centred on `v`
+    /// whose closing edge `{u, w}` exists, credited at its three corners.
+    fn brute_force_tallies(g: &Csr) -> Vec<u64> {
+        let mut tri = vec![0u64; g.num_vertices() as usize];
+        for v in 0..g.num_vertices() {
+            let nv = g.neighbors(v);
+            for (i, &u) in nv.iter().enumerate().filter(|&(_, &u)| u > v) {
+                for &w in &nv[i + 1..] {
+                    if g.has_arc(u, w) {
+                        for x in [v, u, w] {
+                            tri[x as usize] += 1;
+                        }
+                    }
+                }
+            }
+        }
+        tri
+    }
+
     #[test]
     fn from_csr_counts_each_triangle_at_its_three_corners() {
         let csr = xmt_graph::builder::build_undirected(&xmt_graph::EdgeList::from_pairs([
@@ -195,5 +189,16 @@ mod tests {
         let t = TriangleTracker::from_csr(&csr);
         assert_eq!(t.total(), 1);
         assert_eq!((t.of(0), t.of(1), t.of(2), t.of(3)), (1, 1, 1, 0));
+
+        // A skewed graph: every per-vertex tally against the brute force.
+        let p = xmt_graph::gen::rmat::RmatParams::graph500(10);
+        let csr = xmt_graph::builder::build_undirected(&xmt_graph::gen::rmat::rmat_edges(&p, 3));
+        let t = TriangleTracker::from_csr(&csr);
+        let want = brute_force_tallies(&csr);
+        assert!(t.total() > 0);
+        assert_eq!(3 * t.total(), want.iter().sum::<u64>());
+        for v in 0..csr.num_vertices() {
+            assert_eq!(t.of(v), want[v as usize], "vertex {v}");
+        }
     }
 }

@@ -13,8 +13,11 @@
 //! ```
 //!
 //! Built `harness = false` so `main` can pin the worker count before the
-//! global pool exists: at two workers the model counts of `fig1`,
-//! `ablation_labelprop` and `ablation_intersect` vary from run to run.
+//! global pool exists: at two workers the model counts of `fig1` and
+//! `ablation_labelprop` vary from run to run, and `ablation_intersect`
+//! repeats from run to run but differs from these goldens in
+//! `seconds_at_max_procs` (fifth digit): loop overhead is charged at
+//! the host's chunk.
 
 use std::collections::BTreeSet;
 use std::path::Path;
