@@ -8,12 +8,12 @@
 //! panic is re-raised by the pool anyway), and `Condvar::wait` takes the
 //! guard by `&mut`.
 //!
-//! What it adds over the real crate: [`Mutex::ranked`] and, in builds
-//! with `debug_assertions`, a lock-order check where locks are taken.
-//! Every mutex has a rank ([`Mutex::new`] is a leaf, the highest); each
-//! thread keeps the ranks it holds, `lock()` panics unless the new rank
-//! is strictly above all of them, and a condvar wait panics if the
-//! waiter holds anything but its own mutex.  Release builds carry
+//! What it adds over the real crate, in builds with `debug_assertions`:
+//! a lock-order check where locks are taken.  Every mutex is a leaf —
+//! nothing may be locked while it is held — so each thread keeps the
+//! ranks it holds (a leaf has the highest), `lock()` panics unless the
+//! new rank is strictly above all of them, and a condvar wait panics if
+//! the waiter holds anything but its own mutex.  Release builds carry
 //! neither the rank nor the per-thread record.
 
 use std::ops::{Deref, DerefMut};
@@ -77,17 +77,9 @@ mod held {
 impl<T> Mutex<T> {
     /// A new leaf mutex holding `value`: nothing may be locked under it.
     pub const fn new(value: T) -> Self {
-        Mutex::ranked(u32::MAX, value)
-    }
-
-    /// A new mutex of the given rank: while it is held, only mutexes of
-    /// a strictly higher rank may be locked (checked in debug builds).
-    pub const fn ranked(rank: u32, value: T) -> Self {
-        #[cfg(not(debug_assertions))]
-        let _ = rank;
         Mutex {
             #[cfg(debug_assertions)]
-            rank,
+            rank: u32::MAX,
             inner: std::sync::Mutex::new(value),
         }
     }
@@ -228,6 +220,19 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// A mutex below the leaves.  Only these tests build one: the
+    /// record's bookkeeping and the wait check need a thread that holds
+    /// two locks, which leaves alone never allow.
+    fn ranked<T>(rank: u32, value: T) -> Mutex<T> {
+        #[cfg(not(debug_assertions))]
+        let _ = rank;
+        Mutex {
+            #[cfg(debug_assertions)]
+            rank,
+            inner: std::sync::Mutex::new(value),
+        }
+    }
+
     #[test]
     fn mutex_guards_exclusive_access() {
         let m = Arc::new(Mutex::new(0u64));
@@ -276,7 +281,7 @@ mod tests {
 
     #[test]
     fn ascending_ranks_nest_and_drop_in_any_order() {
-        let (a, b, c) = (Mutex::ranked(1, ()), Mutex::ranked(2, ()), Mutex::new(()));
+        let (a, b, c) = (ranked(1, ()), ranked(2, ()), Mutex::new(()));
         let (ga, gb, gc) = (a.lock(), b.lock(), c.lock());
         drop(gb);
         drop(ga);
@@ -299,15 +304,6 @@ mod tests {
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "lock order: acquiring rank 1 while holding [2]")]
-    fn descending_acquisition_panics() {
-        let (a, b) = (Mutex::ranked(1, ()), Mutex::ranked(2, ()));
-        let _gb = b.lock();
-        let _ga = a.lock();
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "lock order: acquiring rank 4294967295 while holding [4294967295]")]
     fn leaf_under_leaf_panics() {
         let (a, b) = (Mutex::new(()), Mutex::new(()));
@@ -319,7 +315,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "lock order: condvar wait while holding [1, 2]")]
     fn waiting_while_holding_a_second_lock_panics() {
-        let (a, b) = (Mutex::ranked(1, ()), Mutex::ranked(2, ()));
+        let (a, b) = (ranked(1, ()), ranked(2, ()));
         let _ga = a.lock();
         let mut gb = b.lock();
         Condvar::new().wait_for(&mut gb, Duration::from_millis(1));
@@ -328,7 +324,7 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     fn a_failed_acquisition_leaves_the_record_as_it_was() {
-        let (a, b) = (Mutex::ranked(1, ()), Mutex::ranked(2, ()));
+        let (a, b) = (ranked(1, ()), ranked(2, ()));
         let gb = b.lock();
         assert!(std::panic::catch_unwind(|| drop(a.lock())).is_err());
         drop(gb);

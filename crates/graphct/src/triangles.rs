@@ -88,10 +88,10 @@ pub fn count_triangles(g: &Csr) -> u64 {
 /// Degree-ordered DAG triangle count with an explicit strategy, under
 /// an explicit [`Ctx`].
 ///
-/// * `ctx.exec` — guided chunking matters most here: per-vertex
-///   intersection work is degree-skewed even after DAG orientation, so
-///   RMAT hubs make static chunks unbalanced.  The count is identical
-///   across executors.
+/// * `ctx.exec` — fixed and guided chunking time level here at RMAT
+///   scale 14 and 17 on two threads (EXPERIMENTS.md); the service's
+///   GraphCT triangle job runs on `Ctx::default()`, which is fixed.  The
+///   count is identical across executors.
 /// * `ctx.rec` — a single `"count"` phase (observed = triangles found)
 ///   with strategy-aware operation charging.
 /// * `ctx.sink` — unused: a one-shot kernel has no per-level structure

@@ -25,6 +25,10 @@
 //! the `incremental` engine answers `cc`/`triangles` straight from the
 //! stinger-maintained state without recomputing.
 //!
+//! Locking: the registry and the scheduler each keep all of their state
+//! behind one mutex, and nothing is locked under either — every mutex
+//! in the service is a leaf, so there is no lock order to keep.
+//!
 //! Layering:
 //!
 //! ```text
@@ -53,19 +57,6 @@ pub mod scheduler;
 pub mod server;
 pub mod stats;
 pub mod streaming;
-
-/// The service's lock ranks, outermost first: a thread may take a lock
-/// only while everything it holds ranks strictly lower (`parking_lot`
-/// stand-in, checked at every `lock()` in debug builds).  The one
-/// nesting that occurs is `state → inner`: `update` re-costs its batch
-/// under the graph's lock.  The scheduler keeps all of its bookkeeping
-/// under one lock and takes nothing under it.  Every other mutex in the
-/// workspace is a leaf (`Mutex::new`): nothing is taken under it.
-mod rank {
-    pub(crate) const STATE: u32 = 10;
-    pub(crate) const INNER: u32 = 20;
-    pub(crate) const SCHEDULER: u32 = 30;
-}
 
 pub use client::Client;
 pub use engine::{execute, ExecVerdict, FrameSlot};

@@ -7,7 +7,7 @@
 //! in two kinds under one byte budget with LRU eviction:
 //!
 //! * **static** — a frozen [`Arc<Csr>`], the original shape;
-//! * **dynamic** — a `DynamicGraph`: stinger-backed adjacency with
+//! * **dynamic** — a `DynState`: stinger-backed adjacency with
 //!   incrementally maintained CC labels and triangle counts, mutated by
 //!   `update` batches and served to jobs as immutable epoch snapshots.
 //!
@@ -20,23 +20,23 @@
 //! holding a CSR keep computing on it safely; the memory is reclaimed
 //! when the last holder finishes.
 //!
-//! Lock ordering: the registry lock is never held while taking a
-//! per-graph lock (`get`/`admit` drop it before materializing a
-//! snapshot); `update` holds the per-graph lock while taking the
-//! registry lock to re-cost — one direction only, so the pair cannot
-//! deadlock.
+//! One lock guards the whole table, dynamic graphs' state included, and
+//! nothing is locked under it: every public method is one critical
+//! section, so `stats` and `list` are exact at the call.  The price is
+//! that a snapshot build or a batch apply on one graph holds up every
+//! other registry call, on any graph.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use stinger_lite::StreamingAnalytics;
+use stinger_lite::{EdgeOp, StreamingAnalytics};
 use xmt_graph::Csr;
 
 use crate::error::ServiceError;
 use crate::job::{Algorithm, Engine, JobGraph};
-use crate::streaming::{dynamic_cost_bytes, edge_ops, DynamicGraph, UpdateOutcome};
+use crate::streaming::{dynamic_cost_bytes, edge_ops, DynState, UpdateOutcome};
 
 /// A registry snapshot row (what `list_graphs` reports).
 #[derive(Clone, Debug)]
@@ -45,7 +45,7 @@ pub struct GraphEntryInfo {
     pub name: String,
     /// Vertex count.
     pub vertices: u64,
-    /// Undirected edge count (for dynamic graphs: as of the last batch).
+    /// Undirected edge count.
     pub edges: u64,
     /// Footprint in bytes (what the budget is charged).
     pub bytes: u64,
@@ -57,14 +57,11 @@ pub struct GraphEntryInfo {
 
 /// A coherent registry-counter snapshot for the `stats` request.
 ///
-/// Taken under one lock acquisition: `used_bytes` can never exceed what
+/// Taken in one critical section: `used_bytes` can never exceed what
 /// `graphs` entries account for, `evictions` can never lag an eviction
 /// whose freed bytes are already reflected in `used_bytes`, and the
 /// update counters can never show a batch whose bytes are not yet
-/// charged — guarantees separate getter calls cannot make.  The one
-/// exception is `snapshot_epochs_live`, a lock-free gauge summed from
-/// per-graph atomics (taking per-graph locks here would invert the
-/// registry→graph lock order); it is freshness-bounded, not torn.
+/// charged — guarantees separate getter calls cannot make.
 #[derive(Clone, Copy, Debug)]
 pub struct RegistryStats {
     /// Registered graph count.
@@ -83,26 +80,19 @@ pub struct RegistryStats {
     pub edges_inserted: u64,
     /// Edges deleted by those batches.
     pub edges_deleted: u64,
-    /// Snapshot epochs still referenced by at least one job, summed over
-    /// dynamic graphs (as of each graph's last snapshot/update).
+    /// Snapshot epochs referenced by at least one holder (a job or the
+    /// registry's own per-epoch cache), summed over dynamic graphs.
     pub snapshot_epochs_live: u64,
 }
 
-#[derive(Clone)]
 enum GraphKind {
     Static(Arc<Csr>),
-    Dynamic(Arc<DynamicGraph>),
+    Dynamic(Box<DynState>),
 }
 
 struct Entry {
     kind: GraphKind,
     bytes: usize,
-    /// Cached shape for lock-order-safe `list`/`stats` (a dynamic
-    /// graph's true counts live behind its own lock; these are updated
-    /// under the registry lock by every re-cost).
-    vertices: u64,
-    edges: u64,
-    epoch: u64,
     /// Logical access clock value at the last `get`/registration;
     /// smallest value = least recently used.
     last_used: u64,
@@ -110,13 +100,20 @@ struct Entry {
 
 impl Entry {
     fn info(&self, name: &str) -> GraphEntryInfo {
+        let (vertices, edges, epoch) = match &self.kind {
+            GraphKind::Static(csr) => (csr.num_vertices(), csr.num_edges(), 0),
+            GraphKind::Dynamic(st) => {
+                let g = st.analytics.graph();
+                (g.num_vertices(), g.num_edges(), st.epoch)
+            }
+        };
         GraphEntryInfo {
             name: name.to_string(),
-            vertices: self.vertices,
-            edges: self.edges,
+            vertices,
+            edges,
             bytes: self.bytes as u64,
             dynamic: matches!(self.kind, GraphKind::Dynamic(_)),
-            epoch: self.epoch,
+            epoch,
         }
     }
 }
@@ -133,26 +130,51 @@ struct Inner {
 }
 
 impl Inner {
-    /// Evict LRU entries (excluding `keep`) until `needed` extra bytes
-    /// fit under `budget`.  Returns whether the space was found.
-    fn evict_to_fit(&mut self, budget: usize, needed: usize, keep: Option<&str>) -> bool {
-        while self.used + needed > budget {
+    /// Evict LRU entries until `needed` extra bytes fit under `budget`
+    /// (0 = unbounded).  Callers first check `needed <= budget` and take
+    /// the entry being charged out of the table, so emptying the table
+    /// always makes room.
+    fn evict_to_fit(&mut self, budget: usize, needed: usize) {
+        while budget > 0 && self.used + needed > budget {
             let Some(victim) = self
                 .entries
                 .iter()
-                .filter(|(k, _)| keep != Some(k.as_str()))
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone())
             else {
-                return false;
+                return;
             };
-            let Some(evicted) = self.entries.remove(&victim) else {
-                return false;
-            };
-            self.used -= evicted.bytes;
-            self.evictions += 1;
+            if let Some(evicted) = self.entries.remove(&victim) {
+                self.used -= evicted.bytes;
+                self.evictions += 1;
+            }
         }
-        true
+    }
+
+    /// Advance the access clock.
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// The entry under `name`, marked most-recently-used.
+    fn touch(&mut self, name: &str) -> Result<&mut Entry, ServiceError> {
+        let stamp = self.tick();
+        let entry = self.entries.get_mut(name).ok_or_else(|| not_found(name))?;
+        entry.last_used = stamp;
+        Ok(entry)
+    }
+}
+
+fn not_found(name: &str) -> ServiceError {
+    ServiceError::GraphNotFound {
+        name: name.to_string(),
+    }
+}
+
+fn not_dynamic(name: &str) -> ServiceError {
+    ServiceError::NotDynamic {
+        name: name.to_string(),
     }
 }
 
@@ -170,7 +192,7 @@ impl GraphRegistry {
     pub fn new(budget_bytes: usize) -> Self {
         GraphRegistry {
             budget: budget_bytes,
-            inner: Mutex::ranked(crate::rank::INNER, Inner::default()),
+            inner: Mutex::new(Inner::default()),
         }
     }
 
@@ -185,15 +207,7 @@ impl GraphRegistry {
     /// graph alone exceeds the budget.
     pub fn register(&self, name: &str, graph: Csr) -> Result<GraphEntryInfo, ServiceError> {
         let bytes = graph.memory_bytes();
-        let vertices = graph.num_vertices();
-        let edges = graph.num_edges();
-        self.insert(
-            name,
-            GraphKind::Static(Arc::new(graph)),
-            bytes,
-            vertices,
-            edges,
-        )
+        self.insert(name, GraphKind::Static(Arc::new(graph)), bytes)
     }
 
     /// Register `graph` as a dynamic (streaming) entry under `name`: the
@@ -202,12 +216,13 @@ impl GraphRegistry {
     /// budget charge covers the analytics state plus one epoch snapshot,
     /// and is re-assessed by every batch.
     pub fn register_dynamic(&self, name: &str, graph: Csr) -> Result<GraphEntryInfo, ServiceError> {
-        let vertices = graph.num_vertices();
-        let edges = graph.num_edges();
-        let bytes = dynamic_cost_bytes(vertices, edges);
+        let bytes = dynamic_cost_bytes(graph.num_vertices(), graph.num_edges());
         let analytics = StreamingAnalytics::from_csr(&graph);
-        let kind = GraphKind::Dynamic(Arc::new(DynamicGraph::new(analytics)));
-        self.insert(name, kind, bytes, vertices, edges)
+        self.insert(
+            name,
+            GraphKind::Dynamic(Box::new(DynState::new(analytics))),
+            bytes,
+        )
     }
 
     fn insert(
@@ -215,8 +230,6 @@ impl GraphRegistry {
         name: &str,
         kind: GraphKind,
         bytes: usize,
-        vertices: u64,
-        edges: u64,
     ) -> Result<GraphEntryInfo, ServiceError> {
         if self.budget > 0 && bytes > self.budget {
             return Err(ServiceError::GraphTooLarge {
@@ -229,51 +242,26 @@ impl GraphRegistry {
         if let Some(old) = inner.entries.remove(name) {
             inner.used -= old.bytes;
         }
-        if self.budget > 0 {
-            // Fits by the check above once everything else is evictable.
-            inner.evict_to_fit(self.budget, bytes, None);
-        }
-        inner.clock += 1;
-        let stamp = inner.clock;
+        inner.evict_to_fit(self.budget, bytes);
         inner.used += bytes;
         let entry = Entry {
             kind,
             bytes,
-            vertices,
-            edges,
-            epoch: 0,
-            last_used: stamp,
+            last_used: inner.tick(),
         };
         let info = entry.info(name);
         inner.entries.insert(name.to_string(), entry);
         Ok(info)
     }
 
-    /// Look up an entry's kind by name, marking it most-recently-used.
-    /// Registry lock only — snapshot materialization happens after it is
-    /// released.
-    fn lookup(&self, name: &str) -> Result<GraphKind, ServiceError> {
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let stamp = inner.clock;
-        match inner.entries.get_mut(name) {
-            Some(e) => {
-                e.last_used = stamp;
-                Ok(e.kind.clone())
-            }
-            None => Err(ServiceError::GraphNotFound {
-                name: name.to_string(),
-            }),
-        }
-    }
-
     /// Fetch a graph's current CSR by name, marking it most-recently-
     /// used.  For dynamic graphs this is the current epoch's snapshot.
     pub fn get(&self, name: &str) -> Result<Arc<Csr>, ServiceError> {
-        match self.lookup(name)? {
-            GraphKind::Static(csr) => Ok(csr),
-            GraphKind::Dynamic(d) => Ok(d.snapshot().0),
-        }
+        let mut inner = self.inner.lock();
+        Ok(match &mut inner.touch(name)?.kind {
+            GraphKind::Static(csr) => Arc::clone(csr),
+            GraphKind::Dynamic(st) => st.snapshot().0,
+        })
     }
 
     /// Resolve a job's graph handle at admission: the CSR it will
@@ -286,28 +274,22 @@ impl GraphRegistry {
         algorithm: Algorithm,
         engine: Engine,
     ) -> Result<JobGraph, ServiceError> {
-        match self.lookup(name)? {
-            GraphKind::Static(csr) => {
-                if engine == Engine::Incremental {
-                    return Err(ServiceError::NotDynamic {
-                        name: name.to_string(),
-                    });
-                }
-                Ok(JobGraph::snapshot(csr, 0))
+        let mut inner = self.inner.lock();
+        match (&mut inner.touch(name)?.kind, engine) {
+            (GraphKind::Static(_), Engine::Incremental) => Err(not_dynamic(name)),
+            (GraphKind::Static(csr), _) => Ok(JobGraph::snapshot(Arc::clone(csr), 0)),
+            (GraphKind::Dynamic(st), Engine::Incremental) => {
+                let (num_vertices, epoch, output) = st.incremental(name, algorithm)?;
+                Ok(JobGraph {
+                    csr: None,
+                    num_vertices,
+                    epoch,
+                    precomputed: Some(output),
+                })
             }
-            GraphKind::Dynamic(d) => {
-                if engine == Engine::Incremental {
-                    let (num_vertices, epoch, output) = d.incremental(name, algorithm)?;
-                    Ok(JobGraph {
-                        csr: None,
-                        num_vertices,
-                        epoch,
-                        precomputed: Some(output),
-                    })
-                } else {
-                    let (csr, epoch) = d.snapshot();
-                    Ok(JobGraph::snapshot(csr, epoch))
-                }
+            (GraphKind::Dynamic(st), _) => {
+                let (csr, epoch) = st.snapshot();
+                Ok(JobGraph::snapshot(csr, epoch))
             }
         }
     }
@@ -327,128 +309,76 @@ impl GraphRegistry {
         insert: &[(u64, u64)],
         delete: &[(u64, u64)],
     ) -> Result<UpdateOutcome, ServiceError> {
-        let dynamic = match self.lookup(name)? {
-            GraphKind::Dynamic(d) => d,
-            GraphKind::Static(_) => {
-                return Err(ServiceError::NotDynamic {
-                    name: name.to_string(),
-                })
-            }
-        };
         let ops = edge_ops(insert, delete);
-        // Per-graph lock held across plan → re-cost → apply, so the
-        // accepted counts the re-cost was based on are exactly the
-        // counts applied, and concurrent batches serialize per graph.
-        let mut st = dynamic.lock();
+        let mut inner = self.inner.lock();
+        let stamp = inner.tick();
+        // Out of the table for the batch, so the re-cost's eviction
+        // cannot pick the entry it is charging; back in on every path.
+        let (key, mut entry) = inner
+            .entries
+            .remove_entry(name)
+            .ok_or_else(|| not_found(name))?;
+        entry.last_used = stamp;
+        let outcome = self.apply_batch(&mut inner, name, &mut entry, &ops);
+        inner.entries.insert(key, entry);
+        outcome
+    }
+
+    /// Plan → re-cost → apply → commit one batch on `entry`, which is
+    /// out of `inner`'s table.
+    fn apply_batch(
+        &self,
+        inner: &mut Inner,
+        name: &str,
+        entry: &mut Entry,
+        ops: &[EdgeOp],
+    ) -> Result<UpdateOutcome, ServiceError> {
+        let GraphKind::Dynamic(st) = &mut entry.kind else {
+            return Err(not_dynamic(name));
+        };
         let plan = st
             .analytics
-            // Planning is bounded CPU work on the guarded state itself;
-            // the per-graph lock must cover plan -> re-cost -> apply
-            // (see the comment above).
-            .plan_batch(&ops)
+            .plan_batch(ops)
             .map_err(|e| ServiceError::BadRequest {
                 message: format!("update for graph `{name}`: {e}"),
             })?;
-        let n = st.analytics.graph().num_vertices();
-        let edges_after = st.analytics.graph().num_edges() + plan.inserted - plan.deleted;
-        let new_bytes = dynamic_cost_bytes(n, edges_after);
-        let epoch_after = if plan.inserted + plan.deleted > 0 {
-            st.epoch + 1
-        } else {
-            st.epoch
-        };
-        self.recost(
-            name,
-            new_bytes,
-            plan.inserted,
-            plan.deleted,
-            edges_after,
-            epoch_after,
-        )?;
+        let g = st.analytics.graph();
+        let new_bytes = dynamic_cost_bytes(
+            g.num_vertices(),
+            g.num_edges() + plan.inserted - plan.deleted,
+        );
+        if self.budget > 0 && new_bytes > self.budget {
+            return Err(ServiceError::BudgetExceeded {
+                name: name.to_string(),
+                bytes: new_bytes,
+                budget: self.budget,
+            });
+        }
+        inner.used -= entry.bytes;
+        inner.evict_to_fit(self.budget, new_bytes);
+        inner.used += new_bytes;
+        entry.bytes = new_bytes;
         let sw = xmt_trace::Stopwatch::start();
         let applied = st
             .analytics
-            .apply_batch(&ops)
+            .apply_batch(ops)
             .map_err(|e| ServiceError::Internal {
                 message: format!("planned batch failed to apply on `{name}`: {e}"),
             })?;
         debug_assert_eq!(applied, plan, "plan/apply divergence on `{name}`");
         let apply_ns = sw.elapsed_ns();
-        Ok(dynamic.commit_batch(&mut st, applied, new_bytes as u64, apply_ns))
-    }
-
-    /// Re-charge a dynamic entry at `new_bytes` (called with the
-    /// per-graph lock held; takes the registry lock — the permitted
-    /// nesting direction).  Updates the cached shape and the global
-    /// update counters in the same critical section, so a `stats` reader
-    /// can never observe a batch counted without its bytes charged.
-    fn recost(
-        &self,
-        name: &str,
-        new_bytes: usize,
-        inserted: u64,
-        deleted: u64,
-        edges_after: u64,
-        epoch_after: u64,
-    ) -> Result<(), ServiceError> {
-        let mut inner = self.inner.lock();
-        let old_bytes = match inner.entries.get(name) {
-            Some(e) => e.bytes,
-            // Concurrently unregistered/evicted: the graph object still
-            // works for whoever holds it, but there is no entry to
-            // charge, so the batch is refused.
-            None => {
-                return Err(ServiceError::GraphNotFound {
-                    name: name.to_string(),
-                })
-            }
-        };
-        if self.budget > 0 {
-            if new_bytes > self.budget {
-                return Err(ServiceError::BudgetExceeded {
-                    name: name.to_string(),
-                    bytes: new_bytes,
-                    budget: self.budget,
-                });
-            }
-            // Release our old charge for the fit check, then evict
-            // other entries until the new size fits.  `new_bytes <=
-            // budget` above guarantees termination once only `name`
-            // remains.
-            inner.used -= old_bytes;
-            let fits = inner.evict_to_fit(self.budget, new_bytes, Some(name));
-            if !fits {
-                // Cannot happen given the check above, but never leave
-                // the accounting half-moved.
-                inner.used += old_bytes;
-                return Err(ServiceError::BudgetExceeded {
-                    name: name.to_string(),
-                    bytes: new_bytes,
-                    budget: self.budget,
-                });
-            }
-            inner.used += new_bytes;
-        } else {
-            inner.used = inner.used - old_bytes + new_bytes;
-        }
-        if let Some(e) = inner.entries.get_mut(name) {
-            e.bytes = new_bytes;
-            e.edges = edges_after;
-            e.epoch = epoch_after;
-        }
         inner.batches_applied += 1;
-        inner.edges_inserted += inserted;
-        inner.edges_deleted += deleted;
-        Ok(())
+        inner.edges_inserted += applied.inserted;
+        inner.edges_deleted += applied.deleted;
+        Ok(st.commit_batch(applied, new_bytes as u64, apply_ns))
     }
 
     /// A dynamic graph's recent applied-batch trace records.
     pub fn update_trace(&self, name: &str) -> Result<xmt_trace::UpdateTrace, ServiceError> {
-        match self.lookup(name)? {
-            GraphKind::Dynamic(d) => Ok(d.update_trace(name)),
-            GraphKind::Static(_) => Err(ServiceError::NotDynamic {
-                name: name.to_string(),
-            }),
+        let mut inner = self.inner.lock();
+        match &inner.touch(name)?.kind {
+            GraphKind::Dynamic(st) => Ok(st.update_trace(name)),
+            GraphKind::Static(_) => Err(not_dynamic(name)),
         }
     }
 
@@ -479,23 +409,16 @@ impl GraphRegistry {
         self.inner.lock().used
     }
 
-    /// Entries evicted by the budget since startup.
-    pub fn evictions(&self) -> u64 {
-        self.inner.lock().evictions
-    }
-
-    /// All counters under a single lock acquisition, so a stats reader
-    /// racing a register/update/evict cannot observe a torn combination.
+    /// All counters in one critical section, so a stats reader racing a
+    /// register/update/evict cannot observe a torn combination.
     pub fn stats(&self) -> RegistryStats {
         let inner = self.inner.lock();
         let mut dynamic_graphs = 0;
         let mut snapshot_epochs_live = 0;
         for e in inner.entries.values() {
-            if let GraphKind::Dynamic(d) = &e.kind {
+            if let GraphKind::Dynamic(st) = &e.kind {
                 dynamic_graphs += 1;
-                // Atomic gauge read; per-graph locks are off-limits here
-                // (registry→graph nesting is the forbidden direction).
-                snapshot_epochs_live += d.live_epochs();
+                snapshot_epochs_live += st.live_epochs();
             }
         }
         RegistryStats {
@@ -557,7 +480,7 @@ mod tests {
             reg.get("b").unwrap_err(),
             ServiceError::GraphNotFound { name: "b".into() }
         );
-        assert_eq!(reg.evictions(), 1);
+        assert_eq!(reg.stats().evictions, 1);
         assert!(reg.used_bytes() <= 2 * unit + unit / 2);
     }
 
@@ -630,7 +553,6 @@ mod tests {
         });
         let s = reg.stats();
         assert_eq!(s.used_bytes, reg.used_bytes());
-        assert_eq!(s.evictions, reg.evictions());
         assert!(s.evictions > 0, "churn never evicted");
     }
 
@@ -661,8 +583,7 @@ mod tests {
         assert_eq!(out.epoch, 1);
         assert_eq!(out.edges, 6);
 
-        // list() reflects the re-costed shape without touching the
-        // per-graph lock.
+        // list() reflects the applied batch and its re-costed charge.
         let row = &reg.list()[0];
         assert_eq!(row.edges, 6);
         assert_eq!(row.epoch, 1);
@@ -754,7 +675,7 @@ mod tests {
             reg.get("s").is_err(),
             "growth did not evict the LRU static entry"
         );
-        assert_eq!(reg.evictions(), 1);
+        assert_eq!(reg.stats().evictions, 1);
         assert_eq!(reg.used_bytes() as u64, out.bytes);
 
         // The grown entry is now LRU-evictable at its *new* size: a
@@ -816,7 +737,11 @@ mod tests {
         assert_eq!(old.num_edges(), 7, "pre-batch snapshot mutated");
         assert_eq!(new.num_edges(), 8);
         assert!(!Arc::ptr_eq(&old, &new));
-        assert!(reg.stats().snapshot_epochs_live >= 2);
+        assert_eq!(reg.stats().snapshot_epochs_live, 2);
+        // Counted at the call: the dropped epoch is gone from the very
+        // next `stats`, with no snapshot or batch in between.
+        drop(old);
+        assert_eq!(reg.stats().snapshot_epochs_live, 1);
     }
 
     #[test]
@@ -836,20 +761,5 @@ mod tests {
         } else {
             assert!(trace.updates.is_empty());
         }
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "lock order: acquiring rank 10 while holding [20]")]
-    fn taking_a_graph_state_under_the_registry_lock_panics() {
-        // `update` nests the registry lock under a graph's state lock
-        // (`crate::rank`); the reverse order must fail the rank check.
-        let reg = GraphRegistry::new(0);
-        reg.register_dynamic("d", graph(6)).unwrap();
-        let GraphKind::Dynamic(dynamic) = reg.lookup("d").unwrap() else {
-            panic!("`d` was registered dynamic");
-        };
-        let _inner = reg.inner.lock();
-        let _state = dynamic.lock();
     }
 }

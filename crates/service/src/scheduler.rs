@@ -49,7 +49,6 @@ use crate::error::ServiceError;
 use crate::job::{
     Algorithm, Engine, JobGraph, JobId, JobOutput, JobSpec, JobState, StoredCheckpoint,
 };
-use crate::rank;
 use crate::stats::{LatencyHistogram, LatencySummary};
 
 /// Scheduler sizing.
@@ -339,7 +338,7 @@ impl Scheduler {
     /// Start `config.workers` worker threads (at least one).
     pub fn new(config: SchedulerConfig) -> Self {
         let shared = Arc::new(Shared {
-            state: Mutex::ranked(rank::SCHEDULER, State::default()),
+            state: Mutex::new(State::default()),
             work: Condvar::new(),
             transition: Condvar::new(),
             config,

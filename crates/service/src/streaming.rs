@@ -18,16 +18,13 @@
 //!   submits between batches shares one CSR; the first submit after a
 //!   batch pays one `to_csr`.
 //!
-//! Lock ordering (shared with the registry): the registry lock is never
-//! held while taking a per-graph lock; a holder of the per-graph lock
-//! *may* take the registry lock (that is how `update` re-costs the
-//! entry's byte charge atomically with the batch).
+//! A dynamic graph's state is a value in the registry's table, so the
+//! registry's one lock orders batches, snapshot builds and reads: a
+//! snapshot is of exactly the epoch it is labelled with, and the live
+//! snapshot-epoch count is taken at the call.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-
-use parking_lot::{Mutex, MutexGuard};
 
 use stinger_lite::{BatchOutcome, EdgeOp, StreamingAnalytics};
 use xmt_graph::Csr;
@@ -54,8 +51,9 @@ pub struct UpdateOutcome {
     pub bytes: u64,
 }
 
-/// The mutable state behind one dynamic registry entry, guarded by the
-/// entry's own lock so updates never serialize against other graphs.
+/// One dynamic registry entry: streaming analytics plus epoch
+/// bookkeeping.  It lives inside the registry's table, so every method
+/// runs under the registry's one lock.
 pub(crate) struct DynState {
     pub(crate) analytics: StreamingAnalytics,
     /// Monotonic epoch counter; bumped by every batch that changes the
@@ -64,94 +62,60 @@ pub(crate) struct DynState {
     /// The current epoch's materialized CSR, if any job has asked for it
     /// since the last mutating batch.
     snapshot: Option<Arc<Csr>>,
-    /// Weak handles to every epoch snapshot handed out; pruned as jobs
-    /// drop their `Arc`s.
-    issued: Vec<(u64, Weak<Csr>)>,
+    /// Weak handles to the epoch snapshots handed out; pruned whenever
+    /// a new one is issued.
+    issued: Vec<Weak<Csr>>,
     /// Recent applied-batch records (bounded window, newest last).
     updates: VecDeque<xmt_trace::UpdateRecord>,
 }
 
-/// A dynamic graph: streaming analytics state plus epoch bookkeeping.
-// A per-graph state holder may take the registry's inner lock (batch
-// re-costing), never the reverse — the ordering described in the module
-// docs, `rank::STATE < rank::INNER`.
-pub(crate) struct DynamicGraph {
-    state: Mutex<DynState>,
-    /// Gauge of snapshot epochs still referenced by at least one holder,
-    /// as of the last snapshot/update/trace on this graph.  Written
-    /// under the state lock, read lock-free by `stats()` (which holds
-    /// the registry lock and must not take per-graph locks — see the
-    /// lock-ordering note above); it is a freshness-bounded gauge, not a
-    /// torn read of multi-field state.
-    live_epochs: AtomicU64,
-}
-
-impl DynamicGraph {
+impl DynState {
     pub(crate) fn new(analytics: StreamingAnalytics) -> Self {
-        DynamicGraph {
-            state: Mutex::ranked(
-                crate::rank::STATE,
-                DynState {
-                    analytics,
-                    epoch: 0,
-                    snapshot: None,
-                    issued: Vec::new(),
-                    updates: VecDeque::new(),
-                },
-            ),
-            live_epochs: AtomicU64::new(0),
+        DynState {
+            analytics,
+            epoch: 0,
+            snapshot: None,
+            issued: Vec::new(),
+            updates: VecDeque::new(),
         }
     }
 
-    /// Lock the state for a compound operation (plan → re-cost → apply).
-    pub(crate) fn lock(&self) -> MutexGuard<'_, DynState> {
-        self.state.lock()
-    }
-
-    /// The snapshot-epochs-live gauge (see the field note for staleness
-    /// semantics).
+    /// Snapshot epochs still referenced by at least one holder (the
+    /// cached current snapshot counts as one), counted now.
     pub(crate) fn live_epochs(&self) -> u64 {
-        // Relaxed: single independent gauge, no other memory depends on
-        // the read; staleness is bounded by the last refresh anyway.
-        self.live_epochs.load(Ordering::Relaxed)
+        self.issued.iter().filter(|w| w.strong_count() > 0).count() as u64
     }
 
     /// The current epoch's CSR (materializing and caching it if needed)
     /// plus the epoch number.
-    pub(crate) fn snapshot(&self) -> (Arc<Csr>, u64) {
-        let mut st = self.state.lock();
-        let csr = match &st.snapshot {
+    pub(crate) fn snapshot(&mut self) -> (Arc<Csr>, u64) {
+        let csr = match &self.snapshot {
             Some(csr) => Arc::clone(csr),
             None => {
-                // The snapshot must be of exactly this epoch, so it is
-                // built under the lock that orders batches; one `to_csr`
-                // per epoch, then cached.
-                let csr = Arc::new(st.analytics.graph().to_csr());
-                let epoch = st.epoch;
-                st.issued.push((epoch, Arc::downgrade(&csr)));
-                st.snapshot = Some(Arc::clone(&csr));
+                // One `to_csr` per epoch, then cached.
+                let csr = Arc::new(self.analytics.graph().to_csr());
+                self.issued.retain(|w| w.strong_count() > 0);
+                self.issued.push(Arc::downgrade(&csr));
+                self.snapshot = Some(Arc::clone(&csr));
                 csr
             }
         };
-        self.refresh_gauge(&mut st);
-        (csr, st.epoch)
+        (csr, self.epoch)
     }
 
     /// Capture the incremental answer for `algorithm` plus the vertex
-    /// count and epoch it is consistent with, atomically under the graph
-    /// lock.  No CSR is materialized: nothing reads one.
+    /// count and epoch it is consistent with.  No CSR is materialized:
+    /// nothing reads one.
     pub(crate) fn incremental(
-        &self,
+        &mut self,
         name: &str,
         algorithm: Algorithm,
     ) -> Result<(u64, u64, JobOutput), ServiceError> {
-        let mut st = self.state.lock();
         let output = match algorithm {
-            Algorithm::Cc => JobOutput::Labels(st.analytics.labels()),
             // Reading the incrementally maintained labels/counts is O(V)
-            // copying, no graph work; the lock keeps the read consistent
-            // with the epoch.
-            Algorithm::Triangles => JobOutput::Triangles(st.analytics.triangles()),
+            // copying, no graph work.
+            Algorithm::Cc => JobOutput::Labels(self.analytics.labels()),
+            Algorithm::Triangles => JobOutput::Triangles(self.analytics.triangles()),
             other => {
                 return Err(ServiceError::BadRequest {
                     message: format!(
@@ -162,38 +126,36 @@ impl DynamicGraph {
                 })
             }
         };
-        Ok((st.analytics.graph().num_vertices(), st.epoch, output))
+        Ok((self.analytics.graph().num_vertices(), self.epoch, output))
     }
 
-    /// Finish an applied batch under the held lock: bump the epoch if
-    /// the graph changed, invalidate the snapshot cache, refresh the
-    /// live-epoch gauge, and record the batch for the trace window.
+    /// Finish an applied batch: bump the epoch if the graph changed,
+    /// invalidate the snapshot cache, and record the batch for the trace
+    /// window.
     pub(crate) fn commit_batch(
-        &self,
-        st: &mut DynState,
+        &mut self,
         applied: BatchOutcome,
         bytes_after: u64,
         apply_ns: u64,
     ) -> UpdateOutcome {
         if applied.inserted + applied.deleted > 0 {
-            st.epoch += 1;
+            self.epoch += 1;
             // Drop our strong ref to the superseded epoch; holders keep
             // theirs, and the weak entry in `issued` tracks them.
-            st.snapshot = None;
+            self.snapshot = None;
         }
-        self.refresh_gauge(st);
         let outcome = UpdateOutcome {
-            epoch: st.epoch,
+            epoch: self.epoch,
             inserted: applied.inserted,
             deleted: applied.deleted,
-            edges: st.analytics.graph().num_edges(),
+            edges: self.analytics.graph().num_edges(),
             bytes: bytes_after,
         };
         if xmt_trace::ENABLED {
-            if st.updates.len() == UPDATE_TRACE_WINDOW {
-                st.updates.pop_front();
+            if self.updates.len() == UPDATE_TRACE_WINDOW {
+                self.updates.pop_front();
             }
-            st.updates.push_back(xmt_trace::UpdateRecord {
+            self.updates.push_back(xmt_trace::UpdateRecord {
                 epoch: outcome.epoch,
                 inserted: outcome.inserted,
                 deleted: outcome.deleted,
@@ -207,21 +169,10 @@ impl DynamicGraph {
 
     /// The recent applied-batch records (newest last).
     pub(crate) fn update_trace(&self, graph: &str) -> xmt_trace::UpdateTrace {
-        let mut st = self.state.lock();
-        self.refresh_gauge(&mut st);
         xmt_trace::UpdateTrace {
             graph: graph.to_string(),
-            updates: st.updates.iter().cloned().collect(),
+            updates: self.updates.iter().cloned().collect(),
         }
-    }
-
-    /// Drop issued-epoch entries whose snapshots no longer have holders
-    /// and publish the count.
-    fn refresh_gauge(&self, st: &mut DynState) {
-        st.issued.retain(|(_, weak)| weak.strong_count() > 0);
-        let live = st.issued.len() as u64;
-        // Relaxed: publishing a single gauge value; see field note.
-        self.live_epochs.store(live, Ordering::Relaxed);
     }
 }
 
@@ -257,24 +208,15 @@ mod tests {
 
     #[test]
     fn snapshot_is_cached_per_epoch_and_invalidated_by_batches() {
-        let d = DynamicGraph::new(StreamingAnalytics::new(8));
+        let mut d = DynState::new(StreamingAnalytics::new(8));
         let (a, e0) = d.snapshot();
         let (b, _) = d.snapshot();
         assert_eq!(e0, 0);
         assert!(Arc::ptr_eq(&a, &b), "same epoch shares one CSR");
 
-        let ops = edge_ops(&[(0, 1)], &[]);
-        let (applied, bytes) = {
-            let mut st = d.lock();
-            let applied = st.analytics.apply_batch(&ops).unwrap();
-            let n = st.analytics.graph().num_vertices();
-            let m = st.analytics.graph().num_edges();
-            (applied, dynamic_cost_bytes(n, m) as u64)
-        };
-        let outcome = {
-            let mut st = d.lock();
-            d.commit_batch(&mut st, applied, bytes, 0)
-        };
+        let applied = d.analytics.apply_batch(&edge_ops(&[(0, 1)], &[])).unwrap();
+        let bytes = dynamic_cost_bytes(8, 1) as u64;
+        let outcome = d.commit_batch(applied, bytes, 0);
         assert_eq!(outcome.epoch, 1);
         assert_eq!(outcome.inserted, 1);
 
@@ -286,28 +228,27 @@ mod tests {
     }
 
     #[test]
-    fn live_epoch_gauge_tracks_holders() {
-        let d = DynamicGraph::new(StreamingAnalytics::new(4));
+    fn live_epoch_count_tracks_holders() {
+        let mut d = DynState::new(StreamingAnalytics::new(4));
         let (held, _) = d.snapshot();
         assert_eq!(d.live_epochs(), 1);
 
-        // A no-change commit keeps the epoch; the held snapshot stays
-        // the only live one.
-        let outcome = {
-            let mut st = d.lock();
-            d.commit_batch(&mut st, BatchOutcome::default(), 0, 0)
-        };
+        // A no-change commit keeps the epoch and its cached snapshot.
+        let outcome = d.commit_batch(BatchOutcome::default(), 0, 0);
         assert_eq!(outcome.epoch, 0);
-        assert_eq!(d.live_epochs(), 1);
-
         drop(held);
-        let (_fresh, _) = d.snapshot(); // refreshes the gauge
-        assert_eq!(d.live_epochs(), 1, "old epoch dropped, new one issued");
+        assert_eq!(d.live_epochs(), 1, "the cache still holds epoch 0");
+
+        let applied = d.analytics.apply_batch(&edge_ops(&[(0, 1)], &[])).unwrap();
+        d.commit_batch(applied, 0, 0);
+        assert_eq!(d.live_epochs(), 0, "nothing holds epoch 0 any more");
+        let (_fresh, _) = d.snapshot();
+        assert_eq!(d.live_epochs(), 1, "epoch 1 issued");
     }
 
     #[test]
     fn incremental_rejects_unsupported_algorithms() {
-        let d = DynamicGraph::new(StreamingAnalytics::new(4));
+        let mut d = DynState::new(StreamingAnalytics::new(4));
         let err = d.incremental("g", Algorithm::Pagerank).unwrap_err();
         assert_eq!(err.code(), "bad_request");
         let (_, _, output) = d.incremental("g", Algorithm::Triangles).unwrap();

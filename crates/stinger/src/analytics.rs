@@ -145,8 +145,8 @@ impl StreamingAnalytics {
     /// [`apply_batch`](Self::apply_batch) on the unchanged graph then
     /// performs exactly these counts.
     ///
-    /// Callers hold their per-graph lock across plan → re-cost → apply
-    /// (the service's `state < inner` ordering), so this method must
+    /// The service's registry holds its one lock across plan → re-cost
+    /// → apply, and nothing may be locked under it, so this method must
     /// stay bounded CPU work and must never block or take locks.
     pub fn plan_batch(&self, ops: &[EdgeOp]) -> Result<BatchOutcome, OutOfRange> {
         walk_batch(self.graph.num_vertices(), ops, |op| match op {

@@ -21,8 +21,10 @@ The results file holds, per workload and end-to-end metric, both sides'
 values, medians and quartiles, pairs won and lost, the metric's bound and
 a verdict by the rule of the choosing-metrics guide: `gain` needs nine
 tenths of the pairs and a median difference beyond the parent's own
-inter-quartile distance; `regression` is a median worse by more than the
-bound; `unresolved` a parent spread wider than the bound.
+inter-quartile distance; `unresolved` is a parent spread wider than the
+bound; otherwise `regression` is a median worse by more than the bound.
+The exit status is non-zero whenever a change median is worse than its
+bound, whatever the verdict.
 
 `--trajectory` reads every `BENCH_<sha>[-dirty].json` at the repo root
 (not the `.traced.json` or `.rerun-*.json` companions).  A file is named
@@ -80,28 +82,60 @@ def side(values):
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
 
 
+def worse_by(row):
+    """How much worse the change's median is than the parent's, as a fraction."""
+    return row["delta"] if row["better"] == "lower" else -row["delta"]
+
+
 def compare(metric, parent, change):
-    """One workload x metric row from the two sides' per-pair values."""
+    """One workload x metric row from the two sides' per-pair values.
+
+    A parent spread wider than the bound leaves the verdict `unresolved`
+    whatever the medians say (`main` still exits non-zero on a median
+    worse than the bound).  Lower-is-better seconds, bound 25 %:
+
+    >>> s = {"unit": "s", "better": "lower", "bound": 0.25}
+    >>> base = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]
+    >>> compare(s, base, [v * 0.8 for v in base])["verdict"]
+    'gain'
+    >>> compare(s, base, [v * 1.3 for v in base])["verdict"]
+    'regression'
+    >>> compare(s, base, [v * 1.01 for v in base])["verdict"]
+    'within-bound'
+
+    The shape of `bsp-batch` `ops_per_s` in BENCH_16d5cc6-dirty.json:
+    parent quartiles 1.30-2.68 around a median of 1.89, a change median
+    21 % lower, on a workload that ran no changed code:
+
+    >>> ops = {"unit": "1/s", "better": "higher", "bound": 0.2}
+    >>> row = compare(ops, [2.654, 2.741, 2.575, 3.018, 2.394, 1.185, 1.321, 1.378, 1.244, 1.327],
+    ...                    [2.597, 2.471, 2.772, 2.559, 1.504, 1.183, 1.192, 1.308, 1.477, 1.423])
+    >>> row["verdict"], round(row["parent"]["q1"], 2), round(row["parent"]["q3"], 2)
+    ('unresolved', 1.3, 2.68)
+    >>> worse_by(row) > ops["bound"]
+    True
+    """
     lower = metric["better"] == "lower"
     better = lambda c, p: c < p if lower else c > p
     p, c = side(parent), side(change)
     won = sum(better(cv, pv) for pv, cv in zip(parent, change))
     lost = sum(better(pv, cv) for pv, cv in zip(parent, change))
     delta = (c["median"] - p["median"]) / p["median"] if p["median"] else 0.0
-    worse_by = delta if lower else -delta
     bound = metric.get("bound")
     iqr = p["q3"] - p["q1"]
-    if won >= 0.9 * len(parent) and abs(c["median"] - p["median"]) > iqr and worse_by < 0:
+    row = {"unit": metric["unit"], "better": metric["better"], "bound": bound, "parent": p,
+           "change": c, "delta": delta, "pairs_won": won, "pairs_lost": lost}
+    if won >= 0.9 * len(parent) and abs(c["median"] - p["median"]) > iqr and worse_by(row) < 0:
         verdict = "gain"
-    elif bound is not None and worse_by > bound:
-        verdict = "regression"
     elif bound is not None and p["median"] and iqr / p["median"] > bound and not all(
             better(cv, pv) for cv in change for pv in parent):
         verdict = "unresolved"
+    elif bound is not None and worse_by(row) > bound:
+        verdict = "regression"
     else:
         verdict = "within-bound" if bound is not None else "reported"
-    return {"unit": metric["unit"], "better": metric["better"], "bound": bound, "parent": p,
-            "change": c, "delta": delta, "pairs_won": won, "pairs_lost": lost, "verdict": verdict}
+    row["verdict"] = verdict
+    return row
 
 
 def measure(args, bench):
@@ -253,8 +287,10 @@ def main():
     if not args.parent:
         ap.error("a parent revision is required")
     out = measure(args, bench)
-    bad = [(w, n) for w, r in out["workloads"].items() for n, row in r["end_to_end"].items()
-           if row["verdict"] == "regression"]
+    # Every median worse than its bound fails the run, `unresolved` ones too.
+    bad = [(w, n, row["verdict"]) for w, r in out["workloads"].items()
+           for n, row in r["end_to_end"].items()
+           if row["bound"] is not None and worse_by(row) > row["bound"]]
     if bad or any(r["failed"]["change"] > r["failed"]["parent"] for r in out["workloads"].values()):
         sys.exit(f"regressions: {bad}")
 
