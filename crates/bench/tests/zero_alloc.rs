@@ -190,7 +190,7 @@ fn main() {
 fn gate_tc(g: &xmt_graph::Csr, exec: &Executor, label: &str) {
     use graphct::{IntersectStrategy, TcScratch};
 
-    let dag = xmt_graph::ops::dag::dag_view(g);
+    let dag = xmt_graph::ops::dag::RankDag::new(g);
     let mut scratch = TcScratch::new();
     let warm = graphct::count_triangles_dag(
         &dag,

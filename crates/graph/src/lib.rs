@@ -11,7 +11,7 @@
 //!   et al. with Graph500 parameters), Erdős–Rényi, and deterministic
 //!   families for tests.
 //! * [`io`] — text edge-list and compact binary formats.
-//! * [`ops`] — the degree-ordered DAG view and degree relabeling that
+//! * [`ops`] — the rank-space degree-ordered DAG and degree relabeling that
 //!   triangle counting runs on.
 //! * [`validate`] — Graph500-style BFS tree validation and component
 //!   label validation.

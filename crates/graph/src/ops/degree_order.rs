@@ -8,20 +8,30 @@
 //! skew-resistant triangle counting (and a free choice in the paper's
 //! model: the total order on vertices is arbitrary).
 
+use xmt_par::exclusive_prefix_sum_seq;
+
 use crate::{Csr, VertexId};
 
 /// A permutation (old id → new id) ordering vertices by ascending
-/// degree; ties break on the original id for determinism.
+/// degree; ties break on the original id.  A stable counting sort by
+/// degree, `O(n + max degree)`: the rank every degree-ordered triangle
+/// kernel shares (GraphCT's [`RankDag`](crate::ops::dag::RankDag) and
+/// the BSP ranked-candidate test).
 pub fn degree_ascending_permutation(g: &Csr) -> Vec<VertexId> {
-    let n = g.num_vertices() as usize;
-    let mut order: Vec<VertexId> = (0..n as u64).collect();
-    order.sort_by_key(|&v| (g.degree(v), v));
-    // order[rank] = old id  =>  perm[old id] = rank.
-    let mut perm = vec![0 as VertexId; n];
-    for (rank, &old) in order.iter().enumerate() {
-        perm[old as usize] = rank as VertexId;
+    let n = g.num_vertices();
+    // `first[d]`: the next rank free for a vertex of degree `d`.
+    let mut first = vec![0u64; g.max_degree() as usize + 1];
+    for v in 0..n {
+        first[g.degree(v) as usize] += 1;
     }
-    perm
+    exclusive_prefix_sum_seq(&mut first);
+    (0..n)
+        .map(|v| {
+            let slot = &mut first[g.degree(v) as usize];
+            *slot += 1;
+            *slot - 1
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -56,6 +66,36 @@ mod tests {
         let h = relabel(&g, &degree_ascending_permutation(&g));
         for v in 1..h.num_vertices() {
             assert!(h.degree(v - 1) <= h.degree(v));
+        }
+    }
+
+    /// The comparison sort the counting sort replaced.
+    fn sorted_by_key(g: &Csr) -> Vec<VertexId> {
+        let mut order: Vec<VertexId> = (0..g.num_vertices()).collect();
+        order.sort_by_key(|&v| (g.degree(v), v));
+        let mut perm = vec![0; order.len()];
+        for (rank, &old) in order.iter().enumerate() {
+            perm[old as usize] = rank as VertexId;
+        }
+        perm
+    }
+
+    #[test]
+    fn counting_sort_equals_the_comparison_sort() {
+        let p = crate::gen::rmat::RmatParams::graph500(10);
+        let rmat = build_undirected(&crate::gen::rmat::rmat_edges(&p, 3));
+        // Many equal-degree ties: a grid, a ring beside it, and isolated
+        // vertices past both.
+        let mut ties = crate::gen::structured::grid(20, 30);
+        ties.edges.extend(
+            crate::gen::structured::ring(50)
+                .edges
+                .iter()
+                .map(|&(a, b)| (a + 600, b + 600)),
+        );
+        ties.num_vertices = 700;
+        for g in [rmat, build_undirected(&ties)] {
+            assert_eq!(degree_ascending_permutation(&g), sorted_by_key(&g));
         }
     }
 }

@@ -4,6 +4,6 @@ pub mod dag;
 pub mod degree_order;
 pub mod relabel;
 
-pub use dag::{dag_view, degree_order_before, IntersectStrategy};
+pub use dag::{IntersectStrategy, RankDag};
 pub use degree_order::degree_ascending_permutation;
 pub use relabel::relabel;

@@ -10,17 +10,25 @@
 //!
 //! Two composable optimizations sit on top of that baseline:
 //!
-//! * **Degree-ordered direction** ([`xmt_graph::ops::dag::dag_view`]):
-//!   the default entry points sweep the DAG view, where every triangle
-//!   is rooted at its lowest-`(degree, id)` corner and hub adjacency
-//!   lists are never walked from the hub side.
+//! * **Degree-ordered direction, in rank space**
+//!   ([`xmt_graph::ops::dag::RankDag`]): the default entry points
+//!   orient every edge up the `(degree, id)` order and rename vertices
+//!   to their `u32` ranks.  The sweep groups wedges by their middle
+//!   vertex `u`: it marks `N⁺(u)` once, then for each in-arc `v → u`
+//!   probes only the part of `N⁺(v)` ranked above `u` — one probe per
+//!   wedge, `Σ C(d⁺(v), 2)` in all — and finds each triangle once.
 //! * **Intersection strategies** ([`IntersectStrategy`]): merge walk
-//!   (the paper's shape), epoch-stamped hash marking (the `tc.c`
+//!   (the paper's shape) or epoch-stamped hash marking (the `tc.c`
 //!   exemplar's mark array, with a stamp check replacing the O(d)
 //!   unmark pass, the default).
 //!   Mark arrays live in a per-worker [`TcScratch`] pool, so the sweep
 //!   itself performs **zero heap allocations** (the `zero_alloc` gate
 //!   pins this for the hash strategy).
+//!
+//! Rank order puts the heavy vertices last, so the sweep claims a small
+//! constant chunk of middle vertices under either schedule: the host's
+//! worker count moves neither the load balance's grain nor the model's
+//! loop-overhead charge.
 //!
 //! The same sweep with per-vertex credit, [`triangles_per_vertex`], is
 //! the one static count behind the clustering coefficients here and the
@@ -31,7 +39,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use xmt_graph::ops::dag::dag_view;
+use xmt_graph::ops::dag::RankDag;
 use xmt_graph::{Csr, IntersectStrategy, VertexId};
 use xmt_model::{PhaseCounts, Recorder};
 use xmt_par::atomic::as_atomic_u64;
@@ -39,6 +47,11 @@ use xmt_par::pfor::default_chunk;
 use xmt_par::{Executor, MarkScratch, WorkerScratch};
 
 use crate::Ctx;
+
+/// Middle vertices per claimed chunk of the DAG sweep.  The top ranks
+/// hold the hubs, and a chunk of [`default_chunk`]'s up to 4096 vertices
+/// would leave them all to one worker.
+const SWEEP_CHUNK: usize = 256;
 
 /// Reusable per-worker scratch for the hash-marking strategies.
 ///
@@ -97,41 +110,42 @@ pub fn count_triangles(g: &Csr) -> u64 {
 /// * `ctx.sink` — unused: a one-shot kernel has no per-level structure
 ///   to trace.
 ///
-/// Builds the DAG view and a fresh scratch pool internally; for an
-/// allocation-free steady state build them once and call
-/// [`count_triangles_dag`] directly.
+/// Builds the [`RankDag`] (on the global pool) and a fresh scratch pool
+/// internally; for an allocation-free steady state build them once and
+/// call [`count_triangles_dag`] directly.
 pub fn count_triangles_with(g: &Csr, strategy: IntersectStrategy, ctx: &mut Ctx<'_>) -> u64 {
-    let dag = dag_view(g);
+    let dag = RankDag::new(g);
     count_triangles_dag(&dag, strategy, ctx, &mut TcScratch::new())
 }
 
-/// Sweep a prebuilt degree-ordered DAG view (see
-/// [`xmt_graph::ops::dag::dag_view`]).  With a
-/// [`prepare`](TcScratch::prepare)d scratch this performs zero heap
-/// allocations — the steady-state entry point for repeated counts over
-/// one graph.
+/// Sweep a prebuilt [`RankDag`].  With a [`prepare`](TcScratch::prepare)d
+/// scratch this performs zero heap allocations — the steady-state entry
+/// point for repeated counts over one graph.
 pub fn count_triangles_dag(
-    dag: &Csr,
+    dag: &RankDag,
     strategy: IntersectStrategy,
     ctx: &mut Ctx<'_>,
     scratch: &mut TcScratch,
 ) -> u64 {
-    assert!(dag.is_directed(), "count_triangles_dag takes the DAG view");
-    assert!(dag.is_sorted(), "triangle counting needs sorted adjacency");
     let rec = ctx.rec.as_deref_mut();
     dag_sweep(dag, strategy, rec, None, &ctx.exec, scratch)
 }
 
 /// Triangles through each vertex of the undirected graph: the hash
 /// sweep of [`count_triangles`] crediting every triangle at its three
-/// corners (so the tallies sum to three times the count).  `ctx` as in
+/// corners (so the tallies sum to three times the count).  The sweep
+/// credits ranks; the tallies come back by vertex id.  `ctx` as in
 /// [`count_triangles_with`].
 pub fn triangles_per_vertex(g: &Csr, ctx: &mut Ctx<'_>) -> Vec<u64> {
-    let dag = dag_view(g);
-    let mut tri = vec![0u64; dag.num_vertices() as usize];
+    let dag = RankDag::new(g);
+    let mut by_rank = vec![0u64; dag.num_vertices()];
     let (rec, hash) = (ctx.rec.as_deref_mut(), IntersectStrategy::Hash);
-    let tallies = Some(as_atomic_u64(&mut tri));
+    let tallies = Some(as_atomic_u64(&mut by_rank));
     dag_sweep(&dag, hash, rec, tallies, &ctx.exec, &mut TcScratch::new());
+    let mut tri = vec![0u64; by_rank.len()];
+    for (&v, &t) in dag.order().iter().zip(&by_rank) {
+        tri[v as usize] = t;
+    }
     tri
 }
 
@@ -154,19 +168,20 @@ pub fn clustering_coefficients(g: &Csr) -> (Vec<f64>, u64) {
     (cc, tri.iter().sum::<u64>() / 3)
 }
 
-/// The DAG-view sweep: for each vertex `v` and each out-neighbor `u`,
-/// count `|N⁺(v) ∩ N⁺(u)|` with the chosen strategy.  Every triangle is
-/// enumerated exactly once, rooted at its lowest-`(degree, id)` corner,
-/// and credited at its three corners in `tri` when that is given.
+/// The middle-vertex sweep: for each rank `u` and each in-arc `(v, s)`
+/// of it, count `|N⁺(u) ∩ N⁺(v)[s..]|` with the chosen strategy.  Every
+/// triangle `v < u < w` is found once, at its middle rank `u`, and is
+/// credited at its three corners in `tri` (indexed by rank) when that is
+/// given.
 fn dag_sweep(
-    dag: &Csr,
+    dag: &RankDag,
     strategy: IntersectStrategy,
     rec: Option<&mut Recorder>,
     tri: Option<&[AtomicU64]>,
     exec: &Executor,
     scratch: &mut TcScratch,
 ) -> u64 {
-    let n = dag.num_vertices() as usize;
+    let n = dag.num_vertices();
     scratch.prepare(exec.workers(), n);
 
     let total = AtomicU64::new(0);
@@ -176,53 +191,49 @@ fn dag_sweep(
     let marks_total = AtomicU64::new(0);
 
     let marks = &scratch.marks;
-    let chunk = default_chunk(n, exec.workers());
-    exec.pfor_chunked(0, n, chunk, |worker, range| {
+    exec.pfor_chunked(0, n, SWEEP_CHUNK, |worker, range| {
         // SAFETY: the pool runs at most one thread per worker id within
         // this parallel region (WorkerScratch's contract).
         let ms = unsafe { marks.get(worker) };
         let mut local = 0u64;
         let mut probes = 0u64;
         let mut markw = 0u64;
-        for v in range {
-            let v = v as u64;
-            let nv = dag.neighbors(v);
-            if nv.len() < 2 {
-                continue; // a rooted wedge needs two out-neighbors
+        for u in range {
+            let ins = dag.ins(u);
+            if ins.is_empty() {
+                continue; // `u` is the middle of no wedge
             }
-            // Hash marking pays d⁺(v) stamp stores once per vertex and
-            // then probes each candidate in O(1).
+            let nu = dag.out(u);
+            // Hash marking pays d⁺(u) stamp stores once per middle vertex
+            // and then probes each wedge in O(1).
             let epoch = match strategy {
                 IntersectStrategy::Merge => 0,
                 IntersectStrategy::Hash => {
-                    markw += nv.len() as u64;
-                    ms.mark(nv)
+                    markw += nu.len() as u64;
+                    ms.mark(nu)
                 }
             };
-            let mut v_found = 0u64;
-            for &u in nv {
-                let nu = dag.neighbors(u);
-                if nu.is_empty() {
-                    continue;
-                }
+            let mut u_found = 0u64;
+            for &(v, s) in ins {
+                let above = &dag.out(v as usize)[s as usize..];
                 let found = match strategy {
-                    IntersectStrategy::Merge => intersect_merge(nv, nu, tri, &mut probes),
-                    IntersectStrategy::Hash => intersect_hash(ms, epoch, nu, tri, &mut probes),
+                    IntersectStrategy::Merge => intersect_merge(nu, above, tri, &mut probes),
+                    IntersectStrategy::Hash => intersect_hash(ms, epoch, above, tri, &mut probes),
                 };
                 if found > 0 {
-                    local += found;
-                    v_found += found;
+                    u_found += found;
                     if let Some(tri) = tri {
                         // Relaxed (all tri[] adds): pure per-vertex
                         // tallies, read only after the sweep joins.
-                        tri[u as usize].fetch_add(found, Ordering::Relaxed);
+                        tri[v as usize].fetch_add(found, Ordering::Relaxed);
                     }
                 }
             }
-            if v_found > 0 {
+            if u_found > 0 {
+                local += u_found;
                 if let Some(tri) = tri {
                     // Relaxed: tally, read post-join (as above).
-                    tri[v as usize].fetch_add(v_found, Ordering::Relaxed);
+                    tri[u].fetch_add(u_found, Ordering::Relaxed);
                 }
             }
         }
@@ -241,13 +252,13 @@ fn dag_sweep(
         let markw = marks_total.load(Ordering::Relaxed); // Relaxed: stats, post-join
         let mut c = PhaseCounts::with_items(dag.num_arcs());
         // Each probe reads one adjacency or stamp word; the sweep also
-        // streams every DAG arc once.  Marks are plain stores; each
+        // streams every in-arc once.  Marks are plain stores; each
         // found triangle costs one shared (atomic) tally write.
         c.reads = probes + dag.num_arcs();
         c.alu_ops = probes;
         c.writes = count + markw;
         c.atomics = count;
-        c.charge_loop_overhead(chunk as u64);
+        c.charge_loop_overhead(SWEEP_CHUNK as u64);
         c.barriers = 1;
         r.push("count", 0, c, count);
     }
@@ -256,12 +267,7 @@ fn dag_sweep(
 
 /// Merge-walk `|a ∩ b|` (sorted lists), crediting third corners into
 /// `tri`; `probes` accrues one compare per merge step plus setup.
-fn intersect_merge(
-    a: &[VertexId],
-    b: &[VertexId],
-    tri: Option<&[AtomicU64]>,
-    probes: &mut u64,
-) -> u64 {
+fn intersect_merge(a: &[u32], b: &[u32], tri: Option<&[AtomicU64]>, probes: &mut u64) -> u64 {
     let mut i = 0;
     let mut j = 0;
     let mut count = 0u64;
@@ -290,19 +296,23 @@ fn intersect_merge(
 fn intersect_hash(
     ms: &MarkScratch,
     epoch: u32,
-    b: &[VertexId],
+    b: &[u32],
     tri: Option<&[AtomicU64]>,
     probes: &mut u64,
 ) -> u64 {
-    let mut count = 0u64;
     *probes += b.len() as u64;
+    let Some(tri) = tri else {
+        return b
+            .iter()
+            .map(|&w| u64::from(ms.is_marked(w.into(), epoch)))
+            .sum();
+    };
+    let mut count = 0u64;
     for &w in b {
-        if ms.is_marked(w, epoch) {
+        if ms.is_marked(w.into(), epoch) {
             count += 1;
-            if let Some(tri) = tri {
-                // Relaxed: per-vertex tally, read after the join.
-                tri[w as usize].fetch_add(1, Ordering::Relaxed);
-            }
+            // Relaxed: per-vertex tally, read after the join.
+            tri[w as usize].fetch_add(1, Ordering::Relaxed);
         }
     }
     count
@@ -430,21 +440,20 @@ mod tests {
 
     #[test]
     fn every_strategy_counts_identically_dag_and_idorder() {
-        for seed in 0..3u64 {
-            let el = xmt_graph::gen::er::gnm(150, 1200, seed);
-            let g = build_undirected(&el);
+        let gnm = (0..3u64).map(|seed| build_undirected(&xmt_graph::gen::er::gnm(150, 1200, seed)));
+        for (i, g) in gnm.chain(awkward_graphs()).enumerate() {
             let want = reference_triangles(&g);
             for exec in [Executor::fixed(), Executor::guided()] {
                 assert_eq!(
                     count_triangles_idorder(&g, &mut Ctx::on(exec.clone())),
                     want,
-                    "idorder seed {seed}"
+                    "idorder graph {i}"
                 );
                 for s in IntersectStrategy::ALL {
                     assert_eq!(
                         count_triangles_with(&g, s, &mut Ctx::on(exec.clone())),
                         want,
-                        "dag/{s:?} seed {seed}"
+                        "dag/{s:?} graph {i}"
                     );
                 }
             }
@@ -456,7 +465,7 @@ mod tests {
         let el = xmt_graph::gen::er::gnm(200, 1500, 11);
         let g = build_undirected(&el);
         let want = reference_triangles(&g);
-        let dag = xmt_graph::ops::dag::dag_view(&g);
+        let dag = RankDag::new(&g);
         let exec = Executor::fixed();
         let mut scratch = TcScratch::new();
         for _ in 0..3 {
@@ -508,14 +517,111 @@ mod tests {
         let el = xmt_graph::gen::er::gnm(120, 1000, 5);
         let g = build_undirected(&el);
         let want = triangles_per_vertex(&g, &mut Ctx::default());
-        let dag = dag_view(&g);
+        let dag = RankDag::new(&g);
         for s in IntersectStrategy::ALL {
-            let mut tri = vec![0u64; want.len()];
-            let tallies = Some(as_atomic_u64(&mut tri));
+            let mut by_rank = vec![0u64; want.len()];
+            let tallies = Some(as_atomic_u64(&mut by_rank));
             let exec = Executor::guided();
             let n = dag_sweep(&dag, s, None, tallies, &exec, &mut TcScratch::new());
-            assert_eq!(tri, want, "{s:?}");
+            for (r, &v) in dag.order().iter().enumerate() {
+                assert_eq!(by_rank[r], want[v as usize], "{s:?} rank {r}");
+            }
             assert_eq!(3 * n, want.iter().sum::<u64>(), "{s:?}");
+        }
+    }
+
+    /// Self loops, isolated vertices, equal-degree ties, cliques, stars
+    /// and RMAT scale 10.
+    fn awkward_graphs() -> Vec<Csr> {
+        let mut looped = clique(6);
+        looped.edges.extend([(0, 0), (4, 4), (7, 7)]);
+        looped.edges.push((6, 7));
+        looped.num_vertices = 8;
+        let keep_loops = xmt_graph::BuildOptions {
+            remove_self_loops: false,
+            ..xmt_graph::BuildOptions::undirected_simple()
+        };
+        let mut isolated = disjoint_cliques(3, 5);
+        isolated.num_vertices = 40;
+        let p = xmt_graph::gen::rmat::RmatParams::graph500(10);
+        vec![
+            xmt_graph::CsrBuilder::new(keep_loops).build(&looped),
+            build_undirected(&isolated),
+            build_undirected(&ring(12)),
+            build_undirected(&grid(6, 7)),
+            build_undirected(&clique(9)),
+            build_undirected(&star(20)),
+            build_undirected(&xmt_graph::gen::rmat::rmat_edges(&p, 2)),
+        ]
+    }
+
+    #[test]
+    fn per_vertex_tallies_match_a_brute_force_wedge_count() {
+        for (i, g) in awkward_graphs().iter().enumerate() {
+            // Closed wedges centred at each vertex: pairs of distinct
+            // neighbours (self loops aside) that are themselves adjacent.
+            let want: Vec<u64> = (0..g.num_vertices())
+                .map(|x| {
+                    let nx: Vec<VertexId> =
+                        g.neighbors(x).iter().copied().filter(|&a| a != x).collect();
+                    let pairs = nx
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(j, &a)| nx[j + 1..].iter().map(move |&b| (a, b)));
+                    pairs.filter(|&(a, b)| g.has_arc(a, b)).count() as u64
+                })
+                .collect();
+            for exec in [Executor::fixed(), Executor::guided()] {
+                assert_eq!(
+                    triangles_per_vertex(g, &mut Ctx::on(exec)),
+                    want,
+                    "graph {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn recorded_counts_are_one_probe_per_wedge() {
+        // Serially from the graph: out- and in-degrees under the
+        // `(degree, id)` order, and the wedges Σ C(d⁺, 2).
+        let p = xmt_graph::gen::rmat::RmatParams::graph500(10);
+        let g = build_undirected(&xmt_graph::gen::rmat::rmat_edges(&p, 4));
+        let key = |v: VertexId| (g.degree(v), v);
+        let (mut arcs, mut wedges, mut marks) = (0, 0, 0);
+        for v in 0..g.num_vertices() {
+            let up = g.neighbors(v).iter().filter(|&&u| key(v) < key(u)).count() as u64;
+            let down = g.neighbors(v).iter().filter(|&&u| key(u) < key(v)).count();
+            arcs += up;
+            wedges += up * up.saturating_sub(1) / 2;
+            if down > 0 {
+                marks += up; // a middle vertex marks its out-list once
+            }
+        }
+        let count = reference_triangles(&g);
+        let want = PhaseCounts {
+            items: arcs,
+            alu_ops: wedges + 2 * arcs,
+            reads: wedges + arcs,
+            writes: count + marks,
+            atomics: count,
+            hotspot_ops: arcs.div_ceil(SWEEP_CHUNK as u64),
+            barriers: 1,
+        };
+        for exec in [Executor::fixed(), Executor::guided()] {
+            let mut rec = Recorder::new();
+            let ctx = &mut Ctx {
+                exec: exec.clone(),
+                rec: Some(&mut rec),
+                ..Ctx::default()
+            };
+            assert_eq!(
+                count_triangles_with(&g, IntersectStrategy::Hash, ctx),
+                count
+            );
+            let r = rec.with_label("count").next().unwrap();
+            assert_eq!(r.counts, want, "{exec:?}");
+            assert_eq!(r.observed, count);
         }
     }
 

@@ -176,19 +176,19 @@ impl MarkScratch {
         }
     }
 
-    /// Open a fresh window with every id of `list` marked in it and
-    /// return its stamp.  On `u32` wrap the array is cleared once —
-    /// amortized O(1) over four billion windows.  Panics on an id outside
-    /// the range [`ensure`](Self::ensure) covered.
+    /// Open a fresh window with every id of `list` (`u32` or `u64`)
+    /// marked in it and return its stamp.  On `u32` wrap the array is
+    /// cleared once — amortized O(1) over four billion windows.  Panics
+    /// on an id outside the range [`ensure`](Self::ensure) covered.
     #[inline]
-    pub fn mark(&mut self, list: &[u64]) -> u32 {
+    pub fn mark<I: Copy + Into<u64>>(&mut self, list: &[I]) -> u32 {
         if self.epoch == u32::MAX {
             self.stamps.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;
         for &x in list {
-            self.stamps[x as usize] = self.epoch;
+            self.stamps[x.into() as usize] = self.epoch;
         }
         self.epoch
     }
@@ -246,11 +246,11 @@ mod tests {
         let mut ms = MarkScratch::default();
         ms.ensure(4);
         ms.epoch = u32::MAX - 1;
-        let e1 = ms.mark(&[2]);
+        let e1 = ms.mark(&[2u64]);
         assert_eq!(e1, u32::MAX);
         assert!(ms.is_marked(2, e1));
         // Wrap: the array is cleared so stale stamps can never collide.
-        let e2 = ms.mark(&[]);
+        let e2 = ms.mark::<u64>(&[]);
         assert_eq!(e2, 1);
         assert!(ms.stamps.iter().all(|&s| s == 0));
     }

@@ -70,6 +70,7 @@ pub fn execute(
     stop: StopHook<'_>,
     sink: &mut TraceSink,
 ) -> Result<ExecVerdict, ServiceError> {
+    fits_tc_ids(spec, graph.num_vertices())?;
     match spec.engine {
         Engine::Bsp => {
             let job = BspJob {
@@ -98,11 +99,6 @@ pub fn execute(
                     },
                     JobOutput::Ranks,
                 ),
-                // Candidates carry 32-bit ids: refuse a larger graph
-                // before superstep 0.
-                Algorithm::Triangles if graph.num_vertices() > TcProgram::MAX_VERTICES => {
-                    Err(too_many_ids_for_tc(graph.num_vertices()))
-                }
                 // Per-vertex confirmed-triangle tallies sum to the global
                 // count (each triangle lands at its lowest-ordered corner
                 // exactly once).
@@ -121,16 +117,20 @@ pub fn execute(
     }
 }
 
-/// Why a triangle job on a graph of `n` vertices does not run on the BSP
-/// engine.
-fn too_many_ids_for_tc(n: u64) -> ServiceError {
-    ServiceError::BadRequest {
+/// Refuse a triangle job on a graph of `n` vertices past 32-bit ids
+/// before any work starts: BSP candidates carry vertex ids in 32 bits
+/// and GraphCT's rank DAG carries degree ranks in 32 bits.
+fn fits_tc_ids(spec: &JobSpec, n: u64) -> Result<(), ServiceError> {
+    if spec.algorithm != Algorithm::Triangles || n <= TcProgram::MAX_VERTICES {
+        return Ok(());
+    }
+    Err(ServiceError::BadRequest {
         message: format!(
-            "bsp triangle counting carries vertex ids in 32 bits; the graph has {n} vertices \
-             (at most {}); use the graphct engine",
+            "triangle counting carries vertex ids in 32 bits on every engine; the graph has \
+             {n} vertices (at most {})",
             TcProgram::MAX_VERTICES
         ),
-    }
+    })
 }
 
 /// [`execute`]'s arguments on the BSP engine, minus the program.
@@ -408,8 +408,21 @@ mod tests {
     #[test]
     fn triangle_ids_past_32_bits_are_a_bad_request() {
         assert_eq!(TcProgram::MAX_VERTICES - 1, u64::from(u32::MAX));
-        let err = too_many_ids_for_tc(TcProgram::MAX_VERTICES + 1);
-        assert_eq!(err.code(), "bad_request");
-        assert!(err.to_string().contains("4294967297 vertices"), "{err}");
+        for engine in [Engine::Bsp, Engine::GraphCt] {
+            let tc = JobSpec {
+                engine,
+                ..spec(Algorithm::Triangles)
+            };
+            assert!(fits_tc_ids(&tc, TcProgram::MAX_VERTICES).is_ok());
+            let err = fits_tc_ids(&tc, TcProgram::MAX_VERTICES + 1).unwrap_err();
+            assert_eq!(err.code(), "bad_request", "{engine:?}");
+            assert!(err.to_string().contains("4294967297 vertices"), "{err}");
+            assert!(!err.to_string().contains("graphct"), "{err}");
+            let cc = JobSpec {
+                engine,
+                ..spec(Algorithm::Cc)
+            };
+            assert!(fits_tc_ids(&cc, TcProgram::MAX_VERTICES + 1).is_ok());
+        }
     }
 }

@@ -15,9 +15,10 @@
 //! Built `harness = false` so `main` can pin the worker count before the
 //! global pool exists: at two workers the model counts of `fig1` and
 //! `ablation_labelprop` vary from run to run, and `ablation_intersect`
-//! repeats from run to run but differs from these goldens in
-//! `seconds_at_max_procs` (fifth digit): loop overhead is charged at
-//! the host's chunk.
+//! repeats from run to run but its `merge` rows differ from these
+//! goldens in `seconds_at_max_procs` (fifth digit): the id-order walk
+//! charges loop overhead at the host's chunk (the `dag+hash` rows charge
+//! a constant one and match at any worker count).
 
 use std::collections::BTreeSet;
 use std::path::Path;
