@@ -287,9 +287,9 @@ const REPS: usize = 3;
 /// mechanisms of performing the neighbor intersection can be varied —
 /// see ref 12") on both executors: `merge`, the paper-faithful id-order
 /// merge walk; `dag+hash`, the middle-vertex sweep over the rank-space
-/// degree-ordered DAG with epoch-stamped mark-array probing, timed on a
-/// prebuilt view.  (Retired strategies keep their dated rows in
-/// EXPERIMENTS.md.)  Every row is agreement-asserted against the merge
+/// degree-ordered DAG probing a mark array of one byte per vertex,
+/// timed on a prebuilt view.  (Retired strategies keep their dated rows
+/// in EXPERIMENTS.md.)  Every row is agreement-asserted against the merge
 /// baseline before timing, on the simulator-faithful (`fixed`) and
 /// native (`guided`) executors both.
 pub(super) fn intersect(cfg: &HarnessConfig) -> Output {

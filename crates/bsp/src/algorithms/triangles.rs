@@ -34,11 +34,11 @@
 //! ([`bsp_count_triangles_with_config`] asserts it; the service answers
 //! with a typed error).  The model still charges every candidate as one
 //! message of one word.
-//! Superstep 2 stamps the adjacency into the worker's mark array
-//! ([`Context::marks`]) once and answers each candidate with one load —
-//! while the model is charged the paper's machine: `⌊log₂ deg⌋ + 1`
-//! reads and ALU operations *per candidate*, the membership probe a
-//! cacheless Threadstorm processor would make on the sorted adjacency.
+//! Superstep 2 marks the adjacency in the worker's byte-per-vertex mark
+//! array ([`Context::marks`]), answers each candidate with one load and
+//! unmarks it; the model is charged `⌊log₂ deg⌋ + 1` reads and ALU
+//! operations *per candidate*, the membership probe a cacheless
+//! Threadstorm processor would make on the sorted adjacency.
 
 use xmt_graph::{Csr, VertexId};
 use xmt_model::Recorder;
@@ -108,13 +108,14 @@ impl VertexProgram for TcProgram {
                 let probes = (nbrs.len().max(1)).ilog2() as u64 + 1;
                 ctx.charge_reads(probes * msgs.len() as u64);
                 ctx.charge_alu(probes * msgs.len() as u64);
-                let window = ctx.marks().mark(nbrs);
+                ctx.marks().mark(nbrs);
                 for &m in msgs {
                     let origin = VertexId::from(m);
-                    if ctx.marks().is_marked(origin, window) {
+                    if ctx.marks().contains(origin) {
                         ctx.send_to(origin, m);
                     }
                 }
+                ctx.marks().unmark(nbrs);
             }
             // Tally: each confirmation is one triangle, counted at its
             // lowest-ranked corner.

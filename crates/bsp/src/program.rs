@@ -195,9 +195,9 @@ impl<'a, M: Copy> Context<'a, M> {
         self.graph.degree(u)
     }
 
-    /// The worker's mark array, sized for the graph: stamp a vertex set
-    /// once, then answer each membership question with one load.  What
-    /// the simulated machine would pay is the caller's to charge.
+    /// The worker's mark array, sized for the graph: mark a vertex set,
+    /// answer each membership question with one load, unmark the set.
+    /// What the simulated machine would pay is the caller's to charge.
     pub fn marks(&mut self) -> &mut MarkScratch {
         self.marks
     }

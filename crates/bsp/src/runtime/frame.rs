@@ -100,7 +100,8 @@ impl<S, M: Copy + Send + Sync> SuperstepFrame<S, M> {
             self.bucket_cursors = WorkerScratch::new(workers);
             self.marks = WorkerScratch::new(workers);
         }
-        // Pages of a mark array no program stamps are never touched.
+        // Pages of a mark array no program marks are never touched; a
+        // window a failed run left open is cleared here.
         for marks in self.marks.iter_mut() {
             marks.ensure(n);
         }

@@ -19,7 +19,8 @@
 //! The triangle cases cover the one uncombined program — every message
 //! reaches `compute`, so its per-vertex counts and per-superstep message
 //! totals show a lost, doubled or misrouted deposit directly — over
-//! pools × schedules × transports × active sets and a cut + resume.
+//! pools × schedules × transports × active sets and a cut + resume, and
+//! on a frame whose mark arrays a run between two counts left marked.
 //!
 //! The mixed-send cases pin the order rule for runs: a program that
 //! sends to the same destinations both with `send_to` and with
@@ -37,7 +38,7 @@ use xmt_bsp::program::{Context, VertexProgram};
 use xmt_bsp::{run, ActiveSetStrategy, BspConfig, Delivery, RunOptions, SuperstepFrame, Transport};
 use xmt_graph::builder::build_undirected;
 use xmt_graph::gen::rmat::{rmat_edges, RmatParams};
-use xmt_graph::validate::reference_triangles;
+use xmt_graph::validate::{reference_components, reference_triangles};
 use xmt_graph::Csr;
 use xmt_model::Recorder;
 use xmt_par::{Executor, Pool};
@@ -576,6 +577,66 @@ fn triangles_cut_at_the_superstep_limit_and_resumed_on_the_same_frame_match() {
             (rest.states, rest.supersteps, sent),
             "{transport:?}"
         );
+    }
+}
+
+/// Algorithm 1 on the triangle program's frame type (`u32` labels) that
+/// marks each vertex's neighbours in superstep 0 and never unmarks them:
+/// a run that leaves a window of marks open, as one that unwinds between
+/// `mark` and `unmark` does.
+struct CcLeavingMarks;
+
+impl VertexProgram for CcLeavingMarks {
+    type State = u64;
+    type Message = u32;
+
+    fn init(&self, v: u64) -> u64 {
+        v
+    }
+
+    fn compute(&self, ctx: &mut Context<'_, u32>, label: &mut u64, msgs: &[u32]) {
+        let first = ctx.superstep() == 0;
+        if first {
+            let nbrs = ctx.neighbors();
+            ctx.marks().mark(nbrs);
+        }
+        let best = msgs.iter().map(|&m| u64::from(m)).min().unwrap_or(*label);
+        if first || best < *label {
+            *label = best.min(*label);
+            for &n in ctx.neighbors() {
+                ctx.send_to(n, *label as u32);
+            }
+        }
+        ctx.vote_to_halt();
+    }
+}
+
+#[test]
+fn triangles_match_on_a_frame_a_cc_run_left_marks_in() {
+    let g = pagerank_graph();
+    for workers in [1, 2, 4] {
+        let pool = Arc::new(Pool::new(workers));
+        let exec = Executor::guided_on(Arc::clone(&pool));
+        let mut frame = SuperstepFrame::new();
+        let count = |frame: &mut SuperstepFrame<u64, u32>| {
+            let opts = RunOptions {
+                frame: Some(frame),
+                exec: exec.clone(),
+                ..Default::default()
+            };
+            let r = run(&g, &TcProgram, opts).expect("framed run").result;
+            r.states.iter().sum::<u64>()
+        };
+        let first = count(&mut frame);
+        assert_eq!(first, reference_triangles(&g), "{workers} workers");
+        let opts = RunOptions {
+            frame: Some(&mut frame),
+            exec: exec.clone(),
+            ..Default::default()
+        };
+        let cc = run(&g, &CcLeavingMarks, opts).expect("cc run").result;
+        assert_eq!(cc.states, reference_components(&g), "{workers} workers");
+        assert_eq!(count(&mut frame), first, "{workers} workers");
     }
 }
 

@@ -212,7 +212,7 @@ const NBR_BITS: u32 = 48;
 /// # Safety
 /// The array must be live and hold `start + len` elements, and no other
 /// reference to them may exist while the result does.
-unsafe fn slice_at<'a, T>(base: usize, start: usize, len: usize) -> &'a mut [T] {
+pub(crate) unsafe fn slice_at<'a, T>(base: usize, start: usize, len: usize) -> &'a mut [T] {
     std::slice::from_raw_parts_mut((base as *mut T).add(start), len)
 }
 

@@ -26,8 +26,12 @@
 //! The build is a counted scatter with no sort and no atomics (see
 //! [`RankDag::new`]); the view does not depend on the pool's size.
 
+use std::ops::Range;
+
+use xmt_par::pfor::parallel_fill;
 use xmt_par::{exclusive_prefix_sum, num_threads, parallel_for_chunked};
 
+use crate::builder::slice_at;
 use crate::ops::degree_order::degree_ascending_permutation;
 use crate::{Csr, VertexId};
 
@@ -47,12 +51,14 @@ impl RankDag {
     /// Orient `g` (undirected, at most `2^32` vertices) on the global
     /// pool.  Self loops drop out: a vertex never precedes itself.
     ///
-    /// Ranks are cut into one part per worker by degree sum.  Each part
-    /// counts its in-arcs per tail rank in a histogram row of its own; a
-    /// column prefix turns the rows into per-part cursors inside every
-    /// out-list; then each part walks its ranks upwards, appending each
-    /// rank to the out-lists of its lower neighbours (which so come out
-    /// sorted) and writing its own in-arcs.
+    /// A branch-free count walk places every rank's in-list.  Ranks are
+    /// cut into one part per worker by degree sum; each part's compaction
+    /// walk stores every neighbour's rank at the next in-arc slot and
+    /// advances only past a lower one, then counts its arcs per tail rank
+    /// in a histogram row of its own.  A column prefix turns the rows into
+    /// cursors inside every out-list, and the part's scatter walks its
+    /// in-arcs once to take their cursors (`s`) and once to append each
+    /// rank to its tails' out-lists, which so come out sorted.
     pub fn new(g: &Csr) -> RankDag {
         RankDag::build(g, num_threads())
     }
@@ -72,35 +78,50 @@ impl RankDag {
         let bounds = part_bounds(g, &order, workers);
         let parts = bounds.len() - 1;
         let (order_of, rank, bounds) = (&order[..], &rank[..], &bounds[..]);
-        // The in-arcs of rank `w`: its neighbours ranked below it.
-        let lower = move |w: usize| {
-            let below = move |&y: &VertexId| Some(rank[y as usize]).filter(|&r| r < w as u32);
-            g.neighbors(order_of[w]).iter().filter_map(below)
+        let around = move |w: usize| g.neighbors(order_of[w]).iter().map(|&y| rank[y as usize]);
+        let each_part = |f: &(dyn Fn(usize) + Sync)| {
+            parallel_for_chunked(0, parts, 1, |_, range| range.for_each(f));
         };
 
-        // Pass 1: each part's row counts its in-arcs by tail rank, and
-        // every rank's in-degree lands at its own slot.
-        let mut rows = vec![0u32; parts * n];
+        // Count walk: each rank's neighbours ranked below it.
         let mut in_offsets = vec![0u64; n + 1];
-        let (rows_at, in_at) = (rows.as_mut_ptr() as usize, in_offsets.as_mut_ptr() as usize);
-        parallel_for_chunked(0, parts, 1, |_, range| {
-            for part in range {
-                // SAFETY: part `part` alone touches row `part` of `rows`
-                // and the slots of its own ranks `bounds[part]..
-                // bounds[part + 1]` in `in_offsets`; both are disjoint
-                // across parts and outlive the loop.
-                let row = unsafe {
-                    std::slice::from_raw_parts_mut((rows_at as *mut u32).add(part * n), n)
-                };
-                for w in bounds[part]..bounds[part + 1] {
-                    let mut d = 0u64;
-                    for r in lower(w) {
-                        row[r as usize] += 1;
-                        d += 1;
+        parallel_fill(&mut in_offsets[..n], |w| {
+            around(w).map(|r| u64::from(r < w as u32)).sum()
+        });
+        let arcs = exclusive_prefix_sum(&mut in_offsets) as usize;
+
+        // Compaction walk, then the part's histogram row of tail ranks.
+        let mut ins = vec![(0u32, 0u32); arcs];
+        let mut rows = vec![0u32; parts * n];
+        let (ins_at, rows_at) = (ins.as_mut_ptr() as usize, rows.as_mut_ptr() as usize);
+        // Part `part` alone touches its in-arcs and row `part` of `rows`,
+        // and nothing else touches them until a walk joins.
+        let part_of = |part: usize| {
+            let (ranks, at) = (bounds[part]..bounds[part + 1], &in_offsets[..]);
+            let (first, last) = (at[ranks.start] as usize, at[ranks.end] as usize);
+            // SAFETY: as above; both arrays outlive the walks.
+            let (ins, row) = unsafe {
+                let ins = slice_at::<(u32, u32)>(ins_at, first, last - first);
+                (ins, slice_at::<u32>(rows_at, part * n, n))
+            };
+            // Each rank of the part with its in-arcs' span in `ins`.
+            let spans = at[ranks.start..=ranks.end].windows(2);
+            let spans = spans.map(move |w| w[0] as usize - first..w[1] as usize - first);
+            (ranks.zip(spans), ins, row)
+        };
+        each_part(&|part| {
+            let (spans, ins, row) = part_of(part);
+            for (w, span) in spans {
+                let mut at = span.start;
+                for r in around(w) {
+                    if let Some(slot) = ins.get_mut(at) {
+                        slot.0 = r;
                     }
-                    // SAFETY: as above; `w < n`.
-                    unsafe { *(in_at as *mut u64).add(w) = d };
+                    at += usize::from(r < w as u32);
                 }
+            }
+            for &(r, _) in &*ins {
+                row[r as usize] += 1;
             }
         });
         // Column prefix: row `p` of rank `r` becomes the offset inside
@@ -114,36 +135,24 @@ impl RankDag {
             }
             *slot = u64::from(at);
         }
-        let arcs = exclusive_prefix_sum(&mut out_offsets) as usize;
-        exclusive_prefix_sum(&mut in_offsets);
+        exclusive_prefix_sum(&mut out_offsets);
 
-        // Pass 2: the scatter.  Each part walks its ranks upwards, so
-        // the ranks it appends to any one out-list arrive ascending.
+        // Scatter: the part's cursor walk gives each in-arc its `s`, then
+        // its out-list walk appends each rank to its tails' out-lists.
         let mut out = vec![0u32; arcs];
-        let mut ins = vec![(0u32, 0u32); arcs];
-        let (out_at, ins_at) = (out.as_mut_ptr() as usize, ins.as_mut_ptr() as usize);
-        let rows_at = rows.as_mut_ptr() as usize;
-        parallel_for_chunked(0, parts, 1, |_, range| {
-            for part in range {
-                // SAFETY: row `part` is this part's alone (as in pass 1).
-                let cursor = unsafe {
-                    std::slice::from_raw_parts_mut((rows_at as *mut u32).add(part * n), n)
-                };
-                let span = bounds[part]..bounds[part + 1];
-                for (w, &first) in span.clone().zip(&in_offsets[span]) {
-                    for (at, r) in (first as usize..).zip(lower(w)) {
-                        let pos = cursor[r as usize];
-                        cursor[r as usize] = pos + 1;
-                        // SAFETY: `pos` walks this part's private range
-                        // of `N⁺(r)` (the column prefix gave each part
-                        // its own), and `at` the in-arcs of its own rank
-                        // `w`; no other part writes either slot.
-                        unsafe {
-                            *(out_at as *mut u32)
-                                .add(out_offsets[r as usize] as usize + pos as usize) = w as u32;
-                            *(ins_at as *mut (u32, u32)).add(at) = (r, pos + 1);
-                        }
-                    }
+        let out_at = out.as_mut_ptr() as usize;
+        each_part(&|part| {
+            let (spans, ins, cursor) = part_of(part);
+            for (r, s) in ins.iter_mut() {
+                cursor[*r as usize] += 1;
+                *s = cursor[*r as usize];
+            }
+            for (w, span) in spans {
+                for &(r, s) in &ins[span] {
+                    let at = out_offsets[r as usize] as usize + s as usize - 1;
+                    // SAFETY: the column prefix gave each part a range of
+                    // its own in `N⁺(r)`, which `s` walks; `out` outlives it.
+                    unsafe { *(out_at as *mut u32).add(at) = w as u32 };
                 }
             }
         });
@@ -181,7 +190,14 @@ impl RankDag {
     /// `out(v)[s - 1] == u`.
     #[inline]
     pub fn ins(&self, u: usize) -> &[(u32, u32)] {
-        &self.ins[self.in_offsets[u] as usize..self.in_offsets[u + 1] as usize]
+        self.ins_of(u..u + 1)
+    }
+
+    /// The in-arcs of the ranks `ranks`, one rank's [`ins`](Self::ins)
+    /// after the other, as one slice.
+    #[inline]
+    pub fn ins_of(&self, ranks: Range<usize>) -> &[(u32, u32)] {
+        &self.ins[self.in_offsets[ranks.start] as usize..self.in_offsets[ranks.end] as usize]
     }
 }
 
@@ -213,8 +229,9 @@ fn part_bounds(g: &Csr, order: &[VertexId], workers: usize) -> Vec<usize> {
 pub enum IntersectStrategy {
     /// Sorted merge walk — the paper's shape: `O(d(v) + d(u))` per pair.
     Merge,
-    /// Epoch-stamped mark array (the `tc.c` exemplar): mark one list
-    /// once per vertex, probe the other in `O(1)` per element.
+    /// Mark array of one byte per vertex (the `tc.c` exemplar): mark
+    /// one list once per vertex, probe the other in `O(1)` per element,
+    /// unmark the first list.
     #[default]
     Hash,
 }
@@ -313,10 +330,30 @@ mod tests {
 
     #[test]
     fn the_view_does_not_depend_on_the_part_count() {
-        for g in &graphs() {
+        // Beside `graphs()`, shapes whose parts own no in-arcs, so the
+        // compaction walk's last store of a part finds no slot: a star
+        // (only the hub has in-arcs), isolated vertices below a clique,
+        // self loops, fewer ranks than parts, and no vertices at all.
+        let mut isolated = clique(4);
+        isolated.num_vertices = 30;
+        let mut looped = clique(5);
+        looped.edges.extend([(0, 0), (3, 3), (6, 6)]);
+        looped.num_vertices = 7;
+        let keep_loops = crate::BuildOptions {
+            remove_self_loops: false,
+            ..crate::BuildOptions::undirected_simple()
+        };
+        let mut shapes = graphs();
+        shapes.extend(
+            [star(40), isolated, clique(3), crate::EdgeList::new(0)]
+                .map(|el| build_undirected(&el)),
+        );
+        shapes.push(crate::CsrBuilder::new(keep_loops).build(&looped));
+        for (i, g) in shapes.iter().enumerate() {
             let one = RankDag::build(g, 1);
-            for parts in 2..=5 {
-                assert_eq!(RankDag::build(g, parts), one, "{parts} parts");
+            check_view(g, &one);
+            for parts in 2..=8 {
+                assert_eq!(RankDag::build(g, parts), one, "graph {i}, {parts} parts");
             }
         }
     }

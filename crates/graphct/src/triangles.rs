@@ -18,9 +18,11 @@
 //!   probes only the part of `N⁺(v)` ranked above `u` — one probe per
 //!   wedge, `Σ C(d⁺(v), 2)` in all — and finds each triangle once.
 //! * **Intersection strategies** ([`IntersectStrategy`]): merge walk
-//!   (the paper's shape) or epoch-stamped hash marking (the `tc.c`
-//!   exemplar's mark array, with a stamp check replacing the O(d)
-//!   unmark pass, the default).
+//!   (the paper's shape) or hash marking (the default: the `tc.c`
+//!   exemplar's mark array of one byte per vertex, set and cleared with
+//!   the middle vertex's out-list).  The sweep prefetches each suffix
+//!   eight in-arcs before probing it: the XMT hid those misses
+//!   behind its streams, a commodity core has to fetch ahead.
 //!   Mark arrays live in a per-worker [`TcScratch`] pool, so the sweep
 //!   itself performs **zero heap allocations** (the `zero_alloc` gate
 //!   pins this for the hash strategy).
@@ -47,6 +49,9 @@ use xmt_par::pfor::default_chunk;
 use xmt_par::{Executor, MarkScratch, WorkerScratch};
 
 use crate::Ctx;
+
+/// In-arcs ahead of the probing one whose suffix the sweep prefetches.
+const LOOKAHEAD: usize = 8;
 
 /// Middle vertices per claimed chunk of the DAG sweep.  The top ranks
 /// hold the hubs, and a chunk of [`default_chunk`]'s up to 4096 vertices
@@ -185,12 +190,12 @@ fn dag_sweep(
     scratch.prepare(exec.workers(), n);
 
     let total = AtomicU64::new(0);
-    // probes: strategy-dependent compare/probe count; mark_writes: stamp
+    // probes: strategy-dependent compare/probe count; mark_writes: mark
     // stores (hash only).  Both feed the model's PhaseCounts.
     let probes_total = AtomicU64::new(0);
     let marks_total = AtomicU64::new(0);
 
-    let marks = &scratch.marks;
+    let (marks, hash) = (&scratch.marks, strategy == IntersectStrategy::Hash);
     exec.pfor_chunked(0, n, SWEEP_CHUNK, |worker, range| {
         // SAFETY: the pool runs at most one thread per worker id within
         // this parallel region (WorkerScratch's contract).
@@ -198,27 +203,32 @@ fn dag_sweep(
         let mut local = 0u64;
         let mut probes = 0u64;
         let mut markw = 0u64;
+        // The chunk's in-arcs as one slice, so the look-ahead runs on
+        // across middle vertices.
+        let arcs = dag.ins_of(range.clone());
+        let mut end = 0;
         for u in range {
-            let ins = dag.ins(u);
-            if ins.is_empty() {
+            let first = end;
+            end += dag.ins(u).len();
+            if first == end {
                 continue; // `u` is the middle of no wedge
             }
             let nu = dag.out(u);
-            // Hash marking pays d⁺(u) stamp stores once per middle vertex
+            // Hash marking pays d⁺(u) mark stores once per middle vertex
             // and then probes each wedge in O(1).
-            let epoch = match strategy {
-                IntersectStrategy::Merge => 0,
-                IntersectStrategy::Hash => {
-                    markw += nu.len() as u64;
-                    ms.mark(nu)
-                }
-            };
+            let marked = if hash { nu } else { &[] };
+            markw += marked.len() as u64;
+            ms.mark(marked);
             let mut u_found = 0u64;
-            for &(v, s) in ins {
+            for k in first..end {
+                if let Some(&(v, s)) = arcs.get(k + LOOKAHEAD) {
+                    prefetch(dag.out(v as usize)[s as usize..].as_ptr());
+                }
+                let (v, s) = arcs[k];
                 let above = &dag.out(v as usize)[s as usize..];
                 let found = match strategy {
                     IntersectStrategy::Merge => intersect_merge(nu, above, tri, &mut probes),
-                    IntersectStrategy::Hash => intersect_hash(ms, epoch, above, tri, &mut probes),
+                    IntersectStrategy::Hash => intersect_hash(ms, above, tri, &mut probes),
                 };
                 if found > 0 {
                     u_found += found;
@@ -229,6 +239,7 @@ fn dag_sweep(
                     }
                 }
             }
+            ms.unmark(marked);
             if u_found > 0 {
                 local += u_found;
                 if let Some(tri) = tri {
@@ -251,9 +262,10 @@ fn dag_sweep(
         let probes = probes_total.load(Ordering::Relaxed); // Relaxed: stats, post-join
         let markw = marks_total.load(Ordering::Relaxed); // Relaxed: stats, post-join
         let mut c = PhaseCounts::with_items(dag.num_arcs());
-        // Each probe reads one adjacency or stamp word; the sweep also
-        // streams every in-arc once.  Marks are plain stores; each
-        // found triangle costs one shared (atomic) tally write.
+        // Each probe reads one adjacency word or mark; the sweep also
+        // streams every in-arc once.  Marks are plain stores (the host's
+        // unmark pass is not the model's, DESIGN.md §16); each found
+        // triangle costs one shared (atomic) tally write.
         c.reads = probes + dag.num_arcs();
         c.alu_ops = probes;
         c.writes = count + markw;
@@ -291,31 +303,35 @@ fn intersect_merge(a: &[u32], b: &[u32], tri: Option<&[AtomicU64]>, probes: &mut
     count
 }
 
-/// Probe every element of `b` against the epoch marks (the marked list
-/// was stamped by [`MarkScratch::mark`]); one stamp read per element.
-fn intersect_hash(
-    ms: &MarkScratch,
-    epoch: u32,
-    b: &[u32],
-    tri: Option<&[AtomicU64]>,
-    probes: &mut u64,
-) -> u64 {
+/// Probe every element of `b` against the open window of marks (the
+/// marked list was set by [`MarkScratch::mark`]); one byte read per
+/// element.
+fn intersect_hash(ms: &MarkScratch, b: &[u32], tri: Option<&[AtomicU64]>, probes: &mut u64) -> u64 {
     *probes += b.len() as u64;
     let Some(tri) = tri else {
-        return b
-            .iter()
-            .map(|&w| u64::from(ms.is_marked(w.into(), epoch)))
-            .sum();
+        return b.iter().map(|&w| u64::from(ms.contains(w.into()))).sum();
     };
     let mut count = 0u64;
     for &w in b {
-        if ms.is_marked(w.into(), epoch) {
+        if ms.contains(w.into()) {
             count += 1;
             // Relaxed: per-vertex tally, read after the join.
             tri[w as usize].fetch_add(1, Ordering::Relaxed);
         }
     }
     count
+}
+
+/// Hint the cache to fetch the line holding `p` (a no-op off x86_64).
+#[inline(always)]
+fn prefetch<T>(p: *const T) {
+    // SAFETY: a prefetch is a hint: it never faults, whatever the address.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast())
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
 }
 
 /// The original §V kernel: `v < u < w` id-order enumeration over the
@@ -369,7 +385,8 @@ pub fn count_triangles_idorder(g: &Csr, ctx: &mut Ctx<'_>) -> u64 {
         c.alu_ops = cmp;
         c.writes = count;
         c.atomics = count;
-        c.charge_loop_overhead(default_chunk(n, exec.workers()) as u64);
+        // One worker's chunk: the charge does not depend on the host.
+        c.charge_loop_overhead(default_chunk(n, 1) as u64);
         c.barriers = 1;
         r.push("count", 0, c, count);
     }
@@ -670,7 +687,7 @@ mod tests {
         let hash_writes = hash_rec.with_label("count").next().unwrap().counts.writes;
         assert!(
             hash_writes > merge_writes,
-            "stamp stores must be charged: {hash_writes} vs {merge_writes}"
+            "mark stores must be charged: {hash_writes} vs {merge_writes}"
         );
     }
 
@@ -684,7 +701,7 @@ mod tests {
         let r = rec.with_label("count").next().unwrap();
         assert_eq!(r.observed, count);
         assert_eq!(r.counts.atomics, count);
-        // Key asymmetry vs BSP: writes ≈ triangles (+ mark stamps), not
+        // Key asymmetry vs BSP: writes ≈ triangles (+ mark stores), not
         // candidate messages.
         assert!(r.counts.reads > r.counts.writes);
     }

@@ -27,8 +27,8 @@
 //! neighbour, and a BSP run fell into a fast or a slow mode by chance
 //! (EXPERIMENTS.md, "Per-worker scratch on its own cache line").
 //!
-//! [`MarkScratch`], an epoch-stamped mark array over vertex ids, is the
-//! slot type both engines put in such a pool.
+//! [`MarkScratch`], a mark array of one byte per vertex id, is the slot
+//! type both engines put in such a pool.
 //!
 //! [`parallel_for_chunked`]: crate::pfor::parallel_for_chunked
 
@@ -153,50 +153,53 @@ impl<T> fmt::Debug for WorkerScratch<T> {
     }
 }
 
-/// One worker's epoch-stamped mark array over vertex ids.
-///
-/// `stamps[w] == epoch` means `w` is marked in the current window;
-/// opening the next window bumps `epoch`, which unmarks everything in
-/// O(1) — the trick that replaces the `tc.c` exemplar's per-pair clear
-/// pass.
+/// One worker's mark array over vertex ids, one byte per vertex, all
+/// zero between windows: [`mark`](Self::mark) opens a window on a list
+/// and [`unmark`](Self::unmark) clears the same list (the `tc.c`
+/// exemplar's unmark pass).  A window left open, by a caller that
+/// unwound in it, is recorded, and [`ensure`](Self::ensure) clears it.
 #[derive(Default)]
 pub struct MarkScratch {
-    stamps: Vec<u32>,
-    epoch: u32,
+    marks: Vec<u8>,
+    open: bool,
 }
 
 impl MarkScratch {
-    /// Cover ids `0..n` (no-op once sized); call it outside parallel
-    /// regions.  A grown array comes zeroed from the allocator, so pages
-    /// no mark ever lands on are never touched.
+    /// Cover ids `0..n` and close any window left open; call it outside
+    /// parallel regions.  A grown array comes zeroed from the allocator,
+    /// so pages no mark ever lands on are never touched.
     pub fn ensure(&mut self, n: usize) {
-        if self.stamps.len() < n {
-            self.stamps = vec![0; n];
-            self.epoch = 0;
+        if self.marks.len() < n {
+            self.marks = vec![0; n];
+        } else if self.open {
+            self.marks.fill(0);
         }
+        self.open = false;
     }
 
-    /// Open a fresh window with every id of `list` (`u32` or `u64`)
-    /// marked in it and return its stamp.  On `u32` wrap the array is
-    /// cleared once — amortized O(1) over four billion windows.  Panics
-    /// on an id outside the range [`ensure`](Self::ensure) covered.
+    /// Open a window with every id of `list` (`u32` or `u64`) marked.
+    /// Panics on an id outside the range [`ensure`](Self::ensure) covered.
     #[inline]
-    pub fn mark<I: Copy + Into<u64>>(&mut self, list: &[I]) -> u32 {
-        if self.epoch == u32::MAX {
-            self.stamps.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
+    pub fn mark<I: Copy + Into<u64>>(&mut self, list: &[I]) {
+        self.open = true;
         for &x in list {
-            self.stamps[x.into() as usize] = self.epoch;
+            self.marks[x.into() as usize] = 1;
         }
-        self.epoch
     }
 
-    /// Whether `x` was marked in the window `epoch` names.
+    /// Whether `x` is marked in the open window.
     #[inline]
-    pub fn is_marked(&self, x: u64, epoch: u32) -> bool {
-        self.stamps[x as usize] == epoch
+    pub fn contains(&self, x: u64) -> bool {
+        self.marks[x as usize] != 0
+    }
+
+    /// Close the window opened on `list`.
+    #[inline]
+    pub fn unmark<I: Copy + Into<u64>>(&mut self, list: &[I]) {
+        for &x in list {
+            self.marks[x.into() as usize] = 0;
+        }
+        self.open = false;
     }
 }
 
@@ -242,17 +245,32 @@ mod tests {
     }
 
     #[test]
-    fn epoch_wrap_resets_marks() {
+    fn unmark_leaves_every_byte_zero() {
         let mut ms = MarkScratch::default();
-        ms.ensure(4);
-        ms.epoch = u32::MAX - 1;
-        let e1 = ms.mark(&[2u64]);
-        assert_eq!(e1, u32::MAX);
-        assert!(ms.is_marked(2, e1));
-        // Wrap: the array is cleared so stale stamps can never collide.
-        let e2 = ms.mark::<u64>(&[]);
-        assert_eq!(e2, 1);
-        assert!(ms.stamps.iter().all(|&s| s == 0));
+        ms.ensure(16);
+        let (short, wide) = ([3u32, 7, 3, 15, 7], [0u64, 9, 9, 2]);
+        ms.mark(&short);
+        assert!([3, 7, 15].iter().all(|&x| ms.contains(x)));
+        assert!(!ms.contains(4));
+        ms.unmark(&short);
+        ms.mark(&wide);
+        assert!(ms.contains(9) && !ms.contains(3));
+        ms.unmark(&wide);
+        assert!(ms.marks.iter().all(|&b| b == 0));
+        assert!(!ms.open);
+    }
+
+    #[test]
+    fn a_window_left_open_is_closed_by_ensure() {
+        let mut ms = MarkScratch::default();
+        ms.ensure(8);
+        ms.mark(&[1u32, 5]);
+        ms.ensure(8);
+        assert!(ms.marks.iter().all(|&b| b == 0) && !ms.open);
+        ms.mark(&[2u64]);
+        ms.ensure(32);
+        assert_eq!(ms.marks.len(), 32);
+        assert!(ms.marks.iter().all(|&b| b == 0) && !ms.open);
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //!
 //! Built `harness = false` so `main` can pin the worker count before the
 //! global pool exists: at two workers the model counts of `fig1` and
-//! `ablation_labelprop` vary from run to run, and `ablation_intersect`
-//! repeats from run to run but its `merge` rows differ from these
-//! goldens in `seconds_at_max_procs` (fifth digit): the id-order walk
-//! charges loop overhead at the host's chunk (the `dag+hash` rows charge
-//! a constant one and match at any worker count).
+//! `ablation_labelprop` vary from run to run, and `fig4`'s `bsp_seconds`
+//! (so its `ratio`) differ from these goldens in the third digit: the
+//! BSP superstep loops charge loop overhead at the host's chunk.  The
+//! GraphCT triangle charges use a constant chunk, so `fig4`'s
+//! `graphct_seconds` and every `ablation_intersect` row match at two
+//! workers too.
 
 use std::collections::BTreeSet;
 use std::path::Path;
