@@ -60,7 +60,6 @@ fn bench_toolkit_extras(c: &mut Criterion) {
     let g = graph(11);
     let mut group = c.benchmark_group("toolkit");
     group.sample_size(10);
-    group.bench_function("kcore", |b| b.iter(|| graphct::kcore_decomposition(&g)));
     group.bench_function("pagerank", |b| {
         b.iter(|| graphct::pagerank(&g, graphct::pagerank::PagerankOptions::default()))
     });

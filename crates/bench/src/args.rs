@@ -51,7 +51,7 @@ impl HarnessConfig {
             scale: default_scale,
             edge_factor: 16,
             seed: 1,
-            procs: vec![8, 16, 32, 64, 128],
+            procs: xmt_model::series::PAPER_PROC_LADDER.to_vec(),
             out_dir: None,
             calibrate: false,
         };

@@ -257,7 +257,8 @@ mod tests {
         // its higher neighbors); compute that analytically and compare
         // with what the degree-ranked program actually sends.
         let p = xmt_graph::gen::rmat::RmatParams::graph500(12);
-        let g = build_undirected(&xmt_graph::gen::rmat::rmat_edges(&p, 3));
+        let el = xmt_graph::gen::rmat::rmat_edges(&p, 3);
+        let g = build_undirected(&el);
 
         fn id_candidates(g: &xmt_graph::Csr) -> u64 {
             (0..g.num_vertices())
@@ -274,10 +275,15 @@ mod tests {
         // equal the analytic id-order count on that relabeled graph —
         // i.e. the in-program rank buys exactly what a relabeling
         // preprocessing pass would, without touching the graph.
-        use xmt_graph::ops::degree_order::degree_ascending_permutation;
-        use xmt_graph::ops::relabel::relabel;
+        let perm = xmt_graph::ops::degree_order::degree_ascending_permutation(&g);
+        let relabeled = xmt_graph::EdgeList {
+            num_vertices: el.num_vertices,
+            edges: (el.edges.iter())
+                .map(|&(u, v)| (perm[u as usize], perm[v as usize]))
+                .collect(),
+        };
         let natural = id_candidates(&g);
-        let ranked = id_candidates(&relabel(&g, &degree_ascending_permutation(&g)));
+        let ranked = id_candidates(&build_undirected(&relabeled));
 
         let r = bsp_count_triangles_with_config(&g, BspConfig::default(), None);
         let deg_candidates = r.superstep_stats[1].messages_sent;

@@ -23,7 +23,7 @@
 //!   hotspot the paper warns about in §VII;
 //! * the paper's three algorithms ([`algorithms::components`] = Alg. 1,
 //!   [`algorithms::bfs`] = Alg. 2, [`algorithms::triangles`] = Alg. 3)
-//!   plus PageRank and SSSP extension programs;
+//!   plus a PageRank extension program;
 //! * full instrumentation: per-superstep active counts, message counts
 //!   and operation counts recorded for the XMT performance model.
 //!

@@ -259,11 +259,6 @@ impl<'a, M: Copy> Context<'a, M> {
         self.prev_agg_f64
     }
 
-    /// Arc weights parallel to [`Self::neighbors`] (weighted graphs only).
-    pub fn weights(&self) -> &'a [xmt_graph::Weight] {
-        self.graph.weights_of(self.vertex)
-    }
-
     /// Report `n` algorithm-specific memory reads beyond what the runtime
     /// counts (e.g. binary-search probes); feeds the performance model.
     pub fn charge_reads(&mut self, n: u64) {

@@ -42,7 +42,7 @@ pub(super) fn init_states<P: VertexProgram>(
     if let Some(r) = rec {
         let mut c = PhaseCounts::with_items(n as u64);
         c.writes = n as u64;
-        c.charge_loop_overhead(default_chunk(n, exec.workers()) as u64);
+        c.charge_loop_overhead(default_chunk(n, 1) as u64);
         c.barriers = 1;
         r.push("init", 0, c, n as u64);
     }
@@ -286,7 +286,7 @@ impl<P: VertexProgram> Run<'_, P> {
         } else {
             c.reads += done.delivered * msg_words::<P>();
         }
-        c.charge_loop_overhead(default_chunk(self.frame.active.len(), self.exec.workers()) as u64);
+        c.charge_loop_overhead(default_chunk(self.frame.active.len(), 1) as u64);
         r.push("superstep", self.s, c, messages_sent);
     }
 }

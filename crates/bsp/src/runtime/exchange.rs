@@ -163,7 +163,7 @@ impl<P: VertexProgram> Run<'_, P> {
                 e.atomics += sent + a;
             }
         }
-        e.charge_loop_overhead(default_chunk(self.n, self.exec.workers()) as u64);
+        e.charge_loop_overhead(default_chunk(self.n, 1) as u64);
         r.push("exchange", self.s, e, sent);
     }
 }

@@ -127,7 +127,7 @@ impl<P: VertexProgram> Run<'_, P> {
                 }
             }
         };
-        c.charge_loop_overhead(default_chunk(self.n, self.exec.workers()) as u64);
+        c.charge_loop_overhead(default_chunk(self.n, 1) as u64);
         c.barriers = 1;
         r.push("scan", self.s, c, active);
     }

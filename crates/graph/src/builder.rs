@@ -15,7 +15,7 @@ use xmt_par::{
     exclusive_prefix_sum_seq, global, parallel_for, parallel_for_chunked, WorkerScratch,
 };
 
-use crate::{Csr, EdgeList, VertexId, Weight};
+use crate::{Csr, EdgeList, VertexId};
 
 /// Options controlling CSR construction.
 #[derive(Clone, Copy, Debug)]
@@ -71,18 +71,10 @@ impl CsrBuilder {
     }
 
     /// Build a CSR from `edges`, which must be consistent (every endpoint
-    /// below `num_vertices`, one weight per edge if weighted).
+    /// below `num_vertices`).
     pub fn build(&self, edges: &EdgeList) -> Csr {
         let opts = self.opts;
         let (list, n, m) = (&edges.edges, edges.num_vertices as usize, edges.edges.len());
-        let wlist = edges.weights.as_deref();
-        assert!(wlist.is_none_or(|w| w.len() == m), "inconsistent edge list");
-        // A documented precondition on BuildOptions: there is no
-        // meaningful weight to keep when coalescing duplicates.
-        assert!(
-            !(opts.dedup && wlist.is_some()),
-            "dedup is not supported for weighted graphs"
-        );
         assert!((n as u64) < 1 << NBR_BITS, "at most 2^48 vertices");
         let keep = |u: VertexId, v: VertexId| !(opts.remove_self_loops && u == v);
         // Buckets of about BUCKET_ARCS arcs, a few per worker, 1024 at most.
@@ -129,31 +121,25 @@ impl CsrBuilder {
         }
         let total = starts[buckets];
         let mut arcs = vec![0u64; total];
-        let mut weights = wlist.map(|_| vec![0 as Weight; total]);
         let arc_base = arcs.as_mut_ptr() as usize;
-        let w_base = weights.as_mut().map(|w| w.as_mut_ptr() as usize);
         let local = (1 << shift) - 1;
         parallel_for(0, chunks, |c| {
             // SAFETY: as in the count pass, row `c` is chunk `c`'s own.
             let cursor = unsafe { slice_at::<u64>(hist_base, c * buckets, buckets) };
-            let mut put = |row: VertexId, nbr: VertexId, i: usize| {
+            let mut put = |row: VertexId, nbr: VertexId| {
                 let slot = &mut cursor[(row >> shift) as usize];
                 // SAFETY: the cursor walks this chunk's own range of the
-                // bucket's slice; the arrays are untouched until the join.
+                // bucket's slice; the array is untouched until the join.
                 unsafe {
-                    *(arc_base as *mut u64).add(*slot as usize) = (row & local) << NBR_BITS | nbr;
-                    if let (Some(base), Some(ws)) = (w_base, wlist) {
-                        *(base as *mut Weight).add(*slot as usize) = ws[i];
-                    }
-                }
+                    *(arc_base as *mut u64).add(*slot as usize) = (row & local) << NBR_BITS | nbr
+                };
                 *slot += 1;
             };
-            for i in chunk_of(c) {
-                let (u, v) = list[i];
+            for &(u, v) in &list[chunk_of(c)] {
                 if keep(u, v) {
-                    put(u, v, i);
+                    put(u, v);
                     if opts.symmetrize {
-                        put(v, u, i);
+                        put(v, u);
                     }
                 }
             }
@@ -163,7 +149,7 @@ impl CsrBuilder {
         let mut offsets = vec![0u64; n + 1];
         let mut kept = vec![0u64; buckets + 1];
         let (o_base, k_base) = (offsets.as_mut_ptr() as usize, kept.as_mut_ptr() as usize);
-        // Reserved up front; weighted, two words an arc, it grows once.
+        // Reserved up front: no bucket grows a worker's scratch.
         let largest = starts.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
         let scratch = WorkerScratch::with(workers, || Vec::with_capacity(largest));
         parallel_for_chunked(0, buckets, 1, |worker, range| {
@@ -174,14 +160,13 @@ impl CsrBuilder {
                 unsafe {
                     let offsets = slice_at(o_base, lo, (n - lo).min(1 << shift));
                     let arcs = slice_at(arc_base, span.start, span.len());
-                    let ws = w_base.map(|base| slice_at(base, span.start, span.len()));
-                    let k = finish_bucket(offsets, arcs, ws, scratch.get(worker), opts);
+                    let k = finish_bucket(offsets, arcs, scratch.get(worker), opts);
                     *(k_base as *mut u64).add(b) = k as u64;
                 }
             }
         });
 
-        // Close the gaps.  Weighted builds keep every arc: weights stay.
+        // Close the gaps.
         let total = exclusive_prefix_sum_seq(&mut kept) as usize;
         for b in (0..buckets).filter(|&b| starts[b] != kept[b] as usize) {
             let len = (kept[b + 1] - kept[b]) as usize;
@@ -195,7 +180,7 @@ impl CsrBuilder {
         arcs.shrink_to_fit();
 
         let sorted = opts.sort || opts.dedup;
-        Csr::from_parts(n as u64, offsets, arcs, weights, !opts.symmetrize, sorted)
+        Csr::from_parts(n as u64, offsets, arcs, !opts.symmetrize, sorted)
     }
 }
 
@@ -217,51 +202,38 @@ pub(crate) unsafe fn slice_at<'a, T>(base: usize, start: usize, len: usize) -> &
 }
 
 /// Order one bucket's partitioned `arcs` by row, stably, through
-/// `scratch`; sort (by neighbour, then weight) and coalesce each row if
-/// asked; write the rows back to the front of `arcs` and `weights`.
-/// `rows` (zeroed) gets each row's first arc; returns the arcs kept.
+/// `scratch`; sort and coalesce each row if asked; write the rows back
+/// to the front of `arcs`.  `rows` (zeroed) gets each row's first arc;
+/// returns the arcs kept.
 fn finish_bucket(
     rows: &mut [u64],
     arcs: &mut [u64],
-    mut weights: Option<&mut [Weight]>,
     scratch: &mut Vec<u64>,
     opts: BuildOptions,
 ) -> usize {
-    // One word an arc, two with a weight (sign flipped: words order as weights).
-    let width = 1 + weights.is_some() as usize;
     // A stable counting sort by row; each cursor ends at its row's end.
     for &arc in arcs.iter() {
         rows[(arc >> NBR_BITS) as usize] += 1;
     }
     exclusive_prefix_sum_seq(rows);
     scratch.clear();
-    scratch.resize(arcs.len() * width, 0);
-    for (j, &arc) in arcs.iter().enumerate() {
+    scratch.resize(arcs.len(), 0);
+    for &arc in arcs.iter() {
         let cursor = &mut rows[(arc >> NBR_BITS) as usize];
-        let at = *cursor as usize * width;
-        scratch[at] = arc & ((1 << NBR_BITS) - 1);
-        if let Some(w) = weights.as_deref() {
-            scratch[at + 1] = w[j] as u64 ^ 1 << 63;
-        }
+        scratch[*cursor as usize] = arc & ((1 << NBR_BITS) - 1);
         *cursor += 1;
     }
     let (mut start, mut kept) = (0, 0);
     for end in rows.iter_mut() {
-        let row = &mut scratch[start * width..*end as usize * width];
+        let row = &mut scratch[start..*end as usize];
         start = *end as usize;
-        match width {
-            _ if !(opts.sort || opts.dedup) => {}
-            1 => row.sort_unstable(),
-            _ => row.as_chunks_mut::<2>().0.sort_unstable(),
+        if opts.sort || opts.dedup {
+            row.sort_unstable();
         }
         *end = kept as u64;
-        // Coalescing compares neighbours only: dedup builds are unweighted.
-        for i in (0..row.len()).step_by(width) {
+        for i in 0..row.len() {
             if !opts.dedup || i == 0 || row[i] != row[i - 1] {
                 arcs[kept] = row[i];
-                if let Some(w) = weights.as_deref_mut() {
-                    w[kept] = (row[i + 1] ^ 1 << 63) as Weight;
-                }
                 kept += 1;
             }
         }
@@ -282,29 +254,28 @@ pub fn build_directed(edges: &EdgeList) -> Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::er::{gnm, gnm_weighted};
+    use crate::gen::er::gnm;
     use crate::gen::rmat::{rmat_edges, RmatParams};
 
     /// Serial arrival order: each kept arc appended to its row's list,
     /// edge by edge (`u → v` before its mirror `v → u`).
-    fn arrival(el: &EdgeList, opts: BuildOptions) -> Vec<Vec<(VertexId, i64)>> {
+    fn arrival(el: &EdgeList, opts: BuildOptions) -> Vec<Vec<VertexId>> {
         let mut lists = vec![Vec::new(); el.num_vertices as usize];
-        for (i, &(u, v)) in el.edges.iter().enumerate() {
+        for &(u, v) in &el.edges {
             if opts.remove_self_loops && u == v {
                 continue;
             }
-            let w = el.weights.as_ref().map_or(0, |ws| ws[i]);
-            lists[u as usize].push((v, w));
+            lists[u as usize].push(v);
             if opts.symmetrize {
-                lists[v as usize].push((u, w));
+                lists[v as usize].push(u);
             }
         }
         lists
     }
 
-    /// Serial reference: [`arrival`], each list sorted by (neighbor,
-    /// weight) and with repeats dropped if `dedup`.
-    fn reference(el: &EdgeList, opts: BuildOptions) -> Vec<Vec<(VertexId, i64)>> {
+    /// Serial reference: [`arrival`], each list sorted and with repeats
+    /// dropped if `dedup`.
+    fn reference(el: &EdgeList, opts: BuildOptions) -> Vec<Vec<VertexId>> {
         let mut lists = arrival(el, opts);
         for list in &mut lists {
             list.sort_unstable();
@@ -315,28 +286,18 @@ mod tests {
         lists
     }
 
-    /// `g`'s rows as (neighbor, weight) lists in CSR order.
-    fn rows_of(g: &Csr) -> Vec<Vec<(VertexId, i64)>> {
+    /// `g`'s rows in CSR order.
+    fn rows_of(g: &Csr) -> Vec<Vec<VertexId>> {
         (0..g.num_vertices())
-            .map(|v| match g.is_weighted() {
-                true => g
-                    .neighbors(v)
-                    .iter()
-                    .copied()
-                    .zip(g.weights_of(v).iter().copied())
-                    .collect(),
-                false => g.neighbors(v).iter().map(|&x| (x, 0)).collect(),
-            })
+            .map(|v| g.neighbors(v).to_vec())
             .collect()
     }
 
-    /// `g` as per-vertex (neighbor, weight) lists, each sorted, after
-    /// checking that the neighbor ids themselves come out sorted.
-    fn lists_of(g: &Csr) -> Vec<Vec<(VertexId, i64)>> {
-        let mut lists = rows_of(g);
-        for (v, list) in lists.iter_mut().enumerate() {
-            assert!(g.neighbors(v as u64).is_sorted(), "vertex {v} unsorted");
-            list.sort_unstable();
+    /// `g`'s rows, after checking that each comes out sorted.
+    fn lists_of(g: &Csr) -> Vec<Vec<VertexId>> {
+        let lists = rows_of(g);
+        for (v, list) in lists.iter().enumerate() {
+            assert!(list.is_sorted(), "vertex {v} unsorted");
         }
         lists
     }
@@ -366,36 +327,20 @@ mod tests {
         assert_eq!(lists_of(&g), reference(&empty, simple));
         assert_eq!(g.offsets(), &[0; 8]);
 
-        let weighted = gnm_weighted(100, 1_000, 50, 3);
+        // Sorted rows that keep their repeats.
         let sym = BuildOptions {
             dedup: false,
             ..simple
         };
-        let g = CsrBuilder::new(sym).build(&weighted);
-        assert_eq!(lists_of(&g), reference(&weighted, sym));
+        let g = CsrBuilder::new(sym).build(&multi);
+        assert_eq!(lists_of(&g), reference(&multi, sym));
     }
 
     #[test]
     fn unsorted_builds_keep_edge_list_order() {
         // Multigraphs with self loops, one chunk and several.
-        let mut weighted = EdgeList::new(4);
-        for (u, v, w) in [
-            (0, 1, 5),
-            (2, 0, 1),
-            (0, 1, 3),
-            (1, 0, 9),
-            (0, 0, 4),
-            (0, 1, 5),
-            (3, 0, 2),
-        ] {
-            weighted.push_weighted(u, v, w);
-        }
-        let lists = [
-            gnm(200, 3_000, 5),
-            gnm(3_000, 150_000, 6),
-            gnm_weighted(100, 1_000, 50, 3),
-            weighted,
-        ];
+        let small = EdgeList::from_pairs([(0, 1), (2, 0), (0, 1), (1, 0), (0, 0), (0, 1), (3, 0)]);
+        let lists = [gnm(200, 3_000, 5), gnm(3_000, 150_000, 6), small];
         let raw = BuildOptions::directed_raw();
         let symmetric = BuildOptions {
             symmetrize: true,
@@ -424,14 +369,6 @@ mod tests {
     fn an_endpoint_past_the_vertex_count_panics() {
         let mut el = gnm(100, 1_000, 1);
         el.edges[700].1 = 100;
-        build_directed(&el);
-    }
-
-    #[test]
-    #[should_panic(expected = "inconsistent edge list")]
-    fn a_weight_list_of_the_wrong_length_panics() {
-        let mut el = gnm_weighted(10, 20, 5, 1);
-        el.weights.as_mut().map(Vec::pop);
         build_directed(&el);
     }
 
@@ -467,10 +404,8 @@ mod tests {
     }
 
     #[test]
-    fn weighted_directed_graph_cosorts_weights() {
-        let mut el = EdgeList::new(3);
-        el.push_weighted(0, 2, 20);
-        el.push_weighted(0, 1, 10);
+    fn directed_sorted_graph_sorts_rows() {
+        let el = EdgeList::from_pairs([(0, 2), (0, 1)]);
         let g = CsrBuilder::new(BuildOptions {
             symmetrize: false,
             remove_self_loops: false,
@@ -479,30 +414,7 @@ mod tests {
         })
         .build(&el);
         assert_eq!(g.neighbors(0), &[1, 2]);
-        assert_eq!(g.weights_of(0), &[10, 20]);
-    }
-
-    #[test]
-    fn weighted_symmetrize_mirrors_weights() {
-        let mut el = EdgeList::new(2);
-        el.push_weighted(0, 1, 7);
-        let g = CsrBuilder::new(BuildOptions {
-            symmetrize: true,
-            remove_self_loops: true,
-            dedup: false,
-            sort: true,
-        })
-        .build(&el);
-        assert_eq!(g.weights_of(0), &[7]);
-        assert_eq!(g.weights_of(1), &[7]);
-    }
-
-    #[test]
-    #[should_panic(expected = "dedup is not supported")]
-    fn weighted_dedup_panics() {
-        let mut el = EdgeList::new(2);
-        el.push_weighted(0, 1, 7);
-        build_undirected(&el);
+        assert!(g.is_directed() && g.is_sorted());
     }
 
     #[test]
@@ -515,7 +427,6 @@ mod tests {
         let el = EdgeList {
             num_vertices: n,
             edges: pairs.clone(),
-            weights: None,
         };
         let g = build_directed(&el);
         assert_eq!(g.num_arcs() as usize, pairs.len());

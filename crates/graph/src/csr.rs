@@ -4,7 +4,7 @@
 //! kernel, as in GraphCT.  For undirected graphs each edge `{u,v}` is
 //! stored twice (`u→v` and `v→u`), so `num_arcs() == 2 * edge count`.
 
-use crate::{VertexId, Weight};
+use crate::VertexId;
 
 /// A read-only CSR graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -14,8 +14,6 @@ pub struct Csr {
     offsets: Vec<u64>,
     /// Concatenated adjacency lists.
     adj: Vec<VertexId>,
-    /// Optional arc weights, parallel to `adj`.
-    weights: Option<Vec<Weight>>,
     directed: bool,
     /// Whether every adjacency list is sorted ascending (required by the
     /// triangle-counting intersection kernels).
@@ -27,12 +25,11 @@ impl Csr {
     ///
     /// # Panics
     /// If offsets are not monotone from 0 to `adj.len()`, an adjacency
-    /// entry is out of range, or weights are not parallel to `adj`.
+    /// entry is out of range.
     pub fn from_parts(
         n: u64,
         offsets: Vec<u64>,
         adj: Vec<VertexId>,
-        weights: Option<Vec<Weight>>,
         directed: bool,
         sorted: bool,
     ) -> Self {
@@ -44,9 +41,6 @@ impl Csr {
             "offsets must be monotone"
         );
         assert!(adj.iter().all(|&v| v < n), "adjacency entry out of range");
-        if let Some(w) = &weights {
-            assert_eq!(w.len(), adj.len(), "weights must be parallel to adj");
-        }
         if sorted {
             for v in 0..n as usize {
                 let lo = offsets[v] as usize;
@@ -61,7 +55,6 @@ impl Csr {
             n,
             offsets,
             adj,
-            weights,
             directed,
             sorted,
         }
@@ -102,12 +95,6 @@ impl Csr {
         self.sorted
     }
 
-    /// Does the graph carry arc weights?
-    #[inline]
-    pub fn is_weighted(&self) -> bool {
-        self.weights.is_some()
-    }
-
     /// Out-degree of `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> u64 {
@@ -122,15 +109,6 @@ impl Csr {
         &self.adj[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
-    /// Weights parallel to [`Self::neighbors`]; panics if unweighted.
-    #[inline]
-    pub fn weights_of(&self, v: VertexId) -> &[Weight] {
-        let v = v as usize;
-        #[expect(clippy::expect_used, reason = "the accessor's documented contract")]
-        let w = self.weights.as_ref().expect("graph is unweighted");
-        &w[self.offsets[v] as usize..self.offsets[v + 1] as usize]
-    }
-
     /// The raw offsets array (length `n+1`).
     #[inline]
     pub fn offsets(&self) -> &[u64] {
@@ -141,12 +119,6 @@ impl Csr {
     #[inline]
     pub fn adjacency(&self) -> &[VertexId] {
         &self.adj
-    }
-
-    /// The raw weight array, if any.
-    #[inline]
-    pub fn raw_weights(&self) -> Option<&[Weight]> {
-        self.weights.as_deref()
     }
 
     /// Whether the arc `u -> v` exists. O(log d(u)) if sorted, O(d(u))
@@ -177,9 +149,7 @@ impl Csr {
 
     /// Approximate resident bytes of the structure.
     pub fn memory_bytes(&self) -> usize {
-        self.offsets.len() * 8
-            + self.adj.len() * 8
-            + self.weights.as_ref().map(|w| w.len() * 8).unwrap_or(0)
+        self.offsets.len() * 8 + self.adj.len() * 8
     }
 }
 
@@ -189,14 +159,7 @@ mod tests {
 
     fn triangle() -> Csr {
         // 0-1, 1-2, 0-2 undirected
-        Csr::from_parts(
-            3,
-            vec![0, 2, 4, 6],
-            vec![1, 2, 0, 2, 0, 1],
-            None,
-            false,
-            true,
-        )
+        Csr::from_parts(3, vec![0, 2, 4, 6], vec![1, 2, 0, 2, 0, 1], false, true)
     }
 
     #[test]
@@ -219,7 +182,7 @@ mod tests {
         assert!(g.has_arc(2, 0));
         assert!(!g.has_arc(0, 0));
 
-        let g2 = Csr::from_parts(3, vec![0, 2, 2, 2], vec![2, 1], None, true, false);
+        let g2 = Csr::from_parts(3, vec![0, 2, 2, 2], vec![2, 1], true, false);
         assert!(g2.has_arc(0, 2));
         assert!(g2.has_arc(0, 1));
         assert!(!g2.has_arc(1, 0));
@@ -227,34 +190,26 @@ mod tests {
 
     #[test]
     fn directed_edge_count_is_arc_count() {
-        let g = Csr::from_parts(2, vec![0, 1, 1], vec![1], None, true, true);
+        let g = Csr::from_parts(2, vec![0, 1, 1], vec![1], true, true);
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.num_arcs(), 1);
     }
 
     #[test]
-    fn weights_are_parallel() {
-        let g = Csr::from_parts(2, vec![0, 2, 2], vec![0, 1], Some(vec![5, 7]), true, true);
-        assert!(g.is_weighted());
-        assert_eq!(g.weights_of(0), &[5, 7]);
-        assert_eq!(g.weights_of(1), &[] as &[Weight]);
-    }
-
-    #[test]
     #[should_panic(expected = "offsets must have n+1 entries")]
     fn bad_offsets_len_panics() {
-        Csr::from_parts(3, vec![0, 1], vec![1], None, true, false);
+        Csr::from_parts(3, vec![0, 1], vec![1], true, false);
     }
 
     #[test]
     #[should_panic(expected = "adjacency entry out of range")]
     fn out_of_range_neighbor_panics() {
-        Csr::from_parts(2, vec![0, 1, 1], vec![7], None, true, false);
+        Csr::from_parts(2, vec![0, 1, 1], vec![7], true, false);
     }
 
     #[test]
     fn empty_graph_is_fine() {
-        let g = Csr::from_parts(0, vec![0], vec![], None, false, true);
+        let g = Csr::from_parts(0, vec![0], vec![], false, true);
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.max_degree(), 0);
         assert_eq!(g.iter_vertices().count(), 0);

@@ -1,7 +1,7 @@
-//! Unordered edge lists — the interchange format between generators,
-//! file I/O and the CSR builder.
+//! Unordered edge lists — the interchange format between generators and
+//! the CSR builder.
 
-use crate::{VertexId, Weight};
+use crate::VertexId;
 
 /// A list of (source, destination) pairs over vertices `0..num_vertices`.
 ///
@@ -13,8 +13,6 @@ pub struct EdgeList {
     pub num_vertices: u64,
     /// The edges, in no particular order.
     pub edges: Vec<(VertexId, VertexId)>,
-    /// Optional per-edge weights, parallel to `edges`.
-    pub weights: Option<Vec<Weight>>,
 }
 
 impl EdgeList {
@@ -23,7 +21,6 @@ impl EdgeList {
         EdgeList {
             num_vertices: n,
             edges: Vec::new(),
-            weights: None,
         }
     }
 
@@ -34,7 +31,6 @@ impl EdgeList {
         EdgeList {
             num_vertices: n,
             edges,
-            weights: None,
         }
     }
 
@@ -43,42 +39,17 @@ impl EdgeList {
         self.edges.len()
     }
 
-    /// Append an unweighted edge.
+    /// Append an edge.
     pub fn push(&mut self, u: VertexId, v: VertexId) {
         debug_assert!(u < self.num_vertices && v < self.num_vertices);
         self.edges.push((u, v));
-        debug_assert!(
-            self.weights.is_none(),
-            "mixing weighted and unweighted edges"
-        );
     }
 
-    /// Append a weighted edge.
-    pub fn push_weighted(&mut self, u: VertexId, v: VertexId, w: Weight) {
-        debug_assert!(u < self.num_vertices && v < self.num_vertices);
-        if self.weights.is_none() {
-            assert!(
-                self.edges.is_empty(),
-                "mixing weighted and unweighted edges"
-            );
-        }
-        self.edges.push((u, v));
-        self.weights.get_or_insert_with(Vec::new).push(w);
-    }
-
-    /// `true` when every endpoint is a valid vertex id and weights (if
-    /// present) are parallel to the edges.
+    /// `true` when every endpoint is a valid vertex id.
     pub fn is_consistent(&self) -> bool {
-        let endpoints_ok = self
-            .edges
+        self.edges
             .iter()
-            .all(|&(u, v)| u < self.num_vertices && v < self.num_vertices);
-        let weights_ok = self
-            .weights
-            .as_ref()
-            .map(|w| w.len() == self.edges.len())
-            .unwrap_or(true);
-        endpoints_ok && weights_ok
+            .all(|&(u, v)| u < self.num_vertices && v < self.num_vertices)
     }
 }
 
@@ -102,26 +73,10 @@ mod tests {
     }
 
     #[test]
-    fn weighted_edges_stay_parallel() {
-        let mut el = EdgeList::new(4);
-        el.push_weighted(0, 1, 10);
-        el.push_weighted(1, 2, -3);
-        assert!(el.is_consistent());
-        assert_eq!(el.weights.as_ref().unwrap().len(), 2);
-    }
-
-    #[test]
     fn inconsistency_is_detected() {
         let el = EdgeList {
             num_vertices: 2,
             edges: vec![(0, 5)],
-            weights: None,
-        };
-        assert!(!el.is_consistent());
-        let el = EdgeList {
-            num_vertices: 8,
-            edges: vec![(0, 5)],
-            weights: Some(vec![]),
         };
         assert!(!el.is_consistent());
     }

@@ -25,21 +25,7 @@ pub fn gnm(n: u64, m: u64, seed: u64) -> EdgeList {
     EdgeList {
         num_vertices: n,
         edges,
-        weights: None,
     }
-}
-
-/// Generate `m` random weighted edges with weights in `1..=max_weight`.
-pub fn gnm_weighted(n: u64, m: u64, max_weight: i64, seed: u64) -> EdgeList {
-    assert!(n >= 1 && max_weight >= 1);
-    let mut el = gnm(n, m, seed);
-    let mut weights = vec![0i64; m as usize];
-    parallel_fill(&mut weights, |k| {
-        let mut rng = edge_rng(seed ^ 0x5eed, k as u64);
-        rng.gen_range(1..=max_weight)
-    });
-    el.weights = Some(weights);
-    el
 }
 
 fn edge_rng(seed: u64, k: u64) -> ChaCha8Rng {
@@ -79,13 +65,5 @@ mod tests {
                 "count {c} far from mean {mean}"
             );
         }
-    }
-
-    #[test]
-    fn weighted_edges_are_in_range() {
-        let el = gnm_weighted(50, 300, 9, 1);
-        let w = el.weights.as_ref().unwrap();
-        assert_eq!(w.len(), 300);
-        assert!(w.iter().all(|&x| (1..=9).contains(&x)));
     }
 }

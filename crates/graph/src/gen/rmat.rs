@@ -123,7 +123,6 @@ fn rmat_edges_on(params: &RmatParams, seed: u64, avx2: Option<Avx2>) -> EdgeList
     EdgeList {
         num_vertices: n,
         edges,
-        weights: None,
     }
 }
 

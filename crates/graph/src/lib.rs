@@ -1,4 +1,4 @@
-//! Graph substrate: CSR storage, generators, I/O, and graph operations.
+//! Graph substrate: CSR storage, generators, and graph operations.
 //!
 //! GraphCT (the paper's baseline framework) stores one efficient read-only
 //! graph representation in main memory and serves it to every analysis
@@ -6,12 +6,11 @@
 //! produce the paper's workloads:
 //!
 //! * [`Csr`] — compressed sparse row storage, directed or undirected,
-//!   optionally weighted, built in parallel from an [`EdgeList`].
+//!   built in parallel from an [`EdgeList`].
 //! * [`gen`] — graph generators: RMAT (the paper's workload, Chakrabarti
 //!   et al. with Graph500 parameters), Erdős–Rényi, and deterministic
 //!   families for tests.
-//! * [`io`] — text edge-list and compact binary formats.
-//! * [`ops`] — the rank-space degree-ordered DAG and degree relabeling that
+//! * [`ops`] — the rank-space degree-ordered DAG and the degree order that
 //!   triangle counting runs on.
 //! * [`validate`] — Graph500-style BFS tree validation and component
 //!   label validation.
@@ -49,7 +48,6 @@ pub mod builder;
 pub mod csr;
 pub mod edge_list;
 pub mod gen;
-pub mod io;
 pub mod ops;
 pub mod validate;
 
@@ -61,9 +59,6 @@ pub use ops::dag::IntersectStrategy;
 /// Vertex identifier. The XMT is a 64-bit word machine and GraphCT uses
 /// 64-bit vertex ids; we do the same.
 pub type VertexId = u64;
-
-/// Edge weight type used by the weighted-graph paths.
-pub type Weight = i64;
 
 /// Sentinel "no vertex" value (used for BFS parents, etc.).
 pub const NO_VERTEX: VertexId = u64::MAX;

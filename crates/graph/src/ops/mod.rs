@@ -2,8 +2,6 @@
 
 pub mod dag;
 pub mod degree_order;
-pub mod relabel;
 
 pub use dag::{IntersectStrategy, RankDag};
 pub use degree_order::degree_ascending_permutation;
-pub use relabel::relabel;

@@ -174,64 +174,6 @@ pub fn validate_components(g: &Csr, label: &[VertexId]) -> Result<(), Validation
     Ok(())
 }
 
-/// Validate a shortest-path labeling from `source` on a non-negatively
-/// weighted graph: the source is 0, every arc satisfies the triangle
-/// inequality `dist[u] ≤ dist[v] + w(v,u)`, and every reached non-source
-/// vertex has a tight incoming arc (a witness predecessor).
-pub fn validate_sssp(g: &Csr, source: VertexId, dist: &[u64]) -> Result<(), ValidationError> {
-    let n = g.num_vertices() as usize;
-    if dist.len() != n {
-        return Err(ValidationError::WrongLength {
-            expected: n,
-            actual: dist.len(),
-        });
-    }
-    if dist[source as usize] != 0 {
-        return Err(ValidationError::Vertex(
-            source,
-            "source distance != 0".into(),
-        ));
-    }
-    for v in 0..n as u64 {
-        let dv = dist[v as usize];
-        if dv == u64::MAX {
-            continue;
-        }
-        let ws = g.weights_of(v);
-        for (j, &u) in g.neighbors(v).iter().enumerate() {
-            let du = dist[u as usize];
-            let cand = dv.saturating_add(ws[j] as u64);
-            if cand < du {
-                return Err(ValidationError::Vertex(
-                    u,
-                    format!("relaxable arc from {v}: {du} > {dv} + {}", ws[j]),
-                ));
-            }
-        }
-    }
-    // Witness check: every reached vertex can be produced by a neighbor.
-    for v in 0..n as u64 {
-        let dv = dist[v as usize];
-        if dv == u64::MAX || v == source {
-            continue;
-        }
-        let mut witnessed = false;
-        for (j, &u) in g.neighbors(v).iter().enumerate() {
-            let du = dist[u as usize];
-            if du != u64::MAX && du.saturating_add(g.weights_of(v)[j] as u64) == dv {
-                // Undirected graphs store the reverse arc with the same
-                // weight, so neighbor distances witness via this arc.
-                witnessed = true;
-                break;
-            }
-        }
-        if !witnessed {
-            return Err(ValidationError::Vertex(v, "no witness predecessor".into()));
-        }
-    }
-    Ok(())
-}
-
 /// Sizes of each component given a labeling: `(label, size)` pairs.
 pub fn component_sizes(labels: &[VertexId]) -> Vec<(VertexId, u64)> {
     let mut sizes = std::collections::HashMap::new();
@@ -397,35 +339,6 @@ mod tests {
         assert_eq!(sizes, vec![(0, 3), (2, 2), (5, 1)]);
         assert_eq!(largest_component(&labels), Some(0));
         assert_eq!(largest_component(&[]), None);
-    }
-
-    #[test]
-    fn sssp_validator_accepts_correct_and_rejects_broken() {
-        use crate::{BuildOptions, CsrBuilder, EdgeList};
-        let mut el = EdgeList::new(4);
-        el.push_weighted(0, 1, 2);
-        el.push_weighted(1, 2, 3);
-        el.push_weighted(0, 2, 10);
-        let g = CsrBuilder::new(BuildOptions {
-            symmetrize: true,
-            remove_self_loops: false,
-            dedup: false,
-            sort: true,
-        })
-        .build(&el);
-        let good = vec![0, 2, 5, u64::MAX];
-        validate_sssp(&g, 0, &good).unwrap();
-        // Relaxable arc: dist[2] too big.
-        let relaxable = vec![0, 2, 9, u64::MAX];
-        assert!(validate_sssp(&g, 0, &relaxable).is_err());
-        // No witness: dist[2] too small.
-        let unwitnessed = vec![0, 2, 4, u64::MAX];
-        assert!(validate_sssp(&g, 0, &unwitnessed).is_err());
-        // Wrong source distance.
-        let bad_src = vec![1, 2, 5, u64::MAX];
-        assert!(validate_sssp(&g, 0, &bad_src).is_err());
-        // Wrong length.
-        assert!(validate_sssp(&g, 0, &good[..3]).is_err());
     }
 
     #[test]

@@ -118,7 +118,7 @@ pub fn bfs_with(g: &Csr, source: VertexId, ctx: &mut Ctx<'_>) -> BfsResult {
     if let Some(r) = rec.as_deref_mut() {
         let mut c = PhaseCounts::with_items(n as u64);
         c.writes = 2 * n as u64; // dist + parent initialization
-        c.charge_loop_overhead(default_chunk(n, workers) as u64);
+        c.charge_loop_overhead(default_chunk(n, 1) as u64);
         c.barriers = 1;
         r.push("init", 0, c, 0);
     }
@@ -260,7 +260,7 @@ pub fn bfs_with(g: &Csr, source: VertexId, ctx: &mut Ctx<'_>) -> BfsResult {
                 c.atomics = discovered + frontier.len() as u64;
                 c.writes = 3 * discovered + frontier_bits.len() as u64;
                 c.hotspot_ops = discovered;
-                c.charge_loop_overhead(default_chunk(n, workers) as u64);
+                c.charge_loop_overhead(default_chunk(n, 1) as u64);
                 c
             } else {
                 // Per frontier vertex: offsets read; per edge: neighbor
@@ -273,7 +273,7 @@ pub fn bfs_with(g: &Csr, source: VertexId, ctx: &mut Ctx<'_>) -> BfsResult {
                 c.atomics = discovered;
                 c.writes = 2 * discovered;
                 c.hotspot_ops = discovered;
-                c.charge_loop_overhead(default_chunk(frontier.len(), workers) as u64);
+                c.charge_loop_overhead(default_chunk(frontier.len(), 1) as u64);
                 c
             };
             c.barriers = 1;

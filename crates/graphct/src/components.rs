@@ -53,7 +53,7 @@ pub fn connected_components_with(g: &Csr, ctx: &mut Ctx<'_>) -> Vec<VertexId> {
     if let Some(r) = rec.as_deref_mut() {
         let mut c = PhaseCounts::with_items(n as u64);
         c.writes = n as u64;
-        c.charge_loop_overhead(default_chunk(n, workers) as u64);
+        c.charge_loop_overhead(default_chunk(n, 1) as u64);
         c.barriers = 1;
         r.push("init", 0, c, n as u64);
     }
@@ -133,7 +133,7 @@ pub fn connected_components_with(g: &Csr, ctx: &mut Ctx<'_>) -> Vec<VertexId> {
             // representative's label at least once; extra reads per hop.
             c.reads += 2 * n as u64 + jumps.load(Ordering::Relaxed); // Relaxed: post-join read
             c.writes += jumps.load(Ordering::Relaxed).min(n as u64); // Relaxed: post-join read
-            c.charge_loop_overhead(default_chunk(n, workers) as u64);
+            c.charge_loop_overhead(default_chunk(n, 1) as u64);
             c.barriers = 2; // hook and compress are separate sweeps
             r.push("iteration", iteration, c, changed);
         }
@@ -183,7 +183,7 @@ pub fn connected_components_jacobi(g: &Csr, mut rec: Option<&mut Recorder>) -> V
     if let Some(r) = rec.as_deref_mut() {
         let mut c = PhaseCounts::with_items(n as u64);
         c.writes = 2 * n as u64;
-        c.charge_loop_overhead(default_chunk(n, xmt_par::num_threads()) as u64);
+        c.charge_loop_overhead(default_chunk(n, 1) as u64);
         c.barriers = 1;
         r.push("init", 0, c, n as u64);
     }
@@ -224,7 +224,7 @@ pub fn connected_components_jacobi(g: &Csr, mut rec: Option<&mut Recorder>) -> V
             c.reads = n as u64 + arcs + 2 * n as u64;
             c.alu_ops = arcs;
             c.writes = n as u64;
-            c.charge_loop_overhead(default_chunk(n, xmt_par::num_threads()) as u64);
+            c.charge_loop_overhead(default_chunk(n, 1) as u64);
             c.barriers = 1;
             r.push("iteration", iteration, c, changed);
         }
@@ -237,15 +237,6 @@ pub fn connected_components_jacobi(g: &Csr, mut rec: Option<&mut Recorder>) -> V
     current
 }
 
-/// Number of distinct components in a labeling.
-pub fn count_components(labels: &[VertexId]) -> u64 {
-    labels
-        .iter()
-        .enumerate()
-        .filter(|&(v, &l)| v as u64 == l)
-        .count() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,13 +244,20 @@ mod tests {
     use xmt_graph::gen::structured::{bridged_cliques, disjoint_cliques, path, ring, star};
     use xmt_graph::validate::validate_components;
 
+    /// Components in a min-id labeling: the vertices that are their own label.
+    fn roots(labels: &[VertexId]) -> usize {
+        (0..labels.len())
+            .filter(|&v| labels[v] == v as VertexId)
+            .count()
+    }
+
     #[test]
     fn single_component_families() {
         for el in [path(50), ring(33), star(40)] {
             let g = build_undirected(&el);
             let labels = connected_components(&g);
             validate_components(&g, &labels).unwrap();
-            assert_eq!(count_components(&labels), 1);
+            assert_eq!(roots(&labels), 1);
         }
     }
 
@@ -268,14 +266,14 @@ mod tests {
         let g = build_undirected(&disjoint_cliques(7, 5));
         let labels = connected_components(&g);
         validate_components(&g, &labels).unwrap();
-        assert_eq!(count_components(&labels), 7);
+        assert_eq!(roots(&labels), 7);
     }
 
     #[test]
     fn bridge_merges_components() {
         let g = build_undirected(&bridged_cliques(6));
         let labels = connected_components(&g);
-        assert_eq!(count_components(&labels), 1);
+        assert_eq!(roots(&labels), 1);
         assert!(labels.iter().all(|&l| l == 0));
     }
 
@@ -286,7 +284,7 @@ mod tests {
         let g = build_undirected(&el);
         let labels = connected_components(&g);
         validate_components(&g, &labels).unwrap();
-        assert_eq!(count_components(&labels), 9);
+        assert_eq!(roots(&labels), 9);
     }
 
     #[test]

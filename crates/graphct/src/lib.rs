@@ -4,7 +4,7 @@
 //! as its hand-tuned shared-memory reference.  This crate re-implements
 //! the three kernels the paper measures, in the same algorithmic style
 //! (loop-level parallelism, atomic fetch-and-add, immediate visibility of
-//! updates), plus PageRank and two reference kernels:
+//! updates), plus PageRank:
 //!
 //! * [`components`] — Shiloach-Vishkin-style connected components with
 //!   in-iteration label propagation (§III);
@@ -12,10 +12,7 @@
 //!   frontier queue (§IV);
 //! * [`triangles`] — triangle counting and clustering coefficients by
 //!   sorted-adjacency intersection (§V);
-//! * [`mod@pagerank`] — pull-based PageRank, a served kernel;
-//! * [`kcore`], [`mod@sssp`] — k-core peeling and level-synchronous
-//!   Bellman-Ford, the reference answers the property and equivalence
-//!   tests check against.
+//! * [`mod@pagerank`] — pull-based PageRank, a served kernel.
 //!
 //! The three measured kernels each have two entry points: the plain
 //! zero-option form ([`connected_components`], [`bfs()`],
@@ -43,9 +40,6 @@
 //! let (cc, triangles) = graphct::clustering_coefficients(&g);
 //! assert_eq!(triangles, 2 * 10, "two K5s");
 //! assert!(cc[0] > 0.9, "clique members are tightly clustered");
-//!
-//! let core = graphct::kcore_decomposition(&g);
-//! assert!(core.iter().all(|&k| k == 4), "each clique is a 4-core");
 //! ```
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -56,18 +50,14 @@
 
 pub mod bfs;
 pub mod components;
-pub mod kcore;
 pub mod pagerank;
-pub mod sssp;
 pub mod triangles;
 
 pub use bfs::{bfs, bfs_with, BfsResult};
 pub use components::{
     connected_components, connected_components_jacobi, connected_components_with,
 };
-pub use kcore::kcore_decomposition;
 pub use pagerank::pagerank;
-pub use sssp::sssp;
 pub use triangles::{
     clustering_coefficients, count_triangles, count_triangles_dag, count_triangles_idorder,
     count_triangles_with, triangles_per_vertex, TcScratch,

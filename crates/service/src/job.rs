@@ -118,7 +118,7 @@ pub struct JobSpec {
     pub engine: Engine,
     /// Registry name of the target graph.
     pub graph: String,
-    /// BFS/SSSP source vertex.
+    /// BFS source vertex.
     pub source: VertexId,
     /// PageRank damping factor.
     pub damping: f64,

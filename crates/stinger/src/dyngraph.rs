@@ -52,7 +52,7 @@ impl DynGraph {
             adj.extend_from_slice(&self.adj[v]);
             offsets.push(adj.len() as u64);
         }
-        Csr::from_parts(n, offsets, adj, None, false, true)
+        Csr::from_parts(n, offsets, adj, false, true)
     }
 
     /// Number of vertices.

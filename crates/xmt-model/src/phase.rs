@@ -64,7 +64,9 @@ impl PhaseCounts {
     /// Charge the self-scheduling overhead of a dynamically chunked
     /// parallel loop over `items` items: the claim fetch-and-adds (one
     /// per chunk, on a shared cursor — a mild hotspot) and per-item loop
-    /// control ALU.
+    /// control ALU.  Callers pass the one-worker chunk,
+    /// `default_chunk(items, 1)`, so the charge does not depend on the
+    /// host pool; the host loop keeps its own chunk.
     pub fn charge_loop_overhead(&mut self, chunk: u64) {
         let chunk = chunk.max(1);
         let claims = self.items.div_ceil(chunk);

@@ -88,20 +88,6 @@ impl Machine {
 
     /// Run until all tasklets finish or `max_cycles` elapses.
     pub fn run(&mut self, max_cycles: u64) -> RunStats {
-        self.run_inner(max_cycles, None)
-    }
-
-    /// As [`run`](Self::run), additionally sampling the aggregate issue
-    /// count every `interval` cycles — a utilization timeline.  The
-    /// returned vector holds instructions issued per interval (idle
-    /// fast-forwarded intervals appear as zeros).
-    pub fn run_traced(&mut self, max_cycles: u64, interval: u64) -> (RunStats, Vec<u64>) {
-        let mut trace = Vec::new();
-        let stats = self.run_inner(max_cycles, Some((interval.max(1), &mut trace)));
-        (stats, trace)
-    }
-
-    fn run_inner(&mut self, max_cycles: u64, mut trace: Option<(u64, &mut Vec<u64>)>) -> RunStats {
         let nproc = self.config.processors;
         let sper = self.config.streams_per_proc;
         let nstreams = nproc * sper;
@@ -133,19 +119,10 @@ impl Machine {
         let mut cycle: u64 = 0;
         let mut live: usize = ready.iter().map(|q| q.len()).sum();
 
-        let mut traced_instr: u64 = 0; // instructions at last sample point
-
         while live > 0 || !calendar.is_empty() {
             if cycle >= max_cycles {
                 stats.hit_cycle_limit = true;
                 break;
-            }
-            // Emit utilization samples for every completed interval.
-            if let Some((interval, out)) = trace.as_mut() {
-                while (out.len() as u64 + 1) * *interval <= cycle {
-                    out.push(stats.instructions - traced_instr);
-                    traced_instr = stats.instructions;
-                }
             }
             // Wake streams scheduled for this cycle (or earlier).
             while let Some(&Reverse((t, sid))) = calendar.peek() {
@@ -201,13 +178,6 @@ impl Machine {
                 );
             }
             cycle += 1;
-        }
-
-        // Final partial interval.
-        if let Some((_, out)) = trace.as_mut() {
-            if stats.instructions > traced_instr {
-                out.push(stats.instructions - traced_instr);
-            }
         }
 
         stats.cycles = cycle;
@@ -448,35 +418,6 @@ mod tests {
         assert_eq!(s.instructions, 800);
         assert!(s.cycles >= 800, "cycles={}", s.cycles);
         assert!(s.ipc() <= 1.0 + 1e-9);
-    }
-
-    #[test]
-    fn traced_run_accounts_for_every_instruction() {
-        let mut m = Machine::new(MachineConfig::tiny());
-        m.spawn_n(10, |i| {
-            Box::new(OpList::new(vec![
-                Op::Load(4096 + i as u64 * 8),
-                Op::Alu(5),
-                Op::Load(8192 + i as u64 * 8),
-            ]))
-        });
-        let (stats, trace) = m.run_traced(100_000, 16);
-        assert!(!stats.hit_cycle_limit);
-        assert_eq!(trace.iter().sum::<u64>(), stats.instructions);
-        // Utilization cannot exceed the issue bandwidth per interval.
-        let peak = 16 * MachineConfig::tiny().processors as u64;
-        assert!(trace.iter().all(|&x| x <= peak));
-    }
-
-    #[test]
-    fn trace_shows_idle_tail_as_zeros() {
-        let mut m = Machine::new(MachineConfig::tiny());
-        // One stream: a load, then a long dependent chain of nothing —
-        // the machine fast-forwards between ops.
-        m.spawn(Box::new(OpList::new(vec![Op::Load(64), Op::Load(64)])));
-        let (stats, trace) = m.run_traced(100_000, 2);
-        assert!(!stats.hit_cycle_limit);
-        assert!(trace.iter().filter(|&&x| x == 0).count() > 2, "{trace:?}");
     }
 
     #[test]

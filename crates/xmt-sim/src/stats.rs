@@ -33,11 +33,6 @@ impl RunStats {
         }
     }
 
-    /// Fraction of the peak issue bandwidth used.
-    pub fn utilization(&self, config: &MachineConfig) -> f64 {
-        self.ipc() / config.processors as f64
-    }
-
     /// Wall-clock seconds at the configured clock rate.
     pub fn seconds(&self, config: &MachineConfig) -> f64 {
         config.cycles_to_seconds(self.cycles)
@@ -64,18 +59,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ipc_and_utilization() {
+    fn ipc_is_instructions_per_cycle() {
         let s = RunStats {
             cycles: 100,
             instructions: 150,
             ..Default::default()
         };
         assert!((s.ipc() - 1.5).abs() < 1e-12);
-        let c = MachineConfig {
-            processors: 3,
-            ..MachineConfig::tiny()
-        };
-        assert!((s.utilization(&c) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use xmt_bsp_repro::graph::gen::structured::*;
 use xmt_bsp_repro::graph::validate::{
     reference_bfs, reference_components, reference_triangles, validate_bfs, validate_components,
 };
-use xmt_bsp_repro::graph::Csr;
+use xmt_bsp_repro::graph::{Csr, EdgeList};
 use xmt_bsp_repro::graphct;
 
 fn graph_zoo() -> Vec<(&'static str, Csr)> {
@@ -173,29 +173,6 @@ fn exchange_mode_matrix_agrees_on_random_rmat_graphs() {
 }
 
 #[test]
-fn sssp_agrees_with_dijkstra_and_bsp() {
-    use xmt_bsp_repro::graph::{BuildOptions, CsrBuilder};
-    for seed in 0..3u64 {
-        let el = xmt_bsp_repro::graph::gen::er::gnm_weighted(300, 1500, 12, seed);
-        let g = CsrBuilder::new(BuildOptions {
-            symmetrize: true,
-            remove_self_loops: true,
-            dedup: false,
-            sort: true,
-        })
-        .build(&el);
-        let dijkstra = graphct::sssp::reference_sssp(&g, 5);
-        xmt_bsp_repro::graph::validate::validate_sssp(&g, 5, &dijkstra).unwrap();
-        assert_eq!(graphct::sssp(&g, 5), dijkstra, "seed {seed}: shared");
-        assert_eq!(
-            bsp_alg::sssp::bsp_sssp(&g, 5, None).states,
-            dijkstra,
-            "seed {seed}: bsp"
-        );
-    }
-}
-
-#[test]
 fn pagerank_agrees_between_models_on_dangling_free_graphs() {
     for el in [clique(12), ring(40), grid(6, 8)] {
         let g = build_undirected(&el);
@@ -217,10 +194,15 @@ fn results_are_label_equivariant() {
     // Relabeling the graph must permute the results identically —
     // guards against any vertex-id-order dependence in either model.
     use xmt_bsp_repro::graph::gen::rmat::random_permutation;
-    use xmt_bsp_repro::graph::ops::relabel;
-    let g = build_undirected(&gnm(200, 700, 3));
+    let el = gnm(200, 700, 3);
+    let g = build_undirected(&el);
     let perm = random_permutation(200, 99);
-    let h = relabel(&g, &perm);
+    let h = build_undirected(&EdgeList {
+        num_vertices: el.num_vertices,
+        edges: (el.edges.iter())
+            .map(|&(u, v)| (perm[u as usize], perm[v as usize]))
+            .collect(),
+    });
 
     let tri_g = graphct::count_triangles(&g);
     let tri_h = graphct::count_triangles(&h);

@@ -13,13 +13,12 @@
 //! ```
 //!
 //! Built `harness = false` so `main` can pin the worker count before the
-//! global pool exists: at two workers the model counts of `fig1` and
-//! `ablation_labelprop` vary from run to run, and `fig4`'s `bsp_seconds`
-//! (so its `ratio`) differ from these goldens in the third digit: the
-//! BSP superstep loops charge loop overhead at the host's chunk.  The
-//! GraphCT triangle charges use a constant chunk, so `fig4`'s
-//! `graphct_seconds` and every `ablation_intersect` row match at two
-//! workers too.
+//! global pool exists.  After the one-worker pass, `main` runs its own
+//! executable again at two workers (`XMT_PAR_THREADS=2`), which checks
+//! the same goldens with the [`RACING`] fields also skipped: every model
+//! charge is taken at the one-worker chunk, so nothing else may move
+//! with the host pool.  Run under `XMT_PAR_THREADS=2`, the binary is
+//! that second pass alone.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -40,14 +39,24 @@ const HOST: [(&str, &str); 6] = [
     ("fig2_service.csv", "seconds"),
 ];
 
-fn host(file: &str, field: &str) -> bool {
-    HOST.contains(&(file, field))
-}
+/// Fields that differ from run to run at two workers: GraphCT's in-place
+/// (Gauss-Seidel) label propagation reads labels other workers are
+/// writing, so how many labels a sweep changes, and the cycles charged
+/// for them, depend on the interleaving (ROADMAP item 1, "counts from
+/// racing work").  Found over 20 two-worker runs; at one worker there is
+/// no race and these fields are pinned.
+const RACING: [(&str, &str); 3] = [
+    ("fig1.json", "seconds"),
+    ("fig1_service.csv", "messages_sent"),
+    ("fig1_service.csv", "messages_delivered"),
+];
 
-/// The first field where `got` differs from `want`, if any.  Pretty JSON
-/// holds one field per line, so JSON compares line by line; CSV compares
-/// cell by cell under the header's column names.
-fn first_difference(file: &str, want: &str, got: &str) -> Option<String> {
+/// The first field where `got` differs from `want`, if any, ignoring the
+/// `skip` fields.  Pretty JSON holds one field per line, so JSON compares
+/// line by line; CSV compares cell by cell under the header's column
+/// names.
+fn first_difference(file: &str, want: &str, got: &str, skip: &[(&str, &str)]) -> Option<String> {
+    let host = |file: &str, field: &str| skip.contains(&(file, field));
     let (want, got): (Vec<&str>, Vec<&str>) = (want.lines().collect(), got.lines().collect());
     let header: Vec<&str> = got.first().map_or(vec![], |h| h.split(',').collect());
     for (i, (w, g)) in want.iter().zip(&got).enumerate() {
@@ -89,16 +98,22 @@ fn first_difference(file: &str, want: &str, got: &str) -> Option<String> {
 
 fn main() {
     // Before anything starts the global pool.
-    std::env::set_var("XMT_PAR_THREADS", "1");
+    let second_pass = std::env::var("XMT_PAR_THREADS").is_ok_and(|w| w == "2");
+    if !second_pass {
+        std::env::set_var("XMT_PAR_THREADS", "1");
+    }
+    let workers = if second_pass { "2 workers" } else { "1 worker" };
+    let racing: &[_] = if second_pass { &RACING } else { &[] };
+    let skip: Vec<(&str, &str)> = HOST.iter().chain(racing).copied().collect();
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens");
     let cfg = HarnessConfig::parse(10, std::iter::empty::<String>());
     let (mut written, mut failures) = (BTreeSet::new(), Vec::new());
     for artifact in ARTIFACTS {
         for (file, got) in (artifact.run)(&cfg).files {
             let want = std::fs::read_to_string(dir.join(&file)).unwrap_or_default();
-            if let Some(diff) = first_difference(&file, &want, &got) {
+            if let Some(diff) = first_difference(&file, &want, &got, &skip) {
                 failures.push(format!(
-                    "{} wrote {file} unlike its golden: {diff}",
+                    "{} wrote {file} unlike its golden at {workers}: {diff}",
                     artifact.name
                 ));
             }
@@ -125,8 +140,18 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "model_goldens: {} files of {} artifacts match",
+        "model_goldens: {} files of {} artifacts match at {workers}",
         written.len(),
         ARTIFACTS.len()
     );
+    if !second_pass {
+        let exe = std::env::current_exe().expect("own executable");
+        let status = std::process::Command::new(exe)
+            .env("XMT_PAR_THREADS", "2")
+            .status()
+            .expect("second pass starts");
+        if !status.success() {
+            std::process::exit(1);
+        }
+    }
 }

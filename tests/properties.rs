@@ -5,9 +5,6 @@ use proptest::prelude::*;
 
 use xmt_bsp_repro::bsp::algorithms as bsp_alg;
 use xmt_bsp_repro::graph::builder::{build_directed, build_undirected};
-use xmt_bsp_repro::graph::io::{
-    read_csr_binary, read_edge_list, write_csr_binary, write_edge_list,
-};
 use xmt_bsp_repro::graph::validate::{
     reference_bfs, reference_components, reference_triangles, validate_bfs, validate_components,
 };
@@ -21,7 +18,6 @@ fn arb_edge_list(max_n: u64, max_m: usize) -> impl Strategy<Value = EdgeList> {
         proptest::collection::vec((0..n, 0..n), 0..max_m).prop_map(move |edges| EdgeList {
             num_vertices: n,
             edges,
-            weights: None,
         })
     })
 }
@@ -63,23 +59,6 @@ proptest! {
                 prop_assert!(g.has_arc(u, v), "missing reverse of {v}->{u}");
             }
         }
-    }
-
-    #[test]
-    fn binary_io_roundtrips(el in arb_edge_list(40, 150)) {
-        let g = build_undirected(&el);
-        let mut buf = Vec::new();
-        write_csr_binary(&mut buf, &g).unwrap();
-        let back = read_csr_binary(&mut buf.as_slice()).unwrap();
-        prop_assert_eq!(back, g);
-    }
-
-    #[test]
-    fn text_io_roundtrips(el in arb_edge_list(40, 150)) {
-        let mut buf = Vec::new();
-        write_edge_list(&mut buf, &el).unwrap();
-        let back = read_edge_list(std::io::Cursor::new(buf)).unwrap();
-        prop_assert_eq!(back.edges, el.edges);
     }
 
     #[test]
@@ -199,25 +178,6 @@ proptest! {
         let ts = par::exclusive_prefix_sum_seq(&mut seq_v);
         prop_assert_eq!(tp, ts);
         prop_assert_eq!(par_v, seq_v);
-    }
-
-    #[test]
-    fn kcore_is_monotone_under_edge_removal(el in arb_edge_list(24, 100)) {
-        let g = build_undirected(&el);
-        let core = graphct::kcore_decomposition(&g);
-        // Dropping edges can only lower core numbers.
-        if el.num_edges() > 1 {
-            let half = EdgeList {
-                num_vertices: el.num_vertices,
-                edges: el.edges[..el.num_edges() / 2].to_vec(),
-                weights: None,
-            };
-            let h = build_undirected(&half);
-            let core_h = graphct::kcore_decomposition(&h);
-            for v in 0..el.num_vertices as usize {
-                prop_assert!(core_h[v] <= core[v], "v={v}");
-            }
-        }
     }
 
     #[test]
