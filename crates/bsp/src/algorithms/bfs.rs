@@ -276,7 +276,7 @@ mod tests {
         );
         // Bottom-up early exit: probes on pulled supersteps stay below
         // the full gather bound (sum of all degrees).
-        let total_arcs = g.degree_sum();
+        let total_arcs = g.num_arcs();
         for s in stats.iter().filter(|s| s.pulled) {
             assert!(s.pull_probes < total_arcs);
         }
@@ -303,7 +303,7 @@ mod tests {
         let (ref_dist, _) = reference_bfs(&g, 2);
         assert_eq!(out.dist(), ref_dist);
         validate_bfs(&g, 2, &out.dist(), &out.parent()).unwrap();
-        let total_arcs = g.degree_sum();
+        let total_arcs = g.num_arcs();
         assert!(out.result.superstep_stats.iter().any(|s| s.pulled));
         for s in out.result.superstep_stats.iter().filter(|s| s.pulled) {
             assert!(

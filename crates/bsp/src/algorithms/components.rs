@@ -69,7 +69,6 @@ pub fn bsp_connected_components_with_config(
     config: BspConfig,
     rec: Option<&mut Recorder>,
 ) -> BspResult<VertexId> {
-    assert!(!g.is_directed(), "components require an undirected graph");
     run_bsp(g, &CcProgram, config, rec)
 }
 

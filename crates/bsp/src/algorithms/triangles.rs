@@ -137,11 +137,6 @@ pub fn bsp_count_triangles_with_config(
     rec: Option<&mut Recorder>,
 ) -> BspResult<u64> {
     assert!(
-        !g.is_directed(),
-        "triangle counting needs an undirected graph"
-    );
-    assert!(g.is_sorted(), "triangle counting needs sorted adjacency");
-    assert!(
         g.num_vertices() <= TcProgram::MAX_VERTICES,
         "triangle counting carries vertex ids in 32 bits"
     );

@@ -30,7 +30,7 @@
 use std::mem::MaybeUninit;
 
 use xmt_graph::VertexId;
-use xmt_par::{Executor, WorkerScratch};
+use xmt_par::{DisjointSlice, Executor, WorkerScratch};
 
 use crate::program::Combiner;
 use crate::transport::Collected;
@@ -61,27 +61,6 @@ pub struct Inbox<M> {
     data: Vec<M>,
     /// Per-bucket base offsets into `data`, retained across rebuilds.
     bucket_base: Vec<u64>,
-}
-
-/// A raw pointer the bucket tasks of one rebuild share; each task turns
-/// it into a slice over its own bucket's range only.
-struct Shared<T>(*mut T);
-
-// SAFETY: the pointer is only dereferenced through `range`, whose callers
-// guarantee disjoint ranges across threads; `T: Send` lets another thread
-// write the elements.
-unsafe impl<T: Send> Sync for Shared<T> {}
-
-impl<T> Shared<T> {
-    /// # Safety
-    /// `range` must lie inside the allocation, and no other live
-    /// reference may overlap it.
-    #[expect(clippy::mut_from_ref, reason = "the `# Safety` contract")]
-    // SAFETY: the `# Safety` contract above — in bounds and unaliased —
-    // is exactly what `from_raw_parts_mut` requires.
-    unsafe fn range(&self, range: std::ops::Range<usize>) -> &mut [T] {
-        std::slice::from_raw_parts_mut(self.0.add(range.start), range.len())
-    }
 }
 
 impl<M: Copy + Send + Sync> Inbox<M> {
@@ -177,8 +156,8 @@ impl<M: Copy + Send + Sync> Inbox<M> {
         self.slots.resize_with(n, MaybeUninit::uninit);
         self.present.clear();
         self.present.resize(n.div_ceil(64), 0);
-        let slots = Shared(self.slots.as_mut_ptr());
-        let present = Shared(self.present.as_mut_ptr());
+        let slots = DisjointSlice::new(&mut self.slots);
+        let present = DisjointSlice::new(&mut self.present);
         // Chunk size 1: each claim processes one bucket.
         exec.pfor_chunked(0, collected.num_buckets(), 1, |_, range| {
             for b in range {
@@ -265,8 +244,8 @@ impl<M: Copy + Send + Sync> Inbox<M> {
         self.offsets.resize(n + 1, total as u64);
         self.data.clear();
         self.data.reserve(total);
-        let offsets = Shared(self.offsets.as_mut_ptr());
-        let data = Shared(self.data.as_mut_ptr() as *mut MaybeUninit<M>);
+        let offsets = DisjointSlice::new(&mut self.offsets);
+        let data = DisjointSlice::new(self.data.spare_capacity_mut());
         let bucket_base = &self.bucket_base;
         // Chunk size 1: each claim processes one bucket, and the worker
         // id keys the cursor scratch (one live thread per id).

@@ -102,7 +102,7 @@ impl<P: VertexProgram> Run<'_, P> {
             } else {
                 0
             },
-            unexplored_edges: graph.degree_sum().saturating_sub(self.explored_edges),
+            unexplored_edges: graph.num_arcs().saturating_sub(self.explored_edges),
             num_vertices: n as u64,
         };
         let pull_next = self.policy.pull_next(pull_candidate, self.pulling, &next);

@@ -1,12 +1,14 @@
 //! Compressed sparse row graph storage.
 //!
 //! The single read-only in-memory representation served to every analysis
-//! kernel, as in GraphCT.  For undirected graphs each edge `{u,v}` is
-//! stored twice (`u→v` and `v→u`), so `num_arcs() == 2 * edge count`.
+//! kernel, as in GraphCT, and of one shape: undirected and simple.  Each
+//! edge `{u,v}` is stored twice (`u→v` and `v→u`), so `num_arcs() == 2 *
+//! num_edges()`; no row holds its own vertex, and every row ascends
+//! strictly, which the triangle kernels' intersections rely on.
 
 use crate::VertexId;
 
-/// A read-only CSR graph.
+/// A read-only undirected simple graph with strictly ascending rows.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Csr {
     n: u64,
@@ -14,25 +16,18 @@ pub struct Csr {
     offsets: Vec<u64>,
     /// Concatenated adjacency lists.
     adj: Vec<VertexId>,
-    directed: bool,
-    /// Whether every adjacency list is sorted ascending (required by the
-    /// triangle-counting intersection kernels).
-    sorted: bool,
 }
 
 impl Csr {
-    /// Assemble a CSR from raw parts, validating the invariants.
+    /// Assemble a CSR from raw parts, validating the invariants.  The
+    /// caller promises the shape: symmetric, loop-free rows that ascend
+    /// strictly.  Debug builds check every row for the last two.
     ///
     /// # Panics
-    /// If offsets are not monotone from 0 to `adj.len()`, an adjacency
-    /// entry is out of range.
-    pub fn from_parts(
-        n: u64,
-        offsets: Vec<u64>,
-        adj: Vec<VertexId>,
-        directed: bool,
-        sorted: bool,
-    ) -> Self {
+    /// If offsets are not monotone from 0 to `adj.len()`, or an adjacency
+    /// entry is out of range; in debug builds also if a row holds its own
+    /// vertex or does not ascend strictly.
+    pub fn from_parts(n: u64, offsets: Vec<u64>, adj: Vec<VertexId>) -> Self {
         assert_eq!(offsets.len() as u64, n + 1, "offsets must have n+1 entries");
         assert_eq!(offsets.first().copied(), Some(0));
         assert_eq!(offsets.last().copied(), Some(adj.len() as u64));
@@ -41,23 +36,17 @@ impl Csr {
             "offsets must be monotone"
         );
         assert!(adj.iter().all(|&v| v < n), "adjacency entry out of range");
-        if sorted {
-            for v in 0..n as usize {
-                let lo = offsets[v] as usize;
-                let hi = offsets[v + 1] as usize;
-                debug_assert!(
-                    adj[lo..hi].windows(2).all(|w| w[0] <= w[1]),
-                    "adjacency of {v} not sorted"
+        if cfg!(debug_assertions) {
+            for (v, w) in offsets.windows(2).enumerate() {
+                let row = &adj[w[0] as usize..w[1] as usize];
+                assert!(
+                    row.windows(2).all(|p| p[0] < p[1]),
+                    "adjacency of {v} not strictly ascending"
                 );
+                assert!(!row.contains(&(v as VertexId)), "self loop at {v}");
             }
         }
-        Csr {
-            n,
-            offsets,
-            adj,
-            directed,
-            sorted,
-        }
+        Csr { n, offsets, adj }
     }
 
     /// Number of vertices.
@@ -66,36 +55,20 @@ impl Csr {
         self.n
     }
 
-    /// Number of stored arcs (directed edges). For an undirected graph
-    /// this is twice the number of edges.
+    /// Number of stored arcs: twice the number of edges, and the sum of
+    /// all degrees.
     #[inline]
     pub fn num_arcs(&self) -> u64 {
         self.adj.len() as u64
     }
 
-    /// Number of undirected edges (arcs/2) or directed edges (arcs).
+    /// Number of undirected edges (arcs / 2).
     #[inline]
     pub fn num_edges(&self) -> u64 {
-        if self.directed {
-            self.num_arcs()
-        } else {
-            self.num_arcs() / 2
-        }
+        self.num_arcs() / 2
     }
 
-    /// Is this a directed graph?
-    #[inline]
-    pub fn is_directed(&self) -> bool {
-        self.directed
-    }
-
-    /// Are all adjacency lists sorted ascending?
-    #[inline]
-    pub fn is_sorted(&self) -> bool {
-        self.sorted
-    }
-
-    /// Out-degree of `v`.
+    /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> u64 {
         let v = v as usize;
@@ -121,25 +94,14 @@ impl Csr {
         &self.adj
     }
 
-    /// Whether the arc `u -> v` exists. O(log d(u)) if sorted, O(d(u))
-    /// otherwise.
+    /// Whether the arc `u -> v` exists, in O(log d(u)).
     pub fn has_arc(&self, u: VertexId, v: VertexId) -> bool {
-        let nbrs = self.neighbors(u);
-        if self.sorted {
-            nbrs.binary_search(&v).is_ok()
-        } else {
-            nbrs.contains(&v)
-        }
+        self.neighbors(u).binary_search(&v).is_ok()
     }
 
     /// Iterate `(vertex, neighbor_slice)` pairs.
     pub fn iter_vertices(&self) -> impl Iterator<Item = (VertexId, &[VertexId])> + '_ {
         (0..self.n).map(move |v| (v, self.neighbors(v)))
-    }
-
-    /// Sum of all degrees; equals `num_arcs`.
-    pub fn degree_sum(&self) -> u64 {
-        self.num_arcs()
     }
 
     /// Maximum degree over all vertices (0 for the empty graph).
@@ -159,7 +121,7 @@ mod tests {
 
     fn triangle() -> Csr {
         // 0-1, 1-2, 0-2 undirected
-        Csr::from_parts(3, vec![0, 2, 4, 6], vec![1, 2, 0, 2, 0, 1], false, true)
+        Csr::from_parts(3, vec![0, 2, 4, 6], vec![1, 2, 0, 2, 0, 1])
     }
 
     #[test]
@@ -168,48 +130,57 @@ mod tests {
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_arcs(), 6);
         assert_eq!(g.num_edges(), 3);
-        assert!(!g.is_directed());
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.neighbors(1), &[0, 2]);
         assert_eq!(g.max_degree(), 2);
-        assert_eq!(g.degree_sum(), 6);
     }
 
     #[test]
-    fn has_arc_sorted_and_unsorted() {
+    fn has_arc_finds_each_arc() {
         let g = triangle();
         assert!(g.has_arc(0, 1));
         assert!(g.has_arc(2, 0));
         assert!(!g.has_arc(0, 0));
-
-        let g2 = Csr::from_parts(3, vec![0, 2, 2, 2], vec![2, 1], true, false);
-        assert!(g2.has_arc(0, 2));
-        assert!(g2.has_arc(0, 1));
-        assert!(!g2.has_arc(1, 0));
     }
 
     #[test]
-    fn directed_edge_count_is_arc_count() {
-        let g = Csr::from_parts(2, vec![0, 1, 1], vec![1], true, true);
-        assert_eq!(g.num_edges(), 1);
-        assert_eq!(g.num_arcs(), 1);
+    #[cfg(debug_assertions)]
+    fn unsorted_or_looped_lists_panic_in_debug() {
+        let build = |adj: Vec<VertexId>| {
+            std::panic::catch_unwind(|| Csr::from_parts(3, vec![0, 2, 4, 6], adj))
+                .err()
+                .and_then(|e| e.downcast::<String>().ok())
+                .map(|msg| *msg)
+        };
+        let unsorted = build(vec![2, 1, 0, 2, 0, 1]);
+        assert_eq!(
+            unsorted.as_deref(),
+            Some("adjacency of 0 not strictly ascending")
+        );
+        let repeated = build(vec![1, 2, 0, 0, 0, 1]);
+        assert_eq!(
+            repeated.as_deref(),
+            Some("adjacency of 1 not strictly ascending")
+        );
+        let looped = build(vec![1, 2, 0, 1, 0, 1]);
+        assert_eq!(looped.as_deref(), Some("self loop at 1"));
     }
 
     #[test]
     #[should_panic(expected = "offsets must have n+1 entries")]
     fn bad_offsets_len_panics() {
-        Csr::from_parts(3, vec![0, 1], vec![1], true, false);
+        Csr::from_parts(3, vec![0, 1], vec![1]);
     }
 
     #[test]
     #[should_panic(expected = "adjacency entry out of range")]
     fn out_of_range_neighbor_panics() {
-        Csr::from_parts(2, vec![0, 1, 1], vec![7], true, false);
+        Csr::from_parts(2, vec![0, 1, 1], vec![7]);
     }
 
     #[test]
     fn empty_graph_is_fine() {
-        let g = Csr::from_parts(0, vec![0], vec![], false, true);
+        let g = Csr::from_parts(0, vec![0], vec![]);
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.max_degree(), 0);
         assert_eq!(g.iter_vertices().count(), 0);

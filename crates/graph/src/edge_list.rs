@@ -5,8 +5,8 @@ use crate::VertexId;
 
 /// A list of (source, destination) pairs over vertices `0..num_vertices`.
 ///
-/// For undirected graphs each edge appears once here; the CSR builder
-/// inserts both directions.
+/// Each undirected edge appears once here (loops and repeats allowed);
+/// the CSR builder drops loops and repeats and inserts both directions.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EdgeList {
     /// Number of vertices (ids run `0..num_vertices`).

@@ -5,8 +5,8 @@
 //! kernel.  This crate is that representation plus everything needed to
 //! produce the paper's workloads:
 //!
-//! * [`Csr`] — compressed sparse row storage, directed or undirected,
-//!   built in parallel from an [`EdgeList`].
+//! * [`Csr`] — compressed sparse row storage of an undirected simple
+//!   graph with sorted rows, built in parallel from an [`EdgeList`].
 //! * [`gen`] — graph generators: RMAT (the paper's workload, Chakrabarti
 //!   et al. with Graph500 parameters), Erdős–Rényi, and deterministic
 //!   families for tests.
@@ -27,7 +27,6 @@
 //! let g = build_undirected(&rmat_edges(&params, 42));
 //!
 //! assert_eq!(g.num_vertices(), 256);
-//! assert!(g.is_sorted() && !g.is_directed());
 //! // Skewed degrees: the hub dwarfs the mean.
 //! let mean = g.num_arcs() as f64 / g.num_vertices() as f64;
 //! assert!(g.max_degree() as f64 > 3.0 * mean);
@@ -51,7 +50,6 @@ pub mod gen;
 pub mod ops;
 pub mod validate;
 
-pub use builder::{BuildOptions, CsrBuilder};
 pub use csr::Csr;
 pub use edge_list::EdgeList;
 pub use ops::dag::IntersectStrategy;

@@ -29,9 +29,8 @@
 use std::ops::Range;
 
 use xmt_par::pfor::parallel_fill;
-use xmt_par::{exclusive_prefix_sum, num_threads, parallel_for_chunked};
+use xmt_par::{exclusive_prefix_sum, num_threads, parallel_for_chunked, DisjointSlice};
 
-use crate::builder::slice_at;
 use crate::ops::degree_order::degree_ascending_permutation;
 use crate::{Csr, VertexId};
 
@@ -48,8 +47,7 @@ pub struct RankDag {
 }
 
 impl RankDag {
-    /// Orient `g` (undirected, at most `2^32` vertices) on the global
-    /// pool.  Self loops drop out: a vertex never precedes itself.
+    /// Orient `g` (at most `2^32` vertices) on the global pool.
     ///
     /// A branch-free count walk places every rank's in-list.  Ranks are
     /// cut into one part per worker by degree sum; each part's compaction
@@ -64,7 +62,6 @@ impl RankDag {
     }
 
     fn build(g: &Csr, workers: usize) -> RankDag {
-        assert!(!g.is_directed(), "the rank DAG needs an undirected graph");
         let n = g.num_vertices() as usize;
         assert!(n as u64 <= 1 << 32, "ranks are u32: at most 2^32 vertices");
         let rank: Vec<u32> = degree_ascending_permutation(g)
@@ -93,16 +90,16 @@ impl RankDag {
         // Compaction walk, then the part's histogram row of tail ranks.
         let mut ins = vec![(0u32, 0u32); arcs];
         let mut rows = vec![0u32; parts * n];
-        let (ins_at, rows_at) = (ins.as_mut_ptr() as usize, rows.as_mut_ptr() as usize);
+        let (all_ins, all_rows) = (DisjointSlice::new(&mut ins), DisjointSlice::new(&mut rows));
         // Part `part` alone touches its in-arcs and row `part` of `rows`,
         // and nothing else touches them until a walk joins.
         let part_of = |part: usize| {
             let (ranks, at) = (bounds[part]..bounds[part + 1], &in_offsets[..]);
             let (first, last) = (at[ranks.start] as usize, at[ranks.end] as usize);
-            // SAFETY: as above; both arrays outlive the walks.
+            // SAFETY: as above.
             let (ins, row) = unsafe {
-                let ins = slice_at::<(u32, u32)>(ins_at, first, last - first);
-                (ins, slice_at::<u32>(rows_at, part * n, n))
+                let ins = all_ins.range(first..last);
+                (ins, all_rows.range(part * n..(part + 1) * n))
             };
             // Each rank of the part with its in-arcs' span in `ins`.
             let spans = at[ranks.start..=ranks.end].windows(2);
@@ -126,6 +123,8 @@ impl RankDag {
         });
         // Column prefix: row `p` of rank `r` becomes the offset inside
         // `N⁺(r)` where part `p`'s arcs into it start.
+        // SAFETY: no part runs between the walks.
+        let rows = unsafe { all_rows.range(0..parts * n) };
         let mut out_offsets = vec![0u64; n + 1];
         for (r, slot) in out_offsets[..n].iter_mut().enumerate() {
             let mut at = 0u32;
@@ -140,7 +139,7 @@ impl RankDag {
         // Scatter: the part's cursor walk gives each in-arc its `s`, then
         // its out-list walk appends each rank to its tails' out-lists.
         let mut out = vec![0u32; arcs];
-        let out_at = out.as_mut_ptr() as usize;
+        let all_out = DisjointSlice::new(&mut out);
         each_part(&|part| {
             let (spans, ins, cursor) = part_of(part);
             for (r, s) in ins.iter_mut() {
@@ -151,8 +150,8 @@ impl RankDag {
                 for &(r, s) in &ins[span] {
                     let at = out_offsets[r as usize] as usize + s as usize - 1;
                     // SAFETY: the column prefix gave each part a range of
-                    // its own in `N⁺(r)`, which `s` walks; `out` outlives it.
-                    unsafe { *(out_at as *mut u32).add(at) = w as u32 };
+                    // its own in `N⁺(r)`, which `s` walks.
+                    unsafe { all_out.write(at, w as u32) };
                 }
             }
         });
@@ -170,7 +169,7 @@ impl RankDag {
         self.order.len()
     }
 
-    /// Number of arcs: the edges of the graph minus its self loops.
+    /// Number of arcs: the edges of the graph.
     pub fn num_arcs(&self) -> u64 {
         self.out.len() as u64
     }
@@ -271,13 +270,12 @@ mod tests {
     }
 
     /// Every arc is an edge of `g` oriented up the `(degree, id)` order,
-    /// every edge but a self loop is one arc, out-lists ascend, and each
-    /// in-arc `(v, s)` of `u` names `u` at `out(v)[s - 1]`.
+    /// every edge is one arc, out-lists ascend, and each in-arc `(v, s)`
+    /// of `u` names `u` at `out(v)[s - 1]`.
     fn check_view(g: &Csr, d: &RankDag) {
         let order = d.order();
         assert_eq!(d.num_vertices() as u64, g.num_vertices());
-        let loops = (0..g.num_vertices()).filter(|&v| g.has_arc(v, v)).count() as u64;
-        assert_eq!(d.num_arcs(), (g.num_arcs() - loops) / 2);
+        assert_eq!(d.num_arcs(), g.num_edges());
         for r in 0..d.num_vertices() {
             let out = d.out(r);
             assert!(out.windows(2).all(|p| p[0] < p[1]), "rank {r}");
@@ -316,39 +314,18 @@ mod tests {
     }
 
     #[test]
-    fn self_loops_drop_out() {
-        let mut el = clique(5);
-        el.edges.extend([(0, 0), (3, 3)]);
-        let opts = crate::BuildOptions {
-            remove_self_loops: false,
-            ..crate::BuildOptions::undirected_simple()
-        };
-        let g = crate::CsrBuilder::new(opts).build(&el);
-        assert!(g.has_arc(3, 3));
-        check_view(&g, &RankDag::new(&g));
-    }
-
-    #[test]
     fn the_view_does_not_depend_on_the_part_count() {
         // Beside `graphs()`, shapes whose parts own no in-arcs, so the
         // compaction walk's last store of a part finds no slot: a star
         // (only the hub has in-arcs), isolated vertices below a clique,
-        // self loops, fewer ranks than parts, and no vertices at all.
+        // fewer ranks than parts, and no vertices at all.
         let mut isolated = clique(4);
         isolated.num_vertices = 30;
-        let mut looped = clique(5);
-        looped.edges.extend([(0, 0), (3, 3), (6, 6)]);
-        looped.num_vertices = 7;
-        let keep_loops = crate::BuildOptions {
-            remove_self_loops: false,
-            ..crate::BuildOptions::undirected_simple()
-        };
         let mut shapes = graphs();
         shapes.extend(
             [star(40), isolated, clique(3), crate::EdgeList::new(0)]
                 .map(|el| build_undirected(&el)),
         );
-        shapes.push(crate::CsrBuilder::new(keep_loops).build(&looped));
         for (i, g) in shapes.iter().enumerate() {
             let one = RankDag::build(g, 1);
             check_view(g, &one);

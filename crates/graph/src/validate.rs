@@ -107,16 +107,14 @@ pub fn validate_bfs(
             }
         }
         // Edge-level condition: neighbors differ by at most one level, and
-        // no reached vertex has an unreached neighbor (undirected case).
+        // no reached vertex has an unreached neighbor.
         for &u in g.neighbors(v as u64) {
             let du = dist[u as usize];
             if du == u64::MAX {
-                if !g.is_directed() {
-                    return Err(ValidationError::Vertex(
-                        u,
-                        "unreached vertex adjacent to reached vertex".into(),
-                    ));
-                }
+                return Err(ValidationError::Vertex(
+                    u,
+                    "unreached vertex adjacent to reached vertex".into(),
+                ));
             } else if du + 1 < dv || dv + 1 < du {
                 return Err(ValidationError::Vertex(
                     v as u64,
@@ -237,7 +235,6 @@ pub fn reference_bfs(g: &Csr, source: VertexId) -> (Vec<u64>, Vec<VertexId>) {
 
 /// Serial reference triangle count for testing (counts each triangle once).
 pub fn reference_triangles(g: &Csr) -> u64 {
-    assert!(!g.is_directed());
     let mut count = 0u64;
     for v in 0..g.num_vertices() {
         for &u in g.neighbors(v) {

@@ -143,7 +143,7 @@ pub fn bfs_with(g: &Csr, source: VertexId, ctx: &mut Ctx<'_>) -> BfsResult {
     // vertex), allocated once and rebuilt per bottom-up level.
     let mut bits_storage = vec![0u64; n.div_ceil(64)];
     let frontier_bits: &[AtomicU64] = xmt_par::atomic::as_atomic_u64(&mut bits_storage);
-    let total_arcs = g.degree_sum();
+    let total_arcs = g.num_arcs();
     // Edges incident on every frontier so far (each vertex enters the
     // frontier at most once, so this never exceeds `total_arcs`).
     let mut explored: u64 = 0;

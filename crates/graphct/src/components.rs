@@ -41,7 +41,6 @@ pub fn connected_components(g: &Csr) -> Vec<VertexId> {
 pub fn connected_components_with(g: &Csr, ctx: &mut Ctx<'_>) -> Vec<VertexId> {
     let Ctx { exec, rec, sink } = ctx;
     let exec = &*exec;
-    assert!(!g.is_directed(), "components require an undirected graph");
     let workers = exec.workers();
     // Const-folds to `false` in feature-off builds: no clocks, no
     // records, hot sweeps unchanged.
@@ -175,7 +174,6 @@ pub fn connected_components_with(g: &Csr, ctx: &mut Ctx<'_>) -> Vec<VertexId> {
 /// algorithm, but not in BSP.  With the propagation disabled, the
 /// iteration count roughly doubles — compare via `ablation_labelprop`.
 pub fn connected_components_jacobi(g: &Csr, mut rec: Option<&mut Recorder>) -> Vec<VertexId> {
-    assert!(!g.is_directed(), "components require an undirected graph");
     let n = g.num_vertices() as usize;
     let mut current: Vec<VertexId> = (0..n as u64).collect();
     let mut next: Vec<VertexId> = current.clone();

@@ -32,8 +32,8 @@ const BLOCK: usize = 512;
 /// Compute PageRank scores (they sum to 1).
 ///
 /// Pull-based: `pr'[v] = (1−d)/n + d·Σ_{u→v} pr[u]/outdeg(u)`, with the
-/// dangling mass redistributed uniformly.  For undirected graphs the
-/// stored reverse arcs let the pull iterate directly over `neighbors`.
+/// dangling mass redistributed uniformly.  The stored reverse arcs let
+/// the pull iterate directly over `neighbors`.
 /// Each sweep first writes `contrib[u] = pr[u]/outdeg(u)`, one division
 /// per vertex, so the pull reads one value per arc.  Both sums (dangling
 /// mass, L1 change) add in vertex order within fixed blocks and in block
@@ -43,10 +43,6 @@ pub fn pagerank(g: &Csr, opts: PagerankOptions) -> Vec<f64> {
     if n == 0 {
         return Vec::new();
     }
-    assert!(
-        !g.is_directed(),
-        "this kernel pulls over stored arcs; pass an undirected (symmetrized) graph"
-    );
     let nf = n as f64;
     let mut pr = vec![1.0 / nf; n];
     let mut next = vec![0.0f64; n];

@@ -9,10 +9,9 @@
 //! distributions), either on the global pool or a caller-owned one.  An
 //! [`Executor`] captures that choice as a value so the BSP runtime and
 //! the GraphCT kernels can be parameterized over it instead of
-//! hard-coding the global pool.  On a 2-thread host the two schedules
-//! are within noise of each other on three of the four kernels and
-//! guided leads on the fourth (EXPERIMENTS.md, "Host-time knob
-//! ablation"), so neither has been retired.
+//! hard-coding the global pool.  The choice between the two is settled
+//! (ROADMAP.md, item 5): guided stays only because the benchmark calls
+//! `Executor::guided()`, and goes when that caller moves off it.
 //!
 //! `Executor::fixed()` is byte-for-byte the behavior of the free
 //! functions [`crate::parallel_for`] / [`crate::parallel_for_chunked`]:

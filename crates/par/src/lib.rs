@@ -26,6 +26,8 @@
 //! * [`mod@reduce`] and [`scan`] — parallel reductions and prefix sums.
 //! * [`atomic`] — `int_fetch_add`-style helpers plus atomic-min/max CAS
 //!   loops used by label-update kernels.
+//! * [`DisjointSlice`] — one `&mut [T]` the tasks of a loop share, each
+//!   writing only the parts it owns.
 //!
 //! # Example
 //!
@@ -58,6 +60,7 @@
 #![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 
 pub mod atomic;
+pub mod disjoint;
 pub mod exec;
 pub mod pfor;
 pub mod pool;
@@ -65,6 +68,7 @@ pub mod reduce;
 pub mod scan;
 pub mod scratch;
 
+pub use disjoint::DisjointSlice;
 pub use exec::{Executor, Schedule};
 pub use pfor::{parallel_for, parallel_for_chunked};
 pub use pool::{global, Pool};

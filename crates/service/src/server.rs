@@ -8,7 +8,7 @@
 //! connection threads notice shutdown instead of blocking forever; the
 //! accept loop is unblocked by a self-connect.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -25,6 +25,12 @@ use crate::protocol::{
 };
 use crate::registry::GraphRegistry;
 use crate::scheduler::{Scheduler, SchedulerConfig};
+
+/// The longest request line a connection reads, newline included: 4 MiB,
+/// over 250 times the largest an in-repo client sends (a 15 kB `update`
+/// in `tests/service_streaming_e2e.rs`).  A longer line gets one
+/// `bad_request` and its connection is closed.
+pub const MAX_REQUEST_BYTES: usize = 1 << 22;
 
 /// Service sizing knobs.
 #[derive(Clone, Copy, Debug)]
@@ -315,33 +321,40 @@ fn serve_connection(
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        match reader.read_line(&mut line) {
+        // At most one byte past the cap, so an overlong line shows.
+        let room = (MAX_REQUEST_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return, // client closed
             Ok(_) => {}
-            // A timed-out read_line leaves the bytes it already consumed
-            // in `line`; the next pass appends the rest of the request,
-            // so `line` is cleared only once a complete line was taken.
+            // A timed-out read leaves the bytes it already consumed in
+            // `line`; the next pass appends the rest of the request, so
+            // `line` is cleared only once a complete line was taken.
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 continue;
             }
             Err(_) => return,
         }
-        let parsed = (!line.trim().is_empty()).then(|| {
-            serde_json::from_str::<Content>(&line)
-                .map_err(|e| ServiceError::BadRequest {
-                    message: format!("invalid json: {e}"),
-                })
-                .and_then(|tree| parse_request(&tree))
-        });
-        line.clear();
-        let Some(parsed) = parsed else {
-            continue;
+        let too_long = line.len() > MAX_REQUEST_BYTES;
+        let tree = match std::str::from_utf8(&line) {
+            _ if too_long => Err(format!("request line exceeds {MAX_REQUEST_BYTES} bytes")),
+            Ok(text) if text.trim().is_empty() => {
+                line.clear();
+                continue;
+            }
+            Ok(text) => {
+                serde_json::from_str::<Content>(text).map_err(|e| format!("invalid json: {e}"))
+            }
+            Err(_) => Err("request line is not UTF-8".to_string()),
         };
+        line.clear();
+        let parsed = tree
+            .map_err(|message| ServiceError::BadRequest { message })
+            .and_then(|tree| parse_request(&tree));
         let is_shutdown = matches!(parsed, Ok(Request::Shutdown));
         let response = match parsed.and_then(|req| service.handle(&req)) {
             Ok(content) => content,
@@ -353,6 +366,9 @@ fn serve_connection(
         });
         let _ = writeln!(writer, "{json}");
         let _ = writer.flush();
+        if too_long {
+            return;
+        }
         if is_shutdown {
             stop.store(true, Ordering::SeqCst);
             // Unblock the accept loop with a self-connect.

@@ -24,24 +24,17 @@ impl DynGraph {
         }
     }
 
-    /// Import a static CSR graph (must be undirected).
+    /// Import a static CSR graph: its rows are this graph's rows.
     pub fn from_csr(g: &Csr) -> Self {
-        assert!(!g.is_directed(), "DynGraph is undirected");
-        let mut adj: Vec<Vec<VertexId>> = Vec::with_capacity(g.num_vertices() as usize);
-        for v in 0..g.num_vertices() {
-            let mut nbrs = g.neighbors(v).to_vec();
-            if !g.is_sorted() {
-                nbrs.sort_unstable();
-            }
-            adj.push(nbrs);
-        }
         DynGraph {
-            adj,
+            adj: (0..g.num_vertices())
+                .map(|v| g.neighbors(v).to_vec())
+                .collect(),
             num_edges: g.num_edges(),
         }
     }
 
-    /// Export to a static CSR (sorted, undirected).
+    /// Export to a static CSR.
     pub fn to_csr(&self) -> Csr {
         let n = self.num_vertices();
         let mut offsets = Vec::with_capacity(n as usize + 1);
@@ -52,7 +45,7 @@ impl DynGraph {
             adj.extend_from_slice(&self.adj[v]);
             offsets.push(adj.len() as u64);
         }
-        Csr::from_parts(n, offsets, adj, false, true)
+        Csr::from_parts(n, offsets, adj)
     }
 
     /// Number of vertices.

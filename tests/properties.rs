@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use xmt_bsp_repro::bsp::algorithms as bsp_alg;
-use xmt_bsp_repro::graph::builder::{build_directed, build_undirected};
+use xmt_bsp_repro::graph::builder::build_undirected;
 use xmt_bsp_repro::graph::validate::{
     reference_bfs, reference_components, reference_triangles, validate_bfs, validate_components,
 };
@@ -40,10 +40,16 @@ proptest! {
 
     #[test]
     fn csr_preserves_degree_sums(el in arb_edge_list(64, 300)) {
-        let g = build_directed(&el);
-        prop_assert_eq!(g.num_arcs() as usize, el.num_edges());
+        let g = build_undirected(&el);
+        let pairs: std::collections::BTreeSet<_> = el
+            .edges
+            .iter()
+            .filter(|(u, v)| u != v)
+            .map(|&(u, v)| (u.min(v), u.max(v)))
+            .collect();
+        prop_assert_eq!(g.num_edges() as usize, pairs.len());
         let degsum: u64 = (0..g.num_vertices()).map(|v| g.degree(v)).sum();
-        prop_assert_eq!(degsum as usize, el.num_edges());
+        prop_assert_eq!(degsum as usize, 2 * pairs.len());
     }
 
     #[test]

@@ -14,6 +14,7 @@ use xmt_graph::gen::er;
 use xmt_graph::gen::rmat::{rmat_edges, RmatParams};
 use xmt_graph::Csr;
 use xmt_service::client::{field, field_bool, field_str, field_u64};
+use xmt_service::server::MAX_REQUEST_BYTES;
 use xmt_service::{Client, Server, ServiceConfig};
 
 const RMAT_SCALE: u32 = 8;
@@ -541,6 +542,38 @@ fn timed_out_job_resumes_to_completion_over_the_wire() {
         .expect("second resume");
     assert_eq!(field_str(&r, "code"), Some("no_checkpoint"), "{r:?}");
 
+    let _ = client.request_line(r#"{"op":"shutdown"}"#);
+    drop(client);
+    server.join().expect("server thread");
+}
+
+#[test]
+fn an_overlong_request_line_is_rejected_and_closes_only_its_connection() {
+    let (addr, server) = start_server(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let mut client = Client::connect(&addr).expect("connect");
+    // A line of exactly the cap, newline included, is served.
+    let list = r#"{"op":"list_graphs"}"#;
+    let padded = format!("{}{list}", " ".repeat(MAX_REQUEST_BYTES - 1 - list.len()));
+    let r = client.request_line(&padded).expect("list");
+    assert_eq!(field_str(&r, "status"), Some("ok"), "{r:?}");
+    // One byte more is one typed rejection, then the connection closes.
+    let r = client
+        .request_line(&"x".repeat(MAX_REQUEST_BYTES))
+        .expect("a reply");
+    assert_eq!(field_str(&r, "code"), Some("bad_request"), "{r:?}");
+    let message = field_str(&r, "message").expect("message");
+    assert!(
+        message.ends_with(&format!("request line exceeds {MAX_REQUEST_BYTES} bytes")),
+        "{message}"
+    );
+    assert!(client.request_line(list).is_err());
+
+    let mut client = Client::connect(&addr).expect("a second connection");
+    let r = client.request_line(list).expect("list");
+    assert_eq!(field_str(&r, "status"), Some("ok"), "{r:?}");
     let _ = client.request_line(r#"{"op":"shutdown"}"#);
     drop(client);
     server.join().expect("server thread");

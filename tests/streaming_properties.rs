@@ -4,6 +4,8 @@
 
 use proptest::prelude::*;
 
+use xmt_bsp_repro::graph::builder::build_undirected;
+use xmt_bsp_repro::graph::EdgeList;
 use xmt_bsp_repro::graphct;
 use xmt_bsp_repro::stinger::{DynGraph, EdgeOp, StreamingAnalytics};
 
@@ -127,7 +129,11 @@ proptest! {
         for &(u, v) in &edges {
             g.insert_edge(u, v);
         }
-        let back = DynGraph::from_csr(&g.to_csr());
+        let csr = g.to_csr();
+        // The two `Csr` constructors agree on the same edge list.
+        let built = build_undirected(&EdgeList { num_vertices: 32, edges });
+        prop_assert_eq!(&csr, &built);
+        let back = DynGraph::from_csr(&csr);
         prop_assert_eq!(back, g);
     }
 }
