@@ -67,7 +67,8 @@ fn bench_toolkit_extras(c: &mut Criterion) {
 }
 
 /// One call of the BSP runtime the way a service job makes it: no
-/// recorder, no sink, and a fresh frame unless `frame` lends a warm one.
+/// recorder, no sink, and a fresh frame unless `frame` lends a warm one
+/// (fresh, not the runtime's spare frame of an earlier row).
 fn bsp_call<P: VertexProgram>(
     g: &Csr,
     program: &P,
@@ -75,10 +76,11 @@ fn bsp_call<P: VertexProgram>(
     exec: &Executor,
     frame: Option<&mut SuperstepFrame<P::State, P::Message>>,
 ) {
+    let mut fresh = None;
     let opts = RunOptions {
         config,
         exec: exec.clone(),
-        frame,
+        frame: Some(frame.unwrap_or_else(|| fresh.insert(SuperstepFrame::new()))),
         ..RunOptions::default()
     };
     let run = xmt_bsp::run(g, program, opts).expect("a fresh run has no checkpoint to reject");

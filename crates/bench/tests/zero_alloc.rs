@@ -41,6 +41,7 @@ use xmt_bench::alloc_count;
 use xmt_bench::{build_paper_graph, pick_bfs_source, HarnessConfig};
 use xmt_bsp::algorithms::bfs::BfsProgram;
 use xmt_bsp::algorithms::components::CcProgram;
+use xmt_bsp::algorithms::pagerank::PagerankProgram;
 use xmt_bsp::algorithms::triangles::TcProgram;
 use xmt_bsp::program::VertexProgram;
 use xmt_bsp::{run, BspConfig, Delivery, RunOptions, SuperstepFrame};
@@ -132,6 +133,28 @@ fn main() {
         push,
         SKIP_PUSH,
         "bfs/outbox/push/native",
+        &native,
+    );
+    // PageRank broadcasts over every arc each superstep, so under the
+    // default configuration every one of its supersteps (and CC's dense
+    // ones, gated above) records its broadcasts once per sender and
+    // gathers them at the receivers: the record, its filling and the
+    // gather must ride the frame's retained buffers too.
+    let pagerank = PagerankProgram::default();
+    gate(
+        &g,
+        &pagerank,
+        push,
+        SKIP_PUSH,
+        "pagerank/outbox/gathered",
+        &sim,
+    );
+    gate(
+        &g,
+        &pagerank,
+        push,
+        SKIP_PUSH,
+        "pagerank/outbox/gathered/native",
         &native,
     );
     // Beamer Auto mixes push supersteps (two polls) with pull

@@ -22,6 +22,13 @@
 //! `DenseScan` — whatever the worker count, schedule or deposit split
 //! (DESIGN.md §17).
 //!
+//! Neighbor broadcasts recorded once per sender reach a combined inbox
+//! a second way, without being shipped: the gather has every
+//! vertex fold the messages of its neighbors that broadcast, in
+//! ascending neighbor order — the order the first way delivers them in
+//! under `DenseScan`, since CSR rows are strictly ascending (DESIGN.md
+//! §17, "Broadcasts").
+//!
 //! Inboxes are double-buffer friendly: [`Inbox::rebuild`] /
 //! [`Inbox::reset_empty`] reshape an existing inbox in place, reusing
 //! its storage, so the superstep loop can keep two inboxes (live +
@@ -29,11 +36,12 @@
 
 use std::mem::MaybeUninit;
 
-use xmt_graph::VertexId;
+use xmt_graph::{Csr, VertexId};
+use xmt_par::pfor::default_chunk;
 use xmt_par::{DisjointSlice, Executor, WorkerScratch};
 
 use crate::program::Combiner;
-use crate::transport::Collected;
+use crate::transport::{capacity_bytes, Collected, Filled};
 
 /// How an inbox currently holds its messages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,25 +140,30 @@ impl<M: Copy + Send + Sync> Inbox<M> {
         combiner: Option<&dyn Combiner<M>>,
         cursor_scratch: &WorkerScratch<Vec<u64>>,
     ) {
-        self.num_vertices = collected.num_vertices();
-        self.total = (0..collected.num_batches())
-            .map(|i| collected.batch(i).messages() as u64)
-            .sum();
         match combiner {
-            Some(c) => self.fold_into_slots(exec, collected, c),
+            Some(c) => self.fold(exec, collected, |a, b| c.combine(a, b)),
             None => self.group(exec, collected, cursor_scratch),
         }
     }
 
-    /// Fold every message into its destination's slot.  Each bucket is
-    /// owned by one task, so the slot and presence-word updates are
-    /// plain read-modify-writes.
-    fn fold_into_slots(
-        &mut self,
-        exec: &Executor,
-        collected: &Collected<'_, M>,
-        combiner: &dyn Combiner<M>,
-    ) {
+    /// Take the shape of `collected`: its vertex count and message total.
+    fn count(&mut self, collected: &Collected<'_, M>) {
+        self.num_vertices = collected.num_vertices();
+        self.total = (0..collected.num_batches())
+            .map(|i| collected.batch(i).messages() as u64)
+            .sum();
+    }
+
+    /// [`rebuild`](Self::rebuild) with a combiner: fold every message
+    /// into its destination's slot with `combine`, which the runtime
+    /// passes as the program's own, so the call per message is direct.
+    /// Each bucket is owned by one task, so the slot and presence-word
+    /// updates are plain read-modify-writes.
+    pub(crate) fn fold<F>(&mut self, exec: &Executor, collected: &Collected<'_, M>, combine: F)
+    where
+        F: Fn(M, M) -> M + Sync,
+    {
+        self.count(collected);
         let n = self.num_vertices;
         self.shape = Shape::Slots;
         self.slots.resize_with(n, MaybeUninit::uninit);
@@ -185,14 +198,14 @@ impl<M: Copy + Send + Sync> Inbox<M> {
                         // SAFETY: the bit says this slot was written
                         // earlier in this rebuild.
                         let acc = unsafe { slots[i].assume_init() };
-                        slots[i].write(combiner.combine(acc, msg));
+                        slots[i].write(combine(acc, msg));
                     }
                 };
                 // Pairs first, then runs, each in chunk order (the rule
                 // `rebuild` states).
                 for deposit in collected.bucket_deposits(b) {
-                    for &(dst, msg) in deposit.pairs {
-                        fold(dst as usize - lo, msg);
+                    for &(i, msg) in deposit.pairs {
+                        fold(i as usize, msg);
                     }
                 }
                 if collected.bucket_has_runs(b) {
@@ -208,6 +221,67 @@ impl<M: Copy + Send + Sync> Inbox<M> {
         });
     }
 
+    /// Deliver recorded broadcasts over `graph` (which must be the graph
+    /// they were recorded on, `arcs` the arcs they stand for) without
+    /// shipping them: every vertex folds, with `combine`, the messages of
+    /// its neighbors that broadcast, in ascending neighbor order,
+    /// straight into its slot.  Receiving tasks own whole 64-vertex
+    /// presence words, so every write is a plain store.
+    ///
+    /// After a row's first sender the fold runs without a branch on the
+    /// sender bits: it combines every neighbor's slot ([`Filled`] gives
+    /// each one a message) and keeps the result only where the bit is
+    /// set, since on a mid-density superstep those bits are what a
+    /// branch predictor cannot learn.
+    ///
+    /// The result equals [`fold`](Self::fold) over the same broadcasts
+    /// expanded in ascending sender order, bit for bit: on a simple
+    /// undirected graph each destination receives one message per
+    /// neighbor that broadcast, and both ways fold them by ascending
+    /// sender.
+    pub(crate) fn gather<F>(
+        &mut self,
+        exec: &Executor,
+        graph: &Csr,
+        sent: &Filled<'_, M>,
+        arcs: u64,
+        combine: F,
+    ) where
+        F: Fn(M, M) -> M + Sync,
+    {
+        let n = graph.num_vertices() as usize;
+        self.num_vertices = n;
+        self.total = arcs;
+        self.shape = Shape::Slots;
+        self.slots.resize_with(n, MaybeUninit::uninit);
+        self.present.clear();
+        self.present.resize(n.div_ceil(64), 0);
+        let words = self.present.len();
+        let slots = DisjointSlice::new(&mut self.slots);
+        let present = DisjointSlice::new(&mut self.present);
+        let chunk = default_chunk(words, exec.workers());
+        exec.pfor_chunked(0, words, chunk, |_, range| {
+            let (lo, hi) = (range.start * 64, (range.end * 64).min(n));
+            // SAFETY: tasks own disjoint ranges of presence words and the
+            // vertices those words cover, all inside `0..n`.
+            let (slots, present) = unsafe { (slots.range(lo..hi), present.range(range)) };
+            for v in lo..hi {
+                let row = graph.neighbors(v as VertexId);
+                let Some(first) = row.iter().position(|&u| sent.is_sender(u)) else {
+                    continue;
+                };
+                let mut acc = sent.msgs[row[first] as usize];
+                for &u in &row[first + 1..] {
+                    let folded = combine(acc, sent.msgs[u as usize]);
+                    acc = if sent.is_sender(u) { folded } else { acc };
+                }
+                let i = v - lo;
+                slots[i].write(acc);
+                present[i / 64] |= 1 << (i % 64);
+            }
+        });
+    }
+
     /// Group uncombined messages into the CSR *without atomics*: every
     /// destination in bucket `b` is owned by exactly one parallel task,
     /// which counts, prefix-sums, and scatters its contiguous
@@ -218,12 +292,13 @@ impl<M: Copy + Send + Sync> Inbox<M> {
     /// and must be sized for `exec`'s worker count; a retained scratch
     /// (the `SuperstepFrame` holds one) makes the steady-state rebuild
     /// allocation-free.
-    fn group(
+    pub(crate) fn group(
         &mut self,
         exec: &Executor,
         collected: &Collected<'_, M>,
         cursor_scratch: &WorkerScratch<Vec<u64>>,
     ) {
+        self.count(collected);
         let n = self.num_vertices;
         let num_buckets = collected.num_buckets();
         self.shape = Shape::Groups;
@@ -255,7 +330,6 @@ impl<M: Copy + Send + Sync> Inbox<M> {
                 if owned.is_empty() {
                     continue;
                 }
-                let lo = owned.start;
                 let (base, end) = (bucket_base[b] as usize, bucket_base[b + 1] as usize);
                 // SAFETY: bucket vertex ranges are disjoint and inside
                 // `0..n`; `data` regions `[bucket_base[b], bucket_base[b+1])`
@@ -269,8 +343,8 @@ impl<M: Copy + Send + Sync> Inbox<M> {
                 cursors.resize(offsets.len(), 0);
                 let has_runs = collected.bucket_has_runs(b);
                 for deposit in collected.bucket_deposits(b) {
-                    for &(dst, _) in deposit.pairs {
-                        cursors[dst as usize - lo] += 1;
+                    for &(i, _) in deposit.pairs {
+                        cursors[i as usize] += 1;
                     }
                 }
                 if has_runs {
@@ -294,8 +368,8 @@ impl<M: Copy + Send + Sync> Inbox<M> {
                 // pairs first, then runs, each in chunk order; every one
                 // of its slots is written exactly once.
                 for deposit in collected.bucket_deposits(b) {
-                    for &(dst, msg) in deposit.pairs {
-                        let cursor = &mut cursors[dst as usize - lo];
+                    for &(i, msg) in deposit.pairs {
+                        let cursor = &mut cursors[i as usize];
                         data[*cursor as usize].write(msg);
                         *cursor += 1;
                     }
@@ -345,6 +419,15 @@ impl<M: Copy + Send + Sync> Inbox<M> {
     /// Number of vertices this inbox covers.
     pub fn num_vertices(&self) -> usize {
         self.num_vertices
+    }
+
+    /// Bytes of buffer capacity held.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        capacity_bytes(&self.slots)
+            + capacity_bytes(&self.present)
+            + capacity_bytes(&self.offsets)
+            + capacity_bytes(&self.data)
+            + capacity_bytes(&self.bucket_base)
     }
 
     /// Snapshot all pending deliveries as `(destination, message)` pairs
@@ -508,6 +591,59 @@ mod tests {
                     let tag = format!("{transport:?}, pieces of {piece}");
                     assert_eq!(parts.total_messages(), whole.total_messages(), "{tag}");
                     assert_eq!(parts.snapshot(), whole.snapshot(), "{tag}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gathering_and_expanding_broadcasts_build_the_same_inbox() {
+        use crate::transport::Broadcasts;
+        use xmt_graph::builder::build_undirected;
+        use xmt_graph::gen::er::gnm;
+        // Sparse random graphs, so many vertices are isolated, and
+        // sender sets from none to all; `Digits` spells out the order
+        // each destination folds its messages in.
+        for (n, m, seed) in [(1000, 600, 1), (1000, 3000, 2), (130, 200, 3), (64, 0, 4)] {
+            let g = build_undirected(&gnm(n, m, seed));
+            assert!((0..n).any(|v| g.degree(v) == 0), "no isolated vertex");
+            for every in [1, 2, 3, 7, n] {
+                let senders: Vec<u64> = (0..n).filter(|v| (v * 31 + seed) % every == 0).collect();
+                let msg = |u: u64| u % 9 + 1;
+                let mut sent = Broadcasts::new();
+                sent.reset(n as usize);
+                {
+                    let sink = sent.sink();
+                    for &u in &senders {
+                        // SAFETY: one record per sender, on this thread.
+                        assert!(unsafe { sink.record(u, msg(u)) });
+                        assert!(!unsafe { sink.record(u, 0) }, "a second broadcast");
+                    }
+                }
+                let arcs: u64 = senders.iter().map(|&u| g.degree(u)).sum();
+                let exec = Executor::fixed();
+                let mut gathered = Inbox::new();
+                match sent.filled() {
+                    Some(filled) => {
+                        gathered.gather(&exec, &g, &filled, arcs, |a, b| Digits.combine(a, b))
+                    }
+                    None => gathered.reset_empty(n as usize),
+                }
+                // Expanded the way the exchange does it: senders ascending.
+                let mut pairs: Vec<(u64, u64)> = senders
+                    .iter()
+                    .flat_map(|&u| g.neighbors(u).iter().map(move |&v| (v, msg(u))))
+                    .collect();
+                let mut mc = MessageCollector::new(Transport::PerThreadOutbox, 2, n as usize);
+                mc.deposit_from(0, 0, &mut pairs);
+                let mut expanded = Inbox::new();
+                expanded.fold(&exec, &mc.collected(), |a, b| Digits.combine(a, b));
+                let tag = format!("n {n}, m {m}, every {every}th vertex sends");
+                assert_eq!(gathered.total_messages(), arcs, "{tag}");
+                assert_eq!(expanded.total_messages(), arcs, "{tag}");
+                assert_eq!(gathered.snapshot(), expanded.snapshot(), "{tag}");
+                for v in 0..n {
+                    assert_eq!(gathered.has_messages(v), expanded.has_messages(v), "{tag}");
                 }
             }
         }

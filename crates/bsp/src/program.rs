@@ -3,7 +3,7 @@
 use xmt_graph::{Csr, VertexId};
 use xmt_par::MarkScratch;
 
-use crate::transport::Outbox;
+use crate::transport::{BroadcastSink, Outbox};
 
 /// Optional message combiner (Pregel §3.2): folds messages addressed to
 /// the same vertex into one.  Must be commutative and associative.
@@ -66,9 +66,9 @@ impl<P: VertexProgram> VertexProgram for WithoutCombiner<P> {
 pub trait VertexProgram: Sync {
     /// Per-vertex state, kept between supersteps (Pregel: "vertices...
     /// maintain state between iterations").
-    type State: Clone + Send + Sync;
+    type State: Clone + Send + Sync + 'static;
     /// Message payload. `Copy` keeps the exchange buffers flat.
-    type Message: Copy + Send + Sync;
+    type Message: Copy + Send + Sync + 'static;
 
     /// Initial state of vertex `v` before superstep 0.
     fn init(&self, v: VertexId) -> Self::State;
@@ -100,7 +100,10 @@ pub trait VertexProgram: Sync {
     /// after its last compute, or `None` if it (possibly) did not send.
     /// Returning a *superset* of the pushed messages is allowed only for
     /// programs whose compute is idempotent under stale re-delivery
-    /// (monotone folds like min-label and BFS distances).
+    /// (monotone folds like min-label and BFS distances).  So every
+    /// message of a program that implements this is one neighbor
+    /// broadcast per sender and superstep; see
+    /// [`supports_pull`](Self::supports_pull).
     fn pull_from(&self, graph: &Csr, u: VertexId, state: &Self::State) -> Option<Self::Message> {
         let _ = (graph, u, state);
         None
@@ -108,6 +111,15 @@ pub trait VertexProgram: Sync {
 
     /// Whether [`pull_from`](Self::pull_from) is implemented and honors
     /// its contract.  Pull delivery additionally requires a combiner.
+    ///
+    /// The broadcast contract: a program that returns `true` here and
+    /// has a combiner sends *only* with
+    /// [`Context::send_to_neighbors`], at most once per vertex and
+    /// superstep.  The runtime relies on it to record each broadcast once
+    /// per sender instead of once per arc (DESIGN.md §17,
+    /// "Broadcasts"); a `send_to`, a `send_all_to` or a second broadcast
+    /// on a recorded superstep fails a debug assertion that names the
+    /// program (release builds ship it, correct for any exact combiner).
     fn supports_pull(&self) -> bool {
         false
     }
@@ -148,6 +160,13 @@ pub struct Context<'a, M> {
     pub(crate) superstep: u64,
     pub(crate) vertex: VertexId,
     pub(crate) outbox: &'a mut Outbox<M>,
+    /// Where `send_to_neighbors` records on a superstep that keeps
+    /// broadcasts once per sender; `None` ships them as pairs.
+    pub(crate) broadcasts: Option<&'a BroadcastSink<'a, M>>,
+    /// Arcs the recorded broadcasts stand for (the senders' degrees).
+    pub(crate) broadcast_arcs: u64,
+    /// The program's type name, for the broadcast-contract assertions.
+    pub(crate) program: &'static str,
     pub(crate) marks: &'a mut MarkScratch,
     pub(crate) halt: bool,
     pub(crate) agg_u64: u64,
@@ -205,6 +224,7 @@ impl<'a, M: Copy> Context<'a, M> {
     /// Send `msg` to an arbitrary vertex, delivered next superstep.
     pub fn send_to(&mut self, dst: VertexId, msg: M) {
         debug_assert!(dst < self.num_vertices, "message to nonexistent vertex");
+        self.assert_not_recording("send_to");
         self.outbox.pairs.push((dst, msg));
     }
 
@@ -219,14 +239,48 @@ impl<'a, M: Copy> Context<'a, M> {
     /// §17).
     pub fn send_all_to(&mut self, dst: VertexId, msgs: &[M]) {
         debug_assert!(dst < self.num_vertices, "message to nonexistent vertex");
+        self.assert_not_recording("send_all_to");
         self.outbox.push_run(dst, msgs);
     }
 
     /// Send `msg` to every neighbor.
+    ///
+    /// On a superstep that records broadcasts (see
+    /// [`VertexProgram::supports_pull`]) this writes `msg` once, for the
+    /// exchange to deliver to every neighbor; otherwise it queues one
+    /// pair per neighbor.  Either way each neighbor receives `msg` in the
+    /// same place of its fold.
     pub fn send_to_neighbors(&mut self, msg: M) {
+        if let Some(sink) = self.broadcasts {
+            // SAFETY: the runtime points this context at one active
+            // vertex of the graph per compute call, and active vertices
+            // are distinct; the record is sized for the graph.
+            let first = unsafe { sink.record(self.vertex, msg) };
+            debug_assert!(
+                first,
+                "{}: a second send_to_neighbors from vertex {} in one superstep breaks the \
+                 broadcast contract of a pull-capable program",
+                self.program, self.vertex
+            );
+            if first {
+                self.broadcast_arcs += self.degree();
+                return;
+            }
+        }
         for &n in self.graph.neighbors(self.vertex) {
             self.outbox.pairs.push((n, msg));
         }
+    }
+
+    /// A program under the broadcast contract sends nothing but
+    /// neighbor broadcasts while the runtime records them.
+    fn assert_not_recording(&self, send: &str) {
+        debug_assert!(
+            self.broadcasts.is_none(),
+            "{}: {send} on a superstep that records neighbor broadcasts; a program with \
+             supports_pull() and a combiner sends only with send_to_neighbors",
+            self.program
+        );
     }
 
     /// Vote to halt: the vertex stays inactive until a message arrives.
@@ -283,6 +337,9 @@ mod tests {
             superstep: 3,
             vertex: v,
             outbox,
+            broadcasts: None,
+            broadcast_arcs: 0,
+            program: "test",
             // Leaked: a test context has no frame to borrow one from.
             marks: Box::leak(Box::default()),
             halt: false,

@@ -170,10 +170,11 @@ pub(super) fn restore<P: VertexProgram>(
     // uninterrupted one would have.
     frame.collector.reset();
     frame.collector.deposit_from(0, 0, &mut resume.pending);
-    frame.inbox.rebuild(
+    super::exchange::regroup(
+        program,
+        &mut frame.inbox,
         exec,
         &frame.collector.collected(),
-        program.combiner(),
         &frame.bucket_cursors,
     );
     let halted = resume

@@ -10,6 +10,7 @@ use xmt_model::{PhaseCounts, Recorder};
 use xmt_par::pfor::default_chunk;
 use xmt_par::Executor;
 
+use super::exchange::combine;
 use super::frame::{bit, SuperstepFrame};
 use super::Run;
 use crate::program::{Context, VertexProgram};
@@ -22,7 +23,7 @@ use crate::program::{Context, VertexProgram};
 /// table for the receiving side to walk.  Picked by measurement on pairs
 /// (EXPERIMENTS.md, "Triangle counting at message cost"; DESIGN.md §17
 /// says why order holds, however a chunk's deposits split).
-const DEPOSIT_HIGH_WATER: usize = 1 << 14;
+pub(super) const DEPOSIT_HIGH_WATER: usize = 1 << 14;
 
 /// Superstep "-1": every vertex's initial state, charged as `init`.
 pub(super) fn init_states<P: VertexProgram>(
@@ -53,8 +54,11 @@ pub(super) fn init_states<P: VertexProgram>(
 #[derive(Clone, Copy, Debug)]
 pub(super) struct Computed {
     /// Messages `compute` produced: what crosses the boundary unless the
-    /// next superstep pulls.
+    /// next superstep pulls.  Recorded broadcasts count one per arc.
     pub shipped: u64,
+    /// The part of `shipped` recorded as broadcasts rather than
+    /// deposited: the broadcasting senders' degrees.
+    pub recorded: u64,
     /// Messages handed to `compute`.
     pub delivered: u64,
     /// Neighbor states probed by pull-mode gathers.
@@ -77,8 +81,10 @@ impl<P: VertexProgram> Run<'_, P> {
         let (graph, program, n, s) = (self.graph, self.program, self.n, self.s);
         let (tracing, track_next, prev_agg) = (self.tracing, self.track_next, self.prev_agg);
         let (bottom_up, beamer) = (self.policy.bottom_up, self.policy.beamer);
+        let record = self.record;
         let SuperstepFrame {
             collector,
+            broadcasts,
             inbox,
             snapshot: snapshot_buf,
             dense_visited,
@@ -104,6 +110,11 @@ impl<P: VertexProgram> Run<'_, P> {
         let extra_reads = AtomicU64::new(0);
         let extra_alu = AtomicU64::new(0);
         let halt_votes = AtomicU64::new(0);
+        let recorded = AtomicU64::new(0);
+        if record {
+            broadcasts.reset(n);
+        }
+        let sink = record.then(|| broadcasts.sink());
         // The stayed-awake claims accumulate into the frame's buffer, moved
         // behind a stack mutex for the parallel region and restored after
         // it (the mutex itself is a stack value — no allocation).
@@ -130,6 +141,7 @@ impl<P: VertexProgram> Run<'_, P> {
             let outbox_ref = &*outbox_scratch;
             let awake_ref = &*awake_scratch;
             let marks_ref = &*marks_scratch;
+            let sink_ref = sink.as_ref();
             let exec = self.exec;
             let chunk = default_chunk(active_ref.len(), exec.workers());
             exec.pfor_chunked(0, active_ref.len(), chunk, |worker, range| {
@@ -148,6 +160,7 @@ impl<P: VertexProgram> Run<'_, P> {
                 let mut local_settled_deg = 0u64;
                 let mut local_extra = (0u64, 0u64);
                 let mut local_halts = 0u64;
+                let mut local_recorded = 0u64;
                 for i in range {
                     let v = active_ref[i];
                     // Pull mode: gather from the neighbors' snapshotted
@@ -166,6 +179,9 @@ impl<P: VertexProgram> Run<'_, P> {
                         superstep: s,
                         vertex: v,
                         outbox: &mut *outbox,
+                        broadcasts: sink_ref,
+                        broadcast_arcs: 0,
+                        program: std::any::type_name::<P>(),
                         marks: &mut *marks,
                         halt: false,
                         agg_u64: 0,
@@ -211,6 +227,7 @@ impl<P: VertexProgram> Run<'_, P> {
                     unsafe { (agg_f64_base as *mut f64).add(i).write(ctx.agg_f64) };
                     local_extra.0 += ctx.extra_reads;
                     local_extra.1 += ctx.extra_alu;
+                    local_recorded += ctx.broadcast_arcs;
                     // Deposit while the sends are still in cache; the
                     // chunk's later deposits follow in this same lane.
                     if outbox.messages() >= DEPOSIT_HIGH_WATER {
@@ -223,6 +240,7 @@ impl<P: VertexProgram> Run<'_, P> {
                 extra_reads.fetch_add(local_extra.0, Ordering::Relaxed); // Relaxed: stats, read post-join
                 extra_alu.fetch_add(local_extra.1, Ordering::Relaxed); // Relaxed: stats, read post-join
                 delivered.fetch_add(local_delivered, Ordering::Relaxed); // Relaxed: stats, read post-join
+                recorded.fetch_add(local_recorded, Ordering::Relaxed); // Relaxed: read post-join
                 if local_probes.0 > 0 {
                     // Relaxed: stats counters, read only post-join.
                     pull_probes.fetch_add(local_probes.0, Ordering::Relaxed);
@@ -253,8 +271,10 @@ impl<P: VertexProgram> Run<'_, P> {
         // Relaxed loads (here and below): the compute parallel_for joined
         // above, so every worker's accumulation happens-before these reads.
         self.explored_edges += settled_deg.load(Ordering::Relaxed);
+        let recorded = recorded.load(Ordering::Relaxed); // Relaxed: post-join read
         Computed {
-            shipped: collector.total(),
+            shipped: collector.total() + recorded,
+            recorded,
             delivered: delivered.load(Ordering::Relaxed), // Relaxed: post-join read
             probes: pull_probes.load(Ordering::Relaxed),  // Relaxed: post-join read
             hits: pull_hits.load(Ordering::Relaxed),      // Relaxed: post-join read
@@ -325,7 +345,7 @@ fn gather<P: VertexProgram>(
         None => {
             // Pull mode is gated on `supports_pull`, which requires a
             // combiner; without one there is nothing to fold with.
-            let comb = program.combiner()?;
+            program.combiner()?;
             let mut gathered = None;
             for &u in graph.neighbors(v) {
                 probes.0 += 1;
@@ -333,7 +353,7 @@ fn gather<P: VertexProgram>(
                     probes.1 += 1;
                     gathered = Some(match gathered {
                         None => m,
-                        Some(acc) => comb.combine(acc, m),
+                        Some(acc) => combine(program, acc, m),
                     });
                 }
             }

@@ -1,10 +1,69 @@
-//! Reusable storage for the superstep loop.
+//! Reusable storage for the superstep loop, and the spare frames kept
+//! for runs that bring none.
+
+use std::any::Any;
+
+use parking_lot::Mutex;
 
 use xmt_graph::VertexId;
 use xmt_par::{MarkScratch, WorkerScratch};
 
 use crate::inbox::Inbox;
-use crate::transport::{MessageCollector, Outbox, Transport};
+use crate::transport::{capacity_bytes, Broadcasts, MessageCollector, Outbox, Transport};
+
+/// The most buffer capacity, in bytes, that [`SPARE_FRAMES`] keeps in
+/// all: room for a triangle count's frame on the benchmark's scale-13
+/// graph (85–100 MB of capacity, its lanes grown to whichever share of
+/// the candidates each worker happened to deposit) beside the 1–10 MB of
+/// each broadcast program's frame at scale 15, with room to spare for
+/// that growth.  A frame that does not fit is dropped, as every frame
+/// was before.
+const SPARE_FRAME_BYTES: usize = 256 << 20;
+
+/// Frames of finished runs that were given none
+/// ([`RunOptions::frame`](super::RunOptions::frame) `None`), at most one
+/// per `(State, Message)` type, for the next such run to start on.  A
+/// fresh frame's large buffers come from the allocator page by page and
+/// fault in as they fill; whether a run instead reuses pages an earlier
+/// run freed depended on what that earlier run allocated (EXPERIMENTS.md,
+/// "Broadcasts once per sender").  A leaf lock, held only to take or
+/// put back a frame.
+static SPARE_FRAMES: Mutex<Vec<(usize, Box<dyn Any + Send>)>> = Mutex::new(Vec::new());
+
+/// A spare frame of this type, or a fresh one.
+pub(super) fn take_spare<S, M>() -> SuperstepFrame<S, M>
+where
+    S: Send + Sync + 'static,
+    M: Copy + Send + Sync + 'static,
+{
+    let found = {
+        let mut spare = SPARE_FRAMES.lock();
+        let at = spare
+            .iter()
+            .position(|(_, f)| f.is::<SuperstepFrame<S, M>>());
+        at.map(|i| spare.swap_remove(i).1)
+    };
+    match found.map(|f| f.downcast::<SuperstepFrame<S, M>>()) {
+        Some(Ok(frame)) => *frame,
+        _ => SuperstepFrame::new(),
+    }
+}
+
+/// Keep `frame` for the next run that brings none, if no frame of its
+/// type is kept already and it fits the byte budget; drop it otherwise.
+pub(super) fn keep_spare<S, M>(mut frame: SuperstepFrame<S, M>)
+where
+    S: Send + Sync + 'static,
+    M: Copy + Send + Sync + 'static,
+{
+    let bytes = frame.capacity_bytes();
+    let mut spare = SPARE_FRAMES.lock();
+    let held: usize = spare.iter().map(|&(b, _)| b).sum();
+    let kept = spare.iter().any(|(_, f)| f.is::<SuperstepFrame<S, M>>());
+    if !kept && held + bytes <= SPARE_FRAME_BYTES {
+        spare.push((bytes, Box::new(frame)));
+    }
+}
 
 /// Reusable storage for the superstep loop: the message collector, the
 /// double-buffered inbox pair, the pull-mode state snapshot, the active
@@ -32,6 +91,10 @@ pub struct SuperstepFrame<S, M> {
     workers: usize,
     /// Persistent transport storage, `reset()` each superstep.
     pub(super) collector: MessageCollector<M>,
+    /// Neighbor broadcasts recorded once per sender (runs that record
+    /// them only; sized at run start, its sender bits cleared each
+    /// superstep).
+    pub(super) broadcasts: Broadcasts<M>,
     /// The live inbox: messages delivered to the current superstep.
     pub(super) inbox: Inbox<M>,
     /// The spare inbox: Phase C rebuilds it in place from the collected
@@ -69,6 +132,7 @@ impl<S, M: Copy + Send + Sync> SuperstepFrame<S, M> {
         SuperstepFrame {
             workers: 1,
             collector: MessageCollector::new(Transport::PerThreadOutbox, 1, 0),
+            broadcasts: Broadcasts::new(),
             inbox: Inbox::new(),
             spare: Inbox::new(),
             snapshot: Vec::new(),
@@ -83,9 +147,10 @@ impl<S, M: Copy + Send + Sync> SuperstepFrame<S, M> {
         }
     }
 
-    /// Reshape for a run over `n` vertices with `workers` workers; a
-    /// frame whose shape already matches keeps all warm storage.
-    pub(super) fn prepare(&mut self, n: usize, workers: usize, transport: Transport) {
+    /// Reshape for a run over `n` vertices with `workers` workers that
+    /// records broadcasts or not; a frame whose shape already matches
+    /// keeps all warm storage.
+    pub(super) fn prepare(&mut self, n: usize, workers: usize, transport: Transport, record: bool) {
         let workers = workers.max(1);
         if self.collector.transport() != transport
             || self.collector.workers() != workers
@@ -117,10 +182,46 @@ impl<S, M: Copy + Send + Sync> SuperstepFrame<S, M> {
             .max(self.spare.message_capacity());
         self.inbox.reserve_messages(cap);
         self.spare.reserve_messages(cap);
+        // A run that records nothing leaves the record unallocated.
+        if record {
+            self.broadcasts.reset(n);
+        }
         // Scratch content never survives into a run's results; only
         // capacity is carried over.
         self.active.clear();
         self.next_active.clear();
+    }
+
+    /// Bytes of buffer capacity the frame holds.
+    fn capacity_bytes(&mut self) -> usize {
+        let mut bytes = self.collector.capacity_bytes()
+            + self.broadcasts.capacity_bytes()
+            + self.inbox.capacity_bytes()
+            + self.spare.capacity_bytes()
+            + capacity_bytes(&self.snapshot)
+            + capacity_bytes(&self.dense_visited)
+            + capacity_bytes(&self.active)
+            + capacity_bytes(&self.next_active)
+            + capacity_bytes(&self.agg_f64);
+        bytes += self
+            .outbox
+            .iter_mut()
+            .map(|o| o.capacity_bytes())
+            .sum::<usize>();
+        bytes += self
+            .awake
+            .iter_mut()
+            .map(|a| capacity_bytes(a))
+            .sum::<usize>();
+        bytes += self
+            .bucket_cursors
+            .iter_mut()
+            .map(|c| capacity_bytes(c))
+            .sum::<usize>();
+        // A mark array holds a byte per vertex of the largest graph it
+        // was ensured for, `active`'s capacity at least that graph's
+        // vertex count.
+        bytes + self.workers * self.active.capacity()
     }
 }
 
@@ -163,7 +264,7 @@ mod tests {
     fn per_worker_slots_sit_on_disjoint_cache_lines() {
         for workers in [2, 4] {
             let mut frame: SuperstepFrame<u64, u64> = SuperstepFrame::new();
-            frame.prepare(1000, workers, Transport::PerThreadOutbox);
+            frame.prepare(1000, workers, Transport::PerThreadOutbox, true);
             let mut all = spans(&mut frame.outbox);
             all.extend(spans(&mut frame.awake));
             all.extend(spans(&mut frame.bucket_cursors));

@@ -210,14 +210,31 @@ fn run_validated<P: VertexProgram>(
         exec,
     } = opts;
     let mut throwaway = None;
-    let frame = frame.unwrap_or_else(|| throwaway.insert(SuperstepFrame::new()));
+    let frame = frame.unwrap_or_else(|| throwaway.insert(frame::take_spare()));
     // `ENABLED` is a const: when the feature is off this is `false`, the
     // compiler strips every `if tracing` block below, and the loop is
     // bit-identical to the untraced build.
     let tracing = xmt_trace::ENABLED && sink.is_some();
     let n = graph.num_vertices() as usize;
     let workers = exec.workers();
-    frame.prepare(n, workers, config.transport);
+    let policy = Policy::new(
+        &config,
+        program.supports_pull() && program.combiner().is_some(),
+        program.supports_bottom_up(),
+    );
+    let worklist = config.active_set == ActiveSetStrategy::Worklist;
+    // The generation-tag claim machinery serves two consumers: the
+    // worklist active set, and Auto's next-frontier estimate (distinct
+    // claimed destinations — NOT the shipped message count, which
+    // overcounts hubs that receive many combined messages).
+    let track_next = worklist || policy.estimates();
+    // Neighbor broadcasts of a program under the broadcast contract are
+    // recorded once per sender wherever the exchange can deliver them
+    // without per-arc pairs: the default transport, with no claim pass
+    // reading the destinations (DESIGN.md §17, "Broadcasts").
+    let record =
+        policy.supports_pull && config.transport == Transport::PerThreadOutbox && !track_next;
+    frame.prepare(n, workers, config.transport, record);
 
     let resumed_at = from.as_ref().map(|(_, resume)| resume.superstep);
     let (states, halted, prev_agg) = match from {
@@ -230,17 +247,6 @@ fn run_validated<P: VertexProgram>(
         Some(from) => checkpoint::restore(program, &exec, frame, from),
     };
 
-    let policy = Policy::new(
-        &config,
-        program.supports_pull() && program.combiner().is_some(),
-        program.supports_bottom_up(),
-    );
-    let worklist = config.active_set == ActiveSetStrategy::Worklist;
-    // The generation-tag claim machinery serves two consumers: the
-    // worklist active set, and Auto's next-frontier estimate (distinct
-    // claimed destinations — NOT the shipped message count, which
-    // overcounts hubs that receive many combined messages).
-    let track_next = worklist || policy.estimates();
     // Beamer's alpha rule compares the frontier's edges against the
     // still-unexplored edges; settled transitions observed in compute
     // keep the explored total exact, seeded here so a resumed run (or a
@@ -264,6 +270,7 @@ fn run_validated<P: VertexProgram>(
         tracing,
         worklist,
         track_next,
+        record,
         policy,
         stop,
         resumed_at,
@@ -294,6 +301,13 @@ fn run_validated<P: VertexProgram>(
     let mut stopped = false;
 
     loop {
+        // Read before the stopwatches start, so the system call stays out
+        // of the phase laps.
+        let faults_at = if tracing {
+            xmt_trace::minor_faults()
+        } else {
+            0
+        };
         // Two stopwatches when tracing: one spanning the superstep, one
         // lapped at each phase boundary.  `None` (rather than a stopped
         // watch) when not tracing, so untraced runs read no clocks even
@@ -337,14 +351,17 @@ fn run_validated<P: VertexProgram>(
         let compute_ns = phase_watch.as_mut().map_or(0, xmt_trace::Stopwatch::lap_ns);
 
         // ---- Phase C: exchange --------------------------------------------
-        let exchanged = run.exchange(computed.shipped);
+        let exchanged = run.exchange(&computed);
         let exchange_ns = phase_watch.as_mut().map_or(0, xmt_trace::Stopwatch::lap_ns);
-        // End of the allocation window: the superstep's real work is
-        // done; what follows is trace/series bookkeeping.
-        let step_allocs = if tracing {
-            xmt_trace::alloc_count().saturating_sub(allocs_at)
+        // End of the allocation and fault windows: the superstep's real
+        // work is done; what follows is trace/series bookkeeping.
+        let (step_allocs, step_faults) = if tracing {
+            (
+                xmt_trace::alloc_count().saturating_sub(allocs_at),
+                xmt_trace::minor_faults().saturating_sub(faults_at),
+            )
         } else {
-            0
+            (0, 0)
         };
 
         run.charge_compute(&computed, exchanged.messages_sent);
@@ -372,9 +389,12 @@ fn run_validated<P: VertexProgram>(
                 pulled: run.pulling,
                 pull_probes: computed.probes,
                 // From the lane lengths, while the lanes still hold the
-                // superstep's deposits.
-                bytes_deposited: run.frame.collector.bytes_deposited(),
+                // superstep's deposits, plus the pairs the broadcasts
+                // that never reached a lane stand for.
+                bytes_deposited: run.frame.collector.bytes_deposited()
+                    + exchanged.unlaned_arcs * crate::transport::pair_bytes::<P::Message>(),
                 allocs: step_allocs,
+                minor_faults: step_faults,
                 scan_ns,
                 compute_ns,
                 exchange_ns,
@@ -400,7 +420,7 @@ fn run_validated<P: VertexProgram>(
     let resume = (hit_limit || stopped)
         .then(|| checkpoint::cut(run.s, &run.halted, &run.frame.inbox, run.prev_agg));
 
-    SlicedRun {
+    let sliced = SlicedRun {
         result: BspResult {
             supersteps: run.s,
             states: run.states,
@@ -410,7 +430,11 @@ fn run_validated<P: VertexProgram>(
             stopped_early: stopped,
         },
         resume,
+    };
+    if let Some(frame) = throwaway {
+        frame::keep_spare(frame);
     }
+    sliced
 }
 
 /// One run's state across supersteps.  The phases are methods on it:
@@ -428,6 +452,9 @@ struct Run<'a, P: VertexProgram> {
     /// Compute and exchange claim next-superstep vertices by generation
     /// tag (worklist active set and/or `Auto`'s frontier estimate).
     track_next: bool,
+    /// `send_to_neighbors` records into the frame's broadcasts instead
+    /// of queueing pairs.
+    record: bool,
     policy: Policy,
     stop: Option<StopHook<'a>>,
     /// The superstep a resumed run starts at: its active set is scanned

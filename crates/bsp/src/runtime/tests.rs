@@ -708,9 +708,10 @@ fn trace_sink_mirrors_superstep_stats() {
 #[test]
 fn trace_counts_the_bytes_of_pairs_and_runs() {
     // Triangles on K6, ranked by id: seeds and confirmations ship as
-    // 16-byte `(dst, u32)` pairs; vertex v forwards its v seeds to each of
-    // its 5 - v higher neighbours as one run, so the candidates are 10
-    // runs of 8-byte headers carrying 20 four-byte payloads.
+    // 8-byte `(bucket-local dst, u32)` pairs; vertex v forwards its v
+    // seeds to each of its 5 - v higher neighbours as one run, so the
+    // candidates are 10 runs of 8-byte headers carrying 20 four-byte
+    // payloads.
     use crate::algorithms::triangles::TcProgram;
     let g = build_undirected(&xmt_graph::gen::structured::clique(6));
     let mut sink = xmt_trace::TraceSink::new();
@@ -721,7 +722,7 @@ fn trace_counts_the_bytes_of_pairs_and_runs() {
     let r = run(&g, &TcProgram, opts).unwrap().result;
     assert_eq!(r.states.iter().sum::<u64>(), 20);
     let bytes: Vec<u64> = sink.finish().iter().map(|t| t.bytes_deposited).collect();
-    assert_eq!(bytes, vec![15 * 16, 10 * 8 + 20 * 4, 20 * 16, 0]);
+    assert_eq!(bytes, vec![15 * 8, 10 * 8 + 20 * 4, 20 * 8, 0]);
 }
 
 #[cfg(feature = "trace")]
@@ -899,4 +900,66 @@ fn stop_hook_never_cuts_on_a_pull_boundary_under_auto() {
         assert_eq!(second.result.states, whole.states, "{strategy:?}");
         assert_eq!(second.result.supersteps, whole.supersteps, "{strategy:?}");
     }
+}
+
+/// A pull-capable program that breaks the broadcast contract: beside
+/// its broadcast it sends one message to vertex 0 with `send_to`.
+struct BroadcastAndSendTo;
+
+impl VertexProgram for BroadcastAndSendTo {
+    type State = u64;
+    type Message = u64;
+    fn init(&self, v: VertexId) -> u64 {
+        v
+    }
+    fn compute(&self, ctx: &mut Context<'_, u64>, state: &mut u64, msgs: &[u64]) {
+        *state = msgs.iter().fold(*state, |a, &m| a.min(m));
+        if ctx.superstep() == 0 {
+            ctx.send_to_neighbors(*state);
+            ctx.send_to(0, *state);
+        }
+        ctx.vote_to_halt();
+    }
+    fn combiner(&self) -> Option<&dyn Combiner<u64>> {
+        Some(&MinCombiner)
+    }
+    fn pull_from(&self, _g: &Csr, _u: VertexId, state: &u64) -> Option<u64> {
+        Some(*state)
+    }
+    fn supports_pull(&self) -> bool {
+        true
+    }
+}
+
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "BroadcastAndSendTo: send_to on a superstep that records")]
+fn a_send_to_from_a_recording_program_fails_a_debug_assertion() {
+    let g = build_undirected(&path(10));
+    run_bsp(&g, &BroadcastAndSendTo, BspConfig::default(), None);
+}
+
+#[test]
+fn a_program_breaking_the_broadcast_contract_still_runs_where_nothing_records() {
+    // The transports and active sets that never record broadcasts take
+    // every send as it comes.
+    let g = build_undirected(&path(10));
+    let runs = [Transport::SingleQueue, Transport::PerThreadOutbox].map(|transport| {
+        let config = BspConfig {
+            transport,
+            active_set: if transport == Transport::SingleQueue {
+                ActiveSetStrategy::DenseScan
+            } else {
+                ActiveSetStrategy::Worklist
+            },
+            ..BspConfig::default()
+        };
+        run_bsp(&g, &BroadcastAndSendTo, config, None)
+    });
+    for r in &runs {
+        assert_eq!(r.superstep_stats[0].messages_sent, g.num_arcs() + 10);
+        // Vertex 1 hears from 0 and 2; vertex 0 from every vertex.
+        assert_eq!(r.states[..3], [0, 0, 1]);
+    }
+    assert_eq!(runs[0].states, runs[1].states);
 }

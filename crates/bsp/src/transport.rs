@@ -24,8 +24,9 @@
 //! Messages are never combined at the sender: a combiner folds at the
 //! receiving side only, so what ships is what `compute` produced.
 //!
-//! Every bucket holds two streams.  Single sends travel as `(dst, msg)`
-//! pairs; a run of sends to one destination
+//! Every bucket holds two streams.  Single sends travel as
+//! `(bucket-local dst, msg)` pairs — a 32-bit destination, so a 4-byte
+//! message makes an 8-byte pair; a run of sends to one destination
 //! ([`Context::send_all_to`](crate::Context::send_all_to)) travels as a
 //! `(bucket-local dst, len)` header plus its payloads back to back, so
 //! the destination ships once per run instead of once per message.
@@ -48,14 +49,22 @@
 //! in a `SuperstepFrame` deposits into warm buffers every superstep
 //! instead of reallocating them (the steady-state zero-allocation
 //! contract of the runtime).
+//!
+//! Neighbor broadcasts of a program whose every message is one
+//! ([`VertexProgram::supports_pull`](crate::VertexProgram::supports_pull)
+//! with a combiner) need not travel per arc: under the default
+//! transport and active set they are recorded once per sender in a
+//! `Broadcasts` record, and the exchange either gathers them at the receivers
+//! or expands them into the lanes (DESIGN.md §17, "Broadcasts").
 
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
 use xmt_graph::VertexId;
 use xmt_model::{charge_push_exchange, ExchangeKind, PhaseCounts};
-use xmt_par::{CachePadded, WorkerScratch};
+use xmt_par::{CachePadded, DisjointSlice, WorkerScratch};
 
 /// How sent messages travel from `compute` to the next superstep's inbox.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -106,11 +115,12 @@ fn bucket_shape(transport: Transport, workers: usize, n: usize) -> (u32, usize) 
 /// of sends to one destination
 /// ([`Context::send_all_to`](crate::Context::send_all_to)) as `(dst, len)`
 /// headers with their payloads back to back, so a run costs one header
-/// and its payloads instead of a destination per message.  `D` is a run
-/// header's destination: a vertex id in a worker's [`Outbox`], an offset
-/// from the bucket's first vertex in a lane's [`Bucket`].
+/// and its payloads instead of a destination per message.  `D` is a
+/// pair's or run header's destination: a vertex id in a worker's
+/// [`Outbox`], an offset from the bucket's first vertex in a lane's
+/// [`Bucket`].
 pub(crate) struct Streams<D, M> {
-    pub(crate) pairs: Vec<(VertexId, M)>,
+    pub(crate) pairs: Vec<(D, M)>,
     /// `(dst, len)`: the next `len` entries of `payloads` go to `dst`.
     pub(crate) runs: Vec<(D, u32)>,
     pub(crate) payloads: Vec<M>,
@@ -120,8 +130,8 @@ pub(crate) struct Streams<D, M> {
 /// deposited.
 pub(crate) type Outbox<M> = Streams<VertexId, M>;
 
-/// One destination bucket of a lane; run headers count from the
-/// bucket's first vertex.
+/// One destination bucket of a lane; pair and run destinations count
+/// from the bucket's first vertex.
 type Bucket<M> = Streams<u32, M>;
 
 impl<D, M> Streams<D, M> {
@@ -153,6 +163,18 @@ impl<M: Copy> Outbox<M> {
             self.payloads.extend_from_slice(run);
         }
     }
+}
+
+impl<D, M> Streams<D, M> {
+    /// Bytes of buffer capacity held.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        capacity_bytes(&self.pairs) + capacity_bytes(&self.runs) + capacity_bytes(&self.payloads)
+    }
+}
+
+/// Bytes of buffer capacity `v` holds.
+pub(crate) fn capacity_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
 }
 
 impl<D, M> Default for Streams<D, M> {
@@ -201,6 +223,15 @@ impl<M> Lane<M> {
         self.ends.clear();
     }
 
+    fn capacity_bytes(&self) -> usize {
+        let buckets = self
+            .buckets
+            .iter()
+            .map(Bucket::capacity_bytes)
+            .sum::<usize>();
+        buckets + capacity_bytes(&self.starts) + capacity_bytes(&self.ends)
+    }
+
     /// What deposit `row` put into bucket `b`, whose first vertex is `base`.
     fn deposit(&self, row: usize, b: usize, base: usize) -> Batch<'_, M> {
         let width = self.buckets.len();
@@ -234,9 +265,10 @@ impl<M> Lane<M> {
 /// Messages to one destination bucket — one deposit's, or a whole lane
 /// bucket's: the pairs, and the runs with their payloads.
 pub(crate) struct Batch<'a, M> {
-    /// The bucket's first vertex: run headers count from it.
+    /// The bucket's first vertex: pair and run destinations count from it.
     pub(crate) base: usize,
-    pub(crate) pairs: &'a [(VertexId, M)],
+    /// `(dst - base, msg)` per pair.
+    pub(crate) pairs: &'a [(u32, M)],
     /// `(dst - base, len)` per run.
     pub(crate) runs: &'a [(u32, u32)],
     /// The runs' payloads, back to back.
@@ -458,23 +490,29 @@ impl<M: Copy + Send> MessageCollector<M> {
             unsafe { self.lanes.get(worker) }
         };
         let shift = self.shift;
+        // Where a destination's offset into its bucket takes 32 bits:
+        // anywhere but a single queue over more than 2^32 vertices.
+        let narrow = shift <= 32;
+        let local = |dst: VertexId| {
+            let b = (dst >> shift) as usize;
+            let local = dst - ((b as u64) << shift);
+            assert!(
+                narrow || local <= u64::from(u32::MAX),
+                "destination {dst} lies 2^32 or more into its bucket"
+            );
+            (b, local as u32)
+        };
         for &(dst, msg) in pairs {
-            lane.buckets[(dst >> shift) as usize].pairs.push((dst, msg));
+            let (b, local) = local(dst);
+            lane.buckets[b].pairs.push((local, msg));
         }
         let mut rest = payloads;
         for &(dst, len) in runs {
             let (run, tail) = rest.split_at(len as usize);
             rest = tail;
-            let b = (dst >> shift) as usize;
-            let local = dst - ((b as u64) << shift);
-            // Only a single queue over more than 2^32 vertices has buckets
-            // that wide.
-            assert!(
-                local <= u64::from(u32::MAX),
-                "run destination {dst} lies 2^32 or more into its bucket"
-            );
+            let (b, local) = local(dst);
             let bucket = &mut lane.buckets[b];
-            bucket.runs.push((local as u32, len));
+            bucket.runs.push((local, len));
             bucket.payloads.extend_from_slice(run);
         }
         lane.starts.push(chunk_start as u64);
@@ -494,6 +532,16 @@ impl<M: Copy + Send> MessageCollector<M> {
         // runtime calls this after the compute barrier); mid-superstep
         // readers get a monotonic snapshot.
         self.shipped.load(Ordering::Relaxed)
+    }
+
+    /// Bytes of buffer capacity the collector and its lanes hold.
+    pub(crate) fn capacity_bytes(&mut self) -> usize {
+        let lanes = lanes_of(self.transport, &mut self.lanes, &mut self.queue);
+        let lanes = lanes
+            .iter()
+            .map(|lane| lane.capacity_bytes())
+            .sum::<usize>();
+        lanes + capacity_bytes(&self.order)
     }
 
     /// Bytes the superstep's deposits occupy in the lanes: pairs, run
@@ -552,6 +600,158 @@ fn lanes_of<'a, M>(
     }
 }
 
+/// One superstep's neighbor broadcasts, recorded once per sender: a
+/// message slot and a sender bit per vertex.  A broadcast costs one slot
+/// write and one bit, however many neighbors it reaches; the exchange
+/// reads the record after the compute join.
+pub(crate) struct Broadcasts<M> {
+    /// Vertex `u`'s broadcast, initialized iff bit `u` of `senders` is set.
+    msgs: Vec<MaybeUninit<M>>,
+    senders: Vec<AtomicU64>,
+}
+
+impl<M: Copy> Broadcasts<M> {
+    pub(crate) fn new() -> Self {
+        Broadcasts {
+            msgs: Vec::new(),
+            senders: Vec::new(),
+        }
+    }
+
+    /// Size for `n` vertices with no sender, retaining capacity.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.msgs.resize_with(n, MaybeUninit::uninit);
+        self.senders.clear();
+        self.senders
+            .resize_with(n.div_ceil(64), || AtomicU64::new(0));
+    }
+
+    /// Bytes of buffer capacity held.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        capacity_bytes(&self.msgs) + capacity_bytes(&self.senders)
+    }
+
+    /// The compute phase's handle: records broadcasts until dropped.
+    pub(crate) fn sink(&mut self) -> BroadcastSink<'_, M> {
+        BroadcastSink {
+            msgs: DisjointSlice::new(&mut self.msgs),
+            senders: &self.senders,
+        }
+    }
+
+    /// The message `u` broadcast this superstep, if it did.
+    #[inline]
+    pub(crate) fn sent(&self, u: VertexId) -> Option<M> {
+        // Relaxed: the bits were set before the compute join, which
+        // happens-before every read of the record.
+        let word = self.senders[(u >> 6) as usize].load(Ordering::Relaxed);
+        // SAFETY: a set bit means the slot was written (`record` writes
+        // the slot in the same compute call that sets the bit, both
+        // before the join).
+        (word >> (u & 63) & 1 == 1).then(|| unsafe { self.msgs[u as usize].assume_init() })
+    }
+
+    /// Give every slot a message — each non-sender a copy of the first
+    /// sender's — and view the record as plain slices; `None` without a
+    /// sender.  A reader may then load any vertex's slot and keep or drop
+    /// it by its sender bit without a branch on the bit.
+    pub(crate) fn filled(&mut self) -> Option<Filled<'_, M>> {
+        let senders = self.senders.iter().map(|w| w.load(Ordering::Relaxed)); // Relaxed: after the join
+        let (w, word) = senders.enumerate().find(|&(_, word)| word != 0)?;
+        // SAFETY: bit `u` is set, so slot `u` was written.
+        let first = unsafe { self.msgs[w * 64 + word.trailing_zeros() as usize].assume_init() };
+        for (w, word) in self.senders.iter().enumerate() {
+            // Relaxed: read after the compute join.
+            let mut gaps = !word.load(Ordering::Relaxed);
+            while gaps != 0 {
+                let u = w * 64 + gaps.trailing_zeros() as usize;
+                gaps &= gaps - 1;
+                match self.msgs.get_mut(u) {
+                    Some(slot) => *slot = MaybeUninit::new(first),
+                    // The last word's bits past the last vertex.
+                    None => break,
+                }
+            }
+        }
+        let msgs = self.msgs.as_slice();
+        Some(Filled {
+            // SAFETY: every slot is initialized now — the senders' by
+            // `record`, the others just above — and `MaybeUninit<M>` has
+            // `M`'s layout.
+            msgs: unsafe { std::slice::from_raw_parts(msgs.as_ptr().cast::<M>(), msgs.len()) },
+            senders: &self.senders,
+        })
+    }
+
+    /// The senders of 64-vertex word `w`, one bit each.
+    #[inline]
+    pub(crate) fn sender_word(&self, w: usize) -> u64 {
+        // Relaxed: read after the compute join, as in `sent`.
+        self.senders[w].load(Ordering::Relaxed)
+    }
+
+    /// Number of 64-vertex sender words.
+    pub(crate) fn sender_words(&self) -> usize {
+        self.senders.len()
+    }
+}
+
+/// A [`Broadcasts`] whose every slot holds a message
+/// ([`Broadcasts::filled`]): the senders' own, and copies in the others.
+pub(crate) struct Filled<'a, M> {
+    pub(crate) msgs: &'a [M],
+    senders: &'a [AtomicU64],
+}
+
+impl<M> Filled<'_, M> {
+    /// Whether `u` broadcast this superstep.
+    #[inline]
+    pub(crate) fn is_sender(&self, u: VertexId) -> bool {
+        // Relaxed: the bits were set before the compute join.
+        self.senders[(u >> 6) as usize].load(Ordering::Relaxed) >> (u & 63) & 1 == 1
+    }
+}
+
+/// What `compute` records broadcasts through: the slots as a
+/// [`DisjointSlice`] (each vertex's compute writes its own) and the
+/// sender bits, set with relaxed `fetch_or` because two compute chunks
+/// may share a 64-vertex word.
+pub(crate) struct BroadcastSink<'a, M> {
+    msgs: DisjointSlice<'a, MaybeUninit<M>>,
+    senders: &'a [AtomicU64],
+}
+
+impl<M> BroadcastSink<'_, M> {
+    /// Record `msg` as `v`'s broadcast; `false`, recording nothing, if
+    /// `v` already broadcast this superstep.
+    ///
+    /// # Safety
+    /// `v` must be below the vertex count the record was reset for, and
+    /// only the compute call of `v` may record for `v`.
+    #[inline]
+    pub(crate) unsafe fn record(&self, v: VertexId, msg: M) -> bool {
+        let (word, bit) = (&self.senders[(v >> 6) as usize], 1u64 << (v & 63));
+        // Relaxed: only `v`'s compute call touches bit `v`, and every
+        // reader runs after the compute join.
+        if word.load(Ordering::Relaxed) & bit != 0 {
+            return false;
+        }
+        // SAFETY: slot `v` is in bounds and reached by `v`'s compute call
+        // alone (the caller's contract); `write` checks the bound again
+        // in debug builds.
+        unsafe { self.msgs.write(v as usize, MaybeUninit::new(msg)) };
+        // Relaxed: as above; other bits of the word belong to other
+        // vertices, hence the read-modify-write.
+        word.fetch_or(bit, Ordering::Relaxed);
+        true
+    }
+}
+
+/// Bytes one `(bucket-local dst, msg)` pair of a lane occupies.
+pub(crate) fn pair_bytes<M>() -> u64 {
+    std::mem::size_of::<(u32, M)>() as u64
+}
+
 /// Charge the model for moving `messages` messages of `msg_words` words
 /// each through this transport and grouping them into an inbox over `n`
 /// vertices.  Thin adapter from [`Transport`] onto the model's
@@ -586,18 +786,24 @@ impl<M> MessageCollector<M> {
 mod tests {
     use super::*;
 
+    /// A batch's pairs with their destinations as vertex ids.
+    fn pairs(batch: &Batch<'_, u64>) -> Vec<(VertexId, u64)> {
+        let at = |i: u32| (batch.base + i as usize) as VertexId;
+        batch.pairs.iter().map(|&(i, m)| (at(i), m)).collect()
+    }
+
     /// The collected view's pairs, batch by batch.
     fn batches(mc: &mut MessageCollector<u64>) -> Vec<Vec<(VertexId, u64)>> {
         let view = mc.collected();
         (0..view.num_batches())
-            .map(|i| view.batch(i).pairs.to_vec())
+            .map(|i| pairs(&view.batch(i)))
             .collect()
     }
 
     /// Bucket `b`'s pairs in the collected view, deposit by deposit.
     fn deposits(mc: &mut MessageCollector<u64>, b: usize) -> Vec<Vec<(VertexId, u64)>> {
         let view = mc.collected();
-        let deposits = view.bucket_deposits(b).map(|d| d.pairs.to_vec());
+        let deposits = view.bucket_deposits(b).map(|d| pairs(&d));
         deposits.filter(|d| !d.is_empty()).collect()
     }
 
@@ -734,7 +940,8 @@ mod tests {
         mc.deposit(1, 4, &mut outbox);
         assert_eq!(outbox.messages(), 0, "the deposit drains the outbox");
         assert_eq!(mc.total(), 5);
-        // One 16-byte pair, two 8-byte headers, four 8-byte payloads.
+        // One 16-byte pair (a 4-byte destination padded to the 8-byte
+        // message), two 8-byte headers, four 8-byte payloads.
         assert_eq!(mc.bytes_deposited(), 16 + 2 * 8 + 4 * 8);
         let view = mc.collected();
         let lane_1_bucket_5 = view.batch(8 + 5);

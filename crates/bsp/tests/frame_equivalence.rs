@@ -22,6 +22,14 @@
 //! pools × schedules × transports × active sets and a cut + resume, and
 //! on a frame whose mark arrays a run between two counts left marked.
 //!
+//! The broadcast cases pin the two ways a neighbor broadcast reaches its
+//! receivers (DESIGN.md §17, "Broadcasts"): CC and BFS under the default
+//! transport, which records broadcasts once per sender and gathers the
+//! dense supersteps at the receivers, must match the single queue, which
+//! ships one pair per arc, state for state and stat for stat on every
+//! pool and schedule, and runs cut right after a gathered superstep must
+//! resume to the uninterrupted result (PageRank's ranks bit for bit).
+//!
 //! The mixed-send cases pin the order rule for runs: a program that
 //! sends to the same destinations both with `send_to` and with
 //! `send_all_to`, and hashes what it receives in arrival order, must come
@@ -467,6 +475,169 @@ fn pagerank_is_bit_identical_when_chunks_deposit_more_than_once() {
     let first_claim: u64 = (0..g.num_vertices() / 4).map(|v| g.degree(v)).sum();
     assert!(first_claim > 1 << 14, "first claim sends {first_claim}");
     assert_pagerank_bit_identical_across_pools(&g, &[Transport::PerThreadOutbox]);
+}
+
+/// What a broadcast program's run shows: its states, superstep count
+/// and per-superstep stats.
+fn broadcast_outcome<P: VertexProgram>(
+    g: &Csr,
+    program: &P,
+    transport: Transport,
+    exec: Executor,
+) -> (Vec<P::State>, u64, Vec<xmt_bsp::runtime::SuperstepStats>) {
+    let config = BspConfig {
+        transport,
+        ..BspConfig::default()
+    };
+    let opts = RunOptions {
+        config,
+        exec,
+        ..Default::default()
+    };
+    let r = run(g, program, opts).expect("fresh run").result;
+    assert!(!r.hit_superstep_limit);
+    (r.states, r.supersteps, r.superstep_stats)
+}
+
+/// `program` on `g` matches a one-worker single-queue run — which
+/// expands every broadcast at the sender — on pools of 1, 2, 4 and 8
+/// workers under both schedules and both transports: the default
+/// transport records broadcasts once per sender and gathers the dense
+/// supersteps at the receivers, expanding only the sparse ones.
+fn assert_broadcasts_match_the_expanded_run<P>(g: &Csr, program: &P)
+where
+    P: VertexProgram,
+    P::State: PartialEq + std::fmt::Debug,
+{
+    let one = Arc::new(Pool::new(1));
+    let reference = broadcast_outcome(g, program, Transport::SingleQueue, Executor::fixed_on(one));
+    // The premise: both delivery paths run — a superstep that
+    // broadcasts over every arc (gathered), and one that broadcasts over
+    // a small fraction of them (expanded).
+    let sent: Vec<u64> = reference.2.iter().map(|st| st.messages_sent).collect();
+    assert!(sent.iter().any(|&m| m >= g.num_arcs() / 2), "{sent:?}");
+    assert!(
+        sent.iter().any(|&m| m > 0 && 16 * m < g.num_arcs()),
+        "{sent:?}"
+    );
+    for workers in [1, 2, 4, 8] {
+        let pool = Arc::new(Pool::new(workers));
+        for transport in TRANSPORTS {
+            for exec in [
+                Executor::fixed_on(Arc::clone(&pool)),
+                Executor::guided_on(Arc::clone(&pool)),
+            ] {
+                let tag = format!("{workers} workers, {transport:?}, {:?}", exec.schedule());
+                let got = broadcast_outcome(g, program, transport, exec);
+                assert_eq!(reference.1, got.1, "supersteps: {tag}");
+                assert_eq!(reference.2, got.2, "stats: {tag}");
+                assert_eq!(reference.0, got.0, "states: {tag}");
+            }
+        }
+    }
+}
+
+#[test]
+fn broadcasts_of_cc_and_bfs_match_the_expanded_run_across_pools_schedules_and_transports() {
+    let g = pagerank_graph();
+    assert_broadcasts_match_the_expanded_run(&g, &CcProgram);
+    let source = (0..g.num_vertices())
+        .max_by_key(|&v| g.degree(v))
+        .expect("vertices");
+    assert_broadcasts_match_the_expanded_run(&g, &BfsProgram { source });
+}
+
+/// Cut `program` at the superstep limit after each of its first
+/// `cuts` supersteps, resume on the same frame, and require the
+/// stitched run to equal the uninterrupted one by `outcome`.
+fn assert_cut_after_each_early_superstep_resumes_exactly<P, O>(
+    g: &Csr,
+    program: &P,
+    cuts: u64,
+    outcome: impl Fn(&xmt_bsp::BspResult<P::State>) -> O,
+) where
+    P: VertexProgram,
+    O: PartialEq + std::fmt::Debug,
+{
+    let pool = Arc::new(Pool::new(4));
+    let full = run(
+        g,
+        program,
+        RunOptions {
+            exec: Executor::guided_on(Arc::clone(&pool)),
+            ..Default::default()
+        },
+    )
+    .expect("uninterrupted run")
+    .result;
+    let mut frame = SuperstepFrame::new();
+    for at in 1..=cuts {
+        let cut = run(
+            g,
+            program,
+            RunOptions {
+                config: BspConfig {
+                    max_supersteps: at,
+                    ..BspConfig::default()
+                },
+                frame: Some(&mut frame),
+                exec: Executor::fixed_on(Arc::clone(&pool)),
+                ..Default::default()
+            },
+        )
+        .expect("first slice");
+        let checkpoint = cut.resume.expect("cut by the limit");
+        let rest = run(
+            g,
+            program,
+            RunOptions {
+                from: Some((cut.result.states, checkpoint)),
+                frame: Some(&mut frame),
+                exec: Executor::guided_on(Arc::clone(&pool)),
+                ..Default::default()
+            },
+        )
+        .expect("resumed slice")
+        .result;
+        let stats: Vec<_> = cut
+            .result
+            .superstep_stats
+            .iter()
+            .chain(&rest.superstep_stats)
+            .copied()
+            .collect();
+        assert_eq!(full.supersteps, rest.supersteps, "cut after {at}");
+        assert_eq!(full.superstep_stats, stats, "cut after {at}");
+        assert_eq!(outcome(&full), outcome(&rest), "cut after {at}");
+    }
+}
+
+#[test]
+fn broadcasts_cut_right_after_a_gathered_superstep_resume_exactly() {
+    let g = pagerank_graph();
+    // Superstep 0 of CC and PageRank broadcasts over every arc, so it is
+    // gathered, and the first cut falls right after it.
+    let r = run(&g, &CcProgram, RunOptions::default())
+        .expect("run")
+        .result;
+    assert_eq!(r.superstep_stats[0].messages_generated, g.num_arcs());
+    assert_cut_after_each_early_superstep_resumes_exactly(&g, &CcProgram, 3, |r| r.states.clone());
+    let source = (0..g.num_vertices())
+        .max_by_key(|&v| g.degree(v))
+        .expect("vertices");
+    assert_cut_after_each_early_superstep_resumes_exactly(&g, &BfsProgram { source }, 3, |r| {
+        r.states.clone()
+    });
+    assert_cut_after_each_early_superstep_resumes_exactly(
+        &g,
+        &PagerankProgram::default(),
+        3,
+        |r| {
+            let ranks = r.states.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let aggregates = r.aggregates.last().map(|&(u, f)| (u, f.to_bits()));
+            (ranks, aggregates)
+        },
+    );
 }
 
 /// What an uncombined run shows — a triangle run's per-vertex counts, a

@@ -61,7 +61,8 @@ pub type FrameSlot = Option<(u64, Box<dyn Any + Send>)>;
 /// accumulate in `sink` (a no-op unless the `trace` feature is on).
 ///
 /// A BSP run borrows its frame from `slot` and leaves it there for the
-/// next call; `None` runs on a throwaway frame.
+/// next call; `None` leaves the frame to the runtime, which keeps a
+/// bounded set of spare frames for runs that bring none.
 pub fn execute(
     spec: &JobSpec,
     graph: &Arc<Csr>,
@@ -177,18 +178,21 @@ impl BspJob<'_> {
         };
         let n = self.graph.num_vertices();
         let mut slot = self.slot;
-        let held = slot.as_deref_mut().and_then(Option::take);
-        let mut frame = held
-            .filter(|(held_n, _)| *held_n == n)
-            .and_then(|(_, held)| held.downcast::<SuperstepFrame<P::State, P::Message>>().ok())
-            .map_or_else(SuperstepFrame::new, |frame| *frame);
+        // Without a slot the runtime picks the frame (a spare one it
+        // kept from an earlier run, or a fresh one).
+        let mut frame = slot.as_deref_mut().map(|slot| {
+            slot.take()
+                .filter(|(held_n, _)| *held_n == n)
+                .and_then(|(_, held)| held.downcast::<SuperstepFrame<P::State, P::Message>>().ok())
+                .map_or_else(SuperstepFrame::new, |frame| *frame)
+        });
         let opts = RunOptions {
             config: self.spec.config,
             rec: None,
             from,
             stop: Some(self.stop),
             sink: Some(self.sink),
-            frame: Some(&mut frame),
+            frame: frame.as_mut(),
             // Guided scheduling: decaying chunks back-fill RMAT hub skew.
             // The fixed schedule is the loop shape the XMT cost model
             // charges for, which no job over the wire does, and on host
@@ -199,7 +203,7 @@ impl BspJob<'_> {
         let run = run(self.graph, program, opts).map_err(|e| ServiceError::Internal {
             message: e.to_string(),
         })?;
-        if let Some(slot) = slot {
+        if let (Some(slot), Some(frame)) = (slot, frame) {
             *slot = Some((n, Box::new(frame)));
         }
         let supersteps = run.result.supersteps;

@@ -58,6 +58,64 @@ pub fn alloc_count() -> u64 {
     ALLOC_COUNTER.get().map_or(0, |f| f())
 }
 
+/// The process's minor page faults so far (`getrusage`'s `ru_minflt` on
+/// 64-bit Linux, a fraction of a microsecond; 0 on other targets), and
+/// always 0 with the feature off, when the compiler strips the call.
+pub fn minor_faults() -> u64 {
+    if !ENABLED {
+        return 0;
+    }
+    rusage::minor_faults()
+}
+
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+mod rusage {
+    /// `struct timeval` on 64-bit Linux.
+    #[repr(C)]
+    #[derive(Default)]
+    struct Timeval {
+        sec: i64,
+        usec: i64,
+    }
+
+    /// `struct rusage` on 64-bit Linux: two `timeval`s, then fourteen
+    /// `long`s from `ru_maxrss` on.
+    #[repr(C)]
+    #[derive(Default)]
+    struct Rusage {
+        utime: Timeval,
+        stime: Timeval,
+        longs: [i64; 14],
+    }
+
+    extern "C" {
+        fn getrusage(who: i32, usage: *mut Rusage) -> i32;
+    }
+
+    const RUSAGE_SELF: i32 = 0;
+    /// `ru_minflt` follows `ru_maxrss`, `ru_ixrss`, `ru_idrss`, `ru_isrss`.
+    const MINFLT: usize = 4;
+
+    pub(super) fn minor_faults() -> u64 {
+        let mut usage = Rusage::default();
+        // SAFETY: `usage` is a live, writable `struct rusage` of this
+        // target's layout, the only memory `getrusage` writes.
+        let ok = unsafe { getrusage(RUSAGE_SELF, &mut usage) } == 0;
+        if ok {
+            usage.longs[MINFLT] as u64
+        } else {
+            0
+        }
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+mod rusage {
+    pub(super) fn minor_faults() -> u64 {
+        0
+    }
+}
+
 /// One superstep's (or kernel iteration's) worth of observations.
 ///
 /// `superstep` is the *absolute* superstep number: a run resumed from a
@@ -83,14 +141,23 @@ pub struct SuperstepTrace {
     pub pulled: bool,
     /// Edge probes performed by pull-mode delivery.
     pub pull_probes: u64,
-    /// Bytes compute deposited into the exchange's lanes: message pairs,
-    /// run headers and run payloads (0 for kernels without an exchange).
+    /// Bytes compute's sends occupy in the exchange's lane encoding:
+    /// message pairs, run headers and run payloads (0 for kernels without
+    /// an exchange).  Neighbor broadcasts recorded once per sender count
+    /// as the `(dst, msg)` pairs they stand for, one per arc, whatever
+    /// the exchange did with them: a gathered superstep, or one whose
+    /// successor pulls, reports those pair bytes though its lanes stay
+    /// empty (the record holds one message per sender instead).
     pub bytes_deposited: u64,
     /// Heap allocations performed during the superstep's scan, compute
     /// and exchange phases (0 unless the process registered a counting
     /// allocator via [`set_alloc_counter`]).  Steady-state supersteps of
     /// a frame-reusing run report 0.
     pub allocs: u64,
+    /// Minor page faults the whole process took from the start of the
+    /// superstep's scan to the end of its exchange (other threads'
+    /// faults included); 0 without the `enabled` feature.
+    pub minor_faults: u64,
     /// Wall-clock nanoseconds spent building the active set.
     pub scan_ns: u64,
     /// Wall-clock nanoseconds in the parallel compute phase.
@@ -304,6 +371,19 @@ impl Stopwatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn minor_faults_count_fresh_pages_only_with_the_feature() {
+        let before = minor_faults();
+        let pages = vec![1u8; 8 << 20];
+        std::hint::black_box(&pages);
+        let after = minor_faults();
+        if !ENABLED || !cfg!(target_os = "linux") {
+            assert_eq!((before, after), (0, 0));
+        } else {
+            assert!(after > before, "{before} -> {after} after touching 8 MiB");
+        }
+    }
 
     fn step(superstep: u64, total_ns: u64) -> SuperstepTrace {
         SuperstepTrace {

@@ -2,7 +2,7 @@
 //! kernel called on the benchmark's graph (Graph500 RMAT, edge factor 16,
 //! seed 1) on the guided executor, alternating a throwaway frame and one
 //! frame held across calls, timing each call and counting the minor page
-//! faults it took (Linux `/proc/self/stat`; 0 where `/proc` is absent).
+//! faults it took (`getrusage` on 64-bit Linux; 0 elsewhere).
 //!
 //! ```text
 //! cargo run --release --example frame_faults -- [tc|cc|pagerank] [SCALE] [CALLS]
@@ -23,16 +23,9 @@ use xmt_bsp_repro::graph::gen::rmat::{rmat_edges, RmatParams};
 use xmt_bsp_repro::graph::Csr;
 use xmt_bsp_repro::par::Executor;
 
-/// The process's minor page faults so far (field 10 of `/proc/self/stat`).
+/// The process's minor page faults so far.
 fn minor_faults() -> u64 {
-    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
-    // The command name may hold spaces; the fields after it do not.
-    let fields = stat.rsplit(')').next().unwrap_or("");
-    fields
-        .split_whitespace()
-        .nth(7)
-        .and_then(|f| f.parse().ok())
-        .unwrap_or(0)
+    xmt_trace::minor_faults()
 }
 
 /// Median, min and max.
@@ -41,7 +34,8 @@ fn summary(mut xs: Vec<f64>) -> (f64, f64, f64) {
     (xs[xs.len() / 2], xs[0], xs[xs.len() - 1])
 }
 
-/// One call of `program` on `g`, on `frame` if given; `(ms, faults)`.
+/// One call of `program` on `g`, on `frame` if given and on a fresh
+/// frame (not the runtime's spare one) otherwise; `(ms, faults)`.
 fn call<P: VertexProgram>(
     g: &Csr,
     program: &P,
@@ -49,14 +43,16 @@ fn call<P: VertexProgram>(
 ) -> (f64, f64) {
     let faults = minor_faults();
     let t = Instant::now();
+    let mut fresh = None;
     let opts = RunOptions {
-        frame,
+        frame: Some(frame.unwrap_or_else(|| fresh.insert(SuperstepFrame::new()))),
         exec: Executor::guided(),
         ..RunOptions::default()
     };
     let r = run(g, program, opts).expect("a fresh run");
     std::hint::black_box(&r.result.states);
     drop(r);
+    drop(fresh);
     let ms = t.elapsed().as_secs_f64() * 1e3;
     (ms, (minor_faults() - faults) as f64)
 }
