@@ -17,6 +17,9 @@
 //! - the same CC and BFS push configurations on the **guided**
 //!   executor: the guided claim loop must be as allocation-free as the
 //!   fixed one;
+//! - PageRank, whose every superstep gathers a record over every arc,
+//!   and BFS from the hub, whose superstep 2 is gathered up to each
+//!   row's first sender, on both executors;
 //! - BFS under Beamer `Delivery::Auto` on both executors: the direction
 //!   decision (claim pass, frontier-edge estimate, dense visited
 //!   bitmap) must ride the frame's retained buffers;
@@ -138,9 +141,16 @@ fn main() {
     // PageRank broadcasts over every arc each superstep, so under the
     // default configuration every one of its supersteps (and CC's dense
     // ones, gated above) records its broadcasts once per sender and
-    // gathers them at the receivers: the record, its filling and the
-    // gather must ride the frame's retained buffers too.
+    // gathers them at the receivers, with no sender test since every
+    // vertex with an arc sent: the record and the gather must ride the
+    // frame's retained buffers too.
     let pagerank = PagerankProgram::default();
+    let sent = sent_per_superstep(&g, &pagerank);
+    assert!(
+        sent.len() > SKIP_PUSH && sent[2..sent.len() - 1].iter().all(|&m| m == g.num_arcs()),
+        "pagerank/outbox/gathered: a superstep in the window broadcasts over fewer than \
+         every arc: {sent:?}"
+    );
     gate(
         &g,
         &pagerank,
@@ -155,6 +165,33 @@ fn main() {
         push,
         SKIP_PUSH,
         "pagerank/outbox/gathered/native",
+        &native,
+    );
+    // BFS from the hub: superstep 2, inside the window, broadcasts over
+    // a sixteenth of the arcs or more and under a third, a record that
+    // only the gather stopping at each row's first sender takes.
+    let hub = (0..g.num_vertices())
+        .max_by_key(|&v| g.degree(v))
+        .expect("a vertex");
+    let sent = sent_per_superstep(&g, &BfsProgram { source: hub });
+    assert!(
+        sent.len() > 3 && 16 * sent[2] >= g.num_arcs() && 3 * sent[2] < g.num_arcs(),
+        "bfs/outbox/gathered: superstep 2 is not gathered up to first senders only: {sent:?}"
+    );
+    gate(
+        &g,
+        &BfsProgram { source: hub },
+        push,
+        SKIP_PUSH,
+        "bfs/outbox/gathered",
+        &sim,
+    );
+    gate(
+        &g,
+        &BfsProgram { source: hub },
+        push,
+        SKIP_PUSH,
+        "bfs/outbox/gathered/native",
         &native,
     );
     // Beamer Auto mixes push supersteps (two polls) with pull
@@ -279,6 +316,13 @@ fn gate_worker_slot(g: &Arc<xmt_graph::Csr>) {
         label,
         supersteps,
     );
+}
+
+/// The messages each superstep of a default run of `program` sent.
+fn sent_per_superstep<P: VertexProgram>(g: &xmt_graph::Csr, program: &P) -> Vec<u64> {
+    let run = run(g, program, RunOptions::default()).expect("a fresh run");
+    let stats = run.result.superstep_stats;
+    stats.iter().map(|st| st.messages_sent).collect()
 }
 
 /// Warm the frame with one full run, then re-run with a snapshotting

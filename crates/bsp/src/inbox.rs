@@ -35,13 +35,14 @@
 //! spare) and swap them instead of allocating a fresh one per superstep.
 
 use std::mem::MaybeUninit;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use xmt_graph::{Csr, VertexId};
 use xmt_par::pfor::default_chunk;
 use xmt_par::{DisjointSlice, Executor, WorkerScratch};
 
 use crate::program::Combiner;
-use crate::transport::{capacity_bytes, Collected, Filled};
+use crate::transport::{capacity_bytes, Broadcasts, Collected};
 
 /// How an inbox currently holds its messages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -226,28 +227,100 @@ impl<M: Copy + Send + Sync> Inbox<M> {
     /// shipping them: every vertex folds, with `combine`, the messages of
     /// its neighbors that broadcast, in ascending neighbor order,
     /// straight into its slot.  Receiving tasks own whole 64-vertex
-    /// presence words, so every write is a plain store.
+    /// presence words, so every write is a plain store.  Returns the
+    /// neighbor ids read, which depend on how much of a row the fold
+    /// needs:
     ///
-    /// After a row's first sender the fold runs without a branch on the
-    /// sender bits: it combines every neighbor's slot ([`Filled`] gives
-    /// each one a message) and keeps the result only where the bit is
-    /// set, since on a mid-density superstep those bits are what a
-    /// branch predictor cannot learn.
+    /// * `first_sender` names a program whose fold over any row's
+    ///   senders is the first one's message
+    ///   ([`VertexProgram::supports_bottom_up`]): a row is read up to its
+    ///   first sender, and debug builds check the promise against the
+    ///   whole row;
+    /// * a record standing for every arc has every vertex with an arc as
+    ///   a sender, so every row is folded whole with no sender test;
+    /// * otherwise, after a row's first sender the fold combines every
+    ///   neighbor's slot ([`Broadcasts::fill`] gives each one a message)
+    ///   and keeps the result by a select on its sender bit, since on a
+    ///   mid-density superstep those bits are what a branch predictor
+    ///   cannot learn.
     ///
     /// The result equals [`fold`](Self::fold) over the same broadcasts
     /// expanded in ascending sender order, bit for bit: on a simple
     /// undirected graph each destination receives one message per
     /// neighbor that broadcast, and both ways fold them by ascending
     /// sender.
+    ///
+    /// [`VertexProgram::supports_bottom_up`]: crate::program::VertexProgram::supports_bottom_up
     pub(crate) fn gather<F>(
         &mut self,
         exec: &Executor,
         graph: &Csr,
-        sent: &Filled<'_, M>,
+        sent: &mut Broadcasts<M>,
         arcs: u64,
+        first_sender: Option<&'static str>,
         combine: F,
-    ) where
+    ) -> u64
+    where
+        M: PartialEq,
         F: Fn(M, M) -> M + Sync,
+    {
+        if let Some(program) = first_sender {
+            let sent = &*sent;
+            self.gather_rows(exec, graph, arcs, |row| {
+                let Some(first) = row.iter().position(|&u| sent.is_sender(u)) else {
+                    return (row.len(), None);
+                };
+                // SAFETY: `row[first]` broadcast.
+                let msg = unsafe { sent.sent_unchecked(row[first]) };
+                debug_assert!(
+                    row[first + 1..]
+                        .iter()
+                        .filter_map(|&u| sent.sent(u))
+                        .fold(msg, &combine)
+                        == msg,
+                    "{program}: the fold over a row's senders is not its first sender's \
+                     message, as supports_bottom_up() promises for recorded broadcasts"
+                );
+                (first + 1, Some(msg))
+            })
+        } else if arcs == graph.num_arcs() {
+            let sent = &*sent;
+            self.gather_rows(exec, graph, arcs, |row| {
+                // SAFETY: the record stands for every arc, so every vertex
+                // with an arc broadcast, and `u` has the one to this row's
+                // vertex.
+                let msg = |u| unsafe { sent.sent_unchecked(u) };
+                let Some((&first, rest)) = row.split_first() else {
+                    return (0, None);
+                };
+                let acc = rest.iter().fold(msg(first), |acc, &u| combine(acc, msg(u)));
+                (row.len(), Some(acc))
+            })
+        } else {
+            sent.fill();
+            let sent = &*sent;
+            self.gather_rows(exec, graph, arcs, |row| {
+                let Some(first) = row.iter().position(|&u| sent.is_sender(u)) else {
+                    return (row.len(), None);
+                };
+                // SAFETY: `fill` gave every slot a message.
+                let msg = |u| unsafe { sent.sent_unchecked(u) };
+                let mut acc = msg(row[first]);
+                for &u in &row[first + 1..] {
+                    let folded = combine(acc, msg(u));
+                    acc = if sent.is_sender(u) { folded } else { acc };
+                }
+                (row.len(), Some(acc))
+            })
+        }
+    }
+
+    /// The gather's frame: every vertex `v` takes `fold_row(v's row)`,
+    /// a count of neighbor ids read and the folded message, if any.
+    /// Returns the reads, summed once per task.
+    fn gather_rows<R>(&mut self, exec: &Executor, graph: &Csr, arcs: u64, fold_row: R) -> u64
+    where
+        R: Fn(&[VertexId]) -> (usize, Option<M>) + Sync,
     {
         let n = graph.num_vertices() as usize;
         self.num_vertices = n;
@@ -259,27 +332,27 @@ impl<M: Copy + Send + Sync> Inbox<M> {
         let words = self.present.len();
         let slots = DisjointSlice::new(&mut self.slots);
         let present = DisjointSlice::new(&mut self.present);
+        let probes = AtomicU64::new(0);
         let chunk = default_chunk(words, exec.workers());
         exec.pfor_chunked(0, words, chunk, |_, range| {
             let (lo, hi) = (range.start * 64, (range.end * 64).min(n));
             // SAFETY: tasks own disjoint ranges of presence words and the
             // vertices those words cover, all inside `0..n`.
             let (slots, present) = unsafe { (slots.range(lo..hi), present.range(range)) };
+            let mut read = 0;
             for v in lo..hi {
-                let row = graph.neighbors(v as VertexId);
-                let Some(first) = row.iter().position(|&u| sent.is_sender(u)) else {
-                    continue;
-                };
-                let mut acc = sent.msgs[row[first] as usize];
-                for &u in &row[first + 1..] {
-                    let folded = combine(acc, sent.msgs[u as usize]);
-                    acc = if sent.is_sender(u) { folded } else { acc };
+                let (probed, msg) = fold_row(graph.neighbors(v as VertexId));
+                read += probed as u64;
+                if let Some(msg) = msg {
+                    let i = v - lo;
+                    slots[i].write(msg);
+                    present[i / 64] |= 1 << (i % 64);
                 }
-                let i = v - lo;
-                slots[i].write(acc);
-                present[i / 64] |= 1 << (i % 64);
             }
+            // Relaxed: read after the join.
+            probes.fetch_add(read, Ordering::Relaxed);
         });
+        probes.into_inner()
     }
 
     /// Group uncombined messages into the CSR *without atomics*: every
@@ -462,7 +535,7 @@ impl<M: Copy + Send + Sync> Default for Inbox<M> {
 mod tests {
     use super::*;
     use crate::program::{MinCombiner, SumCombiner};
-    use crate::transport::{MessageCollector, Outbox, Transport};
+    use crate::transport::{Broadcasts, MessageCollector, Outbox, Transport};
 
     const TRANSPORTS: [Transport; 2] = [Transport::PerThreadOutbox, Transport::SingleQueue];
 
@@ -596,57 +669,191 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gathering_and_expanding_broadcasts_build_the_same_inbox() {
-        use crate::transport::Broadcasts;
+    /// A record of `msg(u)` broadcast by each of `senders`, over `n`
+    /// vertices, on `sent` (reset first, so its slots keep what an earlier
+    /// record left in them).
+    fn record<M: Copy>(sent: &mut Broadcasts<M>, n: u64, senders: &[u64], msg: impl Fn(u64) -> M) {
+        sent.reset(n as usize);
+        let sink = sent.sink();
+        for &u in senders {
+            // SAFETY: one record per sender, on this thread.
+            assert!(unsafe { sink.record(u, msg(u)) });
+            assert!(!unsafe { sink.record(u, msg(u)) }, "a second broadcast");
+        }
+    }
+
+    /// The arcs `senders` broadcast over in `g`.
+    fn arcs_of(g: &Csr, senders: &[u64]) -> u64 {
+        senders.iter().map(|&u| g.degree(u)).sum()
+    }
+
+    /// The same broadcasts expanded the way the exchange does it —
+    /// senders ascending, one pair per arc — and folded from the lanes.
+    fn expanded<M: Copy + Send + Sync>(
+        g: &Csr,
+        senders: &[u64],
+        msg: impl Fn(u64) -> M,
+        combine: impl Fn(M, M) -> M + Sync,
+    ) -> Inbox<M> {
+        let mut pairs: Vec<(u64, M)> = senders
+            .iter()
+            .flat_map(|&u| {
+                g.neighbors(u)
+                    .iter()
+                    .map(|&v| (v, msg(u)))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let mut mc =
+            MessageCollector::new(Transport::PerThreadOutbox, 2, g.num_vertices() as usize);
+        mc.deposit_from(0, 0, &mut pairs);
+        let mut inbox = Inbox::new();
+        inbox.fold(&Executor::fixed(), &mc.collected(), combine);
+        inbox
+    }
+
+    /// Require `gathered` to be `expanded`, message for message.
+    fn assert_same_inbox<M: Copy + Send + Sync + PartialEq + std::fmt::Debug>(
+        gathered: &Inbox<M>,
+        expanded: &Inbox<M>,
+        arcs: u64,
+        tag: &str,
+    ) {
+        assert_eq!(gathered.total_messages(), arcs, "{tag}");
+        assert_eq!(expanded.total_messages(), arcs, "{tag}");
+        assert_eq!(gathered.snapshot(), expanded.snapshot(), "{tag}");
+        for v in 0..gathered.num_vertices() as u64 {
+            assert_eq!(gathered.has_messages(v), expanded.has_messages(v), "{tag}");
+        }
+    }
+
+    /// Sparse random graphs, so many vertices are isolated, one with a
+    /// hub joined to a fifth of the vertices.
+    fn gather_graphs() -> Vec<Csr> {
         use xmt_graph::builder::build_undirected;
         use xmt_graph::gen::er::gnm;
-        // Sparse random graphs, so many vertices are isolated, and
-        // sender sets from none to all; `Digits` spells out the order
+        let mut graphs: Vec<Csr> = [(1000, 600, 1), (1000, 3000, 2), (130, 200, 3), (64, 0, 4)]
+            .iter()
+            .map(|&(n, m, seed)| build_undirected(&gnm(n, m, seed)))
+            .collect();
+        let mut hub = gnm(1000, 800, 5);
+        hub.edges.extend((1..1000).step_by(5).map(|v| (0, v)));
+        graphs.push(build_undirected(&hub));
+        for g in &graphs {
+            assert!(
+                (0..g.num_vertices()).any(|v| g.degree(v) == 0),
+                "no isolated vertex"
+            );
+        }
+        graphs
+    }
+
+    #[test]
+    fn gathering_and_expanding_broadcasts_build_the_same_inbox() {
+        // Sender sets from none to all; `Digits` spells out the order
         // each destination folds its messages in.
-        for (n, m, seed) in [(1000, 600, 1), (1000, 3000, 2), (130, 200, 3), (64, 0, 4)] {
-            let g = build_undirected(&gnm(n, m, seed));
-            assert!((0..n).any(|v| g.degree(v) == 0), "no isolated vertex");
+        let exec = Executor::fixed();
+        for g in gather_graphs() {
+            let n = g.num_vertices();
             for every in [1, 2, 3, 7, n] {
-                let senders: Vec<u64> = (0..n).filter(|v| (v * 31 + seed) % every == 0).collect();
+                let senders: Vec<u64> = (0..n).filter(|v| (v * 31 + n) % every == 0).collect();
                 let msg = |u: u64| u % 9 + 1;
                 let mut sent = Broadcasts::new();
-                sent.reset(n as usize);
-                {
-                    let sink = sent.sink();
-                    for &u in &senders {
-                        // SAFETY: one record per sender, on this thread.
-                        assert!(unsafe { sink.record(u, msg(u)) });
-                        assert!(!unsafe { sink.record(u, 0) }, "a second broadcast");
-                    }
-                }
-                let arcs: u64 = senders.iter().map(|&u| g.degree(u)).sum();
-                let exec = Executor::fixed();
+                record(&mut sent, n, &senders, msg);
+                let arcs = arcs_of(&g, &senders);
                 let mut gathered = Inbox::new();
-                match sent.filled() {
-                    Some(filled) => {
-                        gathered.gather(&exec, &g, &filled, arcs, |a, b| Digits.combine(a, b))
-                    }
-                    None => gathered.reset_empty(n as usize),
-                }
-                // Expanded the way the exchange does it: senders ascending.
-                let mut pairs: Vec<(u64, u64)> = senders
-                    .iter()
-                    .flat_map(|&u| g.neighbors(u).iter().map(move |&v| (v, msg(u))))
-                    .collect();
-                let mut mc = MessageCollector::new(Transport::PerThreadOutbox, 2, n as usize);
-                mc.deposit_from(0, 0, &mut pairs);
-                let mut expanded = Inbox::new();
-                expanded.fold(&exec, &mc.collected(), |a, b| Digits.combine(a, b));
-                let tag = format!("n {n}, m {m}, every {every}th vertex sends");
-                assert_eq!(gathered.total_messages(), arcs, "{tag}");
-                assert_eq!(expanded.total_messages(), arcs, "{tag}");
-                assert_eq!(gathered.snapshot(), expanded.snapshot(), "{tag}");
-                for v in 0..n {
-                    assert_eq!(gathered.has_messages(v), expanded.has_messages(v), "{tag}");
+                let probes = gathered.gather(&exec, &g, &mut sent, arcs, None, |a, b| {
+                    Digits.combine(a, b)
+                });
+                let tag = format!("n {n}, m {}, every {every}th vertex sends", g.num_arcs());
+                assert_eq!(probes, g.num_arcs(), "{tag}");
+                let want = expanded(&g, &senders, msg, |a, b| Digits.combine(a, b));
+                assert_same_inbox(&gathered, &want, arcs, &tag);
+            }
+        }
+    }
+
+    #[test]
+    fn a_record_over_every_arc_gathers_with_no_sender_test_and_one_short_of_it_with_one() {
+        // Every vertex with an arc sends (isolated ones on alternate
+        // graphs too), then the same minus one sender, on the same record:
+        // the second record's missing sender keeps the first's message in
+        // its slot, so a fold that skipped the sender test would fold it.
+        let exec = Executor::fixed();
+        for (i, g) in gather_graphs().into_iter().enumerate() {
+            let n = g.num_vertices();
+            let all: Vec<u64> = (0..n).filter(|&v| g.degree(v) > 0 || i % 2 == 1).collect();
+            let Some(short) = all.iter().position(|&v| g.degree(v) > 0) else {
+                continue;
+            };
+            let one_short: Vec<u64> = [&all[..short], &all[short + 1..]].concat();
+            let mut sent = Broadcasts::new();
+            for senders in [&all, &one_short] {
+                let msg = |u: u64| u % 7 + 2;
+                record(&mut sent, n, senders, msg);
+                let arcs = arcs_of(&g, senders);
+                assert_eq!(arcs == g.num_arcs(), senders.len() == all.len());
+                let mut gathered = Inbox::new();
+                let probes = gathered.gather(&exec, &g, &mut sent, arcs, None, |a, b| {
+                    Digits.combine(a, b)
+                });
+                let tag = format!("graph {i}, {} of {} senders", senders.len(), all.len());
+                assert_eq!(probes, g.num_arcs(), "{tag}");
+                let want = expanded(&g, senders, msg, |a, b| Digits.combine(a, b));
+                assert_same_inbox(&gathered, &want, arcs, &tag);
+            }
+        }
+    }
+
+    #[test]
+    fn a_first_sender_gather_of_bfs_records_is_the_expanded_fold() {
+        // BFS-shaped records: every sender broadcasts `(level, own id)`,
+        // one level a record, folded by the minimum.  Senders are also
+        // receivers (the settled vertices of a BFS), rows without a
+        // sender stay empty, and the hub's row is read to its first
+        // sender only.
+        let min = |a: (u64, u64), b: (u64, u64)| a.min(b);
+        let exec = Executor::fixed();
+        for g in gather_graphs() {
+            let n = g.num_vertices();
+            for (level, every) in [(1, 1), (2, 2), (3, 5), (4, 17), (5, n)] {
+                let senders: Vec<u64> = (0..n).filter(|v| (v * 13 + level) % every == 0).collect();
+                let msg = |u: u64| (level, u);
+                let mut sent = Broadcasts::new();
+                record(&mut sent, n, &senders, msg);
+                let arcs = arcs_of(&g, &senders);
+                let mut gathered = Inbox::new();
+                let probes = gathered.gather(&exec, &g, &mut sent, arcs, Some("bfs"), min);
+                let tag = format!("n {n}, m {}, every {every}th vertex sends", g.num_arcs());
+                assert!(probes <= g.num_arcs(), "{tag}");
+                let want = expanded(&g, &senders, msg, min);
+                assert_same_inbox(&gathered, &want, arcs, &tag);
+                if every == 1 && g.num_arcs() > 0 {
+                    // One probe per vertex with an arc: its first neighbor.
+                    let rows = (0..n).filter(|&v| g.degree(v) > 0).count() as u64;
+                    assert_eq!(probes, rows, "{tag}");
                 }
             }
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "digits: the fold over a row's senders is not its first sender's")]
+    fn a_first_sender_gather_whose_fold_is_not_the_first_message_fails_a_debug_assertion() {
+        // Vertex 0's row holds senders 1 and 2, and `Digits` folds them to 12.
+        let g = xmt_graph::builder::build_undirected(&xmt_graph::gen::structured::star(3));
+        let mut sent = Broadcasts::new();
+        record(&mut sent, 3, &[1, 2], |u| u);
+        let combine = |a, b| Digits.combine(a, b);
+        Inbox::new().gather(
+            &Executor::fixed(),
+            &g,
+            &mut sent,
+            2,
+            Some("digits"),
+            combine,
+        );
     }
 
     #[test]

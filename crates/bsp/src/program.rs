@@ -67,8 +67,10 @@ pub trait VertexProgram: Sync {
     /// Per-vertex state, kept between supersteps (Pregel: "vertices...
     /// maintain state between iterations").
     type State: Clone + Send + Sync + 'static;
-    /// Message payload. `Copy` keeps the exchange buffers flat.
-    type Message: Copy + Send + Sync + 'static;
+    /// Message payload. `Copy` keeps the exchange buffers flat;
+    /// `PartialEq` lets debug builds check the first-sender promise of
+    /// [`supports_bottom_up`](Self::supports_bottom_up).
+    type Message: Copy + Send + Sync + PartialEq + 'static;
 
     /// Initial state of vertex `v` before superstep 0.
     fn init(&self, v: VertexId) -> Self::State;
@@ -138,14 +140,25 @@ pub trait VertexProgram: Sync {
     /// BFS satisfies this because the frontier is level-synchronous:
     /// every settled neighbor of an undiscovered vertex sits at the
     /// current depth, so all offers produce the same distance.
+    ///
+    /// The same promise covers recorded broadcasts (DESIGN.md §17,
+    /// "Broadcasts"): on any superstep, the combiner's fold over the
+    /// messages a receiver's broadcasting neighbors sent, in row order,
+    /// is the message of the first of them — so the exchange's gather
+    /// stops at a row's first sender.  BFS's senders of one superstep all
+    /// broadcast `(level, own id)` at one level, and rows ascend, so the
+    /// minimum is the first.  Debug builds check the promise on every
+    /// row such a gather reads and fail an assertion naming the program.
     fn is_settled(&self, state: &Self::State) -> bool {
         let _ = state;
         false
     }
 
     /// Whether [`is_settled`](Self::is_settled) is implemented and the
-    /// first-offer contract above holds, enabling bottom-up gathering
-    /// (and Beamer alpha/beta switching under `Delivery::Auto`).
+    /// first-offer contract above holds, for pull offers and recorded
+    /// broadcasts alike, enabling bottom-up gathering, Beamer alpha/beta
+    /// switching under `Delivery::Auto`, and broadcast gathers that stop
+    /// at a row's first sender.
     fn supports_bottom_up(&self) -> bool {
         false
     }

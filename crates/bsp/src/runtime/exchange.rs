@@ -27,6 +27,13 @@ use crate::transport::{charge_exchange, Broadcasts, Collected, MessageCollector,
 /// once per sender").
 const GATHER_DIVISOR: u64 = 3;
 
+/// [`GATHER_DIVISOR`] for programs whose fold over a row's senders is
+/// the first sender's message (`supports_bottom_up`): their gather stops
+/// at a row's first sender, so it pays off at sparser records.  Picked by
+/// measurement (EXPERIMENTS.md, "Gathers that stop at the first
+/// sender").
+const FIRST_SENDER_GATHER_DIVISOR: u64 = 16;
+
 /// What one exchange phase decided.
 #[derive(Clone, Copy, Debug)]
 pub(super) struct Exchanged {
@@ -40,6 +47,9 @@ pub(super) struct Exchanged {
     /// Recorded broadcast arcs that never reached a lane: gathered at
     /// the receivers, or dropped for a pull superstep.
     pub unlaned_arcs: u64,
+    /// Neighbor ids the gather of recorded broadcasts read (0 when
+    /// nothing was gathered).
+    pub gather_probes: u64,
 }
 
 impl<P: VertexProgram> Run<'_, P> {
@@ -131,7 +141,7 @@ impl<P: VertexProgram> Run<'_, P> {
         };
         let pull_next = self.policy.pull_next(pull_candidate, self.pulling, &next);
 
-        let mut unlaned_arcs = 0;
+        let (mut unlaned_arcs, mut gather_probes) = (0, 0);
         if pull_next {
             // The pushed messages (and recorded broadcasts) are
             // discarded: the next superstep re-derives them (and
@@ -150,15 +160,23 @@ impl<P: VertexProgram> Run<'_, P> {
             // Dense broadcasts are gathered; sparse ones, and any that
             // share the superstep with deposits (only a program breaking
             // the broadcast contract makes both), travel as pairs.
-            let dense = recorded.saturating_mul(GATHER_DIVISOR) >= graph.num_arcs();
-            let filled = (recorded > 0 && dense && collector.total() == 0)
-                .then(|| broadcasts.filled())
-                .flatten();
-            if let Some(sent) = filled {
+            let first_sender = self.program.supports_bottom_up();
+            let divisor = if first_sender {
+                FIRST_SENDER_GATHER_DIVISOR
+            } else {
+                GATHER_DIVISOR
+            };
+            let dense = recorded.saturating_mul(divisor) >= graph.num_arcs();
+            if recorded > 0 && dense && collector.total() == 0 {
                 let program = self.program;
-                spare.gather(self.exec, graph, &sent, recorded, |a, b| {
-                    combine(program, a, b)
-                });
+                gather_probes = spare.gather(
+                    self.exec,
+                    graph,
+                    broadcasts,
+                    recorded,
+                    first_sender.then(std::any::type_name::<P>),
+                    |a, b| combine(program, a, b),
+                );
                 unlaned_arcs = recorded;
             } else {
                 if recorded > 0 {
@@ -185,6 +203,7 @@ impl<P: VertexProgram> Run<'_, P> {
             messages_sent: if pull_next { 0 } else { shipped },
             claims_ran,
             unlaned_arcs,
+            gather_probes,
         }
     }
 

@@ -388,6 +388,7 @@ fn run_validated<P: VertexProgram>(
                 halt_votes: computed.halt_votes,
                 pulled: run.pulling,
                 pull_probes: computed.probes,
+                gather_probes: exchanged.gather_probes,
                 // From the lane lengths, while the lanes still hold the
                 // superstep's deposits, plus the pairs the broadcasts
                 // that never reached a lane stand for.

@@ -642,22 +642,40 @@ impl<M: Copy> Broadcasts<M> {
     /// The message `u` broadcast this superstep, if it did.
     #[inline]
     pub(crate) fn sent(&self, u: VertexId) -> Option<M> {
-        // Relaxed: the bits were set before the compute join, which
-        // happens-before every read of the record.
-        let word = self.senders[(u >> 6) as usize].load(Ordering::Relaxed);
         // SAFETY: a set bit means the slot was written (`record` writes
         // the slot in the same compute call that sets the bit, both
         // before the join).
-        (word >> (u & 63) & 1 == 1).then(|| unsafe { self.msgs[u as usize].assume_init() })
+        self.is_sender(u).then(|| unsafe { self.sent_unchecked(u) })
     }
 
-    /// Give every slot a message — each non-sender a copy of the first
-    /// sender's — and view the record as plain slices; `None` without a
-    /// sender.  A reader may then load any vertex's slot and keep or drop
-    /// it by its sender bit without a branch on the bit.
-    pub(crate) fn filled(&mut self) -> Option<Filled<'_, M>> {
+    /// Whether `u` broadcast this superstep.
+    #[inline]
+    pub(crate) fn is_sender(&self, u: VertexId) -> bool {
+        // Relaxed: the bits were set before the compute join.
+        self.senders[(u >> 6) as usize].load(Ordering::Relaxed) >> (u & 63) & 1 == 1
+    }
+
+    /// The message in `u`'s slot, with no test of its sender bit.
+    ///
+    /// # Safety
+    /// `u` broadcast this superstep, or [`fill`](Self::fill) ran after
+    /// the record's last reset.
+    #[inline]
+    pub(crate) unsafe fn sent_unchecked(&self, u: VertexId) -> M {
+        // SAFETY: the slot was written by `record` or `fill` (the
+        // caller's contract).
+        unsafe { self.msgs[u as usize].assume_init() }
+    }
+
+    /// Give every non-sender's slot a copy of the first sender's message
+    /// (nothing without a sender).  A reader may then load any vertex's
+    /// slot with [`sent_unchecked`](Self::sent_unchecked) and keep or
+    /// drop it by its sender bit without a branch on the bit.
+    pub(crate) fn fill(&mut self) {
         let senders = self.senders.iter().map(|w| w.load(Ordering::Relaxed)); // Relaxed: after the join
-        let (w, word) = senders.enumerate().find(|&(_, word)| word != 0)?;
+        let Some((w, word)) = senders.enumerate().find(|&(_, word)| word != 0) else {
+            return;
+        };
         // SAFETY: bit `u` is set, so slot `u` was written.
         let first = unsafe { self.msgs[w * 64 + word.trailing_zeros() as usize].assume_init() };
         for (w, word) in self.senders.iter().enumerate() {
@@ -673,14 +691,6 @@ impl<M: Copy> Broadcasts<M> {
                 }
             }
         }
-        let msgs = self.msgs.as_slice();
-        Some(Filled {
-            // SAFETY: every slot is initialized now — the senders' by
-            // `record`, the others just above — and `MaybeUninit<M>` has
-            // `M`'s layout.
-            msgs: unsafe { std::slice::from_raw_parts(msgs.as_ptr().cast::<M>(), msgs.len()) },
-            senders: &self.senders,
-        })
     }
 
     /// The senders of 64-vertex word `w`, one bit each.
@@ -693,22 +703,6 @@ impl<M: Copy> Broadcasts<M> {
     /// Number of 64-vertex sender words.
     pub(crate) fn sender_words(&self) -> usize {
         self.senders.len()
-    }
-}
-
-/// A [`Broadcasts`] whose every slot holds a message
-/// ([`Broadcasts::filled`]): the senders' own, and copies in the others.
-pub(crate) struct Filled<'a, M> {
-    pub(crate) msgs: &'a [M],
-    senders: &'a [AtomicU64],
-}
-
-impl<M> Filled<'_, M> {
-    /// Whether `u` broadcast this superstep.
-    #[inline]
-    pub(crate) fn is_sender(&self, u: VertexId) -> bool {
-        // Relaxed: the bits were set before the compute join.
-        self.senders[(u >> 6) as usize].load(Ordering::Relaxed) >> (u & 63) & 1 == 1
     }
 }
 

@@ -29,6 +29,9 @@
 //! ships one pair per arc, state for state and stat for stat on every
 //! pool and schedule, and runs cut right after a gathered superstep must
 //! resume to the uninterrupted result (PageRank's ranks bit for bit).
+//! BFS's gather stops at each row's first sender, which lets it gather
+//! sparser records than CC's; two cases run it on a superstep only that
+//! gather takes.
 //!
 //! The mixed-send cases pin the order rule for runs: a program that
 //! sends to the same destinations both with `send_to` and with
@@ -520,6 +523,19 @@ where
         sent.iter().any(|&m| m > 0 && 16 * m < g.num_arcs()),
         "{sent:?}"
     );
+    assert_matches_across_pools(g, program, &reference);
+}
+
+/// `program` on `g` gives `reference`'s outcome on pools of 1, 2, 4 and
+/// 8 workers under both schedules and both transports.
+fn assert_matches_across_pools<P>(
+    g: &Csr,
+    program: &P,
+    reference: &(Vec<P::State>, u64, Vec<xmt_bsp::runtime::SuperstepStats>),
+) where
+    P: VertexProgram,
+    P::State: PartialEq + std::fmt::Debug,
+{
     for workers in [1, 2, 4, 8] {
         let pool = Arc::new(Pool::new(workers));
         for transport in TRANSPORTS {
@@ -537,6 +553,46 @@ where
     }
 }
 
+/// The first BFS source on `g` whose superstep 2 broadcasts over at
+/// least a sixteenth but under a third of the arcs: a record gathered at
+/// the receivers only because BFS's gather stops at a row's first sender
+/// (DESIGN.md §17, "Broadcasts"), with supersteps before and after it.
+fn bfs_source_gathered_below_a_third(g: &Csr) -> u64 {
+    let arcs = g.num_arcs();
+    (0..g.num_vertices())
+        .find(|&source| {
+            let one = Executor::fixed_on(Arc::new(Pool::new(1)));
+            let (_, supersteps, stats) =
+                broadcast_outcome(g, &BfsProgram { source }, Transport::SingleQueue, one);
+            let m = stats.get(2).map_or(0, |st| st.messages_sent);
+            supersteps > 3 && 16 * m >= arcs && 3 * m < arcs
+        })
+        .expect("a BFS source whose superstep 2 reaches a sixteenth to a third of the arcs")
+}
+
+#[test]
+fn bfs_gathered_up_to_first_senders_matches_the_expanded_run_across_pools_schedules_and_transports()
+{
+    let g = pagerank_graph();
+    let program = BfsProgram {
+        source: bfs_source_gathered_below_a_third(&g),
+    };
+    let one = Executor::fixed_on(Arc::new(Pool::new(1)));
+    let reference = broadcast_outcome(&g, &program, Transport::SingleQueue, one);
+    assert_matches_across_pools(&g, &program, &reference);
+}
+
+#[test]
+fn bfs_cut_right_after_a_superstep_gathered_up_to_first_senders_resumes_exactly() {
+    let g = pagerank_graph();
+    let program = BfsProgram {
+        source: bfs_source_gathered_below_a_third(&g),
+    };
+    // The cut after 3 falls right after superstep 2, whose record only
+    // the first-sender gather takes.
+    assert_cut_after_each_early_superstep_resumes_exactly(&g, &program, 3, |r| r.states.clone());
+}
+
 #[test]
 fn broadcasts_of_cc_and_bfs_match_the_expanded_run_across_pools_schedules_and_transports() {
     let g = pagerank_graph();
@@ -549,7 +605,10 @@ fn broadcasts_of_cc_and_bfs_match_the_expanded_run_across_pools_schedules_and_tr
 
 /// Cut `program` at the superstep limit after each of its first
 /// `cuts` supersteps, resume on the same frame, and require the
-/// stitched run to equal the uninterrupted one by `outcome`.
+/// stitched run to equal the uninterrupted one by `outcome`.  The
+/// uninterrupted run ships every broadcast as pairs (the single queue),
+/// so the stitched one is held against the messages its gathers stand
+/// for, not against another gather.
 fn assert_cut_after_each_early_superstep_resumes_exactly<P, O>(
     g: &Csr,
     program: &P,
@@ -564,6 +623,10 @@ fn assert_cut_after_each_early_superstep_resumes_exactly<P, O>(
         g,
         program,
         RunOptions {
+            config: BspConfig {
+                transport: Transport::SingleQueue,
+                ..BspConfig::default()
+            },
             exec: Executor::guided_on(Arc::clone(&pool)),
             ..Default::default()
         },

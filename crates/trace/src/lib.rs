@@ -141,6 +141,12 @@ pub struct SuperstepTrace {
     pub pulled: bool,
     /// Edge probes performed by pull-mode delivery.
     pub pull_probes: u64,
+    /// Neighbor ids the exchange read gathering recorded neighbor
+    /// broadcasts at their receivers (0 when the superstep's messages
+    /// travelled in lanes, were expanded into them, or were dropped for
+    /// a pull superstep).  A gather that stops at each row's first sender
+    /// reads fewer than the graph's arcs.
+    pub gather_probes: u64,
     /// Bytes compute's sends occupy in the exchange's lane encoding:
     /// message pairs, run headers and run payloads (0 for kernels without
     /// an exchange).  Neighbor broadcasts recorded once per sender count

@@ -9,7 +9,8 @@
 //! ```
 //!
 //! A kernel prints one row per superstep: messages sent, the lane bytes
-//! its sends stand for, and the median compute and exchange milliseconds
+//! its sends stand for, the neighbor ids the exchange's gather read (0
+//! where the messages went through the lanes), and the median compute and exchange milliseconds
 //! and minor page faults over `CALLS` calls (defaults: scale 15, 9
 //! calls).  `round` makes the calls of one round of the benchmark's
 //! in-process batch in its order — CC twice, BFS from eight sources,
@@ -68,15 +69,18 @@ fn call<P: VertexProgram>(g: &Csr, program: &P) -> (f64, Vec<xmt_bsp_repro::bsp:
 
 fn profile<P: VertexProgram>(g: &Csr, program: &P, calls: usize) {
     let traces: Vec<_> = (0..calls.max(1)).map(|_| call(g, program).1).collect();
-    println!("superstep  messages_sent  bytes_deposited  compute_ms  exchange_ms  minor_faults");
+    println!(
+        "superstep  messages_sent  bytes_deposited  gather_probes  compute_ms  exchange_ms  minor_faults"
+    );
     for (s, t) in traces[0].iter().enumerate() {
         let col = |f: fn(&xmt_bsp_repro::bsp::SuperstepTrace) -> u64| {
             median(traces.iter().map(|tr| f(&tr[s]) as f64).collect())
         };
         println!(
-            "{s:>9}  {:>13}  {:>15}  {:>10.3}  {:>11.3}  {:>12.0}",
+            "{s:>9}  {:>13}  {:>15}  {:>13}  {:>10.3}  {:>11.3}  {:>12.0}",
             t.messages_sent,
             t.bytes_deposited,
+            t.gather_probes,
             col(|t| t.compute_ns) / 1e6,
             col(|t| t.exchange_ns) / 1e6,
             col(|t| t.minor_faults),

@@ -17,7 +17,10 @@ traced pairs per workload for the per-layer metrics and checks that the
 counts a change must not move are equal pair by pair.  Building the
 spine rewrites `spine/Cargo.lock`; it is restored afterwards.
 
-The results file holds, per workload and end-to-end metric, both sides'
+The results file holds, per workload, each plain run's operation counts
+from the spine's report (`spine/out/<workload>.json`: rounds, jobs, the
+stream's reader jobs, ...), which `--render` prints as medians per side,
+and per end-to-end metric both sides'
 values, medians and quartiles, pairs won and lost, the metric's bound and
 a verdict by the rule of the choosing-metrics guide: `gain` needs nine
 tenths of the pairs and a median difference beyond the parent's own
@@ -74,7 +77,18 @@ def run_once(binary, sha, workload, seed, seconds, trace):
         sys.exit(f"{workload} seed {seed}: no result (exit {done.returncode})\n{done.stderr[-2000:]}")
     run = json.loads(lines[-1])
     return {"attempted": run["attempted"], "failed": run["failed"],
-            "metrics": {k: v["value"] for k, v in run["metrics"].items()}}
+            "metrics": {k: v["value"] for k, v in run["metrics"].items()},
+            "counts": report_counts(done.stderr)}
+
+
+def report_counts(stderr):
+    """A plain run's operation counts (rounds, jobs, reader jobs, ...) from
+    the report the spine names on stderr (`spine/out/<workload>.json`)."""
+    written = re.findall(r"^spine: wrote (.+)$", stderr, re.M)
+    if not written:
+        return {}
+    with open(written[-1]) as f:
+        return json.load(f).get("counts", {})
 
 
 def side(values):
@@ -179,6 +193,8 @@ def measure(args, bench):
         values = lambda side_runs, name: [r["metrics"][name] for r in side_runs]
         result = {"failed": {w: sum(r["failed"] for r in plain[w] + traced[w]) for w in shas},
                   "attempted": {w: sum(r["attempted"] for r in plain[w] + traced[w]) for w in shas}}
+        result["counts"] = {w: {name: [r["counts"].get(name) for r in plain[w]]
+                                for name in (plain[w][0]["counts"] if plain[w] else {})} for w in shas}
         result["end_to_end"] = {
             m["name"]: compare(m, values(plain["parent"], m["name"]), values(plain["change"], m["name"]))
             for m in bench["end_to_end"] if plain["parent"] and m["name"] in plain["parent"][0]["metrics"]}
@@ -218,6 +234,12 @@ def render(out, layers):
             print(f"| `{name}` ({row['unit']}) | {cell(row['parent'])} | {cell(row['change'])} | "
                   f"{row['delta']:+.1%} | {row['pairs_won']}/{row['pairs_lost']} | {bound} | {row['verdict']} |")
         print()
+        counts = result.get("counts", {})
+        if any(counts.values()):
+            names = list(dict.fromkeys(n for w in counts.values() for n in w))
+            med = lambda w, n: statistics.median(v for v in counts[w].get(n, []) if v is not None)
+            print("Operation counts per plain run, median: " + "; ".join(
+                f"`{n}` {med('parent', n):.10g} → {med('change', n):.10g}" for n in names) + ".\n")
         if "per_layer" in result:
             moved = [(n, r) for n, r in result["per_layer"].items()
                      if not EXACT.match(n) and n.startswith(tuple(layers.split(",")))]
