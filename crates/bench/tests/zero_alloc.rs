@@ -12,8 +12,8 @@
 //! - connected components, push delivery — the lanes, deposit tables and
 //!   slot arrays every job without a transport override runs on;
 //! - BFS, push delivery;
-//! - connected components, **pull** delivery (the retained snapshot
-//!   buffer replaces the old `states.clone()`);
+//! - connected components, **pull** delivery (the boundary gathers each
+//!   pull superstep's inbox into the spare inbox's retained slots);
 //! - the same CC and BFS push configurations on the **guided**
 //!   executor: the guided claim loop must be as allocation-free as the
 //!   fixed one;

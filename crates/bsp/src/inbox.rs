@@ -27,7 +27,9 @@
 //! vertex fold the messages of its neighbors that broadcast, in
 //! ascending neighbor order — the order the first way delivers them in
 //! under `DenseScan`, since CSR rows are strictly ascending (DESIGN.md
-//! §17, "Broadcasts").
+//! §17, "Broadcasts").  A pull superstep's inbox is gathered by the same
+//! frame from the neighbors' states: every vertex takes its neighbors'
+//! offers (`pull_from`), in ascending neighbor order.
 //!
 //! Inboxes are double-buffer friendly: [`Inbox::rebuild`] /
 //! [`Inbox::reset_empty`] reshape an existing inbox in place, reusing
@@ -226,10 +228,8 @@ impl<M: Copy + Send + Sync> Inbox<M> {
     /// they were recorded on, `arcs` the arcs they stand for) without
     /// shipping them: every vertex folds, with `combine`, the messages of
     /// its neighbors that broadcast, in ascending neighbor order,
-    /// straight into its slot.  Receiving tasks own whole 64-vertex
-    /// presence words, so every write is a plain store.  Returns the
-    /// neighbor ids read, which depend on how much of a row the fold
-    /// needs:
+    /// straight into its slot.  Returns the neighbor ids read, which
+    /// depend on how much of a row the fold needs:
     ///
     /// * `first_sender` names a program whose fold over any row's
     ///   senders is the first one's message
@@ -264,45 +264,37 @@ impl<M: Copy + Send + Sync> Inbox<M> {
         M: PartialEq,
         F: Fn(M, M) -> M + Sync,
     {
-        if let Some(program) = first_sender {
-            let sent = &*sent;
-            self.gather_rows(exec, graph, arcs, |row| {
-                let Some(first) = row.iter().position(|&u| sent.is_sender(u)) else {
-                    return (row.len(), None);
-                };
-                // SAFETY: `row[first]` broadcast.
-                let msg = unsafe { sent.sent_unchecked(row[first]) };
+        self.total = arcs;
+        let sent_ref = &*sent;
+        let gathered = if let Some(program) = first_sender {
+            self.gather_rows(exec, graph, |_, row, tally| {
+                let first = first_offer(row, tally, |u| sent_ref.sent(u));
                 debug_assert!(
-                    row[first + 1..]
-                        .iter()
-                        .filter_map(|&u| sent.sent(u))
-                        .fold(msg, &combine)
-                        == msg,
+                    row.iter()
+                        .filter_map(|&u| sent_ref.sent(u))
+                        .reduce(&combine)
+                        == first,
                     "{program}: the fold over a row's senders is not its first sender's \
                      message, as supports_bottom_up() promises for recorded broadcasts"
                 );
-                (first + 1, Some(msg))
+                first
             })
         } else if arcs == graph.num_arcs() {
-            let sent = &*sent;
-            self.gather_rows(exec, graph, arcs, |row| {
+            self.gather_rows(exec, graph, |_, row, tally| {
                 // SAFETY: the record stands for every arc, so every vertex
                 // with an arc broadcast, and `u` has the one to this row's
                 // vertex.
-                let msg = |u| unsafe { sent.sent_unchecked(u) };
-                let Some((&first, rest)) = row.split_first() else {
-                    return (0, None);
-                };
-                let acc = rest.iter().fold(msg(first), |acc, &u| combine(acc, msg(u)));
-                (row.len(), Some(acc))
+                let msg = |u| unsafe { sent_ref.sent_unchecked(u) };
+                tally.probes += row.len() as u64;
+                let (&first, rest) = row.split_first()?;
+                Some(rest.iter().fold(msg(first), |acc, &u| combine(acc, msg(u))))
             })
         } else {
             sent.fill();
             let sent = &*sent;
-            self.gather_rows(exec, graph, arcs, |row| {
-                let Some(first) = row.iter().position(|&u| sent.is_sender(u)) else {
-                    return (row.len(), None);
-                };
+            self.gather_rows(exec, graph, |_, row, tally| {
+                tally.probes += row.len() as u64;
+                let first = row.iter().position(|&u| sent.is_sender(u))?;
                 // SAFETY: `fill` gave every slot a message.
                 let msg = |u| unsafe { sent.sent_unchecked(u) };
                 let mut acc = msg(row[first]);
@@ -310,21 +302,62 @@ impl<M: Copy + Send + Sync> Inbox<M> {
                     let folded = combine(acc, msg(u));
                     acc = if sent.is_sender(u) { folded } else { acc };
                 }
-                (row.len(), Some(acc))
+                Some(acc)
             })
-        }
+        };
+        gathered.probes
     }
 
-    /// The gather's frame: every vertex `v` takes `fold_row(v's row)`,
-    /// a count of neighbor ids read and the folded message, if any.
-    /// Returns the reads, summed once per task.
-    fn gather_rows<R>(&mut self, exec: &Executor, graph: &Csr, arcs: u64, fold_row: R) -> u64
+    /// Build a pull superstep's inbox: every vertex takes what its
+    /// neighbors `offer` (`pull_from` over their states), read in
+    /// ascending neighbor order.  With a `settled` bitmap (bottom-up
+    /// pulls) a settled vertex reads no row and an unsettled one takes
+    /// its first settled neighbor's offer, which the settled-predicate
+    /// contract makes as good as the full fold; without one, every offer
+    /// is folded with `combine`.
+    pub(crate) fn pull<O, F>(
+        &mut self,
+        exec: &Executor,
+        graph: &Csr,
+        settled: Option<&[u64]>,
+        offer: O,
+        combine: F,
+    ) -> Gathered
     where
-        R: Fn(&[VertexId]) -> (usize, Option<M>) + Sync,
+        O: Fn(VertexId) -> Option<M> + Sync,
+        F: Fn(M, M) -> M + Sync,
+    {
+        let gathered = match settled {
+            Some(bits) => self.gather_rows(exec, graph, |v, row, tally| {
+                if bit(bits, v) {
+                    return None;
+                }
+                first_offer(row, tally, |u| bit(bits, u).then(|| offer(u)).flatten())
+            }),
+            None => self.gather_rows(exec, graph, |_, row, tally| {
+                tally.probes += row.len() as u64;
+                let mut offers = row
+                    .iter()
+                    .filter_map(|&u| offer(u))
+                    .inspect(|_| tally.hits += 1);
+                let first = offers.next()?;
+                Some(offers.fold(first, &combine))
+            }),
+        };
+        self.total = gathered.hits;
+        gathered
+    }
+
+    /// The frame of every gather: each vertex `v` takes `fold_row(v, v's
+    /// row, the task's tally)`'s message, if any, into its slot.
+    /// Receiving tasks own whole 64-vertex presence words, so every write
+    /// is a plain store.
+    fn gather_rows<R>(&mut self, exec: &Executor, graph: &Csr, fold_row: R) -> Gathered
+    where
+        R: Fn(VertexId, &[VertexId], &mut Gathered) -> Option<M> + Sync,
     {
         let n = graph.num_vertices() as usize;
         self.num_vertices = n;
-        self.total = arcs;
         self.shape = Shape::Slots;
         self.slots.resize_with(n, MaybeUninit::uninit);
         self.present.clear();
@@ -332,27 +365,31 @@ impl<M: Copy + Send + Sync> Inbox<M> {
         let words = self.present.len();
         let slots = DisjointSlice::new(&mut self.slots);
         let present = DisjointSlice::new(&mut self.present);
-        let probes = AtomicU64::new(0);
+        let (probes, hits) = (AtomicU64::new(0), AtomicU64::new(0));
         let chunk = default_chunk(words, exec.workers());
         exec.pfor_chunked(0, words, chunk, |_, range| {
             let (lo, hi) = (range.start * 64, (range.end * 64).min(n));
             // SAFETY: tasks own disjoint ranges of presence words and the
             // vertices those words cover, all inside `0..n`.
             let (slots, present) = unsafe { (slots.range(lo..hi), present.range(range)) };
-            let mut read = 0;
+            let mut tally = Gathered { probes: 0, hits: 0 };
             for v in lo..hi {
-                let (probed, msg) = fold_row(graph.neighbors(v as VertexId));
-                read += probed as u64;
-                if let Some(msg) = msg {
+                if let Some(msg) =
+                    fold_row(v as VertexId, graph.neighbors(v as VertexId), &mut tally)
+                {
                     let i = v - lo;
                     slots[i].write(msg);
                     present[i / 64] |= 1 << (i % 64);
                 }
             }
             // Relaxed: read after the join.
-            probes.fetch_add(read, Ordering::Relaxed);
+            probes.fetch_add(tally.probes, Ordering::Relaxed);
+            hits.fetch_add(tally.hits, Ordering::Relaxed); // Relaxed: read after the join
         });
-        probes.into_inner()
+        Gathered {
+            probes: probes.into_inner(),
+            hits: hits.into_inner(),
+        }
     }
 
     /// Group uncombined messages into the CSR *without atomics*: every
@@ -529,6 +566,37 @@ impl<M: Copy + Send + Sync> Default for Inbox<M> {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// What a gather read: neighbor ids, and the offers a pull took.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Gathered {
+    pub probes: u64,
+    pub hits: u64,
+}
+
+/// The message of `row`'s first neighbor that `offer`s one, counting the
+/// ids read up to it.
+#[inline(always)]
+fn first_offer<M>(
+    row: &[VertexId],
+    tally: &mut Gathered,
+    offer: impl Fn(VertexId) -> Option<M>,
+) -> Option<M> {
+    for (i, &u) in row.iter().enumerate() {
+        if let Some(msg) = offer(u) {
+            tally.probes += i as u64 + 1;
+            tally.hits += 1;
+            return Some(msg);
+        }
+    }
+    tally.probes += row.len() as u64;
+    None
+}
+
+/// Whether vertex `v`'s bit is set in a one-bit-per-vertex bitmap.
+pub(crate) fn bit(bits: &[u64], v: VertexId) -> bool {
+    bits[(v >> 6) as usize] >> (v & 63) & 1 == 1
 }
 
 #[cfg(test)]
@@ -854,6 +922,92 @@ mod tests {
             Some("digits"),
             combine,
         );
+    }
+
+    /// The pull input of `v` the way the compute phase once gathered
+    /// it, vertex by vertex over a state snapshot `snap`: `offer` (the
+    /// program's `pull_from`) over its neighbors, counting `(probes,
+    /// hits)`.  With a settled bitmap a settled vertex skips the gather
+    /// and an unsettled one takes the first offer of a settled neighbor;
+    /// without one, every offer is folded with `combine`.
+    fn reference_gather<S, M: Copy>(
+        graph: &Csr,
+        v: VertexId,
+        snap: &[S],
+        visited: Option<&[u64]>,
+        offer: impl Fn(VertexId, &S) -> Option<M>,
+        combine: impl Fn(M, M) -> M,
+        probes: &mut (u64, u64),
+    ) -> Option<M> {
+        match visited {
+            Some(bits) if bit(bits, v) => None,
+            Some(bits) => {
+                for &u in graph.neighbors(v) {
+                    probes.0 += 1;
+                    if bit(bits, u) {
+                        if let Some(m) = offer(u, &snap[u as usize]) {
+                            probes.1 += 1;
+                            return Some(m);
+                        }
+                    }
+                }
+                None
+            }
+            None => {
+                let mut gathered = None;
+                for &u in graph.neighbors(v) {
+                    probes.0 += 1;
+                    if let Some(m) = offer(u, &snap[u as usize]) {
+                        probes.1 += 1;
+                        gathered = Some(match gathered {
+                            None => m,
+                            Some(acc) => combine(acc, m),
+                        });
+                    }
+                }
+                gathered
+            }
+        }
+    }
+
+    #[test]
+    fn a_pull_gather_is_the_sequential_gather_over_a_state_snapshot() {
+        // About two in three vertices offer, and `Digits` spells out the
+        // order a plain pull folds the offers in; about three in four
+        // are settled, so settled receivers with settled neighbors that
+        // offer abound.
+        let offer = |_: VertexId, &state: &u64| (state % 3 != 0).then_some(state % 9 + 1);
+        let combine = |a, b| Digits.combine(a, b);
+        let pool = std::sync::Arc::new(xmt_par::Pool::new(4));
+        for exec in [Executor::fixed(), Executor::guided_on(pool)] {
+            for g in gather_graphs() {
+                let n = g.num_vertices();
+                let snap: Vec<u64> = (0..n).map(|v| v * 7 % 11).collect();
+                let mut bits = vec![0u64; (n as usize).div_ceil(64)];
+                for v in (0..n).filter(|v| (v * 5 + 1) % 4 != 0) {
+                    bits[(v / 64) as usize] |= 1 << (v % 64);
+                }
+                let mut inbox = Inbox::new();
+                for settled in [None, Some(bits.as_slice())] {
+                    let tag = format!(
+                        "{:?}, n {n}, m {}, settled bitmap {}",
+                        exec.schedule(),
+                        g.num_arcs(),
+                        settled.is_some()
+                    );
+                    let got =
+                        inbox.pull(&exec, &g, settled, |u| offer(u, &snap[u as usize]), combine);
+                    let mut want = (0, 0);
+                    for v in 0..n {
+                        let msg =
+                            reference_gather(&g, v, &snap, settled, offer, combine, &mut want);
+                        assert_eq!(inbox.messages(v), msg.as_slice(), "{tag}, vertex {v}");
+                    }
+                    assert_eq!((got.probes, got.hits), want, "{tag}: probes and hits");
+                    assert_eq!(inbox.total_messages(), want.1, "{tag}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -54,13 +54,12 @@ pub struct SlicedRun<S, M> {
 /// job scheduler threads into a run for cancellation and deadlines.
 ///
 /// The runtime calls it between supersteps (never inside `compute`);
-/// once it returns `true` the run is cut at the next *push* boundary —
-/// a boundary whose in-flight messages are materialized, which is what a
-/// [`ResumePoint`] persists — and the partial result plus checkpoint are
-/// returned exactly as if `max_supersteps` had interrupted the run.  At
-/// most one extra superstep executes after the signal (a superstep that
-/// was about to gather in pull mode runs, with pull disabled for its
-/// successor, so the cut lands on a checkpointable boundary).
+/// once it returns `true` the run is cut at the next *push* boundary (a
+/// [`ResumePoint`] does not record that the next superstep pulls, so a
+/// resume would scan it as a push one) and the partial result plus
+/// checkpoint are returned exactly as if `max_supersteps` had
+/// interrupted the run.  At most one extra superstep executes after the
+/// signal: one about to pull runs, with pull disabled for its successor.
 pub type StopHook<'a> = &'a (dyn Fn() -> bool + Sync);
 
 /// Why a checkpoint was rejected by [`run`](super::run) before any

@@ -1,18 +1,18 @@
 //! Phase B: run `compute` on every active vertex, delivering its inputs
-//! from the inbox (push) or by gathering over neighbor state (pull).
+//! from the inbox the previous exchange built.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use xmt_graph::{Csr, VertexId};
+use xmt_graph::VertexId;
 use xmt_model::{PhaseCounts, Recorder};
 use xmt_par::pfor::default_chunk;
 use xmt_par::Executor;
 
-use super::exchange::combine;
-use super::frame::{bit, SuperstepFrame};
+use super::frame::SuperstepFrame;
 use super::Run;
+use crate::inbox::Gathered;
 use crate::program::{Context, VertexProgram};
 
 /// Messages a worker's outbox may hold before the chunk deposits them:
@@ -61,10 +61,6 @@ pub(super) struct Computed {
     pub recorded: u64,
     /// Messages handed to `compute`.
     pub delivered: u64,
-    /// Neighbor states probed by pull-mode gathers.
-    pub probes: u64,
-    /// Probes that produced a message.
-    pub hits: u64,
     /// Program-charged extra reads / ALU ops.
     pub extra_reads: u64,
     pub extra_alu: u64,
@@ -80,14 +76,12 @@ impl<P: VertexProgram> Run<'_, P> {
     pub(super) fn compute(&mut self) -> Computed {
         let (graph, program, n, s) = (self.graph, self.program, self.n, self.s);
         let (tracing, track_next, prev_agg) = (self.tracing, self.track_next, self.prev_agg);
-        let (bottom_up, beamer) = (self.policy.bottom_up, self.policy.beamer);
+        let beamer = self.policy.beamer;
         let record = self.record;
         let SuperstepFrame {
             collector,
             broadcasts,
             inbox,
-            snapshot: snapshot_buf,
-            dense_visited,
             active,
             next_active,
             agg_f64,
@@ -104,8 +98,6 @@ impl<P: VertexProgram> Run<'_, P> {
         agg_f64.resize(active.len(), 0.0);
         let agg_f64_base = agg_f64.as_mut_ptr() as usize;
         let delivered = AtomicU64::new(0);
-        let pull_probes = AtomicU64::new(0);
-        let pull_hits = AtomicU64::new(0);
         let settled_deg = AtomicU64::new(0);
         let extra_reads = AtomicU64::new(0);
         let extra_alu = AtomicU64::new(0);
@@ -119,21 +111,9 @@ impl<P: VertexProgram> Run<'_, P> {
         // behind a stack mutex for the parallel region and restored after
         // it (the mutex itself is a stack value — no allocation).
         let next_active_parts: Mutex<Vec<VertexId>> = Mutex::new(std::mem::take(next_active));
-        // Pull supersteps gather from the states as of the *end of the
-        // previous superstep*; snapshot them (into the frame's retained
-        // buffer) so concurrent writes during this superstep cannot leak
-        // in (BSP read semantics).
-        let snapshot: Option<&[P::State]> = if self.pulling {
-            snapshot_buf.clone_from(&self.states);
-            Some(snapshot_buf.as_slice())
-        } else {
-            None
-        };
         let states_base = self.states.as_mut_ptr() as usize;
         {
             let active_ref: &[VertexId] = active;
-            // The settled bitmap scan built, on bottom-up supersteps.
-            let visited_ref: Option<&[u64]> = bottom_up.then_some(dense_visited.as_slice());
             let inbox_ref = &*inbox;
             let halted_ref = &self.halted;
             let gen = &self.gen;
@@ -156,23 +136,13 @@ impl<P: VertexProgram> Run<'_, P> {
                 let chunk_start = range.start;
                 let mut local_agg = 0u64;
                 let mut local_delivered = 0u64;
-                let mut local_probes = (0u64, 0u64);
                 let mut local_settled_deg = 0u64;
                 let mut local_extra = (0u64, 0u64);
                 let mut local_halts = 0u64;
                 let mut local_recorded = 0u64;
                 for i in range {
                     let v = active_ref[i];
-                    // Pull mode: gather from the neighbors' snapshotted
-                    // states; push mode: read the inbox.
-                    let gathered = snapshot.and_then(|snap| {
-                        gather(program, graph, v, snap, visited_ref, &mut local_probes)
-                    });
-                    let msgs: &[P::Message] = if snapshot.is_some() {
-                        gathered.as_slice()
-                    } else {
-                        inbox_ref.messages(v)
-                    };
+                    let msgs = inbox_ref.messages(v);
                     local_delivered += msgs.len() as u64;
                     let mut ctx = Context {
                         graph,
@@ -241,11 +211,6 @@ impl<P: VertexProgram> Run<'_, P> {
                 extra_alu.fetch_add(local_extra.1, Ordering::Relaxed); // Relaxed: stats, read post-join
                 delivered.fetch_add(local_delivered, Ordering::Relaxed); // Relaxed: stats, read post-join
                 recorded.fetch_add(local_recorded, Ordering::Relaxed); // Relaxed: read post-join
-                if local_probes.0 > 0 {
-                    // Relaxed: stats counters, read only post-join.
-                    pull_probes.fetch_add(local_probes.0, Ordering::Relaxed);
-                    pull_hits.fetch_add(local_probes.1, Ordering::Relaxed); // Relaxed: stats, post-join
-                }
                 if local_settled_deg > 0 {
                     // Relaxed: estimator input, read only post-join.
                     settled_deg.fetch_add(local_settled_deg, Ordering::Relaxed);
@@ -276,8 +241,6 @@ impl<P: VertexProgram> Run<'_, P> {
             shipped: collector.total() + recorded,
             recorded,
             delivered: delivered.load(Ordering::Relaxed), // Relaxed: post-join read
-            probes: pull_probes.load(Ordering::Relaxed),  // Relaxed: post-join read
-            hits: pull_hits.load(Ordering::Relaxed),      // Relaxed: post-join read
             extra_reads: extra_reads.load(Ordering::Relaxed), // Relaxed: post-join read
             extra_alu: extra_alu.load(Ordering::Relaxed), // Relaxed: post-join read
             halt_votes: halt_votes.load(Ordering::Relaxed), // Relaxed: post-join read
@@ -296,69 +259,19 @@ impl<P: VertexProgram> Run<'_, P> {
         // read+write and halt write per active vertex; one neighbor-id
         // read and one ALU op per produced message.  Push supersteps
         // read the delivered words from the inbox; pull supersteps charge
-        // the gather probes instead.
+        // the gather's probes and hits (the exchange before them ran it
+        // on the host, but the modelled machine gathers in compute).
         let mut c = PhaseCounts::with_items(a.max(done.shipped).max(1));
         c.reads = 2 * a + done.shipped + done.extra_reads;
         c.writes = 2 * a;
         c.alu_ops = a + done.shipped + done.extra_alu;
-        if self.pulling {
-            xmt_model::charge_pull_gather(&mut c, done.probes, done.hits, msg_words::<P>());
+        if let Some(Gathered { probes, hits }) = self.pulling {
+            xmt_model::charge_pull_gather(&mut c, probes, hits, msg_words::<P>());
         } else {
             c.reads += done.delivered * msg_words::<P>();
         }
         c.charge_loop_overhead(default_chunk(self.frame.active.len(), 1) as u64);
         r.push("superstep", self.s, c, messages_sent);
-    }
-}
-
-/// The pull-mode input of `v`: `pull_from` over its neighbors' states as
-/// of the previous boundary (`snap`), counting `(probes, hits)`.
-///
-/// With a settled bitmap (`visited`, bottom-up supersteps) a settled
-/// vertex has nothing to gain and skips the gather; an unsettled one
-/// probes only settled neighbors and stops at the *first* offer — the
-/// settled-predicate contract says any one offer is as good as the full
-/// fold.  Without one, every offer is folded through the combiner.
-#[inline]
-fn gather<P: VertexProgram>(
-    program: &P,
-    graph: &Csr,
-    v: VertexId,
-    snap: &[P::State],
-    visited: Option<&[u64]>,
-    probes: &mut (u64, u64),
-) -> Option<P::Message> {
-    match visited {
-        Some(bits) if bit(bits, v) => None,
-        Some(bits) => {
-            for &u in graph.neighbors(v) {
-                probes.0 += 1;
-                if bit(bits, u) {
-                    if let Some(m) = program.pull_from(graph, u, &snap[u as usize]) {
-                        probes.1 += 1;
-                        return Some(m);
-                    }
-                }
-            }
-            None
-        }
-        None => {
-            // Pull mode is gated on `supports_pull`, which requires a
-            // combiner; without one there is nothing to fold with.
-            program.combiner()?;
-            let mut gathered = None;
-            for &u in graph.neighbors(v) {
-                probes.0 += 1;
-                if let Some(m) = program.pull_from(graph, u, &snap[u as usize]) {
-                    probes.1 += 1;
-                    gathered = Some(match gathered {
-                        None => m,
-                        Some(acc) => combine(program, acc, m),
-                    });
-                }
-            }
-            gathered
-        }
     }
 }
 

@@ -1,5 +1,5 @@
 //! The delivery decision: whether the next superstep receives shipped
-//! messages (push) or gathers from neighbor state (pull).
+//! messages (push) or an inbox gathered from neighbor state (pull).
 //!
 //! Everything here is a pure function of the run's configuration, the
 //! program's capabilities and a handful of per-superstep counts, so the
@@ -19,9 +19,9 @@ pub enum Delivery {
     /// Classic Pregel: senders ship messages through the transport and
     /// the runtime groups them into an inbox.
     Push,
-    /// Receivers gather: on supersteps with traffic, each vertex folds
-    /// `pull_from` over its neighbors' (snapshotted) states instead of
-    /// receiving shipped messages.  Requires the program to implement
+    /// Receivers gather: on supersteps with traffic, each vertex's inbox
+    /// is the fold of `pull_from` over its neighbors' states, gathered at
+    /// the boundary instead of shipped.  Requires the program to implement
     /// [`VertexProgram::pull_from`] and to have a combiner; otherwise the
     /// runtime silently stays in push mode.
     Pull,
@@ -97,11 +97,11 @@ impl Policy {
         self.delivery == Delivery::Auto && self.supports_pull
     }
 
-    /// Whether superstep `s + 1` may gather at all.  Pulling is only
+    /// Whether superstep `s + 1` may pull at all.  Pulling is only
     /// meaningful when there is traffic to replace, never on the
-    /// superstep the limit will interrupt (checkpoints persist the
-    /// inbox, which a pull superstep would not have), and never once a
-    /// stop is requested (the next boundary must be checkpointable).
+    /// superstep the limit will interrupt, and never once a stop is
+    /// requested (a cut boundary's `ResumePoint` does not record that the
+    /// superstep after it pulls, so a resume would scan it as a push one).
     ///
     /// `stop_fired` is polled last, and only when everything else allows
     /// pulling, so the hook sees the same polls whatever the program.

@@ -1,6 +1,6 @@
 //! Phase C: decide the next superstep's delivery, claim its active set,
-//! and group the collected messages — or gather the recorded
-//! broadcasts — into the spare inbox.
+//! and build the spare inbox: group the collected messages, or gather
+//! the recorded broadcasts or the neighbors' offers at the receivers.
 
 use std::sync::atomic::Ordering;
 
@@ -9,13 +9,13 @@ use parking_lot::Mutex;
 use xmt_graph::{Csr, VertexId};
 use xmt_model::PhaseCounts;
 use xmt_par::pfor::default_chunk;
-use xmt_par::{Executor, WorkerScratch};
+use xmt_par::{DisjointSlice, Executor, WorkerScratch};
 
 use super::compute::{msg_words, Computed, DEPOSIT_HIGH_WATER};
 use super::direction::Frontier;
 use super::frame::SuperstepFrame;
 use super::{Delivery, Run};
-use crate::inbox::Inbox;
+use crate::inbox::{Gathered, Inbox};
 use crate::program::VertexProgram;
 use crate::transport::{charge_exchange, Broadcasts, Collected, MessageCollector, Outbox};
 
@@ -37,8 +37,8 @@ const FIRST_SENDER_GATHER_DIVISOR: u64 = 16;
 /// What one exchange phase decided.
 #[derive(Clone, Copy, Debug)]
 pub(super) struct Exchanged {
-    /// The next superstep gathers instead of receiving.
-    pub pull_next: bool,
+    /// The next superstep pulls: what the gather of its inbox read.
+    pub pull_next: Option<Gathered>,
     /// Messages that actually cross the boundary: none when the next
     /// superstep gathers instead.
     pub messages_sent: u64,
@@ -53,9 +53,9 @@ pub(super) struct Exchanged {
 }
 
 impl<P: VertexProgram> Run<'_, P> {
-    /// Rebuild the frame's spare inbox from the collector (or empty it,
-    /// when the next superstep pulls); the live/spare swap is the
-    /// caller's.
+    /// Rebuild the frame's spare inbox from the collector, the recorded
+    /// broadcasts or, for a pull, the neighbors' states (final once the
+    /// compute join has passed); the live/spare swap is the caller's.
     pub(super) fn exchange(&mut self, computed: &Computed) -> Exchanged {
         let (graph, n, s) = (self.graph, self.n, self.s);
         let (shipped, recorded) = (computed.shipped, computed.recorded);
@@ -84,6 +84,7 @@ impl<P: VertexProgram> Run<'_, P> {
             collector,
             broadcasts,
             spare,
+            dense_visited,
             next_active,
             outbox: outbox_scratch,
             awake: awake_scratch,
@@ -131,7 +132,7 @@ impl<P: VertexProgram> Run<'_, P> {
             // Exactly the vertices that will run compute next superstep:
             // distinct message destinations ∪ stayed-awake claimers.
             est_active: next_active.len() as u64,
-            frontier_edges: if need_estimate && self.policy.beamer && !self.pulling {
+            frontier_edges: if need_estimate && self.policy.beamer && self.pulling.is_none() {
                 next_active.iter().map(|&v| graph.degree(v)).sum()
             } else {
                 0
@@ -139,18 +140,26 @@ impl<P: VertexProgram> Run<'_, P> {
             unexplored_edges: graph.num_arcs().saturating_sub(self.explored_edges),
             num_vertices: n as u64,
         };
-        let pull_next = self.policy.pull_next(pull_candidate, self.pulling, &next);
+        let pull_next = self
+            .policy
+            .pull_next(pull_candidate, self.pulling.is_some(), &next);
 
-        let (mut unlaned_arcs, mut gather_probes) = (0, 0);
+        let (mut unlaned_arcs, mut gather_probes, mut pulled) = (0, 0, None);
         if pull_next {
             // The pushed messages (and recorded broadcasts) are
-            // discarded: the next superstep re-derives them (and
-            // possibly more, harmlessly) from neighbor state.  The
-            // worklist is likewise bypassed — the pull superstep
-            // re-derives its own active set.
+            // discarded: the gather re-derives them (and possibly more,
+            // harmlessly) from neighbor state.  The worklist is likewise
+            // bypassed — the pull superstep's scan re-derives its own
+            // active set.
             next_active.clear();
-            spare.reset_empty(n);
             unlaned_arcs = recorded;
+            let (program, states, exec) = (self.program, &self.states, self.exec);
+            let settled = self.policy.bottom_up.then(|| {
+                settle(exec, n, dense_visited, |v| program.is_settled(&states[v]));
+                dense_visited.as_slice()
+            });
+            let offer = |u| program.pull_from(graph, u, &states[u as usize]);
+            pulled = Some(spare.pull(exec, graph, settled, offer, |a, b| combine(program, a, b)));
         } else {
             if !self.worklist {
                 // The claims fed the density estimate only; the next
@@ -199,7 +208,7 @@ impl<P: VertexProgram> Run<'_, P> {
             }
         }
         Exchanged {
-            pull_next,
+            pull_next: pulled,
             messages_sent: if pull_next { 0 } else { shipped },
             claims_ran,
             unlaned_arcs,
@@ -218,9 +227,11 @@ impl<P: VertexProgram> Run<'_, P> {
         // Grouping messages into the next inbox is a vertex-wide
         // operation (counts, prefix sum, scatter) whose parallelism is
         // V / messages, NOT the active set.  When the next superstep
-        // pulls, the boundary only pays the state snapshot.
+        // pulls, the modelled boundary pays a state snapshot (the host
+        // gathers from the states in place; the gather itself is charged
+        // to the pulled superstep's compute).
         let mut e = PhaseCounts::with_items(n.max(sent).max(1));
-        if done.pull_next {
+        if done.pull_next.is_some() {
             let state_words = (std::mem::size_of::<P::State>() as u64).div_ceil(8).max(1);
             xmt_model::charge_pull_exchange(&mut e, n, state_words);
             if done.claims_ran {
@@ -264,6 +275,21 @@ pub(super) fn regroup<P: VertexProgram>(
 #[inline(always)]
 pub(super) fn combine<P: VertexProgram>(program: &P, a: P::Message, b: P::Message) -> P::Message {
     program.combiner().map_or(b, |c| c.combine(a, b))
+}
+
+/// Rebuild `bits` as the settled bitmap of `n` vertices: bit `v` set
+/// iff `settled(v)`, each word built by one task.
+fn settle(exec: &Executor, n: usize, bits: &mut Vec<u64>, settled: impl Fn(usize) -> bool + Sync) {
+    bits.clear();
+    bits.resize(n.div_ceil(64), 0);
+    let words = bits.len();
+    let bits = DisjointSlice::new(bits);
+    exec.pfor(0, words, |w| {
+        let of = |v| u64::from(settled(v)) << (v % 64);
+        let word = (w * 64..(w * 64 + 64).min(n)).fold(0, |acc, v| acc | of(v));
+        // SAFETY: word `w` is written by this iteration alone.
+        unsafe { bits.write(w, word) };
+    });
 }
 
 /// Expand `arcs` recorded broadcast arcs into the collector's lanes:

@@ -2,6 +2,7 @@
 //! for runs that bring none.
 
 use std::any::Any;
+use std::marker::PhantomData;
 
 use parking_lot::Mutex;
 
@@ -66,8 +67,8 @@ where
 }
 
 /// Reusable storage for the superstep loop: the message collector, the
-/// double-buffered inbox pair, the pull-mode state snapshot, the active
-/// lists and the per-worker scratch pools all live here and are cleared
+/// double-buffered inbox pair, the settled bitmap, the active lists and
+/// the per-worker scratch pools all live here and are cleared
 /// (capacity retained) between supersteps — and between runs — instead
 /// of reallocated.
 ///
@@ -87,6 +88,9 @@ where
 /// unrelated graphs, programs of the same type, or configs is always
 /// correct — `prepare` reshapes whatever mismatches.
 pub struct SuperstepFrame<S, M> {
+    /// The program's state type, which keys the frame to its runs and
+    /// its spare frames; no buffer holds states.
+    state: PhantomData<fn() -> S>,
     /// Worker count the scratch pools are shaped for.
     workers: usize,
     /// Persistent transport storage, `reset()` each superstep.
@@ -97,14 +101,12 @@ pub struct SuperstepFrame<S, M> {
     pub(super) broadcasts: Broadcasts<M>,
     /// The live inbox: messages delivered to the current superstep.
     pub(super) inbox: Inbox<M>,
-    /// The spare inbox: Phase C rebuilds it in place from the collected
-    /// messages, then swaps it with `inbox` at the boundary.
+    /// The spare inbox: Phase C rebuilds it in place, then swaps it with
+    /// `inbox` at the boundary.
     pub(super) spare: Inbox<M>,
-    /// Retained pull-snapshot target (`clone_from` instead of `clone`).
-    pub(super) snapshot: Vec<S>,
     /// Settled-vertex bitmap for bottom-up pull supersteps (one bit per
-    /// vertex), rebuilt from the states at the start of each bottom-up
-    /// superstep; capacity retained across supersteps and runs.
+    /// vertex), built at the boundary before each for its gather and
+    /// scan; capacity retained across supersteps and runs.
     pub(super) dense_visited: Vec<u64>,
     /// The current superstep's active list.
     pub(super) active: Vec<VertexId>,
@@ -130,12 +132,12 @@ impl<S, M: Copy + Send + Sync> SuperstepFrame<S, M> {
     /// A fresh frame; buffers grow on first use and are then recycled.
     pub fn new() -> Self {
         SuperstepFrame {
+            state: PhantomData,
             workers: 1,
             collector: MessageCollector::new(Transport::PerThreadOutbox, 1, 0),
             broadcasts: Broadcasts::new(),
             inbox: Inbox::new(),
             spare: Inbox::new(),
-            snapshot: Vec::new(),
             dense_visited: Vec::new(),
             active: Vec::new(),
             next_active: Vec::new(),
@@ -198,7 +200,6 @@ impl<S, M: Copy + Send + Sync> SuperstepFrame<S, M> {
             + self.broadcasts.capacity_bytes()
             + self.inbox.capacity_bytes()
             + self.spare.capacity_bytes()
-            + capacity_bytes(&self.snapshot)
             + capacity_bytes(&self.dense_visited)
             + capacity_bytes(&self.active)
             + capacity_bytes(&self.next_active)
@@ -237,12 +238,6 @@ impl<S, M> std::fmt::Debug for SuperstepFrame<S, M> {
             .field("workers", &self.workers)
             .finish_non_exhaustive()
     }
-}
-
-/// Whether vertex `v`'s bit is set in a one-bit-per-vertex bitmap (the
-/// frame's `dense_visited`).
-pub(super) fn bit(bits: &[u64], v: VertexId) -> bool {
-    bits[(v >> 6) as usize] >> (v & 63) & 1 == 1
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! [`run`] is the loop: per superstep it calls phase A (`scan`: find the
 //! active vertices), phase B (`compute`: run the program over them) and
 //! phase C (`exchange`: decide the next superstep's delivery in
-//! `direction`, group the messages into the next inbox), each a method
+//! `direction`, build the next inbox), each a method
 //! on one per-run state struct with its own model charging.
 //! `checkpoint` turns the loop's state into a [`ResumePoint`] and back;
 //! `frame` is the scratch all phases reuse.
@@ -24,6 +24,7 @@ use xmt_graph::Csr;
 use xmt_model::Recorder;
 use xmt_par::Executor;
 
+use crate::inbox::Gathered;
 use crate::program::VertexProgram;
 use crate::transport::Transport;
 
@@ -84,7 +85,8 @@ pub struct SuperstepStats {
     /// Whether this superstep's inputs were gathered (pull mode) rather
     /// than received from shipped messages.
     pub pulled: bool,
-    /// Neighbor states probed by pull-mode gathers this superstep.
+    /// Neighbor states probed by the pull gather that built this
+    /// superstep's inbox (run at the boundary before it).
     pub pull_probes: u64,
 }
 
@@ -287,7 +289,7 @@ fn run_validated<P: VertexProgram>(
         },
         prev_agg,
         s: resumed_at.unwrap_or(0),
-        pulling: false,
+        pulling: None,
         explored_edges,
     };
 
@@ -335,13 +337,12 @@ fn run_validated<P: VertexProgram>(
         // Stop hook: cut the run here, but only on a boundary that makes
         // a valid checkpoint.  Superstep 0 must run first (a "superstep
         // 0" checkpoint is no checkpoint at all — resuming it is just a
-        // fresh run, and `ResumePoint`s start at 1).  And a pull
-        // boundary has no materialized in-flight messages to persist
-        // (the superstep about to run would re-derive them from neighbor
-        // state); on one, the superstep runs with pull disabled for its
-        // successor (see `Policy::pull_candidate`), so the next boundary
-        // is cuttable.
-        if run.s > 0 && !run.pulling && stop.is_some_and(|f| f()) {
+        // fresh run, and `ResumePoint`s start at 1).  Nor before a pull
+        // superstep: a `ResumePoint` does not record that it pulls, so a
+        // resume would scan it as a push one.  On one, the superstep runs
+        // with pull disabled for its successor (`Policy::pull_candidate`),
+        // so the next boundary is cuttable.
+        if run.s > 0 && run.pulling.is_none() && stop.is_some_and(|f| f()) {
             stopped = true;
             break;
         }
@@ -375,8 +376,8 @@ fn run_validated<P: VertexProgram>(
             messages_sent: exchanged.messages_sent,
             messages_generated: computed.shipped,
             messages_delivered: computed.delivered,
-            pulled: run.pulling,
-            pull_probes: computed.probes,
+            pulled: run.pulling.is_some(),
+            pull_probes: run.pulling.map_or(0, |g| g.probes),
         });
         if let (true, Some(sk)) = (tracing, sink.as_deref_mut()) {
             sk.record(xmt_trace::SuperstepTrace {
@@ -386,8 +387,8 @@ fn run_validated<P: VertexProgram>(
                 messages_generated: computed.shipped,
                 messages_delivered: computed.delivered,
                 halt_votes: computed.halt_votes,
-                pulled: run.pulling,
-                pull_probes: computed.probes,
+                pulled: run.pulling.is_some(),
+                pull_probes: run.pulling.map_or(0, |g| g.probes),
                 gather_probes: exchanged.gather_probes,
                 // From the lane lengths, while the lanes still hold the
                 // superstep's deposits, plus the pairs the broadcasts
@@ -410,12 +411,12 @@ fn run_validated<P: VertexProgram>(
         run.s += 1;
     }
 
-    // A cut boundary must have materialized in-flight messages: the
-    // stop gate refuses pull boundaries and `pull_candidate` refuses to
-    // enter pull mode once the hook fires (or within one superstep of
-    // the limit), so an interrupted run can never be about to gather.
+    // A `ResumePoint` does not record a next pull: the stop gate refuses
+    // pull boundaries and `pull_candidate` refuses to enter pull mode
+    // once the hook fires (or within one superstep of the limit), so an
+    // interrupted run is never about to pull.
     debug_assert!(
-        !((hit_limit || stopped) && run.pulling),
+        !((hit_limit || stopped) && run.pulling.is_some()),
         "checkpoint cut on a pull boundary"
     );
     let resume = (hit_limit || stopped)
@@ -470,8 +471,8 @@ struct Run<'a, P: VertexProgram> {
     prev_agg: (u64, f64),
     /// The superstep about to run (absolute).
     s: u64,
-    /// Superstep `s` gathers instead of receiving shipped messages.
-    pulling: bool,
+    /// Superstep `s` pulls: what the gather of its inbox read.
+    pulling: Option<Gathered>,
     /// Edges of settled vertices (Beamer's alpha rule).
     explored_edges: u64,
 }

@@ -7,8 +7,9 @@ use serde::{Deserialize, Serialize};
 use xmt_model::PhaseCounts;
 use xmt_par::pfor::default_chunk;
 
-use super::frame::{bit, SuperstepFrame};
+use super::frame::SuperstepFrame;
 use super::Run;
+use crate::inbox::bit;
 use crate::program::VertexProgram;
 
 /// How the runtime finds the active vertices each superstep.
@@ -29,7 +30,7 @@ pub enum ActiveSetStrategy {
 impl<P: VertexProgram> Run<'_, P> {
     /// Fill the frame's `active` list for superstep `s`.
     pub(super) fn scan(&mut self) {
-        let (graph, program, n) = (self.graph, self.program, self.n);
+        let (graph, n) = (self.graph, self.n);
         let halted = &self.halted;
         let SuperstepFrame {
             active,
@@ -38,38 +39,19 @@ impl<P: VertexProgram> Run<'_, P> {
             dense_visited,
             ..
         } = &mut *self.frame;
-        if self.pulling && self.policy.bottom_up {
-            // Bottom-up superstep: rebuild the settled bitmap from the
-            // states as of the previous boundary, then activate only the
-            // *unsettled* non-isolated vertices (the ones a probe could
-            // still improve) plus the already-awake.  Settled awake
-            // vertices run compute with no gather (see Phase B).
-            let words = n.div_ceil(64);
-            dense_visited.clear();
-            dense_visited.resize(words, 0);
-            for (v, st) in self.states.iter().enumerate() {
-                if program.is_settled(st) {
-                    dense_visited[v >> 6] |= 1u64 << (v & 63);
-                }
-            }
-            let visited: &[u64] = dense_visited;
+        if self.pulling.is_some() {
+            // Pull superstep: any vertex with a neighbor may gather a
+            // message (a superset of push's receivers — safe per the
+            // `pull_from` contract) except, bottom-up, a settled one (by
+            // the bitmap the exchange built for its gather); plus the
+            // already-awake, settled or not.
+            let settled = self.policy.bottom_up.then_some(dense_visited.as_slice());
             active.clear();
             active.extend((0..n as u64).filter(|&v| {
                 // Relaxed: halt flags were stored before the previous
                 // superstep's pool join, which happens-before this scan.
                 let awake = halted[v as usize].load(Ordering::Relaxed) == 0;
-                awake || (!bit(visited, v) && graph.degree(v) > 0)
-            }));
-        } else if self.pulling {
-            // Pull superstep: any vertex with a neighbor may gather a
-            // message, so the active set is every non-isolated vertex
-            // plus the already-awake (a superset of push's receivers —
-            // safe per the `pull_from` contract).
-            active.clear();
-            active.extend((0..n as u64).filter(|&v| {
-                // Relaxed: halt flags were stored before the previous
-                // superstep's pool join, which happens-before this scan.
-                graph.degree(v) > 0 || halted[v as usize].load(Ordering::Relaxed) == 0
+                awake || (graph.degree(v) > 0 && !settled.is_some_and(|bits| bit(bits, v)))
             }));
         } else if self.s == 0 {
             active.clear();
@@ -98,7 +80,7 @@ impl<P: VertexProgram> Run<'_, P> {
         };
         let n = self.n as u64;
         let active = self.frame.active.len() as u64;
-        let mut c = if self.pulling {
+        let mut c = if self.pulling.is_some() {
             // Pull supersteps scan degrees + halt flags densely no
             // matter the strategy; bottom-up ones additionally read
             // every state for the settled bitmap and write its words.

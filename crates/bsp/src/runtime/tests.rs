@@ -611,7 +611,7 @@ fn stop_hook_defers_past_pull_boundaries() {
 
     // Trip immediately after the first boundary: superstep 1 would
     // have been a pull superstep, so the cut must land later, on a
-    // push boundary with a materialized inbox.
+    // push boundary (a `ResumePoint` does not record a next pull).
     let polls = AtomicU64::new(0);
     let hook = || polls.fetch_add(1, Ordering::Relaxed) >= 2;
     let first = run(
@@ -853,8 +853,7 @@ fn stop_hook_never_cuts_on_a_pull_boundary_under_auto() {
     // over a path keeps more than half the vertices awake for its
     // first supersteps, so Auto wants to pull at the boundary where the
     // hook fires; the stop gate must still land the checkpoint on a
-    // push boundary with a materialized inbox, and the resumed run must
-    // compose exactly.
+    // push boundary, and the resumed run must compose exactly.
     for strategy in [ActiveSetStrategy::DenseScan, ActiveSetStrategy::Worklist] {
         let cfg = BspConfig {
             delivery: Delivery::Auto,
@@ -881,8 +880,8 @@ fn stop_hook_never_cuts_on_a_pull_boundary_under_auto() {
         let ckpt = first.resume.expect("stopped run must yield a checkpoint");
         assert!(first.result.stopped_early, "{strategy:?}");
         // The cut landed on a push boundary: its in-flight messages
-        // were materialized into the checkpoint (a pull boundary
-        // would have nothing to persist).
+        // are in the checkpoint (a pull boundary is never cut, since a
+        // `ResumePoint` does not record that the next superstep pulls).
         assert!(
             !ckpt.pending.is_empty(),
             "{strategy:?}: cut on a boundary without materialized messages"

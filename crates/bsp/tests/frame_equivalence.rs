@@ -13,8 +13,9 @@
 //! The PageRank cases pin the exchange's ordering guarantee (DESIGN.md
 //! §17) on the one program whose results can show a fold order: PageRank
 //! must come out bit-identical on explicit pools of 1, 2, 4 and 8
-//! workers under both schedules, across a checkpoint cut, and on a graph
-//! whose compute chunks deposit more than once.
+//! workers under both schedules, across a checkpoint cut, on a graph
+//! whose compute chunks deposit more than once, and under pull and auto
+//! delivery, whose gathered ranks are also pinned by hash.
 //!
 //! The triangle cases cover the one uncombined program — every message
 //! reaches `compute`, so its per-vertex counts and per-superstep message
@@ -375,27 +376,25 @@ fn pagerank_graph() -> Csr {
     build_undirected(&rmat_edges(&RmatParams::graph500(10), 3))
 }
 
-/// PageRank on `g` is bit-identical to a one-worker fixed run on explicit
-/// pools of 1, 2, 4 and 8 workers (8 oversubscribes any CI host this runs
-/// on), under both schedules and each of `transports`.
-fn assert_pagerank_bit_identical_across_pools(g: &Csr, transports: &[Transport]) {
-    let reference = pagerank_bits(
-        g,
-        BspConfig::default(),
-        Executor::fixed_on(Arc::new(Pool::new(1))),
-    );
+/// PageRank on `g` under each of `configs` is bit-identical to a
+/// one-worker fixed run under the first, on explicit pools of 1, 2, 4
+/// and 8 workers (8 oversubscribes any CI host this runs on), under both
+/// schedules.  Returns the reference ranks' FNV-1a hash.
+fn assert_pagerank_bit_identical_across_pools(g: &Csr, configs: &[BspConfig]) -> u64 {
+    let reference = pagerank_bits(g, configs[0], Executor::fixed_on(Arc::new(Pool::new(1))));
     for workers in [1, 2, 4, 8] {
         let pool = Arc::new(Pool::new(workers));
-        for &transport in transports {
-            let config = BspConfig {
-                transport,
-                ..BspConfig::default()
-            };
+        for &config in configs {
             for exec in [
                 Executor::fixed_on(Arc::clone(&pool)),
                 Executor::guided_on(Arc::clone(&pool)),
             ] {
-                let tag = format!("{workers} workers, {transport:?}, {:?}", exec.schedule());
+                let tag = format!(
+                    "{workers} workers, {:?}, {:?}, {:?}",
+                    config.transport,
+                    config.delivery,
+                    exec.schedule()
+                );
                 let got = pagerank_bits(g, config, exec);
                 assert_eq!(reference.1, got.1, "supersteps: {tag}");
                 assert_eq!(reference.3, got.3, "aggregates: {tag}");
@@ -404,14 +403,41 @@ fn assert_pagerank_bit_identical_across_pools(g: &Csr, transports: &[Transport])
             }
         }
     }
+    reference.0.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The default config with `delivery`, on each of `transports`.
+fn on_transports(delivery: Delivery, transports: &[Transport]) -> Vec<BspConfig> {
+    let config = |&transport| BspConfig {
+        transport,
+        delivery,
+        ..BspConfig::default()
+    };
+    transports.iter().map(config).collect()
 }
 
 #[test]
 fn pagerank_is_bit_identical_across_pools_schedules_and_queue_transports() {
     assert_pagerank_bit_identical_across_pools(
         &pagerank_graph(),
-        &[Transport::PerThreadOutbox, Transport::SingleQueue],
+        &on_transports(Delivery::Push, &TRANSPORTS),
     );
+}
+
+#[test]
+fn pagerank_under_pull_and_auto_is_bit_identical_across_pools_and_schedules() {
+    // Every superstep after the first gathers, each vertex folding its
+    // neighbors' rank shares in ascending neighbor order; the hash pins
+    // that order's bits, so a gather that reordered the fold fails here
+    // even if it did so on every pool alike.
+    let g = pagerank_graph();
+    for delivery in [Delivery::Pull, Delivery::Auto] {
+        let configs = on_transports(delivery, &TRANSPORTS);
+        let hash = assert_pagerank_bit_identical_across_pools(&g, &configs);
+        assert_eq!(hash, 0x387c_55c5_b672_a4ef, "rank bits: {delivery:?}");
+    }
 }
 
 #[test]
@@ -477,7 +503,10 @@ fn pagerank_is_bit_identical_when_chunks_deposit_more_than_once() {
     // run's chunks of n / 16 vertices mostly leave in one.
     let first_claim: u64 = (0..g.num_vertices() / 4).map(|v| g.degree(v)).sum();
     assert!(first_claim > 1 << 14, "first claim sends {first_claim}");
-    assert_pagerank_bit_identical_across_pools(&g, &[Transport::PerThreadOutbox]);
+    assert_pagerank_bit_identical_across_pools(
+        &g,
+        &on_transports(Delivery::Push, &[Transport::PerThreadOutbox]),
+    );
 }
 
 /// What a broadcast program's run shows: its states, superstep count
