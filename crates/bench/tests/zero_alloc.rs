@@ -54,18 +54,10 @@ use xmt_par::Executor;
 #[global_allocator]
 static COUNTING: alloc_count::CountingAlloc = alloc_count::CountingAlloc;
 
-/// Push supersteps poll the stop hook at most twice (the boundary cut
-/// check and the pull/push decision), so skipping four snapshots is
-/// guaranteed to land inside superstep >= 2.  Pull supersteps skip the
-/// cut check (a pull boundary is not checkpointable) and poll exactly
-/// once, so there two snapshots suffice.
-const SKIP_PUSH: usize = 4;
-const SKIP_PULL: usize = 2;
-/// Beamer Auto: superstep 0 always pushes (the estimator needs a shipped
-/// superstep), so boundary 0 polls twice; boundary 1 polls once or
-/// twice.  Skipping three snapshots therefore starts the window at
-/// boundary 1's last poll at the earliest, covering superstep >= 2 only.
-const SKIP_AUTO: usize = 3;
+/// The stop hook is polled once at each superstep boundary from
+/// boundary 1 on, whatever the delivery, so snapshot `k` is taken at
+/// boundary `k + 1`: skipping one starts the window at superstep 2.
+const SKIP: usize = 1;
 /// Triangle counting quiesces after four supersteps and polls once at
 /// each of boundaries 1, 2 and 3: the window is all three snapshots, the
 /// whole of supersteps 1 and 2.
@@ -110,31 +102,24 @@ fn main() {
     let sim = Executor::fixed();
     let native = Executor::guided();
 
-    gate(&g, &CcProgram, push, SKIP_PUSH, "cc/outbox/push", &sim);
+    gate(&g, &CcProgram, push, SKIP, "cc/outbox/push", &sim);
     gate(
         &g,
         &BfsProgram { source },
         push,
-        SKIP_PUSH,
+        SKIP,
         "bfs/outbox/push",
         &sim,
     );
-    gate(&g, &CcProgram, pull, SKIP_PULL, "cc/outbox/pull", &sim);
+    gate(&g, &CcProgram, pull, SKIP, "cc/outbox/pull", &sim);
     // The guided schedule reuses the same frame paths, so its steady
     // state must be equally allocation-free.
-    gate(
-        &g,
-        &CcProgram,
-        push,
-        SKIP_PUSH,
-        "cc/outbox/push/native",
-        &native,
-    );
+    gate(&g, &CcProgram, push, SKIP, "cc/outbox/push/native", &native);
     gate(
         &g,
         &BfsProgram { source },
         push,
-        SKIP_PUSH,
+        SKIP,
         "bfs/outbox/push/native",
         &native,
     );
@@ -147,23 +132,16 @@ fn main() {
     let pagerank = PagerankProgram::default();
     let sent = sent_per_superstep(&g, &pagerank);
     assert!(
-        sent.len() > SKIP_PUSH && sent[2..sent.len() - 1].iter().all(|&m| m == g.num_arcs()),
+        sent.len() > SKIP + 3 && sent[2..sent.len() - 1].iter().all(|&m| m == g.num_arcs()),
         "pagerank/outbox/gathered: a superstep in the window broadcasts over fewer than \
          every arc: {sent:?}"
     );
+    gate(&g, &pagerank, push, SKIP, "pagerank/outbox/gathered", &sim);
     gate(
         &g,
         &pagerank,
         push,
-        SKIP_PUSH,
-        "pagerank/outbox/gathered",
-        &sim,
-    );
-    gate(
-        &g,
-        &pagerank,
-        push,
-        SKIP_PUSH,
+        SKIP,
         "pagerank/outbox/gathered/native",
         &native,
     );
@@ -182,7 +160,7 @@ fn main() {
         &g,
         &BfsProgram { source: hub },
         push,
-        SKIP_PUSH,
+        SKIP,
         "bfs/outbox/gathered",
         &sim,
     );
@@ -190,12 +168,11 @@ fn main() {
         &g,
         &BfsProgram { source: hub },
         push,
-        SKIP_PUSH,
+        SKIP,
         "bfs/outbox/gathered/native",
         &native,
     );
-    // Beamer Auto mixes push supersteps (two polls) with pull
-    // supersteps (one poll).
+    // Beamer Auto mixes push and pull supersteps.
     let auto = BspConfig {
         delivery: Delivery::Auto,
         ..push
@@ -204,7 +181,7 @@ fn main() {
         &g,
         &BfsProgram { source },
         auto,
-        SKIP_AUTO,
+        SKIP,
         "bfs/outbox/beamer-auto",
         &sim,
     );
@@ -212,7 +189,7 @@ fn main() {
         &g,
         &BfsProgram { source },
         auto,
-        SKIP_AUTO,
+        SKIP,
         "bfs/outbox/beamer-auto/native",
         &native,
     );

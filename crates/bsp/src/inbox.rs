@@ -569,9 +569,11 @@ impl<M: Copy + Send + Sync> Default for Inbox<M> {
 }
 
 /// What a gather read: neighbor ids, and the offers a pull took.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Gathered {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Gathered {
+    /// Neighbor ids read.
     pub probes: u64,
+    /// Offers a pull took, one fold each.
     pub hits: u64,
 }
 

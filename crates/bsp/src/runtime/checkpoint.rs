@@ -7,18 +7,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use xmt_graph::VertexId;
 use xmt_par::Executor;
 
+use super::exchange::settle;
 use super::frame::SuperstepFrame;
-use super::BspResult;
-use crate::inbox::Inbox;
+use super::{BspResult, Run};
+use crate::inbox::Gathered;
 use crate::program::VertexProgram;
 
 /// A superstep-boundary checkpoint (Pregel §3.3: "fault tolerance is
 /// achieved through checkpointing ... at the beginning of a superstep").
 ///
 /// Captures everything besides the vertex states needed to continue a
-/// computation: the superstep number, halt flags, in-flight messages and
-/// the previous aggregates.  Pair it with the run's `states` and pass
-/// both as [`RunOptions::from`](super::RunOptions::from).
+/// computation: the superstep number, halt flags, in-flight messages,
+/// the previous aggregates and whether those messages were gathered.
+/// Every superstep boundary can be cut, whichever way its inbox was
+/// built.  Pair it with the run's `states` and pass both as
+/// [`RunOptions::from`](super::RunOptions::from).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ResumePoint<M> {
     /// The superstep the resumed run will execute next.
@@ -29,6 +32,11 @@ pub struct ResumePoint<M> {
     pub pending: Vec<(VertexId, M)>,
     /// Aggregator totals of the superstep before the checkpoint.
     pub prev_aggregates: (u64, f64),
+    /// Set when the next superstep pulls: `pending` is the inbox the
+    /// boundary gathered, and this is what the gather read.  The resumed
+    /// superstep then scans, computes, charges and records as a pull
+    /// one, and `Delivery::Auto` keeps its direction hysteresis.
+    pub gathered: Option<Gathered>,
 }
 
 /// A running computation's persisted state: the vertex states plus the
@@ -53,13 +61,11 @@ pub struct SlicedRun<S, M> {
 /// A cooperative stop signal polled at superstep boundaries, the hook a
 /// job scheduler threads into a run for cancellation and deadlines.
 ///
-/// The runtime calls it between supersteps (never inside `compute`);
-/// once it returns `true` the run is cut at the next *push* boundary (a
-/// [`ResumePoint`] does not record that the next superstep pulls, so a
-/// resume would scan it as a push one) and the partial result plus
-/// checkpoint are returned exactly as if `max_supersteps` had
-/// interrupted the run.  At most one extra superstep executes after the
-/// signal: one about to pull runs, with pull disabled for its successor.
+/// The runtime calls it once at each superstep boundary after the first
+/// superstep (never inside `compute`); once it returns `true` the run is
+/// cut at that boundary, whatever the next superstep's delivery, and the
+/// partial result plus checkpoint are returned exactly as if
+/// `max_supersteps` had interrupted the run.
 pub type StopHook<'a> = &'a (dyn Fn() -> bool + Sync);
 
 /// Why a checkpoint was rejected by [`run`](super::run) before any
@@ -154,15 +160,17 @@ pub(super) fn validate<S, M>(
     Ok(())
 }
 
-/// Turn a [`validate`]d checkpoint back into the loop's live state: the
-/// in-flight messages regrouped into the frame's live inbox, and
-/// `(states, halt flags, previous aggregates)` returned.
+/// Turn a [`validate`]d checkpoint of `states` back into the loop's live
+/// state: the in-flight messages regrouped into the frame's live inbox
+/// (before a bottom-up pull superstep, beside the settled bitmap its scan
+/// reads), and the halt flags returned.
 pub(super) fn restore<P: VertexProgram>(
     program: &P,
     exec: &Executor,
     frame: &mut SuperstepFrame<P::State, P::Message>,
-    (states, mut resume): Snapshot<P>,
-) -> (Vec<P::State>, Vec<AtomicU64>, (u64, f64)) {
+    states: &[P::State],
+    resume: &mut ResumePoint<P::Message>,
+) -> Vec<AtomicU64> {
     // One deposit through the prepared collector: `pending` is ascending
     // by destination and in delivery order within one, and the rebuild
     // keeps deposit order, so the resumed superstep sees exactly what the
@@ -176,30 +184,31 @@ pub(super) fn restore<P: VertexProgram>(
         &frame.collector.collected(),
         &frame.bucket_cursors,
     );
-    let halted = resume
-        .halted
-        .iter()
-        .map(|&h| AtomicU64::new(h as u64))
-        .collect();
-    (states, halted, resume.prev_aggregates)
+    // Only a pulling program is gathered: a settled-aware one bottom-up.
+    if resume.gathered.is_some() && program.supports_bottom_up() {
+        let settled = |v| program.is_settled(&states[v]);
+        settle(exec, states.len(), &mut frame.dense_visited, settled);
+    }
+    let halted = resume.halted.iter();
+    halted.map(|&h| AtomicU64::new(h as u64)).collect()
 }
 
-/// Cut a checkpoint at the boundary before `superstep`: the halt flags
-/// and the live inbox's in-flight messages, materialized.
-pub(super) fn cut<M: Copy + Send + Sync>(
-    superstep: u64,
-    halted: &[AtomicU64],
-    inbox: &Inbox<M>,
-    prev_aggregates: (u64, f64),
-) -> ResumePoint<M> {
-    ResumePoint {
-        superstep,
-        halted: halted
-            .iter()
-            // Relaxed: all stores preceded the final superstep's join.
-            .map(|h| h.load(Ordering::Relaxed) == 1)
-            .collect(),
-        pending: inbox.snapshot(),
-        prev_aggregates,
+impl<P: VertexProgram> Run<'_, P> {
+    /// Cut a checkpoint at the boundary before the superstep about to
+    /// run: the halt flags and the live inbox's in-flight messages,
+    /// materialized, and the gather that built that inbox if it pulls.
+    pub(super) fn cut(&self) -> ResumePoint<P::Message> {
+        ResumePoint {
+            superstep: self.s,
+            halted: self
+                .halted
+                .iter()
+                // Relaxed: all stores preceded the final superstep's join.
+                .map(|h| h.load(Ordering::Relaxed) == 1)
+                .collect(),
+            pending: self.frame.inbox.snapshot(),
+            prev_aggregates: self.prev_agg,
+            gathered: self.pulling,
+        }
     }
 }

@@ -48,7 +48,6 @@ const PULL_THRESHOLD: f64 = 0.5;
 #[derive(Clone, Copy, Debug)]
 pub(super) struct Policy {
     delivery: Delivery,
-    max_supersteps: u64,
     /// The program has a gather rule and a combiner to fold the gathered
     /// messages with; without both, `Delivery::Pull`/`Auto` silently
     /// degrade to push.
@@ -84,7 +83,6 @@ impl Policy {
         let bottom_up = supports_pull && supports_bottom_up;
         Policy {
             delivery: config.delivery,
-            max_supersteps: config.max_supersteps,
             supports_pull,
             bottom_up,
             beamer: config.delivery == Delivery::Auto && bottom_up,
@@ -97,21 +95,12 @@ impl Policy {
         self.delivery == Delivery::Auto && self.supports_pull
     }
 
-    /// Whether superstep `s + 1` may pull at all.  Pulling is only
-    /// meaningful when there is traffic to replace, never on the
-    /// superstep the limit will interrupt, and never once a stop is
-    /// requested (a cut boundary's `ResumePoint` does not record that the
-    /// superstep after it pulls, so a resume would scan it as a push one).
-    ///
-    /// `stop_fired` is polled last, and only when everything else allows
-    /// pulling, so the hook sees the same polls whatever the program.
-    pub(super) fn pull_candidate(
-        &self,
-        s: u64,
-        shipped: u64,
-        stop_fired: impl FnOnce() -> bool,
-    ) -> bool {
-        self.supports_pull && shipped > 0 && s + 1 < self.max_supersteps && !stop_fired()
+    /// Whether the next superstep may pull at all: only a program with a
+    /// gather rule, and only when there is traffic to replace.  A stop or
+    /// the superstep limit plays no part: the checkpoint of a boundary
+    /// records whether its inbox was gathered.
+    pub(super) fn pull_candidate(&self, shipped: u64) -> bool {
+        self.supports_pull && shipped > 0
     }
 
     /// Whether the next superstep pulls, given that it may
@@ -198,19 +187,12 @@ mod tests {
     }
 
     #[test]
-    fn never_a_candidate_without_traffic_at_the_limit_or_after_a_stop() {
-        let config = BspConfig {
-            max_supersteps: 10,
-            ..auto()
-        };
-        let p = beamer(&config);
-        assert!(p.pull_candidate(3, 1, || false));
-        assert!(!p.pull_candidate(3, 0, || false), "shipped == 0");
-        assert!(!p.pull_candidate(9, 1, || false), "s + 1 == max_supersteps");
-        assert!(p.pull_candidate(8, 1, || false));
-        assert!(!p.pull_candidate(3, 1, || true), "stop hook fired");
+    fn never_a_candidate_without_traffic() {
+        let p = beamer(&auto());
+        assert!(p.pull_candidate(1));
+        assert!(!p.pull_candidate(0), "shipped == 0");
         // A program without a gather rule is never a candidate.
-        assert!(!Policy::new(&config, false, true).pull_candidate(3, 1, || false));
+        assert!(!Policy::new(&auto(), false, true).pull_candidate(1));
         // And a non-candidate never pulls, whatever the frontier says.
         let dense = Frontier {
             est_active: N,
@@ -222,20 +204,6 @@ mod tests {
             assert!(!p.pull_next(false, pulling, &dense));
             assert!(p.pull_next(true, pulling, &dense));
         }
-    }
-
-    #[test]
-    fn the_stop_hook_is_polled_only_when_everything_else_allows_pulling() {
-        let p = beamer(&auto());
-        let polled = std::cell::Cell::new(0);
-        let hook = || {
-            polled.set(polled.get() + 1);
-            false
-        };
-        assert!(!p.pull_candidate(3, 0, hook));
-        assert_eq!(polled.get(), 0);
-        assert!(p.pull_candidate(3, 1, hook));
-        assert_eq!(polled.get(), 1);
     }
 
     #[test]

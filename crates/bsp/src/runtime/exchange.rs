@@ -59,10 +59,7 @@ impl<P: VertexProgram> Run<'_, P> {
     pub(super) fn exchange(&mut self, computed: &Computed) -> Exchanged {
         let (graph, n, s) = (self.graph, self.n, self.s);
         let (shipped, recorded) = (computed.shipped, computed.recorded);
-        let stop = self.stop;
-        let pull_candidate = self
-            .policy
-            .pull_candidate(s, shipped, || stop.is_some_and(|f| f()));
+        let pull_candidate = self.policy.pull_candidate(shipped);
         // The destination claim pass: one generation-tagged claim per
         // distinct message destination, merged with the stayed-awake
         // claims from compute.  O(messages), never O(V).  It runs when
@@ -279,7 +276,12 @@ pub(super) fn combine<P: VertexProgram>(program: &P, a: P::Message, b: P::Messag
 
 /// Rebuild `bits` as the settled bitmap of `n` vertices: bit `v` set
 /// iff `settled(v)`, each word built by one task.
-fn settle(exec: &Executor, n: usize, bits: &mut Vec<u64>, settled: impl Fn(usize) -> bool + Sync) {
+pub(super) fn settle(
+    exec: &Executor,
+    n: usize,
+    bits: &mut Vec<u64>,
+    settled: impl Fn(usize) -> bool + Sync,
+) {
     bits.clear();
     bits.resize(n.div_ceil(64), 0);
     let words = bits.len();

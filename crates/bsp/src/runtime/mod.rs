@@ -120,8 +120,7 @@ pub struct RunOptions<'a, P: VertexProgram> {
     /// Continue from this checkpoint (validated, never asserted) instead
     /// of starting at superstep 0.
     pub from: Option<Snapshot<P>>,
-    /// Cut the run at the first checkpointable boundary after this
-    /// returns `true`.
+    /// Cut the run at the superstep boundary where this returns `true`.
     pub stop: Option<StopHook<'a>>,
     /// Wall-clock trace sink: each completed superstep appends one
     /// [`xmt_trace::SuperstepTrace`] (phase timings, message counters,
@@ -239,14 +238,17 @@ fn run_validated<P: VertexProgram>(
     frame.prepare(n, workers, config.transport, record);
 
     let resumed_at = from.as_ref().map(|(_, resume)| resume.superstep);
-    let (states, halted, prev_agg) = match from {
+    let (states, halted, prev_agg, pulling) = match from {
         None => {
             let states = compute::init_states(n, program, &exec, rec.as_deref_mut());
             let halted: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
             frame.inbox.reset_empty(n);
-            (states, halted, (0u64, 0.0f64))
+            (states, halted, (0u64, 0.0f64), None)
         }
-        Some(from) => checkpoint::restore(program, &exec, frame, from),
+        Some((states, mut resume)) => {
+            let halted = checkpoint::restore(program, &exec, frame, &states, &mut resume);
+            (states, halted, resume.prev_aggregates, resume.gathered)
+        }
     };
 
     // Beamer's alpha rule compares the frontier's edges against the
@@ -274,7 +276,6 @@ fn run_validated<P: VertexProgram>(
         track_next,
         record,
         policy,
-        stop,
         resumed_at,
         frame,
         rec,
@@ -289,7 +290,7 @@ fn run_validated<P: VertexProgram>(
         },
         prev_agg,
         s: resumed_at.unwrap_or(0),
-        pulling: None,
+        pulling,
         explored_edges,
     };
 
@@ -334,15 +335,10 @@ fn run_validated<P: VertexProgram>(
             hit_limit = true;
             break;
         }
-        // Stop hook: cut the run here, but only on a boundary that makes
-        // a valid checkpoint.  Superstep 0 must run first (a "superstep
-        // 0" checkpoint is no checkpoint at all — resuming it is just a
-        // fresh run, and `ResumePoint`s start at 1).  Nor before a pull
-        // superstep: a `ResumePoint` does not record that it pulls, so a
-        // resume would scan it as a push one.  On one, the superstep runs
-        // with pull disabled for its successor (`Policy::pull_candidate`),
-        // so the next boundary is cuttable.
-        if run.s > 0 && run.pulling.is_none() && stop.is_some_and(|f| f()) {
+        // Stop hook: cut the run here.  Superstep 0 must run first (a
+        // "superstep 0" checkpoint is no checkpoint at all — resuming it
+        // is just a fresh run, and `ResumePoint`s start at 1).
+        if run.s > 0 && stop.is_some_and(|f| f()) {
             stopped = true;
             break;
         }
@@ -411,16 +407,7 @@ fn run_validated<P: VertexProgram>(
         run.s += 1;
     }
 
-    // A `ResumePoint` does not record a next pull: the stop gate refuses
-    // pull boundaries and `pull_candidate` refuses to enter pull mode
-    // once the hook fires (or within one superstep of the limit), so an
-    // interrupted run is never about to pull.
-    debug_assert!(
-        !((hit_limit || stopped) && run.pulling.is_some()),
-        "checkpoint cut on a pull boundary"
-    );
-    let resume = (hit_limit || stopped)
-        .then(|| checkpoint::cut(run.s, &run.halted, &run.frame.inbox, run.prev_agg));
+    let resume = (hit_limit || stopped).then(|| run.cut());
 
     let sliced = SlicedRun {
         result: BspResult {
@@ -458,7 +445,6 @@ struct Run<'a, P: VertexProgram> {
     /// of queueing pairs.
     record: bool,
     policy: Policy,
-    stop: Option<StopHook<'a>>,
     /// The superstep a resumed run starts at: its active set is scanned
     /// densely even under the worklist strategy.
     resumed_at: Option<u64>,

@@ -3,6 +3,7 @@ use std::sync::atomic::Ordering;
 use super::*;
 use crate::program::{Combiner, Context, MinCombiner};
 use xmt_graph::builder::build_undirected;
+use xmt_graph::gen::rmat::{rmat_edges, RmatParams};
 use xmt_graph::gen::structured::{path, star};
 use xmt_graph::VertexId;
 
@@ -601,52 +602,6 @@ fn stop_hook_cuts_a_run_with_a_resumable_checkpoint() {
 }
 
 #[test]
-fn stop_hook_defers_past_pull_boundaries() {
-    let g = build_undirected(&path(30));
-    let cfg = BspConfig {
-        delivery: Delivery::Pull,
-        ..Default::default()
-    };
-    let whole = run_bsp(&g, &PullFlood, cfg, None);
-
-    // Trip immediately after the first boundary: superstep 1 would
-    // have been a pull superstep, so the cut must land later, on a
-    // push boundary (a `ResumePoint` does not record a next pull).
-    let polls = AtomicU64::new(0);
-    let hook = || polls.fetch_add(1, Ordering::Relaxed) >= 2;
-    let first = run(
-        &g,
-        &PullFlood,
-        RunOptions {
-            config: cfg,
-            stop: Some(&hook),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    if let Some(ckpt) = first.resume {
-        assert!(first.result.stopped_early);
-        // The boundary we cut at ships messages (push), so resume
-        // reconstructs the inbox exactly.
-        let second = run(
-            &g,
-            &PullFlood,
-            RunOptions {
-                config: cfg,
-                from: Some((first.result.states, ckpt)),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(second.result.states, whole.states);
-    } else {
-        // Tiny graphs may quiesce before the deferred cut; the run
-        // must then be complete and correct.
-        assert_eq!(first.result.states, whole.states);
-    }
-}
-
-#[test]
 fn aggregates_sum_across_workers() {
     /// Every vertex adds its id to the aggregator in superstep 0.
     struct AggSum;
@@ -847,57 +802,111 @@ fn auto_estimator_counts_distinct_destinations_not_messages() {
     assert_eq!(pulled, wl_pulled);
 }
 
-#[test]
-fn stop_hook_never_cuts_on_a_pull_boundary_under_auto() {
-    // Regression for the `!stop.is_some_and(...)` gate: a min-flood
-    // over a path keeps more than half the vertices awake for its
-    // first supersteps, so Auto wants to pull at the boundary where the
-    // hook fires; the stop gate must still land the checkpoint on a
-    // push boundary, and the resumed run must compose exactly.
-    for strategy in [ActiveSetStrategy::DenseScan, ActiveSetStrategy::Worklist] {
-        let cfg = BspConfig {
-            delivery: Delivery::Auto,
-            active_set: strategy,
-            ..Default::default()
-        };
-        let g = build_undirected(&path(30));
-        let whole = run_bsp(&g, &PullFlood, cfg, None);
-        // Sanity: without a stop, this config pulls.
-        assert!(whole.superstep_stats.iter().any(|s| s.pulled));
+/// Cut `program` under `config` at every boundary before a pull
+/// superstep, once by the stop hook and once by the superstep limit,
+/// resume, and require the stitched run to be the uninterrupted one:
+/// states, per-superstep stats, aggregates and model charges.  Returns
+/// the boundaries cut.
+fn assert_cuts_before_pulls_resume_exactly<P>(g: &Csr, program: &P, config: BspConfig) -> Vec<u64>
+where
+    P: VertexProgram,
+    P::State: PartialEq + std::fmt::Debug,
+{
+    let mut whole_rec = Recorder::new();
+    let whole = run_bsp(g, program, config, Some(&mut whole_rec));
+    let stats = &whole.superstep_stats;
+    let pulls: Vec<u64> = (0..whole.supersteps)
+        .filter(|&s| stats[s as usize].pulled)
+        .collect();
+    for &at in &pulls {
+        for by_hook in [true, false] {
+            let tag = format!(
+                "{config:?}, cut at {at} by the {}",
+                ["limit", "hook"][by_hook as usize]
+            );
+            // The hook is polled once at each boundary from the first on.
+            let polls = AtomicU64::new(0);
+            let hook = || polls.fetch_add(1, Ordering::Relaxed) + 1 >= at;
+            let mut rec = Recorder::new();
+            let first = run(
+                g,
+                program,
+                RunOptions {
+                    config: BspConfig {
+                        max_supersteps: if by_hook { config.max_supersteps } else { at },
+                        ..config
+                    },
+                    rec: Some(&mut rec),
+                    stop: by_hook.then_some(&hook as StopHook<'_>),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(first.result.stopped_early, by_hook, "{tag}");
+            let ckpt = first.resume.expect("a cut run yields a checkpoint");
+            assert_eq!(ckpt.superstep, at, "{tag}");
+            let probes = ckpt.gathered.map(|g| g.probes);
+            assert_eq!(probes, Some(stats[at as usize].pull_probes), "{tag}");
+            // On a fresh frame: the checkpoint alone carries the cut.
+            let mut rest_rec = Recorder::new();
+            let rest = run(
+                g,
+                program,
+                RunOptions {
+                    config,
+                    rec: Some(&mut rest_rec),
+                    from: Some((first.result.states, ckpt)),
+                    frame: Some(&mut SuperstepFrame::new()),
+                    ..Default::default()
+                },
+            )
+            .unwrap()
+            .result;
+            assert_eq!(rest.states, whole.states, "{tag}");
+            assert_eq!(rest.supersteps, whole.supersteps, "{tag}");
+            let stitched = [first.result.superstep_stats, rest.superstep_stats].concat();
+            assert_eq!(&stitched, stats, "{tag}");
+            let aggregates = [first.result.aggregates, rest.aggregates].concat();
+            assert_eq!(aggregates, whole.aggregates, "{tag}");
+            // Both slices scan the cut boundary; the second scan is the
+            // one the uninterrupted run charged.
+            rec.records.pop();
+            rec.records.extend(rest_rec.records);
+            assert_eq!(rec, whole_rec, "{tag}: model charges");
+        }
+    }
+    pulls
+}
 
-        let polls = AtomicU64::new(0);
-        let hook = || polls.fetch_add(1, Ordering::Relaxed) >= 2;
-        let first = run(
-            &g,
-            &PullFlood,
-            RunOptions {
-                config: cfg,
-                stop: Some(&hook),
-                ..Default::default()
-            },
-        )
+#[test]
+fn stop_hook_and_limit_cut_before_pull_supersteps_and_resume_exactly() {
+    let path = build_undirected(&path(30));
+    let rmat = build_undirected(&rmat_edges(&RmatParams::graph500(8), 7));
+    let hub = (0..rmat.num_vertices())
+        .max_by_key(|&v| rmat.degree(v))
         .unwrap();
-        let ckpt = first.resume.expect("stopped run must yield a checkpoint");
-        assert!(first.result.stopped_early, "{strategy:?}");
-        // The cut landed on a push boundary: its in-flight messages
-        // are in the checkpoint (a pull boundary is never cut, since a
-        // `ResumePoint` does not record that the next superstep pulls).
-        assert!(
-            !ckpt.pending.is_empty(),
-            "{strategy:?}: cut on a boundary without materialized messages"
-        );
-        let second = run(
-            &g,
-            &PullFlood,
-            RunOptions {
-                config: cfg,
-                from: Some((first.result.states, ckpt)),
+    let bfs = crate::algorithms::bfs::BfsProgram { source: hub };
+    for active_set in [ActiveSetStrategy::DenseScan, ActiveSetStrategy::Worklist] {
+        for delivery in [Delivery::Pull, Delivery::Auto] {
+            let config = BspConfig {
+                delivery,
+                active_set,
                 ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(second.result.states, whole.states, "{strategy:?}");
-        assert_eq!(second.result.supersteps, whole.supersteps, "{strategy:?}");
+            };
+            // Auto pulls the min-flood by its density rule: more than
+            // half the path is awake in its first supersteps.
+            let cut = assert_cuts_before_pulls_resume_exactly(&path, &PullFlood, config);
+            assert!(!cut.is_empty(), "{config:?}: the min-flood never pulls");
+            // BFS gathers bottom-up (the resumed scan reads the settled
+            // bitmap), and under Auto a cut between two pull supersteps
+            // must keep Beamer's hysteresis.
+            let cut = assert_cuts_before_pulls_resume_exactly(&rmat, &bfs, config);
+            let consecutive = cut.windows(2).any(|w| w[1] == w[0] + 1);
+            assert!(
+                consecutive,
+                "{config:?}: BFS never pulls twice in a row: {cut:?}"
+            );
+        }
     }
 }
 

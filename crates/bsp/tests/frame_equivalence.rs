@@ -7,8 +7,8 @@
 //! superstep counts, per-superstep stats, aggregates, and the model
 //! recorder's charge stream.  A separate case cuts a run with a stop
 //! hook (the scheduler's deadline path), checkpoints, and resumes *with
-//! the same frame*, requiring the stitched run to match an
-//! uninterrupted one.
+//! the same frame*, requiring the stitched run, per-superstep stats
+//! included, to match an uninterrupted one under every delivery.
 //!
 //! The PageRank cases pin the exchange's ordering guarantee (DESIGN.md
 //! §17) on the one program whose results can show a fold order: PageRank
@@ -164,12 +164,11 @@ fn bfs_matches_fresh_across_transports_and_deliveries() {
 /// Run `program` on the sim executor (fixed chunks) and on the native
 /// executor (guided chunks) and require equivalent results.
 ///
-/// States, supersteps and aggregates must always match: CC and BFS
-/// messages fold through a min-combiner, so delivery order — the only
-/// thing the schedule changes — cannot affect what compute sees.  Exact
-/// per-superstep stats are asserted under push only; pull/auto runs make
-/// probe-order-dependent delivery decisions that legitimately wobble
-/// across schedules.
+/// States, supersteps, aggregates and per-superstep stats must match: CC
+/// and BFS messages fold through a min-combiner, so delivery order — the
+/// only thing the schedule changes — cannot affect what compute sees, and
+/// the delivery decisions read counts (distinct destinations, settled
+/// edges, a gather's row reads) that no schedule changes.
 fn assert_sim_native_equivalent<P>(g: &Csr, program: &P, config: BspConfig)
 where
     P: VertexProgram,
@@ -209,12 +208,10 @@ where
         sim.result.aggregates, native.result.aggregates,
         "aggregates: {tag}"
     );
-    if config.delivery == Delivery::Push {
-        assert_eq!(
-            sim.result.superstep_stats, native.result.superstep_stats,
-            "stats: {tag}"
-        );
-    }
+    assert_eq!(
+        sim.result.superstep_stats, native.result.superstep_stats,
+        "stats: {tag}"
+    );
 }
 
 #[test]
@@ -294,6 +291,11 @@ fn interrupted_resume_with_the_same_frame_matches_uninterrupted() {
                 "hook did not cut the run ({transport:?}/{delivery:?})"
             );
             let resume = part1.resume.expect("stopped run must yield a checkpoint");
+            // Every superstep with traffic pulls under `Pull`, so the cut
+            // lands on a gathered boundary.
+            if delivery == Delivery::Pull {
+                assert!(resume.gathered.is_some(), "{transport:?}: cut not gathered");
+            }
             let part2 = run(
                 &g,
                 &CcProgram,
@@ -314,28 +316,10 @@ fn interrupted_resume_with_the_same_frame_matches_uninterrupted() {
             );
             // The interrupted and resumed stat streams stitch into the
             // uninterrupted one (the resumed run re-executes from the
-            // checkpoint superstep, contributing the remaining entries).
-            // Exact only under pure push: a stop request forces the cut
-            // boundary (and the first resumed superstep) to push mode so
-            // the checkpoint can materialize in-flight messages, so
-            // pull-capable runs legitimately differ in per-superstep
-            // delivery stats around the cut while converging to the
-            // same states in the same number of supersteps.
-            let stitched: Vec<_> = part1
-                .result
-                .superstep_stats
-                .iter()
-                .chain(part2.result.superstep_stats.iter())
-                .copied()
-                .collect();
-            assert_eq!(
-                full.result.superstep_stats.len(),
-                stitched.len(),
-                "stat stream length: {tag}"
-            );
-            if delivery == Delivery::Push {
-                assert_eq!(full.result.superstep_stats, stitched, "stats: {tag}");
-            }
+            // checkpoint superstep, contributing the remaining entries),
+            // whichever way the cut boundary's inbox was built.
+            let stitched = [part1.result.superstep_stats, part2.result.superstep_stats].concat();
+            assert_eq!(full.result.superstep_stats, stitched, "stats: {tag}");
         }
     }
 }
@@ -445,51 +429,54 @@ fn pagerank_cut_and_resumed_is_bit_identical_to_uninterrupted() {
     let g = pagerank_graph();
     let program = PagerankProgram::default();
     let pool = Arc::new(Pool::new(4));
-    for transport in [Transport::PerThreadOutbox, Transport::SingleQueue] {
-        let config = BspConfig {
-            transport,
-            ..BspConfig::default()
-        };
-        let full = pagerank_bits(&g, config, Executor::guided_on(Arc::clone(&pool)));
-        // Cut at the superstep limit, mid-convergence, and resume on the
-        // other schedule.
-        let cut = run(
-            &g,
-            &program,
-            RunOptions {
-                config: BspConfig {
-                    max_supersteps: 7,
-                    ..config
+    for delivery in DELIVERIES {
+        for config in on_transports(delivery, &TRANSPORTS) {
+            let tag = format!("{:?}/{delivery:?}", config.transport);
+            let full = pagerank_bits(&g, config, Executor::guided_on(Arc::clone(&pool)));
+            // Cut at the superstep limit, mid-convergence (a gathered
+            // boundary under pull and auto), and resume on the other
+            // schedule.
+            let cut = run(
+                &g,
+                &program,
+                RunOptions {
+                    config: BspConfig {
+                        max_supersteps: 7,
+                        ..config
+                    },
+                    exec: Executor::fixed_on(Arc::clone(&pool)),
+                    ..Default::default()
                 },
-                exec: Executor::fixed_on(Arc::clone(&pool)),
-                ..Default::default()
-            },
-        )
-        .expect("first slice");
-        let checkpoint = cut.resume.expect("cut by the limit");
-        let rest = run(
-            &g,
-            &program,
-            RunOptions {
-                config,
-                from: Some((cut.result.states, checkpoint)),
-                exec: Executor::guided_on(Arc::clone(&pool)),
-                ..Default::default()
-            },
-        )
-        .expect("resumed slice")
-        .result;
-        let ranks: Vec<u64> = rest.states.iter().map(|x| x.to_bits()).collect();
-        let aggregates: Vec<(u64, u64)> = cut
-            .result
-            .aggregates
-            .iter()
-            .chain(&rest.aggregates)
-            .map(|&(u, f)| (u, f.to_bits()))
-            .collect();
-        assert_eq!(full.1, rest.supersteps, "supersteps: {transport:?}");
-        assert_eq!(full.3, aggregates, "aggregates: {transport:?}");
-        assert_eq!(full.0, ranks, "ranks: {transport:?}");
+            )
+            .expect("first slice");
+            let checkpoint = cut.resume.expect("cut by the limit");
+            assert_eq!(checkpoint.gathered.is_some(), full.2[7].pulled, "{tag}");
+            let rest = run(
+                &g,
+                &program,
+                RunOptions {
+                    config,
+                    from: Some((cut.result.states, checkpoint)),
+                    exec: Executor::guided_on(Arc::clone(&pool)),
+                    ..Default::default()
+                },
+            )
+            .expect("resumed slice")
+            .result;
+            let ranks: Vec<u64> = rest.states.iter().map(|x| x.to_bits()).collect();
+            let aggregates: Vec<(u64, u64)> = cut
+                .result
+                .aggregates
+                .iter()
+                .chain(&rest.aggregates)
+                .map(|&(u, f)| (u, f.to_bits()))
+                .collect();
+            let stats = [cut.result.superstep_stats, rest.superstep_stats].concat();
+            assert_eq!(full.1, rest.supersteps, "supersteps: {tag}");
+            assert_eq!(full.2, stats, "stats: {tag}");
+            assert_eq!(full.3, aggregates, "aggregates: {tag}");
+            assert_eq!(full.0, ranks, "ranks: {tag}");
+        }
     }
 }
 

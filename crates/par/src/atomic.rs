@@ -1,11 +1,10 @@
-//! `int_fetch_add`-style atomic helpers.
+//! The atomic operations GraphCT's XMT kernels use on shared words.
 //!
-//! GraphCT's XMT kernels lean on two machine primitives: `int_fetch_add`
-//! (a combining atomic add at the memory controller) and unconditional
-//! atomic writes whose visibility is immediate to all streams.  The label
-//! update in Shiloach-Vishkin additionally needs an atomic *minimum*,
-//! which on the XMT is expressed with full/empty bits; here we provide it
-//! as a CAS loop.
+//! The label update in Shiloach-Vishkin needs an atomic *minimum*, which
+//! on the XMT is expressed with full/empty bits; here it is a hardware
+//! `fetch_min`.  BFS marks a vertex discovered with a one-shot
+//! compare-and-swap claim, and the triangle kernel counts through an
+//! atomic view of a plain `u64` slice.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -21,14 +20,6 @@ pub fn as_atomic_u64(data: &mut [u64]) -> &[AtomicU64] {
     unsafe { &*(data as *mut [u64] as *const [AtomicU64]) }
 }
 
-/// `int_fetch_add` on a shared counter; returns the previous value.
-#[inline]
-pub fn fetch_add(counter: &AtomicU64, delta: u64) -> u64 {
-    // Relaxed: models XMT int_fetch_add — callers rely only on the
-    // RMW's atomicity; results are published by the pool's join barrier.
-    counter.fetch_add(delta, Ordering::Relaxed)
-}
-
 /// Atomically set `cell = min(cell, value)`.
 ///
 /// Returns `true` when `value` became the new minimum (i.e. the cell
@@ -39,15 +30,6 @@ pub fn fetch_min(cell: &AtomicU64, value: u64) -> bool {
     // published through it); kernels read it back after a pool barrier.
     let prev = cell.fetch_min(value, Ordering::Relaxed);
     value < prev
-}
-
-/// Atomically set `cell = max(cell, value)`; returns `true` on change.
-#[inline]
-pub fn fetch_max(cell: &AtomicU64, value: u64) -> bool {
-    // Relaxed: same shape as `fetch_min` — RMW atomicity on a single
-    // cell, with cross-thread publication left to the pool barrier.
-    let prev = cell.fetch_max(value, Ordering::Relaxed);
-    value > prev
 }
 
 /// Compare-and-swap claim: set `cell` from `empty` to `value` exactly once.
@@ -70,15 +52,6 @@ mod tests {
     use crate::pfor::parallel_for;
 
     #[test]
-    fn fetch_add_is_exact_under_contention() {
-        let c = AtomicU64::new(0);
-        parallel_for(0, 100_000, |_| {
-            fetch_add(&c, 1);
-        });
-        assert_eq!(c.load(Ordering::Relaxed), 100_000);
-    }
-
-    #[test]
     fn fetch_min_converges_to_global_min() {
         let c = AtomicU64::new(u64::MAX);
         parallel_for(0, 10_000, |i| {
@@ -98,14 +71,6 @@ mod tests {
         assert!(!fetch_min(&c, 7));
         assert!(!fetch_min(&c, 5));
         assert_eq!(c.load(Ordering::Relaxed), 5);
-    }
-
-    #[test]
-    fn fetch_max_reports_change() {
-        let c = AtomicU64::new(10);
-        assert!(fetch_max(&c, 15));
-        assert!(!fetch_max(&c, 7));
-        assert_eq!(c.load(Ordering::Relaxed), 15);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!   chunks, or [`Schedule::Guided`] decaying chunks for skewed work)
 //!   that the BSP runtime and GraphCT kernels are parameterized over.
 //! * [`mod@reduce`] and [`scan`] — parallel reductions and prefix sums.
-//! * [`atomic`] — `int_fetch_add`-style helpers plus atomic-min/max CAS
-//!   loops used by label-update kernels.
+//! * [`atomic`] — the atomic minimum of label-update kernels, a one-shot
+//!   claim, and an atomic view of a `u64` slice.
 //! * [`DisjointSlice`] — one `&mut [T]` the tasks of a loop share, each
 //!   writing only the parts it owns.
 //!

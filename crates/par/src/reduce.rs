@@ -62,14 +62,6 @@ where
     reduce(start, end, || 0u64, |acc, i| acc + f(i), |a, b| a + b)
 }
 
-/// Count indices for which `pred` holds.
-pub fn count<F>(start: usize, end: usize, pred: F) -> usize
-where
-    F: Fn(usize) -> bool + Sync,
-{
-    sum_u64(start, end, |i| pred(i) as u64) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,10 +89,5 @@ mod tests {
         for _ in 0..49 {
             assert_eq!(sum().to_bits(), first);
         }
-    }
-
-    #[test]
-    fn count_counts() {
-        assert_eq!(count(0, 1000, |i| i % 3 == 0), 334);
     }
 }

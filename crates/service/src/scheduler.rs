@@ -637,10 +637,13 @@ fn run(shared: &Shared, claim: Claim, slot: &mut FrameSlot) {
     let stop = {
         let cancel = Arc::clone(&claim.cancel);
         #[cfg(test)]
-        let spec = spec.clone();
+        let (spec, polls) = (
+            spec.clone(),
+            claim.resume_from.is_none().then(Default::default),
+        );
         move || {
             #[cfg(test)]
-            tests::inject_fault(&spec);
+            tests::inject_fault(&spec, polls.as_ref(), &cancel);
             // Relaxed: the flag is monotonic and only gates an early cut; a
             // stale read costs at most one extra superstep.
             cancel.load(Ordering::Relaxed) || deadline.is_some_and(|d| Instant::now() >= d)
@@ -728,6 +731,7 @@ fn run(shared: &Shared, claim: Claim, slot: &mut FrameSlot) {
 mod tests {
     use super::*;
     use crate::job::Engine;
+    use std::sync::atomic::AtomicU64;
     use xmt_bsp::{ActiveSetStrategy, BspConfig};
     use xmt_graph::builder::build_undirected;
     use xmt_graph::gen::structured::path;
@@ -758,17 +762,33 @@ mod tests {
     /// Graph name that makes [`inject_fault`] fail the job.
     const FAULTY: &str = "fault: panic inside a pool loop";
 
-    /// Test-only fault injection, called from `run`'s stop hook, so
-    /// it fires at a superstep boundary while the run holds the worker's
+    /// Graph-name prefix that makes [`inject_fault`] cancel a fresh run
+    /// at the superstep boundary the rest of the name numbers.
+    const CANCEL_AT: &str = "cancel at boundary ";
+
+    /// Test-only fault injection, called from `run`'s stop hook, so it
+    /// fires at a superstep boundary while the run holds the worker's
     /// frame: a panic raised inside a parallel loop on the global pool,
-    /// by whichever worker claims the chosen index.
-    pub(super) fn inject_fault(spec: &JobSpec) {
+    /// by whichever worker claims the chosen index, or a cancel request
+    /// at a chosen boundary.  `polls` counts a fresh run's polls, one per
+    /// boundary from boundary 1 on; a resumed run passes `None`.
+    pub(super) fn inject_fault(spec: &JobSpec, polls: Option<&AtomicU64>, cancel: &AtomicBool) {
         if spec.graph == FAULTY {
             xmt_par::parallel_for(0, 1 << 12, |i| {
                 if i == 4000 {
                     panic!("injected job failure");
                 }
             });
+        }
+        // Relaxed: the run's own thread alone polls the counter, and the
+        // flag is as monotonic as a cancel request's.
+        let boundary = polls.map(|p| p.fetch_add(1, Ordering::Relaxed) + 1);
+        let cancel_at = spec
+            .graph
+            .strip_prefix(CANCEL_AT)
+            .and_then(|b| b.parse().ok());
+        if boundary.is_some() && boundary == cancel_at {
+            cancel.store(true, Ordering::Relaxed);
         }
     }
 
@@ -1447,6 +1467,57 @@ mod tests {
         assert_eq!(snap.state, JobState::Queued);
         let _ = sched.cancel(queued);
         let _ = sched.cancel(blocker);
+        sched.shutdown();
+    }
+
+    #[cfg(feature = "trace")]
+    #[test]
+    fn a_cc_job_cancelled_before_a_pull_superstep_resumes_it_exactly() {
+        let sched = Scheduler::new(SchedulerConfig {
+            workers: 1,
+            queue_capacity: 8,
+        });
+        // CC under Auto on a path pulls while more than half the path is
+        // awake: the first dozens of supersteps.
+        let g = Arc::new(build_undirected(&path(200)));
+        let config = BspConfig {
+            delivery: xmt_bsp::Delivery::Auto,
+            ..spec("p").config
+        };
+        let direct = xmt_bsp::run_bsp(
+            &g,
+            &xmt_bsp::algorithms::components::CcProgram,
+            config,
+            None,
+        );
+        let pulled: Vec<bool> = direct.superstep_stats.iter().map(|s| s.pulled).collect();
+        // The boundary before the last pull superstep, itself after one.
+        let at = pulled
+            .iter()
+            .rposition(|&p| p)
+            .expect("Auto pulls the path");
+        assert!(at > 1 && pulled[at - 1], "{pulled:?}");
+
+        let cut = JobSpec {
+            config,
+            ..spec(&format!("{CANCEL_AT}{at}"))
+        };
+        let id = sched.submit(cut, Arc::clone(&g)).unwrap();
+        let snap = wait_terminal(&sched, id);
+        assert_eq!(snap.state, JobState::Cancelled);
+        assert_eq!(snap.supersteps, at as u64);
+        let (resumed, from_superstep) = sched.resume(id, None).unwrap();
+        assert_eq!(from_superstep, at as u64);
+        assert_eq!(labels(&sched, resumed), direct.states);
+
+        // The joined trace is contiguous, and the resumed run pulls the
+        // superstep it starts with, as the direct run did.
+        let traces = [sched.trace(id).unwrap(), sched.trace(resumed).unwrap()];
+        let joined: Vec<_> = traces.iter().flat_map(|t| &t.supersteps).collect();
+        let numbers: Vec<u64> = joined.iter().map(|t| t.superstep).collect();
+        assert_eq!(numbers, (0..direct.supersteps).collect::<Vec<_>>());
+        let joined_pulled: Vec<bool> = joined.iter().map(|t| t.pulled).collect();
+        assert_eq!(joined_pulled, pulled);
         sched.shutdown();
     }
 

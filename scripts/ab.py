@@ -27,7 +27,9 @@ tenths of the pairs and a median difference beyond the parent's own
 inter-quartile distance; `unresolved` is a parent spread wider than the
 bound; otherwise `regression` is a median worse by more than the bound.
 The exit status is non-zero whenever a change median is worse than its
-bound, whatever the verdict.
+bound, whatever the verdict.  `--render` marks a verdict `confounded`
+where a count of other work on the host moved by more than the metric's
+bound (stream-mixed's `ops_per_s` beside its `reader_jobs`).
 
 `--trajectory` reads every `BENCH_<sha>[-dirty].json` at the repo root
 (not the `.traced.json` or `.rerun-*.json` companions).  A file is named
@@ -53,6 +55,11 @@ EXACT = re.compile(r"bsp\.\w+\.(supersteps|messages_sent|messages_delivered|cand
                    r"|graphct\.(cc\.iterations|bfs\.levels|tc\.triangles)$"
                    r"|graph\.(edges|bytes_per_edge)$"
                    r"|xmt-model\.\w+\.pred_us_128p$")
+
+# End-to-end metrics that a count of other work on the host moves: the
+# stream-mixed writer shares the host with a closed-loop reader, so a
+# faster engine runs more reader jobs and reads as a slower writer.
+CONFOUNDERS = {("stream-mixed", "ops_per_s"): "reader_jobs"}
 
 
 def sh(*cmd, **kw):
@@ -152,6 +159,36 @@ def compare(metric, parent, change):
     return row
 
 
+def shown_verdict(workload, name, row, counts):
+    """`row`'s verdict as `--render` prints it: marked `confounded` when
+    the count that confounds the metric moved, median to median, by more
+    than the metric's bound.  `compare()` and the exit status ignore it.
+
+    The stream-mixed counts of BENCH_f8364b5-dirty.json (reader jobs
+    1394 -> 1410.5) leave the verdict alone; a reader that ran 560 jobs
+    instead of about 218 beside the writer confounds it:
+
+    >>> row = {"verdict": "regression", "bound": 0.2}
+    >>> jobs = lambda parent, change: {"parent": {"reader_jobs": parent},
+    ...                                "change": {"reader_jobs": change}}
+    >>> shown_verdict("stream-mixed", "ops_per_s", row, jobs([1357, 1394, 1431], [1359, 1410, 1436]))
+    'regression'
+    >>> shown_verdict("stream-mixed", "ops_per_s", row, jobs([210, 218, 230], [540, 560, 575]))
+    'confounded (regression)'
+    >>> shown_verdict("stream-mixed", "op_p50_ms", row, jobs([210, 218, 230], [540, 560, 575]))
+    'regression'
+    >>> shown_verdict("stream-mixed", "ops_per_s", row, {})
+    'regression'
+    """
+    count = CONFOUNDERS.get((workload, name))
+    values = [[v for v in counts.get(w, {}).get(count, []) if v is not None] for w in ("parent", "change")]
+    if count and all(values) and row["bound"] is not None:
+        parent, change = map(statistics.median, values)
+        if parent and abs(change - parent) / parent > row["bound"]:
+            return f"confounded ({row['verdict']})"
+    return row["verdict"]
+
+
 def measure(args, bench):
     parent_sha = sh("git", "rev-parse", "--short", args.parent)
     head = sh("git", "rev-parse", "--short", "HEAD")
@@ -229,12 +266,13 @@ def render(out, layers):
               f"{failed['change']}/{attempted['change']}\n")
         print("| metric | parent | change | Δ median | pairs won/lost | bound | verdict |")
         print("|---|---|---|---|---|---|---|")
+        counts = result.get("counts", {})
         for name, row in result["end_to_end"].items():
             bound = f"{row['bound']:.0%}" if row["bound"] is not None else ""
+            verdict = shown_verdict(workload, name, row, counts)
             print(f"| `{name}` ({row['unit']}) | {cell(row['parent'])} | {cell(row['change'])} | "
-                  f"{row['delta']:+.1%} | {row['pairs_won']}/{row['pairs_lost']} | {bound} | {row['verdict']} |")
+                  f"{row['delta']:+.1%} | {row['pairs_won']}/{row['pairs_lost']} | {bound} | {verdict} |")
         print()
-        counts = result.get("counts", {})
         if any(counts.values()):
             names = list(dict.fromkeys(n for w in counts.values() for n in w))
             med = lambda w, n: statistics.median(v for v in counts[w].get(n, []) if v is not None)

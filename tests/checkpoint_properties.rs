@@ -1,6 +1,7 @@
 //! Property tests for superstep checkpointing: sliced runs must compose
-//! to the uninterrupted result for any graph and any slice boundary, and
-//! panics inside vertex programs must not poison the runtime.
+//! to the uninterrupted result for any graph, any slice boundary and
+//! every delivery (a cut before a pull superstep included), and panics
+//! inside vertex programs must not poison the runtime.
 
 use proptest::prelude::*;
 
@@ -10,7 +11,7 @@ use xmt_bsp_repro::bsp::algorithms::bfs::BfsProgram;
 use xmt_bsp_repro::bsp::algorithms::components::CcProgram;
 use xmt_bsp_repro::bsp::algorithms::pagerank::PagerankProgram;
 use xmt_bsp_repro::bsp::algorithms::triangles::TcProgram;
-use xmt_bsp_repro::bsp::runtime::{run, run_bsp, BspConfig, RunOptions};
+use xmt_bsp_repro::bsp::runtime::{run, run_bsp, BspConfig, Delivery, RunOptions};
 use xmt_bsp_repro::bsp::{Context, VertexProgram};
 use xmt_bsp_repro::graph::builder::build_undirected;
 use xmt_bsp_repro::graph::{Csr, EdgeList};
@@ -24,24 +25,32 @@ fn arb_graph(max_n: u64, max_m: usize) -> impl Strategy<Value = EdgeList> {
     })
 }
 
-/// Run `prog` on `g` cut after `cut` supersteps, resume it from the
-/// checkpoint, and require the same final states and superstep count as
-/// one uninterrupted run.
-fn slices_compose<P>(g: &Csr, prog: &P, cut: u64)
+/// The default config under each delivery: the limit then also cuts
+/// boundaries before pull supersteps.
+fn configs() -> [BspConfig; 3] {
+    [Delivery::Push, Delivery::Pull, Delivery::Auto].map(|delivery| BspConfig {
+        delivery,
+        ..BspConfig::default()
+    })
+}
+
+/// Run `prog` on `g` under `config` cut after `cut` supersteps, resume it
+/// from the checkpoint, and require the same final states, superstep
+/// count and stitched per-superstep stats as one uninterrupted run.
+fn slices_compose<P>(g: &Csr, prog: &P, config: BspConfig, cut: u64)
 where
     P: VertexProgram,
     P::State: PartialEq + Debug,
 {
-    let whole = run_bsp(g, prog, BspConfig::default(), None);
-    let config = BspConfig {
-        max_supersteps: cut,
-        ..Default::default()
-    };
+    let whole = run_bsp(g, prog, config, None);
     let first = run(
         g,
         prog,
         RunOptions {
-            config,
+            config: BspConfig {
+                max_supersteps: cut,
+                ..config
+            },
             ..Default::default()
         },
     )
@@ -56,6 +65,7 @@ where
         g,
         prog,
         RunOptions {
+            config,
             from,
             ..Default::default()
         },
@@ -64,6 +74,8 @@ where
     assert!(second.resume.is_none());
     assert_eq!(second.result.supersteps, whole.supersteps);
     assert_eq!(second.result.states, whole.states);
+    let stats = [first.result.superstep_stats, second.result.superstep_stats].concat();
+    assert_eq!(stats, whole.superstep_stats, "{config:?}, cut after {cut}");
 }
 
 proptest! {
@@ -73,9 +85,11 @@ proptest! {
     fn cc_slices_compose_for_any_boundary(el in arb_graph(40, 120), cut in 1u64..8) {
         // The integer-state programs the service resumes after a cut.
         let g = build_undirected(&el);
-        slices_compose(&g, &CcProgram, cut);
-        slices_compose(&g, &BfsProgram { source: 0 }, cut);
-        slices_compose(&g, &TcProgram, cut);
+        for config in configs() {
+            slices_compose(&g, &CcProgram, config, cut);
+            slices_compose(&g, &BfsProgram { source: 0 }, config, cut);
+            slices_compose(&g, &TcProgram, config, cut);
+        }
     }
 
     #[test]
@@ -84,7 +98,9 @@ proptest! {
         // checkpoint that lost it would change the superstep count.
         // Ranks are positive, so `==` on them is bit identity.
         let g = build_undirected(&el);
-        slices_compose(&g, &PagerankProgram::default(), cut);
+        for config in configs() {
+            slices_compose(&g, &PagerankProgram::default(), config, cut);
+        }
     }
 }
 
