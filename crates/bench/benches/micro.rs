@@ -144,8 +144,16 @@ fn bench_intersection(c: &mut Criterion) {
     ));
     let mut group = c.benchmark_group("intersection");
     group.sample_size(10);
+    // The sweep on the graph's kept rank DAG, and the DAG's build apart.
     group.bench_function("count_triangles_scale12", |b| {
-        b.iter(|| graphct::count_triangles(&g))
+        let (dag, mut scratch) = (g.rank_dag(), graphct::TcScratch::new());
+        let hash = graphct::IntersectStrategy::Hash;
+        b.iter(|| {
+            graphct::count_triangles_dag(dag, hash, &mut graphct::Ctx::default(), &mut scratch)
+        })
+    });
+    group.bench_function("rank_dag_scale12", |b| {
+        b.iter(|| xmt_graph::ops::RankDag::new(&g))
     });
     group.finish();
 }

@@ -5,7 +5,12 @@
 //! edge `{u,v}` is stored twice (`u→v` and `v→u`), so `num_arcs() == 2 *
 //! num_edges()`; no row holds its own vertex, and every row ascends
 //! strictly, which the triangle kernels' intersections rely on.
+//!
+//! A graph keeps its degree-ordered [`RankDag`] from the first
+//! [`Csr::rank_dag`] call on, for as long as it lives; equality and
+//! `Debug` ignore it, and a clone starts without one.
 
+use crate::ops::dag::RankDag;
 use crate::VertexId;
 
 /// A read-only undirected simple graph with strictly ascending rows.
@@ -16,6 +21,31 @@ pub struct Csr {
     offsets: Vec<u64>,
     /// Concatenated adjacency lists.
     adj: Vec<VertexId>,
+    dag: DagMemo,
+}
+
+/// The graph's [`RankDag`] once built: cloned empty, always equal.
+#[derive(Default)]
+struct DagMemo(std::sync::OnceLock<RankDag>);
+
+impl Clone for DagMemo {
+    fn clone(&self) -> Self {
+        DagMemo::default()
+    }
+}
+
+impl PartialEq for DagMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for DagMemo {}
+
+impl std::fmt::Debug for DagMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("_")
+    }
 }
 
 impl Csr {
@@ -46,7 +76,12 @@ impl Csr {
                 assert!(!row.contains(&(v as VertexId)), "self loop at {v}");
             }
         }
-        Csr { n, offsets, adj }
+        Csr {
+            n,
+            offsets,
+            adj,
+            dag: DagMemo::default(),
+        }
     }
 
     /// Number of vertices.
@@ -109,9 +144,15 @@ impl Csr {
         (0..self.n).map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
-    /// Approximate resident bytes of the structure.
+    /// Approximate resident bytes of the structure, its rank DAG aside.
     pub fn memory_bytes(&self) -> usize {
         self.offsets.len() * 8 + self.adj.len() * 8
+    }
+
+    /// The degree-ordered DAG (at most `2^32` vertices): built on the
+    /// global pool by the first call, which racers wait for; kept after.
+    pub fn rank_dag(&self) -> &RankDag {
+        self.dag.0.get_or_init(|| RankDag::new(self))
     }
 }
 
@@ -176,6 +217,41 @@ mod tests {
     #[should_panic(expected = "adjacency entry out of range")]
     fn out_of_range_neighbor_panics() {
         Csr::from_parts(2, vec![0, 1, 1], vec![7]);
+    }
+
+    #[test]
+    fn the_rank_dag_is_built_once_and_a_clone_starts_without_it() {
+        let g = triangle();
+        assert!(g.dag.0.get().is_none());
+        let dag = g.rank_dag();
+        assert!(
+            std::ptr::eq(dag, g.rank_dag()),
+            "a second call rebuilt the DAG"
+        );
+        assert_eq!(*dag, RankDag::new(&g));
+        let h = g.clone();
+        assert!(h.dag.0.get().is_none(), "a clone shares no DAG");
+        assert_eq!(h, g);
+        assert_eq!(format!("{h:?}"), format!("{g:?}"));
+        assert!(!std::ptr::eq(h.rank_dag(), dag));
+    }
+
+    #[test]
+    fn threads_racing_the_first_call_share_one_dag() {
+        let p = crate::gen::rmat::RmatParams::graph500(10);
+        let g = crate::builder::build_undirected(&crate::gen::rmat::rmat_edges(&p, 3));
+        // The barrier releases all four at once into the first call.
+        let start = std::sync::Barrier::new(4);
+        let dags: Vec<&RankDag> = std::thread::scope(|s| {
+            let race = || {
+                start.wait();
+                g.rank_dag()
+            };
+            let racers: Vec<_> = (0..4).map(|_| s.spawn(race)).collect();
+            racers.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert!(dags.iter().all(|&d| std::ptr::eq(d, g.rank_dag())));
+        assert_eq!(*g.rank_dag(), RankDag::new(&g));
     }
 
     #[test]

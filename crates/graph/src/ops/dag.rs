@@ -164,6 +164,12 @@ impl RankDag {
         }
     }
 
+    /// The exact bytes of the DAG of a graph of `n` vertices and `m`
+    /// edges: three arrays of `n` words or so, `m` arcs out and `m` in.
+    pub fn footprint_bytes(n: u64, m: u64) -> usize {
+        (3 * n as usize + 2) * 8 + m as usize * 12
+    }
+
     /// Number of vertices (= ranks).
     pub fn num_vertices(&self) -> usize {
         self.order.len()
@@ -332,6 +338,24 @@ mod tests {
             for parts in 2..=8 {
                 assert_eq!(RankDag::build(g, parts), one, "graph {i}, {parts} parts");
             }
+        }
+    }
+
+    #[test]
+    fn the_footprint_is_the_bytes_of_a_built_dag() {
+        let p = crate::gen::rmat::RmatParams::graph500(10);
+        let rmat = build_undirected(&crate::gen::rmat::rmat_edges(&p, 1));
+        let shapes = [
+            rmat,
+            build_undirected(&star(40)),
+            build_undirected(&crate::EdgeList::new(0)),
+        ];
+        for g in &shapes {
+            let d = RankDag::new(g);
+            let words = d.order.capacity() + d.out_offsets.capacity() + d.in_offsets.capacity();
+            let arcs = d.out.capacity() * 4 + d.ins.capacity() * 8;
+            let footprint = RankDag::footprint_bytes(g.num_vertices(), g.num_edges());
+            assert_eq!(footprint, words * 8 + arcs, "{} vertices", g.num_vertices());
         }
     }
 

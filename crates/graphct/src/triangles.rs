@@ -11,12 +11,15 @@
 //! Two composable optimizations sit on top of that baseline:
 //!
 //! * **Degree-ordered direction, in rank space**
-//!   ([`xmt_graph::ops::dag::RankDag`]): the default entry points
-//!   orient every edge up the `(degree, id)` order and rename vertices
-//!   to their `u32` ranks.  The sweep groups wedges by their middle
-//!   vertex `u`: it marks `N⁺(u)` once, then for each in-arc `v → u`
-//!   probes only the part of `N⁺(v)` ranked above `u` — one probe per
-//!   wedge, `Σ C(d⁺(v), 2)` in all — and finds each triangle once.
+//!   ([`xmt_graph::ops::dag::RankDag`]): the default entry points sweep
+//!   the graph's [`Csr::rank_dag`], which orients every edge up the
+//!   `(degree, id)` order and renames vertices to their `u32` ranks.
+//!   The graph builds it on its first count and keeps it, so every
+//!   later count over the graph pays for the sweep alone.  The sweep
+//!   groups wedges by their middle vertex `u`: it marks `N⁺(u)` once,
+//!   then for each in-arc `v → u` probes only the part of `N⁺(v)`
+//!   ranked above `u` — one probe per wedge, `Σ C(d⁺(v), 2)` in all —
+//!   and finds each triangle once.
 //! * **Intersection strategies** ([`IntersectStrategy`]): merge walk
 //!   (the paper's shape) or hash marking (the default: the `tc.c`
 //!   exemplar's mark array of one byte per vertex, set and cleared with
@@ -115,12 +118,11 @@ pub fn count_triangles(g: &Csr) -> u64 {
 /// * `ctx.sink` — unused: a one-shot kernel has no per-level structure
 ///   to trace.
 ///
-/// Builds the [`RankDag`] (on the global pool) and a fresh scratch pool
-/// internally; for an allocation-free steady state build them once and
-/// call [`count_triangles_dag`] directly.
+/// Sweeps the graph's [`Csr::rank_dag`] with a fresh scratch pool; for
+/// an allocation-free steady state keep a [`TcScratch`] and call
+/// [`count_triangles_dag`] directly.
 pub fn count_triangles_with(g: &Csr, strategy: IntersectStrategy, ctx: &mut Ctx<'_>) -> u64 {
-    let dag = RankDag::new(g);
-    count_triangles_dag(&dag, strategy, ctx, &mut TcScratch::new())
+    count_triangles_dag(g.rank_dag(), strategy, ctx, &mut TcScratch::new())
 }
 
 /// Sweep a prebuilt [`RankDag`].  With a [`prepare`](TcScratch::prepare)d
@@ -142,11 +144,11 @@ pub fn count_triangles_dag(
 /// credits ranks; the tallies come back by vertex id.  `ctx` as in
 /// [`count_triangles_with`].
 pub fn triangles_per_vertex(g: &Csr, ctx: &mut Ctx<'_>) -> Vec<u64> {
-    let dag = RankDag::new(g);
+    let dag = g.rank_dag();
     let mut by_rank = vec![0u64; dag.num_vertices()];
     let (rec, hash) = (ctx.rec.as_deref_mut(), IntersectStrategy::Hash);
     let tallies = Some(as_atomic_u64(&mut by_rank));
-    dag_sweep(&dag, hash, rec, tallies, &ctx.exec, &mut TcScratch::new());
+    dag_sweep(dag, hash, rec, tallies, &ctx.exec, &mut TcScratch::new());
     let mut tri = vec![0u64; by_rank.len()];
     for (&v, &t) in dag.order().iter().zip(&by_rank) {
         tri[v as usize] = t;
@@ -470,6 +472,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn counts_sweep_the_graphs_one_rank_dag() {
+        let p = xmt_graph::gen::rmat::RmatParams::graph500(10);
+        let g = build_undirected(&xmt_graph::gen::rmat::rmat_edges(&p, 5));
+        let want = reference_triangles(&g);
+        // Four threads, released at once, race the first call: one DAG,
+        // the right count.
+        let start = std::sync::Barrier::new(4);
+        let dags: Vec<&RankDag> = std::thread::scope(|s| {
+            let race = || {
+                start.wait();
+                (count_triangles(&g), g.rank_dag())
+            };
+            let racers: Vec<_> = (0..4).map(|_| s.spawn(race)).collect();
+            racers
+                .into_iter()
+                .map(|t| t.join().unwrap())
+                .map(|(count, dag)| {
+                    assert_eq!(count, want);
+                    dag
+                })
+                .collect()
+        });
+        let dag = g.rank_dag();
+        assert!(dags.iter().all(|&d| std::ptr::eq(d, dag)));
+        assert_eq!(
+            triangles_per_vertex(&g, &mut Ctx::default())
+                .iter()
+                .sum::<u64>(),
+            3 * want
+        );
+        assert!(std::ptr::eq(dag, g.rank_dag()), "a count rebuilt the DAG");
     }
 
     #[test]

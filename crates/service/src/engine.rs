@@ -279,10 +279,43 @@ mod tests {
 
     use xmt_bsp::algorithms::bfs::BfsState;
     use xmt_graph::builder::build_undirected;
-    use xmt_graph::gen::structured::path;
+    use xmt_graph::gen::structured::{clique, path};
     use xmt_graph::VertexId;
 
     use super::*;
+
+    #[test]
+    fn graphct_triangle_jobs_on_one_graph_share_its_rank_dag() {
+        // The registry hands every job on a static graph the same CSR, so
+        // the DAG the first triangle job builds serves the next; a new
+        // epoch's snapshot is a new CSR and builds its own.
+        let reg = crate::registry::GraphRegistry::new(0);
+        reg.register("s", build_undirected(&clique(5))).unwrap();
+        reg.register_dynamic("d", build_undirected(&clique(5)))
+            .unwrap();
+        let tc = JobSpec {
+            engine: Engine::GraphCt,
+            ..spec(Algorithm::Triangles)
+        };
+        let job = |name: &str, want: u64| {
+            let admitted = reg.admit(name, Algorithm::Triangles, Engine::GraphCt);
+            let csr = admitted.unwrap().csr.unwrap();
+            let verdict = execute(&tc, &csr, None, None, &|| false, &mut TraceSink::new());
+            let Ok(ExecVerdict::Completed { output, .. }) = verdict else {
+                panic!("{verdict:?}");
+            };
+            assert_eq!(output, JobOutput::Triangles(want));
+            csr
+        };
+        let (first, second) = (job("s", 10), job("s", 10));
+        assert!(std::ptr::eq(first.rank_dag(), second.rank_dag()));
+        let (old, same) = (job("d", 10), job("d", 10));
+        assert!(std::ptr::eq(old.rank_dag(), same.rank_dag()));
+        reg.update("d", &[], &[(0, 1)]).unwrap();
+        let new = job("d", 7);
+        assert!(!std::ptr::eq(old.rank_dag(), new.rank_dag()));
+        assert_eq!(*new.rank_dag(), xmt_graph::ops::RankDag::new(&new));
+    }
 
     fn spec(algorithm: Algorithm) -> JobSpec {
         JobSpec {

@@ -32,6 +32,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use stinger_lite::{EdgeOp, StreamingAnalytics};
+use xmt_graph::ops::RankDag;
 use xmt_graph::Csr;
 
 use crate::error::ServiceError;
@@ -204,9 +205,10 @@ impl GraphRegistry {
     /// Register `graph` as a frozen (static) entry under `name`,
     /// evicting LRU entries as needed.  Re-registering a name replaces
     /// the old graph.  Fails with [`ServiceError::GraphTooLarge`] if the
-    /// graph alone exceeds the budget.
+    /// graph alone exceeds the budget.  The charge covers the graph's
+    /// [`Csr::rank_dag`], which its first triangle job builds.
     pub fn register(&self, name: &str, graph: Csr) -> Result<GraphEntryInfo, ServiceError> {
-        let bytes = graph.memory_bytes();
+        let bytes = static_cost_bytes(&graph);
         self.insert(name, GraphKind::Static(Arc::new(graph)), bytes)
     }
 
@@ -435,6 +437,12 @@ impl GraphRegistry {
     }
 }
 
+/// The bytes charged against the budget for a static entry: the CSR
+/// and the rank DAG it can pin.
+fn static_cost_bytes(graph: &Csr) -> usize {
+    graph.memory_bytes() + RankDag::footprint_bytes(graph.num_vertices(), graph.num_edges())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,7 +474,7 @@ mod tests {
 
     #[test]
     fn budget_evicts_least_recently_used() {
-        let unit = graph(100).memory_bytes();
+        let unit = static_cost_bytes(&graph(100));
         // Room for two graphs of 100 vertices, not three.
         let reg = GraphRegistry::new(2 * unit + unit / 2);
         reg.register("a", graph(100)).unwrap();
@@ -486,7 +494,7 @@ mod tests {
 
     #[test]
     fn oversized_graph_is_rejected_outright() {
-        let small = graph(4).memory_bytes();
+        let small = static_cost_bytes(&graph(4));
         let reg = GraphRegistry::new(small);
         let err = reg.register("big", graph(1000)).unwrap_err();
         assert_eq!(err.code(), "graph_too_large");
@@ -517,7 +525,7 @@ mod tests {
         // race: the writer starts on the reader's signal and churns (at
         // least 200 registrations, at most a bounded 200 000) until the
         // reader has seen a snapshot with entries.
-        let unit = graph(100).memory_bytes();
+        let unit = static_cost_bytes(&graph(100));
         let reg = GraphRegistry::new(2 * unit + unit / 2);
         let reading = AtomicBool::new(false);
         let seen = AtomicBool::new(false);
@@ -558,7 +566,7 @@ mod tests {
 
     #[test]
     fn eviction_does_not_invalidate_held_arcs() {
-        let unit = graph(50).memory_bytes();
+        let unit = static_cost_bytes(&graph(50));
         let reg = GraphRegistry::new(unit + unit / 2);
         reg.register("a", graph(50)).unwrap();
         let held = reg.get("a").unwrap();
@@ -659,7 +667,7 @@ mod tests {
     fn grown_graph_evicts_others_and_is_evictable_at_new_size() {
         let n = 64u64;
         let dyn_seed = dynamic_cost_bytes(n, n - 1);
-        let unit = graph(100).memory_bytes();
+        let unit = static_cost_bytes(&graph(100));
         // Room for the dynamic seed plus one static unit, with slack
         // smaller than the batch growth below.
         let reg = GraphRegistry::new(dyn_seed + unit + 8);
@@ -667,7 +675,7 @@ mod tests {
         reg.register("s", graph(100)).unwrap();
 
         // Grow `d` by enough edges that `s` must be evicted to make
-        // room (each new edge costs 32 bytes under the dynamic model).
+        // room (each new edge costs 44 bytes under the dynamic model).
         let batch: Vec<(u64, u64)> = (0..n - 2).map(|u| (u, u + 2)).collect();
         let out = reg.update("d", &batch, &[]).unwrap();
         assert_eq!(out.inserted, n - 2);

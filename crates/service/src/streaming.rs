@@ -27,6 +27,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Weak};
 
 use stinger_lite::{BatchOutcome, EdgeOp, StreamingAnalytics};
+use xmt_graph::ops::RankDag;
 use xmt_graph::Csr;
 
 use crate::error::ServiceError;
@@ -179,7 +180,8 @@ impl DynState {
 /// The deterministic byte cost charged against the registry budget for a
 /// dynamic graph with `n` vertices and `m` undirected edges: the
 /// analytics state (adjacency vectors, union-find parents, triangle
-/// tallies) plus one materialized CSR snapshot.  Length-based on
+/// tallies) plus one materialized CSR snapshot and the rank DAG a
+/// triangle job on it builds.  Length-based on
 /// purpose: the same topology always costs the same, so budget tests and
 /// eviction decisions do not depend on allocator capacity growth or
 /// whether a snapshot happens to be cached right now.
@@ -187,7 +189,7 @@ pub(crate) fn dynamic_cost_bytes(n: u64, m: u64) -> usize {
     let vec_header = std::mem::size_of::<Vec<u64>>();
     let analytics = n as usize * vec_header + 2 * m as usize * 8 + 2 * n as usize * 8;
     let csr = (n as usize + 1) * 8 + 2 * m as usize * 8;
-    analytics + csr
+    analytics + csr + RankDag::footprint_bytes(n, m)
 }
 
 /// Translate wire-level insert/delete pair lists into one ordered batch

@@ -11,7 +11,7 @@ use xmt_bsp_repro::bsp::algorithms::bfs::BfsProgram;
 use xmt_bsp_repro::bsp::algorithms::components::CcProgram;
 use xmt_bsp_repro::bsp::algorithms::pagerank::PagerankProgram;
 use xmt_bsp_repro::bsp::algorithms::triangles::TcProgram;
-use xmt_bsp_repro::bsp::runtime::{run, run_bsp, BspConfig, Delivery, RunOptions};
+use xmt_bsp_repro::bsp::runtime::{run, run_bsp, BspConfig, Delivery, RunOptions, SuperstepFrame};
 use xmt_bsp_repro::bsp::{Context, VertexProgram};
 use xmt_bsp_repro::graph::builder::build_undirected;
 use xmt_bsp_repro::graph::{Csr, EdgeList};
@@ -36,7 +36,10 @@ fn configs() -> [BspConfig; 3] {
 
 /// Run `prog` on `g` under `config` cut after `cut` supersteps, resume it
 /// from the checkpoint, and require the same final states, superstep
-/// count and stitched per-superstep stats as one uninterrupted run.
+/// count and stitched per-superstep stats as one uninterrupted run.  The
+/// resume runs on a fresh frame, so it gets only what the checkpoint
+/// holds: a run given no frame would take the spare one the first slice
+/// left, scratch state included.
 fn slices_compose<P>(g: &Csr, prog: &P, config: BspConfig, cut: u64)
 where
     P: VertexProgram,
@@ -67,6 +70,7 @@ where
         RunOptions {
             config,
             from,
+            frame: Some(&mut SuperstepFrame::new()),
             ..Default::default()
         },
     )

@@ -8,6 +8,7 @@ use std::thread;
 use serde::Content;
 use xmt_graph::builder::build_undirected;
 use xmt_graph::gen::structured::path;
+use xmt_graph::ops::RankDag;
 use xmt_graph::validate::reference_components;
 use xmt_service::client::{field, field_bool, field_str, field_u64};
 use xmt_service::{Client, Server, ServiceConfig};
@@ -298,10 +299,17 @@ fn update_budget_rejections_are_typed_and_apply_nothing() {
     let n = 64u64;
     let seed_cost = {
         // Mirror of the service's deterministic dynamic cost model:
-        // analytics state + one CSR snapshot (see DESIGN.md §13).
+        // analytics state + one CSR snapshot and its rank DAG (see
+        // DESIGN.md §13).
         let vec_header = std::mem::size_of::<Vec<u64>>();
         let m = (n - 1) as usize;
-        n as usize * vec_header + 2 * m * 8 + 2 * n as usize * 8 + (n as usize + 1) * 8 + 2 * m * 8
+        let dag = RankDag::footprint_bytes(n, n - 1);
+        n as usize * vec_header
+            + 2 * m * 8
+            + 2 * n as usize * 8
+            + (n as usize + 1) * 8
+            + 2 * m * 8
+            + dag
     };
     let (addr, server) = start_server(ServiceConfig {
         workers: 1,
