@@ -9,10 +9,11 @@
 //! [`chacha8_block4`] runs four on an SSE2 register on `x86_64` (SSE2 is
 //! baseline there) and on a `[u32; 4]` elsewhere; [`ChaCha8Rng`] refills
 //! four consecutive counters per call with it, as upstream does.
-//! [`chacha8_block8`] runs eight for callers with many keyed streams (the
-//! RMAT generator, one per edge): on AVX2 registers given an [`Avx2`]
-//! token, which only [`Avx2::detect`] makes, where it finds AVX2 at run
-//! time, else on two 4-lane halves, with the same words.
+//! [`chacha8_block8`] and [`chacha8_block16`] run eight and sixteen for
+//! callers with many keyed streams (the RMAT generator, one per edge): on
+//! AVX2 or AVX-512 registers given an [`Avx2`] or [`Avx512`] token, which
+//! only its `detect` makes, where it finds the features at run time, else
+//! on 4-lane quarters, with the same words.
 
 use rand::{RngCore, SeedableRng};
 
@@ -44,11 +45,11 @@ trait Lanes<const N: usize>: Copy {
     fn rotl<const L: i32, const R: i32>(self) -> Self;
 }
 
-/// `$name`: `$n` lanes in an x86_64 register `$reg`, on these intrinsics.
+/// `$name`: `$n` lanes in an x86_64 register `$reg`, on these intrinsics;
+/// `$rot` rotates `$x` left by `L` (`R` is `32 - L`).
 #[cfg(target_arch = "x86_64")]
 macro_rules! x86_lanes {
-    ($name:ident, $reg:ident, $n:literal,
-     $add:ident, $xor:ident, $or:ident, $shl:ident, $shr:ident) => {
+    ($name:ident, $reg:ident, $n:literal, $add:ident, $xor:ident, |$x:ident| $rot:expr) => {
         #[derive(Clone, Copy)]
         struct $name(std::arch::x86_64::$reg);
 
@@ -79,10 +80,11 @@ macro_rules! x86_lanes {
 
             #[inline(always)]
             fn rotl<const L: i32, const R: i32>(self) -> Self {
-                use std::arch::x86_64::{$or, $shl, $shr};
+                use std::arch::x86_64::*;
                 const { assert!(L + R == 32) };
+                let $x = self.0;
                 // SAFETY: as in `add`.
-                $name(unsafe { $or($shl::<L>(self.0), $shr::<R>(self.0)) })
+                $name(unsafe { $rot })
             }
         }
     };
@@ -91,14 +93,22 @@ macro_rules! x86_lanes {
 // Four lanes in an SSE2 register: SSE2 is baseline on x86_64.
 #[cfg(target_arch = "x86_64")]
 x86_lanes! {
-    U32x4, __m128i, 4, _mm_add_epi32, _mm_xor_si128, _mm_or_si128, _mm_slli_epi32, _mm_srli_epi32
+    U32x4, __m128i, 4, _mm_add_epi32, _mm_xor_si128,
+    |x| _mm_or_si128(_mm_slli_epi32::<L>(x), _mm_srli_epi32::<R>(x))
 }
 
 // Eight in an AVX2 register: only `chacha8_block8` given an `Avx2` has one.
 #[cfg(target_arch = "x86_64")]
 x86_lanes! {
-    U32x8, __m256i, 8, _mm256_add_epi32, _mm256_xor_si256, _mm256_or_si256, _mm256_slli_epi32,
-    _mm256_srli_epi32
+    U32x8, __m256i, 8, _mm256_add_epi32, _mm256_xor_si256,
+    |x| _mm256_or_si256(_mm256_slli_epi32::<L>(x), _mm256_srli_epi32::<R>(x))
+}
+
+// Sixteen in an AVX-512 register, rotated in one instruction: only
+// `chacha8_block16` given an `Avx512` has one.
+#[cfg(target_arch = "x86_64")]
+x86_lanes! {
+    U32x16, __m512i, 16, _mm512_add_epi32, _mm512_xor_si512, |x| _mm512_rol_epi32::<L>(x)
 }
 
 /// One ChaCha state word across four blocks.
@@ -199,17 +209,40 @@ pub fn chacha8_block8(avx2: Option<Avx2>, key: &[[u32; 8]; 8], ctr: [u64; 8]) ->
     match avx2 {
         #[cfg(target_arch = "x86_64")]
         Some(_) => block::<U32x8, 8>(key, ctr),
-        // One half after the other, each as `chacha8_block4` computes it:
-        // its sixteen state words already fill the sixteen SSE2 registers.
-        _ => {
-            let half = |h: usize| {
-                let key = key.map(|k| std::array::from_fn(|l| k[h + l]));
-                block::<U32x4, 4>(&key, std::array::from_fn(|l| ctr[h + l]))
-            };
-            let (lo, hi) = (half(0), half(4));
-            std::array::from_fn(|w| std::array::from_fn(|l| [lo, hi][l / 4][w][l % 4]))
+        _ => by_fours(key, ctr),
+    }
+}
+
+/// Sixteen ChaCha8 blocks side by side, laid out as in
+/// [`chacha8_block4`], on AVX-512 given an [`Avx512`] token, else on four
+/// 4-lane quarters: the same words.  Inlined, so a caller compiled for
+/// AVX-512F gets AVX-512 instructions.
+#[inline(always)]
+pub fn chacha8_block16(
+    avx512: Option<Avx512>,
+    key: &[[u32; 16]; 8],
+    ctr: [u64; 16],
+) -> [[u32; 16]; 16] {
+    match avx512 {
+        #[cfg(target_arch = "x86_64")]
+        Some(_) => block::<U32x16, 16>(key, ctr),
+        _ => by_fours(key, ctr),
+    }
+}
+
+/// `N` blocks as `N / 4` calls of the 4-lane body, one quarter after the
+/// other: its sixteen state words already fill the sixteen SSE2 registers.
+#[inline(always)]
+fn by_fours<const N: usize>(key: &[[u32; N]; 8], ctr: [u64; N]) -> [[u32; N]; 16] {
+    let mut out = [[0; N]; 16];
+    for q in (0..N).step_by(4) {
+        let key = key.map(|k| std::array::from_fn(|l| k[q + l]));
+        let quarter = block::<U32x4, 4>(&key, std::array::from_fn(|l| ctr[q + l]));
+        for (o, w) in out.iter_mut().zip(quarter) {
+            o[q..q + 4].copy_from_slice(&w);
         }
     }
+    out
 }
 
 /// Proof that the CPU has AVX2; only [`Avx2::detect`] makes one.
@@ -221,6 +254,21 @@ impl Avx2 {
     pub fn detect() -> Option<Self> {
         #[cfg(target_arch = "x86_64")]
         return std::arch::is_x86_feature_detected!("avx2").then_some(Avx2(()));
+        #[cfg(not(target_arch = "x86_64"))]
+        None
+    }
+}
+
+/// Proof that the CPU has AVX-512F, the one AVX-512 subset the 16-lane
+/// body and its callers enable; only [`Avx512::detect`] makes one.
+#[derive(Clone, Copy, Debug)]
+pub struct Avx512(());
+
+impl Avx512 {
+    /// The token, where the CPU has AVX-512F (at run time; never off x86_64).
+    pub fn detect() -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        return std::arch::is_x86_feature_detected!("avx512f").then_some(Avx512(()));
         #[cfg(not(target_arch = "x86_64"))]
         None
     }
@@ -395,37 +443,61 @@ mod tests {
         }
     }
 
-    /// `chacha8_block8` on `avx2`'s lanes against two `chacha8_block4` calls,
-    /// lanes 0–3 and 4–7, word by word.
-    fn assert_eight_lanes_are_two_blocks4(avx2: Option<Avx2>, name: &str) {
-        let key: [[u32; 8]; 8] = std::array::from_fn(|i| {
+    /// `wide(key, counters)`, `N` lanes, against `N / 4` `chacha8_block4`
+    /// calls on lanes `4q..4q + 4`, word by word.
+    fn assert_lanes_are_blocks4<const N: usize>(
+        wide: impl Fn(&[[u32; N]; 8], [u64; N]) -> [[u32; N]; 16],
+        name: &str,
+    ) {
+        let key: [[u32; N]; 8] = std::array::from_fn(|i| {
             std::array::from_fn(|l| 0x9E37_79B9u32.wrapping_mul((l * 8 + i + 1) as u32))
         });
-        let half = |h: usize| -> [[u32; 4]; 8] {
-            std::array::from_fn(|i| std::array::from_fn(|l| key[i][h * 4 + l]))
-        };
-        let wide = u32::MAX as u64;
+        // Counters in order, and counters on both sides of 2^32 and of
+        // `u64::MAX` in neighbouring lanes.
+        let edges = [
+            9,
+            0,
+            (1 << 32) - 1,
+            1 << 32,
+            u64::MAX - 1,
+            u64::MAX,
+            3,
+            1 << 40,
+        ];
         for c in [
-            [0, 1, 2, 3, 4, 5, 6, 7],
-            [9, 0, wide, u64::MAX, 3, 3, 1 << 40, 8],
+            std::array::from_fn(|l| l as u64),
+            std::array::from_fn(|l| edges[l % 8] ^ (l / 8) as u64),
         ] {
-            let got = chacha8_block8(avx2, &key, c);
-            let lo = chacha8_block4(&half(0), [c[0], c[1], c[2], c[3]]);
-            let hi = chacha8_block4(&half(1), [c[4], c[5], c[6], c[7]]);
-            for w in 0..16 {
-                let want: [u32; 8] =
-                    std::array::from_fn(|l| if l < 4 { lo[w][l] } else { hi[w][l - 4] });
-                assert_eq!(got[w], want, "{name}, word {w}, counters {c:?}");
+            let got = wide(&key, c);
+            for q in (0..N).step_by(4) {
+                let key = key.map(|k| std::array::from_fn(|l| k[q + l]));
+                let want = chacha8_block4(&key, std::array::from_fn(|l| c[q + l]));
+                for w in 0..16 {
+                    assert_eq!(
+                        got[w][q..q + 4],
+                        want[w],
+                        "{name}, word {w}, counters {c:?}"
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn eight_lanes_are_two_four_lane_blocks_on_either_token() {
-        assert_eight_lanes_are_two_blocks4(None, "halves");
+        assert_lanes_are_blocks4(|k, c| chacha8_block8(None, k, c), "halves");
         match Avx2::detect() {
-            Some(avx2) => assert_eight_lanes_are_two_blocks4(Some(avx2), "avx2"),
+            Some(avx2) => assert_lanes_are_blocks4(|k, c| chacha8_block8(Some(avx2), k, c), "avx2"),
             None => eprintln!("no AVX2 on this CPU: the AVX2 lanes are not exercised"),
+        }
+    }
+
+    #[test]
+    fn sixteen_lanes_are_four_four_lane_blocks_on_either_token() {
+        assert_lanes_are_blocks4(|k, c| chacha8_block16(None, k, c), "quarters");
+        match Avx512::detect() {
+            Some(t) => assert_lanes_are_blocks4(|k, c| chacha8_block16(Some(t), k, c), "avx512"),
+            None => eprintln!("no AVX-512F on this CPU: the AVX-512 lanes are not exercised"),
         }
     }
 

@@ -9,20 +9,21 @@
 //! produced by its own ChaCha8 stream, keyed by `(seed, k, "RMAT")` and
 //! read from block 0, so the same `(params, seed)` produce the same graph
 //! regardless of thread count.  Almost all of the cost is those random
-//! bits (`5 × scale` doubles an edge with noise), so edges are made eight
-//! at a time: one 8-lane ChaCha8 pass ([`chacha8_block8`]) yields the
-//! next block of eight edges' streams, and the eight descents run side
-//! by side without a branch on the quadrant, in one body compiled twice:
-//! for AVX2, picked per call where [`Avx2::detect`] finds it, and for the
-//! baseline target.  Every edge reads the same words in the same order
-//! and every float operation keeps its association (AVX2 has no fused
-//! multiply-add), so on either instance the edge list is the one a scalar
+//! bits (`5 × scale` doubles an edge with noise), so edges are made `N`
+//! at a time: one `N`-lane ChaCha8 pass yields the next block of `N`
+//! edges' streams, and the `N` descents run side by side without a branch
+//! on the quadrant, in one body generic over `N`, compiled for 16 lanes
+//! on AVX-512F ([`chacha8_block16`]), 8 on AVX2 ([`chacha8_block8`]) and 8
+//! on the baseline target; [`rmat_edges`] runs the widest the CPU has.
+//! Every edge reads the same words in the same order and every float
+//! operation keeps its association (Rust never contracts to fused
+//! multiply-add), so on each instance the edge list is the one a scalar
 //! per-edge `ChaCha8Rng` descent produces, bit for bit (the tests keep
 //! that reference and pin the bytes with hashes).
 
 use rand::distributions::{Distribution, Uniform};
 use rand::SeedableRng;
-use rand_chacha::{chacha8_block8, Avx2, ChaCha8Rng};
+use rand_chacha::{chacha8_block16, chacha8_block8, Avx2, Avx512, ChaCha8Rng};
 
 use xmt_par::parallel_for;
 
@@ -80,11 +81,37 @@ impl RmatParams {
 
 /// Generate the RMAT edge list for `params` with the given seed.
 pub fn rmat_edges(params: &RmatParams, seed: u64) -> EdgeList {
-    rmat_edges_on(params, seed, Avx2::detect())
+    rmat_edges_on(params, seed, Avx512::detect(), Avx2::detect())
 }
 
-/// [`rmat_edges`] on the AVX2 descent if `avx2` is given, else baseline.
-fn rmat_edges_on(params: &RmatParams, seed: u64, avx2: Option<Avx2>) -> EdgeList {
+/// The descent instance [`rmat_edges`] runs on this CPU.
+pub fn simd_instance() -> &'static str {
+    match (Avx512::detect(), Avx2::detect()) {
+        (Some(_), _) => "avx512",
+        (None, Some(_)) => "avx2",
+        (None, None) => "baseline",
+    }
+}
+
+/// [`rmat_edges`] on the widest descent instance the tokens allow (`wide`
+/// proves AVX-512F).
+fn rmat_edges_on(p: &RmatParams, seed: u64, wide: Option<Avx512>, avx2: Option<Avx2>) -> EdgeList {
+    let base = |key: &_, c| chacha8_block8(None, key, c);
+    match (wide, avx2) {
+        // SAFETY: an `Avx512` token exists only where the CPU has AVX-512F.
+        (Some(t), _) => edges_by(p, seed, |k| unsafe { gen_avx512(t, p, seed, k) }),
+        // SAFETY: an `Avx2` token exists only where the CPU has AVX2.
+        (None, Some(t)) => edges_by(p, seed, |k| unsafe { gen_avx2(t, p, seed, k) }),
+        (None, None) => edges_by(p, seed, |k| gen_edges(base, p, seed, k)),
+    }
+}
+
+/// [`rmat_edges`], where `gen(first)` makes edges `first..first + N`.
+fn edges_by<const N: usize>(
+    params: &RmatParams,
+    seed: u64,
+    gen: impl Fn(u64) -> [Edge; N] + Sync,
+) -> EdgeList {
     assert!((1..=40).contains(&params.scale), "scale out of range");
     let d = params.d();
     assert!(
@@ -100,20 +127,15 @@ fn rmat_edges_on(params: &RmatParams, seed: u64, avx2: Option<Avx2>) -> EdgeList
         .then(|| random_permutation(n, seed ^ 0x9e37_79b9_7f4a_7c15));
     let perm = perm.as_deref();
     let out = edges.as_mut_ptr() as usize;
-    parallel_for(0, m.div_ceil(LANES), |group| {
-        let first = group * LANES;
-        let lanes = match avx2 {
-            // SAFETY: an `Avx2` token exists only where the CPU has AVX2.
-            Some(avx2) => unsafe { gen_edges8_avx2(avx2, params, seed, first as u64) },
-            None => gen_edges8(None, params, seed, first as u64),
-        };
+    parallel_for(0, m.div_ceil(N), |group| {
+        let first = group * N;
         // The last group's lanes past `m` are generated and dropped.
-        for (i, &(u, v)) in lanes.iter().enumerate().take(m - first) {
+        for (i, &(u, v)) in gen(first as u64).iter().enumerate().take(m - first) {
             let edge = match perm {
                 Some(p) => (p[u as usize], p[v as usize]),
                 None => (u, v),
             };
-            // SAFETY: this group alone writes `first..first + 8`, and the
+            // SAFETY: this group alone writes `first..first + N`, and the
             // `take` keeps those indices below `m`; `edges` is exclusively
             // borrowed until the loop has joined.
             unsafe { *(out as *mut Edge).add(first + i) = edge };
@@ -126,45 +148,43 @@ fn rmat_edges_on(params: &RmatParams, seed: u64, avx2: Option<Avx2>) -> EdgeList
     }
 }
 
-/// Edges per pass: the lanes of [`chacha8_block8`].
-const LANES: usize = 8;
-
 type Edge = (VertexId, VertexId);
 
-/// Eight edges' keyed ChaCha8 streams read side by side: each read is
-/// the next `f64` of every lane, drawn as `rand`'s `gen::<f64>()` draws
-/// it from `ChaCha8Rng::next_u64` (two words, never across blocks).
-struct Streams {
-    avx2: Option<Avx2>,
-    key: [[u32; LANES]; 8],
+/// `N` edges' keyed ChaCha8 streams read side by side, their blocks from
+/// `chacha`: each read is the next `f64` of every lane, drawn as `rand`'s
+/// `gen::<f64>()` draws it from `ChaCha8Rng::next_u64` (two words, never
+/// across blocks).
+struct Streams<F, const N: usize> {
+    chacha: F,
+    key: [[u32; N]; 8],
     counter: u64,
-    block: [[u32; LANES]; 16],
+    block: [[u32; N]; 16],
     word: usize,
 }
 
-impl Streams {
-    /// The streams of edges `first..first + 8`: key `(seed, k, "RMAT")`.
-    fn new(avx2: Option<Avx2>, seed: u64, first: u64) -> Self {
-        let k: [u64; LANES] = std::array::from_fn(|l| first + l as u64);
-        let mut key = [[0; LANES]; 8];
-        key[0] = [seed as u32; LANES];
-        key[1] = [(seed >> 32) as u32; LANES];
+impl<F: Fn(&[[u32; N]; 8], [u64; N]) -> [[u32; N]; 16], const N: usize> Streams<F, N> {
+    /// The streams of edges `first..first + N`: key `(seed, k, "RMAT")`.
+    fn new(chacha: F, seed: u64, first: u64) -> Self {
+        let k: [u64; N] = std::array::from_fn(|l| first + l as u64);
+        let mut key = [[0; N]; 8];
+        key[0] = [seed as u32; N];
+        key[1] = [(seed >> 32) as u32; N];
         key[2] = k.map(|k| k as u32);
         key[3] = k.map(|k| (k >> 32) as u32);
-        key[4] = [0x524d_4154; LANES]; // "RMAT"
+        key[4] = [0x524d_4154; N]; // "RMAT"
         Streams {
-            avx2,
+            chacha,
             key,
             counter: 0,
-            block: [[0; LANES]; 16],
+            block: [[0; N]; 16],
             word: 16,
         }
     }
 
     #[inline(always)]
-    fn next_f64(&mut self) -> [f64; LANES] {
+    fn next_f64(&mut self) -> [f64; N] {
         if self.word == 16 {
-            self.block = chacha8_block8(self.avx2, &self.key, [self.counter; LANES]);
+            self.block = (self.chacha)(&self.key, [self.counter; N]);
             self.counter += 1;
             self.word = 0;
         }
@@ -179,27 +199,36 @@ impl Streams {
     }
 }
 
-/// [`gen_edges8`] on AVX2 lanes, its float lanes compiled for AVX2 too.
-/// # Safety
-/// The CPU must have AVX2 (holding `avx2` proves it).
-#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
-unsafe fn gen_edges8_avx2(avx2: Avx2, p: &RmatParams, seed: u64, first: u64) -> [Edge; LANES] {
-    gen_edges8(Some(avx2), p, seed, first)
+/// [`gen_edges`] on AVX-512F lanes; only for a CPU that has it (`t` proves it).
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx512f"))]
+unsafe fn gen_avx512(t: Avx512, p: &RmatParams, seed: u64, first: u64) -> [Edge; 16] {
+    gen_edges(|key, c| chacha8_block16(Some(t), key, c), p, seed, first)
 }
 
-/// Edges `first..first + 8` of the stream, one per lane.
+/// [`gen_edges`] on AVX2 lanes; only for a CPU that has it (`t` proves it).
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
+unsafe fn gen_avx2(t: Avx2, p: &RmatParams, seed: u64, first: u64) -> [Edge; 8] {
+    gen_edges(|key, c| chacha8_block8(Some(t), key, c), p, seed, first)
+}
+
+/// Edges `first..first + N`, one per lane, on [`Streams`] from `chacha`.
 #[inline(always)]
-fn gen_edges8(avx2: Option<Avx2>, params: &RmatParams, seed: u64, first: u64) -> [Edge; LANES] {
-    let mut rng = Streams::new(avx2, seed, first);
-    let mut a = [params.a; LANES];
-    let mut b = [params.b; LANES];
-    let mut c = [params.c; LANES];
-    let mut d = [params.d(); LANES];
-    let mut u = [0u64; LANES];
-    let mut v = [0u64; LANES];
+fn gen_edges<const N: usize>(
+    chacha: impl Fn(&[[u32; N]; 8], [u64; N]) -> [[u32; N]; 16],
+    params: &RmatParams,
+    seed: u64,
+    first: u64,
+) -> [Edge; N] {
+    let mut rng = Streams::new(chacha, seed, first);
+    let mut a = [params.a; N];
+    let mut b = [params.b; N];
+    let mut c = [params.c; N];
+    let mut d = [params.d(); N];
+    let mut u = [0u64; N];
+    let mut v = [0u64; N];
     for _ in 0..params.scale {
         let r = rng.next_f64();
-        for l in 0..LANES {
+        for l in 0..N {
             let r = r[l] * (a[l] + b[l] + c[l] + d[l]);
             let ab = a[l] + b[l];
             // Quadrant without a branch: (0,0) below a, (0,1) below
@@ -213,7 +242,7 @@ fn gen_edges8(avx2: Option<Avx2>, params: &RmatParams, seed: u64, first: u64) ->
             // Multiplicative noise, renormalized next level via the total.
             for x in [&mut a, &mut b, &mut c, &mut d] {
                 let f = rng.next_f64();
-                for l in 0..LANES {
+                for l in 0..N {
                     x[l] *= 1.0 - params.noise + 2.0 * params.noise * f[l];
                 }
             }
@@ -238,8 +267,8 @@ mod tests {
     use super::*;
     use rand::Rng;
 
-    /// Edge `k` of the stream on a scalar `ChaCha8Rng`: the reference the
-    /// four-lane path must equal.
+    /// Edge `k` of the stream on a scalar `ChaCha8Rng`: the reference
+    /// every instance of the descent must equal.
     fn gen_edge(params: &RmatParams, seed: u64, k: u64) -> (VertexId, VertexId) {
         let mut key = [0u8; 32];
         key[..8].copy_from_slice(&seed.to_le_bytes());
@@ -282,33 +311,50 @@ mod tests {
         crate::fnv1a(el.edges.iter().flat_map(|&(u, v)| [u, v]))
     }
 
-    /// The baseline descent, and the AVX2 one where the CPU has AVX2.
-    fn instances() -> Vec<Option<Avx2>> {
-        let avx2 = Avx2::detect();
+    /// A descent instance: the tokens `rmat_edges_on` is given.
+    type Simd = (Option<Avx512>, Option<Avx2>);
+
+    /// The baseline descent, and the AVX2 and AVX-512 ones where the CPU
+    /// has them.
+    fn instances() -> Vec<Simd> {
+        let (avx512, avx2) = (Avx512::detect(), Avx2::detect());
         if avx2.is_none() {
-            eprintln!("no AVX2 on this CPU: only the baseline descent is checked");
+            eprintln!("no AVX2 on this CPU: the AVX2 descent is not checked");
         }
-        [None].into_iter().chain(avx2.map(Some)).collect()
+        if avx512.is_none() {
+            eprintln!("no AVX-512F on this CPU: the AVX-512 descent is not checked");
+        }
+        let wide = [
+            avx2.map(|t| (None, Some(t))),
+            avx512.map(|t| (Some(t), None)),
+        ];
+        [(None, None)]
+            .into_iter()
+            .chain(wide.into_iter().flatten())
+            .collect()
+    }
+
+    fn name((avx512, avx2): Simd) -> &'static str {
+        match (avx512, avx2) {
+            (Some(_), _) => "avx512",
+            (None, Some(_)) => "avx2",
+            (None, None) => "baseline",
+        }
     }
 
     #[test]
     fn edge_list_bytes_are_pinned() {
         // Measured on the scalar per-edge generator this one replaced.
-        for avx2 in instances() {
+        for simd in instances() {
             for (scale, want) in [(10, 0xfb9f_be0f_748f_7c37), (12, 0xfc0c_4f13_960f_c413)] {
-                let el = rmat_edges_on(&RmatParams::graph500(scale), 1, avx2);
-                assert_eq!(
-                    edge_hash(&el),
-                    want,
-                    "scale {scale}, avx2 {}",
-                    avx2.is_some()
-                );
+                let el = rmat_edges_on(&RmatParams::graph500(scale), 1, simd.0, simd.1);
+                assert_eq!(edge_hash(&el), want, "scale {scale}, {}", name(simd));
             }
         }
     }
 
-    /// `rmat_edges_on(.., avx2)` against [`gen_edge`] edge by edge.
-    fn assert_matches_reference(params: &RmatParams, seed: u64, avx2: Option<Avx2>) {
+    /// `rmat_edges_on(.., simd)` against [`gen_edge`] edge by edge.
+    fn assert_matches_reference(params: &RmatParams, seed: u64, simd: Simd) {
         let perm = params
             .permute
             .then(|| random_permutation(params.num_vertices(), seed ^ 0x9e37_79b9_7f4a_7c15));
@@ -320,16 +366,16 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            rmat_edges_on(params, seed, avx2).edges,
+            rmat_edges_on(params, seed, simd.0, simd.1).edges,
             want,
-            "{params:?}, seed {seed}, avx2 {}",
-            avx2.is_some()
+            "{params:?}, seed {seed}, {}",
+            name(simd)
         );
     }
 
     #[test]
     fn both_descent_instances_equal_the_scalar_reference() {
-        for avx2 in instances() {
+        for simd in instances() {
             for scale in 1..=12 {
                 // A few thousand edges a case keep the reference fast in debug.
                 let paper = RmatParams {
@@ -340,21 +386,22 @@ mod tests {
                     permute: false,
                     ..paper
                 };
-                assert_matches_reference(&paper, 1, avx2);
-                assert_matches_reference(&raw, 1, avx2);
-                assert_matches_reference(&RmatParams { noise: 0.0, ..raw }, 1, avx2);
-                assert_matches_reference(&raw, 0xdead_beef_0123_4567, avx2);
+                assert_matches_reference(&paper, 1, simd);
+                assert_matches_reference(&raw, 1, simd);
+                assert_matches_reference(&RmatParams { noise: 0.0, ..raw }, 1, simd);
+                assert_matches_reference(&raw, 0xdead_beef_0123_4567, simd);
             }
-            // `m` is `2^scale × edge_factor`, so only scales 1 and 2 have
-            // counts that are not a multiple of eight: the last group's
-            // spare lanes.
-            for scale in 1..=2 {
+            // `m` is `2^scale × edge_factor`, so only scales 1 to 3 have
+            // counts that are not a multiple of sixteen: the last group's
+            // spare lanes (at scale 3 an odd factor leaves half of a
+            // 16-lane group empty).
+            for scale in 1..=3 {
                 for edge_factor in 1..=7 {
                     let params = RmatParams {
                         edge_factor,
                         ..RmatParams::graph500(scale)
                     };
-                    assert_matches_reference(&params, 9, avx2);
+                    assert_matches_reference(&params, 9, simd);
                 }
             }
         }

@@ -8,7 +8,8 @@
 //! cargo run --release --example graph_setup -- [SCALE] [REPEATS]
 //! ```
 //!
-//! Prints one row: scale, edges, arcs, median generation and build
+//! Prints one row: scale, edges, arcs, the descent instance the CPU ran
+//! (`simd avx512`, `avx2` or `baseline`), median generation and build
 //! seconds (with min and max), peak RSS in MB (Linux `VmHWM`; 0 where
 //! `/proc` is absent), and the two hashes.  Run one scale per process:
 //! the peak is the process's, not the last repeat's.
@@ -16,7 +17,7 @@
 use std::time::Instant;
 
 use xmt_bsp_repro::graph::builder::build_undirected;
-use xmt_bsp_repro::graph::gen::rmat::{rmat_edges, RmatParams};
+use xmt_bsp_repro::graph::gen::rmat::{rmat_edges, simd_instance, RmatParams};
 
 /// FNV-1a over 64-bit words.
 fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -63,11 +64,12 @@ fn main() {
     let (g_med, g_min, g_max) = median(gen_s);
     let (b_med, b_min, b_max) = median(build_s);
     println!(
-        "scale {scale}  edges {}  arcs {}  gen_s {g_med:.3} [{g_min:.3} .. {g_max:.3}]  \
+        "scale {scale}  edges {}  arcs {}  simd {}  gen_s {g_med:.3} [{g_min:.3} .. {g_max:.3}]  \
          build_s {b_med:.3} [{b_min:.3} .. {b_max:.3}]  peak_rss_mb {:.1}  \
          edge_fnv {:016x}  csr_fnv {:016x}",
         params.num_edges(),
         hashes.2,
+        simd_instance(),
         peak_rss_mb(),
         hashes.0,
         hashes.1,
